@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/benchsuite"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -270,6 +271,19 @@ func BenchmarkAddRemovePeer(b *testing.B) {
 		id := eng.AddPeer(pr, queries, counts, cluster.None)
 		eng.RemovePeer(id)
 	}
+}
+
+// The two halves of making a join visible (see internal/benchsuite,
+// which `reform bench` runs at its -peers population).
+
+func BenchmarkBuildViewAfterJoin(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.BuildViewAfterJoin(sys, sys.NewEngine(sys.CategoryConfig()))(b)
+}
+
+func BenchmarkRouterApplyJoinDelta(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.RouterApplyJoinDelta(sys, sys.NewEngine(sys.CategoryConfig()))(b)
 }
 
 func BenchmarkFlashCrowd(b *testing.B) {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/attr"
+	"repro/internal/benchsuite"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -82,7 +83,7 @@ func sameRunnerClass(a, b benchReport) bool {
 var gatedBenchmarks = []string{
 	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "AddRemovePeer",
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
-	"RouteRarest", "RouterServe",
+	"RouteRarest", "RouterServe", "BuildViewAfterJoin", "RouterApplyJoinDelta",
 	"ProtocolRound", "ProtocolRoundParallel", "ReformStep",
 	"ProtocolRoundLarge", "ProtocolRoundLargeExact", "ReformStepLarge",
 }
@@ -352,10 +353,7 @@ func runBenchCommand(args []string) {
 	// so this keeps measuring the uncached resolve+Route pipeline
 	// (QueryServeHot owns the cached number).
 	vocab := ssys.Gen.Vocab()
-	names := make([]string, vocab.Len())
-	for id := range names {
-		names[id] = vocab.Name(attr.ID(id))
-	}
+	names := vocab.Names()
 	rawQueries := make([][]string, len(queries))
 	for i, q := range queries {
 		rawQueries[i] = q.Names(vocab)
@@ -381,6 +379,12 @@ func runBenchCommand(args []string) {
 			rt.AnswerQuery(rawQueries[i%len(rawQueries)], &sc)
 		}
 	})
+	// What one join costs to make visible, on the daemon (the view
+	// build that publishes it) and on a router (applying its delta
+	// record), at the -peers population: both must stay proportional to
+	// the newcomer's footprint, not to the system.
+	recordServe("BuildViewAfterJoin", benchsuite.BuildViewAfterJoin(ssys, seng))
+	recordServe("RouterApplyJoinDelta", benchsuite.RouterApplyJoinDelta(ssys, seng))
 	// The reformulation protocol's hot paths: one round serial, one
 	// round with the phase-1 decide scan fanned over all cores, and a
 	// quiescent stepped period (the steady-state maintenance tick of

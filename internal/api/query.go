@@ -79,10 +79,10 @@ var emptyHits = []ClusterHit{}
 // Unknown terms cannot match anything (items only contain interned
 // attributes), so any unknown term resolves to ok=false and the
 // caller answers empty without routing.
-func (sc *Scratch) resolve(terms map[string]attr.ID, raw []string) (q attr.Set, ok bool) {
+func (sc *Scratch) resolve(terms *attr.TermTable, raw []string) (q attr.Set, ok bool) {
 	sc.ids = sc.ids[:0]
 	for _, t := range raw {
-		id, known := terms[t]
+		id, known := terms.Lookup(t)
 		if !known {
 			return attr.Set{}, false
 		}
@@ -108,13 +108,13 @@ func answerResolved(rv *core.RoutingView, cache *core.RouteCache, q attr.Set, sc
 	return QueryResponse{Total: total, Clusters: sc.hits}
 }
 
-// AnswerQuery evaluates terms against the view and returns the
-// routing answer, consulting cache (which may be nil) for repeated
-// queries against the same view. The response's Clusters slice
-// aliases sc and is valid until sc's next use; callers that retain
-// answers (the batch path) copy it out. Unknown terms yield the empty
-// answer. The call is allocation-free at steady state.
-func AnswerQuery(terms map[string]attr.ID, rv *core.RoutingView, cache *core.RouteCache, raw []string, sc *Scratch) QueryResponse {
+// Answer evaluates raw terms against one published (term table, view)
+// snapshot and returns the routing answer, consulting cache (which may
+// be nil) for repeated queries against the same view. The response's
+// Clusters slice aliases sc and is valid until sc's next use; callers
+// that retain answers (the batch path) copy it out. Unknown terms yield
+// the empty answer. The call is allocation-free at steady state.
+func Answer(terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache, raw []string, sc *Scratch) QueryResponse {
 	q, ok := sc.resolve(terms, raw)
 	if !ok {
 		sc.hits = sc.hits[:0]
@@ -123,11 +123,18 @@ func AnswerQuery(terms map[string]attr.ID, rv *core.RoutingView, cache *core.Rou
 	return answerResolved(rv, cache, q, sc)
 }
 
+// AnswerQuery is Answer for a caller holding its term table as one
+// plain map.
+func AnswerQuery(terms map[string]attr.ID, rv *core.RoutingView, cache *core.RouteCache, raw []string, sc *Scratch) QueryResponse {
+	t := attr.TermsOf(terms)
+	return Answer(&t, rv, cache, raw, sc)
+}
+
 // ServeQuery implements the POST /v1/query data-plane endpoint over
 // one published (terms, view) snapshot: decode, validate, answer,
 // encode. It returns the number of queries answered (0 when the
 // request was rejected), for the caller's served counter.
-func ServeQuery(w http.ResponseWriter, r *http.Request, terms map[string]attr.ID, rv *core.RoutingView, cache *core.RouteCache) int {
+func ServeQuery(w http.ResponseWriter, r *http.Request, terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache) int {
 	var req QueryRequest
 	if !DecodeStrict(w, r, "query", &req) {
 		return 0
@@ -137,7 +144,7 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, terms map[string]attr.ID
 		return 0
 	}
 	sc := GetScratch()
-	resp := AnswerQuery(terms, rv, cache, req.Terms, sc)
+	resp := Answer(terms, rv, cache, req.Terms, sc)
 	WriteJSON(w, http.StatusOK, resp)
 	PutScratch(sc)
 	return 1
@@ -151,7 +158,7 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, terms map[string]attr.ID
 // once and share the answer — legal precisely because the whole batch
 // is served from one snapshot. It returns the number of queries
 // answered.
-func ServeQueryBatch(w http.ResponseWriter, r *http.Request, terms map[string]attr.ID, rv *core.RoutingView, cache *core.RouteCache) int {
+func ServeQueryBatch(w http.ResponseWriter, r *http.Request, terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache) int {
 	var req BatchRequest
 	if !DecodeStrict(w, r, "batch", &req) {
 		return 0

@@ -53,6 +53,11 @@ func (v *Vocab) Name(id ID) string {
 	return v.names[id]
 }
 
+// Names returns the interned names in ID order. The elements are never
+// rewritten (the vocabulary is append-only), so the slice stays valid,
+// as a prefix, across later Interns; it must be treated as read-only.
+func (v *Vocab) Names() []string { return v.names[:len(v.names):len(v.names)] }
+
 // Len returns the number of interned attributes.
 func (v *Vocab) Len() int { return len(v.names) }
 

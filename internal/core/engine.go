@@ -185,6 +185,12 @@ type Engine struct {
 	// BuildRoutingView can reuse the previous view's copies across
 	// pure relocations (reform periods) and compactions.
 	popVersion uint64
+	// lineage identifies the span of this engine's history within which
+	// peers only changed by being replaced wholesale (AddPeer,
+	// RemovePeer): a fresh process-unique value after every Rebuild,
+	// whose caller may have edited peer content in place. Views of one
+	// lineage can share structure and be diffed by peer pointer.
+	lineage uint64
 }
 
 // New builds an engine over the given peers, workload and initial
@@ -398,6 +404,7 @@ func (e *Engine) Rebuild() {
 	e.wlCompactions = e.wl.Compactions()
 	e.cfgVersion = e.cfg.MembershipVersion()
 	e.popVersion++
+	e.lineage = nextLineage.Add(1)
 }
 
 // moveRecallTerms adds sign times the recall-sum terms of query q in

@@ -633,8 +633,12 @@ func (e *Engine) PopVersion() uint64 { return e.popVersion }
 // SetPopVersion overwrites the population/content version counter. It
 // exists for replication catch-up: a follower restoring a leader's
 // state must number its published views exactly as the leader does, or
-// the two nodes' views for identical states would disagree.
-func (e *Engine) SetPopVersion(v uint64) { e.popVersion = v }
+// the two nodes' views for identical states would disagree. Views built
+// before the call are not comparable with views built after it.
+func (e *Engine) SetPopVersion(v uint64) {
+	e.popVersion = v
+	e.lineage = nextLineage.Add(1)
+}
 
 // SetFreeSlots installs a vacated-slot stack, overriding the rebuild
 // default (ascending pop order). Replication needs it: slot reuse is

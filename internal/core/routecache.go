@@ -10,16 +10,17 @@ import (
 // This file implements the hot-query result cache of the read path: a
 // bounded, sharded cache of fully computed Route answers, coherent
 // with the routing view by construction. Every entry records the
-// exact *RoutingView it was computed against, and a lookup only hits
-// when the entry's view IS the view being queried — pointer identity,
-// the strictest possible epoch. Publishing a new view therefore
+// process-unique ID of the RoutingView it was computed against, and a
+// lookup only hits when that IS the view being queried — identity, the
+// strictest possible epoch. Publishing a new view therefore
 // invalidates the whole cache wholesale with zero coordination: no
 // TTLs, no staleness window, no flush — a cached answer is
 // definitionally identical to recomputation against the same view,
 // and a new view simply never matches old entries. (Entries for
 // superseded views are overwritten lazily as misses repopulate their
 // slots; the cache is bounded, so at most Capacity stale entries
-// linger, each only pinning state its successor views largely share.)
+// linger. An entry holds its view's ID, not a pointer, so a stale one
+// keeps nothing of the superseded view reachable.)
 //
 // Reads are lock-free: entries are immutable and published through
 // atomic pointers, and a hit copies the answer into the caller's
@@ -46,10 +47,10 @@ const (
 )
 
 // routeCacheEntry is one immutable cached answer. The key is the
-// query's canonical attr.Set key; view pins the snapshot the answer
-// was computed against.
+// query's canonical attr.Set key; view is the ID of the snapshot the
+// answer was computed against.
 type routeCacheEntry struct {
-	view  *RoutingView
+	view  uint64
 	key   string
 	total int
 	hits  []RouteHit
@@ -158,7 +159,7 @@ func keyEqual(s string, b []byte) bool {
 // answer into sc. Lock-free and allocation-free at steady state.
 func (c *RouteCache) lookup(v *RoutingView, h uint64, key []byte, sc *RouteScratch) (total int, ok bool) {
 	for _, i := range [2]uint64{h & c.mask, (h >> 32) & c.mask} {
-		if e := c.slots[i].Load(); e != nil && e.view == v && keyEqual(e.key, key) {
+		if e := c.slots[i].Load(); e != nil && e.view == v.id && keyEqual(e.key, key) {
 			sc.hits = append(sc.hits[:0], e.hits...)
 			return e.total, true
 		}
@@ -173,7 +174,7 @@ func (c *RouteCache) lookup(v *RoutingView, h uint64, key []byte, sc *RouteScrat
 // callers keep ownership of their buffers.
 func (c *RouteCache) insert(v *RoutingView, h uint64, key []byte, total int, hits []RouteHit) {
 	e := &routeCacheEntry{
-		view:  v,
+		view:  v.id,
 		key:   string(key),
 		total: total,
 		hits:  append([]RouteHit(nil), hits...),
@@ -185,9 +186,9 @@ func (c *RouteCache) insert(v *RoutingView, h uint64, key []byte, total int, hit
 	e1, e2 := c.slots[i1].Load(), c.slots[i2].Load()
 	victim := i1
 	switch {
-	case e1 == nil || e1.view != v || e1.key == e.key:
+	case e1 == nil || e1.view != v.id || e1.key == e.key:
 		victim = i1
-	case e2 == nil || e2.view != v || e2.key == e.key:
+	case e2 == nil || e2.view != v.id || e2.key == e.key:
 		victim = i2
 	default:
 		// Both candidates hold live answers for this very view:
@@ -205,7 +206,7 @@ func (c *RouteCache) insert(v *RoutingView, h uint64, key []byte, total int, hit
 // RouteCached answers q like Route, consulting (and populating) the
 // cache. A nil cache degrades to plain Route. Answers are
 // byte-identical to Route against the same view by construction:
-// entries are keyed by (exact view, canonical query key), so a hit
+// entries are keyed by (view ID, canonical query key), so a hit
 // replays an answer computed against this very snapshot — there is no
 // staleness to reason about. On a hit the answer is copied into sc
 // (the same ownership contract as Route: valid until sc's next use)

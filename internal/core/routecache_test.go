@@ -19,7 +19,7 @@ func routeFirstAttribute(v *RoutingView, q attr.Set) (total int, hits []RouteHit
 		return 0, nil
 	}
 	results := make([]int, len(v.sizes))
-	for _, pid := range v.postings[ids[0]] {
+	for _, pid := range v.postings.get(ids[0]) {
 		if res := v.peers[pid].ResultCountRO(q); res > 0 {
 			results[v.clusterOf[pid]] += res
 			total += res

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -28,12 +29,16 @@ import (
 // serving daemon never mutates a live peer's items — churn replaces
 // peers wholesale).
 //
-// Because relocations (reform rounds) and workload compactions change
-// neither the population nor any posting list, BuildRoutingView
-// reuses the previous view's posting and peer copies unless a
-// join/leave/Rebuild happened in between (tracked by popVersion):
-// republishing after a maintenance period costs O(slots), not
-// O(total postings).
+// Successive views of one engine share structure. Relocations (reform
+// rounds) and workload compactions change neither the population nor
+// any posting list, so a republish after them reuses the previous
+// view's posting table and peer slice outright. A join or leave changes
+// the posting lists of one peer's attributes only: the posting table is
+// a paged, copy-on-write array indexed by attribute ID, and the build
+// re-clones just the touched lists (and the pages holding them) while
+// every other page stays shared with the predecessor. Either way a
+// republish costs O(slots + the change's footprint), never O(total
+// postings); only the first view of an engine is built from scratch.
 
 // RouteHit is one cluster's share of a query's results.
 type RouteHit struct {
@@ -54,13 +59,90 @@ type RouteScratch struct {
 	key     []byte // canonical query key buffer (RouteCached)
 }
 
+// Posting lists live in pages of postingPageLen consecutive attribute
+// IDs. A page is small enough that copying one per touched attribute
+// keeps a join's republish in the kilobytes, and large enough that the
+// page directory of a 32k-term vocabulary is a few hundred pointers.
+const (
+	postingPageBits = 6
+	postingPageLen  = 1 << postingPageBits
+)
+
+type postingPage [postingPageLen][]int32
+
+// postingTable maps an attribute ID to the live slots whose content
+// holds it. It is immutable once its view is published; successor
+// views share its pages (see postingPatch).
+type postingTable struct {
+	pages []*postingPage
+	// lists counts the non-empty lists (Export sizes its map by it).
+	lists int
+}
+
+// get returns a's posting list, nil for any ID no page covers
+// (negative IDs convert to indexes far past the directory).
+func (t postingTable) get(a attr.ID) []int32 {
+	pi := uint(a) >> postingPageBits
+	if pi >= uint(len(t.pages)) || t.pages[pi] == nil {
+		return nil
+	}
+	return t.pages[pi][uint(a)&(postingPageLen-1)]
+}
+
+// postingPatch derives a successor table: the page directory is
+// copied, and a page is copied the first time one of its lists is
+// replaced, so untouched pages stay shared with the source table.
+type postingPatch struct {
+	postingTable
+	owned []bool
+}
+
+func (t postingTable) patch() postingPatch {
+	return postingPatch{postingTable{slices.Clone(t.pages), t.lists}, make([]bool, len(t.pages))}
+}
+
+// set replaces a's posting list. lst must not be modified afterwards.
+func (b *postingPatch) set(a attr.ID, lst []int32) {
+	pi := int(a) >> postingPageBits
+	for pi >= len(b.pages) {
+		b.pages = append(b.pages, nil)
+		b.owned = append(b.owned, false)
+	}
+	if !b.owned[pi] {
+		pg := new(postingPage)
+		if old := b.pages[pi]; old != nil {
+			*pg = *old
+		}
+		b.pages[pi], b.owned[pi] = pg, true
+	}
+	at := &b.pages[pi][int(a)&(postingPageLen-1)]
+	if len(lst) == 0 {
+		lst = nil
+	}
+	b.lists += min(len(lst), 1) - min(len(*at), 1)
+	*at = lst
+}
+
+// nextViewID and nextLineage hand out process-unique identities: one
+// per RoutingView (what a RouteCache entry remembers instead of a
+// pointer, so it keeps no view alive), and one per engine state that
+// views can be diffed within (see Engine.lineage).
+var nextViewID, nextLineage atomic.Uint64
+
 // RoutingView is an immutable snapshot of the query-routing state.
 // Build one with Engine.BuildRoutingView under the writer's lock,
 // then share it freely: every method is safe for concurrent use and
 // the view never changes once built.
 type RoutingView struct {
+	id uint64
+	// lineage is the engine lineage the view was built in, 0 for a view
+	// reconstructed from wire data. Two views of one lineage hold the
+	// engine's own peer pointers, and the engine replaces peers
+	// wholesale, so a slot changed between them exactly when its
+	// pointers differ.
+	lineage    uint64
 	peers      []*peer.Peer
-	postings   map[attr.ID][]int32
+	postings   postingTable
 	clusterOf  []cluster.CID
 	sizes      []int
 	nonEmpty   []cluster.CID
@@ -69,16 +151,21 @@ type RoutingView struct {
 }
 
 // BuildRoutingView snapshots the engine's routing state into an
-// immutable view. Passing the previously published view lets the
-// build reuse its posting-list and peer copies when no join, leave or
-// Rebuild happened since (pure relocations and compactions don't
-// invalidate them); pass nil to force full copies. The engine must be
-// fresh; the call builds the membership indexes if a Rebuild dropped
-// them, and freezes every live peer for read-only matching.
+// immutable view. Passing the previously published view of the same
+// engine lets the build share structure with it: everything but the
+// assignment when no join or leave happened since, and otherwise all
+// posting lists and frozen peers outside the footprint of the slots
+// that changed (found by comparing peer pointers, O(slots)). With nil,
+// or a view from another engine or from before a Rebuild, the view is
+// built from scratch. The engine must be fresh; the call builds the
+// membership indexes if a Rebuild dropped them, and freezes every live
+// peer it has not frozen for an earlier view.
 func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 	e.mustBeFresh("BuildRoutingView")
 	e.ensureIndexes()
 	v := &RoutingView{
+		id:         nextViewID.Add(1),
+		lineage:    e.lineage,
 		clusterOf:  e.cfg.Assignment(),
 		sizes:      make([]int, e.cfg.Cmax()),
 		nonEmpty:   e.cfg.NonEmpty(),
@@ -88,22 +175,52 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 	for _, c := range v.nonEmpty {
 		v.sizes[c] = e.cfg.Size(c)
 	}
-	if prev != nil && prev.popVersion == e.popVersion {
+	scratch := prev == nil || prev.lineage != e.lineage
+	if !scratch && prev.popVersion == e.popVersion {
 		v.peers, v.postings = prev.peers, prev.postings
 		return v
 	}
 	v.peers = slices.Clone(e.peers)
-	v.postings = make(map[attr.ID][]int32, len(e.peersByAttr))
-	for a, lst := range e.peersByAttr {
-		if len(lst) > 0 {
-			v.postings[a] = slices.Clone(lst)
+	if scratch {
+		var pb postingPatch
+		for _, p := range v.peers {
+			if p != nil {
+				p.Freeze()
+			}
 		}
+		for a, lst := range e.peersByAttr {
+			if len(lst) > 0 {
+				pb.set(a, slices.Clone(lst))
+			}
+		}
+		v.postings = pb.postingTable
+		return v
 	}
-	for _, p := range v.peers {
+	pb := prev.postings.patch()
+	touched := e.attrScratch[:0]
+	for i, p := range v.peers {
+		var old *peer.Peer
+		if i < len(prev.peers) {
+			old = prev.peers[i]
+		}
+		if p == old {
+			continue
+		}
+		if old != nil {
+			touched = old.AppendAttrs(touched)
+		}
 		if p != nil {
 			p.Freeze()
+			touched = p.AppendAttrs(touched)
 		}
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	for _, a := range touched {
+		pb.set(a, slices.Clone(e.peersByAttr[a]))
+	}
+	e.attrScratch = touched
+	v.postings = pb.postingTable
 	return v
 }
 
@@ -151,15 +268,14 @@ func (v *RoutingView) Route(q attr.Set, sc *RouteScratch) (total int, hits []Rou
 	if len(ids) == 0 {
 		return 0, sc.hits
 	}
-	// BuildRoutingView never stores empty posting lists, so a missing
-	// map entry means "no live peer holds this attribute" — and any
+	// An empty list means "no live peer holds this attribute" — and any
 	// empty list, including the running minimum, ends the query early.
-	scan := v.postings[ids[0]]
+	scan := v.postings.get(ids[0])
 	for _, id := range ids[1:] {
 		if len(scan) == 0 {
 			break
 		}
-		if lst := v.postings[id]; len(lst) < len(scan) {
+		if lst := v.postings.get(id); len(lst) < len(scan) {
 			scan = lst
 		}
 	}
@@ -194,27 +310,48 @@ func (v *RoutingView) Route(q attr.Set, sc *RouteScratch) (total int, hits []Rou
 // pieces a stateless query-router tier needs to mirror the
 // authoritative engine's RoutingView over a wire protocol. A router
 // bootstraps from a full export (Export -> encode -> decode ->
-// FromViewData) and then follows the engine with pure-relocation
-// deltas (DiffFrom on the engine side, ApplyMoves on the router
-// side), resynchronizing with a fresh full view whenever PopVersion
-// moves — joins, leaves and rebuilds change peers and posting lists,
-// which deltas deliberately cannot express.
+// FromViewData) and then follows the engine with deltas (DeltaFrom on
+// the engine side, ApplyDelta on the router side): the slots whose peer
+// changed, with the newcomers' content, plus the relocations. A full
+// view is needed again only when no delta exists between the two views
+// — a different engine, or a Rebuild in between.
 
-// SlotMove is one entry of a pure-relocation delta: the peer in Slot
-// is now assigned to cluster To. A sequence of SlotMoves carries a
-// RoutingView to a successor with the same PopVersion.
+// SlotMove is one relocation of a delta: the peer in Slot, unchanged
+// itself, is now assigned to cluster To.
 type SlotMove struct {
 	Slot int32
 	To   cluster.CID
+}
+
+// SlotChange is one population change of a delta: Slot now holds a
+// different peer than in the base view, or none.
+type SlotChange struct {
+	Slot int32
+	// Cluster is the new peer's cluster; cluster.None means the slot
+	// was vacated.
+	Cluster cluster.CID
+	// Items is the new peer's content (nil for a vacated slot).
+	Items []attr.Set
+}
+
+// ViewDelta carries a RoutingView at population version BasePop to a
+// successor at PopVersion. With BasePop == PopVersion it holds
+// relocations only. Changed is in ascending slot order; an entry for
+// the slot one past the base view's last appends a slot.
+type ViewDelta struct {
+	BasePop    uint64
+	PopVersion uint64
+	Changed    []SlotChange
+	Moves      []SlotMove
 }
 
 // DiffFrom extracts the pure-relocation delta that carries prev to v:
 // one SlotMove per slot whose cluster assignment differs. It returns
 // ok=false when no such delta exists — prev is nil, from a different
 // population version, or (defensively) a different slot count — in
-// which case the subscriber needs a full view instead. An empty,
-// ok=true delta means the views route identically (e.g. a republish
-// after a workload compaction).
+// which case the subscriber needs DeltaFrom or a full view instead. An
+// empty, ok=true delta means the views route identically (e.g. a
+// republish after a workload compaction).
 func (v *RoutingView) DiffFrom(prev *RoutingView) (moves []SlotMove, ok bool) {
 	if prev == nil || prev.popVersion != v.popVersion || len(prev.clusterOf) != len(v.clusterOf) {
 		return nil, false
@@ -227,22 +364,107 @@ func (v *RoutingView) DiffFrom(prev *RoutingView) (moves []SlotMove, ok bool) {
 	return moves, true
 }
 
-// ApplyMoves derives the successor view reached from v by the given
-// pure-relocation delta. Peers and posting lists are shared with v
-// (relocations change neither), the assignment is copied and patched,
-// and the per-cluster sizes are recomputed, so the call is O(slots).
-// Moves must relocate live slots to real clusters; anything else —
-// out-of-range slot, dead slot, negative target — returns an error
-// and the caller should resynchronize with a full view.
+// DeltaFrom extracts the delta that carries prev to v: a SlotChange for
+// every slot whose peer differs (including slots added since, vacated
+// again or not) and a SlotMove for every other slot whose assignment
+// differs. It returns ok=false when the two views were not built in the
+// same engine lineage, the only case in which peers can be compared by
+// identity; the subscriber then needs a full view. O(slots).
+func (v *RoutingView) DeltaFrom(prev *RoutingView) (d ViewDelta, ok bool) {
+	if prev == nil || v.lineage == 0 || prev.lineage != v.lineage || len(prev.peers) > len(v.peers) {
+		return ViewDelta{}, false
+	}
+	d = ViewDelta{BasePop: prev.popVersion, PopVersion: v.popVersion}
+	for i, p := range v.peers {
+		added := i >= len(prev.peers)
+		switch {
+		case added || p != prev.peers[i]:
+			ch := SlotChange{Slot: int32(i), Cluster: v.clusterOf[i]}
+			if p != nil {
+				ch.Items = p.Items()
+			}
+			d.Changed = append(d.Changed, ch)
+		case v.clusterOf[i] != prev.clusterOf[i]:
+			d.Moves = append(d.Moves, SlotMove{Slot: int32(i), To: v.clusterOf[i]})
+		}
+	}
+	return d, true
+}
+
+// ApplyMoves derives the successor view reached from v by relocations
+// alone: ApplyDelta at an unchanged population version.
 func (v *RoutingView) ApplyMoves(moves []SlotMove) (*RoutingView, error) {
+	return v.ApplyDelta(ViewDelta{BasePop: v.popVersion, PopVersion: v.popVersion, Moves: moves})
+}
+
+// ApplyDelta derives the successor view reached from v by d, without an
+// engine: a peer is built and frozen for every newcomer, the posting
+// lists of the changed peers' attributes are re-derived on copied
+// pages, and everything else is shared with v, so the call costs
+// O(slots + the changes' footprint). The delta is validated — a base
+// version other than v's, a change that skips past the slot table's
+// end or vacates a slot already empty, a move of an empty slot, a
+// negative cluster — and an error leaves v untouched; the caller
+// should then resynchronize with a full view.
+func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
+	if d.BasePop != v.popVersion {
+		return nil, fmt.Errorf("core: delta from population version %d against a view at %d", d.BasePop, v.popVersion)
+	}
 	next := &RoutingView{
+		id:         nextViewID.Add(1),
 		peers:      v.peers,
 		postings:   v.postings,
 		clusterOf:  slices.Clone(v.clusterOf),
 		live:       v.live,
-		popVersion: v.popVersion,
+		popVersion: d.PopVersion,
 	}
-	for _, m := range moves {
+	if len(d.Changed) > 0 {
+		next.peers = slices.Clone(v.peers)
+		pb := v.postings.patch()
+		var attrs []attr.ID
+		for _, ch := range d.Changed {
+			slot := int(ch.Slot)
+			appended := slot == len(next.peers)
+			if appended {
+				next.peers = append(next.peers, nil)
+				next.clusterOf = append(next.clusterOf, cluster.None)
+			}
+			if slot < 0 || slot >= len(next.peers) {
+				return nil, fmt.Errorf("core: change of slot %d skips past the %d known", ch.Slot, len(next.peers))
+			}
+			if ch.Cluster < cluster.None {
+				return nil, fmt.Errorf("core: slot %d assigned to invalid cluster %d", ch.Slot, ch.Cluster)
+			}
+			old := next.peers[slot]
+			if old == nil && ch.Cluster == cluster.None && !appended {
+				return nil, fmt.Errorf("core: change vacates unoccupied slot %d", ch.Slot)
+			}
+			if old != nil {
+				attrs = old.AppendAttrs(attrs[:0])
+				for _, a := range attrs {
+					lst := pb.get(a)
+					pb.set(a, slices.DeleteFunc(slices.Clone(lst), func(s int32) bool { return s == ch.Slot }))
+				}
+				next.peers[slot] = nil
+				next.live--
+			}
+			if ch.Cluster != cluster.None {
+				p := peer.New(slot)
+				p.SetItems(ch.Items)
+				p.Freeze()
+				attrs = p.AppendAttrs(attrs[:0])
+				for _, a := range attrs {
+					lst := pb.get(a)
+					pb.set(a, append(slices.Clip(lst), ch.Slot))
+				}
+				next.peers[slot] = p
+				next.live++
+			}
+			next.clusterOf[slot] = ch.Cluster
+		}
+		next.postings = pb.postingTable
+	}
+	for _, m := range d.Moves {
 		if m.Slot < 0 || int(m.Slot) >= len(next.clusterOf) {
 			return nil, fmt.Errorf("core: move slot %d out of range [0,%d)", m.Slot, len(next.clusterOf))
 		}
@@ -300,9 +522,10 @@ type ViewData struct {
 	Postings map[attr.ID][]int32
 }
 
-// Export renders v as a ViewData. Items are copied per slot; the
-// assignment and posting lists alias the view's immutable state, so
-// the result must be treated as read-only.
+// Export renders v as a ViewData. Items are copied per slot and the
+// posting map is built from the view's table (non-empty lists only);
+// the assignment and the lists themselves alias the view's immutable
+// state, so the result must be treated as read-only.
 func (v *RoutingView) Export() ViewData {
 	items := make([][]attr.Set, len(v.peers))
 	for i, p := range v.peers {
@@ -310,11 +533,22 @@ func (v *RoutingView) Export() ViewData {
 			items[i] = p.Items()
 		}
 	}
+	postings := make(map[attr.ID][]int32, v.postings.lists)
+	for pi, pg := range v.postings.pages {
+		if pg == nil {
+			continue
+		}
+		for k, lst := range pg {
+			if len(lst) > 0 {
+				postings[attr.ID(pi<<postingPageBits|k)] = lst
+			}
+		}
+	}
 	return ViewData{
 		PopVersion: v.popVersion,
 		Items:      items,
 		ClusterOf:  v.clusterOf,
-		Postings:   v.postings,
+		Postings:   postings,
 	}
 }
 
@@ -324,16 +558,18 @@ func (v *RoutingView) Export() ViewData {
 // the assignment, and the assignment and posting lists are adopted
 // (the caller must not mutate them afterwards). The data is validated
 // — mismatched slot counts, postings naming unoccupied or
-// out-of-range slots, and negative cluster IDs are rejected — so a
-// decoder can hand over untrusted input without risking a panic on
-// the router's read path.
+// out-of-range slots, and negative cluster or attribute IDs are
+// rejected — so a decoder can hand over untrusted input without
+// risking a panic on the router's read path. The posting table is
+// sized by the largest attribute ID with a posting list; a decoder
+// should bound that by its vocabulary (viewwire does).
 func FromViewData(d ViewData) (*RoutingView, error) {
 	if len(d.Items) != len(d.ClusterOf) {
 		return nil, fmt.Errorf("core: view data has %d item slots but %d assignment slots", len(d.Items), len(d.ClusterOf))
 	}
 	v := &RoutingView{
+		id:         nextViewID.Add(1),
 		clusterOf:  d.ClusterOf,
-		postings:   d.Postings,
 		popVersion: d.PopVersion,
 		peers:      make([]*peer.Peer, len(d.Items)),
 	}
@@ -350,13 +586,19 @@ func FromViewData(d ViewData) (*RoutingView, error) {
 		v.peers[i] = p
 		v.live++
 	}
+	var pb postingPatch
 	for a, lst := range d.Postings {
+		if a < 0 {
+			return nil, fmt.Errorf("core: posting list of invalid attr %d", a)
+		}
 		for _, pid := range lst {
 			if pid < 0 || int(pid) >= len(v.peers) || v.peers[pid] == nil {
 				return nil, fmt.Errorf("core: posting list of attr %d names unoccupied slot %d", a, pid)
 			}
 		}
+		pb.set(a, lst)
 	}
+	v.postings = pb.postingTable
 	v.rebuildSizes()
 	return v, nil
 }

@@ -5,11 +5,11 @@
 // its local copy of the view.
 //
 // A router holds no overlay state of its own: everything it serves is
-// reconstructed from full records and advanced by pure-relocation
-// delta records, so any number of replicas scale the read path
-// horizontally while the daemon remains the single writer. Because a
-// replica answers through exactly the same code path as the daemon
-// (internal/api over a core.RoutingView), its responses are
+// reconstructed from a full record and advanced by delta records
+// (joins, leaves and relocations), so any number of replicas scale the
+// read path horizontally while the daemon remains the single writer.
+// Because a replica answers through exactly the same code path as the
+// daemon (internal/api over a core.RoutingView), its responses are
 // byte-identical to the engine's for the same published view — the
 // tier's correctness contract, pinned by the property tests in this
 // package.
@@ -101,7 +101,7 @@ func (c Config) withDefaults() Config {
 // term table plus the reconstructed routing view.
 type syncedView struct {
 	seq     uint64
-	terms   map[string]attr.ID
+	terms   *attr.TermTable
 	routing *core.RoutingView
 }
 
@@ -175,9 +175,13 @@ func (rt *Router) Shutdown() {
 }
 
 // ApplyRecord advances the local view with one decoded replication
-// record: full records (re)build it, delta records relocate within
-// it. Errors leave the current view untouched; the caller decides
-// whether to resynchronize.
+// record: a full record (re)builds it, a delta record derives the next
+// view from the current one — newcomers built, the posting lists of
+// changed peers patched, the vocabulary grown, everything else shared.
+// A delta must chain: its base population version is the current
+// view's, and its content only names attributes of the vocabulary it
+// extends. Errors leave the current view untouched; the caller decides
+// whether to resynchronize. Calls must not run concurrently.
 func (rt *Router) ApplyRecord(rec viewwire.Record) error {
 	switch rec.Kind {
 	case viewwire.KindFull:
@@ -185,31 +189,31 @@ func (rt *Router) ApplyRecord(rec viewwire.Record) error {
 		if err != nil {
 			return fmt.Errorf("router: full record rejected: %w", err)
 		}
-		terms := make(map[string]attr.ID, len(rec.Terms))
-		for id, name := range rec.Terms {
-			terms[name] = attr.ID(id)
-		}
-		rt.view.Store(&syncedView{seq: rec.Seq, terms: terms, routing: routing})
+		rt.view.Store(&syncedView{seq: rec.Seq, terms: attr.NewTermTable(rec.Terms), routing: routing})
 		rt.fullSyncs.Add(1)
-		rt.wakeWaiters()
 	case viewwire.KindDelta:
 		cur := rt.view.Load()
 		if cur == nil {
 			return fmt.Errorf("router: delta record with no base view")
 		}
-		if got := cur.routing.PopVersion(); got != rec.PopVersion {
-			return fmt.Errorf("router: delta for population version %d against %d", rec.PopVersion, got)
+		vocab := cur.terms.Len() + len(rec.Names)
+		for _, ch := range rec.Changed {
+			for _, it := range ch.Items {
+				if ids := it.IDs(); len(ids) > 0 && int(ids[len(ids)-1]) >= vocab {
+					return fmt.Errorf("router: delta rejected: slot %d holds attribute %d of a %d-term vocabulary", ch.Slot, ids[len(ids)-1], vocab)
+				}
+			}
 		}
-		routing, err := cur.routing.ApplyMoves(rec.Moves)
+		routing, err := cur.routing.ApplyDelta(rec.Delta())
 		if err != nil {
 			return fmt.Errorf("router: delta rejected: %w", err)
 		}
-		rt.view.Store(&syncedView{seq: rec.Seq, terms: cur.terms, routing: routing})
+		rt.view.Store(&syncedView{seq: rec.Seq, terms: cur.terms.Grow(rec.Names), routing: routing})
 		rt.deltaSyncs.Add(1)
-		rt.wakeWaiters()
 	default:
 		return fmt.Errorf("router: unknown record kind %d", rec.Kind)
 	}
+	rt.wakeWaiters()
 	return nil
 }
 
@@ -387,7 +391,7 @@ func (rt *Router) AnswerQuery(raw []string, sc *api.Scratch) (resp api.QueryResp
 	if v == nil {
 		return api.QueryResponse{}, false
 	}
-	return api.AnswerQuery(v.terms, v.routing, rt.cache, raw, sc), true
+	return api.Answer(v.terms, v.routing, rt.cache, raw, sc), true
 }
 
 // Handler returns the router's HTTP handler: the v1 data plane plus

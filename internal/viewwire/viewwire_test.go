@@ -2,6 +2,7 @@ package viewwire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
@@ -123,9 +124,46 @@ func TestWireDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("move %d: %v != %v", i, rec.Moves[i], m)
 		}
 	}
+	if rec.BasePop != 4 || len(rec.Names) != 0 || len(rec.Changed) != 0 {
+		t.Fatalf("relocation-only delta decoded a population section: %+v", rec)
+	}
 	rec, err = Decode(AppendDelta(nil, 10, 4, nil))
 	if err != nil || len(rec.Moves) != 0 {
 		t.Fatalf("empty delta: %v, %+v", err, rec)
+	}
+
+	// A population delta: two names, a join with content, a join without
+	// any, a leave, and a relocation.
+	d := core.ViewDelta{
+		BasePop: 4, PopVersion: 9,
+		Changed: []core.SlotChange{
+			{Slot: 2, Cluster: 5, Items: []attr.Set{attr.NewSet(0, 7, 300), attr.NewSet(41)}},
+			{Slot: 6, Cluster: 0, Items: []attr.Set{}},
+			{Slot: 11, Cluster: cluster.None},
+		},
+		Moves: moves[:1],
+	}
+	names := []string{"novel", ""}
+	enc := AppendViewDelta(nil, 11, names, d)
+	rec, err = Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Kind != KindDelta || rec.Seq != 11 || rec.BasePop != 4 || rec.PopVersion != 9 || !slices.Equal(rec.Names, names) {
+		t.Fatalf("population delta header: %+v", rec)
+	}
+	got := rec.Delta()
+	if len(got.Changed) != 3 || !slices.Equal(got.Moves, d.Moves) {
+		t.Fatalf("population delta body: %+v", got)
+	}
+	for i, ch := range got.Changed {
+		want := d.Changed[i]
+		if ch.Slot != want.Slot || ch.Cluster != want.Cluster || !slices.EqualFunc(ch.Items, want.Items, attr.Set.Equal) {
+			t.Fatalf("change %d: %+v != %+v", i, ch, want)
+		}
+	}
+	if again := AppendViewDelta(nil, rec.Seq, rec.Names, got); !bytes.Equal(enc, again) {
+		t.Fatal("re-encoding a decoded population delta changed its bytes")
 	}
 }
 
@@ -168,6 +206,46 @@ func TestWireDeltaCarriesFollower(t *testing.T) {
 		checkSameAnswers(t, v2, follower, qs, "wire follower")
 		v1 = v2
 	}
+
+	// Joins and leaves travel the same way: the follower applies each
+	// decoded delta and then equals what a full record of the same view
+	// decodes to.
+	for step := 0; step < 6; step++ {
+		if step%2 == 0 {
+			pr := peer.New(-1)
+			pr.SetItems([]attr.Set{attr.NewSet(attr.ID(rng.Intn(10)), attr.ID(rng.Intn(10)))})
+			e.AddPeer(pr, []attr.Set{attr.NewSet(attr.ID(rng.Intn(10)))}, []int{1}, cluster.None)
+		} else {
+			e.RemovePeer(step)
+		}
+		e.Move(rng.Intn(4)+10, cluster.CID(rng.Intn(e.Config().Cmax())))
+		v2 := e.BuildRoutingView(v1)
+		d, ok := v2.DeltaFrom(v1)
+		if !ok || len(d.Changed) != 1 {
+			t.Fatalf("step %d: delta %+v (ok=%v), want one changed slot", step, d, ok)
+		}
+		drec, err := Decode(AppendViewDelta(nil, uint64(8+step), nil, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if follower, err = follower.ApplyDelta(drec.Delta()); err != nil {
+			t.Fatal(err)
+		}
+		frec, err := Decode(AppendFull(nil, uint64(8+step), names, v2.Export()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resynced, err := core.FromViewData(frec.View)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if follower.PopVersion() != resynced.PopVersion() || follower.Live() != resynced.Live() || follower.Slots() != resynced.Slots() {
+			t.Fatalf("step %d: follower at pop %d live %d slots %d, a full resync at %d/%d/%d", step,
+				follower.PopVersion(), follower.Live(), follower.Slots(), resynced.PopVersion(), resynced.Live(), resynced.Slots())
+		}
+		checkSameAnswers(t, resynced, follower, qs, "population delta follower")
+		v1 = v2
+	}
 }
 
 // TestWireDecodeRejects pins the strict decoder: corrupt and
@@ -177,8 +255,11 @@ func TestWireDecodeRejects(t *testing.T) {
 	full := AppendFull(nil, 3, names, e.BuildRoutingView(nil).Export())
 	delta := AppendDelta(nil, 4, 1, []core.SlotMove{{Slot: 1, To: 0}})
 
+	join := AppendViewDelta(nil, 5, []string{"zz"}, core.ViewDelta{BasePop: 1, PopVersion: 2,
+		Changed: []core.SlotChange{{Slot: 8, Cluster: 2, Items: []attr.Set{attr.NewSet(1, 6)}}, {Slot: 3, Cluster: cluster.None}}})
+
 	// Every strict prefix of a valid record must fail cleanly.
-	for _, rec := range [][]byte{full, delta} {
+	for _, rec := range [][]byte{full, delta, join} {
 		for n := 0; n < len(rec); n++ {
 			if _, err := Decode(rec[:n]); err == nil {
 				t.Fatalf("decode accepted %d-byte truncation of a %d-byte record", n, len(rec))
@@ -195,6 +276,15 @@ func TestWireDecodeRejects(t *testing.T) {
 		"unknown kind":   corrupt(func(b []byte) []byte { b[3] = 7; return b }),
 		"trailing bytes": append(append([]byte(nil), delta...), 0),
 		"huge count":     append(append([]byte(nil), delta[:len(delta)-3]...), 0xFF, 0xFF, 0x7F),
+		// The records format version 1 wrote, layout and all.
+		"version-1 delta": []byte("RV\x01\x02\x06\x02\x02\x00\x01\a\x00"),
+		"version-1 full":  corrupt(func(b []byte) []byte { b[2] = 1; return b }),
+		// header | base_pop | pop | no names | one change: slot 1 ...
+		"join without content":    {'R', 'V', FormatVersion, byte(KindDelta), 1, 1, 2, 0, 1, 1, 3, 0, 0},
+		"non-increasing item ids": {'R', 'V', FormatVersion, byte(KindDelta), 1, 1, 2, 0, 1, 1, 3, 2, 2, 4, 0, 0},
+		"change past int32":       {'R', 'V', FormatVersion, byte(KindDelta), 1, 1, 2, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0},
+		// A full record may only name attributes of its own term table.
+		"item attribute past the terms": AppendFull(nil, 3, names[:2], e.BuildRoutingView(nil).Export()),
 	}
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {
@@ -213,6 +303,9 @@ func FuzzViewWire(f *testing.F) {
 	f.Add(AppendFull(nil, 5, names, v.Export()))
 	f.Add(AppendDelta(nil, 6, v.PopVersion(), []core.SlotMove{{Slot: 0, To: 1}, {Slot: 7, To: 0}}))
 	f.Add(AppendDelta(nil, 7, v.PopVersion(), nil))
+	f.Add(AppendViewDelta(nil, 8, []string{"i0"}, core.ViewDelta{BasePop: v.PopVersion(), PopVersion: v.PopVersion() + 2,
+		Changed: []core.SlotChange{{Slot: 4, Cluster: 1, Items: []attr.Set{attr.NewSet(2, 8)}}, {Slot: 9, Cluster: cluster.None}},
+		Moves:   []core.SlotMove{{Slot: 0, To: 1}}}))
 	f.Add([]byte("RV"))
 	f.Add([]byte{})
 
@@ -239,10 +332,27 @@ func FuzzViewWire(f *testing.F) {
 				t.Fatalf("re-encode changed the record: %+v vs %+v", rec2, rec)
 			}
 		case KindDelta:
-			reenc := AppendDelta(nil, rec.Seq, rec.PopVersion, rec.Moves)
+			reenc := AppendViewDelta(nil, rec.Seq, rec.Names, rec.Delta())
 			rec2, err := Decode(reenc)
-			if err != nil || rec2.Seq != rec.Seq || rec2.PopVersion != rec.PopVersion || len(rec2.Moves) != len(rec.Moves) {
+			if err != nil || rec2.Seq != rec.Seq || rec2.BasePop != rec.BasePop || rec2.PopVersion != rec.PopVersion ||
+				len(rec2.Names) != len(rec.Names) || len(rec2.Changed) != len(rec.Changed) || len(rec2.Moves) != len(rec.Moves) {
 				t.Fatalf("delta re-encode diverged: %v, %+v vs %+v", err, rec2, rec)
+			}
+			// Whatever else it says, applying it to a view answers or
+			// errs. (Attribute IDs are the applier's to bound, by its
+			// vocabulary, before it sizes a posting table by them.)
+			d := rec.Delta()
+			d.BasePop = v.PopVersion()
+			for _, ch := range d.Changed {
+				for _, it := range ch.Items {
+					if ids := it.IDs(); len(ids) > 0 && ids[len(ids)-1] > 1<<12 {
+						return
+					}
+				}
+			}
+			if next, err := v.ApplyDelta(d); err == nil {
+				var sc core.RouteScratch
+				next.Route(attr.NewSet(0, 3), &sc)
 			}
 		}
 	})
