@@ -183,14 +183,22 @@ func BenchmarkLookupCost(b *testing.B) {
 
 // --- Microbenchmarks of the hot paths ------------------------------------
 
+// Restore and the full-scan decide round (see internal/benchsuite,
+// which `reform bench` also runs over its -peers singletons).
+
 func BenchmarkEngineRebuild(b *testing.B) {
-	p := benchParams()
-	sys := experiments.Build(p, experiments.SameCategory)
-	eng := sys.NewEngine(sys.CategoryConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Rebuild()
-	}
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.Rebuild(sys.NewEngine(sys.CategoryConfig()))(b)
+}
+
+func BenchmarkRebuildLarge(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.Rebuild(sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil)))(b)
+}
+
+func BenchmarkDecideRoundSingletons(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.DecideRoundSingletons(sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil)))(b)
 }
 
 func BenchmarkEvaluateMoves(b *testing.B) {

@@ -81,11 +81,12 @@ func sameRunnerClass(a, b benchReport) bool {
 // fails the gate. Macrobenchmarks (Table1*) are tracked but not gated:
 // their wall-clock depends on CI core counts.
 var gatedBenchmarks = []string{
-	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "AddRemovePeer",
+	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "Rebuild", "AddRemovePeer",
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
 	"RouteRarest", "RouterServe", "BuildViewAfterJoin", "RouterApplyJoinDelta",
 	"ProtocolRound", "ProtocolRoundParallel", "ReformStep",
 	"ProtocolRoundLarge", "ProtocolRoundLargeExact", "ReformStepLarge",
+	"RebuildLarge", "DecideRoundSingletons",
 }
 
 // zeroAllocBenchmarks must report exactly 0 allocs/op in the fresh
@@ -93,11 +94,13 @@ var gatedBenchmarks = []string{
 // allocation-free by contract — on the daemon (RouteScratch owns
 // every buffer) and on a router replica (api.Scratch ditto) — as is
 // a quiescent stepped maintenance period (runner-recycled report and
-// scratch storage), and the gate holds them there.
+// scratch storage) and a steady-state Rebuild (every aggregate, index
+// and scratch array is engine-owned and reused), and the gate holds
+// them there.
 // (QueryServeHot's rare collision-miss inserts amortize to 0 under
 // AllocsPerOp's integer division; QueryServeZipf misses by design and
 // is gated on ns/op only.)
-var zeroAllocBenchmarks = []string{"QueryServe", "QueryServeHot", "QueryServeParallel", "RouteRarest", "RouterServe", "ReformStep", "ReformStepLarge"}
+var zeroAllocBenchmarks = []string{"QueryServe", "QueryServeHot", "QueryServeParallel", "RouteRarest", "RouterServe", "ReformStep", "ReformStepLarge", "Rebuild", "RebuildLarge"}
 
 // benchRegressionTolerance is the allowed ns/op growth factor.
 const benchRegressionTolerance = 1.25
@@ -178,12 +181,7 @@ func runBenchCommand(args []string) {
 			_ = eng.SCostNormalized()
 		}
 	})
-	record("Rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.Rebuild()
-		}
-	})
+	record("Rebuild", benchsuite.Rebuild(eng))
 	record("AddRemovePeer", func(b *testing.B) {
 		// One churn event (join + leave) on the incremental membership
 		// path; compare with Rebuild, the old per-churn price.
@@ -385,6 +383,15 @@ func runBenchCommand(args []string) {
 	// the newcomer's footprint, not to the system.
 	recordServe("BuildViewAfterJoin", benchsuite.BuildViewAfterJoin(ssys, seng))
 	recordServe("RouterApplyJoinDelta", benchsuite.RouterApplyJoinDelta(ssys, seng))
+	// Restore and the first decide rounds of the paper's initial
+	// configuration (i), every peer its own cluster: a steady-state
+	// Rebuild, and one round in which every peer scans every cluster.
+	// Both must cost what is non-zero, not the peers x queries x
+	// cluster-slots grid. A private System, for the reason given below.
+	rsys := experiments.Build(lp, experiments.SameCategory)
+	reng := rsys.NewEngine(rsys.InitialConfig(experiments.InitSingletons, nil))
+	recordServe("RebuildLarge", benchsuite.Rebuild(reng))
+	recordServe("DecideRoundSingletons", benchsuite.DecideRoundSingletons(reng))
 	// The reformulation protocol's hot paths: one round serial, one
 	// round with the phase-1 decide scan fanned over all cores, and a
 	// quiescent stepped period (the steady-state maintenance tick of

@@ -12,8 +12,9 @@ import (
 // world guards the shared cost engine. It is deliberately not an
 // actor: representatives take the read lock for their phase-1 decide
 // scans (evaluators over a frozen engine are concurrent-read safe when
-// unpruned), and the coordinator takes the write lock to apply a
-// round's granted moves. The grant service replicates
+// unpruned, once PrepareDecide has run after the last mutation — both
+// writers below end with it), and the coordinator takes the write lock
+// to apply a round's granted moves. The grant service replicates
 // protocol.Runner's phase 2 exactly — same sort order, same staleness
 // checks, same cycle-avoiding lock rule, same empty-slot resolution —
 // which is what makes the zero-fault runs byte-identical to the
@@ -52,6 +53,7 @@ func (w *world) beginPeriod() {
 		}
 		w.baseline[p] = w.eng.PeerCost(p, cfg.ClusterOf(p))
 	}
+	w.eng.PrepareDecide()
 }
 
 // roundInfo returns the non-empty clusters (ascending) and the empty
@@ -163,6 +165,7 @@ func (w *world) serveRound(grants []Req) (granted, protoMsgs int) {
 		w.leaveLocked[to] = true
 		granted++
 	}
+	w.eng.PrepareDecide()
 	return granted, protoMsgs
 }
 

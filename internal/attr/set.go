@@ -2,6 +2,7 @@ package attr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,7 +20,7 @@ func NewSet(ids ...ID) Set {
 		return Set{}
 	}
 	cp := append([]ID(nil), ids...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	slices.Sort(cp)
 	out := cp[:1]
 	for _, id := range cp[1:] {
 		if id != out[len(out)-1] {

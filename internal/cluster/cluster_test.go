@@ -191,3 +191,56 @@ func TestMoveValidation(t *testing.T) {
 	}()
 	c.Move(0, 99)
 }
+
+// TestNumNonEmptyMatchesScan pins the incrementally kept non-empty
+// count against a scan of the member lists across randomized mutation
+// sequences, including through FromAssignment and Clone.
+func TestNumNonEmptyMatchesScan(t *testing.T) {
+	scan := func(c *Config) int {
+		n := 0
+		for cid := 0; cid < c.Cmax(); cid++ {
+			if c.Size(CID(cid)) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	err := quick.Check(func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 1 + rng.Intn(12)
+		assign := make([]CID, n)
+		for p := range assign {
+			assign[p] = CID(rng.Intn(n+1) - 1) // None included
+		}
+		c := FromAssignment(assign)
+		for op := 0; op < 80; op++ {
+			p := rng.Intn(c.NumPeers())
+			switch k := rng.Intn(5); {
+			case k == 0:
+				c.AddSlot()
+			case k == 1:
+				c = c.Clone()
+			case k == 2:
+				c = FromAssignment(c.Assignment())
+			case c.IsPlaced(p) && rng.Intn(3) == 0:
+				c.Unplace(p)
+			case c.IsPlaced(p):
+				c.Move(p, CID(rng.Intn(c.Cmax())))
+			default:
+				c.Place(p, CID(rng.Intn(c.Cmax())))
+			}
+			if got, want := c.NumNonEmpty(), scan(c); got != want {
+				t.Logf("seed %d op %d: NumNonEmpty %d, scan %d", seed, op, got, want)
+				return false
+			}
+			if err := c.Validate(); err != nil {
+				t.Logf("seed %d op %d: %v", seed, op, err)
+				return false
+			}
+		}
+		return true
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,6 +27,7 @@ type Config struct {
 	members [][]int // cid -> member peer IDs (unordered)
 	pos     []int   // peer -> index within members[assign[peer]] (-1 when unplaced)
 	live    int     // number of slots with assign != None
+	filled  int     // number of clusters with at least one member
 	version int     // bumped on every membership mutation
 }
 
@@ -59,8 +60,7 @@ func FromAssignment(assign []CID) *Config {
 		if cid < 0 || int(cid) >= n {
 			panic(fmt.Sprintf("cluster: peer %d assigned to invalid cluster %d", p, cid))
 		}
-		c.pos[p] = len(c.members[cid])
-		c.members[cid] = append(c.members[cid], p)
+		c.join(p, cid)
 		c.live++
 	}
 	return c
@@ -102,11 +102,36 @@ func (c *Config) Place(p int, cid CID) {
 	if cid < 0 || int(cid) >= len(c.members) {
 		panic(fmt.Sprintf("cluster: Place peer %d into invalid cluster %d", p, cid))
 	}
+	c.join(p, cid)
+	c.live++
+	c.version++
+}
+
+// join appends p to cid's member list and records the assignment,
+// counting the cluster when p is its first member.
+func (c *Config) join(p int, cid CID) {
+	if len(c.members[cid]) == 0 {
+		c.filled++
+	}
 	c.pos[p] = len(c.members[cid])
 	c.members[cid] = append(c.members[cid], p)
 	c.assign[p] = cid
-	c.live++
-	c.version++
+}
+
+// leave removes p from its cluster's member list by swapping with the
+// last member, uncounting the cluster when p was its only member. The
+// caller overwrites assign[p] and pos[p].
+func (c *Config) leave(p int) {
+	from := c.assign[p]
+	m := c.members[from]
+	i := c.pos[p]
+	last := len(m) - 1
+	m[i] = m[last]
+	c.pos[m[i]] = i
+	c.members[from] = m[:last]
+	if last == 0 {
+		c.filled--
+	}
 }
 
 // Unplace removes peer p from its cluster, leaving its slot
@@ -116,12 +141,7 @@ func (c *Config) Unplace(p int) CID {
 	if from == None {
 		panic(fmt.Sprintf("cluster: Unplace peer %d is not placed", p))
 	}
-	m := c.members[from]
-	i := c.pos[p]
-	last := len(m) - 1
-	m[i] = m[last]
-	c.pos[m[i]] = i
-	c.members[from] = m[:last]
+	c.leave(p)
 	c.assign[p] = None
 	c.pos[p] = -1
 	c.live--
@@ -182,16 +202,9 @@ func (c *Config) AppendNonEmpty(dst []CID) []CID {
 // stable sorted copy.
 func (c *Config) MembersUnsorted(cid CID) []int { return c.members[cid] }
 
-// NumNonEmpty returns the number of non-empty clusters.
-func (c *Config) NumNonEmpty() int {
-	n := 0
-	for cid := range c.members {
-		if len(c.members[cid]) > 0 {
-			n++
-		}
-	}
-	return n
-}
+// NumNonEmpty returns the number of non-empty clusters. The count is
+// maintained by every membership mutation, so this is an O(1) read.
+func (c *Config) NumNonEmpty() int { return c.filled }
 
 // EmptyCluster returns the lowest-numbered empty cluster slot, or
 // (None, false) if every slot is occupied.
@@ -219,17 +232,8 @@ func (c *Config) Move(p int, to CID) CID {
 		panic(fmt.Sprintf("cluster: move to invalid cluster %d", to))
 	}
 	c.version++
-	// Remove p from its old cluster by swapping with the last member.
-	m := c.members[from]
-	i := c.pos[p]
-	last := len(m) - 1
-	m[i] = m[last]
-	c.pos[m[i]] = i
-	c.members[from] = m[:last]
-	// Append to the new cluster.
-	c.pos[p] = len(c.members[to])
-	c.members[to] = append(c.members[to], p)
-	c.assign[p] = to
+	c.leave(p)
+	c.join(p, to)
 	return from
 }
 
@@ -240,6 +244,7 @@ func (c *Config) Clone() *Config {
 		members: make([][]int, len(c.members)),
 		pos:     append([]int(nil), c.pos...),
 		live:    c.live,
+		filled:  c.filled,
 		version: c.version,
 	}
 	for i, m := range c.members {
@@ -338,6 +343,9 @@ func (c *Config) Validate() error {
 	}
 	if seen != c.live {
 		return fmt.Errorf("members cover %d peers, want live count %d", seen, c.live)
+	}
+	if n := len(c.AppendNonEmpty(nil)); n != c.filled {
+		return fmt.Errorf("%d non-empty clusters, want recorded count %d", n, c.filled)
 	}
 	return nil
 }

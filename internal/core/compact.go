@@ -144,20 +144,13 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 		}
 	}
 
-	// Membership indexes, when built. Emptied queriesByAttr lists are
-	// kept (not deleted) so a re-intern of the same first attribute
-	// appends into retained capacity.
+	// The query index; queries interned past its indexed prefix are
+	// registered under their new ids.
+	e.queries.remap(remap)
+	e.queries.extend(e.wl)
+
+	// Content-side membership indexes, when built.
 	if e.peersByAttr != nil {
-		for a, lst := range e.queriesByAttr {
-			k := 0
-			for _, qid := range lst {
-				if nid := remap[qid]; nid >= 0 {
-					lst[k] = nid
-					k++
-				}
-			}
-			e.queriesByAttr[a] = lst[:k]
-		}
 		// Demander rows: live rows slide down to their new ids; the
 		// emptied rows of dead queries park their capacity past the
 		// live prefix, where growDemanders reuses it.
@@ -183,16 +176,6 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 		}
 		e.demanders = e.demanders[:liveRows]
 		e.growDemanders(newNq)
-
-		liveIndexed := 0
-		for q := 0; q < e.indexedQueries; q++ {
-			if remap[q] >= 0 {
-				liveIndexed++
-			}
-		}
-		e.indexedQueries = liveIndexed
-		e.nq = newNq
-		e.indexNewQueries()
 	}
 	e.nq = newNq
 

@@ -110,7 +110,7 @@ type ContributionEval struct {
 // Like EvaluateMoves it reuses the engine's dense scratch accumulator
 // and allocates nothing at steady state.
 func (e *Engine) EvaluateContribution(p int) ContributionEval {
-	return e.evaluateContribution(p, e.nonEmptyScratch(), e.accScratch)
+	return e.evaluateContribution(p, e.nonEmptyClusters(), e.accScratch)
 }
 
 // evaluateContribution is EvaluateContribution over caller-owned

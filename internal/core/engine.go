@@ -21,9 +21,15 @@
 //     precomputed once per Rebuild into peerWl, restricted to
 //     answerable queries so the hot loops carry no zero-total branch.
 //   - Evaluation methods use dense scratch slices owned by the Engine
-//     (ownScratch by QID, accScratch by CID, cidScratch for the
-//     non-empty cluster list) that are reset via explicit touched-entry
-//     lists, never reallocated.
+//     (ownScratch by QID, accScratch by CID) that are reset via explicit
+//     touched-entry lists, never reallocated, and read one ascending
+//     non-empty cluster list that is recomputed once per membership
+//     version (syncClusters), not once per scan.
+//   - Rebuild visits what is non-zero: the query index names the
+//     queries a peer's attributes can answer, and the recall sums are
+//     added up over the supported (query, cluster) cells only. The
+//     dense peers x queries and queries x cluster-slots walks survive
+//     only as the test oracle (rebuild_test.go).
 //   - The social and workload costs are maintained incrementally under
 //     Move (see the recallSum/wRecallSum/membSumRaw fields), so
 //     SCost/WCost are O(1) reads instead of full rescans.
@@ -35,6 +41,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -133,31 +140,38 @@ type Engine struct {
 	// qMark/cidMark are epoch-stamped visited sets.
 	ownScratch   []float64
 	accScratch   []float64
-	cidScratch   []cluster.CID
 	multiScratch []cluster.CID
 	attrScratch  []attr.ID
 	qidScratch   []workload.QID
+	candScratch  []workload.QID
 	qMark        []uint64
 	qEpoch       uint64
 	cidMark      []uint64
 	cidEpoch     uint64
+	// cellEnd/cellCID are Rebuild's supported-cell lists: the clusters
+	// of query q's supporters, ascending with repeats adjacent, are
+	// cellCID[cellEnd[q-1]:cellEnd[q]].
+	cellEnd []int32
+	cellCID []cluster.CID
 	// selfEval is the lazily created engine-owned Evaluator that
 	// Strategy.Decide routes through (see evaluator.go); concurrent
 	// scans build private evaluators with NewEvaluator instead.
 	selfEval *Evaluator
 
 	// Dynamic-membership state (see membership.go): the free-slot
-	// stack, the inverted indexes that make joins proportional to the
-	// joiner's footprint instead of the system size, and how many
-	// workload queries the query index covers. The indexes are built
-	// lazily on the first join/leave and invalidated by Rebuild
-	// (content may have changed under it).
-	free           []int
-	slotGen        []uint32
-	peersByAttr    map[attr.ID][]int32
-	queriesByAttr  map[attr.ID][]workload.QID
-	demanders      [][]int32
-	indexedQueries int
+	// stack and the inverted indexes that make joins, and Rebuild's
+	// result pass, proportional to a peer's footprint instead of the
+	// system size. The content side (peersByAttr, demanders) is built
+	// lazily on the first join/leave and invalidated by Rebuild (content
+	// may have changed under it). The query index (queryindex.go)
+	// depends on the workload only: Rebuild extends it to the queries
+	// interned since, and starts it over only when a compaction
+	// renumbered them.
+	free        []int
+	slotGen     []uint32
+	peersByAttr map[attr.ID][]int32
+	demanders   [][]int32
+	queries     queryIndex
 	// demSpare parks the emptied demander rows of compacted-away
 	// queries so growDemanders can hand their capacity to future
 	// queries (see compact.go).
@@ -166,15 +180,20 @@ type Engine struct {
 	// Pruned-Decide state (see prune.go): a global mutation clock,
 	// per-cluster and per-query-row last-change stamps, a bump-all
 	// epoch for wholesale rewrites, the per-peer shortlist/decision
-	// caches, and the cached minimum non-empty cluster size behind
-	// the shortlist's admissible outside bound.
+	// caches.
 	aggClock   uint64
 	aggVersion []uint64
 	rowVersion []uint64
 	pruneEpoch uint64
 	prune      []peerPrune
-	minSize    int
-	minSizeVer int
+
+	// nonEmpty is the ascending non-empty cluster list every scan reads
+	// and minSize the smallest size on it (the shortlist's admissible
+	// outside bound), both as of membership version clustersVer; see
+	// syncClusters.
+	nonEmpty    []cluster.CID
+	minSize     int
+	clustersVer int
 
 	wlVersion     int
 	wlCompactions int
@@ -231,9 +250,9 @@ func New(peers []*peer.Peer, wl *workload.Workload, cfg *cluster.Config, theta c
 
 // grow returns s resliced to length n, reusing its backing array when
 // large enough and zeroing the live region either way.
-func grow(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -251,9 +270,12 @@ func growMarks(s []uint64, n int) []uint64 {
 // engine's backing arrays when their capacity allows. Call it after
 // peer content or workload mutations; plain relocations are tracked
 // incrementally by Move, and joins/leaves by AddPeer/RemovePeer.
-// Rebuild also invalidates the membership indexes (the mutation that
-// forced it may have changed peer content); the next join/leave
-// rebuilds them.
+// Rebuild also invalidates the content-side membership indexes (the
+// mutation that forced it may have changed peer content); the next
+// join/leave rebuilds them. Its cost beyond zeroing the aggregates is
+// proportional to what is non-zero: each peer is asked only for the
+// queries its attributes can answer, and the recall sums visit only
+// the (query, cluster) cells some peer supports.
 func (e *Engine) Rebuild() {
 	if e.n != e.cfg.NumPeers() || e.n != e.wl.NumPeers() || e.n != len(e.peers) {
 		panic(fmt.Sprintf("core: slot mismatch peers=%d cfg=%d wl=%d",
@@ -282,9 +304,14 @@ func (e *Engine) Rebuild() {
 		e.peerOwnW = make([]float64, e.n)
 	}
 	e.peersByAttr = nil
-	e.queriesByAttr = nil
 	e.demanders = nil
-	e.indexedQueries = 0
+	if e.wl.Compactions() != e.wlCompactions {
+		// A compaction outside Engine.Compact renumbered the queries.
+		e.queries.reset()
+	}
+	e.queries.extend(e.wl)
+	e.clustersVer = -1 // no membership version: force the walk
+	e.syncClusters()
 	e.free = e.free[:0]
 	for pid := e.n - 1; pid >= 0; pid-- {
 		if e.peers[pid] == nil {
@@ -292,7 +319,12 @@ func (e *Engine) Rebuild() {
 		}
 	}
 
-	// Pass 1: result counts -> totals, peerRes, clusterRes.
+	// Pass 1: result counts -> totals, peerRes, clusterRes. Only the
+	// queries registered under one of the peer's attributes (or under
+	// none) can match an item of it; sorting them keeps peerRes, and
+	// every sum below, in ascending QID order. cellEnd counts each
+	// query's supporters for pass 3.
+	e.cellEnd = grow(e.cellEnd, nq)
 	for pid, p := range e.peers {
 		if p == nil {
 			e.peerRes[pid] = e.peerRes[pid][:0]
@@ -300,15 +332,19 @@ func (e *Engine) Rebuild() {
 		}
 		cid := int(e.cfg.ClusterOf(pid))
 		pr := e.peerRes[pid][:0]
-		for q := 0; q < nq; q++ {
-			res := p.ResultCount(e.wl.Query(workload.QID(q)))
+		e.candScratch = e.queries.appendCandidates(e.candScratch[:0], p)
+		slices.Sort(e.candScratch)
+		for _, qid := range e.candScratch {
+			res := p.ResultCount(e.wl.Query(qid))
 			if res == 0 {
 				continue
 			}
 			r := float64(res)
-			pr = append(pr, resEntry{qid: workload.QID(q), res: r})
+			q := int(qid)
+			pr = append(pr, resEntry{qid: qid, res: r})
 			e.totals[q] += r
 			e.clusterRes[q*cmax+cid] += r
+			e.cellEnd[q]++
 		}
 		e.peerRes[pid] = pr
 		for _, entry := range e.wl.Peer(pid) {
@@ -367,10 +403,9 @@ func (e *Engine) Rebuild() {
 
 	// Pass 3: global incremental-cost state.
 	e.membSumRaw = 0
-	for c := 0; c < cmax; c++ {
-		if s := e.cfg.Size(cluster.CID(c)); s > 0 {
-			e.membSumRaw += float64(s) * e.theta.F(s)
-		}
+	for _, c := range e.nonEmpty {
+		s := e.cfg.Size(c)
+		e.membSumRaw += float64(s) * e.theta.F(s)
 	}
 	e.sumW = 0
 	for _, w := range e.peerW {
@@ -382,23 +417,45 @@ func (e *Engine) Rebuild() {
 			e.ansDemand += e.demandTot[q]
 		}
 	}
-	e.recallSum, e.wRecallSum = 0, 0
-	for q := 0; q < nq; q++ {
-		it := e.invTot[q]
-		if it == 0 {
-			continue
-		}
-		row := q * cmax
-		for c := 0; c < cmax; c++ {
-			if r := e.clusterRes[row+c]; r != 0 {
-				e.recallSum += e.demandW[row+c] * r * it
-				e.wRecallSum += e.clusterDemand[row+c] * r * it
+	// The recall sums run over the cells with clusterRes != 0, query by
+	// query in ascending cluster order. Those are the clusters of each
+	// query's supporters: bucket them by query (cellEnd: counts -> start
+	// offsets -> end offsets as the buckets fill) walking the clusters
+	// in ascending order, so a bucket comes out sorted with a cluster's
+	// repeats adjacent.
+	start := int32(0)
+	for q, n := range e.cellEnd {
+		e.cellEnd[q] = start
+		start += n
+	}
+	e.cellCID = grow(e.cellCID, int(start))
+	for _, c := range e.nonEmpty {
+		for _, pid := range e.cfg.MembersUnsorted(c) {
+			for _, re := range e.peerRes[pid] {
+				e.cellCID[e.cellEnd[re.qid]] = c
+				e.cellEnd[re.qid]++
 			}
 		}
 	}
+	e.recallSum, e.wRecallSum = 0, 0
+	start = 0
+	for q, end := range e.cellEnd {
+		it := e.invTot[q]
+		row := q * cmax
+		last := cluster.None
+		for _, c := range e.cellCID[start:end] {
+			if c == last {
+				continue
+			}
+			last = c
+			r := e.clusterRes[row+int(c)]
+			e.recallSum += e.demandW[row+int(c)] * r * it
+			e.wRecallSum += e.clusterDemand[row+int(c)] * r * it
+		}
+		start = end
+	}
 
 	e.initPruneState()
-	e.minSize, e.minSizeVer = 0, -1
 
 	e.wlVersion = e.wl.Version()
 	e.wlCompactions = e.wl.Compactions()
@@ -585,11 +642,35 @@ func (e *Engine) membership(size int) float64 {
 // Rebuild — it is invariant under relocations.
 func (e *Engine) ownRecall(p int) float64 { return e.peerOwnW[p] }
 
-// nonEmptyScratch refreshes and returns the engine's reusable
-// non-empty-cluster list.
-func (e *Engine) nonEmptyScratch() []cluster.CID {
-	e.cidScratch = e.cfg.AppendNonEmpty(e.cidScratch[:0])
-	return e.cidScratch
+// syncClusters recomputes the ascending non-empty cluster list and
+// the minimum non-empty cluster size, in one walk of the cluster
+// slots, when the membership version moved since the last walk.
+// During a frozen concurrent scan the version cannot move, so after
+// PrepareDecide the refresh never runs concurrently and both are pure
+// reads.
+func (e *Engine) syncClusters() {
+	v := e.cfg.MembershipVersion()
+	if e.clustersVer == v {
+		return
+	}
+	ne, min := e.nonEmpty[:0], 0
+	for c := 0; c < e.cmax; c++ {
+		if s := e.cfg.Size(cluster.CID(c)); s > 0 {
+			ne = append(ne, cluster.CID(c))
+			if min == 0 || s < min {
+				min = s
+			}
+		}
+	}
+	e.nonEmpty, e.minSize, e.clustersVer = ne, min, v
+}
+
+// nonEmptyClusters returns the non-empty clusters in ascending order.
+// The slice is engine-owned and shared by every evaluator: read-only,
+// and valid until the next membership mutation.
+func (e *Engine) nonEmptyClusters() []cluster.CID {
+	e.syncClusters()
+	return e.nonEmpty
 }
 
 // PeerCost returns pcost(p, c) (Eq. 1 restricted to single-cluster
@@ -713,7 +794,7 @@ func (m MoveEval) Gain() float64 { return m.CurCost - m.BestCost }
 // state: the per-cluster accumulator is a dense scratch slice reset
 // through the non-empty cluster list.
 func (e *Engine) EvaluateMoves(p int) MoveEval {
-	return e.evaluateMoves(p, e.nonEmptyScratch(), e.accScratch)
+	return e.evaluateMoves(p, e.nonEmptyClusters(), e.accScratch)
 }
 
 // evaluateMoves is EvaluateMoves over a caller-owned non-empty cluster

@@ -10,8 +10,9 @@ import (
 // phase-1 Decide scans (protocol.Options.Workers) give each worker its
 // own Evaluator instead. Any number of evaluators may evaluate
 // concurrently as long as nothing mutates the engine (no Move,
-// AddPeer, RemovePeer, Rebuild, Compact) for the duration; evaluations
-// are pure reads of the engine's aggregates, so an Evaluator produces
+// AddPeer, RemovePeer, Rebuild, Compact) for the duration and
+// Engine.PrepareDecide ran after the last mutation; evaluations are
+// then pure reads of the engine's aggregates, so an Evaluator produces
 // bit-identical results to the engine's own methods.
 //
 // An Evaluator sizes its scratch lazily against the engine's current
@@ -23,7 +24,6 @@ type Evaluator struct {
 	// own is QID-indexed, acc CID-indexed; both zero outside calls.
 	own []float64
 	acc []float64
-	cid []cluster.CID
 	// pruned routes EvaluateMoves/EvaluateContribution and the
 	// strategies' decision caching through the shortlist machinery of
 	// prune.go (byte-identical to the exhaustive path). Off by
@@ -72,18 +72,15 @@ func (ev *Evaluator) ensure() {
 	}
 }
 
-// NonEmpty refreshes and returns the evaluator's private non-empty
-// cluster list (ascending CID). The slice is reused across calls.
-func (ev *Evaluator) NonEmpty() []cluster.CID {
-	ev.cid = ev.e.cfg.AppendNonEmpty(ev.cid[:0])
-	return ev.cid
-}
+// NonEmpty returns the non-empty clusters in ascending order: the
+// engine's one list per membership version, shared by every evaluator
+// and read-only. Concurrent evaluators rely on Engine.PrepareDecide
+// having refreshed it after the last mutation.
+func (ev *Evaluator) NonEmpty() []cluster.CID { return ev.e.nonEmptyClusters() }
 
 // SetPruned enables (or disables) shortlist pruning and decision
 // caching for this evaluator. Pruned evaluations are byte-identical
-// to exhaustive ones; callers running pruned evaluators concurrently
-// must call Engine.PrepareDecide after the last mutation and before
-// the scan (the protocol Runner does).
+// to exhaustive ones.
 func (ev *Evaluator) SetPruned(on bool) { ev.pruned = on }
 
 // Pruned reports whether shortlist pruning is enabled.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,6 +133,99 @@ func TestConcurrentEvaluators(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestNonEmptyListFreshness pins the shared non-empty cluster list to
+// the configuration after every kind of membership mutation, for the
+// engine-owned evaluator and a private one alike.
+func TestNonEmptyListFreshness(t *testing.T) {
+	eng := evalSystem(t, 3, 4) // 12 peers, clusters 0..3 of three each
+	ev := eng.NewEvaluator()
+	check := func(stage string) {
+		t.Helper()
+		want := eng.Config().NonEmpty()
+		if got := eng.Eval().NonEmpty(); !slices.Equal(got, want) {
+			t.Fatalf("%s: engine-owned evaluator sees %v, configuration has %v", stage, got, want)
+		}
+		if got := ev.NonEmpty(); !slices.Equal(got, want) {
+			t.Fatalf("%s: private evaluator sees %v, configuration has %v", stage, got, want)
+		}
+	}
+	newcomer := func() *peer.Peer {
+		pr := peer.New(-1)
+		pr.SetItems([]attr.Set{attr.NewSet(attr.ID(1))})
+		return pr
+	}
+	qs, counts := []attr.Set{attr.NewSet(attr.ID(1))}, []int{1}
+	check("New")
+
+	for _, p := range eng.Config().Members(3) {
+		eng.Move(p, 0)
+		check("Move out of cluster 3")
+	}
+	if eng.Config().Size(3) != 0 {
+		t.Fatal("cluster 3 should be empty")
+	}
+	slots := eng.NumSlots()
+	pid := eng.AddPeer(newcomer(), qs, counts, cluster.None)
+	if eng.NumSlots() != slots+1 {
+		t.Fatal("the join should have grown a slot")
+	}
+	check("slot-growing join into a fresh singleton")
+	eng.RemovePeer(pid)
+	check("RemovePeer")
+	eng.RemovePeer(0)
+	eng.AddPeer(newcomer(), qs, counts, 1)
+	check("join into an existing cluster, reusing a slot")
+	eng.Config().Move(1, 3) // behind the engine's back
+	eng.Rebuild()
+	check("Rebuild")
+}
+
+// TestConcurrentScansAfterPrepareDecide fans pruned and exhaustive
+// evaluators over disjoint peers right after a mutation and
+// PrepareDecide, with no serial evaluation in between to refresh the
+// shared list for them (meaningful under -race), and checks every
+// answer against the engine's serial one afterwards.
+func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
+	eng := evalSystem(t, 4, 6)
+	n := eng.NumSlots()
+	const workers = 8
+	evs := make([]*Evaluator, workers)
+	for w := range evs {
+		evs[w] = eng.NewEvaluator()
+		evs[w].SetPruned(w%2 == 0)
+	}
+	got := make([]MoveEval, n)
+	lists := make([][]cluster.CID, workers)
+	for round := 0; round < 6; round++ {
+		p := (5 * round) % n
+		eng.Move(p, (eng.Config().ClusterOf(p)+1)%5)
+		eng.PrepareDecide()
+		var wg sync.WaitGroup
+		for w := range evs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				lists[w] = evs[w].NonEmpty()
+				for p := w; p < n; p += workers {
+					got[p] = evs[w].EvaluateMoves(p)
+				}
+			}(w)
+		}
+		wg.Wait()
+		want := eng.Config().NonEmpty()
+		for w := range lists {
+			if !slices.Equal(lists[w], want) {
+				t.Fatalf("round %d: evaluator %d saw clusters %v, configuration has %v", round, w, lists[w], want)
+			}
+		}
+		for p := 0; p < n; p++ {
+			if want := eng.EvaluateMoves(p); got[p] != want {
+				t.Fatalf("round %d peer %d: concurrent %+v, serial %+v", round, p, got[p], want)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/attr"
@@ -29,15 +28,18 @@ import (
 //
 //   - peersByAttr: attribute -> peers whose content contains it, to
 //     find the supporters of a query newly interned by a joiner.
-//   - queriesByAttr: a distinct query's first attribute -> QIDs, to
-//     find the existing queries a joiner's content can answer (a query
-//     cannot match an item that lacks its first attribute).
+//   - queries (queryindex.go): a distinct query's first attribute ->
+//     QIDs, to find the existing queries a peer's content can answer (a
+//     query cannot match an item that lacks its first attribute).
+//     Rebuild's result pass reads the same index.
 //   - demanders: QID -> peers whose local workload contains it, to
 //     patch recall weights when a query's global result total moves.
 //
-// The indexes are built lazily on the first join/leave and maintained
-// incrementally afterwards; Rebuild drops them because the content or
-// workload mutation that forced it may have invalidated them.
+// peersByAttr and demanders are built lazily on the first join/leave
+// and maintained incrementally afterwards; Rebuild drops them because
+// the content or workload mutation that forced it may have invalidated
+// them. The query index depends on the workload alone, so Rebuild keeps
+// and extends it.
 //
 // All result and demand counts are integers carried in float64, so the
 // additive aggregates (totals, clusterRes, clusterDemand, demandTot)
@@ -79,42 +81,26 @@ func padMarks(s []uint64, n int) []uint64 {
 	return out
 }
 
-// ensureIndexes builds the membership indexes if a Rebuild (or New)
-// dropped them. O(total content attrs + total workload entries).
+// ensureIndexes builds the content-side membership indexes if a
+// Rebuild (or New) dropped them. O(total content attrs + total
+// workload entries).
 func (e *Engine) ensureIndexes() {
 	if e.peersByAttr != nil {
 		return
 	}
 	e.peersByAttr = make(map[attr.ID][]int32)
-	e.queriesByAttr = make(map[attr.ID][]workload.QID)
-	e.indexedQueries = 0
-	e.indexNewQueries()
 	e.demanders = make([][]int32, e.nq)
 	for pid, p := range e.peers {
 		if p == nil {
 			continue
 		}
-		e.attrScratch = p.AppendAttrs(e.attrScratch[:0])
-		for _, a := range e.attrScratch {
+		for _, a := range p.Attrs() {
 			e.peersByAttr[a] = append(e.peersByAttr[a], int32(pid))
 		}
 		for _, en := range e.wl.Peer(pid) {
 			e.demanders[en.Q] = append(e.demanders[en.Q], int32(pid))
 		}
 	}
-}
-
-// indexNewQueries registers workload queries interned since the last
-// sync under their first attribute. A query whose first attribute is
-// absent from an item cannot match it, so one registration per query
-// suffices for candidate generation.
-func (e *Engine) indexNewQueries() {
-	for q := e.indexedQueries; q < e.wl.NumQueries(); q++ {
-		if ids := e.wl.Query(workload.QID(q)).IDs(); len(ids) > 0 {
-			e.queriesByAttr[ids[0]] = append(e.queriesByAttr[ids[0]], workload.QID(q))
-		}
-	}
-	e.indexedQueries = e.wl.NumQueries()
 }
 
 // growRows extends the query dimension of every QID-indexed structure
@@ -368,7 +354,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		qid := e.wl.Intern(q)
 		e.qidScratch = append(e.qidScratch, qid)
 		e.growRows()
-		e.indexNewQueries()
+		e.queries.extend(e.wl)
 		// A fresh row starts at stamp 0, which would look unchanged to
 		// caches recorded before it existed; the supporters discovered
 		// below gain result entries for it, so stamp it now.
@@ -405,28 +391,18 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	}
 	e.cfg.Place(pid, to)
 	e.aggVersion[to] = clk
-	e.cidScratch = e.cfg.AppendNonEmpty(e.cidScratch[:0])
-	cids := e.cidScratch
+	cids := e.nonEmptyClusters()
 
 	// Phase 3: the joiner's results shift every touched query's global
 	// total, so each touched row's recall terms are re-bracketed and
 	// the remaining demanders' baked-in factors patched. Candidate
-	// queries come from the query index over the joiner's (sorted, for
-	// determinism) content attributes.
-	e.attrScratch = pr.AppendAttrs(e.attrScratch[:0])
-	slices.Sort(e.attrScratch)
-	e.qEpoch++
-	ep := e.qEpoch
+	// queries come from the query index over the joiner's content
+	// attributes, in ascending attribute order for determinism.
+	e.candScratch = e.queries.appendCandidates(e.candScratch[:0], pr)
 	prl := e.peerRes[pid][:0]
-	for _, a := range e.attrScratch {
-		for _, qid := range e.queriesByAttr[a] {
-			if e.qMark[qid] == ep {
-				continue
-			}
-			e.qMark[qid] = ep
-			if res := pr.ResultCount(e.wl.Query(qid)); res > 0 {
-				prl = append(prl, resEntry{qid: qid, res: float64(res)})
-			}
+	for _, qid := range e.candScratch {
+		if res := pr.ResultCount(e.wl.Query(qid)); res > 0 {
+			prl = append(prl, resEntry{qid: qid, res: float64(res)})
 		}
 	}
 	e.peerRes[pid] = prl
@@ -506,7 +482,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	e.peerOwnW[pid] = ownW
 
 	// Phase 5: make the joiner discoverable by future joins.
-	for _, a := range e.attrScratch {
+	for _, a := range pr.Attrs() {
 		e.peersByAttr[a] = append(e.peersByAttr[a], int32(pid))
 	}
 
@@ -529,8 +505,7 @@ func (e *Engine) RemovePeer(pid int) {
 	e.ensureIndexes()
 	pr := e.peers[pid]
 	from := e.cfg.ClusterOf(pid)
-	e.cidScratch = e.cfg.AppendNonEmpty(e.cidScratch[:0])
-	cids := e.cidScratch
+	cids := e.nonEmptyClusters()
 
 	// Dirty-tracking: one tick covers the leave; the rows of the
 	// leaver's demand and results are stamped as the phases walk
@@ -606,8 +581,7 @@ func (e *Engine) RemovePeer(pid int) {
 	e.cfg.Unplace(pid)
 
 	// Phase 4: vacate the slot.
-	e.attrScratch = pr.AppendAttrs(e.attrScratch[:0])
-	for _, a := range e.attrScratch {
+	for _, a := range pr.Attrs() {
 		e.peersByAttr[a] = removeInt32(e.peersByAttr[a], int32(pid))
 	}
 	e.peerRes[pid] = e.peerRes[pid][:0]

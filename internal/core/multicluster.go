@@ -47,7 +47,7 @@ func (e *Engine) BestMultiStrategy(p int, maxClusters int) MultiEval {
 	for len(chosen) < maxClusters {
 		bestC := cluster.None
 		bestCost := cost
-		for _, c := range e.cfg.NonEmpty() {
+		for _, c := range e.nonEmptyClusters() {
 			if inSet[c] {
 				continue
 			}

@@ -52,9 +52,9 @@ import (
 // clusters, so the frozen-engine concurrent-read contract is
 // preserved. Pruning is off by default (Engine.Eval and plain
 // NewEvaluator instances stay exhaustive); the protocol Runner turns
-// it on unless Options.ExactDecide. Callers that run pruned
-// evaluators concurrently must call Engine.PrepareDecide after the
-// last mutation and before the scan, exactly like the Runner does.
+// it on unless Options.ExactDecide. Callers that run evaluators
+// concurrently, pruned or not, must call Engine.PrepareDecide after
+// the last mutation and before the scan, exactly like the Runner does.
 
 // pruneK is the shortlist length k. Large enough that the true best
 // cluster is almost always on the list, small enough that a probe
@@ -167,31 +167,14 @@ func (e *Engine) initPruneState() {
 // SetAlpha, Compact's query remap).
 func (e *Engine) bumpAll() { e.pruneEpoch++ }
 
-// PrepareDecide refreshes the serial pruning state concurrent scans
-// read — currently the minimum non-empty cluster size backing the
-// shortlist's admissible outside bound. The protocol Runner calls it
-// after the last mutation and before fanning a decide scan over
-// workers; serial callers may rely on the lazy refresh inside the
-// pruned paths instead.
-func (e *Engine) PrepareDecide() { e.pruneMinSize() }
-
-// pruneMinSize recomputes the minimum non-empty cluster size when the
-// membership version moved. During a frozen concurrent scan the
-// version cannot move, so the refresh branch never runs concurrently.
-func (e *Engine) pruneMinSize() {
-	v := e.cfg.MembershipVersion()
-	if e.minSizeVer == v && e.minSize > 0 {
-		return
-	}
-	min := 0
-	for c := 0; c < e.cmax; c++ {
-		if s := e.cfg.Size(cluster.CID(c)); s > 0 && (min == 0 || s < min) {
-			min = s
-		}
-	}
-	e.minSize = min
-	e.minSizeVer = v
-}
+// PrepareDecide refreshes the per-membership-version state concurrent
+// scans read: the ascending non-empty cluster list every full scan
+// walks, and the minimum non-empty cluster size backing the
+// shortlist's admissible outside bound. Whoever fans evaluators —
+// pruned or not — over goroutines calls it after the last mutation and
+// before the scan (the protocol Runner does); serial callers may rely
+// on the lazy refresh inside the evaluation paths instead.
+func (e *Engine) PrepareDecide() { e.syncClusters() }
 
 // probe outcomes.
 type probeStatus uint8
@@ -274,7 +257,7 @@ func (e *Engine) probeMoves(p int, ps *peerPrune) (MoveEval, probeStatus) {
 	if !e.accStateValid(p, ps) {
 		return MoveEval{}, probeInvalid
 	}
-	e.pruneMinSize()
+	e.syncClusters()
 	cur := e.cfg.ClusterOf(p)
 	w := e.peerW[p]
 	ownAcc := e.peerOwnW[p]
@@ -541,7 +524,7 @@ func (ev *Evaluator) replayDecision(s Strategy, kind uint8, param float64, p int
 		if dec.d.Move && !dec.d.NewCluster && e.aggVersion[dec.d.To] > dec.clock {
 			return Decision{}, false
 		}
-		e.pruneMinSize()
+		e.syncClusters()
 		bound := e.membership(e.minSize+1) + e.peerW[p] - ps.outAcc - e.peerOwnW[p]
 		if !(bound > dec.bestVal) {
 			return Decision{}, false

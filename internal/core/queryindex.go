@@ -1,0 +1,100 @@
+package core
+
+import (
+	"repro/internal/attr"
+	"repro/internal/peer"
+	"repro/internal/workload"
+)
+
+// queryIndex registers every workload query under its first attribute:
+// a query cannot match an item that lacks its first attribute, so one
+// registration per query is enough to name, for a peer, the only
+// queries its content can answer. Rebuild's result pass and AddPeer
+// both generate their candidates from it. It depends on the workload
+// alone, so it outlives content edits and Rebuilds and is only ever
+// extended (queries are interned in QID order) or remapped by a
+// compaction.
+//
+// Attribute IDs are vocabulary-dense, so the lists sit in a slice
+// indexed by ID and a peer's candidate walk costs a load per
+// attribute, not a hash probe. The attributes in use are also kept as
+// a list, so a remap or reset costs the index's size, not the
+// vocabulary's. All storage is reused across resets.
+type queryIndex struct {
+	byAttr [][]workload.QID // first attribute -> QIDs ascending; nil until first used
+	attrs  []attr.ID        // the attributes whose list was ever used
+	empty  []workload.QID   // attribute-less queries: they match every item
+	n      int              // the index covers the workload's QIDs [0,n)
+}
+
+// extend registers the queries interned since the last call.
+func (x *queryIndex) extend(wl *workload.Workload) {
+	for ; x.n < wl.NumQueries(); x.n++ {
+		qid := workload.QID(x.n)
+		ids := wl.Query(qid).IDs()
+		if len(ids) == 0 {
+			x.empty = append(x.empty, qid)
+			continue
+		}
+		a := ids[0]
+		for len(x.byAttr) <= int(a) {
+			x.byAttr = append(x.byAttr, nil)
+		}
+		if x.byAttr[a] == nil {
+			x.attrs = append(x.attrs, a)
+		}
+		x.byAttr[a] = append(x.byAttr[a], qid)
+	}
+}
+
+// reset forgets every query, keeping the storage.
+func (x *queryIndex) reset() {
+	for _, a := range x.attrs {
+		x.byAttr[a] = x.byAttr[a][:0]
+	}
+	x.empty = x.empty[:0]
+	x.n = 0
+}
+
+// remap renumbers the indexed queries under a compaction's monotone
+// old->new mapping (lists stay ascending), dropping the retired ones.
+// Emptied lists keep their capacity for a re-intern of the same first
+// attribute.
+func (x *queryIndex) remap(remap workload.CompactRemap) {
+	for _, a := range x.attrs {
+		x.byAttr[a] = remapQIDs(x.byAttr[a], remap)
+	}
+	x.empty = remapQIDs(x.empty, remap)
+	live := 0
+	for _, nid := range remap[:x.n] {
+		if nid >= 0 {
+			live++
+		}
+	}
+	x.n = live
+}
+
+func remapQIDs(lst []workload.QID, remap workload.CompactRemap) []workload.QID {
+	k := 0
+	for _, qid := range lst {
+		if nid := remap[qid]; nid >= 0 {
+			lst[k] = nid
+			k++
+		}
+	}
+	return lst[:k]
+}
+
+// appendCandidates appends to dst every indexed query that can match
+// an item of p, each once: the attribute-less queries, then the
+// queries registered under each of p's attributes in ascending
+// attribute order (ascending QID within one attribute).
+func (x *queryIndex) appendCandidates(dst []workload.QID, p *peer.Peer) []workload.QID {
+	dst = append(dst, x.empty...)
+	for _, a := range p.Attrs() {
+		if int(a) < len(x.byAttr) {
+			dst = append(dst, x.byAttr[a]...)
+		}
+	}
+	return dst
+}

@@ -168,7 +168,7 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 		lineage:    e.lineage,
 		clusterOf:  e.cfg.Assignment(),
 		sizes:      make([]int, e.cfg.Cmax()),
-		nonEmpty:   e.cfg.NonEmpty(),
+		nonEmpty:   slices.Clone(e.nonEmptyClusters()),
 		live:       e.cfg.Live(),
 		popVersion: e.popVersion,
 	}
@@ -207,11 +207,11 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 			continue
 		}
 		if old != nil {
-			touched = old.AppendAttrs(touched)
+			touched = append(touched, old.Attrs()...)
 		}
 		if p != nil {
 			p.Freeze()
-			touched = p.AppendAttrs(touched)
+			touched = append(touched, p.Attrs()...)
 		}
 	}
 	slices.Sort(touched)
@@ -421,7 +421,6 @@ func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 	if len(d.Changed) > 0 {
 		next.peers = slices.Clone(v.peers)
 		pb := v.postings.patch()
-		var attrs []attr.ID
 		for _, ch := range d.Changed {
 			slot := int(ch.Slot)
 			appended := slot == len(next.peers)
@@ -440,8 +439,7 @@ func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 				return nil, fmt.Errorf("core: change vacates unoccupied slot %d", ch.Slot)
 			}
 			if old != nil {
-				attrs = old.AppendAttrs(attrs[:0])
-				for _, a := range attrs {
+				for _, a := range old.Attrs() {
 					lst := pb.get(a)
 					pb.set(a, slices.DeleteFunc(slices.Clone(lst), func(s int32) bool { return s == ch.Slot }))
 				}
@@ -452,8 +450,7 @@ func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 				p := peer.New(slot)
 				p.SetItems(ch.Items)
 				p.Freeze()
-				attrs = p.AppendAttrs(attrs[:0])
-				for _, a := range attrs {
+				for _, a := range p.Attrs() {
 					lst := pb.get(a)
 					pb.set(a, append(slices.Clip(lst), ch.Slot))
 				}

@@ -6,6 +6,7 @@ package peer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 )
@@ -20,6 +21,9 @@ type Peer struct {
 
 	// postings maps an attribute to the indices of items containing it.
 	postings map[attr.ID][]int32
+	// attrs lists the distinct attributes of the items in ascending
+	// order; built together with postings.
+	attrs []attr.ID
 	// cache memoizes ResultCount by query key; reset on content change.
 	cache   map[string]int
 	version int
@@ -74,6 +78,7 @@ func (p *Peer) ReplaceItem(i int, item attr.Set) {
 
 func (p *Peer) invalidate() {
 	p.postings = nil
+	p.attrs = nil
 	p.cache = nil
 	p.version++
 }
@@ -82,9 +87,14 @@ func (p *Peer) buildPostings() {
 	p.postings = make(map[attr.ID][]int32)
 	for i, it := range p.items {
 		for _, a := range it.IDs() {
-			p.postings[a] = append(p.postings[a], int32(i))
+			lst, seen := p.postings[a]
+			if !seen {
+				p.attrs = append(p.attrs, a)
+			}
+			p.postings[a] = append(lst, int32(i))
 		}
 	}
+	slices.Sort(p.attrs)
 }
 
 // ResultCount returns result(q,p): the number of the peer's items whose
@@ -166,18 +176,15 @@ func (p *Peer) countMulti(q attr.Set) int {
 	return n
 }
 
-// AppendAttrs appends the distinct attributes appearing in the peer's
-// items to dst and returns the extended slice. The order is
-// unspecified (callers that need determinism sort the result); hot
-// paths pass a reused scratch slice to stay allocation-free.
-func (p *Peer) AppendAttrs(dst []attr.ID) []attr.ID {
+// Attrs returns the distinct attributes appearing in the peer's items
+// in ascending order. The slice is shared and must not be modified; it
+// is built together with the postings, so on a frozen peer this is a
+// pure read.
+func (p *Peer) Attrs() []attr.ID {
 	if p.postings == nil {
 		p.buildPostings()
 	}
-	for a := range p.postings {
-		dst = append(dst, a)
-	}
-	return dst
+	return p.attrs
 }
 
 // AttrFrequencies returns, for every attribute appearing in the peer's

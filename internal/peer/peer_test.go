@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,21 @@ func TestAttrFrequencies(t *testing.T) {
 	f := p.AttrFrequencies()
 	if f[1] != 1 || f[2] != 3 || f[3] != 1 {
 		t.Fatalf("frequencies: %v", f)
+	}
+}
+
+func TestAttrsSortedDistinctAndRebuilt(t *testing.T) {
+	p := New(7)
+	p.SetItems([]attr.Set{attr.NewSet(9, 2), attr.NewSet(2), attr.NewSet(5, 2, 3)})
+	if got := p.Attrs(); !slices.Equal(got, []attr.ID{2, 3, 5, 9}) {
+		t.Fatalf("attrs: %v", got)
+	}
+	p.ReplaceItem(0, attr.NewSet(1))
+	if got := p.Attrs(); !slices.Equal(got, []attr.ID{1, 2, 3, 5}) {
+		t.Fatalf("attrs after a content edit: %v", got)
+	}
+	if got := New(8).Attrs(); len(got) != 0 {
+		t.Fatalf("attrs of an empty peer: %v", got)
 	}
 }
 

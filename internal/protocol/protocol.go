@@ -302,10 +302,10 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 	r.bestMsgs = r.bestMsgs[:n]
 
 	es, _ := r.strategy.(core.EvalStrategy)
-	if es != nil && !r.opts.ExactDecide {
-		// Refresh the serial pruning state (minimum cluster size backing
-		// the shortlist bound) before evaluators — possibly concurrent —
-		// read it.
+	if es != nil {
+		// Refresh the per-membership-version state (non-empty cluster
+		// list, minimum cluster size) before evaluators — possibly
+		// concurrent — read it.
 		r.eng.PrepareDecide()
 	}
 	w := r.opts.Workers
