@@ -22,12 +22,12 @@ import (
 //	flood       — collapse to a single cluster (no clustering)
 //	singletons  — no cooperation at all
 func RunBaselineComparison(p Params) *metrics.Table {
-	p.DemandZipfS = 0
 	t := metrics.NewTable("Extension: maintenance responses after workload drift",
 		"response", "SCost", "WCost", "#clusters", "purity", "messages")
 
+	base := updateBase(p)
 	build := func() (*System, []int) {
-		sys := Build(p, SameCategory)
+		sys := base.Fork()
 		cfg := sys.CategoryConfig()
 		members := cfg.Members(0)
 		rng := stats.NewRNG(p.Seed ^ 0x94d049bb)
@@ -48,7 +48,7 @@ func RunBaselineComparison(p Params) *metrics.Table {
 	}
 
 	// One independent cell per maintenance response, each over its own
-	// freshly built and drifted system.
+	// freshly forked and drifted system.
 	responses := []func() []string{
 		func() []string { // no maintenance
 			sys, _ := build()

@@ -70,8 +70,8 @@ func RunChurn(p Params, periods int, churnFraction float64) *metrics.Series {
 // then the whole crowd departs at once and maintenance runs again.
 // Joins and leaves use the incremental membership path exclusively.
 // One row per burst size; cells run on the worker pool, each over a
-// private System (joins mutate the shared workload, so systems cannot
-// be shared across cells).
+// private fork of one System (joins mutate the workload, the peer list
+// and the query pools, all of which a fork owns).
 func RunFlashCrowd(p Params, bursts []int) *metrics.Table {
 	if len(bursts) == 0 {
 		bursts = []int{maxInt(1, p.Peers/10), maxInt(2, p.Peers/4), maxInt(3, p.Peers/2)}
@@ -79,9 +79,10 @@ func RunFlashCrowd(p Params, bursts []int) *metrics.Table {
 	t := metrics.NewTable("Extension: flash crowd (arrival burst, incremental membership)",
 		"burst", "scost-settled", "scost-arrival", "scost-absorbed", "clusters-peak",
 		"scost-departed", "scost-recovered", "clusters-final")
+	base := buildBase(p, SameCategory)
 	for _, r := range p.runRows(len(bursts), func(i int) []string {
 		burst := bursts[i]
-		sys := Build(p, SameCategory)
+		sys := base.Fork()
 		eng := sys.NewEngine(sys.CategoryConfig())
 		runner := sys.NewRunner(eng, core.NewSelfish(), true)
 		rng := stats.NewRNG(p.Seed ^ 0x94d049bb133111eb ^ uint64(burst)<<20)

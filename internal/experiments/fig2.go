@@ -6,6 +6,14 @@ import (
 	"repro/internal/stats"
 )
 
+// updateBase builds the one system every cell of the §4.2 experiments
+// forks: the same-category scenario with the total workload assigned
+// uniformly to peers, as §4.2 prescribes.
+func updateBase(p Params) *System {
+	p.DemandZipfS = 0
+	return buildBase(p, SameCategory)
+}
+
 // updateExperiment factors the shared shape of Figs. 2 and 3: start
 // from a good configuration of the same-category scenario (uniform
 // demand split, per §4.2), perturb the peers of one cluster, run the
@@ -13,14 +21,14 @@ import (
 // creation disabled, per the paper), and record the final normalized
 // social cost per strategy.
 //
-// apply perturbs a freshly built system: it receives the system, the
-// members of the updated cluster c_cur, the perturbation level x in
-// [0,1], and a deterministic RNG.
-func updateExperiment(p Params, title, xlabel string, levels []float64,
+// base is the unperturbed system (updateBase); it is only forked, so
+// the panels of a figure share one. apply perturbs a fork: it receives
+// the fork, the members of the updated cluster c_cur, the perturbation
+// level x in [0,1], and a deterministic RNG.
+func updateExperiment(base *System, title, xlabel string, levels []float64,
 	apply func(sys *System, members []int, x float64, rng *stats.RNG)) *metrics.Series {
 
-	// §4.2 assigns the total workload uniformly to peers.
-	p.DemandZipfS = 0
+	p := base.Params
 	out := metrics.NewSeries(title, xlabel)
 	out.AddColumn("selfish")
 	out.AddColumn("altruistic")
@@ -29,9 +37,9 @@ func updateExperiment(p Params, title, xlabel string, levels []float64,
 	// strategy curves is what the protocol recovers.
 	out.AddColumn("no-reform")
 
-	// One independent cell per (level, strategy): each builds and
-	// perturbs a private deterministic system, so both strategies see
-	// the identical perturbed state and cells parallelize freely.
+	// One independent cell per (level, strategy): each perturbs a
+	// private fork with the level's RNG, so both strategies see the
+	// identical perturbed state and cells parallelize freely.
 	strategies := []func() core.Strategy{
 		func() core.Strategy { return core.NewSelfish() },
 		func() core.Strategy { return core.NewAltruistic() },
@@ -41,7 +49,7 @@ func updateExperiment(p Params, title, xlabel string, levels []float64,
 	runIndexed(p.workerCount(), len(cells), func(i int) {
 		x := levels[i/len(strategies)]
 		strat := strategies[i%len(strategies)]()
-		sys := Build(p, SameCategory)
+		sys := base.Fork()
 		cfg := sys.CategoryConfig()
 		// c_cur is the cluster of category 0.
 		members := cfg.Members(0)
@@ -84,7 +92,8 @@ type Fig2Result struct {
 // updated peers is category 1, whose data lives in cluster c_new = 1.
 func RunFig2(p Params) *Fig2Result {
 	const toCat = 1
-	left := updateExperiment(p,
+	base := updateBase(p)
+	left := updateExperiment(base,
 		"Fig 2 (left): social cost vs percentage of updated peers",
 		"updated-peers",
 		Levels01(),
@@ -94,7 +103,7 @@ func RunFig2(p Params) *Fig2Result {
 				sys.RedirectWorkload(pid, toCat, 1, rng)
 			}
 		})
-	right := updateExperiment(p,
+	right := updateExperiment(base,
 		"Fig 2 (right): social cost vs percentage of updated workload",
 		"updated-workload",
 		Levels01(),
@@ -123,7 +132,8 @@ type Fig3Result struct {
 // their new content to the cluster that demands it.
 func RunFig3(p Params) *Fig3Result {
 	const toCat = 1
-	left := updateExperiment(p,
+	base := updateBase(p)
+	left := updateExperiment(base,
 		"Fig 3 (left): social cost vs percentage of updated peers",
 		"updated-peers",
 		Levels01(),
@@ -133,7 +143,7 @@ func RunFig3(p Params) *Fig3Result {
 				sys.ReplaceData(pid, toCat, 1, rng)
 			}
 		})
-	right := updateExperiment(p,
+	right := updateExperiment(base,
 		"Fig 3 (right): social cost vs percentage of updated data",
 		"updated-data",
 		Levels01(),

@@ -24,21 +24,21 @@ func RunFig4(p Params, alphas []float64) *metrics.Series {
 	if len(alphas) == 0 {
 		alphas = []float64{0, 1, 2}
 	}
-	p.DemandZipfS = 0
+	base := updateBase(p)
 	out := metrics.NewSeries("Fig 4: individual cost vs percentage of changing workload", "changed-workload")
 	for _, a := range alphas {
 		out.AddColumn(fmt.Sprintf("alpha=%g", a))
 	}
 
-	// One independent cell per (level, alpha), each over a private
-	// perturbed system; cells run on the Params.Workers pool and are
-	// assembled in a fixed order.
+	// One independent cell per (level, alpha), each perturbing a
+	// private fork of the base; cells run on the Params.Workers pool and
+	// are assembled in a fixed order.
 	levels := Levels01()
 	ys := make([]float64, len(levels)*len(alphas))
 	runIndexed(p.workerCount(), len(ys), func(i int) {
 		x := levels[i/len(alphas)]
 		a := alphas[i%len(alphas)]
-		sys := Build(p, SameCategory)
+		sys := base.Fork()
 		// Merge category 2 into category 1's cluster to create the
 		// larger c_new.
 		assign := sys.CategoryConfig().Assignment()

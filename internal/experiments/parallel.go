@@ -15,14 +15,6 @@ func (p Params) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runIndexed executes fn(0), ..., fn(n-1), spreading the calls over at
-// most w workers. With w <= 1 it degenerates to a plain loop, so the
-// serial and parallel paths execute identical task code.
-//
-// Tasks must be independent and deterministic per index: every
-// experiment cell owns its own RNG (derived from the seed, never from
-// execution order) and writes its result to a preallocated slot, so
-// the assembled output is byte-identical for any worker count.
 // runRows executes cell(0), ..., cell(n-1) on the worker pool and
 // returns the produced rows in index order — the shape shared by every
 // table driver whose cells each yield one row.
@@ -46,6 +38,14 @@ func buildSystems(p Params, scenarios []Scenario, workers int) []*System {
 	return systems
 }
 
+// runIndexed executes fn(0), ..., fn(n-1), spreading the calls over at
+// most w workers. With w <= 1 it degenerates to a plain loop, so the
+// serial and parallel paths execute identical task code.
+//
+// Tasks must be independent and deterministic per index: every
+// experiment cell owns its own RNG (derived from the seed, never from
+// execution order) and writes its result to a preallocated slot, so
+// the assembled output is byte-identical for any worker count.
 func runIndexed(w, n int, fn func(i int)) {
 	if w > n {
 		w = n

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestRunIndexedCoversAllIndices(t *testing.T) {
@@ -42,25 +44,49 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The figure sweeps build one private system per cell, so they must be
-// order-independent too.
-func TestFig2ParallelMatchesSerial(t *testing.T) {
-	p := fastParams()
-	p.MaxRounds = 40
-
-	serial := p
-	serial.Workers = 1
-	parallel := p
-	parallel.Workers = 4
-
-	a := RunFig2(serial)
-	b := RunFig2(parallel)
-	for _, col := range []string{"selfish", "altruistic", "no-reform"} {
-		if !reflect.DeepEqual(a.UpdatedPeers.Column(col), b.UpdatedPeers.Column(col)) {
-			t.Errorf("fig2 left column %q differs between serial and parallel runs", col)
-		}
-		if !reflect.DeepEqual(a.UpdatedWorkload.Column(col), b.UpdatedWorkload.Column(col)) {
-			t.Errorf("fig2 right column %q differs between serial and parallel runs", col)
+// sameSeries fails the test unless every column of the serial and the
+// parallel run of one series is equal, floats included.
+func sameSeries(t *testing.T, serial, parallel *metrics.Series) {
+	t.Helper()
+	if !reflect.DeepEqual(serial.Columns(), parallel.Columns()) || serial.Len() == 0 {
+		t.Fatalf("%s: columns %v (%d points) vs %v", serial.Title, serial.Columns(), serial.Len(), parallel.Columns())
+	}
+	for _, col := range serial.Columns() {
+		if !reflect.DeepEqual(serial.Column(col), parallel.Column(col)) {
+			t.Errorf("%s: column %q differs between serial and parallel runs", serial.Title, col)
 		}
 	}
+}
+
+// serialAndParallel returns the fast parameter set at 1 and at 4
+// workers.
+func serialAndParallel() (serial, parallel Params) {
+	p := fastParams()
+	p.MaxRounds = 40
+	serial, parallel = p, p
+	serial.Workers, parallel.Workers = 1, 4
+	return serial, parallel
+}
+
+// The figure sweeps perturb one private fork per cell, so they must be
+// order-independent too.
+func TestFig2ParallelMatchesSerial(t *testing.T) {
+	serial, parallel := serialAndParallel()
+	a, b := RunFig2(serial), RunFig2(parallel)
+	sameSeries(t, a.UpdatedPeers, b.UpdatedPeers)
+	sameSeries(t, a.UpdatedWorkload, b.UpdatedWorkload)
+}
+
+// Fig 3 is the sweep whose cells change the content of peers that share
+// their built indexes with the base and with every other fork.
+func TestFig3ParallelMatchesSerial(t *testing.T) {
+	serial, parallel := serialAndParallel()
+	a, b := RunFig3(serial), RunFig3(parallel)
+	sameSeries(t, a.UpdatedPeers, b.UpdatedPeers)
+	sameSeries(t, a.UpdatedData, b.UpdatedData)
+}
+
+func TestFig4ParallelMatchesSerial(t *testing.T) {
+	serial, parallel := serialAndParallel()
+	sameSeries(t, RunFig4(serial, nil), RunFig4(parallel, nil))
 }

@@ -21,12 +21,12 @@ func RunRoutingAblation(p Params) *metrics.Table {
 		"probe-clusters", "query-messages", "mean-abs-pcost-error", "final-SCost", "converged")
 
 	budgets := []int{1, 2, 4, 8, 0} // 0 = flood all clusters
-	// One independent cell per probe budget, each over its own System
-	// (the actor sim exercises the peers' lazy query indexes, so cells
-	// must not share one).
+	// One independent cell per probe budget (the actor sim exercises
+	// the peers' lazy query indexes, so each cell forks the base).
+	base := buildBase(p, SameCategory)
 	for _, r := range p.runRows(len(budgets), func(i int) []string {
 		k := budgets[i]
-		sys := Build(p, SameCategory)
+		sys := base.Fork()
 		rng := stats.NewRNG(p.Seed ^ 0x8ebc6af09c88c6e3)
 		cfg := sys.InitialConfig(InitRandomM, rng)
 		exact := sys.NewEngine(cfg.Clone())

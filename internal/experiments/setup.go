@@ -16,12 +16,20 @@
 //
 // Cells that share a built System only read it; System.Warm
 // precomputes the lazily built peer query indexes up front so those
-// reads are race-free. Cells that perturb peer content or workloads
-// (the update experiments) build a private System per cell instead.
+// reads are race-free. Cells that perturb peer content, workloads or
+// membership (the §4.2 update experiments, the flash crowd, the probe
+// budget sweep, the baseline comparison) all start from the same
+// system, so their driver builds and warms it once and every cell
+// perturbs a System.Fork of it: the fork owns the workload, category
+// bookkeeping, pools and peer item lists, and shares the corpus
+// generator and the peer indexes nobody changed. Only drivers whose
+// Params differ per cell (the ablations), or whose cells grow the
+// shared vocabulary (RunLongHaul), still Build inside the cell.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -473,6 +481,46 @@ func (s *System) Warm() {
 			pr.ResultCount(s.WL.Query(workload.QID(q)))
 		}
 	}
+}
+
+// Fork returns a System equal to s that a cell may perturb without
+// touching s. The fork owns what the update and membership operations
+// change: the workload, the category bookkeeping, the pool list (each
+// pool clipped to its length, so a fork's first append reallocates
+// instead of writing into s's backing array) and its peers, which are
+// peer.Clones — they share s's built query indexes until their content
+// changes, so Warm s first and no fork rebuilds the index of a peer it
+// never perturbs. It shares what cells only read: typePools and the
+// corpus generator, whose DocumentRNG only looks terms up. Fork only
+// reads s, so cells may fork one base concurrently.
+//
+// The one operation a fork must not run is JoinPeerNovel: it interns
+// new words into the generator's vocabulary, which every fork shares.
+// RunLongHaul therefore keeps building a System per cell.
+func (s *System) Fork() *System {
+	f := *s
+	f.WL = s.WL.Clone()
+	f.DataCat = slices.Clone(s.DataCat)
+	f.QueryCat = slices.Clone(s.QueryCat)
+	f.Peers = make([]*peer.Peer, len(s.Peers))
+	for i, pr := range s.Peers {
+		if pr != nil {
+			f.Peers[i] = pr.Clone()
+		}
+	}
+	f.pools = make([][]attr.ID, len(s.pools))
+	for c, pool := range s.pools {
+		f.pools[c] = slices.Clip(pool)
+	}
+	return &f
+}
+
+// buildBase builds the System a driver forks once per cell, warmed so
+// the forks share its peer indexes.
+func buildBase(p Params, sc Scenario) *System {
+	sys := Build(p, sc)
+	sys.Warm()
+	return sys
 }
 
 // NewEngine wires the system to a fresh core engine over cfg.

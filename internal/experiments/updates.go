@@ -29,7 +29,8 @@ func (s *System) RedirectWorkload(p int, toCat int, frac float64, rng *stats.RNG
 		return
 	}
 	// Keep (total - moved) instances of the old interest, scaling the
-	// old entries proportionally (largest remainders win).
+	// old entries proportionally; each kept count is floored and the
+	// remainder goes to the new interest below.
 	keep := total - moved
 	var qs []attr.Set
 	var counts []int

@@ -54,6 +54,23 @@ func (p *Peer) Items() []attr.Set {
 // detect stale snapshots.
 func (p *Peer) Version() int { return p.version }
 
+// Clone returns a peer with the same ID, content and version whose
+// content can be changed independently of p's. The item list is copied;
+// the built index (postings and attrs) is shared, which is safe because
+// it is never modified in place: a content change on either side only
+// drops that side's reference and rebuilds lazily. The ResultCount memo
+// is written on reads, so it is not shared. Cloning only reads p, so
+// any number of goroutines may clone one peer nobody is mutating.
+func (p *Peer) Clone() *Peer {
+	return &Peer{
+		id:       p.id,
+		items:    p.Items(),
+		postings: p.postings,
+		attrs:    p.attrs,
+		version:  p.version,
+	}
+}
+
 // SetItems replaces the peer's content.
 func (p *Peer) SetItems(items []attr.Set) {
 	p.items = append(p.items[:0:0], items...)

@@ -212,3 +212,68 @@ func TestResultCountROPanicsBeforeFreeze(t *testing.T) {
 	}()
 	p.ResultCountRO(attr.NewSet(1))
 }
+
+// A clone shares the built index with its source — it answers without
+// rebuilding — until either side changes content; the change then
+// leaves the other side's answers and attribute list intact.
+func TestCloneSharesIndexUntilMutation(t *testing.T) {
+	items := []attr.Set{attr.NewSet(1, 2), attr.NewSet(2, 3), attr.NewSet(3, 4)}
+	queries := []attr.Set{attr.NewSet(1), attr.NewSet(2), attr.NewSet(3), attr.NewSet(2, 3), attr.NewSet(9), attr.NewSet()}
+	answers := func(p *Peer) []int {
+		out := make([]int, len(queries))
+		for i, q := range queries {
+			out[i] = p.ResultCount(q)
+		}
+		return out
+	}
+
+	src := New(7)
+	src.SetItems(items)
+	want, wantAttrs := answers(src), slices.Clone(src.Attrs())
+
+	c := src.Clone()
+	if c.ID() != src.ID() || c.Version() != src.Version() || c.NumItems() != src.NumItems() {
+		t.Fatalf("clone is (id %d, version %d, %d items), source (id %d, version %d, %d items)",
+			c.ID(), c.Version(), c.NumItems(), src.ID(), src.Version(), src.NumItems())
+	}
+	// ResultCountRO panics on a peer whose index is not built.
+	for i, q := range queries {
+		if got := c.ResultCountRO(q); got != want[i] {
+			t.Errorf("clone ResultCountRO(%v)=%d want %d", q.IDs(), got, want[i])
+		}
+	}
+	if &c.Attrs()[0] != &src.Attrs()[0] {
+		t.Error("clone built its own attribute list instead of sharing the source's")
+	}
+
+	// The clone changes content: the source keeps its answers.
+	c.ReplaceItem(0, attr.NewSet(5, 6))
+	if got := answers(src); !slices.Equal(got, want) {
+		t.Errorf("source answers %v after the clone changed, want %v", got, want)
+	}
+	if got := src.Attrs(); !slices.Equal(got, wantAttrs) {
+		t.Errorf("source attrs %v after the clone changed, want %v", got, wantAttrs)
+	}
+	if got := src.Items()[0]; !got.Equal(items[0]) {
+		t.Errorf("source item 0 is %v after the clone's ReplaceItem", got.IDs())
+	}
+	if got, want := answers(c), []int{0, 1, 2, 1, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("changed clone answers %v, want %v", got, want)
+	}
+	if got, want := c.Attrs(), []attr.ID{2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("changed clone attrs %v, want %v", got, want)
+	}
+
+	// The source changes content: a clone taken before keeps its answers.
+	c2 := src.Clone()
+	src.ReplaceItem(2, attr.NewSet(1))
+	if got := answers(c2); !slices.Equal(got, want) {
+		t.Errorf("clone answers %v after the source changed, want %v", got, want)
+	}
+	if got := c2.Attrs(); !slices.Equal(got, wantAttrs) {
+		t.Errorf("clone attrs %v after the source changed, want %v", got, wantAttrs)
+	}
+	if got, want := answers(src), []int{2, 2, 1, 1, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("changed source answers %v, want %v", got, want)
+	}
+}
