@@ -192,13 +192,15 @@ func BenchmarkEngineRebuild(b *testing.B) {
 }
 
 func BenchmarkRebuildLarge(b *testing.B) {
-	sys := experiments.Build(benchParams(), experiments.SameCategory)
-	benchsuite.Rebuild(sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil)))(b)
+	benchsuite.RebuildLarge(experiments.Build(benchParams(), experiments.SameCategory))(b)
+}
+
+func BenchmarkFirstJoinAfterRestore(b *testing.B) {
+	benchsuite.FirstJoinAfterRestore(experiments.Build(benchParams(), experiments.SameCategory))(b)
 }
 
 func BenchmarkDecideRoundSingletons(b *testing.B) {
-	sys := experiments.Build(benchParams(), experiments.SameCategory)
-	benchsuite.DecideRoundSingletons(sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil)))(b)
+	benchsuite.DecideRoundSingletons(experiments.Build(benchParams(), experiments.SameCategory))(b)
 }
 
 func BenchmarkEvaluateMoves(b *testing.B) {

@@ -36,6 +36,8 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Peers       int     `json:"peers,omitempty"`
 	Scale       int     `json:"scale,omitempty"`
+	// Extra holds what the benchmark reported through b.ReportMetric.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // benchReport is the BENCH.json schema: the engine microbenchmarks
@@ -79,7 +81,10 @@ func sameRunnerClass(a, b benchReport) bool {
 // gate compares: a fresh run whose ns/op exceeds the baseline by more
 // than benchRegressionTolerance — or whose allocs/op grew at all —
 // fails the gate. Macrobenchmarks (Table1*) are tracked but not gated:
-// their wall-clock depends on CI core counts.
+// their wall-clock depends on CI core counts. Nor is
+// FirstJoinAfterRestore: the index maps its join builds allocate a
+// couple of objects more or fewer from run to run, and the allocs/op
+// gate has no tolerance.
 var gatedBenchmarks = []string{
 	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "Rebuild", "AddRemovePeer",
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
@@ -143,6 +148,7 @@ func runBenchCommand(args []string) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			Peers:       benchPeers,
 			Scale:       benchScale,
+			Extra:       r.Extra,
 		})
 	}
 	record := func(name string, fn func(b *testing.B)) {
@@ -383,15 +389,16 @@ func runBenchCommand(args []string) {
 	// the newcomer's footprint, not to the system.
 	recordServe("BuildViewAfterJoin", benchsuite.BuildViewAfterJoin(ssys, seng))
 	recordServe("RouterApplyJoinDelta", benchsuite.RouterApplyJoinDelta(ssys, seng))
-	// Restore and the first decide rounds of the paper's initial
-	// configuration (i), every peer its own cluster: a steady-state
-	// Rebuild, and one round in which every peer scans every cluster.
-	// Both must cost what is non-zero, not the peers x queries x
-	// cluster-slots grid. A private System, for the reason given below.
+	// Restore, the first join after it and the first decide rounds of
+	// the paper's initial configuration (i), every peer its own cluster:
+	// a steady-state Rebuild, the first AddPeer on a fresh engine, and
+	// one round in which every peer scans every cluster. All three must
+	// cost what is non-zero, not the peers x queries x cluster-slots
+	// grid. A private System, for the reason given below.
 	rsys := experiments.Build(lp, experiments.SameCategory)
-	reng := rsys.NewEngine(rsys.InitialConfig(experiments.InitSingletons, nil))
-	recordServe("RebuildLarge", benchsuite.Rebuild(reng))
-	recordServe("DecideRoundSingletons", benchsuite.DecideRoundSingletons(reng))
+	recordServe("RebuildLarge", benchsuite.RebuildLarge(rsys))
+	recordServe("FirstJoinAfterRestore", benchsuite.FirstJoinAfterRestore(rsys))
+	recordServe("DecideRoundSingletons", benchsuite.DecideRoundSingletons(rsys))
 	// The reformulation protocol's hot paths: one round serial, one
 	// round with the phase-1 decide scan fanned over all cores, and a
 	// quiescent stepped period (the steady-state maintenance tick of

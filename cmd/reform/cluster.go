@@ -57,7 +57,7 @@ func (n *clusterNode) start(cfg service.Config, logger *log.Logger) {
 	}
 	n.srv = service.New(cfg)
 	n.srv.Start()
-	n.http = &http.Server{Handler: n.srv.Handler()}
+	n.http = newHTTPServer("", n.srv.Handler())
 	go n.http.Serve(n.ln)
 }
 

@@ -50,7 +50,7 @@ func runRouteCommand(args []string) {
 	})
 	rt.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	httpSrv := newHTTPServer(*addr, rt.Handler())
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	go func() {

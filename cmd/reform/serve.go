@@ -16,6 +16,29 @@ import (
 	"repro/internal/service"
 )
 
+// Limits every listener of this command sets (serve, route, cluster). A
+// client gets readHeaderTimeout to finish its request headers and an
+// idle keep-alive connection is dropped after idleTimeout, so slow or
+// silent clients cannot pin connections and their goroutines for good.
+// There is deliberately no ReadTimeout or WriteTimeout: the watch
+// endpoints park a request for up to 55 s by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns the http.Server every subcommand listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // runServeCommand implements `reform serve`: the overlay as an
 // always-on HTTP daemon with ticker-driven reformulation, dynamic
 // membership and snapshot-based restarts.
@@ -95,7 +118,7 @@ func runServeCommand(args []string) {
 	}
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	go func() {

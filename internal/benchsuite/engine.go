@@ -2,9 +2,12 @@ package benchsuite
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // Rebuild times Engine.Rebuild at steady state: storage warm, the query
@@ -23,14 +26,68 @@ func Rebuild(eng *core.Engine) func(b *testing.B) {
 	}
 }
 
+// singletons builds an engine over sys with every peer its own
+// cluster: Cmax = |P|, the paper's initial configuration (i).
+func singletons(sys *experiments.System) *core.Engine {
+	return sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil))
+}
+
+// HeapHeldBy returns how many bytes of live heap only eng keeps
+// reachable: the live heap with it less the live heap without it. The
+// caller must hold no other reference to eng past the call; the peers,
+// workload and configuration it was built over stay with their owner.
+func HeapHeldBy(eng *core.Engine) float64 {
+	var held, dropped runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(eng)
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	return float64(held.HeapAlloc) - float64(dropped.HeapAlloc)
+}
+
+// RebuildLarge is Rebuild over sys's peers as singletons, and reports
+// what the restored engine alone keeps on the heap as heap-B/peer.
+func RebuildLarge(sys *experiments.System) func(b *testing.B) {
+	return func(b *testing.B) {
+		eng := singletons(sys)
+		Rebuild(eng)(b)
+		b.StopTimer()
+		peers := eng.NumPeers()
+		b.ReportMetric(HeapHeldBy(eng)/float64(peers), "heap-B/peer")
+	}
+}
+
+// FirstJoinAfterRestore times the first AddPeer on a freshly built
+// engine over singletons: the join that builds the content indexes and
+// appends the first new peer and cluster slot, where aggregates laid
+// out by cluster slot had to be laid out again. Every iteration forks
+// sys and builds its engine with the timer stopped; sys itself only
+// gains the joiner's terms in its query pools.
+func FirstJoinAfterRestore(sys *experiments.System) func(b *testing.B) {
+	return func(b *testing.B) {
+		sys.Warm()
+		pr, queries, counts := newcomer(sys)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := singletons(sys.Fork())
+			b.StartTimer()
+			eng.AddPeer(pr, queries, counts, cluster.None)
+		}
+	}
+}
+
 // DecideRoundSingletons times one phase-1 decide round in which every
 // peer runs the full cluster scan, over an engine whose peers each sit
 // in their own cluster: the most clusters a population can have, and
 // the first rounds of the paper's initial configuration (i). The
 // evaluator is exhaustive, so no iteration replays a cached decision.
-// Nothing moves; eng is left as it was found.
-func DecideRoundSingletons(eng *core.Engine) func(b *testing.B) {
+// Nothing moves.
+func DecideRoundSingletons(sys *experiments.System) func(b *testing.B) {
 	return func(b *testing.B) {
+		eng := singletons(sys)
 		strat := core.NewSelfish()
 		ev := eng.NewEvaluator()
 		b.ReportAllocs()

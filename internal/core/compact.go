@@ -9,7 +9,7 @@ import (
 // This file implements in-place query compaction: the engine-side
 // counterpart of workload.Compact. A long-lived engine accumulates one
 // row per distinct query ever interned — under open-ended churn with
-// novel queries the flat q*stride+c aggregates, the scratch slices and
+// novel queries the per-query rows and totals, the scratch slices and
 // the inverted query/demander indexes grow with query history, not
 // with the live population. Compact retires the dead queries and
 // rewrites every QID-indexed structure under the monotone old->new
@@ -26,10 +26,10 @@ import (
 //
 // Like the other steady-state mutators, the compact path allocates
 // nothing once capacities are warm: the remap is a workload-owned
-// scratch buffer, rows slide down within their backing arrays, index
-// lists are rewritten in place (emptied ones keep their capacity),
-// and the demander rows of removed queries are parked for reuse by
-// growDemanders.
+// scratch buffer, rows slide down as slice headers, index lists are
+// rewritten in place (emptied ones keep their capacity), and the cell
+// and demander rows of removed queries are parked for reuse by
+// growRowSlices.
 
 // Compact retires every workload query that is dead under the given
 // last-use policy (global count 0 and idle for at least minIdle
@@ -87,10 +87,10 @@ func (e *Engine) CompactQueries(remap workload.CompactRemap) {
 func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 	oldNq := e.nq
 	newNq := e.wl.NumQueries()
-	st := e.stride
 
-	// Aggregate rows slide down in one forward pass: the remap is
-	// monotone, so nid <= q and no row is overwritten before it moved.
+	// Per-query totals slide down in one forward pass: the remap is
+	// monotone, so nid <= q and no entry is overwritten before it moved.
+	// A cell row moves as a slice header.
 	liveRows := 0
 	for q := 0; q < oldNq; q++ {
 		nid := int(remap[q])
@@ -101,22 +101,18 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 			e.totals[nid] = e.totals[q]
 			e.invTot[nid] = e.invTot[q]
 			e.demandTot[nid] = e.demandTot[q]
-			copy(e.clusterRes[nid*st:(nid+1)*st], e.clusterRes[q*st:(q+1)*st])
-			copy(e.clusterDemand[nid*st:(nid+1)*st], e.clusterDemand[q*st:(q+1)*st])
-			copy(e.demandW[nid*st:(nid+1)*st], e.demandW[q*st:(q+1)*st])
 		}
 		liveRows++
 	}
 	// Shrink to the survivors, then pad back out to newNq (a no-op
 	// unless external interns outran the engine); padFloats zeroes
-	// everything past the live prefix either way.
+	// everything past the live prefix either way, and growRowSlices
+	// empties the rows it exposes.
 	e.totals = padFloats(e.totals[:liveRows], newNq)
 	e.invTot = padFloats(e.invTot[:liveRows], newNq)
 	e.demandTot = padFloats(e.demandTot[:liveRows], newNq)
 	e.ownScratch = padFloats(e.ownScratch[:liveRows], newNq)
-	e.clusterRes = padFloats(e.clusterRes[:liveRows*st], newNq*st)
-	e.clusterDemand = padFloats(e.clusterDemand[:liveRows*st], newNq*st)
-	e.demandW = padFloats(e.demandW[:liveRows*st], newNq*st)
+	e.rows = growRowSlices(slideRows(e.rows, remap), newNq)
 	e.qMark = padMarks(e.qMark[:0], newNq)
 
 	// Per-peer lists: results of dead queries are dropped (the query
@@ -153,29 +149,13 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 	if e.peersByAttr != nil {
 		// Demander rows: live rows slide down to their new ids; the
 		// emptied rows of dead queries park their capacity past the
-		// live prefix, where growDemanders reuses it.
-		e.demSpare = e.demSpare[:0]
+		// live prefix, where growRowSlices reuses it.
 		for q := 0; q < oldNq; q++ {
-			if remap[q] < 0 {
-				if len(e.demanders[q]) != 0 {
-					panic(fmt.Sprintf("core: dead query %d still has demanders", q))
-				}
-				e.demSpare = append(e.demSpare, e.demanders[q][:0])
+			if remap[q] < 0 && len(e.demanders[q]) != 0 {
+				panic(fmt.Sprintf("core: dead query %d still has demanders", q))
 			}
 		}
-		k := 0
-		for q := 0; q < oldNq; q++ {
-			if remap[q] >= 0 {
-				e.demanders[k] = e.demanders[q]
-				k++
-			}
-		}
-		for _, spare := range e.demSpare {
-			e.demanders[k] = spare
-			k++
-		}
-		e.demanders = e.demanders[:liveRows]
-		e.growDemanders(newNq)
+		e.demanders = growRowSlices(slideRows(e.demanders, remap), newNq)
 	}
 	e.nq = newNq
 

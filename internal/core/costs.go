@@ -81,11 +81,9 @@ func (e *Engine) wcostRecall() float64 {
 // content answers no query at all.
 func (e *Engine) Contribution(p int, c cluster.CID) float64 {
 	var num, den float64
-	cm := e.stride
-	ci := int(c)
 	for _, re := range e.peerRes[p] {
 		den += e.demandTot[re.qid] * re.res
-		num += e.clusterDemand[int(re.qid)*cm+ci] * re.res
+		num += e.cellAt(re.qid, c).demand * re.res
 	}
 	if den == 0 {
 		return 0
@@ -113,21 +111,29 @@ func (e *Engine) EvaluateContribution(p int) ContributionEval {
 	return e.evaluateContribution(p, e.nonEmptyClusters(), e.accScratch)
 }
 
+// addSupplied adds Eq. 6's numerators — the results p supplies to the
+// demand of each cluster, Σ_q demand[q][c]·result(q,p) — into num[c],
+// in result-list order and, within a row, ascending cluster order, and
+// returns the denominator. Only clusters that hold demand gain a term,
+// and those are non-empty.
+func (e *Engine) addSupplied(p int, num []float64) (den float64) {
+	for _, re := range e.peerRes[p] {
+		den += e.demandTot[re.qid] * re.res
+		row := e.rows[re.qid]
+		for i := range row {
+			if v := row[i].demand; v != 0 {
+				num[row[i].cid] += v * re.res
+			}
+		}
+	}
+	return den
+}
+
 // evaluateContribution is EvaluateContribution over caller-owned
 // scratch; see evaluateMoves.
 func (e *Engine) evaluateContribution(p int, nonEmpty []cluster.CID, num []float64) ContributionEval {
 	cur := e.cfg.ClusterOf(p)
-	var den float64
-	cm := e.stride
-	for _, re := range e.peerRes[p] {
-		den += e.demandTot[re.qid] * re.res
-		row := e.clusterDemand[int(re.qid)*cm : int(re.qid)*cm+cm]
-		for _, c := range nonEmpty {
-			if v := row[c]; v != 0 {
-				num[c] += v * re.res
-			}
-		}
-	}
+	den := e.addSupplied(p, num)
 	ev := ContributionEval{Cur: cur}
 	if den == 0 {
 		ev.Best = cur
@@ -182,7 +188,7 @@ func (e *Engine) DeltaMembershipMarginal(c cluster.CID) float64 {
 // recall" measure of §3.1). It returns 0 when the query has no results
 // anywhere.
 func (e *Engine) ClusterRecall(qid workload.QID, c cluster.CID) float64 {
-	return e.clusterRes[int(qid)*e.stride+int(c)] * e.invTot[qid]
+	return e.cellAt(qid, c).res * e.invTot[qid]
 }
 
 // TotalResults returns Σ_p result(q,p) for qid.

@@ -13,23 +13,30 @@
 // steady-state paths (EvaluateMoves, PeerCost, Move, SCost) are
 // allocation-free by construction:
 //
-//   - All cluster-by-query aggregates (clusterRes, clusterDemand,
-//     demandW) live in single contiguous []float64 backing arrays
-//     indexed q*Cmax+c, for cache locality and cheap addressing.
+//   - The cluster-by-query aggregates (results, demand and recall
+//     weight per query and cluster) are stored sparsely: one row per
+//     query holding a cell for each cluster that hosts a supporter or
+//     a demander of it, ascending by cluster (cells.go). Memory and
+//     every walk are proportional to the supported cells, never to
+//     queries x cluster slots, so a population of singletons (Cmax =
+//     |P|, the paper's initial configuration) costs what a clustered
+//     one does. Rebuild lays all rows out in one arena.
 //   - Per-peer recall weights w(q) = num(q,Q(p))/num(Q(p)) — and
 //     w(q)/totals[q], the factor every recall term multiplies by — are
 //     precomputed once per Rebuild into peerWl, restricted to
 //     answerable queries so the hot loops carry no zero-total branch.
-//   - Evaluation methods use dense scratch slices owned by the Engine
-//     (ownScratch by QID, accScratch by CID) that are reset via explicit
-//     touched-entry lists, never reallocated, and read one ascending
+//   - Evaluation methods accumulate into dense scratch slices owned
+//     by the Engine (ownScratch by QID, accScratch by CID), never
+//     reallocated: a scan adds each of the peer's rows into accScratch
+//     cell by cell, then picks the best cluster off one ascending
 //     non-empty cluster list that is recomputed once per membership
-//     version (syncClusters), not once per scan.
+//     version (syncClusters), not once per scan. Point reads
+//     (PeerCost, the shortlist probes) binary-search the row.
 //   - Rebuild visits what is non-zero: the query index names the
-//     queries a peer's attributes can answer, and the recall sums are
-//     added up over the supported (query, cluster) cells only. The
-//     dense peers x queries and queries x cluster-slots walks survive
-//     only as the test oracle (rebuild_test.go).
+//     queries a peer's attributes can answer, and the rows are filled
+//     and summed over the supported cells only. The dense peers x
+//     queries walk and the dense queries x cluster-slots arrays
+//     survive only as the test oracle (rebuild_test.go).
 //   - The social and workload costs are maintained incrementally under
 //     Move (see the recallSum/wRecallSum/membSumRaw fields), so
 //     SCost/WCost are O(1) reads instead of full rescans.
@@ -79,10 +86,10 @@ type wlEntry struct {
 // so IDs stay dense and stable) that the next joiner reuses. n counts
 // slots; the live |P| every per-|P| normalization uses is the
 // configuration's occupied-slot count (cfg.Live()), so it can never
-// drift from the membership state. The flattened aggregates are indexed q*stride+c with
-// stride >= Cmax, so appending peer/cluster slots only re-strides the
-// arrays when the geometrically grown column capacity is exhausted
-// (amortized O(1) per join). See membership.go for the incremental
+// drift from the membership state. The query x cluster aggregates are
+// sparse rows of cells (cells.go), so a new peer or cluster slot costs
+// them nothing and a join, leave or move touches only the cells of the
+// mover's own queries. See membership.go for the incremental
 // join/leave updates and the inverted content/query indexes they use.
 type Engine struct {
 	peers []*peer.Peer
@@ -92,7 +99,7 @@ type Engine struct {
 	alpha float64
 	n     int // peer slots (len(peers)); the live |P| is cfg.Live()
 	nq    int
-	cmax  int // cluster slots (cfg.Cmax(), <= stride)
+	cmax  int // cluster slots (cfg.Cmax())
 
 	// totals[q] = Σ_p result(q,p); zero-result queries carry no recall
 	// cost (r is undefined for them, see DESIGN.md §5.3). invTot[q] is
@@ -110,21 +117,19 @@ type Engine struct {
 	peerW    []float64
 	peerOwnW []float64
 
-	// Flattened [nq*stride] aggregates, indexed q*stride+c:
-	//   clusterRes    = Σ_{p∈c} result(q,p)
-	//   clusterDemand = Σ_{p∈c} num(q,Q(p))   (answerable queries only)
-	//   demandW       = Σ_{p∈c} w_p(q)        (answerable queries only)
-	stride        int
-	clusterRes    []float64
-	clusterDemand []float64
-	demandW       []float64
+	// rows[q] holds query q's supported cells, ascending by cluster
+	// (see cell). Rebuild carves every row out of cellArena, with the
+	// slack its supporter and demander counts leave; a row that outgrows
+	// its share moves to its own allocation until the next Rebuild.
+	rows      [][]cell
+	cellArena []cell
 	// demandTot[q] = num(q,Q).
 	demandTot []float64
 
 	// Incrementally maintained cost state:
 	//   membSumRaw = Σ_c |c|·θ(|c|)            (membership, sans α/|P|)
-	//   recallSum  = Σ_{q,c} demandW·clusterRes/totals
-	//   wRecallSum = Σ_{q,c} clusterDemand·clusterRes/totals
+	//   recallSum  = Σ_{q,c} demandW·res/totals
+	//   wRecallSum = Σ_{q,c} demand·res/totals
 	//   sumW       = Σ_p peerW[p]
 	//   ansDemand  = Σ_{q: totals[q]>0} demandTot[q]
 	// so SCost = α·membSumRaw/|P| + sumW − recallSum and the workload
@@ -148,11 +153,14 @@ type Engine struct {
 	qEpoch       uint64
 	cidMark      []uint64
 	cidEpoch     uint64
-	// cellEnd/cellCID are Rebuild's supported-cell lists: the clusters
-	// of query q's supporters, ascending with repeats adjacent, are
-	// cellCID[cellEnd[q-1]:cellEnd[q]].
-	cellEnd []int32
-	cellCID []cluster.CID
+	// Rebuild's scratch: rowCap[q] counts query q's supporters and
+	// answerable demanders (an upper bound on its cells), byCluster
+	// orders the live peers by (cluster, pid).
+	rowCap    []int32
+	byCluster []uint64
+	// movePairs is Move's scratch: where, in its row, each entry of the
+	// mover's demand and result lists finds its `from` and `to` cells.
+	movePairs []cellPair
 	// selfEval is the lazily created engine-owned Evaluator that
 	// Strategy.Decide routes through (see evaluator.go); concurrent
 	// scans build private evaluators with NewEvaluator instead.
@@ -172,10 +180,6 @@ type Engine struct {
 	peersByAttr map[attr.ID][]int32
 	demanders   [][]int32
 	queries     queryIndex
-	// demSpare parks the emptied demander rows of compacted-away
-	// queries so growDemanders can hand their capacity to future
-	// queries (see compact.go).
-	demSpare [][]int32
 
 	// Pruned-Decide state (see prune.go): a global mutation clock,
 	// per-cluster and per-query-row last-change stamps, a bump-all
@@ -272,10 +276,10 @@ func growMarks(s []uint64, n int) []uint64 {
 // incrementally by Move, and joins/leaves by AddPeer/RemovePeer.
 // Rebuild also invalidates the content-side membership indexes (the
 // mutation that forced it may have changed peer content); the next
-// join/leave rebuilds them. Its cost beyond zeroing the aggregates is
-// proportional to what is non-zero: each peer is asked only for the
-// queries its attributes can answer, and the recall sums visit only
-// the (query, cluster) cells some peer supports.
+// join/leave rebuilds them. Its cost is proportional to what is
+// non-zero: each peer is asked only for the queries its attributes can
+// answer, and the aggregates are built and summed over only the
+// (query, cluster) cells some peer supports or demands.
 func (e *Engine) Rebuild() {
 	if e.n != e.cfg.NumPeers() || e.n != e.wl.NumPeers() || e.n != len(e.peers) {
 		panic(fmt.Sprintf("core: slot mismatch peers=%d cfg=%d wl=%d",
@@ -284,15 +288,10 @@ func (e *Engine) Rebuild() {
 	nq := e.wl.NumQueries()
 	cmax := e.cfg.Cmax()
 	e.nq, e.cmax = nq, cmax
-	e.stride = cmax
 
 	e.totals = grow(e.totals, nq)
 	e.invTot = grow(e.invTot, nq)
 	e.demandTot = grow(e.demandTot, nq)
-	flat := nq * cmax
-	e.clusterRes = grow(e.clusterRes, flat)
-	e.clusterDemand = grow(e.clusterDemand, flat)
-	e.demandW = grow(e.demandW, flat)
 	e.ownScratch = grow(e.ownScratch, nq)
 	e.accScratch = grow(e.accScratch, cmax)
 	e.qMark = growMarks(e.qMark, nq)
@@ -319,18 +318,19 @@ func (e *Engine) Rebuild() {
 		}
 	}
 
-	// Pass 1: result counts -> totals, peerRes, clusterRes. Only the
-	// queries registered under one of the peer's attributes (or under
-	// none) can match an item of it; sorting them keeps peerRes, and
-	// every sum below, in ascending QID order. cellEnd counts each
-	// query's supporters for pass 3.
-	e.cellEnd = grow(e.cellEnd, nq)
+	// Pass 1: result counts -> totals, peerRes. Only the queries
+	// registered under one of the peer's attributes (or under none) can
+	// match an item of it; sorting them keeps peerRes, and every sum
+	// below, in ascending QID order. rowCap counts each query's
+	// supporters, and in pass 2 its demanders, for pass 3.
+	e.rowCap = grow(e.rowCap, nq)
+	e.byCluster = e.byCluster[:0]
 	for pid, p := range e.peers {
 		if p == nil {
 			e.peerRes[pid] = e.peerRes[pid][:0]
 			continue
 		}
-		cid := int(e.cfg.ClusterOf(pid))
+		e.byCluster = append(e.byCluster, uint64(e.cfg.ClusterOf(pid))<<32|uint64(pid))
 		pr := e.peerRes[pid][:0]
 		e.candScratch = e.queries.appendCandidates(e.candScratch[:0], p)
 		slices.Sort(e.candScratch)
@@ -340,11 +340,9 @@ func (e *Engine) Rebuild() {
 				continue
 			}
 			r := float64(res)
-			q := int(qid)
 			pr = append(pr, resEntry{qid: qid, res: r})
-			e.totals[q] += r
-			e.clusterRes[q*cmax+cid] += r
-			e.cellEnd[q]++
+			e.totals[qid] += r
+			e.rowCap[qid]++
 		}
 		e.peerRes[pid] = pr
 		for _, entry := range e.wl.Peer(pid) {
@@ -358,14 +356,13 @@ func (e *Engine) Rebuild() {
 	}
 
 	// Pass 2: precompute per-peer recall weights over answerable
-	// queries and accumulate the cluster demand aggregates.
+	// queries.
 	for pid, p := range e.peers {
 		if p == nil {
 			e.peerWl[pid] = e.peerWl[pid][:0]
 			e.peerW[pid], e.peerOwnW[pid] = 0, 0
 			continue
 		}
-		cid := int(e.cfg.ClusterOf(pid))
 		tot := float64(e.wl.PeerTotal(pid))
 		pw := e.peerWl[pid][:0]
 		var wSum float64
@@ -382,8 +379,7 @@ func (e *Engine) Rebuild() {
 				wInvT: w * e.invTot[q],
 			})
 			wSum += w
-			e.clusterDemand[q*cmax+cid] += float64(entry.Count)
-			e.demandW[q*cmax+cid] += w
+			e.rowCap[q]++
 		}
 		e.peerWl[pid] = pw
 		e.peerW[pid] = wSum
@@ -401,7 +397,41 @@ func (e *Engine) Rebuild() {
 		e.peerOwnW[pid] = ownW
 	}
 
-	// Pass 3: global incremental-cost state.
+	// Pass 3: the sparse aggregates. Every row gets room in the arena
+	// for one cell per supporter and demander, then the peers add their
+	// results and demand in (cluster, pid) order: a row comes out
+	// ascending by cluster because its last cell is always the current
+	// cluster's, and within a cell the additions run in ascending pid
+	// order, as they would adding peer by peer into a dense array.
+	total := 0
+	for _, n := range e.rowCap {
+		total += int(n)
+	}
+	if cap(e.cellArena) < total {
+		e.cellArena = make([]cell, total)
+	}
+	e.rows = growRowSlices(e.rows[:0], nq)
+	clear(e.rows[nq:cap(e.rows)]) // parked rows may alias the arena being re-cut
+	off := 0
+	for q, n := range e.rowCap {
+		e.rows[q] = e.cellArena[off : off : off+int(n)]
+		off += int(n)
+	}
+	slices.Sort(e.byCluster)
+	for _, key := range e.byCluster {
+		c, pid := cluster.CID(key>>32), uint32(key)
+		for _, re := range e.peerRes[pid] {
+			e.lastCell(re.qid, c).res += re.res
+		}
+		for _, en := range e.peerWl[pid] {
+			cl := e.lastCell(en.qid, c)
+			cl.demand += en.count
+			cl.demandW += en.w
+		}
+	}
+
+	// Pass 4: global incremental-cost state; the recall sums run query
+	// by query over the cells with results, in ascending cluster order.
 	e.membSumRaw = 0
 	for _, c := range e.nonEmpty {
 		s := e.cfg.Size(c)
@@ -417,42 +447,9 @@ func (e *Engine) Rebuild() {
 			e.ansDemand += e.demandTot[q]
 		}
 	}
-	// The recall sums run over the cells with clusterRes != 0, query by
-	// query in ascending cluster order. Those are the clusters of each
-	// query's supporters: bucket them by query (cellEnd: counts -> start
-	// offsets -> end offsets as the buckets fill) walking the clusters
-	// in ascending order, so a bucket comes out sorted with a cluster's
-	// repeats adjacent.
-	start := int32(0)
-	for q, n := range e.cellEnd {
-		e.cellEnd[q] = start
-		start += n
-	}
-	e.cellCID = grow(e.cellCID, int(start))
-	for _, c := range e.nonEmpty {
-		for _, pid := range e.cfg.MembersUnsorted(c) {
-			for _, re := range e.peerRes[pid] {
-				e.cellCID[e.cellEnd[re.qid]] = c
-				e.cellEnd[re.qid]++
-			}
-		}
-	}
 	e.recallSum, e.wRecallSum = 0, 0
-	start = 0
-	for q, end := range e.cellEnd {
-		it := e.invTot[q]
-		row := q * cmax
-		last := cluster.None
-		for _, c := range e.cellCID[start:end] {
-			if c == last {
-				continue
-			}
-			last = c
-			r := e.clusterRes[row+int(c)]
-			e.recallSum += e.demandW[row+int(c)] * r * it
-			e.wRecallSum += e.clusterDemand[row+int(c)] * r * it
-		}
-		start = end
+	for q := range e.rows {
+		e.rowRecallTerms(workload.QID(q), e.invTot[q], 1)
 	}
 
 	e.initPruneState()
@@ -464,11 +461,37 @@ func (e *Engine) Rebuild() {
 	e.lineage = nextLineage.Add(1)
 }
 
+// lastCell is cellFor while Rebuild fills the rows in ascending cluster
+// order: the (q, c) cell is the row's last or does not exist yet, and
+// the arena has room for it.
+func (e *Engine) lastCell(q workload.QID, c cluster.CID) *cell {
+	row := e.rows[q]
+	if n := len(row); n == 0 || row[n-1].cid != c {
+		row = append(row, cell{cid: c})
+		e.rows[q] = row
+	}
+	return &row[len(row)-1]
+}
+
+// cellPair names the two cells of row q a relocation touches, by
+// position: the mover's old cluster and its new one.
+type cellPair struct{ from, to int32 }
+
+// movePair locates the cells of query q for a relocation. The mover's
+// own results or demand keep the `from` cell in place; the `to` cell
+// is created if the target hosted no supporter or demander of q.
+func (e *Engine) movePair(q workload.QID, from, to cluster.CID) cellPair {
+	t := e.cellPos(q, to)
+	return cellPair{from: int32(searchCells(e.rows[q], from)), to: int32(t)}
+}
+
 // moveRecallTerms adds sign times the recall-sum terms of query q in
-// clusters fo and to (flat row offsets already scaled by cmax).
-func (e *Engine) moveRecallTerms(iF, iT int, it, sign float64) {
-	e.recallSum += sign * (e.demandW[iF]*e.clusterRes[iF] + e.demandW[iT]*e.clusterRes[iT]) * it
-	e.wRecallSum += sign * (e.clusterDemand[iF]*e.clusterRes[iF] + e.clusterDemand[iT]*e.clusterRes[iT]) * it
+// the two clusters of a relocation.
+func (e *Engine) moveRecallTerms(q workload.QID, at cellPair, sign float64) {
+	f, t := &e.rows[q][at.from], &e.rows[q][at.to]
+	it := e.invTot[q]
+	e.recallSum += sign * (f.demandW*f.res + t.demandW*t.res) * it
+	e.wRecallSum += sign * (f.demand*f.res + t.demand*t.res) * it
 }
 
 // Move relocates peer p to cluster `to`, updating all incremental
@@ -497,8 +520,6 @@ func (e *Engine) Move(p int, to cluster.CID) cluster.CID {
 	e.cfg.Move(p, to)
 	e.cfgVersion = e.cfg.MembershipVersion()
 
-	cm := e.stride
-	fo, t := int(from), int(to)
 	pw := e.peerWl[p]
 	pr := e.peerRes[p]
 
@@ -507,8 +528,8 @@ func (e *Engine) Move(p int, to cluster.CID) cluster.CID {
 	// results change.
 	e.aggClock++
 	clk := e.aggClock
-	e.aggVersion[fo] = clk
-	e.aggVersion[t] = clk
+	e.aggVersion[from] = clk
+	e.aggVersion[to] = clk
 	for i := range pw {
 		e.rowVersion[pw[i].qid] = clk
 	}
@@ -516,46 +537,54 @@ func (e *Engine) Move(p int, to cluster.CID) cluster.CID {
 		e.rowVersion[pr[i].qid] = clk
 	}
 
-	// The recall sums change exactly at the (q, from/to) slots touched
-	// by p's demand (peerWl) or p's results (peerRes). Subtract the old
-	// terms over the union of both query lists, apply the aggregate
-	// deltas, then add the new terms back. qMark deduplicates queries
+	// The recall sums change exactly at the (q, from/to) cells touched
+	// by p's demand (peerWl) or p's results (peerRes). Locate them once
+	// (every `to` cell exists from here on, so no row changes under the
+	// passes), subtract the old terms over the union of both query
+	// lists, apply the aggregate deltas, then add the new terms back and
+	// let go of the `from` cells p emptied. qMark deduplicates queries
 	// appearing in both lists without allocating.
+	at := e.movePairs[:0]
+	for i := range pw {
+		at = append(at, e.movePair(pw[i].qid, from, to))
+	}
+	for i := range pr {
+		at = append(at, e.movePair(pr[i].qid, from, to))
+	}
+	e.movePairs = at
+	atW, atR := at[:len(pw)], at[len(pw):]
 	e.qEpoch++
 	ep := e.qEpoch
 	for i := range pw {
-		q := int(pw[i].qid)
-		e.qMark[q] = ep
-		e.moveRecallTerms(q*cm+fo, q*cm+t, e.invTot[q], -1)
+		e.qMark[pw[i].qid] = ep
+		e.moveRecallTerms(pw[i].qid, atW[i], -1)
 	}
 	for i := range pr {
-		q := int(pr[i].qid)
-		if e.qMark[q] != ep {
-			e.moveRecallTerms(q*cm+fo, q*cm+t, e.invTot[q], -1)
+		if e.qMark[pr[i].qid] != ep {
+			e.moveRecallTerms(pr[i].qid, atR[i], -1)
 		}
 	}
 	for i := range pw {
 		en := &pw[i]
-		q := int(en.qid)
-		e.demandW[q*cm+fo] -= en.w
-		e.demandW[q*cm+t] += en.w
-		e.clusterDemand[q*cm+fo] -= en.count
-		e.clusterDemand[q*cm+t] += en.count
+		f, t := &e.rows[en.qid][atW[i].from], &e.rows[en.qid][atW[i].to]
+		f.demandW -= en.w
+		t.demandW += en.w
+		f.demand -= en.count
+		t.demand += en.count
 	}
 	for i := range pr {
 		re := &pr[i]
-		q := int(re.qid)
-		e.clusterRes[q*cm+fo] -= re.res
-		e.clusterRes[q*cm+t] += re.res
+		e.rows[re.qid][atR[i].from].res -= re.res
+		e.rows[re.qid][atR[i].to].res += re.res
 	}
 	for i := range pw {
-		q := int(pw[i].qid)
-		e.moveRecallTerms(q*cm+fo, q*cm+t, e.invTot[q], 1)
+		e.moveRecallTerms(pw[i].qid, atW[i], 1)
+		e.dropIfZero(pw[i].qid, int(atW[i].from))
 	}
 	for i := range pr {
-		q := int(pr[i].qid)
-		if e.qMark[q] != ep {
-			e.moveRecallTerms(q*cm+fo, q*cm+t, e.invTot[q], 1)
+		if e.qMark[pr[i].qid] != ep {
+			e.moveRecallTerms(pr[i].qid, atR[i], 1)
+			e.dropIfZero(pr[i].qid, int(atR[i].from))
 		}
 	}
 	return from
@@ -688,12 +717,10 @@ func (e *Engine) PeerCost(p int, c cluster.CID) float64 {
 func (e *Engine) peerCost(p int, c cluster.CID, own []float64) float64 {
 	cur := e.cfg.ClusterOf(p)
 	size := e.cfg.Size(c)
-	cm := e.stride
-	ci := int(c)
 	if c == cur {
 		cost := e.membership(size)
 		for _, en := range e.peerWl[p] {
-			cost += en.w - en.wInvT*e.clusterRes[int(en.qid)*cm+ci]
+			cost += en.w - en.wInvT*e.cellAt(en.qid, c).res
 		}
 		return cost
 	}
@@ -703,7 +730,7 @@ func (e *Engine) peerCost(p int, c cluster.CID, own []float64) float64 {
 		own[pr[i].qid] = pr[i].res
 	}
 	for _, en := range e.peerWl[p] {
-		cost += en.w - en.wInvT*(e.clusterRes[int(en.qid)*cm+ci]+own[en.qid])
+		cost += en.w - en.wInvT*(e.cellAt(en.qid, c).res+own[en.qid])
 	}
 	for i := range pr {
 		own[pr[i].qid] = 0
@@ -750,17 +777,15 @@ func (e *Engine) PeerCostMulti(p int, s []cluster.CID) float64 {
 	for i := range pr {
 		own[pr[i].qid] = pr[i].res
 	}
-	cm := e.stride
 	for _, en := range e.peerWl[p] {
-		q := int(en.qid)
 		var in float64
 		for _, c := range chosen {
-			in += e.clusterRes[q*cm+int(c)]
+			in += e.cellAt(en.qid, c).res
 		}
 		if !inAny && len(chosen) > 0 {
 			in += own[en.qid]
 		}
-		if t := e.totals[q]; in > t {
+		if t := e.totals[en.qid]; in > t {
 			in = t
 		}
 		cost += en.w - en.wInvT*in
@@ -791,10 +816,27 @@ func (m MoveEval) Gain() float64 { return m.CurCost - m.BestCost }
 // the singleton option in one pass over p's workload. Ties prefer the
 // current cluster (no churn), then the lowest cluster ID, keeping the
 // dynamics deterministic. EvaluateMoves allocates nothing at steady
-// state: the per-cluster accumulator is a dense scratch slice reset
-// through the non-empty cluster list.
+// state: the per-cluster accumulator is a dense scratch slice the
+// peer's rows are added into cell by cell, reset through the non-empty
+// cluster list.
 func (e *Engine) EvaluateMoves(p int) MoveEval {
 	return e.evaluateMoves(p, e.nonEmptyClusters(), e.accScratch)
+}
+
+// addOverlap adds Σ_q w·res[q][c]/totals[q] over p's workload into
+// acc[c], in workload order and, within a row, ascending cluster
+// order. Only clusters that hold results gain a term, and those are
+// non-empty.
+func (e *Engine) addOverlap(p int, acc []float64) {
+	for _, en := range e.peerWl[p] {
+		wit := en.wInvT
+		row := e.rows[en.qid]
+		for i := range row {
+			if v := row[i].res; v != 0 {
+				acc[row[i].cid] += wit * v
+			}
+		}
+	}
 }
 
 // evaluateMoves is EvaluateMoves over a caller-owned non-empty cluster
@@ -804,17 +846,7 @@ func (e *Engine) EvaluateMoves(p int) MoveEval {
 func (e *Engine) evaluateMoves(p int, nonEmpty []cluster.CID, acc []float64) MoveEval {
 	cur := e.cfg.ClusterOf(p)
 
-	// acc[c] accumulates Σ_q w·clusterRes[q][c]/totals[q].
-	cm := e.stride
-	for _, en := range e.peerWl[p] {
-		row := e.clusterRes[int(en.qid)*cm : int(en.qid)*cm+cm]
-		wit := en.wInvT
-		for _, c := range nonEmpty {
-			if v := row[c]; v != 0 {
-				acc[c] += wit * v
-			}
-		}
-	}
+	e.addOverlap(p, acc)
 	w := e.peerW[p]
 	ownAcc := e.peerOwnW[p]
 

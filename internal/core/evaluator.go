@@ -18,7 +18,7 @@ import (
 // An Evaluator sizes its scratch lazily against the engine's current
 // geometry, so it stays valid across engine mutations between (not
 // during) concurrent scans, including workload compactions and
-// membership changes that re-stride the aggregates.
+// membership changes that add cluster slots.
 type Evaluator struct {
 	e *Engine
 	// own is QID-indexed, acc CID-indexed; both zero outside calls.
@@ -65,10 +65,8 @@ func (ev *Evaluator) ensure() {
 	} else {
 		ev.own = ev.own[:ev.e.nq]
 	}
-	if cap(ev.acc) < ev.e.stride {
-		ev.acc = make([]float64, ev.e.stride)
-	} else {
-		ev.acc = ev.acc[:ev.e.stride]
+	if len(ev.acc) < ev.e.cmax {
+		ev.acc = padFloats(ev.acc, ev.e.cmax)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // Engine.RemovePeer update every incremental aggregate — including the
 // O(1) social/workload cost state — without a full Rebuild.
 //
-// The cost of a join or leave is O(|R(p)|·|clusters| + Σ_q |D(q)|):
-// for every query the peer holds results for, the recall sums of that
-// query's row are re-bracketed over the non-empty clusters, and every
-// remaining demander of the query has its baked-in w/totals factor
-// patched (totals changed). Both terms are proportional to the moving
+// The cost of a join or leave is O(Σ_q |row(q)| + Σ_q |D(q)|) over the
+// queries the peer holds results for: the recall sums of each such
+// query's row are re-bracketed over its cells, and every remaining
+// demander of the query has its baked-in w/totals factor patched
+// (totals changed). Both terms are proportional to the moving
 // peer's footprint rather than the population. (One caveat: a leave
 // also deletes the peer from its attributes' posting lists, which for
 // a term held by many peers scans that list — bounded by the posting
@@ -42,7 +42,7 @@ import (
 // and extends it.
 //
 // All result and demand counts are integers carried in float64, so the
-// additive aggregates (totals, clusterRes, clusterDemand, demandTot)
+// additive aggregates (totals, a cell's res and demand, demandTot)
 // are exact and a query's "answerable" flag flips exactly when its
 // last supporter leaves. The division-bearing sums (demandW,
 // recallSum, …) accumulate ulp-level drift like Move always has;
@@ -116,47 +116,14 @@ func (e *Engine) growRows() {
 	e.ownScratch = padFloats(e.ownScratch, nq)
 	e.qMark = padMarks(e.qMark, nq)
 	e.rowVersion = padMarks(e.rowVersion, nq)
-	flat := nq * e.stride
-	e.clusterRes = padFloats(e.clusterRes, flat)
-	e.clusterDemand = padFloats(e.clusterDemand, flat)
-	e.demandW = padFloats(e.demandW, flat)
-	e.growDemanders(nq)
+	e.rows = growRowSlices(e.rows, nq)
+	e.demanders = growRowSlices(e.demanders, nq)
 	e.nq = nq
-}
-
-// growDemanders extends the demanders index to nq rows. Rows exposed
-// by regrowing within capacity are reset to length zero but keep
-// their backing arrays: compaction parks the emptied rows of removed
-// queries past the live length exactly so the next novel query reuses
-// them instead of allocating.
-func (e *Engine) growDemanders(nq int) {
-	if cap(e.demanders) >= nq {
-		old := len(e.demanders)
-		e.demanders = e.demanders[:nq]
-		for i := old; i < nq; i++ {
-			e.demanders[i] = e.demanders[i][:0]
-		}
-		return
-	}
-	for len(e.demanders) < nq {
-		e.demanders = append(e.demanders, nil)
-	}
-}
-
-// restride re-lays the flat aggregates for a wider column capacity,
-// growing geometrically so slot appends are amortized O(1).
-func restride(s []float64, nq, oldStride, newStride int) []float64 {
-	out := make([]float64, nq*newStride)
-	for q := 0; q < nq; q++ {
-		copy(out[q*newStride:], s[q*oldStride:q*oldStride+oldStride])
-	}
-	return out
 }
 
 // addSlot appends one peer slot (and its paired cluster slot) across
 // the configuration, the workload and every slot-indexed engine
-// structure, re-striding the flat aggregates when the column capacity
-// is exhausted.
+// structure. The sparse aggregates have no cluster dimension to grow.
 func (e *Engine) addSlot() int {
 	pid := e.cfg.AddSlot()
 	if wpid := e.wl.AddPeerSlot(); wpid != pid || pid != e.n {
@@ -171,35 +138,27 @@ func (e *Engine) addSlot() int {
 	e.prune = append(e.prune, peerPrune{})
 	e.n++
 
-	cmax := e.cfg.Cmax()
-	if cmax > e.stride {
-		ns := max(cmax, e.stride+e.stride/2, 8)
-		e.clusterRes = restride(e.clusterRes, e.nq, e.stride, ns)
-		e.clusterDemand = restride(e.clusterDemand, e.nq, e.stride, ns)
-		e.demandW = restride(e.demandW, e.nq, e.stride, ns)
-		e.accScratch = make([]float64, ns)
-		e.cidMark = make([]uint64, ns)
-		// padMarks preserves the recorded cluster versions; the fresh
-		// tail slots are empty clusters whose zero stamp is correct.
-		e.aggVersion = padMarks(e.aggVersion, ns)
-		e.stride = ns
-	}
-	e.cmax = cmax
+	// padMarks preserves the recorded cluster versions; the fresh tail
+	// slot is an empty cluster whose zero stamp is correct.
+	e.cmax = e.cfg.Cmax()
+	e.accScratch = padFloats(e.accScratch, e.cmax)
+	e.cidMark = padMarks(e.cidMark, e.cmax)
+	e.aggVersion = padMarks(e.aggVersion, e.cmax)
 	return pid
 }
 
 // rowRecallTerms adds sign times query q's contribution to the
-// incremental recall sums, over the given cluster list (which must
-// cover every cluster with nonzero clusterRes for q).
-func (e *Engine) rowRecallTerms(q int, cids []cluster.CID, inv, sign float64) {
+// incremental recall sums: its cells that hold results, in ascending
+// cluster order.
+func (e *Engine) rowRecallTerms(q workload.QID, inv, sign float64) {
 	if inv == 0 {
 		return
 	}
-	row := q * e.stride
-	for _, c := range cids {
-		if r := e.clusterRes[row+int(c)]; r != 0 {
-			e.recallSum += sign * e.demandW[row+int(c)] * r * inv
-			e.wRecallSum += sign * e.clusterDemand[row+int(c)] * r * inv
+	row := e.rows[q]
+	for i := range row {
+		if r := row[i].res; r != 0 {
+			e.recallSum += sign * row[i].demandW * r * inv
+			e.wRecallSum += sign * row[i].demand * r * inv
 		}
 	}
 }
@@ -225,9 +184,9 @@ func (e *Engine) insertWlEntry(d int, qid workload.QID, inv float64) {
 	e.peerWl[d] = lst
 	e.peerW[d] += w
 	e.sumW += w
-	idx := int(qid)*e.stride + int(e.cfg.ClusterOf(d))
-	e.clusterDemand[idx] += cnt
-	e.demandW[idx] += w
+	cl := e.cellFor(qid, e.cfg.ClusterOf(d))
+	cl.demand += cnt
+	cl.demandW += w
 }
 
 // dropWlEntry removes demander d's recall-weight entry for qid, which
@@ -244,9 +203,11 @@ func (e *Engine) dropWlEntry(d int, qid workload.QID) {
 	e.peerWl[d] = lst[:len(lst)-1]
 	e.peerW[d] -= en.w
 	e.sumW -= en.w
-	idx := int(qid)*e.stride + int(e.cfg.ClusterOf(d))
-	e.clusterDemand[idx] -= en.count
-	e.demandW[idx] -= en.w
+	at := e.cellPos(qid, e.cfg.ClusterOf(d))
+	cl := &e.rows[qid][at]
+	cl.demand -= en.count
+	cl.demandW -= en.w
+	e.dropIfZero(qid, at)
 }
 
 // patchDemander refreshes demander d's baked-in w/totals factor for
@@ -338,10 +299,9 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 
 	// Phase 1: intern the joiner's queries (an allocation-free lookup
 	// on the churn steady state, where newcomers re-issue known
-	// queries). A genuinely new query gets a fresh row (grown in
-	// place, no re-stride) whose result total is gathered from the
-	// supporters the content index names; it has no demanders yet, so
-	// the recall sums are untouched.
+	// queries). A genuinely new query gets a fresh, empty row whose
+	// result total is gathered from the supporters the content index
+	// names; it has no demanders yet, so the recall sums are untouched.
 	e.qidScratch = e.qidScratch[:0]
 	for _, q := range queries {
 		if q.IsEmpty() {
@@ -367,7 +327,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 			r := float64(res)
 			e.peerRes[sp] = append(e.peerRes[sp], resEntry{qid: qid, res: r})
 			e.totals[qid] += r
-			e.clusterRes[int(qid)*e.stride+int(e.cfg.ClusterOf(int(sp)))] += r
+			e.cellFor(qid, e.cfg.ClusterOf(int(sp))).res += r
 		}
 		if e.totals[qid] > 0 {
 			e.invTot[qid] = 1 / e.totals[qid]
@@ -391,7 +351,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	}
 	e.cfg.Place(pid, to)
 	e.aggVersion[to] = clk
-	cids := e.nonEmptyClusters()
 
 	// Phase 3: the joiner's results shift every touched query's global
 	// total, so each touched row's recall terms are re-bracketed and
@@ -412,11 +371,11 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		r := prl[i].res
 		e.rowVersion[q] = clk
 		oldInv := e.invTot[q]
-		e.rowRecallTerms(q, cids, oldInv, -1)
+		e.rowRecallTerms(qid, oldInv, -1)
 		e.totals[q] += r
 		newInv := 1 / e.totals[q]
 		e.invTot[q] = newInv
-		e.clusterRes[q*e.stride+int(to)] += r
+		e.cellFor(qid, to).res += r
 		if oldInv == 0 {
 			e.ansDemand += e.demandTot[q]
 			for _, d := range e.demanders[q] {
@@ -427,7 +386,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 				e.patchDemander(int(d), qid, oldInv, newInv)
 			}
 		}
-		e.rowRecallTerms(q, cids, newInv, 1)
+		e.rowRecallTerms(qid, newInv, 1)
 	}
 
 	// Phase 4: register the joiner's demand (merged by the workload)
@@ -452,17 +411,17 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		w := cnt / tot
 		pw = append(pw, wlEntry{qid: en.Q, count: cnt, w: w, wInvT: w * inv})
 		wSum += w
-		idx := q*e.stride + int(to)
-		if r := e.clusterRes[idx]; r != 0 {
-			e.recallSum -= e.demandW[idx] * r * inv
-			e.wRecallSum -= e.clusterDemand[idx] * r * inv
-			e.demandW[idx] += w
-			e.clusterDemand[idx] += cnt
-			e.recallSum += e.demandW[idx] * r * inv
-			e.wRecallSum += e.clusterDemand[idx] * r * inv
+		cl := e.cellFor(en.Q, to)
+		if r := cl.res; r != 0 {
+			e.recallSum -= cl.demandW * r * inv
+			e.wRecallSum -= cl.demand * r * inv
+			cl.demandW += w
+			cl.demand += cnt
+			e.recallSum += cl.demandW * r * inv
+			e.wRecallSum += cl.demand * r * inv
 		} else {
-			e.demandW[idx] += w
-			e.clusterDemand[idx] += cnt
+			cl.demandW += w
+			cl.demand += cnt
 		}
 	}
 	e.peerWl[pid] = pw
@@ -505,7 +464,6 @@ func (e *Engine) RemovePeer(pid int) {
 	e.ensureIndexes()
 	pr := e.peers[pid]
 	from := e.cfg.ClusterOf(pid)
-	cids := e.nonEmptyClusters()
 
 	// Dirty-tracking: one tick covers the leave; the rows of the
 	// leaver's demand and results are stamped as the phases walk
@@ -528,17 +486,19 @@ func (e *Engine) RemovePeer(pid int) {
 		}
 		e.ansDemand -= cnt
 		w := cnt / tot
-		idx := q*e.stride + int(from)
-		if r := e.clusterRes[idx]; r != 0 {
-			e.recallSum -= e.demandW[idx] * r * inv
-			e.wRecallSum -= e.clusterDemand[idx] * r * inv
-			e.demandW[idx] -= w
-			e.clusterDemand[idx] -= cnt
-			e.recallSum += e.demandW[idx] * r * inv
-			e.wRecallSum += e.clusterDemand[idx] * r * inv
+		at := e.cellPos(en.Q, from)
+		cl := &e.rows[q][at]
+		if r := cl.res; r != 0 {
+			e.recallSum -= cl.demandW * r * inv
+			e.wRecallSum -= cl.demand * r * inv
+			cl.demandW -= w
+			cl.demand -= cnt
+			e.recallSum += cl.demandW * r * inv
+			e.wRecallSum += cl.demand * r * inv
 		} else {
-			e.demandW[idx] -= w
-			e.clusterDemand[idx] -= cnt
+			cl.demandW -= w
+			cl.demand -= cnt
+			e.dropIfZero(en.Q, at)
 		}
 	}
 	e.sumW -= e.peerW[pid]
@@ -553,9 +513,11 @@ func (e *Engine) RemovePeer(pid int) {
 		r := e.peerRes[pid][i].res
 		e.rowVersion[q] = clk
 		oldInv := e.invTot[q]
-		e.rowRecallTerms(q, cids, oldInv, -1)
+		e.rowRecallTerms(qid, oldInv, -1)
 		e.totals[q] -= r
-		e.clusterRes[q*e.stride+int(from)] -= r
+		at := e.cellPos(qid, from)
+		e.rows[q][at].res -= r
+		e.dropIfZero(qid, at)
 		if e.totals[q] == 0 {
 			e.invTot[q] = 0
 			e.ansDemand -= e.demandTot[q]
@@ -569,7 +531,7 @@ func (e *Engine) RemovePeer(pid int) {
 		for _, d := range e.demanders[q] {
 			e.patchDemander(int(d), qid, oldInv, newInv)
 		}
-		e.rowRecallTerms(q, cids, newInv, 1)
+		e.rowRecallTerms(qid, newInv, 1)
 	}
 
 	// Phase 3: release the cluster membership.

@@ -12,20 +12,19 @@ import (
 //
 //  1. Dirty-tracking. A global monotone aggClock stamps every
 //     aggregate mutation; aggVersion[c] records the last clock at
-//     which cluster c's cost-relevant aggregates (size, clusterRes,
-//     clusterDemand, demandW columns) changed, and rowVersion[q]
-//     records the last clock at which anything in query q's row
-//     changed (clusterRes, clusterDemand, demandW, totals/invTot,
-//     demandTot). Move, AddPeer and RemovePeer bump exactly the
+//     which cluster c's cost-relevant aggregates (size, its cells'
+//     res, demand and demandW) changed, and rowVersion[q] records the
+//     last clock at which anything in query q's row changed (its
+//     cells, totals/invTot, demandTot). Move, AddPeer and RemovePeer bump exactly the
 //     clusters and rows they touch — including answerability flips,
 //     which ride the mover's result rows — in time proportional to
 //     the mover's footprint. Mutations that rewrite state wholesale
-//     (Rebuild, Compact's query remap, SetAlpha, a restride) bump
+//     (Rebuild, Compact's query remap, SetAlpha) bump
 //     pruneEpoch instead, invalidating every cache at once.
 //
 //  2. Per-peer top-k candidate shortlists with an admissible outside
 //     bound. A full scan records, per peer, the k clusters with the
-//     highest recall overlap acc[c] = Σ_q w·clusterRes[q][c]/totals[q]
+//     highest recall overlap acc[c] = Σ_q w·res[q][c]/totals[q]
 //     (for the selfish cost) and the k with the highest raw
 //     contribution numerator (for the altruistic measure), plus the
 //     maximum value over all clusters left outside the shortlist.
@@ -153,7 +152,7 @@ func (s *ScanStats) Add(o ScanStats) {
 // <= aggClock and the epoch bump forces the one full rescan that
 // re-stamps it.
 func (e *Engine) initPruneState() {
-	e.aggVersion = growMarks(e.aggVersion, e.stride)
+	e.aggVersion = growMarks(e.aggVersion, e.cmax)
 	e.rowVersion = growMarks(e.rowVersion, e.nq)
 	if cap(e.prune) < e.n {
 		e.prune = make([]peerPrune, e.n)
@@ -185,15 +184,14 @@ const (
 	probeInvalid
 )
 
-// probeAcc recomputes acc[c] = Σ_q w·clusterRes[q][c]/totals[q] for
-// one cluster, term by term in workload order — the identical
+// probeAcc recomputes acc[c] = Σ_q w·res[q][c]/totals[q] for one
+// cluster, term by term in workload order — the identical
 // floating-point operation sequence the exhaustive scan accumulates,
 // so the probed value is bit-identical to the scanned one.
 func (e *Engine) probeAcc(p int, c cluster.CID) float64 {
-	cm, ci := e.stride, int(c)
 	var a float64
 	for _, en := range e.peerWl[p] {
-		if v := e.clusterRes[int(en.qid)*cm+ci]; v != 0 {
+		if v := e.cellAt(en.qid, c).res; v != 0 {
 			a += en.wInvT * v
 		}
 	}
@@ -203,10 +201,9 @@ func (e *Engine) probeAcc(p int, c cluster.CID) float64 {
 // probeNum recomputes the raw contribution numerator for one cluster,
 // mirroring evaluateContribution's accumulation order exactly.
 func (e *Engine) probeNum(p int, c cluster.CID) float64 {
-	cm, ci := e.stride, int(c)
 	var num float64
 	for _, re := range e.peerRes[p] {
-		if v := e.clusterDemand[int(re.qid)*cm+ci]; v != 0 {
+		if v := e.cellAt(re.qid, c).demand; v != 0 {
 			num += v * re.res
 		}
 	}
@@ -368,16 +365,7 @@ func (s *shortlist) add(c cluster.CID, v float64) {
 // property suite — extended to record p's selfish shortlist state.
 func (e *Engine) scanMovesRecord(p int, nonEmpty []cluster.CID, acc []float64, ps *peerPrune) MoveEval {
 	cur := e.cfg.ClusterOf(p)
-	cm := e.stride
-	for _, en := range e.peerWl[p] {
-		row := e.clusterRes[int(en.qid)*cm : int(en.qid)*cm+cm]
-		wit := en.wInvT
-		for _, c := range nonEmpty {
-			if v := row[c]; v != 0 {
-				acc[c] += wit * v
-			}
-		}
-	}
+	e.addOverlap(p, acc)
 	w := e.peerW[p]
 	ownAcc := e.peerOwnW[p]
 
@@ -397,7 +385,9 @@ func (e *Engine) scanMovesRecord(p int, nonEmpty []cluster.CID, acc []float64, p
 
 	var sl shortlist
 	for _, c := range nonEmpty {
-		sl.add(c, acc[c])
+		if v := acc[c]; v > 0 { // most clusters overlap nothing; skip the call
+			sl.add(c, v)
+		}
 	}
 	ps.accEpoch = e.pruneEpoch
 	ps.accGen = e.SlotGeneration(p)
@@ -419,17 +409,7 @@ func (e *Engine) scanMovesRecord(p int, nonEmpty []cluster.CID, acc []float64, p
 // contribution space for the decision cache.
 func (e *Engine) scanContributionRecord(p int, nonEmpty []cluster.CID, num []float64, ps *peerPrune, aux *float64) ContributionEval {
 	cur := e.cfg.ClusterOf(p)
-	var den float64
-	cm := e.stride
-	for _, re := range e.peerRes[p] {
-		den += e.demandTot[re.qid] * re.res
-		row := e.clusterDemand[int(re.qid)*cm : int(re.qid)*cm+cm]
-		for _, c := range nonEmpty {
-			if v := row[c]; v != 0 {
-				num[c] += v * re.res
-			}
-		}
-	}
+	den := e.addSupplied(p, num)
 	ev := ContributionEval{Cur: cur}
 	record := func() {
 		var sl shortlist

@@ -29,6 +29,18 @@ type queryIndex struct {
 
 // extend registers the queries interned since the last call.
 func (x *queryIndex) extend(wl *workload.Workload) {
+	// Size the table once, to the largest first attribute among the new
+	// queries. IDs are vocabulary-dense, so a fresh engine's first call
+	// takes it to about the vocabulary's size; reaching that by append's
+	// doubling copies, and has the collector scan, a table of pointers
+	// many times over.
+	need := len(x.byAttr)
+	for q := x.n; q < wl.NumQueries(); q++ {
+		if ids := wl.Query(workload.QID(q)).IDs(); len(ids) > 0 {
+			need = max(need, int(ids[0])+1)
+		}
+	}
+	x.byAttr = append(x.byAttr, make([][]workload.QID, need-len(x.byAttr))...)
 	for ; x.n < wl.NumQueries(); x.n++ {
 		qid := workload.QID(x.n)
 		ids := wl.Query(qid).IDs()
@@ -37,9 +49,6 @@ func (x *queryIndex) extend(wl *workload.Workload) {
 			continue
 		}
 		a := ids[0]
-		for len(x.byAttr) <= int(a) {
-			x.byAttr = append(x.byAttr, nil)
-		}
 		if x.byAttr[a] == nil {
 			x.attrs = append(x.attrs, a)
 		}

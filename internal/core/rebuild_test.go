@@ -12,15 +12,25 @@ import (
 	"repro/internal/workload"
 )
 
-// denseRebuild is the reference for Engine.Rebuild: the same three
-// passes, with pass 1 asking every peer about every query and pass 3
-// reading every (query, cluster-slot) cell. The engine's own Rebuild
-// visits only what its indexes name; this one needs no index and is
-// kept, in this file only, to pin that the two agree bit for bit.
-func denseRebuild(e *Engine) *Engine {
+// denseRef is what denseRebuild builds: the per-query and per-peer
+// state and the cost sums in an Engine without rows, and the query x
+// cluster aggregates as dense arrays indexed q*cmax+c.
+type denseRef struct {
+	*Engine
+	clusterRes, clusterDemand, demandW []float64
+}
+
+// denseRebuild is the reference for Engine.Rebuild and for the sparse
+// rows: the same passes, with pass 1 asking every peer about every
+// query, the aggregates added peer by peer into dense queries x
+// cluster-slots arrays, and pass 3 reading every one of their cells.
+// The engine's own Rebuild visits and stores only what its indexes
+// name; this one needs no index and is kept, in this file only, to pin
+// that the two agree bit for bit.
+func denseRebuild(e *Engine) *denseRef {
 	nq, cmax := e.wl.NumQueries(), e.cfg.Cmax()
-	ref := &Engine{peers: e.peers, wl: e.wl, cfg: e.cfg, theta: e.theta, alpha: e.alpha,
-		n: e.n, nq: nq, cmax: cmax, stride: cmax}
+	ref := &denseRef{Engine: &Engine{peers: e.peers, wl: e.wl, cfg: e.cfg, theta: e.theta, alpha: e.alpha,
+		n: e.n, nq: nq, cmax: cmax}}
 	ref.totals = make([]float64, nq)
 	ref.invTot = make([]float64, nq)
 	ref.demandTot = make([]float64, nq)
@@ -136,11 +146,47 @@ func sameBits(name string, got, want []float64) error {
 	return nil
 }
 
+// rowsMatchDense checks the engine's sparse rows against the dense
+// arrays: every row strictly ascending in cluster and inside the
+// cluster slots, res and demand exactly equal cell for cell (they are
+// integers), demandW within tolW, and a cell only where the dense
+// arrays hold something, or where demandW may carry the residue of an
+// incremental leave (residue, which a fresh Rebuild never leaves).
+func rowsMatchDense(e *Engine, ref *denseRef, tolW float64, residue bool) error {
+	if len(e.rows) != ref.nq || e.cmax != ref.cmax {
+		return fmt.Errorf("geometry %dx%d, want %dx%d", len(e.rows), e.cmax, ref.nq, ref.cmax)
+	}
+	for q, row := range e.rows {
+		for i, cl := range row {
+			if i > 0 && row[i-1].cid >= cl.cid || cl.cid < 0 || int(cl.cid) >= e.cmax {
+				return fmt.Errorf("row %d: cell %d has cluster %d after %v (cmax %d)", q, i, cl.cid, row[:i], e.cmax)
+			}
+			at := q*ref.cmax + int(cl.cid)
+			if cl.res == 0 && cl.demand == 0 && (!residue || cl.demandW == 0 || math.Abs(cl.demandW) > tolW) {
+				return fmt.Errorf("row %d: empty cell kept for cluster %d: %+v", q, cl.cid, cl)
+			}
+			if ref.clusterRes[at] == 0 && ref.clusterDemand[at] == 0 && !residue {
+				return fmt.Errorf("row %d: cell for unsupported cluster %d: %+v", q, cl.cid, cl)
+			}
+		}
+		for c := 0; c < ref.cmax; c++ {
+			at := q*ref.cmax + c
+			got := e.cellAt(workload.QID(q), cluster.CID(c))
+			if got.res != ref.clusterRes[at] || got.demand != ref.clusterDemand[at] ||
+				math.Abs(got.demandW-ref.demandW[at]) > tolW {
+				return fmt.Errorf("cell (%d,%d) = %+v, want res %v demand %v demandW %v", q, c, got,
+					ref.clusterRes[at], ref.clusterDemand[at], ref.demandW[at])
+			}
+		}
+	}
+	return nil
+}
+
 // matchesDense checks a freshly rebuilt engine against denseRebuild.
 func matchesDense(e *Engine) error {
 	ref := denseRebuild(e)
-	if e.stride != ref.stride || e.nq != ref.nq {
-		return fmt.Errorf("geometry %dx%d, want %dx%d", e.nq, e.stride, ref.nq, ref.stride)
+	if err := rowsMatchDense(e, ref, 0, false); err != nil {
+		return err
 	}
 	for _, c := range []struct {
 		name      string
@@ -149,9 +195,6 @@ func matchesDense(e *Engine) error {
 		{"totals", e.totals, ref.totals},
 		{"invTot", e.invTot, ref.invTot},
 		{"demandTot", e.demandTot, ref.demandTot},
-		{"clusterRes", e.clusterRes, ref.clusterRes},
-		{"clusterDemand", e.clusterDemand, ref.clusterDemand},
-		{"demandW", e.demandW, ref.demandW},
 		{"peerW", e.peerW, ref.peerW},
 		{"peerOwnW", e.peerOwnW, ref.peerOwnW},
 		{"sums",

@@ -1,0 +1,51 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/benchsuite"
+	"repro/internal/cluster"
+	"repro/internal/experiments"
+	"repro/internal/peer"
+	"repro/internal/stats"
+)
+
+// TestFirstJoinBytesStayLinear is the structural form of "the first
+// join after a restore is not a cliff": over singleton clusters (Cmax =
+// |P|, the paper's initial configuration) it builds an engine and
+// admits one peer, at 2000 and at 10 000 peers, and holds the bytes
+// that first join allocates to at most linear growth. Linear is the
+// floor: the join builds the content indexes and grows every
+// slot-indexed table once, by amortized doubling. Anything laid out
+// queries x cluster slots grows with the square of the population here
+// (658 MB at 2000 peers when the aggregates were) and fails.
+func TestFirstJoinBytesStayLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10 000-peer system")
+	}
+	firstJoin := func(n int) float64 {
+		p := experiments.DefaultParams()
+		p.Peers, p.TotalQueries = n, 4*n
+		p.Categories, p.Corpus.Categories = 16, 16
+		sys := experiments.Build(p, experiments.SameCategory)
+		items, queries, counts := sys.NewcomerMaterials(0, 0, 0, stats.NewRNG(6))
+		joiner := peer.New(-1)
+		joiner.SetItems(items)
+		sys.Warm()
+
+		eng := sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil))
+		var built, joined runtime.MemStats
+		runtime.ReadMemStats(&built)
+		eng.AddPeer(joiner, queries, counts, cluster.None)
+		runtime.ReadMemStats(&joined)
+		bytes := float64(joined.TotalAlloc - built.TotalAlloc)
+		t.Logf("%5d peers: first join allocates %.1f MB (%.0f B/peer); engine heap %.0f B/peer",
+			n, bytes/1e6, bytes/float64(n), benchsuite.HeapHeldBy(eng)/float64(n))
+		return bytes / float64(n)
+	}
+	small, large := firstJoin(2000), firstJoin(10000)
+	if large > 2*small {
+		t.Errorf("first join allocates %.0f B/peer at 10000 peers, %.0f at 2000: more than linear growth", large, small)
+	}
+}
