@@ -195,6 +195,10 @@ func BenchmarkRebuildLarge(b *testing.B) {
 	benchsuite.RebuildLarge(experiments.Build(benchParams(), experiments.SameCategory))(b)
 }
 
+func BenchmarkColdRestore(b *testing.B) {
+	benchsuite.ColdRestore(experiments.Build(benchParams(), experiments.SameCategory))(b)
+}
+
 func BenchmarkFirstJoinAfterRestore(b *testing.B) {
 	benchsuite.FirstJoinAfterRestore(experiments.Build(benchParams(), experiments.SameCategory))(b)
 }

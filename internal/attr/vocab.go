@@ -24,6 +24,13 @@ func NewVocab() *Vocab {
 	return &Vocab{byName: make(map[string]ID)}
 }
 
+// NewVocabSized returns an empty vocabulary with room for n attributes,
+// for callers that know about how many they are about to intern: the
+// name table is not grown from empty one doubling at a time.
+func NewVocabSized(n int) *Vocab {
+	return &Vocab{byName: make(map[string]ID, n), names: make([]string, 0, n)}
+}
+
 // Intern returns the ID for name, assigning a fresh one on first use.
 func (v *Vocab) Intern(name string) ID {
 	if v.byName == nil {

@@ -100,3 +100,25 @@ func DecideRoundSingletons(sys *experiments.System) func(b *testing.B) {
 		}
 	}
 }
+
+// ColdRestore times what a daemon start or a follower's catch-up
+// install pays that RebuildLarge does not: an engine built over peers
+// that have answered nothing yet, so every inverted index is built on
+// the way, and the first view published from it, which builds the
+// content index. Every iteration forks sys and drops the fork's peer
+// indexes with the timer stopped.
+func ColdRestore(sys *experiments.System) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cold := sys.Fork()
+			for _, pr := range cold.Peers {
+				pr.SetItems(pr.Items())
+			}
+			cfg := cold.InitialConfig(experiments.InitSingletons, nil)
+			b.StartTimer()
+			cold.NewEngine(cfg).BuildRoutingView(nil)
+		}
+	}
+}

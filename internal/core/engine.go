@@ -169,15 +169,16 @@ type Engine struct {
 	// Dynamic-membership state (see membership.go): the free-slot
 	// stack and the inverted indexes that make joins, and Rebuild's
 	// result pass, proportional to a peer's footprint instead of the
-	// system size. The content side (peersByAttr, demanders) is built
-	// lazily on the first join/leave and invalidated by Rebuild (content
-	// may have changed under it). The query index (queryindex.go)
-	// depends on the workload only: Rebuild extends it to the queries
-	// interned since, and starts it over only when a compaction
-	// renumbered them.
+	// system size. The content side (peersByAttr indexed by attribute
+	// ID, demanders by QID) is built lazily on the first join/leave or
+	// publish, out of one arena each build, and invalidated by Rebuild
+	// (content may have changed under it). The query index
+	// (queryindex.go) depends on the workload only: Rebuild extends it to
+	// the queries interned since, and starts it over only when a
+	// compaction renumbered them.
 	free        []int
 	slotGen     []uint32
-	peersByAttr map[attr.ID][]int32
+	peersByAttr [][]int32
 	demanders   [][]int32
 	queries     queryIndex
 
@@ -191,11 +192,13 @@ type Engine struct {
 	pruneEpoch uint64
 	prune      []peerPrune
 
-	// nonEmpty is the ascending non-empty cluster list every scan reads
-	// and minSize the smallest size on it (the shortlist's admissible
-	// outside bound), both as of membership version clustersVer; see
-	// syncClusters.
+	// nonEmpty is the ascending non-empty cluster list every scan reads,
+	// joinTerm[i] the membership term a newcomer to nonEmpty[i] would pay
+	// (membership(size+1), the same for every scanning peer) and minSize
+	// the smallest size on the list (the shortlist's admissible outside
+	// bound), all as of membership version clustersVer; see syncClusters.
 	nonEmpty    []cluster.CID
+	joinTerm    []float64
 	minSize     int
 	clustersVer int
 
@@ -633,8 +636,10 @@ func (e *Engine) SetAlpha(a float64) {
 		panic("core: negative alpha")
 	}
 	e.alpha = a
-	// Every membership term changes; invalidate all pruning caches.
+	// Every membership term changes; invalidate all pruning caches and
+	// the join terms syncClusters keeps.
 	e.bumpAll()
+	e.clustersVer = -1
 }
 
 // Theta returns the cluster participation cost function.
@@ -671,27 +676,31 @@ func (e *Engine) membership(size int) float64 {
 // Rebuild — it is invariant under relocations.
 func (e *Engine) ownRecall(p int) float64 { return e.peerOwnW[p] }
 
-// syncClusters recomputes the ascending non-empty cluster list and
-// the minimum non-empty cluster size, in one walk of the cluster
-// slots, when the membership version moved since the last walk.
-// During a frozen concurrent scan the version cannot move, so after
-// PrepareDecide the refresh never runs concurrently and both are pure
-// reads.
+// syncClusters recomputes the ascending non-empty cluster list, each
+// listed cluster's join term and the minimum non-empty cluster size, in
+// one walk of the cluster slots, when the membership version moved
+// since the last walk (any change of a size or of the live count moves
+// it; SetAlpha forces the walk). The join term is the expression a scan
+// used to evaluate per cluster, membership(size+1), so costs keep their
+// bits. During a frozen concurrent scan the version cannot move, so
+// after PrepareDecide the refresh never runs concurrently and all three
+// are pure reads.
 func (e *Engine) syncClusters() {
 	v := e.cfg.MembershipVersion()
 	if e.clustersVer == v {
 		return
 	}
-	ne, min := e.nonEmpty[:0], 0
+	ne, jt, min := e.nonEmpty[:0], e.joinTerm[:0], 0
 	for c := 0; c < e.cmax; c++ {
 		if s := e.cfg.Size(cluster.CID(c)); s > 0 {
 			ne = append(ne, cluster.CID(c))
+			jt = append(jt, e.membership(s+1))
 			if min == 0 || s < min {
 				min = s
 			}
 		}
 	}
-	e.nonEmpty, e.minSize, e.clustersVer = ne, min, v
+	e.nonEmpty, e.joinTerm, e.minSize, e.clustersVer = ne, jt, min, v
 }
 
 // nonEmptyClusters returns the non-empty clusters in ascending order.
@@ -820,7 +829,7 @@ func (m MoveEval) Gain() float64 { return m.CurCost - m.BestCost }
 // peer's rows are added into cell by cell, reset through the non-empty
 // cluster list.
 func (e *Engine) EvaluateMoves(p int) MoveEval {
-	return e.evaluateMoves(p, e.nonEmptyClusters(), e.accScratch)
+	return e.evaluateMoves(p, e.accScratch)
 }
 
 // addOverlap adds Σ_q w·res[q][c]/totals[q] over p's workload into
@@ -839,12 +848,14 @@ func (e *Engine) addOverlap(p int, acc []float64) {
 	}
 }
 
-// evaluateMoves is EvaluateMoves over a caller-owned non-empty cluster
-// list and CID-indexed accumulator (zero outside the call, length >=
-// cmax) — the scratch-parameterized form Evaluator uses for concurrent
-// scans over a frozen engine.
-func (e *Engine) evaluateMoves(p int, nonEmpty []cluster.CID, acc []float64) MoveEval {
+// evaluateMoves is EvaluateMoves over a caller-owned CID-indexed
+// accumulator (zero outside the call, length >= cmax) — the
+// scratch-parameterized form Evaluator uses for concurrent scans over a
+// frozen engine.
+func (e *Engine) evaluateMoves(p int, acc []float64) MoveEval {
 	cur := e.cfg.ClusterOf(p)
+	nonEmpty := e.nonEmptyClusters()
+	joinTerm := e.joinTerm // parallel to nonEmpty; read after the sync
 
 	e.addOverlap(p, acc)
 	w := e.peerW[p]
@@ -854,11 +865,11 @@ func (e *Engine) evaluateMoves(p int, nonEmpty []cluster.CID, acc []float64) Mov
 	ev.CurCost = e.membership(e.cfg.Size(cur)) + w - acc[cur]
 	ev.AloneCost = e.membership(1) + w - ownAcc
 	ev.Best, ev.BestCost = cur, ev.CurCost
-	for _, c := range nonEmpty {
+	for i, c := range nonEmpty {
 		if c == cur {
 			continue
 		}
-		cost := e.membership(e.cfg.Size(c)+1) + w - acc[c] - ownAcc
+		cost := joinTerm[i] + w - acc[c] - ownAcc
 		if cost < ev.BestCost || (cost == ev.BestCost && ev.Best != cur && c < ev.Best) {
 			ev.Best, ev.BestCost = c, cost
 		}

@@ -108,10 +108,10 @@ func (ev *Evaluator) EvaluateMoves(p int) MoveEval {
 		} else {
 			ev.stats.Full++
 		}
-		return ev.e.scanMovesRecord(p, ev.NonEmpty(), ev.acc, &ev.e.prune[p])
+		return ev.e.scanMovesRecord(p, ev.acc, &ev.e.prune[p])
 	}
 	ev.stats.Full++
-	return ev.e.evaluateMoves(p, ev.NonEmpty(), ev.acc)
+	return ev.e.evaluateMoves(p, ev.acc)
 }
 
 // EvaluateContribution mirrors Engine.EvaluateContribution on private

@@ -27,7 +27,10 @@ import (
 // Rebuild.) Three inverted indexes make this possible:
 //
 //   - peersByAttr: attribute -> peers whose content contains it, to
-//     find the supporters of a query newly interned by a joiner.
+//     find the supporters of a query newly interned by a joiner. A slice
+//     indexed by attribute ID (IDs are vocabulary-dense), like the query
+//     index: 24 B of slice header per ID below the largest in use,
+//     whether or not a live peer holds it.
 //   - queries (queryindex.go): a distinct query's first attribute ->
 //     QIDs, to find the existing queries a peer's content can answer (a
 //     query cannot match an item that lacks its first attribute).
@@ -83,13 +86,37 @@ func padMarks(s []uint64, n int) []uint64 {
 
 // ensureIndexes builds the content-side membership indexes if a
 // Rebuild (or New) dropped them. O(total content attrs + total
-// workload entries).
+// workload entries). Both are counted first and then laid out in one
+// arena each, every list cut to its exact length and filled in
+// ascending pid order, so a build costs a fixed handful of allocations
+// however many attributes and queries there are. A list a later join
+// appends to moves to its own allocation.
 func (e *Engine) ensureIndexes() {
 	if e.peersByAttr != nil {
 		return
 	}
-	e.peersByAttr = make(map[attr.ID][]int32)
-	e.demanders = make([][]int32, e.nq)
+	need := 0
+	for _, p := range e.peers {
+		if p == nil {
+			continue
+		}
+		if at := p.Attrs(); len(at) > 0 {
+			need = max(need, int(at[len(at)-1])+1)
+		}
+	}
+	nHold, nDem := make([]int32, need), make([]int32, e.nq)
+	for pid, p := range e.peers {
+		if p == nil {
+			continue
+		}
+		for _, a := range p.Attrs() {
+			nHold[a]++
+		}
+		for _, en := range e.wl.Peer(pid) {
+			nDem[en.Q]++
+		}
+	}
+	e.peersByAttr, e.demanders = carveLists(nHold), carveLists(nDem)
 	for pid, p := range e.peers {
 		if p == nil {
 			continue
@@ -101,6 +128,35 @@ func (e *Engine) ensureIndexes() {
 			e.demanders[en.Q] = append(e.demanders[en.Q], int32(pid))
 		}
 	}
+}
+
+// carveLists cuts one arena into len(lens) empty lists, list i with
+// room for exactly lens[i] entries (nil when that is none).
+func carveLists(lens []int32) [][]int32 {
+	total := 0
+	for _, n := range lens {
+		total += int(n)
+	}
+	lists := make([][]int32, len(lens))
+	arena := make([]int32, total)
+	off := 0
+	for i, n := range lens {
+		if n > 0 {
+			lists[i] = arena[off : off : off+int(n)]
+			off += int(n)
+		}
+	}
+	return lists
+}
+
+// holders returns the live peers whose content holds attribute a: nil
+// for an ID past the index, and for a negative one, which the
+// conversion takes far past it. The content indexes must be built.
+func (e *Engine) holders(a attr.ID) []int32 {
+	if uint(a) >= uint(len(e.peersByAttr)) {
+		return nil
+	}
+	return e.peersByAttr[a]
 }
 
 // growRows extends the query dimension of every QID-indexed structure
@@ -250,7 +306,7 @@ func (e *Engine) ForEachSupplier(q attr.Set, fn func(pid, results int)) {
 	}
 	e.mustBeFresh("ForEachSupplier")
 	e.ensureIndexes()
-	for _, pid := range e.peersByAttr[ids[0]] {
+	for _, pid := range e.holders(ids[0]) {
 		if res := e.peers[pid].ResultCount(q); res > 0 {
 			fn(int(pid), res)
 		}
@@ -319,7 +375,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		// caches recorded before it existed; the supporters discovered
 		// below gain result entries for it, so stamp it now.
 		e.rowVersion[qid] = clk
-		for _, sp := range e.peersByAttr[q.IDs()[0]] {
+		for _, sp := range e.holders(q.IDs()[0]) {
 			res := e.peers[sp].ResultCount(q)
 			if res == 0 {
 				continue
@@ -440,8 +496,13 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	}
 	e.peerOwnW[pid] = ownW
 
-	// Phase 5: make the joiner discoverable by future joins.
-	for _, a := range pr.Attrs() {
+	// Phase 5: make the joiner discoverable by future joins, growing the
+	// content index to the largest attribute it brings.
+	at := pr.Attrs()
+	if n := len(at); n > 0 && int(at[n-1]) >= len(e.peersByAttr) {
+		e.peersByAttr = append(e.peersByAttr, make([][]int32, int(at[n-1])+1-len(e.peersByAttr))...)
+	}
+	for _, a := range at {
 		e.peersByAttr[a] = append(e.peersByAttr[a], int32(pid))
 	}
 

@@ -363,8 +363,10 @@ func (s *shortlist) add(c cluster.CID, v float64) {
 // accumulation order, comparator and expression shapes as
 // Engine.evaluateMoves, kept in lockstep by the pruned-vs-exact
 // property suite — extended to record p's selfish shortlist state.
-func (e *Engine) scanMovesRecord(p int, nonEmpty []cluster.CID, acc []float64, ps *peerPrune) MoveEval {
+func (e *Engine) scanMovesRecord(p int, acc []float64, ps *peerPrune) MoveEval {
 	cur := e.cfg.ClusterOf(p)
+	nonEmpty := e.nonEmptyClusters()
+	joinTerm := e.joinTerm // parallel to nonEmpty; read after the sync
 	e.addOverlap(p, acc)
 	w := e.peerW[p]
 	ownAcc := e.peerOwnW[p]
@@ -373,11 +375,11 @@ func (e *Engine) scanMovesRecord(p int, nonEmpty []cluster.CID, acc []float64, p
 	me.CurCost = e.membership(e.cfg.Size(cur)) + w - acc[cur]
 	me.AloneCost = e.membership(1) + w - ownAcc
 	me.Best, me.BestCost = cur, me.CurCost
-	for _, c := range nonEmpty {
+	for i, c := range nonEmpty {
 		if c == cur {
 			continue
 		}
-		cost := e.membership(e.cfg.Size(c)+1) + w - acc[c] - ownAcc
+		cost := joinTerm[i] + w - acc[c] - ownAcc
 		if cost < me.BestCost || (cost == me.BestCost && me.Best != cur && c < me.Best) {
 			me.Best, me.BestCost = c, cost
 		}

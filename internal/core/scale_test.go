@@ -19,7 +19,10 @@ import (
 // floor: the join builds the content indexes and grows every
 // slot-indexed table once, by amortized doubling. Anything laid out
 // queries x cluster slots grows with the square of the population here
-// (658 MB at 2000 peers when the aggregates were) and fails.
+// (658 MB at 2000 peers when the aggregates were) and fails. The log
+// line is the record: 3.9 MB at 2000 peers and 13.2 MB at 10 000 with
+// the content indexes carved out of one arena each (9.7 and 26.7 MB
+// when they were maps of appended lists).
 func TestFirstJoinBytesStayLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10 000-peer system")

@@ -75,8 +75,6 @@ type postingPage [postingPageLen][]int32
 // views share its pages (see postingPatch).
 type postingTable struct {
 	pages []*postingPage
-	// lists counts the non-empty lists (Export sizes its map by it).
-	lists int
 }
 
 // get returns a's posting list, nil for any ID no page covers
@@ -98,7 +96,7 @@ type postingPatch struct {
 }
 
 func (t postingTable) patch() postingPatch {
-	return postingPatch{postingTable{slices.Clone(t.pages), t.lists}, make([]bool, len(t.pages))}
+	return postingPatch{postingTable{slices.Clone(t.pages)}, make([]bool, len(t.pages))}
 }
 
 // set replaces a's posting list. lst must not be modified afterwards.
@@ -119,7 +117,6 @@ func (b *postingPatch) set(a attr.ID, lst []int32) {
 	if len(lst) == 0 {
 		lst = nil
 	}
-	b.lists += min(len(lst), 1) - min(len(*at), 1)
 	*at = lst
 }
 
@@ -188,9 +185,18 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 				p.Freeze()
 			}
 		}
+		// One arena holds every copied list, each clipped to its length so
+		// a successor that extends one copies it out.
+		total := 0
+		for _, lst := range e.peersByAttr {
+			total += len(lst)
+		}
+		arena := make([]int32, 0, total)
 		for a, lst := range e.peersByAttr {
 			if len(lst) > 0 {
-				pb.set(a, slices.Clone(lst))
+				at := len(arena)
+				arena = append(arena, lst...)
+				pb.set(attr.ID(a), arena[at:len(arena):len(arena)])
 			}
 		}
 		v.postings = pb.postingTable
@@ -514,14 +520,15 @@ type ViewData struct {
 	Items [][]attr.Set
 	// ClusterOf is the slot -> cluster assignment (None = unoccupied).
 	ClusterOf []cluster.CID
-	// Postings maps an attribute to the live slots whose content
-	// contains it.
-	Postings map[attr.ID][]int32
+	// Postings lists, indexed by attribute ID, the live slots whose
+	// content contains the attribute; empty (or past the end) for an
+	// attribute no live peer holds.
+	Postings [][]int32
 }
 
 // Export renders v as a ViewData. Items are copied per slot and the
-// posting map is built from the view's table (non-empty lists only);
-// the assignment and the lists themselves alias the view's immutable
+// posting lists are laid side by side out of the view's pages; the
+// assignment and the lists themselves alias the view's immutable
 // state, so the result must be treated as read-only.
 func (v *RoutingView) Export() ViewData {
 	items := make([][]attr.Set, len(v.peers))
@@ -530,15 +537,10 @@ func (v *RoutingView) Export() ViewData {
 			items[i] = p.Items()
 		}
 	}
-	postings := make(map[attr.ID][]int32, v.postings.lists)
+	postings := make([][]int32, len(v.postings.pages)<<postingPageBits)
 	for pi, pg := range v.postings.pages {
-		if pg == nil {
-			continue
-		}
-		for k, lst := range pg {
-			if len(lst) > 0 {
-				postings[attr.ID(pi<<postingPageBits|k)] = lst
-			}
+		if pg != nil {
+			copy(postings[pi<<postingPageBits:], pg[:])
 		}
 	}
 	return ViewData{
@@ -555,8 +557,8 @@ func (v *RoutingView) Export() ViewData {
 // the assignment, and the assignment and posting lists are adopted
 // (the caller must not mutate them afterwards). The data is validated
 // — mismatched slot counts, postings naming unoccupied or
-// out-of-range slots, and negative cluster or attribute IDs are
-// rejected — so a decoder can hand over untrusted input without
+// out-of-range slots, and negative cluster IDs are rejected — so a
+// decoder can hand over untrusted input without
 // risking a panic on the router's read path. The posting table is
 // sized by the largest attribute ID with a posting list; a decoder
 // should bound that by its vocabulary (viewwire does).
@@ -585,15 +587,15 @@ func FromViewData(d ViewData) (*RoutingView, error) {
 	}
 	var pb postingPatch
 	for a, lst := range d.Postings {
-		if a < 0 {
-			return nil, fmt.Errorf("core: posting list of invalid attr %d", a)
+		if len(lst) == 0 {
+			continue
 		}
 		for _, pid := range lst {
 			if pid < 0 || int(pid) >= len(v.peers) || v.peers[pid] == nil {
 				return nil, fmt.Errorf("core: posting list of attr %d names unoccupied slot %d", a, pid)
 			}
 		}
-		pb.set(a, lst)
+		pb.set(attr.ID(a), lst)
 	}
 	v.postings = pb.postingTable
 	v.rebuildSizes()

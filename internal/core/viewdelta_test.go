@@ -132,7 +132,7 @@ func TestFromViewDataRejects(t *testing.T) {
 		PopVersion: 1,
 		Items:      [][]attr.Set{{attr.NewSet(0)}, nil},
 		ClusterOf:  []cluster.CID{0, cluster.None},
-		Postings:   map[attr.ID][]int32{0: {0}},
+		Postings:   [][]int32{{0}},
 	}
 	if _, err := FromViewData(base); err != nil {
 		t.Fatalf("valid view data rejected: %v", err)
@@ -148,12 +148,12 @@ func TestFromViewDataRejects(t *testing.T) {
 		t.Error("negative cluster ID accepted")
 	}
 	bad = base
-	bad.Postings = map[attr.ID][]int32{0: {1}}
+	bad.Postings = [][]int32{{1}}
 	if _, err := FromViewData(bad); err == nil {
 		t.Error("posting naming an unoccupied slot accepted")
 	}
 	bad = base
-	bad.Postings = map[attr.ID][]int32{0: {9}}
+	bad.Postings = [][]int32{{9}}
 	if _, err := FromViewData(bad); err == nil {
 		t.Error("posting naming an out-of-range slot accepted")
 	}

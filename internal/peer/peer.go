@@ -2,11 +2,19 @@
 // data items (attribute sets) and the machinery to answer queries over
 // them. result(q,p) — the number of items of p matched by q — is the
 // primitive everything in the paper's cost model is built from.
+//
+// A peer answers from an inverted index over its items, built lazily on
+// the first query after a content change. The index is three flat
+// arrays: the distinct attributes ascending, the item indices of every
+// attribute back to back, and an open-addressed table, sized once, of
+// (attribute, offset, count) slots that finds an attribute's run of
+// item indices in one probe. All three are filled from one sort of
+// packed (attribute, item) pairs: a build allocates five slices
+// whatever the peer holds and grows or rehashes nothing.
 package peer
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/attr"
 )
@@ -19,11 +27,16 @@ type Peer struct {
 	id    int
 	items []attr.Set
 
-	// postings maps an attribute to the indices of items containing it.
-	postings map[attr.ID][]int32
-	// attrs lists the distinct attributes of the items in ascending
-	// order; built together with postings.
+	// The inverted index, nil until built (idx is non-nil once it is,
+	// even for a peer without items). attrs lists the distinct attributes
+	// of the items in ascending order. idx holds, one attribute's run
+	// after another in that order, the indices of the items containing
+	// the attribute, ascending within a run. slots is the lookup table
+	// over the runs (see postingSlot), two slots per attribute. None of
+	// the three is modified once built, so clones share them.
 	attrs []attr.ID
+	idx   []int32
+	slots []postingSlot
 	// cache memoizes ResultCount by query key; reset on content change.
 	cache   map[string]int
 	version int
@@ -56,18 +69,19 @@ func (p *Peer) Version() int { return p.version }
 
 // Clone returns a peer with the same ID, content and version whose
 // content can be changed independently of p's. The item list is copied;
-// the built index (postings and attrs) is shared, which is safe because
+// the built index (attrs, idx and slots) is shared, which is safe because
 // it is never modified in place: a content change on either side only
 // drops that side's reference and rebuilds lazily. The ResultCount memo
 // is written on reads, so it is not shared. Cloning only reads p, so
 // any number of goroutines may clone one peer nobody is mutating.
 func (p *Peer) Clone() *Peer {
 	return &Peer{
-		id:       p.id,
-		items:    p.Items(),
-		postings: p.postings,
-		attrs:    p.attrs,
-		version:  p.version,
+		id:      p.id,
+		items:   p.Items(),
+		attrs:   p.attrs,
+		idx:     p.idx,
+		slots:   p.slots,
+		version: p.version,
 	}
 }
 
@@ -94,24 +108,137 @@ func (p *Peer) ReplaceItem(i int, item attr.Set) {
 }
 
 func (p *Peer) invalidate() {
-	p.postings = nil
-	p.attrs = nil
+	p.attrs, p.idx, p.slots = nil, nil, nil
 	p.cache = nil
 	p.version++
 }
 
+// postingSlot is one slot of a peer's lookup table: attribute a's run
+// of item indices is idx[off:off+n]. A slot with n == 0 is empty; every
+// attribute the peer holds has at least one item.
+type postingSlot struct {
+	a      attr.ID
+	off, n int32
+}
+
+// attrKeyFlip maps an attribute ID onto the high word of a pair key so
+// that unsigned key order is signed ID order.
+const attrKeyFlip = 1 << 31
+
+// buildPostings builds the inverted index: every (attribute, item) pair
+// packed into one word and sorted, which groups the pairs by ascending
+// attribute with the item indices ascending inside a group. The groups
+// are copied out as attrs and idx and each one's place is recorded in a
+// table of twice their number of slots, which keeps linear probing to a
+// slot or two.
 func (p *Peer) buildPostings() {
-	p.postings = make(map[attr.ID][]int32)
+	n := 0
+	for _, it := range p.items {
+		n += it.Len()
+	}
+	// An item's attributes are ascending, so the pairs are laid down as
+	// one sorted run per item and sorted by merging the runs.
+	both := make([]uint64, 2*n)
+	pairs := both[:0:n]
+	ends := make([]int, 0, len(p.items))
 	for i, it := range p.items {
 		for _, a := range it.IDs() {
-			lst, seen := p.postings[a]
-			if !seen {
-				p.attrs = append(p.attrs, a)
-			}
-			p.postings[a] = append(lst, int32(i))
+			pairs = append(pairs, uint64(uint32(a)^attrKeyFlip)<<32|uint64(uint32(i)))
+		}
+		if !it.IsEmpty() {
+			ends = append(ends, len(pairs))
 		}
 	}
-	slices.Sort(p.attrs)
+	pairs = mergeRuns(pairs, both[n:], ends)
+	distinct := 0
+	for i, k := range pairs {
+		if i == 0 || k>>32 != pairs[i-1]>>32 {
+			distinct++
+		}
+	}
+	p.attrs = make([]attr.ID, 0, distinct)
+	p.idx = make([]int32, n)
+	p.slots = make([]postingSlot, 2*distinct)
+	start := 0
+	for i, k := range pairs {
+		p.idx[i] = int32(uint32(k))
+		if i+1 < n && pairs[i+1]>>32 == k>>32 {
+			continue
+		}
+		// Pair i is the last of its attribute's run, which began at start.
+		a := attr.ID(uint32(k>>32) ^ attrKeyFlip)
+		p.attrs = append(p.attrs, a)
+		h := p.slotOf(a)
+		for p.slots[h].n != 0 {
+			if h++; h == len(p.slots) {
+				h = 0
+			}
+		}
+		p.slots[h] = postingSlot{a: a, off: int32(start), n: int32(i + 1 - start)}
+		start = i + 1
+	}
+}
+
+// mergeRuns sorts src, which is a sequence of ascending runs the i-th
+// of which ends at ends[i], by merging neighbouring runs pass after pass
+// between src and the equally long dst. It returns whichever of the two
+// holds the sorted result and uses ends as scratch.
+func mergeRuns(src, dst []uint64, ends []int) []uint64 {
+	for len(ends) > 1 {
+		lo, merged := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
+			a, b, k := lo, mid, lo
+			for a < mid && b < hi {
+				if src[a] <= src[b] {
+					dst[k] = src[a]
+					a++
+				} else {
+					dst[k] = src[b]
+					b++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[a:mid])
+			copy(dst[k:], src[b:hi])
+			ends[merged] = hi
+			merged++
+			lo = hi
+		}
+		ends = ends[:merged]
+		src, dst = dst, src
+	}
+	return src
+}
+
+// slotOf returns the slot a probe for attribute a starts at: the top
+// bits of a's Fibonacci hash (attribute IDs are small and dense; the
+// multiplier is 2^32/phi) scaled onto the table.
+func (p *Peer) slotOf(a attr.ID) int {
+	return int(uint64(uint32(a)*2654435769) * uint64(len(p.slots)) >> 32)
+}
+
+// posting returns the indices of the items containing a, ascending; nil
+// for an attribute the peer does not hold. The index must be built. One
+// probe of the table usually answers. (A binary search over attrs read a
+// different cache line per step, each waiting for the one before, and
+// made a routed query twice as slow as it was with a hash map per peer.)
+func (p *Peer) posting(a attr.ID) []int32 {
+	if len(p.slots) == 0 {
+		return nil
+	}
+	for h := p.slotOf(a); ; {
+		s := &p.slots[h]
+		if s.n == 0 {
+			return nil
+		}
+		if s.a == a {
+			return p.idx[s.off : s.off+s.n]
+		}
+		if h++; h == len(p.slots) {
+			h = 0
+		}
+	}
 }
 
 // ResultCount returns result(q,p): the number of the peer's items whose
@@ -120,11 +247,11 @@ func (p *Peer) ResultCount(q attr.Set) int {
 	if q.IsEmpty() {
 		return len(p.items)
 	}
-	if p.postings == nil {
+	if p.idx == nil {
 		p.buildPostings()
 	}
 	if q.Len() == 1 {
-		return len(p.postings[q.IDs()[0]])
+		return len(p.posting(q.IDs()[0]))
 	}
 	key := q.Key()
 	if p.cache != nil {
@@ -146,7 +273,7 @@ func (p *Peer) ResultCount(q attr.Set) int {
 // under their write lock once; any content mutation re-arms the lazy
 // build and requires a fresh Freeze before the next concurrent read.
 func (p *Peer) Freeze() {
-	if p.postings == nil {
+	if p.idx == nil {
 		p.buildPostings()
 	}
 }
@@ -160,11 +287,11 @@ func (p *Peer) ResultCountRO(q attr.Set) int {
 	if q.IsEmpty() {
 		return len(p.items)
 	}
-	if p.postings == nil {
+	if p.idx == nil {
 		panic(fmt.Sprintf("peer %d: ResultCountRO before Freeze", p.id))
 	}
 	if q.Len() == 1 {
-		return len(p.postings[q.IDs()[0]])
+		return len(p.posting(q.IDs()[0]))
 	}
 	return p.countMulti(q)
 }
@@ -172,20 +299,19 @@ func (p *Peer) ResultCountRO(q attr.Set) int {
 // countMulti intersects posting lists, starting from the rarest term.
 // It is read-only and allocation-free.
 func (p *Peer) countMulti(q attr.Set) int {
-	ids := q.IDs()
 	// Find the shortest posting list to drive the intersection.
-	best := -1
-	for i, a := range ids {
-		l := len(p.postings[a])
-		if l == 0 {
+	var best []int32
+	for i, a := range q.IDs() {
+		lst := p.posting(a)
+		if len(lst) == 0 {
 			return 0
 		}
-		if best < 0 || l < len(p.postings[ids[best]]) {
-			best = i
+		if i == 0 || len(lst) < len(best) {
+			best = lst
 		}
 	}
 	n := 0
-	for _, idx := range p.postings[ids[best]] {
+	for _, idx := range best {
 		if q.SubsetOf(p.items[idx]) {
 			n++
 		}
@@ -195,10 +321,10 @@ func (p *Peer) countMulti(q attr.Set) int {
 
 // Attrs returns the distinct attributes appearing in the peer's items
 // in ascending order. The slice is shared and must not be modified; it
-// is built together with the postings, so on a frozen peer this is a
-// pure read.
+// is part of the inverted index, so on a frozen peer this is a pure
+// read.
 func (p *Peer) Attrs() []attr.ID {
-	if p.postings == nil {
+	if p.idx == nil {
 		p.buildPostings()
 	}
 	return p.attrs
@@ -208,12 +334,14 @@ func (p *Peer) Attrs() []attr.ID {
 // items, the number of items containing it. The baseline re-clustering
 // algorithm uses this as the peer's term vector.
 func (p *Peer) AttrFrequencies() map[attr.ID]int {
-	if p.postings == nil {
+	if p.idx == nil {
 		p.buildPostings()
 	}
-	out := make(map[attr.ID]int, len(p.postings))
-	for a, lst := range p.postings {
-		out[a] = len(lst)
+	out := make(map[attr.ID]int, len(p.attrs))
+	for _, s := range p.slots {
+		if s.n != 0 {
+			out[s.a] = int(s.n)
+		}
 	}
 	return out
 }

@@ -277,3 +277,118 @@ func TestCloneSharesIndexUntilMutation(t *testing.T) {
 		t.Errorf("changed source answers %v, want %v", got, want)
 	}
 }
+
+// bruteCount is result(q,p) by definition: a subset test per item.
+func bruteCount(items []attr.Set, q attr.Set) int {
+	n := 0
+	for _, it := range items {
+		if q.SubsetOf(it) {
+			n++
+		}
+	}
+	return n
+}
+
+// randomSet draws up to maxLen attributes from [lo, lo+span).
+func randomSet(rng *stats.RNG, lo, span, maxLen int) attr.Set {
+	ids := make([]attr.ID, rng.Intn(maxLen+1))
+	for i := range ids {
+		ids[i] = attr.ID(lo + rng.Intn(span))
+	}
+	return attr.NewSet(ids...)
+}
+
+// TestFlatPostingsMatchBruteForce holds the flat index to the
+// definition of result(q,p): over random items and random queries (the
+// empty query, attributes the peer does not hold, negative IDs), after
+// each kind of content change and on both sides of a Clone one side of
+// which is then changed, ResultCount, ResultCountRO and AttrFrequencies
+// must equal a subset test per item.
+func TestFlatPostingsMatchBruteForce(t *testing.T) {
+	check := func(t *testing.T, what string, p *Peer, rng *stats.RNG) {
+		t.Helper()
+		items := p.Items()
+		p.Freeze()
+		queries := []attr.Set{{}, attr.NewSet(-7), attr.NewSet(1 << 20), attr.NewSet(-3, 4)}
+		for i := 0; i < 40; i++ {
+			// The range is wider than the items' so some attributes miss.
+			queries = append(queries, randomSet(rng, -4, 24, 3))
+		}
+		for _, q := range queries {
+			want := bruteCount(items, q)
+			if got := p.ResultCountRO(q); got != want {
+				t.Fatalf("%s: ResultCountRO(%v) = %d, want %d over %v", what, q, got, want, items)
+			}
+			// Twice: the second call of a multi-attribute query is served
+			// from the memo.
+			for range 2 {
+				if got := p.ResultCount(q); got != want {
+					t.Fatalf("%s: ResultCount(%v) = %d, want %d over %v", what, q, got, want, items)
+				}
+			}
+		}
+		freq := make(map[attr.ID]int)
+		for _, it := range items {
+			for _, a := range it.IDs() {
+				freq[a]++
+			}
+		}
+		got := p.AttrFrequencies()
+		if len(got) != len(freq) {
+			t.Fatalf("%s: AttrFrequencies has %d attributes, want %d", what, len(got), len(freq))
+		}
+		for a, n := range freq {
+			if got[a] != n {
+				t.Fatalf("%s: AttrFrequencies[%d] = %d, want %d", what, a, got[a], n)
+			}
+		}
+		attrs := p.Attrs()
+		if len(attrs) != len(freq) || !slices.IsSorted(attrs) {
+			t.Fatalf("%s: Attrs %v, want the %d distinct attributes ascending", what, attrs, len(freq))
+		}
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := stats.NewRNG(seed)
+		item := func() attr.Set { return randomSet(rng, -2, 16, 6) }
+		p := New(0)
+		check(t, "no items", p, rng)
+		items := make([]attr.Set, rng.Intn(10))
+		for i := range items {
+			items[i] = item()
+		}
+		p.SetItems(items)
+		check(t, "SetItems", p, rng)
+		p.AddItem(item())
+		check(t, "AddItem", p, rng)
+		p.ReplaceItem(rng.Intn(p.NumItems()), item())
+		check(t, "ReplaceItem", p, rng)
+
+		c := p.Clone()
+		check(t, "clone", c, rng)
+		c.ReplaceItem(rng.Intn(c.NumItems()), item())
+		c.AddItem(item())
+		check(t, "changed clone", c, rng)
+		check(t, "source of a changed clone", p, rng)
+		d := p.Clone()
+		p.SetItems(items)
+		check(t, "clone of a changed source", d, rng)
+		check(t, "changed source", p, rng)
+	}
+}
+
+// TestResultCountROAllocationFree pins the concurrent read path, which
+// every routed query runs per candidate peer, at no allocation for
+// empty, single-attribute, multi-attribute and unanswerable queries.
+func TestResultCountROAllocationFree(t *testing.T) {
+	p := New(0)
+	p.SetItems([]attr.Set{attr.NewSet(1, 2, 3), attr.NewSet(2, 3, 5), attr.NewSet(3, 8)})
+	p.Freeze()
+	queries := []attr.Set{{}, attr.NewSet(3), attr.NewSet(2, 3), attr.NewSet(1, 8), attr.NewSet(9), attr.NewSet(2, 9)}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, q := range queries {
+			p.ResultCountRO(q)
+		}
+	}); n != 0 {
+		t.Errorf("ResultCountRO allocates %v objects per run, want 0", n)
+	}
+}

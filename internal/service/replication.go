@@ -333,10 +333,7 @@ func (s *Server) applyEntryLocked(e replog.Entry) error {
 		if err != nil {
 			return err
 		}
-		items := make([]attr.Set, 0, len(op.Items))
-		for _, it := range op.Items {
-			items = append(items, attr.NewSet(s.vocab.InternAll(it)...))
-		}
+		items := internItems(s.vocab, op.Items)
 		queries := make([]attr.Set, 0, len(op.Queries))
 		counts := make([]int, 0, len(op.Queries))
 		for _, q := range op.Queries {

@@ -684,10 +684,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 
 	defer s.lockMutation()()
-	items := make([]attr.Set, 0, len(req.Items))
-	for _, it := range req.Items {
-		items = append(items, attr.NewSet(s.vocab.InternAll(it)...))
-	}
+	items := internItems(s.vocab, req.Items)
 	queries := make([]attr.Set, 0, len(req.Queries))
 	counts := make([]int, 0, len(req.Queries))
 	for _, q := range req.Queries {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -90,6 +91,7 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
 	cfg.Alpha = snap.Alpha
 	cfg.Epsilon = snap.Epsilon
 	s := New(cfg)
+	s.vocab = attr.NewVocabSized(snapshotVocabHint(snap))
 	s.compactions.Store(int64(snap.Compactions))
 
 	peers := make([]*peer.Peer, snap.Slots)
@@ -109,11 +111,7 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
 			return nil, fmt.Errorf("service: snapshot peer %d in invalid cluster %d", ps.Slot, ps.Cluster)
 		}
 		pr := peer.New(ps.Slot)
-		items := make([]attr.Set, 0, len(ps.Items))
-		for _, it := range ps.Items {
-			items = append(items, attr.NewSet(s.vocab.InternAll(it)...))
-		}
-		pr.SetItems(items)
+		pr.SetItems(internItems(s.vocab, ps.Items))
 		peers[ps.Slot] = pr
 		for _, q := range ps.Queries {
 			if len(q.Terms) == 0 || q.Count <= 0 {
@@ -127,6 +125,55 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
 	s.runner = s.newRunner()
 	s.publishLocked()
 	return s, nil
+}
+
+// maxVocabHint bounds the vocabulary size a restore reserves up front.
+const maxVocabHint = 1 << 16
+
+// snapshotVocabHint returns how many terms to size the vocabulary for
+// before interning snap: the term occurrences in its items, which bound
+// the distinct terms from above, capped because a vocabulary grows far
+// slower than the text it is drawn from (3000 peers of the benchmark
+// corpus hold 431 k occurrences of 32 k terms). Past the cap the map
+// grows as it always did, from a size that spared the early doublings.
+func snapshotVocabHint(snap *Snapshot) int {
+	n := 0
+	for _, ps := range snap.Peers {
+		for _, it := range ps.Items {
+			n += len(it)
+		}
+		if n >= maxVocabHint {
+			return maxVocabHint
+		}
+	}
+	return n
+}
+
+// internItems interns one peer's items, term by term in the order
+// given, into a single slab of IDs, then sorts and dedups each item's
+// span of it in place and adopts the span as the item's set: one
+// allocation for the peer's IDs, not two per item. Joins, replayed
+// joins and snapshot restores all turn term lists into content here.
+func internItems(v *attr.Vocab, items [][]string) []attr.Set {
+	n := 0
+	for _, it := range items {
+		n += len(it)
+	}
+	slab := make([]attr.ID, n)
+	sets := make([]attr.Set, len(items))
+	for i, it := range items {
+		if len(it) == 0 {
+			continue
+		}
+		span := slab[:len(it)]
+		slab = slab[len(it):]
+		for k, name := range it {
+			span[k] = v.Intern(name)
+		}
+		slices.Sort(span)
+		sets[i] = attr.FromSorted(slices.Clip(slices.Compact(span)))
+	}
+	return sets
 }
 
 func (s *Server) newRunner() *protocol.Runner {

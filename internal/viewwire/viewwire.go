@@ -39,7 +39,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -132,14 +131,17 @@ func AppendFull(dst []byte, seq uint64, terms []string, d core.ViewData) []byte 
 		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 
-	attrs := make([]attr.ID, 0, len(d.Postings))
-	for a := range d.Postings {
-		attrs = append(attrs, a)
+	held := 0
+	for _, lst := range d.Postings {
+		if len(lst) > 0 {
+			held++
+		}
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
-	for _, a := range attrs {
-		lst := d.Postings[a]
+	dst = binary.AppendUvarint(dst, uint64(held))
+	for a, lst := range d.Postings {
+		if len(lst) == 0 {
+			continue
+		}
 		dst = binary.AppendUvarint(dst, uint64(a))
 		dst = binary.AppendUvarint(dst, uint64(len(lst)))
 		for _, pid := range lst {
@@ -443,7 +445,7 @@ func decodeFull(r *reader, rec *Record) error {
 	if err != nil {
 		return err
 	}
-	rec.View.Postings = make(map[attr.ID][]int32, numAttrs)
+	rec.View.Postings = make([][]int32, len(rec.Terms))
 	for i := 0; i < numAttrs; i++ {
 		a, err := r.uvarint()
 		if err != nil {
@@ -467,10 +469,10 @@ func decodeFull(r *reader, rec *Record) error {
 			}
 			lst = append(lst, int32(pid))
 		}
-		if _, dup := rec.View.Postings[attr.ID(a)]; dup {
+		if rec.View.Postings[a] != nil {
 			return fmt.Errorf("viewwire: duplicate posting list for attr %d", a)
 		}
-		rec.View.Postings[attr.ID(a)] = lst
+		rec.View.Postings[a] = lst
 	}
 	return nil
 }
