@@ -388,9 +388,13 @@ func BenchmarkKMeansRecluster(b *testing.B) {
 	}
 }
 
+// What producing a system costs, and one document of it (see
+// internal/benchsuite, which `reform bench` also runs).
+
 func BenchmarkSystemBuild(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		experiments.Build(p, experiments.SameCategory)
-	}
+	benchsuite.BuildSystem(benchParams())(b)
+}
+
+func BenchmarkCorpusDocument(b *testing.B) {
+	benchsuite.CorpusDocument(benchParams())(b)
 }

@@ -84,6 +84,9 @@ func sameRunnerClass(a, b benchReport) bool {
 // their wall-clock depends on CI core counts. Nor is ColdRestore, which
 // allocates a couple of dozen objects more or fewer from run to run
 // (1189 to 1210 at 50 peers), and the allocs/op gate has no tolerance.
+// BuildSystem is a macrobenchmark too, tracked for its trajectory.
+// CorpusDocument is here for its allocs/op: a document costs its text
+// and its term set, two objects.
 var gatedBenchmarks = []string{
 	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "Rebuild", "AddRemovePeer",
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
@@ -91,6 +94,7 @@ var gatedBenchmarks = []string{
 	"ProtocolRound", "ProtocolRoundParallel", "ReformStep",
 	"ProtocolRoundLarge", "ProtocolRoundLargeExact", "ReformStepLarge",
 	"RebuildLarge", "FirstJoinAfterRestore", "DecideRoundSingletons",
+	"CorpusDocument",
 }
 
 // zeroAllocBenchmarks must report exactly 0 allocs/op in the fresh
@@ -154,6 +158,9 @@ func runBenchCommand(args []string) {
 		recordSized(name, p.Peers, *scale, fn)
 	}
 
+	// What the sys above cost to produce, and one document of it.
+	record("BuildSystem", benchsuite.BuildSystem(p))
+	record("CorpusDocument", benchsuite.CorpusDocument(p))
 	record("EvaluateMoves", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -28,9 +28,10 @@ import (
 //
 //   - peersByAttr: attribute -> peers whose content contains it, to
 //     find the supporters of a query newly interned by a joiner. A slice
-//     indexed by attribute ID (IDs are vocabulary-dense), like the query
-//     index: 24 B of slice header per ID below the largest in use,
-//     whether or not a live peer holds it.
+//     indexed by attribute ID (IDs are vocabulary-dense): 24 B of
+//     slice header per ID below the largest in use, whether or not a
+//     live peer holds it. (The query index, which every engine builds
+//     where this one waits for the first join, keeps 4 B per ID.)
 //   - queries (queryindex.go): a distinct query's first attribute ->
 //     QIDs, to find the existing queries a peer's content can answer (a
 //     query cannot match an item that lacks its first attribute).

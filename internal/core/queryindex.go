@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/attr"
 	"repro/internal/peer"
 	"repro/internal/workload"
 )
@@ -15,16 +14,19 @@ import (
 // extended (queries are interned in QID order) or remapped by a
 // compaction.
 //
-// Attribute IDs are vocabulary-dense, so the lists sit in a slice
-// indexed by ID and a peer's candidate walk costs a load per
-// attribute, not a hash probe. The attributes in use are also kept as
-// a list, so a remap or reset costs the index's size, not the
+// Attribute IDs are vocabulary-dense, so a peer's candidate walk costs
+// a load per attribute, not a hash probe: head, indexed by ID, names
+// the attribute's list. Every engine gets a head the size of the
+// vocabulary, so it holds 4-byte list numbers and not the lists
+// themselves: allocating it clears a sixth of the bytes and the
+// collector never scans it. The lists sit apart, one per attribute
+// ever used, so a remap or reset costs the index's size, not the
 // vocabulary's. All storage is reused across resets.
 type queryIndex struct {
-	byAttr [][]workload.QID // first attribute -> QIDs ascending; nil until first used
-	attrs  []attr.ID        // the attributes whose list was ever used
-	empty  []workload.QID   // attribute-less queries: they match every item
-	n      int              // the index covers the workload's QIDs [0,n)
+	head  []int32          // first attribute -> 1 + its index in lists; 0 = never used
+	lists [][]workload.QID // QIDs ascending, one list per attribute ever used
+	empty []workload.QID   // attribute-less queries: they match every item
+	n     int              // the index covers the workload's QIDs [0,n)
 }
 
 // extend registers the queries interned since the last call.
@@ -32,15 +34,14 @@ func (x *queryIndex) extend(wl *workload.Workload) {
 	// Size the table once, to the largest first attribute among the new
 	// queries. IDs are vocabulary-dense, so a fresh engine's first call
 	// takes it to about the vocabulary's size; reaching that by append's
-	// doubling copies, and has the collector scan, a table of pointers
-	// many times over.
-	need := len(x.byAttr)
+	// doubling copies it many times over.
+	need := len(x.head)
 	for q := x.n; q < wl.NumQueries(); q++ {
 		if ids := wl.Query(workload.QID(q)).IDs(); len(ids) > 0 {
 			need = max(need, int(ids[0])+1)
 		}
 	}
-	x.byAttr = append(x.byAttr, make([][]workload.QID, need-len(x.byAttr))...)
+	x.head = append(x.head, make([]int32, need-len(x.head))...)
 	for ; x.n < wl.NumQueries(); x.n++ {
 		qid := workload.QID(x.n)
 		ids := wl.Query(qid).IDs()
@@ -49,17 +50,20 @@ func (x *queryIndex) extend(wl *workload.Workload) {
 			continue
 		}
 		a := ids[0]
-		if x.byAttr[a] == nil {
-			x.attrs = append(x.attrs, a)
+		if x.head[a] == 0 {
+			x.lists = append(x.lists, nil)
+			x.head[a] = int32(len(x.lists))
 		}
-		x.byAttr[a] = append(x.byAttr[a], qid)
+		lst := &x.lists[x.head[a]-1]
+		*lst = append(*lst, qid)
 	}
 }
 
-// reset forgets every query, keeping the storage.
+// reset forgets every query, keeping the storage: an attribute keeps
+// its list, emptied.
 func (x *queryIndex) reset() {
-	for _, a := range x.attrs {
-		x.byAttr[a] = x.byAttr[a][:0]
+	for i := range x.lists {
+		x.lists[i] = x.lists[i][:0]
 	}
 	x.empty = x.empty[:0]
 	x.n = 0
@@ -70,8 +74,8 @@ func (x *queryIndex) reset() {
 // Emptied lists keep their capacity for a re-intern of the same first
 // attribute.
 func (x *queryIndex) remap(remap workload.CompactRemap) {
-	for _, a := range x.attrs {
-		x.byAttr[a] = remapQIDs(x.byAttr[a], remap)
+	for i := range x.lists {
+		x.lists[i] = remapQIDs(x.lists[i], remap)
 	}
 	x.empty = remapQIDs(x.empty, remap)
 	live := 0
@@ -101,8 +105,8 @@ func remapQIDs(lst []workload.QID, remap workload.CompactRemap) []workload.QID {
 func (x *queryIndex) appendCandidates(dst []workload.QID, p *peer.Peer) []workload.QID {
 	dst = append(dst, x.empty...)
 	for _, a := range p.Attrs() {
-		if int(a) < len(x.byAttr) {
-			dst = append(dst, x.byAttr[a]...)
+		if int(a) < len(x.head) && x.head[a] != 0 {
+			dst = append(dst, x.lists[x.head[a]-1]...)
 		}
 	}
 	return dst

@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/stats"
 	"repro/internal/textproc"
 )
@@ -186,5 +188,125 @@ func TestCategoryOfSharedWord(t *testing.T) {
 	id := g.shWords[0]
 	if _, ok := g.CategoryOf(id); ok {
 		t.Fatal("shared word attributed to a category")
+	}
+}
+
+// TestCategoryOfNovelWord: a word interned into the generator's
+// vocabulary after construction (JoinPeerNovel's "novel!N") belongs to
+// no category, whatever letter it starts with. Read off the name, 'n'
+// made it a category-9 word.
+func TestCategoryOfNovelWord(t *testing.T) {
+	cfg := testConfig()
+	g := NewGenerator(cfg, 19)
+	for _, name := range []string{"novel!0", "ba", "zu", CategoryWord(9, cfg.VocabPerCategory)} {
+		id := g.Vocab().Intern(name)
+		if c, ok := g.CategoryOf(id); ok {
+			t.Errorf("%q, interned after construction, reports as a category-%d word", name, c)
+		}
+	}
+	if _, ok := g.CategoryOf(-1); ok {
+		t.Error("a negative ID reports a category")
+	}
+	for c := 0; c < cfg.Categories; c++ {
+		for _, k := range []int{0, cfg.VocabPerCategory - 1} {
+			if got, ok := g.CategoryOf(g.WordRank(c, k)); !ok || got != c {
+				t.Errorf("word %d of category %d reports (%d, %v)", k, c, got, ok)
+			}
+		}
+	}
+}
+
+// pipelineConfigs are three corners of the generator: half the words
+// shared, every word inflected, two stop words per content word.
+func pipelineConfigs() map[string]Config {
+	shared, morph, stop := testConfig(), testConfig(), testConfig()
+	shared.SharedFraction = 0.5
+	morph.MorphNoise = 1
+	stop.StopNoise = 2
+	return map[string]Config{"SharedFraction=0.5": shared, "MorphNoise=1": morph, "StopNoise=2": stop}
+}
+
+// TestDocumentTermsMatchPipeline: the term set of a document is what
+// the pipeline's frequency-sorted view of its raw text interns to, the
+// way the generator computed it before it kept IDs only.
+func TestDocumentTermsMatchPipeline(t *testing.T) {
+	for name, cfg := range pipelineConfigs() {
+		g := NewGenerator(cfg, 21)
+		for i := 0; i < 200; i++ {
+			doc := g.Document(i % cfg.Categories)
+			var ids []attr.ID
+			for _, term := range textproc.UniqueTerms(doc.Text) {
+				id, ok := g.Vocab().Lookup(term)
+				if !ok {
+					t.Fatalf("%s, document %d: term %q of the text is not in the vocabulary", name, i, term)
+				}
+				ids = append(ids, id)
+			}
+			if want := attr.NewSet(ids...); !doc.Terms.Equal(want) {
+				t.Fatalf("%s, document %d: Terms %v, the pipeline over Text gives %v", name, i, doc.Terms, want)
+			}
+		}
+	}
+}
+
+// TestDocumentRNGConcurrent: forks of one System share their generator
+// and generate documents at the same time (Fig 3's cells), so eight
+// goroutines on one generator, each with its own stream, must produce
+// what the same streams produce one after another. Run under -race.
+func TestDocumentRNGConcurrent(t *testing.T) {
+	const streams, docs = 8, 50
+	cfg := testConfig()
+	g := NewGenerator(cfg, 23)
+	generate := func(s int) []Document {
+		rng := stats.NewRNG(uint64(100 + s))
+		out := make([]Document, docs)
+		for i := range out {
+			out[i] = g.DocumentRNG((s+i)%cfg.Categories, rng)
+		}
+		return out
+	}
+	serial := make([][]Document, streams)
+	for s := range serial {
+		serial[s] = generate(s)
+	}
+	concurrent := make([][]Document, streams)
+	var wg sync.WaitGroup
+	for s := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[s] = generate(s)
+		}()
+	}
+	wg.Wait()
+	for s := range serial {
+		for i := range serial[s] {
+			a, b := serial[s][i], concurrent[s][i]
+			if a.Category != b.Category || a.Text != b.Text || !a.Terms.Equal(b.Terms) {
+				t.Fatalf("stream %d document %d differs between the serial and the concurrent run", s, i)
+			}
+		}
+	}
+}
+
+// TestGenerationAllocations pins what a document costs the heap: its
+// text and its term set (105 allocations before the generator wrote
+// from its word table into local scratch), with slack for a document
+// that outgrows the scratch. Verifying a canonical word costs nothing.
+func TestGenerationAllocations(t *testing.T) {
+	for name, cfg := range pipelineConfigs() {
+		g := NewGenerator(cfg, 25)
+		rng := stats.NewRNG(3)
+		i := 0
+		if got := testing.AllocsPerRun(200, func() {
+			g.DocumentRNG(i%cfg.Categories, rng)
+			i++
+		}); got > 6 {
+			t.Errorf("%s: DocumentRNG allocates %.1f times a document, want at most 6", name, got)
+		}
+	}
+	w := CategoryWord(3, 77)
+	if got := testing.AllocsPerRun(200, func() { verifyStable(w) }); got != 0 {
+		t.Errorf("verifyStable allocates %.1f times a word, want 0", got)
 	}
 }

@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/attr"
 	"repro/internal/stats"
@@ -72,7 +71,10 @@ type Generator struct {
 	shDist  *stats.Zipf
 
 	// catWords[c][k] is the interned ID of category c's k-th word;
-	// sorted by decreasing expected frequency (rank order).
+	// sorted by decreasing expected frequency (rank order). The
+	// vocabulary starts empty and the words are distinct, so that ID is
+	// c*VocabPerCategory + k and the shared words follow the last
+	// category: CategoryOf answers from the ID alone.
 	catWords [][]attr.ID
 	shWords  []attr.ID
 }
@@ -90,7 +92,7 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	}
 	g := &Generator{
 		cfg:     cfg,
-		vocab:   attr.NewVocab(),
+		vocab:   attr.NewVocabSized(cfg.Categories*cfg.VocabPerCategory + cfg.SharedVocab),
 		rng:     stats.NewRNG(seed),
 		catDist: stats.NewZipf(cfg.VocabPerCategory, cfg.TermZipfS),
 	}
@@ -101,18 +103,24 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	for c := 0; c < cfg.Categories; c++ {
 		g.catWords[c] = make([]attr.ID, cfg.VocabPerCategory)
 		for k := 0; k < cfg.VocabPerCategory; k++ {
-			w := CategoryWord(c, k)
-			verifyStable(w)
-			g.catWords[c][k] = g.vocab.Intern(w)
+			g.catWords[c][k] = g.intern(CategoryWord(c, k))
 		}
 	}
 	g.shWords = make([]attr.ID, cfg.SharedVocab)
 	for k := 0; k < cfg.SharedVocab; k++ {
-		w := SharedWord(k)
-		verifyStable(w)
-		g.shWords[k] = g.vocab.Intern(w)
+		g.shWords[k] = g.intern(SharedWord(k))
 	}
 	return g
+}
+
+// intern verifies canonical word w and gives it the next dense ID.
+func (g *Generator) intern(w string) attr.ID {
+	verifyStable(w)
+	next := attr.ID(g.vocab.Len())
+	if g.vocab.Intern(w) != next {
+		panic(fmt.Sprintf("corpus: canonical word %q generated twice", w))
+	}
+	return next
 }
 
 // Vocab returns the vocabulary shared by all generated documents.
@@ -133,31 +141,38 @@ func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 	if category < 0 || category >= g.cfg.Categories {
 		panic(fmt.Sprintf("corpus: category %d out of range [0,%d)", category, g.cfg.Categories))
 	}
-	var raw strings.Builder
+	// The scratch is local, not the generator's: forks of one System
+	// share their generator and call this concurrently. It is sized for
+	// a document several times the paper's 30 words and stays on the
+	// stack; a longer document grows past it onto the heap.
+	raw := make([]byte, 0, 1024)
+	words := g.catWords[category]
+	stopP := g.cfg.StopNoise / (1 + g.cfg.StopNoise)
 	for i := 0; i < g.cfg.WordsPerDoc; i++ {
-		var w string
+		var id attr.ID
 		if g.shDist != nil && rng.Bool(g.cfg.SharedFraction) {
-			w = SharedWord(g.shDist.Sample(rng))
+			id = g.shWords[g.shDist.Sample(rng)]
 		} else {
-			w = CategoryWord(category, g.catDist.Sample(rng))
-		}
-		if rng.Bool(g.cfg.MorphNoise) {
-			w = inflect(w, 1+rng.Intn(len(morphVariants)-1))
+			id = words[g.catDist.Sample(rng)]
 		}
 		if i > 0 {
-			raw.WriteByte(' ')
+			raw = append(raw, ' ')
 		}
-		raw.WriteString(w)
+		raw = append(raw, g.vocab.Name(id)...)
+		if rng.Bool(g.cfg.MorphNoise) {
+			raw = append(raw, morphVariants[1+rng.Intn(len(morphVariants)-1)]...)
+		}
 		// Salt with stop words so the pipeline's filter has work to do.
-		for rng.Bool(g.cfg.StopNoise / (1 + g.cfg.StopNoise)) {
-			raw.WriteByte(' ')
-			raw.WriteString(textproc.StopwordAt(rng.Intn(textproc.StopwordCount())))
+		for rng.Bool(stopP) {
+			raw = append(raw, ' ')
+			raw = append(raw, textproc.StopwordAt(rng.Intn(textproc.StopwordCount()))...)
 		}
 	}
-	text := raw.String()
-	terms := textproc.UniqueTerms(text)
-	ids := make([]attr.ID, 0, len(terms))
-	for _, t := range terms {
+	text := string(raw)
+	var termBuf [192]string
+	var idBuf [128]attr.ID
+	ids := idBuf[:0]
+	for _, t := range textproc.AppendProcessed(termBuf[:0], text) {
 		// Every canonical word was interned at construction; anything
 		// unseen would indicate pipeline drift, which we want loudly.
 		id, ok := g.vocab.Lookup(t)
@@ -183,15 +198,11 @@ func (g *Generator) WordRank(cat, k int) attr.ID {
 }
 
 // CategoryOf returns the category owning id and true, or 0,false for
-// shared-vocabulary attributes.
+// every other attribute: a shared-vocabulary word, or one interned
+// into the vocabulary after construction.
 func (g *Generator) CategoryOf(id attr.ID) (int, bool) {
-	name := g.vocab.Name(id)
-	if strings.HasPrefix(name, "zu") {
+	if id < 0 || int(id) >= g.cfg.Categories*g.cfg.VocabPerCategory {
 		return 0, false
 	}
-	c := strings.IndexByte(wordConsonants, name[0])
-	if c < 0 || c >= g.cfg.Categories {
-		return 0, false
-	}
-	return c, true
+	return int(id) / g.cfg.VocabPerCategory, true
 }

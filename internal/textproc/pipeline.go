@@ -7,9 +7,16 @@ import "sort"
 // (duplicates included); use TermFrequencies / SortByFrequency for the
 // frequency-sorted view the paper describes.
 func Process(text string) []string {
-	toks := Tokenize(text)
-	out := toks[:0]
-	for _, t := range toks {
+	return AppendProcessed(nil, text)
+}
+
+// AppendProcessed appends Process's terms to dst, for a caller that
+// reuses a buffer. What dst already holds is left as it is.
+func AppendProcessed(dst []string, text string) []string {
+	n := len(dst)
+	dst = AppendTokens(dst, text)
+	out := dst[:n]
+	for _, t := range dst[n:] {
 		if IsStopword(t) {
 			continue
 		}

@@ -1,7 +1,5 @@
 package textproc
 
-import "strings"
-
 // Stem normalizes common English inflections with a light
 // suffix-stripping stemmer (a compact approximation of the
 // lemmatization step in the paper's preprocessing). It intentionally
@@ -18,23 +16,35 @@ import "strings"
 //	ly   -> ""  (quickly -> quick)
 func Stem(w string) string {
 	n := len(w)
-	switch {
-	case n > 4 && strings.HasSuffix(w, "sses"):
-		return w[:n-2]
-	case n > 4 && strings.HasSuffix(w, "ies"):
-		return w[:n-3] + "y"
-	case n > 3 && strings.HasSuffix(w, "ss"):
+	if n < 4 {
 		return w
-	case n > 3 && strings.HasSuffix(w, "s") && !strings.HasSuffix(w, "us") && !strings.HasSuffix(w, "is"):
+	}
+	// The three s rules, ing, ed and ly end in four different letters,
+	// so the last byte picks among them and only the s rules need their
+	// order kept.
+	switch w[n-1] {
+	case 's':
+		switch {
+		case n > 4 && w[n-4:] == "sses":
+			return w[:n-2]
+		case n > 4 && w[n-3:] == "ies":
+			return w[:n-3] + "y"
+		case w[n-2] == 's', w[n-2] == 'u', w[n-2] == 'i':
+			return w
+		}
 		return w[:n-1]
-	case n > 5 && strings.HasSuffix(w, "ing"):
-		stem := w[:n-3]
-		return undouble(stem)
-	case n > 4 && strings.HasSuffix(w, "ed"):
-		stem := w[:n-2]
-		return undouble(stem)
-	case n > 4 && strings.HasSuffix(w, "ly"):
-		return w[:n-2]
+	case 'g':
+		if n > 5 && w[n-3:] == "ing" {
+			return undouble(w[:n-3])
+		}
+	case 'd':
+		if n > 4 && w[n-2] == 'e' {
+			return undouble(w[:n-2])
+		}
+	case 'y':
+		if n > 4 && w[n-2] == 'l' {
+			return w[:n-2]
+		}
 	}
 	return w
 }
