@@ -191,6 +191,20 @@ func BenchmarkEngineRebuild(b *testing.B) {
 	benchsuite.Rebuild(sys.NewEngine(sys.CategoryConfig()))(b)
 }
 
+// What a cell of the paper's evaluation pays for its engine (see
+// internal/benchsuite, which `reform bench` also runs): a clone, and
+// for a perturbation level of Figs 2-4 a clone, the perturbation and a
+// Rebuild that re-asks only what changed.
+func BenchmarkEngineClone(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.EngineClone(sys.NewEngine(sys.CategoryConfig()))(b)
+}
+
+func BenchmarkUpdateLevel(b *testing.B) {
+	sys := experiments.Build(benchParams(), experiments.SameCategory)
+	benchsuite.UpdateLevel(sys, sys.NewEngine(sys.CategoryConfig()))(b)
+}
+
 func BenchmarkRebuildLarge(b *testing.B) {
 	benchsuite.RebuildLarge(experiments.Build(benchParams(), experiments.SameCategory))(b)
 }

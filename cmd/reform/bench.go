@@ -86,7 +86,10 @@ func sameRunnerClass(a, b benchReport) bool {
 // (1189 to 1210 at 50 peers), and the allocs/op gate has no tolerance.
 // BuildSystem is a macrobenchmark too, tracked for its trajectory.
 // CorpusDocument is here for its allocs/op: a document costs its text
-// and its term set, two objects.
+// and its term set, two objects. So are EngineClone and UpdateLevel: a
+// clone costs two objects a peer (the peer.Clone and its item list) plus
+// some fifty whatever the population, so a structure that goes back to
+// being cloned list by list instead of out of one arena shows there.
 var gatedBenchmarks = []string{
 	"EvaluateMoves", "EvaluateContribution", "PeerCost", "Move", "SCost", "Rebuild", "AddRemovePeer",
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
@@ -94,7 +97,7 @@ var gatedBenchmarks = []string{
 	"ProtocolRound", "ProtocolRoundParallel", "ReformStep",
 	"ProtocolRoundLarge", "ProtocolRoundLargeExact", "ReformStepLarge",
 	"RebuildLarge", "FirstJoinAfterRestore", "DecideRoundSingletons",
-	"CorpusDocument",
+	"CorpusDocument", "EngineClone", "UpdateLevel",
 }
 
 // zeroAllocBenchmarks must report exactly 0 allocs/op in the fresh
@@ -194,6 +197,15 @@ func runBenchCommand(args []string) {
 		}
 	})
 	record("Rebuild", benchsuite.Rebuild(eng))
+	// What a cell of the paper's evaluation pays for its engine: a clone
+	// of its driver's base engine, and for a perturbation level of
+	// Figs 2-4 the clone, the perturbation and the Rebuild after it,
+	// over the good configuration §4.2 starts from. A private System
+	// that the membership benchmarks below never touch.
+	usys := experiments.Build(p, experiments.SameCategory)
+	ueng := usys.NewEngine(usys.CategoryConfig())
+	record("EngineClone", benchsuite.EngineClone(ueng))
+	record("UpdateLevel", benchsuite.UpdateLevel(usys, ueng))
 	record("AddRemovePeer", func(b *testing.B) {
 		// One churn event (join + leave) on the incremental membership
 		// path; compare with Rebuild, the old per-churn price.

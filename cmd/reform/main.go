@@ -96,12 +96,16 @@ func main() {
 	p.Workers = *workers
 
 	out := &printer{csv: *csv, plot: *plot}
+	// The paper's five results print from one PaperResult, so that `all`
+	// can run them over shared systems (experiments.RunPaper) and a
+	// single one builds only its own.
+	var paper experiments.PaperResult
 	known := map[string]func(){
-		"table1":         func() { out.table(experiments.RunTable1(p).Table()) },
-		"fig1":           func() { r := experiments.RunFig1(p, 0); out.series(r.SCost); out.series(r.WCost) },
-		"fig2":           func() { r := experiments.RunFig2(p); out.series(r.UpdatedPeers); out.series(r.UpdatedWorkload) },
-		"fig3":           func() { r := experiments.RunFig3(p); out.series(r.UpdatedPeers); out.series(r.UpdatedData) },
-		"fig4":           func() { out.series(experiments.RunFig4(p, nil)) },
+		"table1":         func() { out.table(paper.Table1.Table()) },
+		"fig1":           func() { out.series(paper.Fig1.SCost); out.series(paper.Fig1.WCost) },
+		"fig2":           func() { out.series(paper.Fig2.UpdatedPeers); out.series(paper.Fig2.UpdatedWorkload) },
+		"fig3":           func() { out.series(paper.Fig3.UpdatedPeers); out.series(paper.Fig3.UpdatedData) },
+		"fig4":           func() { out.series(paper.Fig4) },
 		"counterexample": func() { out.counterexample() },
 		"theta":          func() { out.table(experiments.RunThetaAblation(p)) },
 		"epsilon":        func() { out.table(experiments.RunEpsilonAblation(p)) },
@@ -130,6 +134,7 @@ func main() {
 
 	name := strings.ToLower(*exp)
 	if name == "all" {
+		paper = *experiments.RunPaper(p)
 		for _, k := range order {
 			fmt.Printf("=== %s ===\n", k)
 			known[k]()
@@ -140,6 +145,18 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s, all\n", name, strings.Join(order, ", "))
 		os.Exit(2)
+	}
+	switch name {
+	case "table1":
+		paper.Table1 = experiments.RunTable1(p)
+	case "fig1":
+		paper.Fig1 = experiments.RunFig1(p, 0)
+	case "fig2":
+		paper.Fig2 = experiments.RunFig2(p)
+	case "fig3":
+		paper.Fig3 = experiments.RunFig3(p)
+	case "fig4":
+		paper.Fig4 = experiments.RunFig4(p, nil)
 	}
 	run()
 }

@@ -8,13 +8,17 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 // Rebuild times Engine.Rebuild at steady state: storage warm, the query
-// index built, every peer's postings and result cache filled. It is
-// what a daemon start, a follower's catch-up install and a content
-// update pay; the harnesses run it at paper scale (Rebuild) and over
-// `-peers` singletons (RebuildLarge).
+// index built, and no peer changed since the last one, so every result
+// list is kept and what is timed is summing them and laying out, filling
+// and summing the aggregates. It is the floor of what a content or
+// workload update pays (UpdateLevel times one with its edits;
+// ColdRestore times a first build, which asks every peer everything);
+// the harnesses run it at paper scale (Rebuild) and over `-peers`
+// singletons (RebuildLarge).
 func Rebuild(eng *core.Engine) func(b *testing.B) {
 	return func(b *testing.B) {
 		eng.Rebuild()
@@ -119,6 +123,39 @@ func ColdRestore(sys *experiments.System) func(b *testing.B) {
 			cfg := cold.InitialConfig(experiments.InitSingletons, nil)
 			b.StartTimer()
 			cold.NewEngine(cfg).BuildRoutingView(nil)
+		}
+	}
+}
+
+// EngineClone times Engine.Clone: what every cell of the paper's
+// evaluation pays where it used to pay core.New (146 clones an
+// evaluation against 16 engines built). eng is only read.
+func EngineClone(eng *core.Engine) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng.Clone()
+		}
+	}
+}
+
+// UpdateLevel times what one perturbation level of Fig 2 costs before
+// any protocol runs: clone the base engine, redirect the whole workload
+// of one cluster's peers to another category on a fork over the clone,
+// Rebuild. The Rebuild asks the peers nothing they already answered:
+// only the queries the redirection interned. sys and eng are only read.
+func UpdateLevel(sys *experiments.System, eng *core.Engine) func(b *testing.B) {
+	return func(b *testing.B) {
+		members := eng.Config().Members(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			level := eng.Clone()
+			fork := sys.ForkOnto(level)
+			rng := stats.NewRNG(9)
+			for _, pid := range members {
+				fork.RedirectWorkload(pid, 1, 1, rng)
+			}
+			level.Rebuild()
 		}
 	}
 }

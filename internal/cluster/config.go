@@ -237,7 +237,9 @@ func (c *Config) Move(p int, to CID) CID {
 	return from
 }
 
-// Clone deep-copies the configuration.
+// Clone deep-copies the configuration. The member lists are cut from
+// one allocation, each clipped to its length, so a cluster the copy
+// grows moves its list out instead of writing into its neighbour's.
 func (c *Config) Clone() *Config {
 	cp := &Config{
 		assign:  append([]CID(nil), c.assign...),
@@ -247,9 +249,12 @@ func (c *Config) Clone() *Config {
 		filled:  c.filled,
 		version: c.version,
 	}
+	arena := make([]int, 0, c.live)
 	for i, m := range c.members {
 		if len(m) > 0 {
-			cp.members[i] = append([]int(nil), m...)
+			start := len(arena)
+			arena = append(arena, m...)
+			cp.members[i] = arena[start:len(arena):len(arena)]
 		}
 	}
 	return cp

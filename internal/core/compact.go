@@ -117,7 +117,16 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 
 	// Per-peer lists: results of dead queries are dropped (the query
 	// is forgotten; a future re-intern rediscovers its supporters),
-	// demand entries are all live by construction.
+	// demand entries are all live by construction. The remap is
+	// monotone, so the queries the result lists are complete for stay a
+	// prefix: its survivors.
+	covered := 0
+	for _, nid := range remap[:e.resCovered] {
+		if nid >= 0 {
+			covered++
+		}
+	}
+	e.resCovered = covered
 	for pid := range e.peerRes {
 		lst := e.peerRes[pid]
 		k := 0

@@ -47,6 +47,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -60,6 +61,14 @@ import (
 type resEntry struct {
 	qid workload.QID
 	res float64
+}
+
+// resSource names what a result list was computed from: a peer as its
+// content stood at a version (peer.Version). The zero value names
+// nothing.
+type resSource struct {
+	peer    *peer.Peer
+	version int
 }
 
 // wlEntry is a per-peer workload entry precomputed at Rebuild time,
@@ -108,6 +117,12 @@ type Engine struct {
 	invTot []float64
 	// peerRes[p] lists every query p holds results for.
 	peerRes [][]resEntry
+	// What Rebuild's result pass may keep (see Rebuild): resFrom[p] is
+	// the peer, at its content version, that peerRes[p] was last computed
+	// from, and every such list is complete for the queries
+	// [0, resCovered).
+	resFrom    []resSource
+	resCovered int
 	// peerWl[p] is p's local workload restricted to answerable queries,
 	// with recall weights baked in; peerW[p] = Σ w over those entries
 	// and peerOwnW[p] = Σ w·r(q,p) — the recall p supplies to its own
@@ -283,6 +298,20 @@ func growMarks(s []uint64, n int) []uint64 {
 // non-zero: each peer is asked only for the queries its attributes can
 // answer, and the aggregates are built and summed over only the
 // (query, cluster) cells some peer supports or demands.
+//
+// Asking is the expensive part, so Rebuild does not repeat it. It
+// remembers, per slot, which peer at which content version
+// (peer.Version) its result list was computed from, and up to which
+// QID every list is complete. A slot still holding that peer at that
+// version keeps its list and is asked only about the queries interned
+// since; any other slot is asked about every query its attributes can
+// answer. The lists, and the integer totals summed from them, come out
+// as they would asking everybody everything, and nothing after the
+// result pass looks at what was remembered, so the rebuilt engine
+// equals core.New over the same inputs bit for bit. A fresh engine
+// remembers nothing, and a workload compacted behind the engine's back
+// (its QIDs renumbered) makes Rebuild forget: both are the same pass
+// with nothing to keep.
 func (e *Engine) Rebuild() {
 	if e.n != e.cfg.NumPeers() || e.n != e.wl.NumPeers() || e.n != len(e.peers) {
 		panic(fmt.Sprintf("core: slot mismatch peers=%d cfg=%d wl=%d",
@@ -304,12 +333,14 @@ func (e *Engine) Rebuild() {
 		e.peerWl = make([][]wlEntry, e.n)
 		e.peerW = make([]float64, e.n)
 		e.peerOwnW = make([]float64, e.n)
+		e.resFrom = make([]resSource, e.n)
 	}
 	e.peersByAttr = nil
 	e.demanders = nil
 	if e.wl.Compactions() != e.wlCompactions {
 		// A compaction outside Engine.Compact renumbered the queries.
 		e.queries.reset()
+		e.resCovered = 0
 	}
 	e.queries.extend(e.wl)
 	e.clustersVer = -1 // no membership version: force the walk
@@ -324,18 +355,32 @@ func (e *Engine) Rebuild() {
 	// Pass 1: result counts -> totals, peerRes. Only the queries
 	// registered under one of the peer's attributes (or under none) can
 	// match an item of it; sorting them keeps peerRes, and every sum
-	// below, in ascending QID order. rowCap counts each query's
-	// supporters, and in pass 2 its demanders, for pass 3.
+	// below, in ascending QID order. A slot whose peer has not changed
+	// since its list was computed keeps the part of it below resCovered
+	// and is asked about the queries from there on; a join leaves its
+	// list in candidate order, so a kept list is sorted first. rowCap
+	// counts each query's supporters, and in pass 2 its demanders, for
+	// pass 3.
 	e.rowCap = grow(e.rowCap, nq)
 	e.byCluster = e.byCluster[:0]
 	for pid, p := range e.peers {
 		if p == nil {
 			e.peerRes[pid] = e.peerRes[pid][:0]
+			e.resFrom[pid] = resSource{}
 			continue
 		}
 		e.byCluster = append(e.byCluster, uint64(e.cfg.ClusterOf(pid))<<32|uint64(pid))
-		pr := e.peerRes[pid][:0]
-		e.candScratch = e.queries.appendCandidates(e.candScratch[:0], p)
+		pr, from := e.peerRes[pid][:0], workload.QID(0)
+		if src := (resSource{p, p.Version()}); e.resFrom[pid] == src {
+			pr, from = e.keptResults(pid), workload.QID(e.resCovered)
+		} else {
+			e.resFrom[pid] = src
+		}
+		for _, re := range pr {
+			e.totals[re.qid] += re.res
+			e.rowCap[re.qid]++
+		}
+		e.candScratch = e.queries.appendCandidates(e.candScratch[:0], p, from)
 		slices.Sort(e.candScratch)
 		for _, qid := range e.candScratch {
 			res := p.ResultCount(e.wl.Query(qid))
@@ -352,6 +397,7 @@ func (e *Engine) Rebuild() {
 			e.demandTot[entry.Q] += float64(entry.Count)
 		}
 	}
+	e.resCovered = nq
 	for q := 0; q < nq; q++ {
 		if e.totals[q] > 0 {
 			e.invTot[q] = 1 / e.totals[q]
@@ -462,6 +508,24 @@ func (e *Engine) Rebuild() {
 	e.cfgVersion = e.cfg.MembershipVersion()
 	e.popVersion++
 	e.lineage = nextLineage.Add(1)
+}
+
+// keptResults returns the part of slot pid's result list that Rebuild
+// keeps for an unchanged peer: the entries below resCovered, ascending
+// by QID. Entries past it (a join's discoveries for a query interned
+// after the last Rebuild) are dropped, because the peer is asked about
+// those queries again.
+func (e *Engine) keptResults(pid int) []resEntry {
+	pr := e.peerRes[pid]
+	byQID := func(a, b resEntry) int { return cmp.Compare(a.qid, b.qid) }
+	if !slices.IsSortedFunc(pr, byQID) {
+		slices.SortFunc(pr, byQID)
+	}
+	k := len(pr)
+	for k > 0 && int(pr[k-1].qid) >= e.resCovered {
+		k--
+	}
+	return pr[:k]
 }
 
 // lastCell is cellFor while Rebuild fills the rows in ascending cluster

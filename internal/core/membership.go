@@ -188,6 +188,7 @@ func (e *Engine) addSlot() int {
 	}
 	e.peers = append(e.peers, nil)
 	e.peerRes = append(e.peerRes, nil)
+	e.resFrom = append(e.resFrom, resSource{})
 	e.peerWl = append(e.peerWl, nil)
 	e.peerW = append(e.peerW, 0)
 	e.peerOwnW = append(e.peerOwnW, 0)
@@ -414,7 +415,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	// the remaining demanders' baked-in factors patched. Candidate
 	// queries come from the query index over the joiner's content
 	// attributes, in ascending attribute order for determinism.
-	e.candScratch = e.queries.appendCandidates(e.candScratch[:0], pr)
+	e.candScratch = e.queries.appendCandidates(e.candScratch[:0], pr, 0)
 	prl := e.peerRes[pid][:0]
 	for _, qid := range e.candScratch {
 		if res := pr.ResultCount(e.wl.Query(qid)); res > 0 {
@@ -422,6 +423,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		}
 	}
 	e.peerRes[pid] = prl
+	e.resFrom[pid] = resSource{pr, pr.Version()}
 	for i := range prl {
 		qid := prl[i].qid
 		q := int(qid)
@@ -609,6 +611,7 @@ func (e *Engine) RemovePeer(pid int) {
 		e.peersByAttr[a] = removeInt32(e.peersByAttr[a], int32(pid))
 	}
 	e.peerRes[pid] = e.peerRes[pid][:0]
+	e.resFrom[pid] = resSource{}
 	e.peerWl[pid] = e.peerWl[pid][:0]
 	e.peerW[pid], e.peerOwnW[pid] = 0, 0
 	e.peers[pid] = nil

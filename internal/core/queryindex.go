@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/peer"
 	"repro/internal/workload"
 )
@@ -69,6 +71,16 @@ func (x *queryIndex) reset() {
 	x.n = 0
 }
 
+// clone returns an index equal to x that shares no storage with it.
+func (x *queryIndex) clone() queryIndex {
+	return queryIndex{
+		head:  slices.Clone(x.head),
+		lists: cloneLists(x.lists),
+		empty: slices.Clone(x.empty),
+		n:     x.n,
+	}
+}
+
 // remap renumbers the indexed queries under a compaction's monotone
 // old->new mapping (lists stay ascending), dropping the retired ones.
 // Emptied lists keep their capacity for a re-intern of the same first
@@ -98,16 +110,31 @@ func remapQIDs(lst []workload.QID, remap workload.CompactRemap) []workload.QID {
 	return lst[:k]
 }
 
-// appendCandidates appends to dst every indexed query that can match
-// an item of p, each once: the attribute-less queries, then the
-// queries registered under each of p's attributes in ascending
-// attribute order (ascending QID within one attribute).
-func (x *queryIndex) appendCandidates(dst []workload.QID, p *peer.Peer) []workload.QID {
-	dst = append(dst, x.empty...)
+// appendCandidates appends to dst every indexed query from QID `from`
+// on that can match an item of p, each once: the attribute-less
+// queries, then the queries registered under each of p's attributes in
+// ascending attribute order (ascending QID within one attribute). The
+// lists are ascending, so the queries interned since some earlier call
+// are a suffix of each, usually an empty one.
+func (x *queryIndex) appendCandidates(dst []workload.QID, p *peer.Peer, from workload.QID) []workload.QID {
+	dst = append(dst, qidsFrom(x.empty, from)...)
 	for _, a := range p.Attrs() {
 		if int(a) < len(x.head) && x.head[a] != 0 {
-			dst = append(dst, x.lists[x.head[a]-1]...)
+			dst = append(dst, qidsFrom(x.lists[x.head[a]-1], from)...)
 		}
 	}
 	return dst
+}
+
+// qidsFrom returns the suffix of the ascending list lst that starts at
+// the first QID >= from.
+func qidsFrom(lst []workload.QID, from workload.QID) []workload.QID {
+	if n := len(lst); n == 0 || lst[n-1] < from {
+		return nil
+	}
+	if lst[0] >= from {
+		return lst
+	}
+	i, _ := slices.BinarySearch(lst, from)
+	return lst[i:]
 }

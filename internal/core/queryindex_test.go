@@ -38,9 +38,14 @@ func holderOf(attrs ...attr.ID) *peer.Peer {
 
 func checkQueryIndex(t *testing.T, x *queryIndex, wl *workload.Workload, p *peer.Peer, when string) {
 	t.Helper()
-	got, want := x.appendCandidates(nil, p), queryIndexOracle(wl, p)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: candidates of a peer holding %v are %v, a map built from scratch gives %v", when, p.Attrs(), got, want)
+	all := queryIndexOracle(wl, p)
+	nq := workload.QID(wl.NumQueries())
+	for _, from := range []workload.QID{0, 1, nq / 2, nq - 1, nq} {
+		want := slices.DeleteFunc(slices.Clone(all), func(q workload.QID) bool { return q < from })
+		if got := x.appendCandidates(nil, p, from); !slices.Equal(got, want) {
+			t.Fatalf("%s: candidates from query %d on of a peer holding %v are %v, a map built from scratch gives %v",
+				when, from, p.Attrs(), got, want)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/benchsuite"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/peer"
 	"repro/internal/stats"
@@ -50,5 +54,42 @@ func TestFirstJoinBytesStayLinear(t *testing.T) {
 	small, large := firstJoin(2000), firstJoin(10000)
 	if large > 2*small {
 		t.Errorf("first join allocates %.0f B/peer at 10000 peers, %.0f at 2000: more than linear growth", large, small)
+	}
+}
+
+// TestCloneRunsLikeOriginal pins Engine.Clone end to end: after joins
+// and leaves, the same protocol run on an engine and on its clone
+// yields the same report, round for round, the same final assignment
+// and the same cost bits, for every strategy.
+func TestCloneRunsLikeOriginal(t *testing.T) {
+	p := experiments.DefaultParams().Scaled(4)
+	p.MaxRounds = 40
+	strategies := []func() core.Strategy{
+		func() core.Strategy { return core.NewSelfish() },
+		func() core.Strategy { return core.NewAltruistic() },
+		func() core.Strategy { return core.NewHybrid(0.5) },
+	}
+	for i, strat := range strategies {
+		sys := experiments.Build(p, experiments.Scenario(i%3))
+		rng := stats.NewRNG(uint64(i) + 7)
+		eng := sys.NewEngine(sys.InitialConfig(experiments.InitRandomM, rng))
+		first := sys.JoinPeer(eng, 1, 2, rng)
+		sys.JoinPeer(eng, 0, 0, rng)
+		sys.LeavePeer(eng, 3)
+		sys.LeavePeer(eng, first)
+		sys.JoinPeer(eng, 2, 1, rng)
+
+		clone := eng.Clone()
+		got := sys.NewRunner(clone, strat(), true).Run()
+		want := sys.NewRunner(eng, strat(), true).Run()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run on the clone reports %+v, on the original %+v", strat().Name(), got, want)
+		}
+		if !slices.Equal(clone.Config().Assignment(), eng.Config().Assignment()) {
+			t.Errorf("%s: final assignments differ", strat().Name())
+		}
+		if a, b := clone.SCost(), eng.SCost(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: SCost after the run: clone %v, original %v", strat().Name(), a, b)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -21,13 +20,19 @@ type Fig1Result struct {
 // falls faster in early rounds while the social cost falls roughly
 // linearly.
 func RunFig1(p Params, rounds int) *Fig1Result {
+	return runFig1(Build(p, SameCategory), rounds)
+}
+
+// runFig1 is RunFig1 over a built same-category System, which it leaves
+// unchanged.
+func runFig1(sys *System, rounds int) *Fig1Result {
 	if rounds <= 0 {
 		// The paper's runs converge within ~10 rounds; our random
 		// initial configurations take longer (see EXPERIMENTS.md), so
 		// the default window is wider.
 		rounds = 50
 	}
-	sys := Build(p, SameCategory)
+	p := sys.Params
 	sc := metrics.NewSeries("Fig 1 (left): social cost per round", "round")
 	wc := metrics.NewSeries("Fig 1 (right): workload cost per round", "round")
 	sc.AddColumn("selfish")
@@ -35,21 +40,15 @@ func RunFig1(p Params, rounds int) *Fig1Result {
 	wc.AddColumn("selfish")
 	wc.AddColumn("altruistic")
 
+	// Both strategies start from the same random m = M configuration:
+	// one engine is built over it and each trajectory runs on a Clone.
+	rng := stats.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15)
+	baseEng := sys.NewEngine(sys.InitialConfig(InitRandomM, rng))
 	type traj struct{ s, w []float64 }
-	strategies := []func() core.Strategy{
-		func() core.Strategy { return core.NewSelfish() },
-		func() core.Strategy { return core.NewAltruistic() },
-	}
-	workers := p.workerCount()
-	if workers > 1 {
-		sys.Warm()
-	}
-	trajs := make([]traj, len(strategies))
-	runIndexed(workers, len(strategies), func(i int) {
-		strat := strategies[i]()
-		rng := stats.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15)
-		cfg := sys.InitialConfig(InitRandomM, rng)
-		eng := sys.NewEngine(cfg)
+	trajs := make([]traj, len(paperStrategies))
+	runIndexed(p.workerCount(), len(paperStrategies), func(i int) {
+		strat := paperStrategies[i]()
+		eng := baseEng.Clone()
 		runner := sys.NewRunner(eng, strat, true)
 		runner.BeginPeriod()
 		ss := []float64{eng.SCostNormalized()}

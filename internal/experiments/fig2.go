@@ -6,12 +6,19 @@ import (
 	"repro/internal/stats"
 )
 
-// updateBase builds the one system every cell of the §4.2 experiments
-// forks: the same-category scenario with the total workload assigned
-// uniformly to peers, as §4.2 prescribes.
+// updateBase builds the one system the §4.2 experiments perturb: the
+// same-category scenario with the total workload assigned uniformly to
+// peers, as §4.2 prescribes.
 func updateBase(p Params) *System {
 	p.DemandZipfS = 0
 	return buildBase(p, SameCategory)
+}
+
+// paperStrategies are the two relocation strategies the paper's
+// evaluation compares, in the order its tables and figures list them.
+var paperStrategies = []func() core.Strategy{
+	func() core.Strategy { return core.NewSelfish() },
+	func() core.Strategy { return core.NewAltruistic() },
 }
 
 // updateExperiment factors the shared shape of Figs. 2 and 3: start
@@ -21,11 +28,13 @@ func updateBase(p Params) *System {
 // creation disabled, per the paper), and record the final normalized
 // social cost per strategy.
 //
-// base is the unperturbed system (updateBase); it is only forked, so
-// the panels of a figure share one. apply perturbs a fork: it receives
+// base is the unperturbed system (updateBase) and baseEng an engine
+// over its good configuration (CategoryConfig); neither is changed, so
+// the panels of a figure share them. apply perturbs a fork of base
+// whose peers and workload a clone of baseEng evaluates: it receives
 // the fork, the members of the updated cluster c_cur, the perturbation
 // level x in [0,1], and a deterministic RNG.
-func updateExperiment(base *System, title, xlabel string, levels []float64,
+func updateExperiment(base *System, baseEng *core.Engine, title, xlabel string, levels []float64,
 	apply func(sys *System, members []int, x float64, rng *stats.RNG)) *metrics.Series {
 
 	p := base.Params
@@ -37,34 +46,35 @@ func updateExperiment(base *System, title, xlabel string, levels []float64,
 	// strategy curves is what the protocol recovers.
 	out.AddColumn("no-reform")
 
-	// One independent cell per (level, strategy): each perturbs a
-	// private fork with the level's RNG, so both strategies see the
-	// identical perturbed state and cells parallelize freely.
-	strategies := []func() core.Strategy{
-		func() core.Strategy { return core.NewSelfish() },
-		func() core.Strategy { return core.NewAltruistic() },
-	}
-	type cell struct{ y, noReform float64 }
-	cells := make([]cell, len(levels)*len(strategies))
-	runIndexed(p.workerCount(), len(cells), func(i int) {
-		x := levels[i/len(strategies)]
-		strat := strategies[i%len(strategies)]()
-		sys := base.Fork()
-		cfg := sys.CategoryConfig()
+	// One independent unit of work per level: the level's perturbation
+	// is applied once, with the level's RNG, to a clone of the base
+	// engine, and the Rebuild re-asks only the peers it touched. Every
+	// strategy then starts from that one perturbed state on an engine of
+	// its own: the last on the level's engine, the others on clones.
+	rows := make([][]float64, len(levels))
+	runIndexed(p.workerCount(), len(levels), func(li int) {
+		x := levels[li]
+		eng := baseEng.Clone()
+		sys := base.ForkOnto(eng)
 		// c_cur is the cluster of category 0.
-		members := cfg.Members(0)
+		members := eng.Config().Members(0)
 		rng := stats.NewRNG(p.Seed ^ 0x5bd1e995 ^ uint64(x*1e6))
 		apply(sys, members, x, rng)
-		eng := sys.NewEngine(cfg)
+		eng.Rebuild()
 		noReform := eng.SCostNormalized()
-		runner := sys.NewRunner(eng, strat, false)
-		runner.Run()
-		cells[i] = cell{y: eng.SCostNormalized(), noReform: noReform}
+		ys := make([]float64, 0, len(paperStrategies)+1)
+		for si, strat := range paperStrategies {
+			e := eng
+			if si < len(paperStrategies)-1 {
+				e = eng.Clone()
+			}
+			sys.NewRunner(e, strat(), false).Run()
+			ys = append(ys, e.SCostNormalized())
+		}
+		rows[li] = append(ys, noReform)
 	})
 	for li, x := range levels {
-		sel := cells[li*len(strategies)]
-		alt := cells[li*len(strategies)+1]
-		out.AddPoint(x, sel.y, alt.y, alt.noReform)
+		out.AddPoint(x, rows[li]...)
 	}
 	return out
 }
@@ -90,10 +100,13 @@ type Fig2Result struct {
 
 // RunFig2 reproduces Fig. 2 (workload updates). The new interest of
 // updated peers is category 1, whose data lives in cluster c_new = 1.
-func RunFig2(p Params) *Fig2Result {
+func RunFig2(p Params) *Fig2Result { return runFig2(updateBase(p)) }
+
+// runFig2 is RunFig2 over a built updateBase, which it leaves unchanged.
+func runFig2(base *System) *Fig2Result {
 	const toCat = 1
-	base := updateBase(p)
-	left := updateExperiment(base,
+	baseEng := base.NewEngine(base.CategoryConfig())
+	left := updateExperiment(base, baseEng,
 		"Fig 2 (left): social cost vs percentage of updated peers",
 		"updated-peers",
 		Levels01(),
@@ -103,7 +116,7 @@ func RunFig2(p Params) *Fig2Result {
 				sys.RedirectWorkload(pid, toCat, 1, rng)
 			}
 		})
-	right := updateExperiment(base,
+	right := updateExperiment(base, baseEng,
 		"Fig 2 (right): social cost vs percentage of updated workload",
 		"updated-workload",
 		Levels01(),
@@ -130,10 +143,13 @@ type Fig3Result struct {
 // motive to move (their queries are unchanged and the lost category-0
 // data exists in no other cluster), while altruistic peers follow
 // their new content to the cluster that demands it.
-func RunFig3(p Params) *Fig3Result {
+func RunFig3(p Params) *Fig3Result { return runFig3(updateBase(p)) }
+
+// runFig3 is RunFig3 over a built updateBase, which it leaves unchanged.
+func runFig3(base *System) *Fig3Result {
 	const toCat = 1
-	base := updateBase(p)
-	left := updateExperiment(base,
+	baseEng := base.NewEngine(base.CategoryConfig())
+	left := updateExperiment(base, baseEng,
 		"Fig 3 (left): social cost vs percentage of updated peers",
 		"updated-peers",
 		Levels01(),
@@ -143,7 +159,7 @@ func RunFig3(p Params) *Fig3Result {
 				sys.ReplaceData(pid, toCat, 1, rng)
 			}
 		})
-	right := updateExperiment(base,
+	right := updateExperiment(base, baseEng,
 		"Fig 3 (right): social cost vs percentage of updated data",
 		"updated-data",
 		Levels01(),

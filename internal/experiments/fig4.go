@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -20,58 +21,63 @@ import (
 // a larger workload shift before the move pays off — the peer's cost
 // curve rises with x until the crossover, then drops as the selfish
 // move is taken; the crossover shifts right as α grows.
-func RunFig4(p Params, alphas []float64) *metrics.Series {
+func RunFig4(p Params, alphas []float64) *metrics.Series { return runFig4(updateBase(p), alphas) }
+
+// runFig4 is RunFig4 over a built updateBase, which it leaves unchanged.
+func runFig4(base *System, alphas []float64) *metrics.Series {
 	if len(alphas) == 0 {
 		alphas = []float64{0, 1, 2}
 	}
-	base := updateBase(p)
+	p := base.Params
 	out := metrics.NewSeries("Fig 4: individual cost vs percentage of changing workload", "changed-workload")
 	for _, a := range alphas {
 		out.AddColumn(fmt.Sprintf("alpha=%g", a))
 	}
 
-	// One independent cell per (level, alpha), each perturbing a
-	// private fork of the base; cells run on the Params.Workers pool and
-	// are assembled in a fixed order.
+	// Merge category 2 into category 1's cluster to create the larger
+	// c_new; one engine over that configuration serves every level.
+	assign := base.CategoryConfig().Assignment()
+	for pid, c := range assign {
+		if c == 2 {
+			assign[pid] = 1
+		}
+	}
+	baseEng := base.NewEngine(cluster.FromAssignment(assign))
+	// The subject is the lowest-ID category-0 peer.
+	subject := slices.Index(base.DataCat, 0)
+
+	// One independent unit of work per level: the subject's workload is
+	// redirected once on a clone of the base engine, and every α reads
+	// its point off an engine of its own over that one perturbed state
+	// (α only scales the membership term, so SetAlpha needs no Rebuild).
 	levels := Levels01()
-	ys := make([]float64, len(levels)*len(alphas))
-	runIndexed(p.workerCount(), len(ys), func(i int) {
-		x := levels[i/len(alphas)]
-		a := alphas[i%len(alphas)]
-		sys := base.Fork()
-		// Merge category 2 into category 1's cluster to create the
-		// larger c_new.
-		assign := sys.CategoryConfig().Assignment()
-		for pid, c := range assign {
-			if c == 2 {
-				assign[pid] = 1
-			}
-		}
-		cfg := cluster.FromAssignment(assign)
-		// The subject is the lowest-ID category-0 peer.
-		subject := -1
-		for pid, c := range sys.DataCat {
-			if c == 0 {
-				subject = pid
-				break
-			}
-		}
+	rows := make([][]float64, len(levels))
+	runIndexed(p.workerCount(), len(levels), func(li int) {
+		x := levels[li]
+		eng := baseEng.Clone()
+		sys := base.ForkOnto(eng)
 		rng := stats.NewRNG(p.Seed ^ 0xc2b2ae3d ^ uint64(x*1e6))
 		sys.RedirectWorkload(subject, 1, x, rng)
-		params := sys.Params
-		params.Alpha = a
-		sys.Params = params
-		eng := sys.NewEngine(cfg)
-		// The subject applies the selfish strategy: move to the
-		// cost-minimizing cluster if it beats staying by more than ε.
-		ev := eng.EvaluateMoves(subject)
-		if ev.Gain() > sys.Params.Epsilon {
-			eng.Move(subject, ev.Best)
+		eng.Rebuild()
+		ys := make([]float64, 0, len(alphas))
+		for ai, a := range alphas {
+			e := eng
+			if ai < len(alphas)-1 {
+				e = eng.Clone()
+			}
+			e.SetAlpha(a)
+			// The subject applies the selfish strategy: move to the
+			// cost-minimizing cluster if it beats staying by more than ε.
+			ev := e.EvaluateMoves(subject)
+			if ev.Gain() > p.Epsilon {
+				e.Move(subject, ev.Best)
+			}
+			ys = append(ys, e.PeerCost(subject, e.Config().ClusterOf(subject)))
 		}
-		ys[i] = eng.PeerCost(subject, eng.Config().ClusterOf(subject))
+		rows[li] = ys
 	})
 	for li, x := range levels {
-		out.AddPoint(x, ys[li*len(alphas):(li+1)*len(alphas)]...)
+		out.AddPoint(x, rows[li]...)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -59,35 +60,39 @@ func diffSystems(a, b *System) string {
 }
 
 // perturbations are the operations cells apply to a fork, each
-// returning an engine over the perturbed system.
+// returning an engine over the perturbed system: a new one when eng is
+// nil (the Build and Fork routes), else eng itself, which the caller
+// built over sys before the perturbation (the ForkOnto route).
 var perturbations = []struct {
 	name  string
-	apply func(sys *System, rng *stats.RNG) *core.Engine
+	apply func(sys *System, eng *core.Engine, rng *stats.RNG) *core.Engine
 }{
-	{"RedirectWorkload", func(sys *System, rng *stats.RNG) *core.Engine {
+	{"RedirectWorkload", func(sys *System, eng *core.Engine, rng *stats.RNG) *core.Engine {
 		cfg := sys.CategoryConfig()
 		for _, pid := range cfg.Members(0) {
 			sys.RedirectWorkload(pid, 1, 0.6, rng)
 		}
-		return sys.NewEngine(cfg)
+		return engineAfter(sys, eng, cfg)
 	}},
-	{"ReplaceData", func(sys *System, rng *stats.RNG) *core.Engine {
+	{"ReplaceData", func(sys *System, eng *core.Engine, rng *stats.RNG) *core.Engine {
 		cfg := sys.CategoryConfig()
 		for i, pid := range cfg.Members(0) {
 			sys.ReplaceData(pid, 1, float64(i%3)/2, rng)
 		}
 		sys.RefreshPool(0)
-		return sys.NewEngine(cfg)
+		return engineAfter(sys, eng, cfg)
 	}},
-	{"ReplacePeerIdentity", func(sys *System, rng *stats.RNG) *core.Engine {
+	{"ReplacePeerIdentity", func(sys *System, eng *core.Engine, rng *stats.RNG) *core.Engine {
 		cfg := sys.CategoryConfig()
 		for _, pid := range cfg.Members(0)[:3] {
 			sys.ReplacePeerIdentity(pid, 2, 3, rng)
 		}
-		return sys.NewEngine(cfg)
+		return engineAfter(sys, eng, cfg)
 	}},
-	{"JoinLeavePeer", func(sys *System, rng *stats.RNG) *core.Engine {
-		eng := sys.NewEngine(sys.CategoryConfig())
+	{"JoinLeavePeer", func(sys *System, eng *core.Engine, rng *stats.RNG) *core.Engine {
+		if eng == nil {
+			eng = sys.NewEngine(sys.CategoryConfig())
+		}
 		first := sys.JoinPeer(eng, 1, 1, rng)
 		for i := 0; i < 4; i++ {
 			sys.JoinPeer(eng, i%sys.Params.Categories, 2, rng)
@@ -99,43 +104,77 @@ var perturbations = []struct {
 	}},
 }
 
-// TestForkMatchesBuild pins the fork contract: perturbing a fork is
-// indistinguishable from perturbing a freshly built system, down to the
-// cost bits before and after a protocol run, and leaves the base as
-// Build made it.
+// engineAfter returns the engine that evaluates sys once its content
+// or workload was perturbed: a new one over cfg, the configuration sys
+// had before, or eng, which was built over it then, rebuilt.
+func engineAfter(sys *System, eng *core.Engine, cfg *cluster.Config) *core.Engine {
+	if eng == nil {
+		return sys.NewEngine(cfg)
+	}
+	eng.Rebuild()
+	return eng
+}
+
+// TestForkMatchesBuild pins the two ways a cell gets a private system:
+// perturbing a Fork, and perturbing a ForkOnto of a Clone of the base's
+// engine and rebuilding it, are each indistinguishable from perturbing
+// a freshly built system and building an engine over it, down to the
+// cost bits before and after a protocol run, and both leave the base,
+// and the base engine, as they were.
 func TestForkMatchesBuild(t *testing.T) {
 	p := fastParams()
 	p.MaxRounds = 40
 	base := buildBase(p, SameCategory)
+	baseEng := base.NewEngine(base.CategoryConfig())
+	baseBits := [2]uint64{math.Float64bits(baseEng.SCost()), math.Float64bits(baseEng.WCost())}
+	routes := []struct {
+		name string
+		open func() (*System, *core.Engine)
+	}{
+		{"fork", func() (*System, *core.Engine) { return base.Fork(), nil }},
+		{"clone", func() (*System, *core.Engine) { eng := baseEng.Clone(); return base.ForkOnto(eng), eng }},
+	}
 	for _, pert := range perturbations {
 		t.Run(pert.name, func(t *testing.T) {
-			fork, fresh := base.Fork(), Build(p, SameCategory)
-			if d := diffSystems(fork, fresh); d != "" {
-				t.Fatalf("unperturbed fork vs fresh build: %s", d)
-			}
-			const seed = 0x9e3779b97f4a7c15
-			engFork := pert.apply(fork, stats.NewRNG(seed))
-			engFresh := pert.apply(fresh, stats.NewRNG(seed))
-			if d := diffSystems(fork, fresh); d != "" {
-				t.Fatalf("perturbed fork vs perturbed build: %s", d)
-			}
-			if a, b := engFork.SCost(), engFresh.SCost(); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("SCost after the perturbation: fork %v, build %v", a, b)
-			}
-			rptFork := fork.NewRunner(engFork, core.NewSelfish(), true).Run()
-			rptFresh := fresh.NewRunner(engFresh, core.NewSelfish(), true).Run()
-			if rptFork.RoundsRun != rptFresh.RoundsRun || rptFork.Messages != rptFresh.Messages {
-				t.Errorf("protocol run: fork %d rounds %d messages, build %d rounds %d messages",
-					rptFork.RoundsRun, rptFork.Messages, rptFresh.RoundsRun, rptFresh.Messages)
-			}
-			if a, b := engFork.SCost(), engFresh.SCost(); math.Float64bits(a) != math.Float64bits(b) {
-				t.Errorf("SCost after the run: fork %v, build %v", a, b)
-			}
-			if !slices.Equal(engFork.Config().Assignment(), engFresh.Config().Assignment()) {
-				t.Error("final assignments differ")
-			}
-			if d := diffSystems(base, Build(p, SameCategory)); d != "" {
-				t.Errorf("base after its fork was perturbed vs fresh build: %s", d)
+			for _, route := range routes {
+				t.Run(route.name, func(t *testing.T) {
+					sys, eng := route.open()
+					fresh := Build(p, SameCategory)
+					if d := diffSystems(sys, fresh); d != "" {
+						t.Fatalf("unperturbed %s vs fresh build: %s", route.name, d)
+					}
+					const seed = 0x9e3779b97f4a7c15
+					engSys := pert.apply(sys, eng, stats.NewRNG(seed))
+					engFresh := pert.apply(fresh, nil, stats.NewRNG(seed))
+					if d := diffSystems(sys, fresh); d != "" {
+						t.Fatalf("perturbed %s vs perturbed build: %s", route.name, d)
+					}
+					if a, b := engSys.SCost(), engFresh.SCost(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("SCost after the perturbation: %s %v, build %v", route.name, a, b)
+					}
+					rptSys := sys.NewRunner(engSys, core.NewSelfish(), true).Run()
+					rptFresh := fresh.NewRunner(engFresh, core.NewSelfish(), true).Run()
+					if rptSys.RoundsRun != rptFresh.RoundsRun || rptSys.Messages != rptFresh.Messages {
+						t.Errorf("protocol run: %s %d rounds %d messages, build %d rounds %d messages",
+							route.name, rptSys.RoundsRun, rptSys.Messages, rptFresh.RoundsRun, rptFresh.Messages)
+					}
+					if a, b := engSys.SCost(), engFresh.SCost(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Errorf("SCost after the run: %s %v, build %v", route.name, a, b)
+					}
+					if !slices.Equal(engSys.Config().Assignment(), engFresh.Config().Assignment()) {
+						t.Error("final assignments differ")
+					}
+					pristine := Build(p, SameCategory)
+					if d := diffSystems(base, pristine); d != "" {
+						t.Errorf("base after its %s was perturbed vs fresh build: %s", route.name, d)
+					}
+					got := [2]uint64{math.Float64bits(baseEng.SCost()), math.Float64bits(baseEng.WCost())}
+					if got != baseBits || baseEng.Stale() ||
+						!slices.Equal(baseEng.Config().Assignment(), pristine.CategoryConfig().Assignment()) {
+						t.Errorf("base engine changed under its %s: cost bits %x (were %x), stale %v",
+							route.name, got, baseBits, baseEng.Stale())
+					}
+				})
 			}
 		})
 	}
@@ -156,7 +195,7 @@ func TestForksIsolatedConcurrently(t *testing.T) {
 		rng := stats.NewRNG(uint64(g) + 1)
 		var eng *core.Engine
 		for k := 0; k <= g%len(perturbations); k++ {
-			eng = perturbations[k].apply(sys, rng)
+			eng = perturbations[k].apply(sys, nil, rng)
 		}
 		sys.NewRunner(eng, core.NewAltruistic(), false).Run()
 		return math.Float64bits(eng.SCost())
@@ -180,5 +219,49 @@ func TestForksIsolatedConcurrently(t *testing.T) {
 	}
 	if d := diffSystems(base, Build(p, SameCategory)); d != "" {
 		t.Errorf("base after concurrent forks vs fresh build: %s", d)
+	}
+}
+
+// TestWarmMakesReadsRaceFree builds engines on eight goroutines over
+// one warmed System, first with the single-term workload Build makes,
+// where a peer's only lazy write is building its index, then with
+// multi-term queries added, whose counts a peer memoises as it answers
+// them. Every engine must cost what one built alone does; under -race
+// the test fails if Warm leaves an index unbuilt or a multi-term count
+// unmemoised.
+func TestWarmMakesReadsRaceFree(t *testing.T) {
+	p := fastParams()
+	p.Workers = 4
+	for _, multiTerm := range []bool{false, true} {
+		sys := Build(p, SameCategory)
+		if multiTerm {
+			for i, pr := range sys.Peers {
+				for _, it := range pr.Items()[:2] {
+					sys.WL.Add(i, attr.NewSet(it.IDs()[:2+i%2]...), 1+i%3)
+				}
+			}
+		}
+		sys.Warm()
+
+		build := func(g int) uint64 {
+			eng := sys.NewEngine(sys.InitialConfig(InitKind(g%4), stats.NewRNG(uint64(g/4))))
+			return math.Float64bits(eng.SCost())
+		}
+		const goroutines = 8
+		got := make([]uint64, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = build(g)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if want := build(g); got[g] != want {
+				t.Errorf("multi-term %v, engine %d: SCost bits %x beside other builds, %x alone", multiTerm, g, got[g], want)
+			}
+		}
 	}
 }

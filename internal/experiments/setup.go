@@ -14,17 +14,29 @@
 // a fixed cell order, so the output is byte-identical for every worker
 // count, including the serial Workers=1 path.
 //
-// Cells that share a built System only read it; System.Warm
-// precomputes the lazily built peer query indexes up front so those
-// reads are race-free. Cells that perturb peer content, workloads or
-// membership (the §4.2 update experiments, the flash crowd, the probe
-// budget sweep, the baseline comparison) all start from the same
-// system, so their driver builds and warms it once and every cell
-// perturbs a System.Fork of it: the fork owns the workload, category
-// bookkeeping, pools and peer item lists, and shares the corpus
-// generator and the peer indexes nobody changed. Only drivers whose
-// Params differ per cell (the ablations), or whose cells grow the
-// shared vocabulary (RunLongHaul), still Build inside the cell.
+// Cells that share a built System only read it; System.Warm freezes
+// the lazily built peer query indexes up front so those reads are
+// race-free.
+//
+// # What a cell costs
+//
+// A cell pays for what it perturbs, not for the system it starts from.
+// The paper's own drivers (Table 1, Figs 1-4; RunPaper runs all five
+// over shared systems) build each distinct starting engine once and
+// run every cell on a core.Engine.Clone of it. The §4.2 update
+// experiments go further: a perturbation level clones the figure's one
+// base engine, perturbs a System.ForkOnto of the clone, and calls
+// Rebuild, which re-asks only the peers the perturbation touched; the
+// level's strategies (Fig 4: its α values) then run on clones of that
+// one perturbed engine. Cells that change membership before an engine
+// exists, or build several engines over one perturbed system (the
+// churn and flash-crowd drivers, the probe budget sweep, the baseline
+// comparison), perturb a System.Fork of one built and warmed system:
+// the fork owns the workload, category bookkeeping, pools and peer
+// item lists, and shares the corpus generator and the peer indexes
+// nobody changed. Only drivers whose Params differ per cell (the
+// ablations), or whose cells grow the shared vocabulary (RunLongHaul),
+// still Build inside the cell.
 package experiments
 
 import (
@@ -468,19 +480,33 @@ func (s *System) CategoryConfig() *cluster.Config {
 	return cluster.FromAssignment(assign)
 }
 
-// Warm precomputes every peer's query-answering structures (posting
-// lists and result-count caches) for the current workload. Peers build
-// these lazily on first use, which is a data race when several
-// goroutines construct engines over a shared System; drivers that fan
-// cells out over shared systems call Warm once beforehand, after which
-// concurrent engine builds only read. Warm does not change any result.
+// Warm makes concurrent reads of the system's peers race-free. A peer
+// builds its inverted index on its first query and memoises the result
+// counts of multi-term queries as they are asked, both of which are
+// writes; drivers that build engines on several goroutines over one
+// System call Warm once beforehand, after which those builds only
+// read. It freezes every peer and asks each the workload's multi-term
+// queries; a single-term query (every query the paper's workloads
+// hold) is a lookup in the frozen index that memoises nothing. Peers
+// are independent, so they are spread over the Params.Workers pool.
+// Warm does not change any result.
 func (s *System) Warm() {
-	nq := s.WL.NumQueries()
-	for _, pr := range s.Peers {
-		for q := 0; q < nq; q++ {
-			pr.ResultCount(s.WL.Query(workload.QID(q)))
+	var multi []attr.Set
+	for q := 0; q < s.WL.NumQueries(); q++ {
+		if query := s.WL.Query(workload.QID(q)); query.Len() > 1 {
+			multi = append(multi, query)
 		}
 	}
+	runIndexed(s.Params.workerCount(), len(s.Peers), func(i int) {
+		pr := s.Peers[i]
+		if pr == nil {
+			return
+		}
+		pr.Freeze()
+		for _, query := range multi {
+			pr.ResultCount(query)
+		}
+	})
 }
 
 // Fork returns a System equal to s that a cell may perturb without
@@ -494,20 +520,41 @@ func (s *System) Warm() {
 // corpus generator, whose DocumentRNG only looks terms up. Fork only
 // reads s, so cells may fork one base concurrently.
 //
+// Fork is for the drivers that change membership before they build an
+// engine, or build several over one perturbed system (churn, flash
+// crowd, probe budget, baseline comparison). A driver whose cells
+// perturb content or workloads under a fixed membership (Figs 2-4)
+// builds one engine and perturbs a ForkOnto of a Clone of it.
+//
 // The one operation a fork must not run is JoinPeerNovel: it interns
 // new words into the generator's vocabulary, which every fork shares.
 // RunLongHaul therefore keeps building a System per cell.
 func (s *System) Fork() *System {
-	f := *s
-	f.WL = s.WL.Clone()
-	f.DataCat = slices.Clone(s.DataCat)
-	f.QueryCat = slices.Clone(s.QueryCat)
-	f.Peers = make([]*peer.Peer, len(s.Peers))
+	peers := make([]*peer.Peer, len(s.Peers))
 	for i, pr := range s.Peers {
 		if pr != nil {
-			f.Peers[i] = pr.Clone()
+			peers[i] = pr.Clone()
 		}
 	}
+	return s.forkOver(peers, s.WL.Clone())
+}
+
+// ForkOnto returns a fork of s over eng's peers and workload, where eng
+// is a Clone of an engine built over s: perturbing the fork perturbs
+// what eng evaluates, and eng.Rebuild() then re-asks only the peers the
+// perturbation changed, where a new engine over a Fork asks them all.
+// Like Fork it leaves s as it was.
+func (s *System) ForkOnto(eng *core.Engine) *System {
+	return s.forkOver(eng.Peers(), eng.Workload())
+}
+
+// forkOver is a fork of s that adopts the given copies of its peers and
+// workload and owns copies of the rest (see Fork).
+func (s *System) forkOver(peers []*peer.Peer, wl *workload.Workload) *System {
+	f := *s
+	f.Peers, f.WL = peers, wl
+	f.DataCat = slices.Clone(s.DataCat)
+	f.QueryCat = slices.Clone(s.QueryCat)
 	f.pools = make([][]attr.ID, len(s.pools))
 	for c, pool := range s.pools {
 		f.pools[c] = slices.Clip(pool)

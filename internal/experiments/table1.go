@@ -30,47 +30,54 @@ type Table1Result struct {
 	Cells []Table1Cell
 }
 
+// table1Scenarios and table1Inits span Table 1's rows, in row order.
+var (
+	table1Scenarios = []Scenario{SameCategory, DifferentCategory, Uniform}
+	table1Inits     = []InitKind{InitSingletons, InitRandomM, InitFewer, InitMore}
+)
+
 // RunTable1 reproduces Table 1: fixed query workload and content, three
 // data/query scenarios, four initial configurations, selfish and
 // altruistic relocation, reporting rounds to equilibrium, final cluster
 // count and both normalized cost measures.
 //
-// The 24 cells are independent — each derives its initial
-// configuration from (seed, scenario, init) alone and runs its own
-// engine over a shared, read-only System — so they execute on the
-// Params.Workers pool. The cell order of the result is fixed and
-// identical for every worker count.
+// The 12 (scenario, init) starting engines are built in one pass over
+// the Params.Workers pool, each over its scenario's shared, read-only
+// System. The 24 cells are independent — each runs its strategy on a
+// Clone of its row's engine — so they execute on the same pool. The
+// cell order of the result is fixed and identical for every worker
+// count.
 func RunTable1(p Params) *Table1Result {
-	scenarios := []Scenario{SameCategory, DifferentCategory, Uniform}
-	inits := []InitKind{InitSingletons, InitRandomM, InitFewer, InitMore}
-	strategies := []func() core.Strategy{
-		func() core.Strategy { return core.NewSelfish() },
-		func() core.Strategy { return core.NewAltruistic() },
-	}
+	return runTable1(p, buildSystems(p, table1Scenarios, p.workerCount()))
+}
+
+// runTable1 is RunTable1 over one built System per scenario of
+// table1Scenarios (warmed when p has more than one worker), which it
+// leaves unchanged.
+func runTable1(p Params, systems []*System) *Table1Result {
 	workers := p.workerCount()
-
-	// One System per scenario, shared read-only by its 8 cells; warm
-	// the lazy peer indexes before fanning out concurrent engine builds.
-	systems := buildSystems(p, scenarios, workers)
-
-	perScenario := len(inits) * len(strategies)
-	cells := make([]Table1Cell, len(scenarios)*perScenario)
-	runIndexed(workers, len(cells), func(i int) {
-		sc := scenarios[i/perScenario]
-		init := inits[(i%perScenario)/len(strategies)]
-		strat := strategies[i%len(strategies)]()
-		sys := systems[i/perScenario]
+	engines := make([]*core.Engine, len(table1Scenarios)*len(table1Inits))
+	runIndexed(workers, len(engines), func(i int) {
+		sc := table1Scenarios[i/len(table1Inits)]
+		init := table1Inits[i%len(table1Inits)]
+		sys := systems[i/len(table1Inits)]
 		// The initial configuration must be identical across
 		// strategies: derive its RNG from (seed, scenario, init) only.
 		rng := stats.NewRNG(p.Seed ^ uint64(sc)<<8 ^ uint64(init)<<16 ^ 0x517cc1b727220a95)
-		cfg := sys.InitialConfig(init, rng)
-		eng := sys.NewEngine(cfg)
-		runner := sys.NewRunner(eng, strat, true)
-		rpt := runner.Run()
+		engines[i] = sys.NewEngine(sys.InitialConfig(init, rng))
+	})
+
+	cells := make([]Table1Cell, len(engines)*len(paperStrategies))
+	runIndexed(workers, len(cells), func(i int) {
+		row := i / len(paperStrategies)
+		strat := paperStrategies[i%len(paperStrategies)]()
+		sys := systems[row/len(table1Inits)]
+		eng := engines[row].Clone()
+		rpt := sys.NewRunner(eng, strat, true).Run()
 		nash, _ := eng.IsNash(p.Epsilon)
 		cells[i] = Table1Cell{
-			Scenario:  sc,
-			Init:      init,
+			Scenario:  table1Scenarios[row/len(table1Inits)],
+			Init:      table1Inits[row%len(table1Inits)],
 			Strategy:  strat.Name(),
 			Converged: rpt.Converged,
 			Rounds:    rpt.EffectiveRounds(),
@@ -108,8 +115,8 @@ func (r *Table1Result) Table() *metrics.Table {
 		}
 		return metrics.I(c.Rounds)
 	}
-	for _, sc := range []Scenario{SameCategory, DifferentCategory, Uniform} {
-		for _, init := range []InitKind{InitSingletons, InitRandomM, InitFewer, InitMore} {
+	for _, sc := range table1Scenarios {
+		for _, init := range table1Inits {
 			cells := byKey[[2]int{int(sc), int(init)}]
 			s, a := cells["selfish"], cells["altruistic"]
 			t.AddRow(

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/attr"
@@ -200,12 +201,14 @@ func (w *Workload) ReplacePeer(p int, queries []attr.Set, counts []int) {
 }
 
 // Clone deep-copies the workload; used by experiments that perturb a
-// shared baseline.
+// shared baseline. The per-peer entry lists are cut from one
+// allocation, each clipped to its length, so a list the copy grows
+// moves out instead of writing into its neighbour.
 func (w *Workload) Clone() *Workload {
 	cp := &Workload{
 		numPeers:    w.numPeers,
 		queries:     append([]attr.Set(nil), w.queries...),
-		keys:        make(map[string]QID, len(w.keys)),
+		keys:        maps.Clone(w.keys),
 		global:      append([]int(nil), w.global...),
 		perPeer:     make([][]Entry, len(w.perPeer)),
 		peerTot:     append([]int(nil), w.peerTot...),
@@ -215,11 +218,17 @@ func (w *Workload) Clone() *Workload {
 		lastUse:     append([]int64(nil), w.lastUse...),
 		compactions: w.compactions,
 	}
-	for k, v := range w.keys {
-		cp.keys[k] = v
+	entries := 0
+	for _, es := range w.perPeer {
+		entries += len(es)
 	}
+	arena := make([]Entry, 0, entries)
 	for i, es := range w.perPeer {
-		cp.perPeer[i] = append([]Entry(nil), es...)
+		if len(es) > 0 {
+			start := len(arena)
+			arena = append(arena, es...)
+			cp.perPeer[i] = arena[start:len(arena):len(arena)]
+		}
 	}
 	return cp
 }
