@@ -95,7 +95,7 @@ var gatedBenchmarks = []string{
 	"CompactCycle", "QueryServe", "QueryServeHot", "QueryServeZipf", "QueryServeParallel",
 	"RouteRarest", "RouterServe", "BuildViewAfterJoin", "RouterApplyJoinDelta",
 	"ProtocolRound", "ProtocolRoundParallel", "ReformStep",
-	"ProtocolRoundLarge", "ProtocolRoundLargeExact", "ReformStepLarge",
+	"ProtocolRoundLarge", "ReformStepLarge",
 	"RebuildLarge", "FirstJoinAfterRestore", "DecideRoundSingletons",
 	"CorpusDocument", "EngineClone", "UpdateLevel",
 }
@@ -477,25 +477,19 @@ func runBenchCommand(args []string) {
 	// few clusters' aggregates while the rest of the population stays
 	// clean. Newcomer materials are pre-generated outside the timed
 	// loop so the corpus generator's cost doesn't drown the phase-1
-	// signal. ProtocolRoundLarge runs the pruned phase-1 scan the
-	// protocol uses by default; ProtocolRoundLargeExact drives the
-	// identical churn schedule through Options.ExactDecide — their
-	// ratio is the dirty-tracking + shortlist win. ReformStepLarge pins
-	// the quiescent stepped period (and its 0-alloc contract) at scale.
-	buildLarge := func(exact bool) (*experiments.System, *core.Engine, *protocol.Runner) {
-		sys := experiments.Build(lp, experiments.SameCategory)
-		eng := sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, stats.NewRNG(4)))
-		runner := protocol.NewRunner(eng, core.NewSelfish(), protocol.Options{
-			Epsilon:          lp.Epsilon,
-			MaxRounds:        lp.MaxRounds,
-			AllowNewClusters: true,
-			ExactDecide:      exact,
-		})
-		if rpt := runner.Run(); !rpt.Converged {
-			fmt.Fprintf(os.Stderr, "bench: %d-peer system did not converge (exact=%v)\n", lp.Peers, exact)
-			os.Exit(1)
-		}
-		return sys, eng, runner
+	// signal. ProtocolRoundLarge times one round after such a churn;
+	// ReformStepLarge pins the quiescent stepped period (and its 0-alloc
+	// contract) at scale.
+	lsys := experiments.Build(lp, experiments.SameCategory)
+	leng := lsys.NewEngine(lsys.InitialConfig(experiments.InitSingletons, stats.NewRNG(4)))
+	lrunner := protocol.NewRunner(leng, core.NewSelfish(), protocol.Options{
+		Epsilon:          lp.Epsilon,
+		MaxRounds:        lp.MaxRounds,
+		AllowNewClusters: true,
+	})
+	if rpt := lrunner.Run(); !rpt.Converged {
+		fmt.Fprintf(os.Stderr, "bench: %d-peer system did not converge\n", lp.Peers)
+		os.Exit(1)
 	}
 	liveSlots := func(eng *core.Engine) []int {
 		live := make([]int, 0, lp.Peers)
@@ -572,11 +566,8 @@ func runBenchCommand(args []string) {
 			}
 		}
 	}
-	lsys, leng, lrunner := buildLarge(false)
 	recordSized("ProtocolRoundLarge", lp.Peers, 1, largeRound(lsys, leng, lrunner))
-	xsys, xeng, xrunner := buildLarge(true)
-	recordSized("ProtocolRoundLargeExact", lp.Peers, 1, largeRound(xsys, xeng, xrunner))
-	// Re-converge the pruned large system after its churn, then step
+	// Re-converge the large system after its churn, then step
 	// quiescent periods — the daemon's steady-state maintenance tick at
 	// scale.
 	if rpt := lrunner.Run(); !rpt.Converged {

@@ -466,12 +466,7 @@ func runLoadtestCommand(args []string) {
 		if *maintain > 0 {
 			if mt, ok := st["maintenance"].(map[string]any); ok {
 				scanned, _ := mt["scanned"].(float64)
-				skipped, _ := mt["skipped_clean"].(float64)
-				hits, _ := mt["shortlist_hits"].(float64)
-				falls, _ := mt["fallbacks"].(float64)
-				full, _ := mt["full_scans"].(float64)
-				fmt.Printf("  decide scan %.0f evaluated: %.0f skipped-clean, %.0f shortlist, %.0f fallback, %.0f full\n",
-					scanned, skipped, hits, falls, full)
+				fmt.Printf("  decide scan %.0f peers evaluated\n", scanned)
 			}
 		}
 	}

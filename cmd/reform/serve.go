@@ -52,7 +52,6 @@ func runServeCommand(args []string) {
 	reformEvery := fs.Duration("reform", 30*time.Second, "maintenance period length (0 disables the ticker)")
 	stepBudget := fs.Int("step-budget", 0, "work units (cluster scans + grants) per maintenance step while holding the mutation lock (0: default 32; negative: whole periods under one hold)")
 	reformWorkers := fs.Int("reform-workers", 0, "phase-1 decide worker pool per maintenance step (0: one per CPU, 1: serial; outcomes are identical for every value)")
-	exactDecide := fs.Bool("exact-decide", false, "force the exhaustive phase-1 scan instead of the pruned (dirty-tracking + shortlist) default; decisions are bit-identical either way")
 	snapshot := fs.String("snapshot", "", "snapshot file; loaded at startup when present, written periodically and on shutdown")
 	snapshotEvery := fs.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval (needs -snapshot)")
 	compactEvery := fs.Duration("compact-every", time.Minute, "workload-compaction check interval (0: only after maintenance periods and via POST /compact)")
@@ -80,7 +79,6 @@ func runServeCommand(args []string) {
 		ReformEvery:       *reformEvery,
 		StepBudget:        *stepBudget,
 		ReformWorkers:     *reformWorkers,
-		ExactDecide:       *exactDecide,
 		SnapshotPath:      *snapshot,
 		SnapshotEvery:     *snapshotEvery,
 		CompactEvery:      *compactEvery,

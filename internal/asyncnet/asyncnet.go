@@ -21,13 +21,13 @@
 //     protocol logic under the race detector with true concurrency.
 //
 // The decide work reuses core.Evaluator: each representative owns a
-// private (unpruned) evaluator and scans its members under the world's
-// read lock, so concurrent scans in real time are race-free. Grants
-// are applied by the world exactly as protocol.Runner's phase 2 does;
-// each representative decides its own request's fate by simulating the
-// grant phase over its collected view (see rep.go), which is what
-// makes the runtime decentralized in the common case while staying
-// oracle-exact when no messages are lost.
+// private evaluator and scans its members under the world's read lock,
+// so concurrent scans in real time are race-free. Grants are applied by
+// the world exactly as protocol.Runner's phase 2 does; each
+// representative decides its own request's fate by simulating the grant
+// phase over its collected view (see rep.go), which is what makes the
+// runtime decentralized in the common case while staying oracle-exact
+// when no messages are lost.
 package asyncnet
 
 import (

@@ -11,9 +11,9 @@ import (
 
 // world guards the shared cost engine. It is deliberately not an
 // actor: representatives take the read lock for their phase-1 decide
-// scans (evaluators over a frozen engine are concurrent-read safe when
-// unpruned, once PrepareDecide has run after the last mutation — both
-// writers below end with it), and the coordinator takes the write lock
+// scans (evaluators over a frozen engine are concurrent-read safe once
+// PrepareDecide has run after the last mutation — both writers below
+// end with it), and the coordinator takes the write lock
 // to apply a round's granted moves. The grant service replicates
 // protocol.Runner's phase 2 exactly — same sort order, same staleness
 // checks, same cycle-avoiding lock rule, same empty-slot resolution —

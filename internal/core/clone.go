@@ -17,10 +17,9 @@ import (
 // only the edited peers.
 //
 // What is not carried over is what costs nothing to lose: scratch
-// starts empty, the pruning caches start cold (pruned decisions equal
-// exhaustive ones), the content indexes are left to the first join,
-// leave or publish, as after a Rebuild, and the clone starts a lineage
-// of its own, so its views are not diffed against e's.
+// starts empty, the content indexes are left to the first join, leave
+// or publish, as after a Rebuild, and the clone starts a lineage of its
+// own, so its views are not diffed against e's.
 //
 // Clone only reads e: any number of goroutines may clone one engine
 // that nobody is mutating. A clone costs a fraction of core.New over
@@ -94,7 +93,6 @@ func (e *Engine) Clone() *Engine {
 		copy(c.rows[q], row)
 		off += cap(row)
 	}
-	c.initPruneState()
 	c.syncClusters()
 	return c
 }

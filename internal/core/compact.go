@@ -167,12 +167,4 @@ func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
 		e.demanders = growRowSlices(slideRows(e.demanders, remap), newNq)
 	}
 	e.nq = newNq
-
-	// Pruning caches key validity by QID-indexed row stamps; the remap
-	// renumbered every row, so invalidate everything at once. The
-	// cleared stamps are sound: any cache recorded after this bump-all
-	// carries a clock >= every future row stamp until the row is
-	// actually mutated again.
-	e.rowVersion = padMarks(e.rowVersion[:0], newNq)
-	e.bumpAll()
 }

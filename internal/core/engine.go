@@ -31,7 +31,7 @@
 //     cell by cell, then picks the best cluster off one ascending
 //     non-empty cluster list that is recomputed once per membership
 //     version (syncClusters), not once per scan. Point reads
-//     (PeerCost, the shortlist probes) binary-search the row.
+//     (PeerCost) binary-search the row.
 //   - Rebuild visits what is non-zero: the query index names the
 //     queries a peer's attributes can answer, and the rows are filled
 //     and summed over the supported cells only. The dense peers x
@@ -197,24 +197,12 @@ type Engine struct {
 	demanders   [][]int32
 	queries     queryIndex
 
-	// Pruned-Decide state (see prune.go): a global mutation clock,
-	// per-cluster and per-query-row last-change stamps, a bump-all
-	// epoch for wholesale rewrites, the per-peer shortlist/decision
-	// caches.
-	aggClock   uint64
-	aggVersion []uint64
-	rowVersion []uint64
-	pruneEpoch uint64
-	prune      []peerPrune
-
-	// nonEmpty is the ascending non-empty cluster list every scan reads,
-	// joinTerm[i] the membership term a newcomer to nonEmpty[i] would pay
-	// (membership(size+1), the same for every scanning peer) and minSize
-	// the smallest size on the list (the shortlist's admissible outside
-	// bound), all as of membership version clustersVer; see syncClusters.
+	// nonEmpty is the ascending non-empty cluster list every scan reads
+	// and joinTerm[i] the membership term a newcomer to nonEmpty[i] would
+	// pay (membership(size+1), the same for every scanning peer), both as
+	// of membership version clustersVer; see syncClusters.
 	nonEmpty    []cluster.CID
 	joinTerm    []float64
-	minSize     int
 	clustersVer int
 
 	wlVersion     int
@@ -501,8 +489,6 @@ func (e *Engine) Rebuild() {
 		e.rowRecallTerms(workload.QID(q), e.invTot[q], 1)
 	}
 
-	e.initPruneState()
-
 	e.wlVersion = e.wl.Version()
 	e.wlCompactions = e.wl.Compactions()
 	e.cfgVersion = e.cfg.MembershipVersion()
@@ -589,20 +575,6 @@ func (e *Engine) Move(p int, to cluster.CID) cluster.CID {
 
 	pw := e.peerWl[p]
 	pr := e.peerRes[p]
-
-	// Dirty-tracking: both endpoint clusters change (size plus their
-	// aggregate columns), and exactly the rows of p's demand and
-	// results change.
-	e.aggClock++
-	clk := e.aggClock
-	e.aggVersion[from] = clk
-	e.aggVersion[to] = clk
-	for i := range pw {
-		e.rowVersion[pw[i].qid] = clk
-	}
-	for i := range pr {
-		e.rowVersion[pr[i].qid] = clk
-	}
 
 	// The recall sums change exactly at the (q, from/to) cells touched
 	// by p's demand (peerWl) or p's results (peerRes). Locate them once
@@ -700,9 +672,8 @@ func (e *Engine) SetAlpha(a float64) {
 		panic("core: negative alpha")
 	}
 	e.alpha = a
-	// Every membership term changes; invalidate all pruning caches and
-	// the join terms syncClusters keeps.
-	e.bumpAll()
+	// Every membership term changes, the join terms syncClusters keeps
+	// among them.
 	e.clustersVer = -1
 }
 
@@ -740,32 +711,36 @@ func (e *Engine) membership(size int) float64 {
 // Rebuild — it is invariant under relocations.
 func (e *Engine) ownRecall(p int) float64 { return e.peerOwnW[p] }
 
-// syncClusters recomputes the ascending non-empty cluster list, each
-// listed cluster's join term and the minimum non-empty cluster size, in
-// one walk of the cluster slots, when the membership version moved
-// since the last walk (any change of a size or of the live count moves
-// it; SetAlpha forces the walk). The join term is the expression a scan
-// used to evaluate per cluster, membership(size+1), so costs keep their
-// bits. During a frozen concurrent scan the version cannot move, so
-// after PrepareDecide the refresh never runs concurrently and all three
-// are pure reads.
+// syncClusters recomputes the ascending non-empty cluster list and each
+// listed cluster's join term, in one walk of the cluster slots, when the
+// membership version moved since the last walk (any change of a size or
+// of the live count moves it; SetAlpha forces the walk). The join term
+// is the expression a scan used to evaluate per cluster,
+// membership(size+1), so costs keep their bits. During a frozen
+// concurrent scan the version cannot move, so after PrepareDecide the
+// refresh never runs concurrently and both are pure reads.
 func (e *Engine) syncClusters() {
 	v := e.cfg.MembershipVersion()
 	if e.clustersVer == v {
 		return
 	}
-	ne, jt, min := e.nonEmpty[:0], e.joinTerm[:0], 0
+	ne, jt := e.nonEmpty[:0], e.joinTerm[:0]
 	for c := 0; c < e.cmax; c++ {
 		if s := e.cfg.Size(cluster.CID(c)); s > 0 {
 			ne = append(ne, cluster.CID(c))
 			jt = append(jt, e.membership(s+1))
-			if min == 0 || s < min {
-				min = s
-			}
 		}
 	}
-	e.nonEmpty, e.joinTerm, e.minSize, e.clustersVer = ne, jt, min, v
+	e.nonEmpty, e.joinTerm, e.clustersVer = ne, jt, v
 }
+
+// PrepareDecide refreshes the per-membership-version state concurrent
+// scans read: the ascending non-empty cluster list and its join terms.
+// Whoever fans evaluators over goroutines calls it after the last
+// mutation and before the scan (the protocol Runner does); serial
+// callers may rely on the lazy refresh inside the evaluation paths
+// instead.
+func (e *Engine) PrepareDecide() { e.syncClusters() }
 
 // nonEmptyClusters returns the non-empty clusters in ascending order.
 // The slice is engine-owned and shared by every evaluator: read-only,

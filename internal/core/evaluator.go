@@ -24,16 +24,6 @@ type Evaluator struct {
 	// own is QID-indexed, acc CID-indexed; both zero outside calls.
 	own []float64
 	acc []float64
-	// pruned routes EvaluateMoves/EvaluateContribution and the
-	// strategies' decision caching through the shortlist machinery of
-	// prune.go (byte-identical to the exhaustive path). Off by
-	// default; the protocol Runner enables it per worker evaluator.
-	pruned bool
-	// stats counts evaluation outcomes; demAux carries the altruistic
-	// outside bound from the last contribution scan to the decision
-	// cache.
-	stats  ScanStats
-	demAux float64
 }
 
 // NewEvaluator returns a fresh evaluator over the engine. The zero
@@ -76,61 +66,16 @@ func (ev *Evaluator) ensure() {
 // having refreshed it after the last mutation.
 func (ev *Evaluator) NonEmpty() []cluster.CID { return ev.e.nonEmptyClusters() }
 
-// SetPruned enables (or disables) shortlist pruning and decision
-// caching for this evaluator. Pruned evaluations are byte-identical
-// to exhaustive ones.
-func (ev *Evaluator) SetPruned(on bool) { ev.pruned = on }
-
-// Pruned reports whether shortlist pruning is enabled.
-func (ev *Evaluator) Pruned() bool { return ev.pruned }
-
-// TakeScanStats returns the evaluation-outcome counters accumulated
-// since the last call and resets them.
-func (ev *Evaluator) TakeScanStats() ScanStats {
-	s := ev.stats
-	ev.stats = ScanStats{}
-	return s
-}
-
-// EvaluateMoves mirrors Engine.EvaluateMoves on private scratch. With
-// pruning enabled it probes the peer's recorded top-k shortlist first
-// and runs the full scan only when the cache is invalid or the
-// admissible outside bound cannot exclude a better cluster.
+// EvaluateMoves mirrors Engine.EvaluateMoves on private scratch.
 func (ev *Evaluator) EvaluateMoves(p int) MoveEval {
 	ev.ensure()
-	ev.stats.Evaluated++
-	if ev.pruned {
-		if me, st := ev.e.probeMoves(p, &ev.e.prune[p]); st == probeHit {
-			ev.stats.Shortlist++
-			return me
-		} else if st == probeFallback {
-			ev.stats.Fallback++
-		} else {
-			ev.stats.Full++
-		}
-		return ev.e.scanMovesRecord(p, ev.acc, &ev.e.prune[p])
-	}
-	ev.stats.Full++
 	return ev.e.evaluateMoves(p, ev.acc)
 }
 
 // EvaluateContribution mirrors Engine.EvaluateContribution on private
-// scratch, with the same shortlist pruning as EvaluateMoves.
+// scratch.
 func (ev *Evaluator) EvaluateContribution(p int) ContributionEval {
 	ev.ensure()
-	ev.stats.Evaluated++
-	if ev.pruned {
-		if ce, st := ev.e.probeContribution(p, &ev.e.prune[p], &ev.demAux); st == probeHit {
-			ev.stats.Shortlist++
-			return ce
-		} else if st == probeFallback {
-			ev.stats.Fallback++
-		} else {
-			ev.stats.Full++
-		}
-		return ev.e.scanContributionRecord(p, ev.NonEmpty(), ev.acc, &ev.e.prune[p], &ev.demAux)
-	}
-	ev.stats.Full++
 	return ev.e.evaluateContribution(p, ev.NonEmpty(), ev.acc)
 }
 

@@ -183,11 +183,11 @@ func TestNonEmptyListFreshness(t *testing.T) {
 	check("Rebuild")
 }
 
-// TestConcurrentScansAfterPrepareDecide fans pruned and exhaustive
-// evaluators over disjoint peers right after a mutation and
-// PrepareDecide, with no serial evaluation in between to refresh the
-// shared list for them (meaningful under -race), and checks every
-// answer against the engine's serial one afterwards.
+// TestConcurrentScansAfterPrepareDecide fans private evaluators over
+// disjoint peers right after a mutation and PrepareDecide, with no
+// serial evaluation in between to refresh the shared list for them
+// (meaningful under -race), and checks every answer against the
+// engine's serial one afterwards.
 func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
 	eng := evalSystem(t, 4, 6)
 	n := eng.NumSlots()
@@ -195,7 +195,6 @@ func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
 	evs := make([]*Evaluator, workers)
 	for w := range evs {
 		evs[w] = eng.NewEvaluator()
-		evs[w].SetPruned(w%2 == 0)
 	}
 	got := make([]MoveEval, n)
 	lists := make([][]cluster.CID, workers)
@@ -261,4 +260,62 @@ func TestEvaluatorAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("evaluator steady state allocates %v allocs/op, want 0", avg)
 	}
+}
+
+// TestScanTieBreaks pins how the exhaustive scans settle bit-equal
+// candidates: the current cluster keeps a tie it is part of, otherwise
+// the lowest cluster ID wins — through the engine and through a private
+// evaluator. Peer 0 queries `a` and holds a result for `b`; peers 1 and
+// 2 are interchangeable (each holds one `a` item and demands `b` once),
+// so whichever clusters they sit in alone cost peer 0 the same and gain
+// the same from it.
+func TestScanTieBreaks(t *testing.T) {
+	vocab := attr.NewVocab()
+	a, b := attr.NewSet(vocab.Intern("a")), attr.NewSet(vocab.Intern("b"))
+	peers := make([]*peer.Peer, 3)
+	wl := workload.New(3)
+	for i := range peers {
+		peers[i] = peer.New(i)
+	}
+	peers[0].SetItems([]attr.Set{b})
+	wl.Add(0, a, 1)
+	for _, i := range []int{1, 2} {
+		peers[i].SetItems([]attr.Set{a})
+		wl.Add(i, b, 1)
+	}
+	eng := New(peers, wl, cluster.NewSingletons(3), cluster.LinearTheta(), 1)
+
+	check := func(stage string, wantBest cluster.CID) {
+		t.Helper()
+		ev := eng.NewEvaluator()
+		for name, me := range map[string]MoveEval{"engine": eng.EvaluateMoves(0), "evaluator": ev.EvaluateMoves(0)} {
+			if me.Best != wantBest {
+				t.Fatalf("%s, %s: EvaluateMoves picked cluster %d, want %d (%+v)", stage, name, me.Best, wantBest, me)
+			}
+		}
+		for name, ce := range map[string]ContributionEval{"engine": eng.EvaluateContribution(0), "evaluator": ev.EvaluateContribution(0)} {
+			if ce.Best != wantBest {
+				t.Fatalf("%s, %s: EvaluateContribution picked cluster %d, want %d (%+v)", stage, name, ce.Best, wantBest, ce)
+			}
+		}
+	}
+
+	// Peer 0 alone in cluster 0: clusters 1 and 2 both beat it and tie.
+	if c1, c2 := eng.PeerCost(0, 1), eng.PeerCost(0, 2); c1 != c2 || !(c1 < eng.PeerCost(0, 0)) {
+		t.Fatalf("costs %v and %v should tie below the current %v", c1, c2, eng.PeerCost(0, 0))
+	}
+	if g1, g2 := eng.Contribution(0, 1), eng.Contribution(0, 2); g1 != g2 || !(g1 > eng.Contribution(0, 0)) {
+		t.Fatalf("contributions %v and %v should tie above the current %v", g1, g2, eng.Contribution(0, 0))
+	}
+	check("tie between two other clusters", 1)
+
+	// Peer 1 joins peer 0: the current cluster now ties with cluster 2.
+	eng.Move(1, 0)
+	if cur, c2 := eng.PeerCost(0, 0), eng.PeerCost(0, 2); cur != c2 {
+		t.Fatalf("current cost %v should tie with cluster 2's %v", cur, c2)
+	}
+	if cur, g2 := eng.Contribution(0, 0), eng.Contribution(0, 2); cur != g2 || cur == 0 {
+		t.Fatalf("current contribution %v should tie with cluster 2's %v, above zero", cur, g2)
+	}
+	check("tie with the current cluster", 0)
 }

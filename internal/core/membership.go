@@ -172,7 +172,6 @@ func (e *Engine) growRows() {
 	e.demandTot = padFloats(e.demandTot, nq)
 	e.ownScratch = padFloats(e.ownScratch, nq)
 	e.qMark = padMarks(e.qMark, nq)
-	e.rowVersion = padMarks(e.rowVersion, nq)
 	e.rows = growRowSlices(e.rows, nq)
 	e.demanders = growRowSlices(e.demanders, nq)
 	e.nq = nq
@@ -193,15 +192,11 @@ func (e *Engine) addSlot() int {
 	e.peerW = append(e.peerW, 0)
 	e.peerOwnW = append(e.peerOwnW, 0)
 	e.slotGen = append(e.slotGen, 0)
-	e.prune = append(e.prune, peerPrune{})
 	e.n++
 
-	// padMarks preserves the recorded cluster versions; the fresh tail
-	// slot is an empty cluster whose zero stamp is correct.
 	e.cmax = e.cfg.Cmax()
 	e.accScratch = padFloats(e.accScratch, e.cmax)
 	e.cidMark = padMarks(e.cidMark, e.cmax)
-	e.aggVersion = padMarks(e.aggVersion, e.cmax)
 	return pid
 }
 
@@ -349,12 +344,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	}
 	e.slotGen[pid]++
 
-	// Dirty-tracking: one clock tick covers the whole join; every row
-	// the joiner's results or demand touch is stamped below as the
-	// phases visit it, and the target cluster after placement.
-	e.aggClock++
-	clk := e.aggClock
-
 	// Phase 1: intern the joiner's queries (an allocation-free lookup
 	// on the churn steady state, where newcomers re-issue known
 	// queries). A genuinely new query gets a fresh, empty row whose
@@ -373,10 +362,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		e.qidScratch = append(e.qidScratch, qid)
 		e.growRows()
 		e.queries.extend(e.wl)
-		// A fresh row starts at stamp 0, which would look unchanged to
-		// caches recorded before it existed; the supporters discovered
-		// below gain result entries for it, so stamp it now.
-		e.rowVersion[qid] = clk
 		for _, sp := range e.holders(q.IDs()[0]) {
 			res := e.peers[sp].ResultCount(q)
 			if res == 0 {
@@ -408,7 +393,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		e.membSumRaw += e.theta.F(1)
 	}
 	e.cfg.Place(pid, to)
-	e.aggVersion[to] = clk
 
 	// Phase 3: the joiner's results shift every touched query's global
 	// total, so each touched row's recall terms are re-bracketed and
@@ -428,7 +412,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		qid := prl[i].qid
 		q := int(qid)
 		r := prl[i].res
-		e.rowVersion[q] = clk
 		oldInv := e.invTot[q]
 		e.rowRecallTerms(qid, oldInv, -1)
 		e.totals[q] += r
@@ -459,7 +442,6 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 	for _, en := range e.wl.Peer(pid) {
 		q := int(en.Q)
 		cnt := float64(en.Count)
-		e.rowVersion[q] = clk
 		e.demandTot[q] += cnt
 		e.demanders[q] = append(e.demanders[q], int32(pid))
 		inv := e.invTot[q]
@@ -529,19 +511,11 @@ func (e *Engine) RemovePeer(pid int) {
 	pr := e.peers[pid]
 	from := e.cfg.ClusterOf(pid)
 
-	// Dirty-tracking: one tick covers the leave; the rows of the
-	// leaver's demand and results are stamped as the phases walk
-	// them, and the vacated cluster after unplacement.
-	e.aggClock++
-	clk := e.aggClock
-	e.aggVersion[from] = clk
-
 	// Phase 1: withdraw the leaver's demand.
 	tot := float64(e.wl.PeerTotal(pid))
 	for _, en := range e.wl.Peer(pid) {
 		q := int(en.Q)
 		cnt := float64(en.Count)
-		e.rowVersion[q] = clk
 		e.demandTot[q] -= cnt
 		e.demanders[q] = removeInt32(e.demanders[q], int32(pid))
 		inv := e.invTot[q]
@@ -575,7 +549,6 @@ func (e *Engine) RemovePeer(pid int) {
 		qid := e.peerRes[pid][i].qid
 		q := int(qid)
 		r := e.peerRes[pid][i].res
-		e.rowVersion[q] = clk
 		oldInv := e.invTot[q]
 		e.rowRecallTerms(qid, oldInv, -1)
 		e.totals[q] -= r

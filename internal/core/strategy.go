@@ -75,9 +75,6 @@ func (s *Selfish) Decide(e *Engine, p int, baseline float64, allowNew bool) Deci
 
 // DecideEval implements EvalStrategy.
 func (s *Selfish) DecideEval(evl *Evaluator, p int, baseline float64, allowNew bool) Decision {
-	if d, ok := evl.replayDecision(s, decSelfish, s.DriftThreshold, p, baseline, allowNew); ok {
-		return d
-	}
 	ev := evl.EvaluateMoves(p)
 	d := Decision{Peer: p, From: ev.Cur}
 	switch {
@@ -96,7 +93,6 @@ func (s *Selfish) DecideEval(evl *Evaluator, p int, baseline float64, allowNew b
 		d.NewCluster = true
 		d.To = cluster.None
 	}
-	evl.rememberDecision(s, decSelfish, s.DriftThreshold, p, baseline, allowNew, ev.Best, ev.BestCost, 0, d)
 	return d
 }
 
@@ -120,9 +116,6 @@ func (a *Altruistic) Decide(e *Engine, p int, baseline float64, allowNew bool) D
 
 // DecideEval implements EvalStrategy.
 func (a *Altruistic) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
-	if d, ok := evl.replayDecision(a, decAltruistic, 0, p, 0, false); ok {
-		return d
-	}
 	ev := evl.EvaluateContribution(p)
 	d := Decision{Peer: p, From: ev.Cur}
 	if ev.Best != ev.Cur {
@@ -133,7 +126,6 @@ func (a *Altruistic) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decisi
 			d.Move = true
 		}
 	}
-	evl.rememberDecision(a, decAltruistic, 0, p, 0, false, ev.Best, ev.BestContribution, evl.demAux, d)
 	return d
 }
 
@@ -168,11 +160,6 @@ func (h *Hybrid) Decide(e *Engine, p int, baseline float64, allowNew bool) Decis
 // cluster by λ·pgain + (1−λ)·clgain and requests the best
 // positive-score move.
 func (h *Hybrid) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
-	if d, ok := evl.replayDecision(h, decHybrid, h.Lambda, p, 0, false); ok {
-		return d
-	}
-	evl.stats.Evaluated++
-	evl.stats.Full++
 	e := evl.e
 	cur := e.cfg.ClusterOf(p)
 	curCost := evl.PeerCost(p, cur)
@@ -199,6 +186,5 @@ func (h *Hybrid) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
 		d.Gain = bestScore
 		d.Move = true
 	}
-	evl.rememberDecision(h, decHybrid, h.Lambda, p, 0, false, bestC, bestScore, 0, d)
 	return d
 }

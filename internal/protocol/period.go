@@ -301,32 +301,20 @@ type Progress struct {
 	Granted int
 	// Steps counts Step calls so far.
 	Steps int
-	// Phase-1 evaluation-outcome counters over the period so far (see
-	// core.ScanStats): peers evaluated, answered by decision replay
-	// (skipped clean), resolved from the candidate shortlist, shortlist
-	// probes whose bound forced the full scan, and exhaustive scans.
-	Scanned       int
-	SkippedClean  int
-	ShortlistHits int
-	Fallbacks     int
-	FullScans     int
+	// Scanned counts the phase-1 peer evaluations of the period so far.
+	Scanned int
 }
 
 // Progress reports the period's current position.
 func (p *Period) Progress() Progress {
-	ss := p.r.scanStats
 	pr := Progress{
-		Round:         p.round,
-		Phase:         p.phase.String(),
-		Pos:           p.next,
-		Requests:      len(p.requests),
-		Granted:       p.Moves(),
-		Steps:         p.steps,
-		Scanned:       ss.Evaluated,
-		SkippedClean:  ss.Replayed,
-		ShortlistHits: ss.Shortlist,
-		Fallbacks:     ss.Fallback,
-		FullScans:     ss.Full,
+		Round:    p.round,
+		Phase:    p.phase.String(),
+		Pos:      p.next,
+		Requests: len(p.requests),
+		Granted:  p.Moves(),
+		Steps:    p.steps,
+		Scanned:  p.r.scanned,
 	}
 	switch p.phase {
 	case phaseDecide:

@@ -101,14 +101,6 @@ type Options struct {
 	// core.EvalStrategy (the built-in strategies do) and quietly fall
 	// back to serial otherwise.
 	Workers int
-	// ExactDecide disables the sublinear phase-1 machinery — dirty
-	// tracking, top-k candidate shortlists, decision replay — and scans
-	// every peer against every non-empty cluster exhaustively, as the
-	// paper specifies the protocol. The pruned path is byte-identical
-	// by construction (strict bounds, ties fall back to the full scan),
-	// so this is an escape hatch and the oracle the property suite
-	// compares against, not a correctness knob.
-	ExactDecide bool
 }
 
 // DefaultOptions mirror the paper's experimental setting.
@@ -156,11 +148,9 @@ type Runner struct {
 	bestMsgs []int
 	evals    []*core.Evaluator
 
-	// scanStats accumulates the evaluators' phase-1 outcome counters
-	// over the current period (reset by BeginPeriod). They are
-	// observability only — never part of a Report, so pruned and exact
-	// runs stay comparable by DeepEqual.
-	scanStats core.ScanStats
+	// scanned counts the phase-1 peer evaluations of the current period
+	// (reset by BeginPeriod). Observability only, never part of a Report.
+	scanned int
 
 	// period is the most recent Period (see period.go). Begin recycles
 	// its storage once it finished; a Begin that supersedes an
@@ -200,7 +190,7 @@ func (r *Runner) Engine() *core.Engine { return r.eng }
 func (r *Runner) BeginPeriod() {
 	clear(r.joinLocked)
 	clear(r.leaveLocked)
-	r.scanStats = core.ScanStats{}
+	r.scanned = 0
 	if r.period != nil {
 		r.period.phase = phaseDone
 	}
@@ -234,19 +224,11 @@ func (r *Runner) growLocks() {
 }
 
 // ensureEvals sizes the private-evaluator pool for w decide workers.
-// Runner evaluators run pruned unless Options.ExactDecide.
 func (r *Runner) ensureEvals(w int) {
 	for len(r.evals) < w {
-		ev := r.eng.NewEvaluator()
-		ev.SetPruned(!r.opts.ExactDecide)
-		r.evals = append(r.evals, ev)
+		r.evals = append(r.evals, r.eng.NewEvaluator())
 	}
 }
-
-// ScanStats returns the phase-1 evaluation-outcome counters accumulated
-// since the last BeginPeriod (equivalently, since the current period
-// began).
-func (r *Runner) ScanStats() core.ScanStats { return r.scanStats }
 
 // decideOne evaluates peer p under the period baseline rules, through
 // a private evaluator when the strategy supports it (es non-nil) and
@@ -300,12 +282,16 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 	}
 	r.bests = r.bests[:n]
 	r.bestMsgs = r.bestMsgs[:n]
+	// The scan evaluates every member of every cluster once.
+	for _, c := range clusters {
+		r.scanned += r.eng.Config().Size(c)
+	}
 
 	es, _ := r.strategy.(core.EvalStrategy)
 	if es != nil {
 		// Refresh the per-membership-version state (non-empty cluster
-		// list, minimum cluster size) before evaluators — possibly
-		// concurrent — read it.
+		// list, join terms) before evaluators — possibly concurrent —
+		// read it.
 		r.eng.PrepareDecide()
 	}
 	w := r.opts.Workers
@@ -320,9 +306,6 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 		}
 		for i, c := range clusters {
 			r.bests[i], r.bestMsgs[i] = r.decideCluster(es, ev, c)
-		}
-		if ev != nil {
-			r.scanStats.Add(ev.TakeScanStats())
 		}
 		return
 	}
@@ -343,9 +326,6 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 		}(r.evals[g])
 	}
 	wg.Wait()
-	for _, ev := range r.evals[:w] {
-		r.scanStats.Add(ev.TakeScanStats())
-	}
 }
 
 // sortRequests orders requests for the grant phase: decreasing gain,

@@ -38,8 +38,7 @@ func rawDo(t *testing.T, ts *httptest.Server, method, path, body string) (int, [
 // TestV1ErrorEnvelope pins the error contract, table-driven across
 // every handler-rejected request: each failure is exactly the
 // {"error":{"code","message"}} envelope, with the documented stable
-// code and the documented status — on the v1 route and byte-identical
-// on its legacy alias.
+// code and the documented status.
 func TestV1ErrorEnvelope(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -55,7 +54,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	cases := []struct {
 		name       string
 		method     string
-		path       string // v1 path; legacy alias derived by trimming /v1
+		path       string
 		body       string
 		wantStatus int
 		wantCode   string
@@ -108,54 +107,24 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			if err := json.Unmarshal(body, &shape); err != nil || len(shape) != 1 || len(shape["error"]) != 2 {
 				t.Fatalf("envelope shape: %s", body)
 			}
-			// The deprecated alias answers byte-identically (view/watch
-			// and replog/watch are v1-only).
-			legacy := strings.TrimPrefix(tc.path, "/v1")
-			if strings.HasPrefix(legacy, "/view/") || strings.HasPrefix(legacy, "/replog/") {
-				return
-			}
-			lstatus, lbody, lhdr := rawDo(t, ts, tc.method, legacy, tc.body)
-			if lstatus != status || string(lbody) != string(body) {
-				t.Fatalf("legacy alias diverged: %d %s vs %d %s", lstatus, lbody, status, body)
-			}
-			if lhdr.Get("Deprecation") == "" {
-				t.Fatal("legacy alias missing Deprecation header")
-			}
 		})
 	}
 }
 
-// TestLegacyAliasEquivalence pins that the unprefixed routes are pure
-// aliases: same bytes for successful responses, Deprecation header on
-// the alias only, and both spellings land in the same stats entry.
-func TestLegacyAliasEquivalence(t *testing.T) {
+// TestUnprefixedRoutesGone pins that only the v1 surface is served:
+// the unprefixed spellings the daemon answered before /v1/ are 404s.
+func TestUnprefixedRoutesGone(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for i := 0; i < 4; i++ {
-		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
-	}
-
-	body := `{"terms":["c0-t0"]}`
-	v1Status, v1Body, v1Hdr := rawDo(t, ts, "POST", "/v1/query", body)
-	lgStatus, lgBody, lgHdr := rawDo(t, ts, "POST", "/query", body)
-	if v1Status != http.StatusOK || lgStatus != http.StatusOK || string(v1Body) != string(lgBody) {
-		t.Fatalf("alias answers diverged: %d %s vs %d %s", v1Status, v1Body, lgStatus, lgBody)
-	}
-	if v1Hdr.Get("Deprecation") != "" {
-		t.Fatal("v1 route carries a Deprecation header")
-	}
-	if lgHdr.Get("Deprecation") == "" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	q := st["endpoints"].(map[string]any)["query"].(map[string]any)
-	if got := q["requests"].(float64); got != 2 {
-		t.Fatalf("alias and v1 should share one metrics entry: requests = %v, want 2", got)
-	}
-	if q["route"] != "POST /v1/query" {
-		t.Fatalf("stats route = %v, want POST /v1/query", q["route"])
+	doJSON(t, ts, "POST", "/v1/peers", joinBody(0, 0), http.StatusCreated)
+	for _, rt := range []struct{ method, path, body string }{
+		{"POST", "/query", `{"terms":["c0-t0"]}`},
+		{"GET", "/stats", ""},
+	} {
+		if status, body, _ := rawDo(t, ts, rt.method, rt.path, rt.body); status != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404 (%s)", rt.method, rt.path, status, body)
+		}
 	}
 }
 

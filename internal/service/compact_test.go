@@ -52,8 +52,8 @@ func floodNovel(t *testing.T, ts *httptest.Server, cycle, n int) {
 			Items:   [][]string{{term(0), term(1)}},
 			Queries: []queryCount{{Terms: []string{term(0)}, Count: 2}, {Terms: []string{term(2)}, Count: 1}},
 		}
-		resp := doJSON(t, ts, "POST", "/peers", req, http.StatusCreated)
-		doJSON(t, ts, "DELETE", fmt.Sprintf("/peers/%d", int(resp["id"].(float64))), nil, http.StatusOK)
+		resp := doJSON(t, ts, "POST", "/v1/peers", req, http.StatusCreated)
+		doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", int(resp["id"].(float64))), nil, http.StatusOK)
 	}
 }
 
@@ -70,9 +70,9 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 
 	// Stable population: 9 peers across 3 categories.
 	for i := 0; i < 9; i++ {
-		doJSON(t, ts, "POST", "/peers", joinBody(i%3, i/3), http.StatusCreated)
+		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i/3), http.StatusCreated)
 	}
-	doJSON(t, ts, "POST", "/reform", nil, http.StatusOK)
+	doJSON(t, ts, "POST", "/v1/reform", nil, http.StatusOK)
 
 	probes := []queryRequest{
 		{Terms: []string{"c0-t0"}},
@@ -82,24 +82,24 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 	probe := func() [][]byte {
 		var out [][]byte
 		for _, q := range probes {
-			out = append(out, rawJSON(t, ts, "POST", "/query", q))
+			out = append(out, rawJSON(t, ts, "POST", "/v1/query", q))
 		}
 		return out
 	}
 	baseline := probe()
-	baseQueries := int(doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)["queries"].(float64))
+	baseQueries := int(doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)["queries"].(float64))
 
 	var floor []int
 	for cycle := 1; cycle <= 3; cycle++ {
 		floodNovel(t, ts, cycle, 30)
-		st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 		if grown := int(st["queries"].(float64)); grown <= baseQueries {
 			t.Fatalf("cycle %d: flood did not grow the query set (%d <= %d)", cycle, grown, baseQueries)
 		}
 		before := probe()
 		scost := st["scost"].(float64)
 
-		comp := doJSON(t, ts, "POST", "/compact", nil, http.StatusOK)
+		comp := doJSON(t, ts, "POST", "/v1/compact", nil, http.StatusOK)
 		if comp["removed"].(float64) == 0 {
 			t.Fatalf("cycle %d: compaction removed nothing", cycle)
 		}
@@ -117,7 +117,7 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 				t.Fatalf("cycle %d: query %d answer drifted from baseline", cycle, i)
 			}
 		}
-		st = doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+		st = doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 		if got := st["scost"].(float64); got != scost {
 			t.Fatalf("cycle %d: scost changed across compaction: %v -> %v", cycle, scost, got)
 		}
@@ -135,7 +135,7 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 
 	// Snapshot -> restore: identical peers, costs, answers, generation.
 	var snap Snapshot
-	if err := json.Unmarshal(rawJSON(t, ts, "GET", "/snapshot", nil), &snap); err != nil {
+	if err := json.Unmarshal(rawJSON(t, ts, "GET", "/v1/snapshot", nil), &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Compactions != 3 {
@@ -148,12 +148,12 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 	ts2 := httptest.NewServer(restored.Handler())
 	defer ts2.Close()
 	for i, q := range probes {
-		if got := rawJSON(t, ts2, "POST", "/query", q); !bytes.Equal(got, baseline[i]) {
+		if got := rawJSON(t, ts2, "POST", "/v1/query", q); !bytes.Equal(got, baseline[i]) {
 			t.Fatalf("restored daemon answers query %d differently:\n%s\n%s", i, got, baseline[i])
 		}
 	}
-	st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
-	st2 := doJSON(t, ts2, "GET", "/stats", nil, http.StatusOK)
+	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
+	st2 := doJSON(t, ts2, "GET", "/v1/stats", nil, http.StatusOK)
 	for _, k := range []string{"peers", "slots", "clusters", "queries", "compactions"} {
 		if st[k] != st2[k] {
 			t.Fatalf("restored stats[%q] = %v, want %v", k, st2[k], st[k])
@@ -182,7 +182,7 @@ func TestCompactTickerAndReformTrigger(t *testing.T) {
 		defer s.Shutdown()
 
 		for i := 0; i < 4; i++ {
-			doJSON(t, ts, "POST", "/peers", joinBody(i%2, i), http.StatusCreated)
+			doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
 		}
 		floodNovel(t, ts, 0, 20)
 		// The ticker may already have fired mid-flood; the stable
@@ -191,7 +191,7 @@ func TestCompactTickerAndReformTrigger(t *testing.T) {
 		// it are by design not worth a remap).
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+			st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 			if st["compactions"].(float64) > 0 &&
 				st["dead_queries"].(float64) <= 0.5*st["queries"].(float64) {
 				break
@@ -207,11 +207,11 @@ func TestCompactTickerAndReformTrigger(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		for i := 0; i < 4; i++ {
-			doJSON(t, ts, "POST", "/peers", joinBody(i%2, i), http.StatusCreated)
+			doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
 		}
 		floodNovel(t, ts, 0, 20)
-		doJSON(t, ts, "POST", "/reform", nil, http.StatusOK)
-		st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+		doJSON(t, ts, "POST", "/v1/reform", nil, http.StatusOK)
+		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 		if st["compactions"].(float64) == 0 || st["dead_queries"].(float64) != 0 {
 			t.Fatalf("maintenance-period compaction check did not fire: %v", st)
 		}

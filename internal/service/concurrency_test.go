@@ -70,7 +70,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 	s := New(Config{CompactMinQueries: 1, CompactDeadRatio: -1})
 	h := s.Handler()
 	for i := 0; i < 12; i++ {
-		if code, body := do(h, "POST", "/peers", joinBody(i%3, i/3)); code != http.StatusCreated {
+		if code, body := do(h, "POST", "/v1/peers", joinBody(i%3, i/3)); code != http.StatusCreated {
 			t.Fatalf("seed join: %d %s", code, body)
 		}
 	}
@@ -92,7 +92,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					code, body := do(h, "POST", "/query", queryRequest{Terms: []string{term()}})
+					code, body := do(h, "POST", "/v1/query", queryRequest{Terms: []string{term()}})
 					if code != http.StatusOK {
 						t.Errorf("query: %d %s", code, body)
 						return
@@ -104,7 +104,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 						{Terms: []string{term(), term()}},
 						{Terms: []string{"never-seen"}},
 					}}
-					code, body := do(h, "POST", "/query/batch", batch)
+					code, body := do(h, "POST", "/v1/query/batch", batch)
 					if code != http.StatusOK {
 						t.Errorf("batch: %d %s", code, body)
 						return
@@ -119,7 +119,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 						checkCoherent(t, b)
 					}
 				case 2:
-					if code, body := do(h, "GET", "/stats", nil); code != http.StatusOK {
+					if code, body := do(h, "GET", "/v1/stats", nil); code != http.StatusOK {
 						t.Errorf("stats: %d %s", code, body)
 						return
 					}
@@ -131,7 +131,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 	// The mutation path: churn + maintenance + compaction cycles.
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for i := 0; time.Now().Before(deadline); i++ {
-		code, body := do(h, "POST", "/peers", joinRequest{
+		code, body := do(h, "POST", "/v1/peers", joinRequest{
 			Items:   [][]string{{fmt.Sprintf("c%d-t%d", i%3, i%5), fmt.Sprintf("novel-%d", i)}},
 			Queries: []queryCount{{Terms: []string{fmt.Sprintf("novel-%d", i)}, Count: 1}},
 		})
@@ -148,7 +148,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 		case 1:
 			s.Compact()
 		}
-		if code, body := do(h, "DELETE", fmt.Sprintf("/peers/%d", jr.ID), nil); code != http.StatusOK {
+		if code, body := do(h, "DELETE", fmt.Sprintf("/v1/peers/%d", jr.ID), nil); code != http.StatusOK {
 			t.Fatalf("churn leave: %d %s", code, body)
 		}
 	}
@@ -230,7 +230,7 @@ func TestViewAnswersMatchEngineProperty(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 5 || len(live) == 0: // join
 			a, b, c := term(rng.Intn(14)), term(rng.Intn(14)), term(rng.Intn(14))
-			code, body := do(h, "POST", "/peers", joinRequest{
+			code, body := do(h, "POST", "/v1/peers", joinRequest{
 				Items:   [][]string{{a, b}, {c}},
 				Queries: []queryCount{{Terms: []string{a}, Count: 1 + rng.Intn(3)}, {Terms: []string{b, c}, Count: 1}},
 			})
@@ -244,7 +244,7 @@ func TestViewAnswersMatchEngineProperty(t *testing.T) {
 			live = append(live, jr.ID)
 		case op < 8: // leave
 			i := rng.Intn(len(live))
-			if code, body := do(h, "DELETE", fmt.Sprintf("/peers/%d", live[i]), nil); code != http.StatusOK {
+			if code, body := do(h, "DELETE", fmt.Sprintf("/v1/peers/%d", live[i]), nil); code != http.StatusOK {
 				t.Fatalf("step %d: leave %d %s", step, code, body)
 			}
 			live[i] = live[len(live)-1]
@@ -258,7 +258,7 @@ func TestViewAnswersMatchEngineProperty(t *testing.T) {
 		for probe := 0; probe < 4; probe++ {
 			terms := probeTerms()
 			want := engineAnswerJSON(t, s, terms)
-			code, got := do(h, "POST", "/query", queryRequest{Terms: terms})
+			code, got := do(h, "POST", "/v1/query", queryRequest{Terms: terms})
 			if code != http.StatusOK {
 				t.Fatalf("step %d: query %d %s", step, code, got)
 			}
@@ -269,7 +269,7 @@ func TestViewAnswersMatchEngineProperty(t *testing.T) {
 
 		// Batch == element-wise singles (all from one view).
 		qs := []queryRequest{{Terms: probeTerms()}, {Terms: probeTerms()}, {Terms: probeTerms()}}
-		code, body := do(h, "POST", "/query/batch", batchRequest{Queries: qs})
+		code, body := do(h, "POST", "/v1/query/batch", batchRequest{Queries: qs})
 		if code != http.StatusOK {
 			t.Fatalf("step %d: batch %d %s", step, code, body)
 		}
@@ -298,9 +298,9 @@ func TestReadPathNeedsNoLock(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
 	for i := 0; i < 6; i++ {
-		do(h, "POST", "/peers", joinBody(i%2, i))
+		do(h, "POST", "/v1/peers", joinBody(i%2, i))
 	}
-	_, base := do(h, "GET", "/stats", nil)
+	_, base := do(h, "GET", "/v1/stats", nil)
 	var baseStats map[string]any
 	if err := json.Unmarshal(base, &baseStats); err != nil {
 		t.Fatal(err)
@@ -313,20 +313,20 @@ func TestReadPathNeedsNoLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 5; i++ {
-			code, body := do(h, "POST", "/query", queryRequest{Terms: []string{"c0-t0"}})
+			code, body := do(h, "POST", "/v1/query", queryRequest{Terms: []string{"c0-t0"}})
 			if code != http.StatusOK {
 				t.Errorf("query under lock: %d %s", code, body)
 				return
 			}
 			checkCoherent(t, body)
 		}
-		if code, body := do(h, "POST", "/query/batch", batchRequest{
+		if code, body := do(h, "POST", "/v1/query/batch", batchRequest{
 			Queries: []queryRequest{{Terms: []string{"c0-t1"}}, {Terms: []string{"c1-t2"}}},
 		}); code != http.StatusOK {
 			t.Errorf("batch under lock: %d %s", code, body)
 			return
 		}
-		_, statsBody = do(h, "GET", "/stats", nil)
+		_, statsBody = do(h, "GET", "/v1/stats", nil)
 	}()
 	select {
 	case <-done:
@@ -359,7 +359,7 @@ func TestReadPathNeedsNoLock(t *testing.T) {
 func TestStrictDecoding(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	do(h, "POST", "/peers", joinBody(0, 0))
+	do(h, "POST", "/v1/peers", joinBody(0, 0))
 
 	post := func(path, body string) (int, []byte) {
 		req := httptest.NewRequest("POST", path, bytes.NewReader([]byte(body)))
@@ -379,19 +379,19 @@ func TestStrictDecoding(t *testing.T) {
 		}
 	}
 
-	check("/query", `{"terms":["c0-t0"]}`, http.StatusOK)
-	check("/query", `{"terms":["c0-t0"]}   `, http.StatusOK)
-	check("/query", `{"terms":["c0-t0"]}{"terms":["c0-t1"]}`, http.StatusBadRequest)
-	check("/query", `{"terms":["c0-t0"]} garbage`, http.StatusBadRequest)
-	check("/query", `{"terms":[]}`, http.StatusBadRequest)
-	check("/query", `{`, http.StatusBadRequest)
-	check("/query", `{"terms":["a"],"nope":1}`, http.StatusBadRequest)
-	check("/query/batch", `{"queries":[{"terms":["c0-t0"]}]}`, http.StatusOK)
-	check("/query/batch", `{"queries":[]}`, http.StatusBadRequest)
-	check("/query/batch", `{"queries":[{"terms":[]}]}`, http.StatusBadRequest)
-	check("/query/batch", `{"unknown":true}`, http.StatusBadRequest)
-	check("/peers", `{"items":[],"queries":[{"terms":["a"],"count":0}]}`, http.StatusBadRequest)
-	check("/peers", `{"bogus":1}`, http.StatusBadRequest)
+	check("/v1/query", `{"terms":["c0-t0"]}`, http.StatusOK)
+	check("/v1/query", `{"terms":["c0-t0"]}   `, http.StatusOK)
+	check("/v1/query", `{"terms":["c0-t0"]}{"terms":["c0-t1"]}`, http.StatusBadRequest)
+	check("/v1/query", `{"terms":["c0-t0"]} garbage`, http.StatusBadRequest)
+	check("/v1/query", `{"terms":[]}`, http.StatusBadRequest)
+	check("/v1/query", `{`, http.StatusBadRequest)
+	check("/v1/query", `{"terms":["a"],"nope":1}`, http.StatusBadRequest)
+	check("/v1/query/batch", `{"queries":[{"terms":["c0-t0"]}]}`, http.StatusOK)
+	check("/v1/query/batch", `{"queries":[]}`, http.StatusBadRequest)
+	check("/v1/query/batch", `{"queries":[{"terms":[]}]}`, http.StatusBadRequest)
+	check("/v1/query/batch", `{"unknown":true}`, http.StatusBadRequest)
+	check("/v1/peers", `{"items":[],"queries":[{"terms":["a"],"count":0}]}`, http.StatusBadRequest)
+	check("/v1/peers", `{"bogus":1}`, http.StatusBadRequest)
 
 	var big bytes.Buffer
 	big.WriteString(`{"queries":[`)
@@ -402,11 +402,11 @@ func TestStrictDecoding(t *testing.T) {
 		big.WriteString(`{"terms":["x"]}`)
 	}
 	big.WriteString(`]}`)
-	if code, _ := post("/query/batch", big.String()); code != http.StatusRequestEntityTooLarge {
+	if code, _ := post("/v1/query/batch", big.String()); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: code %d want 413", code)
 	}
 	huge := `{"terms":["` + string(bytes.Repeat([]byte("a"), maxBodyBytes)) + `"]}`
-	if code, _ := post("/query", huge); code != http.StatusRequestEntityTooLarge {
+	if code, _ := post("/v1/query", huge); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: code %d want 413", code)
 	}
 }

@@ -31,11 +31,11 @@ func FuzzQueryHandlers(f *testing.F) {
 	f.Add(byte('q'), []byte(`"terms"`))
 	f.Add(byte('q'), []byte(`{"terms":["fz-a"]}{"terms":["fz-b"]}`))
 
-	paths := []string{"/query", "/query/batch", "/peers"}
+	paths := []string{"/v1/query", "/v1/query/batch", "/v1/peers"}
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		s := New(Config{})
 		h := s.Handler()
-		seed := httptest.NewRequest("POST", "/peers", strings.NewReader(
+		seed := httptest.NewRequest("POST", "/v1/peers", strings.NewReader(
 			`{"items":[["fz-a","fz-b"],["fz-b","fz-c"]],"queries":[{"terms":["fz-a"],"count":1}]}`))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, seed)

@@ -20,7 +20,7 @@ func TestSteppedMaintenanceReleasesLockBetweenSteps(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for i := 0; i < 12; i++ {
-		doJSON(t, ts, "POST", "/peers", joinBody(i%3, i), http.StatusCreated)
+		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i), http.StatusCreated)
 	}
 
 	hookJoins := 0
@@ -32,11 +32,11 @@ func TestSteppedMaintenanceReleasesLockBetweenSteps(t *testing.T) {
 		// acquire it; a held lock deadlocks the test.
 		switch {
 		case hookJoins < 3:
-			resp := doJSON(t, ts, "POST", "/peers", joinBody(hookJoins%3, 20+hookJoins), http.StatusCreated)
+			resp := doJSON(t, ts, "POST", "/v1/peers", joinBody(hookJoins%3, 20+hookJoins), http.StatusCreated)
 			joinedID = int(resp["id"].(float64))
 			hookJoins++
 		case !leftOnce:
-			doJSON(t, ts, "DELETE", fmt.Sprintf("/peers/%d", joinedID), nil, http.StatusOK)
+			doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", joinedID), nil, http.StatusOK)
 			leftOnce = true
 		}
 		if s.maintProgress.Load() != nil {
@@ -48,7 +48,7 @@ func TestSteppedMaintenanceReleasesLockBetweenSteps(t *testing.T) {
 	if rpt.RoundsRun == 0 {
 		t.Fatal("no rounds ran")
 	}
-	st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 	maint := st["maintenance"].(map[string]any)
 	if maint["active"].(bool) {
 		t.Fatal("maintenance still active after Reform returned")
@@ -83,7 +83,7 @@ func TestNegativeStepBudgetRunsMonolithic(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for i := 0; i < 9; i++ {
-		doJSON(t, ts, "POST", "/peers", joinBody(i%3, i), http.StatusCreated)
+		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i), http.StatusCreated)
 	}
 	steps := 0
 	s.stepHook = func() { steps++ }
@@ -106,7 +106,7 @@ func TestSteppedMatchesMonolithicOutcome(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		for i := 0; i < 12; i++ {
-			doJSON(t, ts, "POST", "/peers", joinBody(i%3, i), http.StatusCreated)
+			doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i), http.StatusCreated)
 		}
 		rpt := s.Reform()
 		return rpt.FinalSCost, float64(rpt.FinalClusters)

@@ -8,9 +8,7 @@ import "repro/internal/api"
 // how GET /v1/stats names them.
 
 // serverMetrics holds one api.EndpointMetrics per instrumented
-// endpoint plus the mutation-lock hold-time histogram. Legacy
-// unprefixed aliases share their v1 endpoint's metrics: the stats
-// entry describes the endpoint, not the spelling the client used.
+// endpoint plus the mutation-lock hold-time histogram.
 type serverMetrics struct {
 	query    api.EndpointMetrics
 	batch    api.EndpointMetrics

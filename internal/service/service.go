@@ -23,10 +23,8 @@
 //	  GET    /v1/snapshot     full serialized state (the snapshot format)
 //	  GET    /v1/view/watch   long-poll the routing-view replication feed
 //
-// The original unprefixed paths remain as deprecated aliases of the
-// same handlers (marked with a Deprecation response header). Errors
-// everywhere carry the api package's JSON envelope with a stable
-// machine-readable code; see API.md at the repository root.
+// Errors everywhere carry the api package's JSON envelope with a
+// stable machine-readable code; see API.md at the repository root.
 //
 // # Concurrency: a mutation path and a lock-free read path
 //
@@ -125,12 +123,6 @@ type Config struct {
 	// 0 means one worker per CPU; 1 scans serially. Any value produces
 	// byte-identical maintenance outcomes.
 	ReformWorkers int
-	// ExactDecide disables the sublinear phase-1 pruning
-	// (protocol.Options.ExactDecide): every maintenance scan then
-	// evaluates every peer exhaustively. The pruned default is
-	// byte-identical; this is an escape hatch for debugging and
-	// cross-checking.
-	ExactDecide bool
 	// SnapshotPath, when set, is where periodic and shutdown snapshots
 	// are written.
 	SnapshotPath string
@@ -245,16 +237,12 @@ type Server struct {
 	reforms atomic.Int64 // maintenance periods run
 	rounds  atomic.Int64 // reformulation rounds executed
 	moves   atomic.Int64 // granted relocations
-	// Cumulative phase-1 evaluation outcomes over finished maintenance
-	// periods (see core.ScanStats); the in-flight period's counters are
-	// exposed live through maintProgress.
-	scanned       atomic.Int64
-	skippedClean  atomic.Int64
-	shortlistHits atomic.Int64
-	scanFallbacks atomic.Int64
-	fullScans     atomic.Int64
-	joins         atomic.Int64
-	leaves        atomic.Int64
+	// scanned counts the phase-1 peer evaluations of finished
+	// maintenance periods; the in-flight period's count is exposed live
+	// through maintProgress.
+	scanned atomic.Int64
+	joins   atomic.Int64
+	leaves  atomic.Int64
 	// compactions is the daemon's compaction generation (carried
 	// across snapshot restores); compacted counts retired queries.
 	compactions atomic.Int64
@@ -490,12 +478,7 @@ func (s *Server) Reform() protocol.Report {
 		pr := per.Progress()
 		s.maintProgress.Store(&pr)
 		if done {
-			ss := s.runner.ScanStats()
-			s.scanned.Add(int64(ss.Evaluated))
-			s.skippedClean.Add(int64(ss.Replayed))
-			s.shortlistHits.Add(int64(ss.Shortlist))
-			s.scanFallbacks.Add(int64(ss.Fallback))
-			s.fullScans.Add(int64(ss.Full))
+			s.scanned.Add(int64(pr.Scanned))
 			s.maybeCompactLocked()
 			finRpt := per.Report()
 			s.logLocked(replog.KindPeriodEnd, replog.PeriodEndOp{
@@ -579,55 +562,38 @@ func countMoves(rpt protocol.Report) int {
 	return n
 }
 
-// Handler returns the daemon's HTTP handler: the v1 surface plus the
-// deprecated unprefixed aliases. Aliases share their v1 endpoint's
-// handler and metrics and announce themselves with a Deprecation
-// header.
+// Handler returns the daemon's HTTP handler: the v1 surface.
 func (s *Server) Handler() http.Handler {
 	routes := []struct {
-		v1     string // versioned pattern
-		legacy string // deprecated unprefixed alias ("" = v1-only)
-		m      *api.EndpointMetrics
-		h      http.HandlerFunc
+		pattern string
+		m       *api.EndpointMetrics
+		h       http.HandlerFunc
 	}{
 		// Data plane: servable from a published view alone (on a
 		// follower, once the first catch-up installed).
-		{"POST /v1/query", "POST /query", &s.met.query, s.handleQuery},
-		{"POST /v1/query/batch", "POST /query/batch", &s.met.batch, s.handleQueryBatch},
-		{"GET /v1/stats", "GET /stats", &s.met.stats, s.handleStats},
+		{"POST /v1/query", &s.met.query, s.handleQuery},
+		{"POST /v1/query/batch", &s.met.batch, s.handleQueryBatch},
+		{"GET /v1/stats", &s.met.stats, s.handleStats},
 		// Control plane: mutations serve on the leader; followers
 		// redirect them there (307) so clients can talk to any node.
-		{"POST /v1/peers", "POST /peers", &s.met.join, s.leaderOnly(s.handleJoin)},
-		{"GET /v1/peers/{id}", "GET /peers/{id}", &s.met.peerGet, s.handlePeerGet},
-		{"DELETE /v1/peers/{id}", "DELETE /peers/{id}", &s.met.leave, s.leaderOnly(s.handleLeave)},
-		{"POST /v1/reform", "POST /reform", &s.met.reform, s.leaderOnly(s.handleReform)},
-		{"POST /v1/compact", "POST /compact", &s.met.compact, s.leaderOnly(s.handleCompact)},
-		{"GET /v1/snapshot", "GET /snapshot", &s.met.snapshot, s.handleSnapshot},
-		{"GET /v1/view/watch", "", &s.met.watch, s.handleViewWatch},
+		{"POST /v1/peers", &s.met.join, s.leaderOnly(s.handleJoin)},
+		{"GET /v1/peers/{id}", &s.met.peerGet, s.handlePeerGet},
+		{"DELETE /v1/peers/{id}", &s.met.leave, s.leaderOnly(s.handleLeave)},
+		{"POST /v1/reform", &s.met.reform, s.leaderOnly(s.handleReform)},
+		{"POST /v1/compact", &s.met.compact, s.leaderOnly(s.handleCompact)},
+		{"GET /v1/snapshot", &s.met.snapshot, s.handleSnapshot},
+		{"GET /v1/view/watch", &s.met.watch, s.handleViewWatch},
 		// Replication plane: the mutation-log feed (any node) and
 		// follower promotion (deliberately NOT leader-gated: it is
 		// what a follower runs when the leader is gone).
-		{"GET /v1/replog/watch", "", &s.met.replog, s.handleReplogWatch},
-		{"POST /v1/promote", "", &s.met.promote, s.handlePromote},
+		{"GET /v1/replog/watch", &s.met.replog, s.handleReplogWatch},
+		{"POST /v1/promote", &s.met.promote, s.handlePromote},
 	}
 	mux := http.NewServeMux()
 	for _, rt := range routes {
-		mux.HandleFunc(rt.v1, api.Instrument(rt.m, rt.h))
-		if rt.legacy != "" {
-			mux.HandleFunc(rt.legacy, api.Instrument(rt.m, deprecated(rt.h)))
-		}
+		mux.HandleFunc(rt.pattern, api.Instrument(rt.m, rt.h))
 	}
 	return mux
-}
-
-// deprecated marks a legacy unprefixed route: same behavior, plus the
-// standard Deprecation header pointing clients at the v1 surface.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `<API.md>; rel="deprecation"`)
-		h(w, r)
-	}
 }
 
 // The request-size limits are the api package's.
@@ -946,16 +912,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // snapshot after every step.
 func (s *Server) maintenanceStats() map[string]any {
 	out := map[string]any{
-		"active":       false,
-		"step_budget":  s.cfg.StepBudget,
-		"workers":      s.cfg.ReformWorkers,
-		"exact_decide": s.cfg.ExactDecide,
-		// Cumulative phase-1 scan outcomes over finished periods.
-		"scanned":        s.scanned.Load(),
-		"skipped_clean":  s.skippedClean.Load(),
-		"shortlist_hits": s.shortlistHits.Load(),
-		"fallbacks":      s.scanFallbacks.Load(),
-		"full_scans":     s.fullScans.Load(),
+		"active":      false,
+		"step_budget": s.cfg.StepBudget,
+		"workers":     s.cfg.ReformWorkers,
+		// Phase-1 peer evaluations over finished periods.
+		"scanned": s.scanned.Load(),
 	}
 	if pr := s.maintProgress.Load(); pr != nil {
 		out["active"] = true
@@ -966,12 +927,8 @@ func (s *Server) maintenanceStats() map[string]any {
 		out["requests"] = pr.Requests
 		out["granted"] = pr.Granted
 		out["steps"] = pr.Steps
-		// The in-flight period's scan outcomes so far.
+		// The in-flight period's evaluations so far.
 		out["period_scanned"] = pr.Scanned
-		out["period_skipped_clean"] = pr.SkippedClean
-		out["period_shortlist_hits"] = pr.ShortlistHits
-		out["period_fallbacks"] = pr.Fallbacks
-		out["period_full_scans"] = pr.FullScans
 	}
 	return out
 }

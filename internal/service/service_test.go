@@ -63,16 +63,16 @@ func TestServeLifecycle(t *testing.T) {
 	// Join 9 peers across 3 categories.
 	ids := make([]int, 0, 9)
 	for i := 0; i < 9; i++ {
-		resp := doJSON(t, ts, "POST", "/peers", joinBody(i%3, i/3), http.StatusCreated)
+		resp := doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i/3), http.StatusCreated)
 		ids = append(ids, int(resp["id"].(float64)))
 	}
-	if got := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK); got["peers"].(float64) != 9 {
+	if got := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK); got["peers"].(float64) != 9 {
 		t.Fatalf("stats peers = %v, want 9", got["peers"])
 	}
 
 	// Query: results for a category-0 term must exist and recall must
 	// sum to 1 across clusters.
-	q := doJSON(t, ts, "POST", "/query", queryRequest{Terms: []string{"c0-t0"}}, http.StatusOK)
+	q := doJSON(t, ts, "POST", "/v1/query", queryRequest{Terms: []string{"c0-t0"}}, http.StatusOK)
 	if q["total"].(float64) <= 0 {
 		t.Fatalf("query found no results: %v", q)
 	}
@@ -84,22 +84,22 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("cluster recall sums to %g, want 1", recall)
 	}
 	// Unknown terms yield an empty result, not an error.
-	if q := doJSON(t, ts, "POST", "/query", queryRequest{Terms: []string{"nope"}}, http.StatusOK); q["total"].(float64) != 0 {
+	if q := doJSON(t, ts, "POST", "/v1/query", queryRequest{Terms: []string{"nope"}}, http.StatusOK); q["total"].(float64) != 0 {
 		t.Fatalf("unknown term matched: %v", q)
 	}
 
 	// Maintenance integrates the singleton joiners into clusters.
-	doJSON(t, ts, "POST", "/reform", nil, http.StatusOK)
-	st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+	doJSON(t, ts, "POST", "/v1/reform", nil, http.StatusOK)
+	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 	if st["clusters"].(float64) >= 9 {
 		t.Fatalf("reform did not merge singletons: %v clusters", st["clusters"])
 	}
 
 	// One peer leaves; its slot shows up in slots but not peers.
-	doJSON(t, ts, "DELETE", fmt.Sprintf("/peers/%d", ids[4]), nil, http.StatusOK)
-	doJSON(t, ts, "GET", fmt.Sprintf("/peers/%d", ids[4]), nil, http.StatusNotFound)
-	doJSON(t, ts, "DELETE", fmt.Sprintf("/peers/%d", ids[4]), nil, http.StatusNotFound)
-	st = doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+	doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusOK)
+	doJSON(t, ts, "GET", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusNotFound)
+	doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusNotFound)
+	st = doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 	if st["peers"].(float64) != 8 || st["slots"].(float64) != 9 {
 		t.Fatalf("after leave: peers=%v slots=%v, want 8/9", st["peers"], st["slots"])
 	}
@@ -107,7 +107,7 @@ func TestServeLifecycle(t *testing.T) {
 
 	// Snapshot over HTTP, restore into a fresh daemon: identical state.
 	var snap Snapshot
-	resp, err := ts.Client().Get(ts.URL + "/snapshot")
+	resp, err := ts.Client().Get(ts.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(restored.Handler())
 	defer ts2.Close()
-	st2 := doJSON(t, ts2, "GET", "/stats", nil, http.StatusOK)
+	st2 := doJSON(t, ts2, "GET", "/v1/stats", nil, http.StatusOK)
 	if st2["peers"].(float64) != 8 || st2["slots"].(float64) != 9 {
 		t.Fatalf("restored: peers=%v slots=%v, want 8/9", st2["peers"], st2["slots"])
 	}
@@ -134,9 +134,9 @@ func TestServeLifecycle(t *testing.T) {
 		if id == ids[4] {
 			want = http.StatusNotFound
 		}
-		got := doJSON(t, ts2, "GET", fmt.Sprintf("/peers/%d", id), nil, want)
+		got := doJSON(t, ts2, "GET", fmt.Sprintf("/v1/peers/%d", id), nil, want)
 		if want == http.StatusOK {
-			orig := doJSON(t, ts, "GET", fmt.Sprintf("/peers/%d", id), nil, http.StatusOK)
+			orig := doJSON(t, ts, "GET", fmt.Sprintf("/v1/peers/%d", id), nil, http.StatusOK)
 			if got["cluster"] != orig["cluster"] {
 				t.Fatalf("peer %d cluster %v, want %v", id, got["cluster"], orig["cluster"])
 			}
@@ -147,7 +147,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 
 	// A rejoin on the restored daemon reuses the vacated slot.
-	rejoin := doJSON(t, ts2, "POST", "/peers", joinBody(1, 1), http.StatusCreated)
+	rejoin := doJSON(t, ts2, "POST", "/v1/peers", joinBody(1, 1), http.StatusCreated)
 	if int(rejoin["id"].(float64)) != ids[4] {
 		t.Fatalf("rejoin got slot %v, want vacated slot %d", rejoin["id"], ids[4])
 	}
@@ -160,7 +160,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for i := 0; i < 6; i++ {
-		doJSON(t, ts, "POST", "/peers", joinBody(i%2, i), http.StatusCreated)
+		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
 	}
 	s.Reform()
 
@@ -193,11 +193,11 @@ func TestTickerAndShutdown(t *testing.T) {
 	defer ts.Close()
 	s.Start()
 	for i := 0; i < 4; i++ {
-		doJSON(t, ts, "POST", "/peers", joinBody(i%2, i), http.StatusCreated)
+		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st := doJSON(t, ts, "GET", "/stats", nil, http.StatusOK)
+		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
 		if st["reforms"].(float64) > 0 {
 			break
 		}

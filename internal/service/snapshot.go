@@ -182,7 +182,6 @@ func (s *Server) newRunner() *protocol.Runner {
 		MaxRounds:        s.cfg.MaxRounds,
 		AllowNewClusters: true,
 		Workers:          s.cfg.ReformWorkers,
-		ExactDecide:      s.cfg.ExactDecide,
 	})
 }
 
