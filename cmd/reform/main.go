@@ -27,12 +27,12 @@
 //
 // Experiment cells run on a worker pool (default: one per CPU; see
 // -workers). Outputs are deterministic per seed for every worker
-// count. The bench subcommand emits ns/op and allocs/op for the
-// cost-engine hot paths as BENCH.json, tracking the performance
-// trajectory across commits; with -baseline it compares against a
-// committed BENCH_BASELINE.json and exits nonzero on regression (the
-// same gate CI runs; QueryServe/QueryServeParallel additionally pin
-// the serving read path to 0 allocs/op). The serve subcommand exposes
+// count. The bench subcommand runs internal/benchsuite's table and
+// emits ns/op, B/op and allocs/op as BENCH.json, tracking the
+// performance trajectory across commits; with -baseline it compares
+// against a committed BENCH_BASELINE.json and exits nonzero when
+// allocs/op grew on a gated entry or a 0-alloc contract broke (the
+// same gate CI runs; timings are printed, never judged). The serve subcommand exposes
 // the overlay over HTTP under /v1 (see API.md): POST /v1/peers
 // (join), DELETE /v1/peers/{id} (leave), POST /v1/query and
 // POST /v1/query/batch (lock-free reads from atomically published

@@ -5,21 +5,63 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
-// Rebuild times Engine.Rebuild at steady state: storage warm, the query
+// hotPath is a body over the shared hot engine and the Small population:
+// run makes b.N calls of one of the cost engine's hot paths.
+func hotPath(run func(eng *core.Engine, peers, n int)) func(f *Fixtures) func(b *testing.B) {
+	return func(f *Fixtures) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			run(f.hot.eng, f.Small.Peers, b.N)
+		}
+	}
+}
+
+// churnCycle times one churn event (join + leave) on the incremental
+// membership path (AddRemovePeer), or with compact one full
+// unbounded-uptime cycle: a joiner interning a novel query, its departure
+// stranding it, and an in-place workload compaction reclaiming the row
+// (CompactCycle).
+func churnCycle(seed uint64, compact bool) func(f *Fixtures) func(b *testing.B) {
+	return func(f *Fixtures) func(b *testing.B) {
+		eng := f.hot.eng
+		pr, queries, counts := newcomer(f.hot.sys, seed)
+		if compact {
+			queries = append(queries, attr.NewSet(attr.ID(1<<20)))
+			counts = append(counts, 1)
+		}
+		cycle := func() {
+			eng.RemovePeer(eng.AddPeer(pr, queries, counts, cluster.None))
+			if compact {
+				eng.Compact(0)
+			}
+		}
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			cycle() // warm indexes and capacities
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		}
+	}
+}
+
+// rebuild times Engine.Rebuild at steady state: storage warm, the query
 // index built, and no peer changed since the last one, so every result
 // list is kept and what is timed is summing them and laying out, filling
 // and summing the aggregates. It is the floor of what a content or
 // workload update pays (UpdateLevel times one with its edits;
 // ColdRestore times a first build, which asks every peer everything);
-// the harnesses run it at paper scale (Rebuild) and over `-peers`
-// singletons (RebuildLarge).
-func Rebuild(eng *core.Engine) func(b *testing.B) {
+// the table runs it at paper scale (Rebuild) and over Large singletons
+// (RebuildLarge).
+func rebuild(eng *core.Engine) func(b *testing.B) {
 	return func(b *testing.B) {
 		eng.Rebuild()
 		b.ReportAllocs()
@@ -30,8 +72,13 @@ func Rebuild(eng *core.Engine) func(b *testing.B) {
 	}
 }
 
+// The four singleton entries: restore, the first join after it and the
+// first decide rounds of the paper's initial configuration (i). All
+// must cost what is non-zero, not the peers x queries x cluster-slots
+// grid.
+
 // singletons builds an engine over sys with every peer its own
-// cluster: Cmax = |P|, the paper's initial configuration (i).
+// cluster: Cmax = |P|.
 func singletons(sys *experiments.System) *core.Engine {
 	return sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, nil))
 }
@@ -50,68 +97,27 @@ func HeapHeldBy(eng *core.Engine) float64 {
 	return float64(held.HeapAlloc) - float64(dropped.HeapAlloc)
 }
 
-// RebuildLarge is Rebuild over sys's peers as singletons, and reports
-// what the restored engine alone keeps on the heap as heap-B/peer.
-func RebuildLarge(sys *experiments.System) func(b *testing.B) {
+// rebuildLarge is rebuild over singletons, and reports what the restored
+// engine alone keeps on the heap as heap-B/peer.
+func rebuildLarge(f *Fixtures) func(b *testing.B) {
+	sys := f.restore
 	return func(b *testing.B) {
 		eng := singletons(sys)
-		Rebuild(eng)(b)
+		rebuild(eng)(b)
 		b.StopTimer()
 		peers := eng.NumPeers()
 		b.ReportMetric(HeapHeldBy(eng)/float64(peers), "heap-B/peer")
 	}
 }
 
-// FirstJoinAfterRestore times the first AddPeer on a freshly built
-// engine over singletons: the join that builds the content indexes and
-// appends the first new peer and cluster slot, where aggregates laid
-// out by cluster slot had to be laid out again. Every iteration forks
-// sys and builds its engine with the timer stopped; sys itself only
-// gains the joiner's terms in its query pools.
-func FirstJoinAfterRestore(sys *experiments.System) func(b *testing.B) {
-	return func(b *testing.B) {
-		sys.Warm()
-		pr, queries, counts := newcomer(sys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			eng := singletons(sys.Fork())
-			b.StartTimer()
-			eng.AddPeer(pr, queries, counts, cluster.None)
-		}
-	}
-}
-
-// DecideRoundSingletons times one phase-1 decide round in which every
-// peer runs the full cluster scan, over an engine whose peers each sit
-// in their own cluster: the most clusters a population can have, and
-// the first rounds of the paper's initial configuration (i). The
-// evaluator is exhaustive, so no iteration replays a cached decision.
-// Nothing moves.
-func DecideRoundSingletons(sys *experiments.System) func(b *testing.B) {
-	return func(b *testing.B) {
-		eng := singletons(sys)
-		strat := core.NewSelfish()
-		ev := eng.NewEvaluator()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.PrepareDecide()
-			for p := 0; p < eng.NumSlots(); p++ {
-				strat.DecideEval(ev, p, math.NaN(), true)
-			}
-		}
-	}
-}
-
-// ColdRestore times what a daemon start or a follower's catch-up
-// install pays that RebuildLarge does not: an engine built over peers
+// coldRestore times what a daemon start or a follower's catch-up
+// install pays that rebuildLarge does not: an engine built over peers
 // that have answered nothing yet, so every inverted index is built on
 // the way, and the first view published from it, which builds the
-// content index. Every iteration forks sys and drops the fork's peer
-// indexes with the timer stopped.
-func ColdRestore(sys *experiments.System) func(b *testing.B) {
+// content index. Every iteration forks the system and drops the fork's
+// peer indexes with the timer stopped.
+func coldRestore(f *Fixtures) func(b *testing.B) {
+	sys := f.restore
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -127,10 +133,51 @@ func ColdRestore(sys *experiments.System) func(b *testing.B) {
 	}
 }
 
-// EngineClone times Engine.Clone: what every cell of the paper's
-// evaluation pays where it used to pay core.New (146 clones an
-// evaluation against 16 engines built). eng is only read.
-func EngineClone(eng *core.Engine) func(b *testing.B) {
+// firstJoinAfterRestore times the first AddPeer on a freshly built
+// engine over singletons: the join that builds the content indexes and
+// appends the first new peer and cluster slot. Every iteration forks the
+// system and builds its engine with the timer stopped.
+func firstJoinAfterRestore(f *Fixtures) func(b *testing.B) {
+	sys := f.restore
+	sys.Warm()
+	pr, queries, counts := newcomer(sys, 6)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := singletons(sys.Fork())
+			b.StartTimer()
+			eng.AddPeer(pr, queries, counts, cluster.None)
+		}
+	}
+}
+
+// decideRoundSingletons times one phase-1 decide round in which every
+// peer scans every cluster, over the most clusters a population can
+// have. Nothing moves.
+func decideRoundSingletons(f *Fixtures) func(b *testing.B) {
+	sys := f.restore
+	return func(b *testing.B) {
+		eng := singletons(sys)
+		strat := core.NewSelfish()
+		ev := eng.NewEvaluator()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.PrepareDecide()
+			for p := 0; p < eng.NumSlots(); p++ {
+				strat.DecideEval(ev, p, math.NaN(), true)
+			}
+		}
+	}
+}
+
+// What a cell of the paper's evaluation pays for its engine.
+
+// engineClone times Engine.Clone, 146 of them an evaluation.
+func engineClone(f *Fixtures) func(b *testing.B) {
+	eng := f.base.eng
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -139,18 +186,19 @@ func EngineClone(eng *core.Engine) func(b *testing.B) {
 	}
 }
 
-// UpdateLevel times what one perturbation level of Fig 2 costs before
+// updateLevel times what one perturbation level of Fig 2 costs before
 // any protocol runs: clone the base engine, redirect the whole workload
 // of one cluster's peers to another category on a fork over the clone,
 // Rebuild. The Rebuild asks the peers nothing they already answered:
-// only the queries the redirection interned. sys and eng are only read.
-func UpdateLevel(sys *experiments.System, eng *core.Engine) func(b *testing.B) {
+// only the queries the redirection interned.
+func updateLevel(f *Fixtures) func(b *testing.B) {
+	u := f.base
 	return func(b *testing.B) {
-		members := eng.Config().Members(0)
+		members := u.eng.Config().Members(0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			level := eng.Clone()
-			fork := sys.ForkOnto(level)
+			level := u.eng.Clone()
+			fork := u.sys.ForkOnto(level)
 			rng := stats.NewRNG(9)
 			for _, pid := range members {
 				fork.RedirectWorkload(pid, 1, 1, rng)

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/peer"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -111,13 +110,10 @@ type Node struct {
 	contributedTotal float64
 }
 
-// Sim wires the actors together. Membership is dynamic: AddNode and
-// RemoveNode admit and retire actors between phases (a vacated slot is
-// nil in nodes and reused by the next joiner), mirroring the slot
-// discipline of the exact engine.
+// Sim wires the actors together over a fixed population: a slot
+// vacated before New (a nil peer) stays nil in nodes.
 type Sim struct {
 	nodes []*Node
-	free  []int
 	wl    *workload.Workload
 	cfg   *cluster.Config
 	opts  Options
@@ -129,7 +125,7 @@ type Sim struct {
 // New builds a simulation over the same inputs as core.New. The
 // configuration is adopted (and mutated by reformulation rounds). As
 // in core.New, a nil peer entry is a vacated slot: no actor is
-// spawned for it and the slot is available for reuse by AddNode.
+// spawned for it.
 //
 // The sim keys no durable state by QID: node demand lists share the
 // workload's entry slices (which Workload.Compact remaps in place)
@@ -144,10 +140,8 @@ func New(peers []*peer.Peer, wl *workload.Workload, cfg *cluster.Config, opts Op
 	}
 	s := &Sim{wl: wl, cfg: cfg, opts: opts}
 	s.nodes = make([]*Node, len(peers))
-	for i := len(peers) - 1; i >= 0; i-- {
-		p := peers[i]
+	for i, p := range peers {
 		if p == nil {
-			s.free = append(s.free, i)
 			continue
 		}
 		if p.ID() != i {
@@ -163,79 +157,6 @@ func New(peers []*peer.Peer, wl *workload.Workload, cfg *cluster.Config, opts Op
 		}
 	}
 	return s
-}
-
-// Live returns the number of live actors — the configuration's
-// occupied-slot count, which AddNode/RemoveNode keep in lockstep with
-// the node table.
-func (s *Sim) Live() int { return s.cfg.Live() }
-
-// AddNode admits a new actor with the given content and local workload
-// into cluster `to` (cluster.None founds a singleton), between phases.
-// The joiner participates from the next query phase on; its slot
-// (reused from a departed actor when possible) is returned and the
-// content peer's ID rebound to it.
-func (s *Sim) AddNode(content *peer.Peer, queries []attr.Set, counts []int, to cluster.CID) int {
-	if len(queries) != len(counts) {
-		panic(fmt.Sprintf("sim: AddNode %d queries, %d counts", len(queries), len(counts)))
-	}
-	var id int
-	if k := len(s.free); k > 0 {
-		id = s.free[k-1]
-		s.free = s.free[:k-1]
-	} else {
-		id = s.cfg.AddSlot()
-		if wid := s.wl.AddPeerSlot(); wid != id || id != len(s.nodes) {
-			panic(fmt.Sprintf("sim: slot misalignment cfg=%d wl=%d nodes=%d", id, wid, len(s.nodes)))
-		}
-		s.nodes = append(s.nodes, nil)
-	}
-	content.SetID(id)
-	for i, q := range queries {
-		s.wl.Add(id, q, counts[i])
-	}
-	if to == cluster.None {
-		slot, ok := s.cfg.EmptyCluster()
-		if !ok {
-			panic("sim: AddNode found no empty cluster slot")
-		}
-		to = slot
-	}
-	s.cfg.Place(id, to)
-	s.nodes[id] = &Node{
-		id:      id,
-		content: content,
-		demands: s.wl.Peer(id),
-		demTot:  s.wl.PeerTotal(id),
-		inbox:   make(chan queryMsg, 64),
-		cid:     to,
-	}
-	return id
-}
-
-// RemoveNode retires the actor in slot id between phases, clearing its
-// workload and vacating its slot for reuse.
-func (s *Sim) RemoveNode(id int) {
-	if id < 0 || id >= len(s.nodes) || s.nodes[id] == nil {
-		panic(fmt.Sprintf("sim: RemoveNode %d is not a live node", id))
-	}
-	s.cfg.Unplace(id)
-	s.wl.ClearPeer(id)
-	s.nodes[id] = nil
-	s.free = append(s.free, id)
-}
-
-// ContentPeers returns the per-slot content peers (nil for vacated
-// slots), aligned with the sim's configuration — the population an
-// exact engine view is built over.
-func (s *Sim) ContentPeers() []*peer.Peer {
-	out := make([]*peer.Peer, len(s.nodes))
-	for i, n := range s.nodes {
-		if n != nil {
-			out[i] = n.content
-		}
-	}
-	return out
 }
 
 // Messages returns the total number of messages exchanged so far
@@ -586,10 +507,4 @@ func (s *Sim) RunPeriod() PeriodReport {
 	}
 	rpt.Messages = s.Messages() - before
 	return rpt
-}
-
-// NewEngineView builds an exact engine over the simulation's current
-// configuration, for cross-checking estimates in tests.
-func (s *Sim) NewEngineView(peers []*peer.Peer) *core.Engine {
-	return core.New(peers, s.wl, s.cfg.Clone(), s.opts.Theta, s.opts.Alpha)
 }
