@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/protocol"
+	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -48,6 +49,10 @@ type Fixtures struct {
 	// convergence (roughly one cluster per category).
 	// ProtocolRoundLarge churns it; ReformStepLarge converges it again.
 	maintained fixture
+	// daemon is a leader restored from serve's engine, built by the first
+	// Handler* entry that runs. HandlerJoin joins and leaves one peer an
+	// iteration and leaves it as it found it.
+	daemon *service.Server
 }
 
 // NewFixtures takes the Small class's parameters as given and derives

@@ -111,6 +111,12 @@ var Table = []Entry{
 	{"QueryServeZipf", Large, GateAllocs, queryServeZipf},
 	{"RouteRarest", Small, GateZeroAlloc, routeRarest},
 	{"RouterServe", Large, GateZeroAlloc, routerServe},
+	// The same reads through the HTTP handlers, and one join as the
+	// control-plane counterpart: decode, answer, encode, Instrument.
+	{"HandlerQuery", Large, GateAllocs, handlerQuery},
+	{"HandlerQueryBatch", Large, GateAllocs, handlerQueryBatch},
+	{"RouterHandlerQuery", Large, GateAllocs, routerHandlerQuery},
+	{"HandlerJoin", Large, GateAllocs, handlerJoin},
 	{"BuildViewAfterJoin", Large, GateAllocs, buildViewAfterJoin},
 	{"RouterApplyJoinDelta", Large, GateAllocs, routerApplyJoinDelta},
 	{"RebuildLarge", Large, GateZeroAlloc, rebuildLarge},
