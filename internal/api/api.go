@@ -1,9 +1,10 @@
 // Package api is the HTTP surface shared by the authoritative serving
 // daemon (internal/service) and the stateless query-router tier
 // (internal/router): the v1 JSON wire types, the machine-readable
-// error envelope, strict request decoding, the allocation-free query
-// answering path over a published core.RoutingView, and the lock-free
-// per-endpoint metrics.
+// error envelope, strict request decoding, the pooled query handlers
+// (a JSON codec for the two query bodies that is byte-identical to
+// encoding/json, around an allocation-free answering path over a
+// published core.RoutingView), and the lock-free per-endpoint metrics.
 //
 // Both tiers answer data-plane requests through the same functions,
 // so a router's response — success or error — is byte-identical to
@@ -108,7 +109,13 @@ func Error(w http.ResponseWriter, status int, code, format string, args ...any) 
 // failure it writes the enveloped 4xx response and returns false.
 func DecodeStrict(w http.ResponseWriter, r *http.Request, what string, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeStrict(w, r.Body, what, dst)
+}
+
+// decodeStrict is DecodeStrict over a body already limited to
+// MaxBodyBytes.
+func decodeStrict(w http.ResponseWriter, body io.Reader, what string, dst any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var mbe *http.MaxBytesError

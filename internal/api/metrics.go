@@ -3,6 +3,7 @@ package api
 import (
 	"math/bits"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -132,17 +133,24 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// statusWriters recycles Instrument's wrappers, so wrapping a request
+// allocates nothing of its own.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
 // Instrument wraps a handler with request counting and latency
 // recording for m. The wrapper itself takes no locks.
 func Instrument(m *EndpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter, sw.code = w, http.StatusOK
 		h(sw, r)
 		m.requests.Add(1)
 		if sw.code >= 400 {
 			m.errors.Add(1)
 		}
 		m.lat.Observe(time.Since(start))
+		sw.ResponseWriter, sw.code = nil, 0
+		statusWriters.Put(sw)
 	}
 }

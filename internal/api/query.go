@@ -1,6 +1,7 @@
 package api
 
 import (
+	"hash/maphash"
 	"net/http"
 	"slices"
 	"sync"
@@ -11,11 +12,13 @@ import (
 
 // This file is the shared data-plane read path: resolve query terms
 // against a published term table, Route over an immutable
-// core.RoutingView, and render the JSON answer — with every buffer
-// pooled, so the per-query path allocates nothing at steady state.
-// The serving daemon and every router replica answer through these
-// functions, which is what makes router answers byte-identical to the
-// engine's by construction.
+// core.RoutingView, and render the JSON answer. The whole POST
+// /v1/query and /v1/query/batch handler is pooled: the body is read
+// and the answer rendered in one Scratch (see codec.go), so a request
+// the fast path accepts allocates only what net/http and the size
+// limit require. The serving daemon and every router replica answer
+// through these functions, which is what makes router answers
+// byte-identical to the engine's by construction.
 
 // QueryRequest is the POST /v1/query body (and one batch element).
 type QueryRequest struct {
@@ -55,12 +58,31 @@ type Scratch struct {
 	route core.RouteScratch
 	ids   []attr.ID
 	hits  []ClusterHit
+
+	// The handler's: the request body, then the answer rendered over
+	// it; the queries decoded from it; unquoted terms.
+	buf []byte
+	qs  []parsed
+	esc []byte
+	// A batch's distinct queries: the hash of a canonical key names the
+	// first query with that key and the bytes of its answer in buf.
+	seed   maphash.Seed
+	key    []byte
+	seen   map[uint64]int32
+	firsts []first
+}
+
+// first is the first occurrence of a distinct query in a batch and
+// where its answer sits in the rendered body.
+type first struct {
+	q        attr.Set
+	from, to int32
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
 		// hits must start non-nil: an empty answer marshals as [].
-		return &Scratch{hits: make([]ClusterHit, 0, 8)}
+		return &Scratch{hits: make([]ClusterHit, 0, 8), seed: maphash.MakeSeed(), seen: map[uint64]int32{}}
 	},
 }
 
@@ -70,10 +92,6 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // PutScratch returns a borrowed scratch to the pool.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
-
-// emptyHits is the shared empty answer (non-nil so it marshals as
-// []); it is only ever read.
-var emptyHits = []ClusterHit{}
 
 // resolve renders raw query terms into a canonical attribute set.
 // Unknown terms cannot match anything (items only contain interned
@@ -112,7 +130,7 @@ func answerResolved(rv *core.RoutingView, cache *core.RouteCache, q attr.Set, sc
 // snapshot and returns the routing answer, consulting cache (which may
 // be nil) for repeated queries against the same view. The response's
 // Clusters slice aliases sc and is valid until sc's next use; callers
-// that retain answers (the batch path) copy it out. Unknown terms yield
+// that retain answers copy it out. Unknown terms yield
 // the empty answer. The call is allocation-free at steady state.
 func Answer(terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache, raw []string, sc *Scratch) QueryResponse {
 	q, ok := sc.resolve(terms, raw)
@@ -135,18 +153,23 @@ func AnswerQuery(terms map[string]attr.ID, rv *core.RoutingView, cache *core.Rou
 // encode. It returns the number of queries answered (0 when the
 // request was rejected), for the caller's served counter.
 func ServeQuery(w http.ResponseWriter, r *http.Request, terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache) int {
-	var req QueryRequest
-	if !DecodeStrict(w, r, "query", &req) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	if !sc.decode(w, r, terms, false) {
 		return 0
 	}
-	if len(req.Terms) == 0 {
+	p := sc.qs[0]
+	if p.n == 0 {
 		Error(w, http.StatusBadRequest, CodeEmptyQuery, "query with no terms")
 		return 0
 	}
-	sc := GetScratch()
-	resp := Answer(terms, rv, cache, req.Terms, sc)
-	WriteJSON(w, http.StatusOK, resp)
-	PutScratch(sc)
+	if q, ok := sc.query(p); ok {
+		sc.buf = appendAnswer(sc.buf[:0], answerResolved(rv, cache, q, sc))
+	} else {
+		sc.buf = append(sc.buf[:0], emptyAnswer...)
+	}
+	sc.buf = append(sc.buf, '\n')
+	writeBody(w, sc.buf)
 	return 1
 }
 
@@ -155,57 +178,71 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, terms *attr.TermTable, r
 // so the batch is internally consistent even while mutations land
 // concurrently. Duplicate queries within a batch (same canonical
 // attribute set, whatever the term order or repetition) are routed
-// once and share the answer — legal precisely because the whole batch
-// is served from one snapshot. It returns the number of queries
-// answered.
+// once and the bytes of the first answer repeated — legal precisely
+// because the whole batch is served from one snapshot. It returns the
+// number of queries answered.
 func ServeQueryBatch(w http.ResponseWriter, r *http.Request, terms *attr.TermTable, rv *core.RoutingView, cache *core.RouteCache) int {
-	var req BatchRequest
-	if !DecodeStrict(w, r, "batch", &req) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	if !sc.decode(w, r, terms, true) {
 		return 0
 	}
-	if len(req.Queries) == 0 {
+	if len(sc.qs) == 0 {
 		Error(w, http.StatusBadRequest, CodeEmptyBatch, "batch with no queries")
 		return 0
 	}
-	if len(req.Queries) > MaxBatchQueries {
+	if len(sc.qs) > MaxBatchQueries {
 		Error(w, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-			"batch of %d queries over the %d limit", len(req.Queries), MaxBatchQueries)
+			"batch of %d queries over the %d limit", len(sc.qs), MaxBatchQueries)
 		return 0
 	}
-	for i, q := range req.Queries {
-		if len(q.Terms) == 0 {
+	for i, p := range sc.qs {
+		if p.n == 0 {
 			Error(w, http.StatusBadRequest, CodeEmptyQuery, "query %d with no terms", i)
 			return 0
 		}
 	}
-	sc := GetScratch()
-	results := make([]QueryResponse, len(req.Queries))
-	var seen map[string]int // canonical key -> index of first occurrence
-	if len(req.Queries) > 1 {
-		seen = make(map[string]int, len(req.Queries))
-	}
-	var kb []byte
-	for i := range req.Queries {
-		q, ok := sc.resolve(terms, req.Queries[i].Terms)
+	clear(sc.seen)
+	sc.firsts = sc.firsts[:0]
+	b := append(sc.buf[:0], batchOpen...)
+	for i, p := range sc.qs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		q, ok := sc.query(p)
 		if !ok {
-			results[i] = QueryResponse{Clusters: emptyHits}
+			b = append(b, emptyAnswer...)
 			continue
 		}
-		if seen != nil {
-			kb = q.AppendKey(kb[:0])
-			if j, dup := seen[string(kb)]; dup {
-				results[i] = results[j]
-				continue
-			}
-			seen[string(kb)] = i
+		sc.key = q.AppendKey(sc.key[:0])
+		h := maphash.Bytes(sc.seed, sc.key)
+		j, taken := sc.seen[h]
+		if taken && slices.Equal(sc.firsts[j].q.IDs(), q.IDs()) {
+			f := sc.firsts[j]
+			b = append(b, b[f.from:f.to]...)
+			continue
 		}
-		resp := answerResolved(rv, cache, q, sc)
-		resp.Clusters = append(make([]ClusterHit, 0, len(resp.Clusters)), resp.Clusters...)
-		results[i] = resp
+		from := len(b)
+		b = appendAnswer(b, answerResolved(rv, cache, q, sc))
+		if !taken { // a colliding key is answered, not remembered
+			sc.seen[h] = int32(len(sc.firsts))
+			sc.firsts = append(sc.firsts, first{q: q, from: int32(from), to: int32(len(b))})
+		}
 	}
-	PutScratch(sc)
-	WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
-	return len(req.Queries)
+	sc.buf = append(b, batchClose...)
+	writeBody(w, sc.buf)
+	return len(sc.qs)
+}
+
+// query is p's canonical attribute set; ok is false when one of its
+// terms is unknown. It sorts p's IDs in place.
+func (sc *Scratch) query(p parsed) (q attr.Set, ok bool) {
+	if !p.known {
+		return attr.Set{}, false
+	}
+	ids := sc.ids[p.start:p.end]
+	slices.Sort(ids)
+	return attr.FromSorted(slices.Compact(ids)), true
 }
 
 // CacheStatsMap renders a route cache's counters for a /v1/stats

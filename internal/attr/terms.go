@@ -61,6 +61,19 @@ func (t *TermTable) Lookup(name string) (ID, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a name held as bytes, such as a slice of a
+// request body; it does not allocate.
+func (t *TermTable) LookupBytes(name []byte) (ID, bool) {
+	if id, ok := t.base[string(name)]; ok {
+		return id, true
+	}
+	if t.overlay == nil {
+		return 0, false
+	}
+	id, ok := t.overlay[string(name)]
+	return id, ok
+}
+
 // Len returns how many names the table covers.
 func (t *TermTable) Len() int { return len(t.names) }
 

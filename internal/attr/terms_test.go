@@ -18,10 +18,16 @@ func checkTable(t *testing.T, tab *TermTable, n int, label string) {
 		if id, ok := tab.Lookup(termName(i)); !ok || id != ID(i) || tab.Names()[i] != termName(i) {
 			t.Fatalf("%s: term %d resolves to (%d, %v), listed as %q", label, i, id, ok, tab.Names()[i])
 		}
+		if id, ok := tab.LookupBytes([]byte(termName(i))); !ok || id != ID(i) {
+			t.Fatalf("%s: term %d resolves from bytes to (%d, %v)", label, i, id, ok)
+		}
 	}
 	for _, unknown := range []string{termName(n), termName(n + termFoldAt), ""} {
 		if id, ok := tab.Lookup(unknown); ok {
 			t.Fatalf("%s: resolves %q, interned after it was taken, to %d", label, unknown, id)
+		}
+		if id, ok := tab.LookupBytes([]byte(unknown)); ok {
+			t.Fatalf("%s: resolves %q from bytes to %d", label, unknown, id)
 		}
 	}
 }
