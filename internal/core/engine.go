@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/peer"
 	"repro/internal/workload"
@@ -161,7 +160,7 @@ type Engine struct {
 	ownScratch   []float64
 	accScratch   []float64
 	multiScratch []cluster.CID
-	attrScratch  []attr.ID
+	editScratch  []postingEdit
 	qidScratch   []workload.QID
 	candScratch  []workload.QID
 	qMark        []uint64

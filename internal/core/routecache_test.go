@@ -10,16 +10,19 @@ import (
 	"repro/internal/stats"
 )
 
-// routeFirstAttribute is the pre-rarest-scan Route: it always drives
-// the scan from the query's FIRST attribute's posting list. Kept here
-// as the oracle the rarest-attribute argmin must match byte-for-byte.
+// routeFirstAttribute is the pre-rarest-scan, pre-mask Route: it always
+// drives the scan from the query's FIRST attribute's posting list and
+// asks each listed peer for its count. Kept here as the oracle the
+// rarest-attribute argmin and the mask intersection must match
+// byte-for-byte.
 func routeFirstAttribute(v *RoutingView, q attr.Set) (total int, hits []RouteHit) {
 	ids := q.IDs()
 	if len(ids) == 0 {
 		return 0, nil
 	}
 	results := make([]int, len(v.sizes))
-	for _, pid := range v.postings.get(ids[0]) {
+	for _, e := range v.postings.get(ids[0]) {
+		pid := e.slot
 		if res := v.peers[pid].ResultCountRO(q); res > 0 {
 			results[v.clusterOf[pid]] += res
 			total += res

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -19,26 +21,32 @@ import (
 // after every mutation (under its write lock) and serves all queries
 // from the latest published view without locking.
 //
-// A view carries copies of exactly the state Route touches: the
-// content posting lists (attribute -> live peers holding it), the
-// peer slice (pointers to peers frozen for read-only matching — see
-// peer.Freeze/ResultCountRO), the slot -> cluster assignment, and the
-// per-cluster sizes. The copies make the view immune to in-place
-// index mutation by later joins/leaves; the peers themselves are
-// shared because their content is immutable while views exist (the
-// serving daemon never mutates a live peer's items — churn replaces
-// peers wholesale).
+// A view answers result(q,p) from its own posting table. For every
+// attribute a it holds a list of (slot, mask) entries, ascending by
+// slot, one per live peer holding a: bit i of the mask is set when the
+// peer's item i holds a. A query's answer for one slot is then the
+// popcount of the AND of that slot's masks in q's lists, and Route
+// reads nothing but the table, the slot -> cluster assignment and the
+// per-cluster sizes. The view also keeps the frozen peers (see
+// peer.Freeze/ResultCountRO): for export, for the delta patcher, and
+// for the one case a mask cannot carry, a wide peer with more items
+// than a mask has bits, whose entries say so and which Route asks
+// directly. The peers are shared because their content is immutable
+// while views exist (the serving daemon never mutates a live peer's
+// items — churn replaces peers wholesale).
 //
 // Successive views of one engine share structure. Relocations (reform
 // rounds) and workload compactions change neither the population nor
 // any posting list, so a republish after them reuses the previous
 // view's posting table and peer slice outright. A join or leave changes
 // the posting lists of one peer's attributes only: the posting table is
-// a paged, copy-on-write array indexed by attribute ID, and the build
-// re-clones just the touched lists (and the pages holding them) while
-// every other page stays shared with the predecessor. Either way a
-// republish costs O(slots + the change's footprint), never O(total
-// postings); only the first view of an engine is built from scratch.
+// a paged, copy-on-write array indexed by attribute ID, and one patcher
+// (postingTable.patched) rewrites just the touched lists (and the pages
+// holding them) while every other page stays shared with the
+// predecessor. The engine and a replica applying a delta both call it.
+// Either way a republish costs O(slots + the change's footprint), never
+// O(total postings); only the first view of an engine, or of a replica,
+// is built from scratch (buildPostings).
 
 // RouteHit is one cluster's share of a query's results.
 type RouteHit struct {
@@ -54,9 +62,39 @@ type RouteHit struct {
 // read path allocates nothing at steady state. A scratch must not be
 // shared by concurrent readers; give each goroutine (or pool) its own.
 type RouteScratch struct {
-	results []int // dense per-CID accumulator, all-zero between calls
+	results []int         // dense per-CID accumulator, all-zero between calls
+	touched []cluster.CID // the clusters results holds counts for
 	hits    []RouteHit
 	key     []byte // canonical query key buffer (RouteCached)
+	// A multi-term query's posting lists, the shortest first, and a
+	// cursor into each of the others. Emptied after every call so a
+	// pooled scratch keeps no superseded view reachable.
+	lists [][]posting
+	cur   []int
+}
+
+// posting is one entry of an attribute's posting list: a live slot
+// whose peer holds the attribute, and which of the peer's items do —
+// bit i for item i. Every holder has at least one such item, so mask 0
+// marks a wide entry: its peer holds more than maskItems items, and
+// Route answers that slot with peer.ResultCountRO.
+type posting struct {
+	slot int32
+	mask uint64
+}
+
+// maskItems is how many items a posting's mask can carry.
+const maskItems = 64
+
+// newPosting returns slot's entry in a's list for the frozen peer p.
+func newPosting(slot int32, p *peer.Peer, a attr.ID) posting {
+	e := posting{slot: slot}
+	if p.NumItems() <= maskItems {
+		for _, i := range p.ItemsWith(a) {
+			e.mask |= 1 << uint(i)
+		}
+	}
+	return e
 }
 
 // Posting lists live in pages of postingPageLen consecutive attribute
@@ -68,18 +106,18 @@ const (
 	postingPageLen  = 1 << postingPageBits
 )
 
-type postingPage [postingPageLen][]int32
+type postingPage [postingPageLen][]posting
 
-// postingTable maps an attribute ID to the live slots whose content
-// holds it. It is immutable once its view is published; successor
-// views share its pages (see postingPatch).
+// postingTable maps an attribute ID to its posting list, ascending by
+// slot. It is immutable once its view is published; successor views
+// share its pages (see postingPatch).
 type postingTable struct {
 	pages []*postingPage
 }
 
 // get returns a's posting list, nil for any ID no page covers
 // (negative IDs convert to indexes far past the directory).
-func (t postingTable) get(a attr.ID) []int32 {
+func (t postingTable) get(a attr.ID) []posting {
 	pi := uint(a) >> postingPageBits
 	if pi >= uint(len(t.pages)) || t.pages[pi] == nil {
 		return nil
@@ -100,7 +138,7 @@ func (t postingTable) patch() postingPatch {
 }
 
 // set replaces a's posting list. lst must not be modified afterwards.
-func (b *postingPatch) set(a attr.ID, lst []int32) {
+func (b *postingPatch) set(a attr.ID, lst []posting) {
 	pi := int(a) >> postingPageBits
 	for pi >= len(b.pages) {
 		b.pages = append(b.pages, nil)
@@ -118,6 +156,141 @@ func (b *postingPatch) set(a attr.ID, lst []int32) {
 		lst = nil
 	}
 	*at = lst
+}
+
+// buildPostings derives the posting table of a slot table from
+// scratch. The peers must be frozen and hold no negative attribute ID.
+// Slots are walked in ascending order, so every list comes out sorted
+// without a sort: one pass counts each attribute's holders, which sizes
+// its list inside one arena, and a second appends each peer's entries.
+func buildPostings(peers []*peer.Peer) postingTable {
+	n := 0
+	for _, p := range peers {
+		if p != nil {
+			if as := p.Attrs(); len(as) > 0 {
+				n = max(n, int(as[len(as)-1])+1)
+			}
+		}
+	}
+	// next[a] counts a's holders, then becomes where a's next entry goes,
+	// and ends as the end of a's list, which is where a+1's begins.
+	next := make([]int32, n)
+	for _, p := range peers {
+		if p != nil {
+			for _, a := range p.Attrs() {
+				next[a]++
+			}
+		}
+	}
+	total := int32(0)
+	for a, c := range next {
+		next[a] = total
+		total += c
+	}
+	// A peer's entries are the zeroed ones at next[a]: its items set
+	// their mask bits (no per-attribute lookup in the peer), then its
+	// attributes stamp the slot and advance next past them.
+	arena := make([]posting, total)
+	for slot, p := range peers {
+		if p == nil {
+			continue
+		}
+		if items := p.SharedItems(); len(items) <= maskItems {
+			for i, it := range items {
+				for _, a := range it.IDs() {
+					arena[next[a]].mask |= 1 << uint(i)
+				}
+			}
+		}
+		for _, a := range p.Attrs() {
+			arena[next[a]].slot = int32(slot)
+			next[a]++
+		}
+	}
+	var pb postingPatch
+	start := int32(0)
+	for a, end := range next {
+		if end > start {
+			// Clipped, so no successor can append into a neighbour's list.
+			pb.set(attr.ID(a), arena[start:end:end])
+		}
+		start = end
+	}
+	return pb.postingTable
+}
+
+// postingEdit drops slot's entry from attribute a's list, or adds e.
+type postingEdit struct {
+	a   attr.ID
+	add bool
+	e   posting
+}
+
+// appendSwap appends the edits that carry slot from holding old to
+// holding p: old's entries leave its attributes' lists and p's join
+// theirs. Either peer may be nil; p must be frozen.
+func appendSwap(edits []postingEdit, slot int32, old, p *peer.Peer) []postingEdit {
+	if old != nil {
+		for _, a := range old.Attrs() {
+			edits = append(edits, postingEdit{a: a, e: posting{slot: slot}})
+		}
+	}
+	if p != nil {
+		for _, a := range p.Attrs() {
+			edits = append(edits, postingEdit{a: a, add: true, e: newPosting(slot, p, a)})
+		}
+	}
+	return edits
+}
+
+// patched returns the successor of t under edits, which name every slot
+// at most once (a drop and an add for one slot are one swap). Each
+// touched list is rewritten once, by merging its edits in slot order,
+// on pages copied as postingPatch does; every other page is shared.
+// It sorts edits in place.
+func (t postingTable) patched(edits []postingEdit) postingTable {
+	slices.SortFunc(edits, func(x, y postingEdit) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.e.slot, y.e.slot))
+	})
+	pb := t.patch()
+	for len(edits) > 0 {
+		n := 1
+		for n < len(edits) && edits[n].a == edits[0].a {
+			n++
+		}
+		pb.set(edits[0].a, mergeEdits(pb.get(edits[0].a), edits[:n]))
+		edits = edits[n:]
+	}
+	return pb.postingTable
+}
+
+// mergeEdits returns a fresh copy of lst with edits, which are in
+// ascending slot order, applied. A slot's drop and add may come in
+// either order: everything below the slot is copied first, the drop
+// skips the slot's old entry, and the add emits the new one.
+func mergeEdits(lst []posting, edits []postingEdit) []posting {
+	n := len(lst)
+	for _, ed := range edits {
+		if ed.add {
+			n++
+		} else {
+			n--
+		}
+	}
+	out := make([]posting, 0, max(n, 0))
+	i := 0
+	for _, ed := range edits {
+		j := seek(lst, i, ed.e.slot)
+		out = append(out, lst[i:j]...)
+		i = j
+		switch {
+		case ed.add:
+			out = append(out, ed.e)
+		case i < len(lst) && lst[i].slot == ed.e.slot:
+			i++
+		}
+	}
+	return append(out, lst[i:]...)
 }
 
 // nextViewID and nextLineage hand out process-unique identities: one
@@ -179,31 +352,15 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 	}
 	v.peers = slices.Clone(e.peers)
 	if scratch {
-		var pb postingPatch
 		for _, p := range v.peers {
 			if p != nil {
 				p.Freeze()
 			}
 		}
-		// One arena holds every copied list, each clipped to its length so
-		// a successor that extends one copies it out.
-		total := 0
-		for _, lst := range e.peersByAttr {
-			total += len(lst)
-		}
-		arena := make([]int32, 0, total)
-		for a, lst := range e.peersByAttr {
-			if len(lst) > 0 {
-				at := len(arena)
-				arena = append(arena, lst...)
-				pb.set(attr.ID(a), arena[at:len(arena):len(arena)])
-			}
-		}
-		v.postings = pb.postingTable
+		v.postings = buildPostings(v.peers)
 		return v
 	}
-	pb := prev.postings.patch()
-	touched := e.attrScratch[:0]
+	edits := e.editScratch[:0]
 	for i, p := range v.peers {
 		var old *peer.Peer
 		if i < len(prev.peers) {
@@ -212,21 +369,13 @@ func (e *Engine) BuildRoutingView(prev *RoutingView) *RoutingView {
 		if p == old {
 			continue
 		}
-		if old != nil {
-			touched = append(touched, old.Attrs()...)
-		}
 		if p != nil {
 			p.Freeze()
-			touched = append(touched, p.Attrs()...)
 		}
+		edits = appendSwap(edits, int32(i), old, p)
 	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
-	for _, a := range touched {
-		pb.set(a, slices.Clone(e.peersByAttr[a]))
-	}
-	e.attrScratch = touched
-	v.postings = pb.postingTable
+	v.postings = prev.postings.patched(edits)
+	e.editScratch = edits[:0]
 	return v
 }
 
@@ -253,63 +402,174 @@ func (v *RoutingView) NumClusters() int { return len(v.nonEmpty) }
 // valid until its next Route, and the call allocates nothing at
 // steady state.
 //
-// The scan is driven from the query's rarest attribute: a peer can
-// only contribute results if some item holds every attribute of q, so
-// every candidate appears in every one of q's posting lists and
-// scanning the shortest visits them all. Cost is therefore bounded by
-// the SHORTEST posting list among q's attributes (an O(|q|) argmin
-// picks it), not the first — under skewed traffic, where popular
-// queries tend to lead with popular (long-posting) attributes, that
-// is the difference between scanning the hottest list and the
-// coldest. The answer is byte-identical to a scan of any other of
-// q's posting lists (hit order comes from the non-empty cluster walk,
-// and per-cluster sums are order-independent). An empty query, or one
-// with any attribute no live peer holds — including attribute IDs the
-// view has never seen, e.g. from a router whose vocabulary ran ahead
-// of this snapshot — yields (0, empty); unknown attributes can never
-// panic the read path.
+// The answer is read from the posting table alone. A one-term query
+// sums the popcounts of its list's masks into the per-cluster
+// accumulator. A longer query walks its SHORTEST list (an O(|q|)
+// argmin picks it): a peer can only contribute if some item holds
+// every attribute of q, so every contributor appears in every list and
+// the shortest visits them all. Each entry finds its slot in the other
+// lists by galloping forward from where the previous entry stopped,
+// and contributes the popcount of the AND of its masks. Cost is
+// therefore O(shortest list × a gallop into each other list), whatever
+// the peers hold; under skewed traffic, where popular queries lead
+// with popular (long-posting) attributes, the argmin is the difference
+// between scanning the hottest list and the coldest. No peer is read,
+// except the peer of a wide entry (more items than a mask carries),
+// which answers for its slot with ResultCountRO. Hit order comes from
+// the non-empty cluster walk and per-cluster sums are
+// order-independent, so the answer is byte-identical to any other
+// scan. An empty query, or one with any attribute no live peer holds —
+// including attribute IDs the view has never seen, e.g. from a router
+// whose vocabulary ran ahead of this snapshot — yields (0, empty);
+// unknown attributes can never panic the read path.
 func (v *RoutingView) Route(q attr.Set, sc *RouteScratch) (total int, hits []RouteHit) {
 	sc.hits = sc.hits[:0]
 	ids := q.IDs()
 	if len(ids) == 0 {
 		return 0, sc.hits
 	}
-	// An empty list means "no live peer holds this attribute" — and any
-	// empty list, including the running minimum, ends the query early.
-	scan := v.postings.get(ids[0])
-	for _, id := range ids[1:] {
-		if len(scan) == 0 {
-			break
-		}
-		if lst := v.postings.get(id); len(lst) < len(scan) {
-			scan = lst
-		}
-	}
-	if len(scan) == 0 {
-		return 0, sc.hits
-	}
 	if len(sc.results) < len(v.sizes) {
 		sc.results = make([]int, len(v.sizes))
 	}
-	for _, pid := range scan {
-		if res := v.peers[pid].ResultCountRO(q); res > 0 {
-			sc.results[v.clusterOf[pid]] += res
-			total += res
-		}
+	sc.touched = sc.touched[:0]
+	if len(ids) == 1 {
+		total = v.countOne(q, v.postings.get(ids[0]), sc)
+	} else {
+		total = v.countMulti(q, sc)
 	}
 	if total == 0 {
 		return 0, sc.hits
 	}
-	// Every touched cluster hosts a live peer, so iterating the
-	// non-empty list both emits the hits in ascending order and
-	// restores the accumulator's all-zero invariant.
-	for _, c := range v.nonEmpty {
+	// Hits go out in ascending cluster order, and emitting one zeroes its
+	// count, restoring the accumulator's all-zero invariant. A few
+	// touched clusters are sorted; many are found by walking the
+	// non-empty list, which holds every one of them.
+	walk := v.nonEmpty
+	if len(sc.touched)*8 <= len(walk) {
+		slices.Sort(sc.touched)
+		walk = sc.touched
+	}
+	for _, c := range walk {
 		if n := sc.results[c]; n > 0 {
 			sc.hits = append(sc.hits, RouteHit{Cluster: c, Size: v.sizes[c], Results: n})
 			sc.results[c] = 0
 		}
 	}
 	return total, sc.hits
+}
+
+// add counts n > 0 results for cluster c.
+func (sc *RouteScratch) add(c cluster.CID, n int) {
+	if sc.results[c] == 0 {
+		sc.touched = append(sc.touched, c)
+	}
+	sc.results[c] += n
+}
+
+// countOne adds result(q,p) for every entry of lst, the list of q's one
+// attribute, into sc by cluster and returns the sum.
+func (v *RoutingView) countOne(q attr.Set, lst []posting, sc *RouteScratch) (total int) {
+	for _, e := range lst {
+		n := bits.OnesCount64(e.mask)
+		if e.mask == 0 {
+			n = v.peers[e.slot].ResultCountRO(q)
+		}
+		sc.add(v.clusterOf[e.slot], n)
+		total += n
+	}
+	return total
+}
+
+// countMulti is countOne for a query of two or more attributes: it
+// gathers q's lists into sc, the shortest first, and intersects them.
+func (v *RoutingView) countMulti(q attr.Set, sc *RouteScratch) (total int) {
+	lists := sc.lists[:0]
+	held := true
+	for _, id := range q.IDs() {
+		lst := v.postings.get(id)
+		if len(lst) == 0 {
+			held = false
+			break
+		}
+		lists = append(lists, lst)
+		if last := len(lists) - 1; len(lst) < len(lists[0]) {
+			lists[0], lists[last] = lists[last], lists[0]
+		}
+	}
+	if held {
+		cur := sc.cur[:0]
+		for range lists[1:] {
+			cur = append(cur, 0)
+		}
+		total = v.intersect(q, lists[0], lists[1:], cur, sc)
+		sc.cur = cur
+	}
+	clear(lists)
+	sc.lists = lists[:0]
+	return total
+}
+
+// intersect walks drive and, for each entry, seeks its slot in every
+// list of others from that list's cursor in cur. Cursors only move
+// forward because every list ascends by slot, and once one list is
+// exhausted no later slot can hold all of q.
+func (v *RoutingView) intersect(q attr.Set, drive []posting, others [][]posting, cur []int, sc *RouteScratch) (total int) {
+	for _, e := range drive {
+		n := 0
+		if e.mask == 0 {
+			n = v.peers[e.slot].ResultCountRO(q)
+		} else {
+			m := e.mask
+			for k, lst := range others {
+				i := seek(lst, cur[k], e.slot)
+				if i == len(lst) {
+					return total
+				}
+				cur[k] = i
+				if lst[i].slot != e.slot {
+					m = 0
+				} else {
+					m &= lst[i].mask
+				}
+				if m == 0 {
+					break
+				}
+			}
+			n = bits.OnesCount64(m)
+		}
+		if n > 0 {
+			sc.add(v.clusterOf[e.slot], n)
+			total += n
+		}
+	}
+	return total
+}
+
+// seek returns the index of the first entry of lst at or after lo whose
+// slot is at least slot, len(lst) if there is none. It gallops: steps
+// of 1, 2, 4, ... until one passes slot, then a binary search inside
+// the last step, so a lookup costs O(log distance).
+func seek(lst []posting, lo int, slot int32) int {
+	if lo >= len(lst) || lst[lo].slot >= slot {
+		return lo
+	}
+	// lst[lo].slot < slot throughout; hi is past it or at the end.
+	hi, step := lo+1, 1
+	for hi < len(lst) && lst[hi].slot < slot {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	hi = min(hi, len(lst))
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if lst[mid].slot < slot {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // The remainder of this file is the view replication surface: the
@@ -405,13 +665,15 @@ func (v *RoutingView) ApplyMoves(moves []SlotMove) (*RoutingView, error) {
 
 // ApplyDelta derives the successor view reached from v by d, without an
 // engine: a peer is built and frozen for every newcomer, the posting
-// lists of the changed peers' attributes are re-derived on copied
-// pages, and everything else is shared with v, so the call costs
-// O(slots + the changes' footprint). The delta is validated — a base
-// version other than v's, a change that skips past the slot table's
-// end or vacates a slot already empty, a move of an empty slot, a
-// negative cluster — and an error leaves v untouched; the caller
-// should then resynchronize with a full view.
+// lists of the changed peers' attributes are patched on copied pages
+// by the same patcher the engine's incremental build uses, and
+// everything else is shared with v, so the call costs O(slots + the
+// changes' footprint). The delta is validated — a base version other
+// than v's, changes out of ascending slot order, a change that skips
+// past the slot table's end or vacates a slot already empty, content
+// naming a negative attribute, a move of an empty slot, a negative
+// cluster — and an error leaves v untouched; the caller should then
+// resynchronize with a full view.
 func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 	if d.BasePop != v.popVersion {
 		return nil, fmt.Errorf("core: delta from population version %d against a view at %d", d.BasePop, v.popVersion)
@@ -426,9 +688,23 @@ func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 	}
 	if len(d.Changed) > 0 {
 		next.peers = slices.Clone(v.peers)
-		pb := v.postings.patch()
+		// A bound on the edits, so their slice is allocated once: an item
+		// adds at most its attributes, a leaver drops all of its own.
+		n := 0
 		for _, ch := range d.Changed {
+			for _, it := range ch.Items {
+				n += it.Len()
+			}
+			if s := int(ch.Slot); s >= 0 && s < len(v.peers) && v.peers[s] != nil {
+				n += len(v.peers[s].Attrs())
+			}
+		}
+		edits := make([]postingEdit, 0, n)
+		for i, ch := range d.Changed {
 			slot := int(ch.Slot)
+			if i > 0 && ch.Slot <= d.Changed[i-1].Slot {
+				return nil, fmt.Errorf("core: change of slot %d after slot %d: changes out of slot order", ch.Slot, d.Changed[i-1].Slot)
+			}
 			appended := slot == len(next.peers)
 			if appended {
 				next.peers = append(next.peers, nil)
@@ -444,28 +720,24 @@ func (v *RoutingView) ApplyDelta(d ViewDelta) (*RoutingView, error) {
 			if old == nil && ch.Cluster == cluster.None && !appended {
 				return nil, fmt.Errorf("core: change vacates unoccupied slot %d", ch.Slot)
 			}
-			if old != nil {
-				for _, a := range old.Attrs() {
-					lst := pb.get(a)
-					pb.set(a, slices.DeleteFunc(slices.Clone(lst), func(s int32) bool { return s == ch.Slot }))
+			var p *peer.Peer
+			if ch.Cluster != cluster.None {
+				var err error
+				if p, err = frozenPeer(slot, ch.Items); err != nil {
+					return nil, err
 				}
-				next.peers[slot] = nil
+			}
+			edits = appendSwap(edits, ch.Slot, old, p)
+			if old != nil {
 				next.live--
 			}
-			if ch.Cluster != cluster.None {
-				p := peer.New(slot)
-				p.SetItems(ch.Items)
-				p.Freeze()
-				for _, a := range p.Attrs() {
-					lst := pb.get(a)
-					pb.set(a, append(slices.Clip(lst), ch.Slot))
-				}
-				next.peers[slot] = p
+			if p != nil {
 				next.live++
 			}
+			next.peers[slot] = p
 			next.clusterOf[slot] = ch.Cluster
 		}
-		next.postings = pb.postingTable
+		next.postings = v.postings.patched(edits)
 	}
 	for _, m := range d.Moves {
 		if m.Slot < 0 || int(m.Slot) >= len(next.clusterOf) {
@@ -496,12 +768,16 @@ func (v *RoutingView) rebuildSizes() {
 		}
 	}
 	v.sizes = make([]int, maxC+1)
+	nonEmpty := 0
 	for _, c := range v.clusterOf {
 		if c != cluster.None {
+			if v.sizes[c] == 0 {
+				nonEmpty++
+			}
 			v.sizes[c]++
 		}
 	}
-	v.nonEmpty = v.nonEmpty[:0]
+	v.nonEmpty = make([]cluster.CID, 0, nonEmpty)
 	for c, n := range v.sizes {
 		if n > 0 {
 			v.nonEmpty = append(v.nonEmpty, cluster.CID(c))
@@ -526,10 +802,10 @@ type ViewData struct {
 	Postings [][]int32
 }
 
-// Export renders v as a ViewData. Items are copied per slot and the
-// posting lists are laid side by side out of the view's pages; the
-// assignment and the lists themselves alias the view's immutable
-// state, so the result must be treated as read-only.
+// Export renders v as a ViewData. Items are copied per slot, and the
+// slot lists are derived from the posting table into one arena; the
+// assignment aliases the view's immutable state, so the result must be
+// treated as read-only.
 func (v *RoutingView) Export() ViewData {
 	items := make([][]attr.Set, len(v.peers))
 	for i, p := range v.peers {
@@ -538,9 +814,28 @@ func (v *RoutingView) Export() ViewData {
 		}
 	}
 	postings := make([][]int32, len(v.postings.pages)<<postingPageBits)
-	for pi, pg := range v.postings.pages {
+	total := 0
+	for _, pg := range v.postings.pages {
 		if pg != nil {
-			copy(postings[pi<<postingPageBits:], pg[:])
+			for _, lst := range pg {
+				total += len(lst)
+			}
+		}
+	}
+	arena := make([]int32, 0, total)
+	for pi, pg := range v.postings.pages {
+		if pg == nil {
+			continue
+		}
+		for k, lst := range pg {
+			if len(lst) == 0 {
+				continue
+			}
+			at := len(arena)
+			for _, e := range lst {
+				arena = append(arena, e.slot)
+			}
+			postings[pi<<postingPageBits|k] = arena[at:len(arena):len(arena)]
 		}
 	}
 	return ViewData{
@@ -551,17 +846,31 @@ func (v *RoutingView) Export() ViewData {
 	}
 }
 
+// frozenPeer builds the frozen peer a replica keeps for slot. Content
+// naming a negative attribute ID is rejected: the posting table is
+// indexed by attribute ID.
+func frozenPeer(slot int, items []attr.Set) (*peer.Peer, error) {
+	p := peer.New(slot)
+	p.SetItems(items)
+	p.Freeze()
+	if as := p.Attrs(); len(as) > 0 && as[0] < 0 {
+		return nil, fmt.Errorf("core: slot %d holds negative attribute %d", slot, as[0])
+	}
+	return p, nil
+}
+
 // FromViewData reconstructs a servable RoutingView from an exported
 // (typically wire-decoded) ViewData: fresh peers are built and frozen
 // per occupied slot, sizes and the non-empty list are derived from
-// the assignment, and the assignment and posting lists are adopted
-// (the caller must not mutate them afterwards). The data is validated
-// — mismatched slot counts, postings naming unoccupied or
-// out-of-range slots, and negative cluster IDs are rejected — so a
-// decoder can hand over untrusted input without
-// risking a panic on the router's read path. The posting table is
-// sized by the largest attribute ID with a posting list; a decoder
-// should bound that by its vocabulary (viewwire does).
+// the assignment, the posting table is derived from the peers by the
+// same builder as an engine's first view, and the assignment is
+// adopted (the caller must not mutate it afterwards). The data is
+// validated — mismatched slot counts, postings naming unoccupied or
+// out-of-range slots, negative cluster or attribute IDs are rejected —
+// so a decoder can hand over untrusted input without risking a panic
+// on the router's read path. The posting table is sized by the largest
+// attribute ID the content holds; a decoder should bound that by its
+// vocabulary (viewwire does).
 func FromViewData(d ViewData) (*RoutingView, error) {
 	if len(d.Items) != len(d.ClusterOf) {
 		return nil, fmt.Errorf("core: view data has %d item slots but %d assignment slots", len(d.Items), len(d.ClusterOf))
@@ -579,25 +888,21 @@ func FromViewData(d ViewData) (*RoutingView, error) {
 		if c < 0 {
 			return nil, fmt.Errorf("core: slot %d assigned to invalid cluster %d", i, c)
 		}
-		p := peer.New(i)
-		p.SetItems(d.Items[i])
-		p.Freeze()
+		p, err := frozenPeer(i, d.Items[i])
+		if err != nil {
+			return nil, err
+		}
 		v.peers[i] = p
 		v.live++
 	}
-	var pb postingPatch
 	for a, lst := range d.Postings {
-		if len(lst) == 0 {
-			continue
-		}
 		for _, pid := range lst {
 			if pid < 0 || int(pid) >= len(v.peers) || v.peers[pid] == nil {
 				return nil, fmt.Errorf("core: posting list of attr %d names unoccupied slot %d", a, pid)
 			}
 		}
-		pb.set(attr.ID(a), lst)
 	}
-	v.postings = pb.postingTable
+	v.postings = buildPostings(v.peers)
 	v.rebuildSizes()
 	return v, nil
 }

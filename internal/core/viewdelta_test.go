@@ -157,4 +157,9 @@ func TestFromViewDataRejects(t *testing.T) {
 	if _, err := FromViewData(bad); err == nil {
 		t.Error("posting naming an out-of-range slot accepted")
 	}
+	bad = base
+	bad.Items = [][]attr.Set{{attr.NewSet(-1, 0)}, nil}
+	if _, err := FromViewData(bad); err == nil {
+		t.Error("content naming a negative attribute accepted")
+	}
 }

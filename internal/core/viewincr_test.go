@@ -13,9 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-// sameViewData compares two exports field by field, posting lists as
-// sets: an incrementally derived view may order a list differently from
-// a rebuilt one without routing differently.
+// sameViewData compares two exports field by field, posting lists
+// exactly: every list ascends by slot, however the view was derived.
 func sameViewData(a, b ViewData) error {
 	if a.PopVersion != b.PopVersion {
 		return fmt.Errorf("pop version %d != %d", a.PopVersion, b.PopVersion)
@@ -37,13 +36,11 @@ func sameViewData(a, b ViewData) error {
 	for id := range max(len(a.Postings), len(b.Postings)) {
 		var la, lb []int32
 		if id < len(a.Postings) {
-			la = slices.Clone(a.Postings[id])
+			la = a.Postings[id]
 		}
 		if id < len(b.Postings) {
-			lb = slices.Clone(b.Postings[id])
+			lb = b.Postings[id]
 		}
-		slices.Sort(la)
-		slices.Sort(lb)
 		if !slices.Equal(la, lb) {
 			return fmt.Errorf("posting list of attr %d: %v != %v", id, la, lb)
 		}
@@ -62,6 +59,56 @@ func freshPages(prev, v *RoutingView) int {
 	return n
 }
 
+// checkPostingTable verifies v's posting table against its peers: every
+// list ascends by slot and names live slots only, every entry's mask
+// holds exactly the items of its slot's peer that hold the attribute
+// (mask 0 for a wide peer), and every attribute of every live peer has
+// its entry.
+func checkPostingTable(v *RoutingView) error {
+	entries := 0
+	for pi, pg := range v.postings.pages {
+		if pg == nil {
+			continue
+		}
+		for k, lst := range pg {
+			a := attr.ID(pi<<postingPageBits | k)
+			for i, e := range lst {
+				if i > 0 && e.slot <= lst[i-1].slot {
+					return fmt.Errorf("attr %d: slot %d after slot %d", a, e.slot, lst[i-1].slot)
+				}
+				if e.slot < 0 || int(e.slot) >= len(v.peers) || v.peers[e.slot] == nil {
+					return fmt.Errorf("attr %d lists unoccupied slot %d", a, e.slot)
+				}
+				var want uint64
+				if items := v.peers[e.slot].Items(); len(items) <= maskItems {
+					for j, it := range items {
+						if it.Contains(a) {
+							want |= 1 << j
+						}
+					}
+				}
+				if e.mask != want {
+					return fmt.Errorf("attr %d slot %d: mask %b, items hold %b", a, e.slot, e.mask, want)
+				}
+				entries++
+			}
+		}
+	}
+	held := 0
+	for _, p := range v.peers {
+		if p != nil {
+			held += len(p.Attrs())
+		}
+	}
+	if held != entries {
+		return fmt.Errorf("%d entries for %d (peer, attribute) pairs", entries, held)
+	}
+	return nil
+}
+
+// wideSizes are the item counts around and past what a mask carries.
+var wideSizes = []int{63, 64, 65, 200}
+
 // joiner builds a peer over the given items, one query on its first
 // attribute.
 func joiner(items ...attr.Set) (*peer.Peer, []attr.Set, []int) {
@@ -70,13 +117,15 @@ func joiner(items ...attr.Set) (*peer.Peer, []attr.Set, []int) {
 	return pr, []attr.Set{attr.NewSet(items[0].IDs()[0])}, []int{1}
 }
 
-// TestIncrementalViewMatchesScratchProperty is the tentpole's oracle:
+// TestIncrementalViewMatchesScratchProperty is the view's oracle:
 // across randomized joins, leaves and relocations — several between two
 // builds, so that slots are reused, joined and vacated again, and
 // posting lists emptied without any view seeing the middle — the view
 // built from its predecessor, and a replica's view carried along by
 // DeltaFrom/ApplyDelta alone, both equal a from-scratch build in their
-// export and answer every query identically.
+// export and answer every query identically. Some joiners are wide
+// (wideSizes), so every path crosses the entries Route answers from
+// the peer, slot reuse included.
 func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 	// Attribute IDs are spread over many pages so that page sharing is
 	// visible, with a tail of rare ones that joins take and leaves
@@ -97,7 +146,20 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 			replicaBase := incr // the engine view the replica stands at
 			var joined []int    // slots this test filled
 			join := func() int {
-				pr, qs, counts := joiner(attr.NewSet(common(), rare()), attr.NewSet(rare()))
+				items := []attr.Set{attr.NewSet(common(), rare()), attr.NewSet(rare())}
+				if rng.Intn(4) == 0 {
+					// Over common attributes and one rare one, so the
+					// joiner touches two pages however many items it has.
+					r := rare()
+					items = make([]attr.Set, wideSizes[rng.Intn(len(wideSizes))])
+					for i := range items {
+						items[i] = attr.NewSet(common(), common())
+						if i%3 == 0 {
+							items[i] = attr.NewSet(common(), r)
+						}
+					}
+				}
+				pr, qs, counts := joiner(items...)
 				pid := e.AddPeer(pr, qs, counts, cluster.None)
 				joined = append(joined, pid)
 				return pid
@@ -139,7 +201,12 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 				if err := sameViewData(scratch.Export(), incr.Export()); err != nil {
 					t.Fatalf("step %d: incremental view: %v", step, err)
 				}
-				// At most two peers of at most three attributes changed.
+				for name, v := range map[string]*RoutingView{"incremental": incr, "scratch": scratch} {
+					if err := checkPostingTable(v); err != nil {
+						t.Fatalf("step %d: %s view: %v", step, name, err)
+					}
+				}
+				// At most two peers changed, each over at most three pages.
 				if n := freshPages(prev, incr); n > 6 {
 					t.Fatalf("step %d: the build copied %d of %d posting pages, more than the change touched",
 						step, n, len(incr.postings.pages))
@@ -157,6 +224,9 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 					}
 					replicaBase = incr
 					if err := sameViewData(scratch.Export(), replica.Export()); err != nil {
+						t.Fatalf("step %d: replica view: %v", step, err)
+					}
+					if err := checkPostingTable(replica); err != nil {
 						t.Fatalf("step %d: replica view: %v", step, err)
 					}
 					if replica.Live() != scratch.Live() {
@@ -183,7 +253,8 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 // TestViewDeltaBoundaries pins when a delta exists and what ApplyDelta
 // refuses: views of different engines, or across a Rebuild, have none;
 // a delta applies only to the population version it was taken from, and
-// may not vacate an empty slot, skip a slot, or move a vacated one.
+// may not vacate an empty slot, skip a slot, change slots out of order,
+// name a negative attribute, or move a vacated one.
 func TestViewDeltaBoundaries(t *testing.T) {
 	e := newTestEngine(t, 12, 8, 5, nil)
 	v1 := e.BuildRoutingView(nil)
@@ -218,6 +289,8 @@ func TestViewDeltaBoundaries(t *testing.T) {
 		"negative slot":         {Changed: []SlotChange{{Slot: -1, Cluster: 0}}},
 		"invalid cluster":       {Changed: []SlotChange{{Slot: 0, Cluster: -2}}},
 		"moves a vacated slot":  {Changed: []SlotChange{{Slot: 3, Cluster: cluster.None}}, Moves: []SlotMove{{Slot: 3, To: 1}}},
+		"changes out of order":  {Changed: []SlotChange{{Slot: 5, Cluster: cluster.None}, {Slot: 2, Cluster: cluster.None}}},
+		"negative attribute":    {Changed: []SlotChange{{Slot: 3, Cluster: 0, Items: []attr.Set{attr.NewSet(-4, 1)}}}},
 	} {
 		bad.BasePop, bad.PopVersion = next.PopVersion(), next.PopVersion()+1
 		if _, err := next.ApplyDelta(bad); err == nil {

@@ -63,6 +63,11 @@ func (p *Peer) Items() []attr.Set {
 	return append([]attr.Set(nil), p.items...)
 }
 
+// SharedItems returns the peer's item list itself, not a copy. It must
+// not be modified and is valid until the next content change; readers
+// of a peer nobody mutates may share it.
+func (p *Peer) SharedItems() []attr.Set { return p.items }
+
 // Version increments whenever content changes; cost engines use it to
 // detect stale snapshots.
 func (p *Peer) Version() int { return p.version }
@@ -328,6 +333,17 @@ func (p *Peer) Attrs() []attr.ID {
 		p.buildPostings()
 	}
 	return p.attrs
+}
+
+// ItemsWith returns the indices of the items containing a, ascending;
+// nil for an attribute the peer does not hold. The slice is part of the
+// inverted index, shared and not to be modified; on a frozen peer this
+// is a pure read.
+func (p *Peer) ItemsWith(a attr.ID) []int32 {
+	if p.idx == nil {
+		p.buildPostings()
+	}
+	return p.posting(a)
 }
 
 // AttrFrequencies returns, for every attribute appearing in the peer's

@@ -346,6 +346,17 @@ func TestFlatPostingsMatchBruteForce(t *testing.T) {
 		if len(attrs) != len(freq) || !slices.IsSorted(attrs) {
 			t.Fatalf("%s: Attrs %v, want the %d distinct attributes ascending", what, attrs, len(freq))
 		}
+		for _, a := range slices.Concat(attrs, []attr.ID{-7, 1 << 20}) {
+			var want []int32
+			for i, it := range items {
+				if it.Contains(a) {
+					want = append(want, int32(i))
+				}
+			}
+			if got := p.ItemsWith(a); !slices.Equal(got, want) {
+				t.Fatalf("%s: ItemsWith(%d) = %v, want %v", what, a, got, want)
+			}
+		}
 	}
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := stats.NewRNG(seed)
