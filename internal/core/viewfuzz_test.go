@@ -60,7 +60,7 @@ func bruteRoute(e *Engine, q attr.Set) (total int, hits []RouteHit) {
 }
 
 // FuzzRoutingView drives an engine through a byte-decoded op stream —
-// joins of peers holding 0 to 80 items (past 64 a peer is wide), leaves,
+// joins of peers holding 0 to 80 items (past 32 a peer is wide), leaves,
 // a slot vacated and refilled between two builds, a slot added and
 // vacated between two builds, moves — and after every op checks three
 // views against the brute-force count: the engine's incremental view,

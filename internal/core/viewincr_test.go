@@ -79,7 +79,7 @@ func checkPostingTable(v *RoutingView) error {
 				if e.slot < 0 || int(e.slot) >= len(v.peers) || v.peers[e.slot] == nil {
 					return fmt.Errorf("attr %d lists unoccupied slot %d", a, e.slot)
 				}
-				var want uint64
+				var want uint32
 				if items := v.peers[e.slot].Items(); len(items) <= maskItems {
 					for j, it := range items {
 						if it.Contains(a) {
@@ -107,7 +107,7 @@ func checkPostingTable(v *RoutingView) error {
 }
 
 // wideSizes are the item counts around and past what a mask carries.
-var wideSizes = []int{63, 64, 65, 200}
+var wideSizes = []int{31, 32, 33, 63, 64, 65, 200}
 
 // joiner builds a peer over the given items, one query on its first
 // attribute.
