@@ -2,14 +2,14 @@ package asyncnet
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // This file is the wire format of the runtime's messages, following the
 // replog/viewwire discipline: a versioned binary frame with a strict
-// decoder — truncations, hostile counts, out-of-range values and
+// decoder over the shared wire.Reader — truncations, hostile counts, out-of-range values and
 // trailing bytes are errors, never panics or unbounded allocations.
 // The transport round-trips every message through this codec before
 // delivery, so the encoding is on the hot path of every simulated
@@ -95,14 +95,15 @@ type Message struct {
 // WireVersion is the framing version; the decoder rejects others.
 const WireVersion = 1
 
-var msgMagic = [2]byte{'A', 'N'}
+// msgMagic opens every message.
+const msgMagic = "AN"
 
 // maxSlice bounds the Reps/Empties lengths the decoder accepts.
 const maxSlice = 1 << 20
 
 // AppendMessage encodes m onto dst.
 func AppendMessage(dst []byte, m Message) []byte {
-	dst = append(dst, msgMagic[0], msgMagic[1], WireVersion, byte(m.Kind))
+	dst = wire.AppendHeader(dst, msgMagic, WireVersion, byte(m.Kind))
 	dst = binary.AppendVarint(dst, int64(m.From))
 	dst = binary.AppendVarint(dst, int64(m.To))
 	dst = binary.AppendUvarint(dst, uint64(m.Round))
@@ -134,158 +135,48 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-var errMsgTruncated = errors.New("asyncnet: truncated message")
-
-type msgReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *msgReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, errMsgTruncated
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *msgReader) int32() (int32, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, errMsgTruncated
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("asyncnet: varint %d outside int32", v)
-	}
-	r.pos += n
-	return int32(v), nil
-}
-
-func (r *msgReader) uint32() (uint32, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("asyncnet: uvarint %d outside uint32", v)
-	}
-	return uint32(v), nil
-}
-
-func (r *msgReader) float64() (float64, error) {
-	if len(r.data)-r.pos < 8 {
-		return 0, errMsgTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
-	r.pos += 8
-	return v, nil
-}
-
-func (r *msgReader) bool() (bool, error) {
-	if r.pos >= len(r.data) {
-		return false, errMsgTruncated
-	}
-	b := r.data[r.pos]
-	if b > 1 {
-		return false, fmt.Errorf("asyncnet: bool byte %d", b)
-	}
-	r.pos++
-	return b == 1, nil
-}
-
-func (r *msgReader) cidSlice() ([]int32, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSlice {
-		return nil, fmt.Errorf("asyncnet: slice length %d exceeds limit", n)
-	}
-	// Every element occupies at least one encoded byte.
-	if rem := len(r.data) - r.pos; n > uint64(rem) {
-		return nil, fmt.Errorf("asyncnet: slice length %d exceeds remaining input", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]int32, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := r.int32()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // DecodeMessage parses exactly one message; trailing bytes are an
 // error.
 func DecodeMessage(data []byte) (Message, error) {
-	r := &msgReader{data: data}
-	if len(data) < 4 {
-		return Message{}, errMsgTruncated
-	}
-	if data[0] != msgMagic[0] || data[1] != msgMagic[1] {
-		return Message{}, fmt.Errorf("asyncnet: bad magic %q", data[:2])
-	}
-	if data[2] != WireVersion {
-		return Message{}, fmt.Errorf("asyncnet: unsupported wire version %d (speaking %d)", data[2], WireVersion)
-	}
-	m := Message{Kind: MsgKind(data[3])}
+	r := wire.NewReader("asyncnet", data)
+	m := Message{Kind: MsgKind(r.Header(msgMagic, WireVersion))}
 	if m.Kind == 0 || m.Kind > kindMax {
-		return Message{}, fmt.Errorf("asyncnet: unknown message kind %d", data[3])
+		r.Failf("unknown message kind %d", m.Kind)
 	}
-	r.pos = 4
-	var err error
-	if m.From, err = r.int32(); err != nil {
+	m.From = r.Int32()
+	m.To = r.Int32()
+	m.Round = r.Uint32()
+	m.HasRequest = r.Bool()
+	m.Req.Peer = r.Int32()
+	m.Req.From = r.Int32()
+	m.Req.To = r.Int32()
+	m.Req.Gain = r.Float64()
+	m.Req.NewCluster = r.Bool()
+	m.Req.Gen = r.Uint32()
+	m.Req.FromSize = r.Int32()
+	m.Reps = cidSlice(&r)
+	m.Empties = cidSlice(&r)
+	m.HadRequest = r.Bool()
+	m.Granted = r.Bool()
+	if err := r.Finish(); err != nil {
 		return Message{}, err
-	}
-	if m.To, err = r.int32(); err != nil {
-		return Message{}, err
-	}
-	if m.Round, err = r.uint32(); err != nil {
-		return Message{}, err
-	}
-	if m.HasRequest, err = r.bool(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.Peer, err = r.int32(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.From, err = r.int32(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.To, err = r.int32(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.Gain, err = r.float64(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.NewCluster, err = r.bool(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.Gen, err = r.uint32(); err != nil {
-		return Message{}, err
-	}
-	if m.Req.FromSize, err = r.int32(); err != nil {
-		return Message{}, err
-	}
-	if m.Reps, err = r.cidSlice(); err != nil {
-		return Message{}, err
-	}
-	if m.Empties, err = r.cidSlice(); err != nil {
-		return Message{}, err
-	}
-	if m.HadRequest, err = r.bool(); err != nil {
-		return Message{}, err
-	}
-	if m.Granted, err = r.bool(); err != nil {
-		return Message{}, err
-	}
-	if r.pos != len(data) {
-		return Message{}, fmt.Errorf("asyncnet: %d trailing bytes after message", len(data)-r.pos)
 	}
 	return m, nil
+}
+
+// cidSlice reads a counted list of zigzag varints; an empty list is nil.
+func cidSlice(r *wire.Reader) []int32 {
+	// Every element occupies at least one encoded byte.
+	n := r.Count(1, "slice")
+	if n > maxSlice {
+		r.Failf("slice length %d exceeds limit", n)
+	}
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = r.Int32()
+	}
+	return out
 }

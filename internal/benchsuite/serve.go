@@ -86,15 +86,12 @@ func routeRarest(*Fixtures) func(b *testing.B) {
 	const slots = 256
 	items := make([][]attr.Set, slots)
 	assign := make([]cluster.CID, slots)
-	postings := make([][]int32, 1+8) // the popular attribute 0 and the rare 1..8
 	for i := 0; i < slots; i++ {
-		a := attr.ID(1 + i%8)
-		items[i] = []attr.Set{attr.NewSet(0, a)}
+		// The popular attribute 0 and one of the rare 1..8.
+		items[i] = []attr.Set{attr.NewSet(0, attr.ID(1+i%8))}
 		assign[i] = cluster.CID(i % 8)
-		postings[0] = append(postings[0], int32(i))
-		postings[a] = append(postings[a], int32(i))
 	}
-	view, err := core.FromViewData(core.ViewData{PopVersion: 1, Items: items, ClusterOf: assign, Postings: postings})
+	view, err := core.FromViewData(core.ViewData{PopVersion: 1, Items: items, ClusterOf: assign})
 	if err != nil {
 		panic("benchsuite: RouteRarest view: " + err.Error())
 	}

@@ -773,9 +773,11 @@ func (v *RoutingView) rebuildSizes() {
 }
 
 // ViewData is the neutral, exported form of a RoutingView — the
-// payload of a full-view wire record. Slots are parallel across Items
-// and ClusterOf; a slot is occupied iff its ClusterOf entry is not
-// cluster.None (an occupied slot may legitimately share zero items).
+// payload of a full-view wire record: the content and the assignment,
+// from which FromViewData derives everything else. Slots are parallel
+// across Items and ClusterOf; a slot is occupied iff its ClusterOf
+// entry is not cluster.None (an occupied slot may legitimately share
+// zero items).
 type ViewData struct {
 	// PopVersion is the population/content version of the source view.
 	PopVersion uint64
@@ -783,14 +785,9 @@ type ViewData struct {
 	Items [][]attr.Set
 	// ClusterOf is the slot -> cluster assignment (None = unoccupied).
 	ClusterOf []cluster.CID
-	// Postings lists, indexed by attribute ID, the live slots whose
-	// content contains the attribute; empty (or past the end) for an
-	// attribute no live peer holds.
-	Postings [][]int32
 }
 
-// Export renders v as a ViewData. Items are copied per slot, and the
-// slot lists are derived from the posting table into one arena; the
+// Export renders v as a ViewData. Items are copied per slot; the
 // assignment aliases the view's immutable state, so the result must be
 // treated as read-only.
 func (v *RoutingView) Export() ViewData {
@@ -800,37 +797,7 @@ func (v *RoutingView) Export() ViewData {
 			items[i] = p.Items()
 		}
 	}
-	postings := make([][]int32, len(v.postings.pages)<<postingPageBits)
-	total := 0
-	for _, pg := range v.postings.pages {
-		if pg != nil {
-			for _, lst := range pg {
-				total += len(lst)
-			}
-		}
-	}
-	arena := make([]int32, 0, total)
-	for pi, pg := range v.postings.pages {
-		if pg == nil {
-			continue
-		}
-		for k, lst := range pg {
-			if len(lst) == 0 {
-				continue
-			}
-			at := len(arena)
-			for _, e := range lst {
-				arena = append(arena, e.slot)
-			}
-			postings[pi<<postingPageBits|k] = arena[at:len(arena):len(arena)]
-		}
-	}
-	return ViewData{
-		PopVersion: v.popVersion,
-		Items:      items,
-		ClusterOf:  v.clusterOf,
-		Postings:   postings,
-	}
+	return ViewData{PopVersion: v.popVersion, Items: items, ClusterOf: v.clusterOf}
 }
 
 // frozenPeer builds the frozen peer a replica keeps for slot. Content
@@ -852,10 +819,9 @@ func frozenPeer(slot int, items []attr.Set) (*peer.Peer, error) {
 // the assignment, the posting table is derived from the peers by the
 // same builder as an engine's first view, and the assignment is
 // adopted (the caller must not mutate it afterwards). The data is
-// validated — mismatched slot counts, postings naming unoccupied or
-// out-of-range slots, negative cluster or attribute IDs are rejected —
-// so a decoder can hand over untrusted input without risking a panic
-// on the router's read path. The posting table is sized by the largest
+// validated — mismatched slot counts, negative cluster or attribute IDs
+// are rejected — so a decoder can hand over untrusted input without
+// risking a panic on the router's read path. The posting table is sized by the largest
 // attribute ID the content holds; a decoder should bound that by its
 // vocabulary (viewwire does).
 func FromViewData(d ViewData) (*RoutingView, error) {
@@ -881,13 +847,6 @@ func FromViewData(d ViewData) (*RoutingView, error) {
 		}
 		v.peers[i] = p
 		v.live++
-	}
-	for a, lst := range d.Postings {
-		for _, pid := range lst {
-			if pid < 0 || int(pid) >= len(v.peers) || v.peers[pid] == nil {
-				return nil, fmt.Errorf("core: posting list of attr %d names unoccupied slot %d", a, pid)
-			}
-		}
 	}
 	v.postings = buildPostings(v.peers)
 	v.rebuildSizes()

@@ -132,7 +132,6 @@ func TestFromViewDataRejects(t *testing.T) {
 		PopVersion: 1,
 		Items:      [][]attr.Set{{attr.NewSet(0)}, nil},
 		ClusterOf:  []cluster.CID{0, cluster.None},
-		Postings:   [][]int32{{0}},
 	}
 	if _, err := FromViewData(base); err != nil {
 		t.Fatalf("valid view data rejected: %v", err)
@@ -146,16 +145,6 @@ func TestFromViewDataRejects(t *testing.T) {
 	bad.ClusterOf = []cluster.CID{-7, cluster.None}
 	if _, err := FromViewData(bad); err == nil {
 		t.Error("negative cluster ID accepted")
-	}
-	bad = base
-	bad.Postings = [][]int32{{1}}
-	if _, err := FromViewData(bad); err == nil {
-		t.Error("posting naming an unoccupied slot accepted")
-	}
-	bad = base
-	bad.Postings = [][]int32{{9}}
-	if _, err := FromViewData(bad); err == nil {
-		t.Error("posting naming an out-of-range slot accepted")
 	}
 	bad = base
 	bad.Items = [][]attr.Set{{attr.NewSet(-1, 0)}, nil}

@@ -13,9 +13,11 @@ import (
 	"repro/internal/stats"
 )
 
-// sameViewData compares two exports field by field, posting lists
+// sameView compares two views field by field: content and assignment
+// through their exports, and posting tables entry by entry, lists
 // exactly: every list ascends by slot, however the view was derived.
-func sameViewData(a, b ViewData) error {
+func sameView(va, vb *RoutingView) error {
+	a, b := va.Export(), vb.Export()
 	if a.PopVersion != b.PopVersion {
 		return fmt.Errorf("pop version %d != %d", a.PopVersion, b.PopVersion)
 	}
@@ -30,17 +32,11 @@ func sameViewData(a, b ViewData) error {
 			return fmt.Errorf("slot %d content %v != %v", slot, a.Items[slot], b.Items[slot])
 		}
 	}
-	// One export may cover more attribute IDs than the other (a page
-	// whose last list emptied stays in the directory); past its end an
-	// export holds nothing.
-	for id := range max(len(a.Postings), len(b.Postings)) {
-		var la, lb []int32
-		if id < len(a.Postings) {
-			la = a.Postings[id]
-		}
-		if id < len(b.Postings) {
-			lb = b.Postings[id]
-		}
+	// One table may cover more attribute IDs than the other (a page
+	// whose last list emptied stays in the directory); past its end a
+	// table holds nothing.
+	for id := range max(len(va.postings.pages), len(vb.postings.pages)) << postingPageBits {
+		la, lb := va.postings.get(attr.ID(id)), vb.postings.get(attr.ID(id))
 		if !slices.Equal(la, lb) {
 			return fmt.Errorf("posting list of attr %d: %v != %v", id, la, lb)
 		}
@@ -198,7 +194,7 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 				prev := incr
 				incr = e.BuildRoutingView(prev)
 				scratch := e.BuildRoutingView(nil)
-				if err := sameViewData(scratch.Export(), incr.Export()); err != nil {
+				if err := sameView(scratch, incr); err != nil {
 					t.Fatalf("step %d: incremental view: %v", step, err)
 				}
 				for name, v := range map[string]*RoutingView{"incremental": incr, "scratch": scratch} {
@@ -223,7 +219,7 @@ func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
 						t.Fatalf("step %d: apply delta: %v", step, err)
 					}
 					replicaBase = incr
-					if err := sameViewData(scratch.Export(), replica.Export()); err != nil {
+					if err := sameView(scratch, replica); err != nil {
 						t.Fatalf("step %d: replica view: %v", step, err)
 					}
 					if err := checkPostingTable(replica); err != nil {
@@ -297,7 +293,7 @@ func TestViewDeltaBoundaries(t *testing.T) {
 			t.Errorf("ApplyDelta accepted a delta that %s", name)
 		}
 	}
-	if err := sameViewData(v2.Export(), next.Export()); err != nil {
+	if err := sameView(v2, next); err != nil {
 		t.Errorf("rejected deltas changed the view they were applied to: %v", err)
 	}
 

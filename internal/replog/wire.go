@@ -2,16 +2,17 @@ package replog
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
+
+	"repro/internal/wire"
 )
 
 // This file is the wire framing of GET /v1/replog/watch, following the
 // viewwire discipline: versioned binary records, a catch-up kind that
 // carries everything a fresh follower needs, an incremental kind that
-// carries a batch of log entries, and a strict decoder — truncations,
-// hostile counts and trailing bytes are errors, never panics or
-// unbounded allocations — so a follower can feed it untrusted bytes.
+// carries a batch of log entries, and a strict decoder over the shared
+// wire.Reader — truncations, hostile counts and trailing bytes are
+// errors, never panics or unbounded allocations — so a follower can
+// feed it untrusted bytes (pinned by FuzzReplogRecord).
 //
 //	magic "RM" | format version (1) | record kind | leader term uvarint | ...
 //
@@ -36,7 +37,7 @@ const (
 const WireVersion = 1
 
 // wireMagic opens every record ("RM": replicated mutations).
-var wireMagic = [2]byte{'R', 'M'}
+const wireMagic = "RM"
 
 // maxEntryData bounds one entry payload accepted by the decoder.
 const maxEntryData = 1 << 26
@@ -58,7 +59,7 @@ type Record struct {
 
 // AppendSnapshot encodes a catch-up record onto dst.
 func AppendSnapshot(dst []byte, term, index uint64, payload []byte) []byte {
-	dst = append(dst, wireMagic[0], wireMagic[1], WireVersion, byte(RecSnapshot))
+	dst = wire.AppendHeader(dst, wireMagic, WireVersion, byte(RecSnapshot))
 	dst = binary.AppendUvarint(dst, term)
 	dst = binary.AppendUvarint(dst, index)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
@@ -67,7 +68,7 @@ func AppendSnapshot(dst []byte, term, index uint64, payload []byte) []byte {
 
 // AppendEntries encodes an entry-batch record onto dst.
 func AppendEntries(dst []byte, term uint64, entries []Entry) []byte {
-	dst = append(dst, wireMagic[0], wireMagic[1], WireVersion, byte(RecEntries))
+	dst = wire.AppendHeader(dst, wireMagic, WireVersion, byte(RecEntries))
 	dst = binary.AppendUvarint(dst, term)
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
@@ -80,116 +81,43 @@ func AppendEntries(dst []byte, term uint64, entries []Entry) []byte {
 	return dst
 }
 
-type wireReader struct {
-	data []byte
-	pos  int
-}
-
-var errWireTruncated = errors.New("replog: truncated record")
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, errWireTruncated
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *wireReader) bytes(n int) ([]byte, error) {
-	if n < 0 || len(r.data)-r.pos < n {
-		return nil, errWireTruncated
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
 // DecodeRecord parses exactly one wire record; trailing bytes are an
-// error.
+// error. An entry batch must hold consecutive indexes, terms that never
+// regress, and no term above the record's.
 func DecodeRecord(data []byte) (Record, error) {
-	r := &wireReader{data: data}
-	hdr, err := r.bytes(4)
-	if err != nil {
-		return Record{}, err
-	}
-	if hdr[0] != wireMagic[0] || hdr[1] != wireMagic[1] {
-		return Record{}, fmt.Errorf("replog: bad magic %q", hdr[:2])
-	}
-	if hdr[2] != WireVersion {
-		return Record{}, fmt.Errorf("replog: unsupported wire version %d (speaking %d)", hdr[2], WireVersion)
-	}
-	rec := Record{Kind: RecordKind(hdr[3])}
-	if rec.Term, err = r.uvarint(); err != nil {
-		return Record{}, err
-	}
+	r := wire.NewReader("replog", data)
+	rec := Record{Kind: RecordKind(r.Header(wireMagic, WireVersion))}
+	rec.Term = r.Uvarint()
 	switch rec.Kind {
 	case RecSnapshot:
-		if rec.Index, err = r.uvarint(); err != nil {
-			return Record{}, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		if rec.Snapshot, err = r.bytes(int(n)); err != nil {
-			return Record{}, err
-		}
+		rec.Index = r.Uvarint()
+		rec.Snapshot = r.Blob()
 	case RecEntries:
-		count, err := r.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		// Every entry occupies at least 4 encoded bytes; reject counts
-		// the remaining input cannot hold.
-		if rem := len(r.data) - r.pos; count > uint64(rem/4)+1 {
-			return Record{}, fmt.Errorf("replog: entry count %d exceeds remaining input", count)
-		}
-		rec.Entries = make([]Entry, 0, count)
-		prev := uint64(0)
-		prevTerm := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			var e Entry
-			if e.Index, err = r.uvarint(); err != nil {
-				return Record{}, err
+		// Every entry occupies at least 4 encoded bytes.
+		rec.Entries = make([]Entry, r.Count(4, "entry"))
+		for i := range rec.Entries {
+			e := &rec.Entries[i]
+			e.Index = r.Uvarint()
+			e.Term = r.Uvarint()
+			e.Kind = Kind(r.Byte())
+			e.Data = r.Blob()
+			switch {
+			case len(e.Data) > maxEntryData:
+				r.Failf("entry %d payload %d bytes exceeds limit", i, len(e.Data))
+			case e.Term > rec.Term:
+				r.Failf("entry %d term %d exceeds record term %d", i, e.Term, rec.Term)
+			case i == 0:
+			case e.Index != rec.Entries[i-1].Index+1:
+				r.Failf("entry %d index %d, want %d", i, e.Index, rec.Entries[i-1].Index+1)
+			case e.Term < rec.Entries[i-1].Term:
+				r.Failf("entry %d term %d regresses from %d", i, e.Term, rec.Entries[i-1].Term)
 			}
-			if e.Term, err = r.uvarint(); err != nil {
-				return Record{}, err
-			}
-			kb, err := r.bytes(1)
-			if err != nil {
-				return Record{}, err
-			}
-			e.Kind = Kind(kb[0])
-			n, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			if n > maxEntryData {
-				return Record{}, fmt.Errorf("replog: entry %d payload %d bytes exceeds limit", i, n)
-			}
-			if e.Data, err = r.bytes(int(n)); err != nil {
-				return Record{}, err
-			}
-			if i > 0 {
-				if e.Index != prev+1 {
-					return Record{}, fmt.Errorf("replog: entry %d index %d, want %d", i, e.Index, prev+1)
-				}
-				if e.Term < prevTerm {
-					return Record{}, fmt.Errorf("replog: entry %d term %d regresses from %d", i, e.Term, prevTerm)
-				}
-			}
-			prev, prevTerm = e.Index, e.Term
-			rec.Entries = append(rec.Entries, e)
-		}
-		if prevTerm > rec.Term {
-			return Record{}, fmt.Errorf("replog: entry term %d exceeds record term %d", prevTerm, rec.Term)
 		}
 	default:
-		return Record{}, fmt.Errorf("replog: unknown record kind %d", rec.Kind)
+		r.Failf("unknown record kind %d", rec.Kind)
 	}
-	if r.pos != len(r.data) {
-		return Record{}, fmt.Errorf("replog: %d trailing bytes after record", len(r.data)-r.pos)
+	if err := r.Finish(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }

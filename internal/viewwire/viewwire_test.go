@@ -279,6 +279,12 @@ func TestWireDecodeRejects(t *testing.T) {
 		// The records format version 1 wrote, layout and all.
 		"version-1 delta": []byte("RV\x01\x02\x06\x02\x02\x00\x01\a\x00"),
 		"version-1 full":  corrupt(func(b []byte) []byte { b[2] = 1; return b }),
+		// Version 2 full records still carried sizes and posting lists.
+		"version-2 full": corrupt(func(b []byte) []byte { b[2] = 2; return b }),
+		// header | seq | pop | one name "a" | one slot: content, cluster+1
+		"assigned empty slot":   {'R', 'V', FormatVersion, byte(KindFull), 1, 1, 1, 1, 'a', 1, 0, 1},
+		"unassigned content":    {'R', 'V', FormatVersion, byte(KindFull), 1, 1, 1, 1, 'a', 1, 2, 1, 0, 0},
+		"cluster id past int32": {'R', 'V', FormatVersion, byte(KindFull), 1, 1, 1, 1, 'a', 1, 2, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		// header | base_pop | pop | no names | one change: slot 1 ...
 		"join without content":    {'R', 'V', FormatVersion, byte(KindDelta), 1, 1, 2, 0, 1, 1, 3, 0, 0},
 		"non-increasing item ids": {'R', 'V', FormatVersion, byte(KindDelta), 1, 1, 2, 0, 1, 1, 3, 2, 2, 4, 0, 0},
