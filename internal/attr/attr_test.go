@@ -1,6 +1,8 @@
 package attr
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -50,6 +52,102 @@ func TestVocabInternAll(t *testing.T) {
 	ids := v.InternAll([]string{"a", "b", "a"})
 	if len(ids) != 3 || ids[0] != ids[2] || ids[0] == ids[1] {
 		t.Fatalf("InternAll ids: %v", ids)
+	}
+}
+
+func frozenVocab(names ...string) *Vocab {
+	v := NewVocab()
+	v.InternAll(names)
+	v.Freeze()
+	return v
+}
+
+// TestVocabForkIsolated: a name interned into a fork shows neither in
+// the frozen source nor in a sibling fork, each fork numbers its own
+// new names from the source's length, and the source refuses new names.
+func TestVocabForkIsolated(t *testing.T) {
+	src := frozenVocab("a", "b")
+	f1, f2 := src.Fork(), src.Fork()
+	if f1.Intern("b") != 1 || f1.Len() != 2 || f1.Name(0) != "a" {
+		t.Fatal("a fork does not start as a copy of its source")
+	}
+	if f1.Intern("x") != 2 || f2.Intern("y") != 2 || f2.Intern("z") != 3 {
+		t.Fatal("forks do not number new names from the source's length")
+	}
+	for _, c := range []struct {
+		v       *Vocab
+		name    string
+		missing []string
+		len     int
+	}{{src, "source", []string{"x", "y", "z"}, 2}, {f1, "fork 1", []string{"y", "z"}, 3}, {f2, "fork 2", []string{"x"}, 4}} {
+		for _, n := range c.missing {
+			if _, ok := c.v.Lookup(n); ok {
+				t.Errorf("%s sees %q, interned into another vocabulary", c.name, n)
+			}
+		}
+		if c.v.Len() != c.len || len(c.v.Names()) != c.len {
+			t.Errorf("%s has %d names, want %d", c.name, c.v.Len(), c.len)
+		}
+	}
+	if f1.Name(2) != "x" || f2.Name(2) != "y" || src.Names()[1] != "b" {
+		t.Fatal("names moved under a fork's writes")
+	}
+	if src.Intern("a") != 0 {
+		t.Fatal("a frozen vocabulary does not answer a known name")
+	}
+	for name, fn := range map[string]func(){
+		"Intern of a new name on a frozen vocabulary": func() { src.Intern("w") },
+		"Fork of a vocabulary that is not frozen":     func() { f1.Fork() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestVocabForkKnownInternAllocationFree: interning a known name into a
+// fork is a lookup, before and after the fork has copied its index.
+func TestVocabForkKnownInternAllocationFree(t *testing.T) {
+	f := frozenVocab("a", "b", "c").Fork()
+	if got := testing.AllocsPerRun(100, func() { f.Intern("b") }); got != 0 {
+		t.Errorf("Intern of a known name on a fresh fork allocates %.1f times", got)
+	}
+	f.Intern("d")
+	if got := testing.AllocsPerRun(100, func() { f.Intern("d") }); got != 0 {
+		t.Errorf("Intern of a known name on a written fork allocates %.1f times", got)
+	}
+}
+
+// TestVocabForksConcurrent: goroutines forking one frozen vocabulary and
+// writing their forks share nothing they write. Run under -race.
+func TestVocabForksConcurrent(t *testing.T) {
+	src := frozenVocab("a", "b", "c")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := src.Fork()
+			for i := 0; i < 50; i++ {
+				if id := f.Intern(fmt.Sprintf("g%d-%d", g, i)); int(id) != 3+i {
+					t.Errorf("goroutine %d: name %d got ID %d", g, i, id)
+					return
+				}
+				if _, ok := src.Lookup("c"); !ok {
+					t.Error("the source lost a name")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if src.Len() != 3 {
+		t.Fatalf("the source grew to %d names", src.Len())
 	}
 }
 

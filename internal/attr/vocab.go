@@ -7,16 +7,32 @@
 // can be stored as sorted ID slices and compared cheaply.
 package attr
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // ID is a dense, vocabulary-local attribute identifier.
 type ID int32
 
 // Vocab interns attribute strings into dense IDs. The zero value is
 // ready to use. Vocab is not safe for concurrent mutation.
+//
+// A vocabulary that many others start from is frozen and forked.
+// Freeze makes it read-only, so any number of goroutines may read it
+// and fork it: Intern still answers a known name and panics on an
+// unseen one. Fork returns a writable vocabulary with the same names
+// under the same IDs, and costs nothing up front: the fork shares the
+// frozen name table and index until its first Intern of an unseen
+// name, which copies the index. Forking never writes to the source, so
+// a name interned into a fork shows neither in its source nor in a
+// sibling fork.
 type Vocab struct {
 	byName map[string]ID
 	names  []string
+	// frozen refuses new names; shared says byName is a frozen
+	// source's, to be copied before the first new name goes in.
+	frozen, shared bool
 }
 
 // NewVocab returns an empty vocabulary.
@@ -32,17 +48,38 @@ func NewVocabSized(n int) *Vocab {
 }
 
 // Intern returns the ID for name, assigning a fresh one on first use.
+// It panics if name is new and the vocabulary is frozen.
 func (v *Vocab) Intern(name string) ID {
-	if v.byName == nil {
-		v.byName = make(map[string]ID)
-	}
 	if id, ok := v.byName[name]; ok {
 		return id
+	}
+	if v.frozen {
+		panic(fmt.Sprintf("attr: Intern(%q) on a frozen vocabulary", name))
+	}
+	if v.shared {
+		v.byName, v.shared = maps.Clone(v.byName), false
+	}
+	if v.byName == nil {
+		v.byName = make(map[string]ID)
 	}
 	id := ID(len(v.names))
 	v.byName[name] = id
 	v.names = append(v.names, name)
 	return id
+}
+
+// Freeze makes v read-only (see Vocab). It cannot be undone.
+func (v *Vocab) Freeze() { v.frozen = true }
+
+// Fork returns a writable vocabulary that starts as a copy of v and
+// shares v's tables until its first new name (see Vocab). It panics
+// unless v is frozen: a later write to v would show through the fork.
+func (v *Vocab) Fork() *Vocab {
+	if !v.frozen {
+		panic("attr: Fork of a vocabulary that is not frozen")
+	}
+	// The clipped name table makes the fork's first append reallocate.
+	return &Vocab{byName: v.byName, names: v.Names(), shared: true}
 }
 
 // Lookup returns the ID for name and whether it is known.

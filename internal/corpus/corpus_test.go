@@ -185,34 +185,74 @@ func TestCategoryOfSharedWord(t *testing.T) {
 	rng := stats.NewRNG(2)
 	doc := g.DocumentRNG(0, rng)
 	_ = doc
-	id := g.shWords[0]
+	id := g.sharedWord(0)
 	if _, ok := g.CategoryOf(id); ok {
 		t.Fatal("shared word attributed to a category")
 	}
+	if g.Vocab().Name(id) != SharedWord(0) {
+		t.Fatalf("shared word 0 has ID %d, which names %q", id, g.Vocab().Name(id))
+	}
 }
 
-// TestCategoryOfNovelWord: a word interned into the generator's
-// vocabulary after construction (JoinPeerNovel's "novel!N") belongs to
-// no category, whatever letter it starts with. Read off the name, 'n'
-// made it a category-9 word.
-func TestCategoryOfNovelWord(t *testing.T) {
+// TestCanonicalVocabularyLayout: a generator's vocabulary holds exactly
+// the canonical words of its shape, category c's k-th word under ID
+// c*V+k and shared word k under C*V+k, and the frozen vocabulary it
+// forks is the one every generator of the shape forks.
+func TestCanonicalVocabularyLayout(t *testing.T) {
 	cfg := testConfig()
-	g := NewGenerator(cfg, 19)
-	for _, name := range []string{"novel!0", "ba", "zu", CategoryWord(9, cfg.VocabPerCategory)} {
-		id := g.Vocab().Intern(name)
-		if c, ok := g.CategoryOf(id); ok {
-			t.Errorf("%q, interned after construction, reports as a category-%d word", name, c)
-		}
+	g := NewGenerator(cfg, 27)
+	C, V, S := cfg.Categories, cfg.VocabPerCategory, cfg.SharedVocab
+	v := g.Vocab()
+	if v.Len() != C*V+S {
+		t.Fatalf("vocabulary of %d words, want %d", v.Len(), C*V+S)
 	}
-	if _, ok := g.CategoryOf(-1); ok {
-		t.Error("a negative ID reports a category")
-	}
-	for c := 0; c < cfg.Categories; c++ {
-		for _, k := range []int{0, cfg.VocabPerCategory - 1} {
-			if got, ok := g.CategoryOf(g.WordRank(c, k)); !ok || got != c {
-				t.Errorf("word %d of category %d reports (%d, %v)", k, c, got, ok)
+	for c := 0; c < C; c++ {
+		for k := 0; k < V; k++ {
+			if id := g.WordRank(c, k); int(id) != c*V+k || v.Name(id) != CategoryWord(c, k) {
+				t.Fatalf("word %d of category %d: ID %d names %q", k, c, id, v.Name(id))
 			}
 		}
+	}
+	for k := 0; k < S; k++ {
+		if id, ok := v.Lookup(SharedWord(k)); !ok || int(id) != C*V+k {
+			t.Fatalf("shared word %d: ID %d, %v", k, id, ok)
+		}
+	}
+	if canonicalVocab(cfg) != canonicalVocab(cfg) {
+		t.Fatal("one shape has two canonical vocabularies")
+	}
+}
+
+// TestGeneratorVocabulariesIndependent: a word interned into one
+// generator's vocabulary shows neither in another generator of the same
+// shape, made before or after, nor in the canonical vocabulary.
+func TestGeneratorVocabulariesIndependent(t *testing.T) {
+	cfg := testConfig()
+	before := NewGenerator(cfg, 29)
+	g := NewGenerator(cfg, 29)
+	want := cfg.Categories*cfg.VocabPerCategory + cfg.SharedVocab
+	if id := g.Vocab().Intern("novel!1"); int(id) != want {
+		t.Fatalf("first novel word got ID %d, want %d", id, want)
+	}
+	after := NewGenerator(cfg, 29)
+	for name, v := range map[string]*attr.Vocab{"earlier generator": before.Vocab(), "later generator": after.Vocab(), "canonical vocabulary": canonicalVocab(cfg)} {
+		if _, ok := v.Lookup("novel!1"); ok || v.Len() != want {
+			t.Errorf("the %s sees another generator's novel word (%d words)", name, v.Len())
+		}
+	}
+	if after.Vocab().Intern("novel!2") != attr.ID(want) {
+		t.Error("a later generator does not number its own novel words from the shape's size")
+	}
+}
+
+// TestNewGeneratorReusesCanonicalVocabulary: once a shape's vocabulary
+// is built, a generator of that shape costs its samplers and a fork,
+// not one allocation per word.
+func TestNewGeneratorReusesCanonicalVocabulary(t *testing.T) {
+	cfg := testConfig()
+	NewGenerator(cfg, 31)
+	if got := testing.AllocsPerRun(20, func() { NewGenerator(cfg, 31) }); got > 10 {
+		t.Errorf("NewGenerator of a built shape allocates %.0f times, want at most 10", got)
 	}
 }
 

@@ -62,24 +62,24 @@ type Document struct {
 }
 
 // Generator produces documents and query words deterministically from a
-// seed. It owns the attr.Vocab shared by all documents it generates.
+// seed. It owns the attr.Vocab all its documents are interned against:
+// a fork of its shape's canonical vocabulary, so category c's k-th word
+// (sorted by decreasing expected frequency, rank order) has ID
+// c*VocabPerCategory + k and the shared words follow the last category.
+// Sampling, WordRank and CategoryOf work on that layout, not on names.
 type Generator struct {
 	cfg     Config
 	vocab   *attr.Vocab
 	rng     *stats.RNG
 	catDist *stats.Zipf
 	shDist  *stats.Zipf
-
-	// catWords[c][k] is the interned ID of category c's k-th word;
-	// sorted by decreasing expected frequency (rank order). The
-	// vocabulary starts empty and the words are distinct, so that ID is
-	// c*VocabPerCategory + k and the shared words follow the last
-	// category: CategoryOf answers from the ID alone.
-	catWords [][]attr.ID
-	shWords  []attr.ID
 }
 
-// NewGenerator validates cfg and builds the category vocabularies.
+// NewGenerator validates cfg and returns a generator over a fork of the
+// canonical vocabulary of cfg's shape. The first generator of a shape
+// in a process builds and verifies that vocabulary; every later one
+// only forks it, and interning into one generator's vocabulary never
+// shows in another's (see the package doc).
 func NewGenerator(cfg Config, seed uint64) *Generator {
 	if cfg.Categories <= 0 || cfg.Categories > len(wordConsonants) {
 		panic(fmt.Sprintf("corpus: Categories=%d outside [1,%d]", cfg.Categories, len(wordConsonants)))
@@ -92,35 +92,14 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	}
 	g := &Generator{
 		cfg:     cfg,
-		vocab:   attr.NewVocabSized(cfg.Categories*cfg.VocabPerCategory + cfg.SharedVocab),
+		vocab:   canonicalVocab(cfg).Fork(),
 		rng:     stats.NewRNG(seed),
 		catDist: stats.NewZipf(cfg.VocabPerCategory, cfg.TermZipfS),
 	}
 	if cfg.SharedVocab > 0 {
 		g.shDist = stats.NewZipf(cfg.SharedVocab, cfg.TermZipfS)
 	}
-	g.catWords = make([][]attr.ID, cfg.Categories)
-	for c := 0; c < cfg.Categories; c++ {
-		g.catWords[c] = make([]attr.ID, cfg.VocabPerCategory)
-		for k := 0; k < cfg.VocabPerCategory; k++ {
-			g.catWords[c][k] = g.intern(CategoryWord(c, k))
-		}
-	}
-	g.shWords = make([]attr.ID, cfg.SharedVocab)
-	for k := 0; k < cfg.SharedVocab; k++ {
-		g.shWords[k] = g.intern(SharedWord(k))
-	}
 	return g
-}
-
-// intern verifies canonical word w and gives it the next dense ID.
-func (g *Generator) intern(w string) attr.ID {
-	verifyStable(w)
-	next := attr.ID(g.vocab.Len())
-	if g.vocab.Intern(w) != next {
-		panic(fmt.Sprintf("corpus: canonical word %q generated twice", w))
-	}
-	return next
 }
 
 // Vocab returns the vocabulary shared by all generated documents.
@@ -146,14 +125,13 @@ func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 	// a document several times the paper's 30 words and stays on the
 	// stack; a longer document grows past it onto the heap.
 	raw := make([]byte, 0, 1024)
-	words := g.catWords[category]
 	stopP := g.cfg.StopNoise / (1 + g.cfg.StopNoise)
 	for i := 0; i < g.cfg.WordsPerDoc; i++ {
 		var id attr.ID
 		if g.shDist != nil && rng.Bool(g.cfg.SharedFraction) {
-			id = g.shWords[g.shDist.Sample(rng)]
+			id = g.sharedWord(g.shDist.Sample(rng))
 		} else {
-			id = words[g.catDist.Sample(rng)]
+			id = g.WordRank(category, g.catDist.Sample(rng))
 		}
 		if i > 0 {
 			raw = append(raw, ' ')
@@ -173,7 +151,7 @@ func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 	var idBuf [128]attr.ID
 	ids := idBuf[:0]
 	for _, t := range textproc.AppendProcessed(termBuf[:0], text) {
-		// Every canonical word was interned at construction; anything
+		// Every canonical word is in the vocabulary; anything
 		// unseen would indicate pipeline drift, which we want loudly.
 		id, ok := g.vocab.Lookup(t)
 		if !ok {
@@ -188,18 +166,26 @@ func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 // document generation — the paper generates queries "by choosing a
 // random word from the texts", so frequent words are queried more.
 func (g *Generator) QueryWordRNG(category int, rng *stats.RNG) attr.ID {
-	return g.catWords[category][g.catDist.Sample(rng)]
+	return g.WordRank(category, g.catDist.Sample(rng))
 }
 
 // WordRank returns the interned ID of category cat's rank-k word
-// (rank 0 = most frequent).
+// (rank 0 = most frequent). It panics outside the shape.
 func (g *Generator) WordRank(cat, k int) attr.ID {
-	return g.catWords[cat][k]
+	if cat < 0 || cat >= g.cfg.Categories || k < 0 || k >= g.cfg.VocabPerCategory {
+		panic(fmt.Sprintf("corpus: word %d of category %d outside %d x %d", k, cat, g.cfg.Categories, g.cfg.VocabPerCategory))
+	}
+	return attr.ID(cat*g.cfg.VocabPerCategory + k)
+}
+
+// sharedWord returns the interned ID of the rank-k shared word.
+func (g *Generator) sharedWord(k int) attr.ID {
+	return attr.ID(g.cfg.Categories*g.cfg.VocabPerCategory + k)
 }
 
 // CategoryOf returns the category owning id and true, or 0,false for
 // every other attribute: a shared-vocabulary word, or one interned
-// into the vocabulary after construction.
+// into the generator's vocabulary after construction.
 func (g *Generator) CategoryOf(id attr.ID) (int, bool) {
 	if id < 0 || int(id) >= g.cfg.Categories*g.cfg.VocabPerCategory {
 		return 0, false
