@@ -194,6 +194,31 @@ func TestCategoryOfSharedWord(t *testing.T) {
 	}
 }
 
+// TestCategoryOfNovelWord: a word interned into the generator's
+// vocabulary after construction (JoinPeerNovel's "novel!N") belongs to
+// no category, whatever letter it starts with. Read off the name, 'n'
+// made it a category-9 word.
+func TestCategoryOfNovelWord(t *testing.T) {
+	cfg := testConfig()
+	g := NewGenerator(cfg, 19)
+	for _, name := range []string{"novel!0", "ba", "zu", CategoryWord(9, cfg.VocabPerCategory)} {
+		id := g.Vocab().Intern(name)
+		if c, ok := g.CategoryOf(id); ok {
+			t.Errorf("%q, interned after construction, reports as a category-%d word", name, c)
+		}
+	}
+	if _, ok := g.CategoryOf(-1); ok {
+		t.Error("a negative ID reports a category")
+	}
+	for c := 0; c < cfg.Categories; c++ {
+		for _, k := range []int{0, cfg.VocabPerCategory - 1} {
+			if got, ok := g.CategoryOf(g.WordRank(c, k)); !ok || got != c {
+				t.Errorf("word %d of category %d reports (%d, %v)", k, c, got, ok)
+			}
+		}
+	}
+}
+
 // TestCanonicalVocabularyLayout: a generator's vocabulary holds exactly
 // the canonical words of its shape, category c's k-th word under ID
 // c*V+k and shared word k under C*V+k, and the frozen vocabulary it
