@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -58,24 +57,6 @@ func nashCheck(*Fixtures) func(b *testing.B) {
 			if _, err := inst.VerifyNoNash(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// actorSimPeriod is one maintenance period of the goroutine-per-peer
-// realization, at 30 peers: its message volume is quadratic.
-func actorSimPeriod(f *Fixtures) func(b *testing.B) {
-	p := f.Small
-	p.Peers, p.TotalQueries = 30, 120
-	sys := experiments.Build(p, experiments.SameCategory)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := sys.InitialConfig(experiments.InitRandomM, stats.NewRNG(uint64(i)))
-			sim.New(sys.Peers, sys.WL, cfg, sim.Options{
-				Alpha: p.Alpha, Theta: p.Theta, Epsilon: p.Epsilon,
-				MaxRounds: 30, Strategy: sim.Selfish,
-			}).RunPeriod()
 		}
 	}
 }

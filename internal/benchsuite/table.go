@@ -153,6 +153,5 @@ var Table = []Entry{
 	{"Churn", Small, GateNone, driver(func(p experiments.Params) { experiments.RunChurn(p, 5, 0.05) })},
 	{"LookupCost", Small, GateNone, driver(func(p experiments.Params) { experiments.RunLookupCost(p) })},
 	{"FlashCrowd", Small, GateNone, driver(func(p experiments.Params) { experiments.RunFlashCrowd(p, []int{10}) })},
-	{"ActorSimPeriod", Small, GateNone, actorSimPeriod},
 	{"KMeansRecluster", Small, GateNone, kmeansRecluster},
 }

@@ -3,7 +3,12 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // routingGolden is the SHA-256 of the routing ablation's CSV at
@@ -23,6 +28,100 @@ func TestRoutingAblationGolden(t *testing.T) {
 		sum := sha256.Sum256([]byte(RunRoutingAblation(p).CSV()))
 		if got := hex.EncodeToString(sum[:]); got != routingGolden {
 			t.Errorf("routing ablation on %d workers hashes to %s, want %s", workers, got, routingGolden)
+		}
+	}
+}
+
+// observedSystem is the ablation's start at fastParams: the
+// same-category system over a random m = M configuration, with an
+// observer of the given probe budget that has run one query phase.
+func observedSystem(probe int) (*System, *cluster.Config, *observer) {
+	sys := Build(fastParams(), SameCategory)
+	cfg := sys.InitialConfig(InitRandomM, stats.NewRNG(sys.Params.Seed))
+	o := newObserver(sys, cfg.Clone(), probe)
+	o.observe()
+	return sys, cfg, o
+}
+
+// TestFloodedEstimatesMatchEngine pins §3.1's claim: with every cluster
+// reached, a peer's costs estimated from cluster-tagged answers alone
+// are the exact engine's, for every (peer, non-empty cluster) pair.
+func TestFloodedEstimatesMatchEngine(t *testing.T) {
+	sys, cfg, o := observedSystem(0)
+	eng := sys.NewEngine(cfg)
+	for pid := range sys.Peers {
+		for _, c := range cfg.NonEmpty() {
+			if got, want := o.estimatedCost(pid, c), eng.PeerCost(pid, c); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("peer %d cluster %d: estimated %g exact %g", pid, c, got, want)
+			}
+		}
+	}
+}
+
+// TestFloodedRoundMatchesProtocolRound holds one round on flooded
+// observations to protocol.Runner's round over the exact engine: the
+// same grants and the same assignment after them.
+func TestFloodedRoundMatchesProtocolRound(t *testing.T) {
+	sys, cfg, o := observedSystem(0)
+	eng := sys.NewEngine(cfg)
+	runner := sys.NewRunner(eng, core.NewSelfish(), false)
+	runner.BeginPeriod()
+	rr := runner.RunRound(1)
+	_, granted := o.round()
+	if granted != rr.Granted || granted == 0 {
+		t.Fatalf("observer granted %d, protocol granted %d", granted, rr.Granted)
+	}
+	for pid := range sys.Peers {
+		if got, want := o.cfg.ClusterOf(pid), eng.Config().ClusterOf(pid); got != want {
+			t.Fatalf("peer %d: observer cluster %d, protocol cluster %d", pid, got, want)
+		}
+	}
+}
+
+// TestProbeBudgetObservesLess pins what a probe budget trades: fewer
+// messages than a flood, and estimates that stay finite and
+// non-negative but are no longer exact.
+func TestProbeBudgetObservesLess(t *testing.T) {
+	sys, cfg, flood := observedSystem(0)
+	eng := sys.NewEngine(cfg)
+	for _, probe := range []int{1, 2} {
+		_, _, o := observedSystem(probe)
+		if o.messages >= flood.messages {
+			t.Errorf("probe %d: %d messages, flood %d", probe, o.messages, flood.messages)
+		}
+		var worst float64
+		for pid := range sys.Peers {
+			for _, c := range cfg.NonEmpty() {
+				est := o.estimatedCost(pid, c)
+				if math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
+					t.Fatalf("probe %d: peer %d cluster %d estimate %g", probe, pid, c, est)
+				}
+				worst = max(worst, math.Abs(est-eng.PeerCost(pid, c)))
+			}
+		}
+		if worst == 0 {
+			t.Errorf("probe %d of %d clusters gave exact estimates", probe, cfg.NumNonEmpty())
+		}
+	}
+}
+
+// TestObservedPeriodConverges runs a whole period on flooded and on
+// probed observations. Each converges to a valid configuration, and at
+// the flood's fixed point one more round requests nothing.
+func TestObservedPeriodConverges(t *testing.T) {
+	for _, probe := range []int{0, 2} {
+		_, _, o := observedSystem(probe)
+		if !o.runPeriod() {
+			t.Fatalf("probe %d: no convergence in %d rounds", probe, o.sys.Params.MaxRounds)
+		}
+		if err := o.cfg.Validate(); err != nil {
+			t.Fatalf("probe %d: %v", probe, err)
+		}
+		if probe == 0 {
+			o.observe()
+			if requests, _ := o.round(); requests != 0 {
+				t.Errorf("a round after the flooded period converged requests %d moves", requests)
+			}
 		}
 	}
 }

@@ -22,7 +22,9 @@ import (
 // Peer is one autonomous node. Content may be replaced at any time
 // (the update experiments of §4.2 do exactly that); query-answering
 // structures are rebuilt lazily. A Peer is not safe for concurrent
-// mutation; the sim package serializes access per actor.
+// use, and ResultCount counts as a write (it builds the index and fills
+// a memo): goroutines that share a peer Freeze it first and call only
+// ResultCountRO.
 type Peer struct {
 	id    int
 	items []attr.Set

@@ -11,7 +11,7 @@
 //	fmt.Println(report.FinalSCost, sys.ClusterSizes())
 //
 // The internal packages expose every building block (cost engine,
-// strategies, Nash analysis, protocol, actor simulation, baselines,
+// strategies, Nash analysis, protocol, message-passing runtime, baselines,
 // experiment drivers); this package covers the common paths an
 // application needs: building a system, maintaining its clustered
 // overlay under workload/content drift, and inspecting its quality.
@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -410,24 +409,6 @@ func (s *System) QueryBatch(queries [][]string) []QueryAnswer {
 // Query routes a single ad-hoc term query; see QueryBatch.
 func (s *System) Query(terms ...string) QueryAnswer {
 	return s.QueryBatch([][]string{terms})[0]
-}
-
-// ActorSim builds the concurrent goroutine-per-peer realization of the
-// protocol over a clone of the current configuration. The returned
-// simulation owns its clone; the System is unaffected by it.
-func (s *System) ActorSim() *sim.Sim {
-	strategy := sim.Selfish
-	if s.opts.Strategy == Altruistic {
-		strategy = sim.Altruistic
-	}
-	p := s.sys.Params
-	return sim.New(s.sys.Peers, s.sys.WL, s.eng.Config().Clone(), sim.Options{
-		Alpha:     p.Alpha,
-		Theta:     p.Theta,
-		Epsilon:   p.Epsilon,
-		MaxRounds: p.MaxRounds,
-		Strategy:  strategy,
-	})
 }
 
 // Engine exposes the underlying cost engine for advanced use (Nash

@@ -138,20 +138,6 @@ func TestReplaceContentChangesCategory(t *testing.T) {
 	}
 }
 
-func TestActorSimAgreesWithEngine(t *testing.T) {
-	sys := New(small(Options{Scenario: SameCategory, Strategy: Selfish, Init: InitRandomM, Seed: 7}))
-	actor := sys.ActorSim()
-	actor.QueryPhase()
-	for p := 0; p < sys.NumPeers(); p += 5 {
-		cid := sys.Engine().Config().ClusterOf(p)
-		got := actor.EstimatedPeerCost(p, cid)
-		want := sys.PeerCost(p)
-		if d := got - want; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("peer %d: actor estimate %g engine %g", p, got, want)
-		}
-	}
-}
-
 func TestDeterminismAcrossSystems(t *testing.T) {
 	a := New(small(Options{Scenario: DifferentCategory, Strategy: Selfish, Init: InitSingletons, Seed: 11}))
 	b := New(small(Options{Scenario: DifferentCategory, Strategy: Selfish, Init: InitSingletons, Seed: 11}))
