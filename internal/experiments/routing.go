@@ -224,10 +224,7 @@ func (o *observer) round() (requests, granted int) {
 		reqs = append(reqs, r)
 	}
 	slices.SortFunc(reqs, func(a, b request) int {
-		if a.gain != b.gain {
-			return cmp.Compare(b.gain, a.gain)
-		}
-		return a.peer - b.peer
+		return cmp.Or(cmp.Compare(b.gain, a.gain), a.peer-b.peer)
 	})
 	joinLocked := map[cluster.CID]bool{}
 	leaveLocked := map[cluster.CID]bool{}
