@@ -43,19 +43,46 @@ func observedSystem(probe int) (*System, *cluster.Config, *observer) {
 	return sys, cfg, o
 }
 
-// TestFloodedEstimatesMatchEngine pins §3.1's claim: with every cluster
-// reached, a peer's costs estimated from cluster-tagged answers alone
-// are the exact engine's, for every (peer, non-empty cluster) pair.
-func TestFloodedEstimatesMatchEngine(t *testing.T) {
-	sys, cfg, o := observedSystem(0)
-	eng := sys.NewEngine(cfg)
+// checkEstimatesExact holds every estimate of a flooded observer, for
+// each (peer, non-empty cluster) pair, to the exact engine's cost on the
+// observer's configuration.
+func checkEstimatesExact(t *testing.T, sys *System, o *observer) {
+	t.Helper()
+	eng := sys.NewEngine(o.cfg.Clone())
 	for pid := range sys.Peers {
-		for _, c := range cfg.NonEmpty() {
+		for _, c := range o.cfg.NonEmpty() {
 			if got, want := o.estimatedCost(pid, c), eng.PeerCost(pid, c); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("peer %d cluster %d: estimated %g exact %g", pid, c, got, want)
 			}
 		}
 	}
+}
+
+// TestEstimatedCostsMatchExactEngine pins §3.1's claim: with every
+// cluster reached, a peer's costs estimated from cluster-tagged answers
+// alone are the exact engine's.
+func TestEstimatedCostsMatchExactEngine(t *testing.T) {
+	sys, _, o := observedSystem(0)
+	checkEstimatesExact(t, sys, o)
+}
+
+// TestFloodedEstimatesMatchEngine holds the same agreement on a
+// configuration the observer reached itself: after a flooded period
+// has moved peers, fresh observations still give the engine's costs.
+func TestFloodedEstimatesMatchEngine(t *testing.T) {
+	sys, cfg, o := observedSystem(0)
+	o.runPeriod()
+	moved := 0
+	for pid := range sys.Peers {
+		if o.cfg.ClusterOf(pid) != cfg.ClusterOf(pid) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the flooded period moved no peer")
+	}
+	o.observe()
+	checkEstimatesExact(t, sys, o)
 }
 
 // TestFloodedRoundMatchesProtocolRound holds one round on flooded
@@ -78,17 +105,24 @@ func TestFloodedRoundMatchesProtocolRound(t *testing.T) {
 	}
 }
 
-// TestProbeBudgetObservesLess pins what a probe budget trades: fewer
-// messages than a flood, and estimates that stay finite and
-// non-negative but are no longer exact.
-func TestProbeBudgetObservesLess(t *testing.T) {
-	sys, cfg, flood := observedSystem(0)
+// TestProbeBudgetReducesMessages: reaching 1 or 2 remote clusters per
+// period costs fewer messages than a flood.
+func TestProbeBudgetReducesMessages(t *testing.T) {
+	_, _, flood := observedSystem(0)
+	for _, probe := range []int{1, 2} {
+		if _, _, o := observedSystem(probe); o.messages >= flood.messages {
+			t.Errorf("probe %d: %d messages, flood %d", probe, o.messages, flood.messages)
+		}
+	}
+}
+
+// TestProbeBudgetEstimatesAreConservative: estimates on probed
+// observations stay finite and non-negative but are no longer exact.
+func TestProbeBudgetEstimatesAreConservative(t *testing.T) {
+	sys, cfg, _ := observedSystem(0)
 	eng := sys.NewEngine(cfg)
 	for _, probe := range []int{1, 2} {
 		_, _, o := observedSystem(probe)
-		if o.messages >= flood.messages {
-			t.Errorf("probe %d: %d messages, flood %d", probe, o.messages, flood.messages)
-		}
 		var worst float64
 		for pid := range sys.Peers {
 			for _, c := range cfg.NonEmpty() {
@@ -105,23 +139,33 @@ func TestProbeBudgetObservesLess(t *testing.T) {
 	}
 }
 
-// TestObservedPeriodConverges runs a whole period on flooded and on
-// probed observations. Each converges to a valid configuration, and at
-// the flood's fixed point one more round requests nothing.
-func TestObservedPeriodConverges(t *testing.T) {
-	for _, probe := range []int{0, 2} {
-		_, _, o := observedSystem(probe)
-		if !o.runPeriod() {
-			t.Fatalf("probe %d: no convergence in %d rounds", probe, o.sys.Params.MaxRounds)
-		}
-		if err := o.cfg.Validate(); err != nil {
-			t.Fatalf("probe %d: %v", probe, err)
-		}
-		if probe == 0 {
-			o.observe()
-			if requests, _ := o.round(); requests != 0 {
-				t.Errorf("a round after the flooded period converged requests %d moves", requests)
-			}
-		}
+// TestRunPeriodConvergesAndCounts runs a flooded period to its fixed
+// point, where one more round requests nothing. A flood sends every
+// query to every other peer whatever the configuration, so the period's
+// messages are a whole number of query phases.
+func TestRunPeriodConvergesAndCounts(t *testing.T) {
+	_, _, o := observedSystem(0)
+	phase := o.messages
+	if !o.runPeriod() {
+		t.Fatalf("no convergence in %d rounds", o.sys.Params.MaxRounds)
+	}
+	if phase <= 0 || o.messages <= phase || o.messages%phase != 0 {
+		t.Errorf("%d messages after the period, %d in one query phase", o.messages, phase)
+	}
+	o.observe()
+	if requests, _ := o.round(); requests != 0 {
+		t.Errorf("a round after the flooded period converged requests %d moves", requests)
+	}
+}
+
+// TestProbePeriodStillTerminates: a period on probe-2 observations
+// converges to a valid configuration.
+func TestProbePeriodStillTerminates(t *testing.T) {
+	_, _, o := observedSystem(2)
+	if !o.runPeriod() {
+		t.Fatalf("no convergence in %d rounds", o.sys.Params.MaxRounds)
+	}
+	if err := o.cfg.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
