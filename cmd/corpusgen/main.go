@@ -2,7 +2,7 @@
 // reports its statistics: vocabulary coverage, document-frequency
 // skew, category purity of the term space, and a sample document
 // before/after preprocessing. Useful for eyeballing the corpus knobs
-// that DESIGN.md maps to the paper's Newsgroup collection.
+// that stand in for the paper's Newsgroup collection.
 package main
 
 import (

@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"time"
 
+	"repro/bench/gen"
 	"repro/internal/service"
 )
 
@@ -25,18 +24,23 @@ import (
 // with POST /v1/promote, re-syncs the remaining follower from the new
 // leader, drives more churn, and then verifies the two survivors hold
 // byte-identical overlay state (GET /v1/snapshot) and answer queries
-// byte-identically, with costs within float tolerance. Exit status is
-// nonzero on any divergence — CI runs this as the cluster smoke test.
+// byte-identically, with costs within float tolerance. The joining
+// peers are bench/gen's newcomer kits and the queries its pool. Exit
+// status is nonzero on any divergence — CI runs this as the cluster
+// smoke test.
 func runClusterCommand(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	peers := fs.Int("peers", 90, "peers to join before the leader is killed")
-	queriesPer := fs.Int("queries", 3, "workload queries per joining peer")
-	seed := fs.Uint64("seed", 1, "workload seed")
+	seed := fs.Uint64("seed", 1, "traffic seed of the generated newcomers and queries")
 	timeout := fs.Duration("timeout", 120*time.Second, "overall deadline")
 	fs.Parse(args)
+	if *peers < 1 {
+		fmt.Fprintln(os.Stderr, "cluster: -peers must be >= 1")
+		os.Exit(2)
+	}
 
 	logger := log.New(os.Stderr, "reform-cluster ", log.LstdFlags)
-	if err := runCluster(logger, *peers, *queriesPer, int64(*seed), *timeout); err != nil {
+	if err := runCluster(logger, *peers, *seed, *timeout); err != nil {
 		logger.Fatalf("FAIL: %v", err)
 	}
 	fmt.Println("reform-cluster: PASS")
@@ -74,9 +78,12 @@ func (n *clusterNode) stop() {
 	n.srv.Shutdown()
 }
 
-func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout time.Duration) error {
+func runCluster(logger *log.Logger, peers int, seed uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	client := &http.Client{Timeout: 15 * time.Second}
+	// Kits for both churn phases, shaped like a population of the same
+	// size; the pool is the read traffic and the verification battery.
+	in := gen.New(gen.Sizes{Peers: peers, Pool: 50, Kits: peers + peers/3}, seed)
 
 	// Three loopback listeners first, so every node can know the full
 	// member list before any server starts.
@@ -116,7 +123,9 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 
 	for _, n := range nodes[1:] {
 		if err := waitFor(deadline, n.name+" synced", func() (bool, error) {
-			return replBool(client, n.url, "synced"), nil
+			st, err := getStats(client, n.url)
+			repl, _ := st["replication"].(map[string]any)
+			return err == nil && repl["synced"] == true, nil
 		}); err != nil {
 			return err
 		}
@@ -124,14 +133,13 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 
 	// Phase 1: churn and queries through all three nodes. Follower
 	// control planes answer 307 to the leader; the client replays.
-	rng := rand.New(rand.NewSource(seed))
-	ids, err := driveChurn(client, nodes, rng, peers, queriesPer, 0)
+	ids, err := driveChurn(client, nodes, in.Kits[:peers], in.Pool, 0)
 	if err != nil {
 		return fmt.Errorf("churn: %w", err)
 	}
 	for i := 0; i < len(ids)/4; i++ {
 		url := nodes[i%3].url
-		if _, _, err := httpJSON(client, http.MethodDelete, fmt.Sprintf("%s/v1/peers/%d", url, ids[i]), nil); err != nil {
+		if _, err := httpJSON(client, http.MethodDelete, fmt.Sprintf("%s/v1/peers/%d", url, ids[i]), nil, http.StatusOK); err != nil {
 			return fmt.Errorf("leave %d: %w", ids[i], err)
 		}
 	}
@@ -142,7 +150,7 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 
 	// Phase 2: start a maintenance period and kill the leader while it
 	// is in flight.
-	go httpJSON(client, http.MethodPost, nodes[0].url+"/v1/reform", nil)
+	go httpJSON(client, http.MethodPost, nodes[0].url+"/v1/reform", nil, http.StatusOK)
 	midPeriod := false
 	for time.Now().Before(deadline) {
 		st, err := getStats(client, nodes[0].url)
@@ -161,10 +169,9 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 	logger.Printf("leader killed (mid-period: %v)", midPeriod)
 
 	// Phase 3: promote node1; node2 rotates to it and re-syncs.
-	status, body, err := httpJSON(client, http.MethodPost, nodes[1].url+"/v1/promote",
-		map[string]any{"mode": "resume"})
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("promote: status %d, err %v, body %s", status, err, body)
+	body, err := httpJSON(client, http.MethodPost, nodes[1].url+"/v1/promote", []byte(`{"mode":"resume"}`), http.StatusOK)
+	if err != nil {
+		return fmt.Errorf("promote: %w", err)
 	}
 	logger.Printf("node1 promoted: %s", bytes.TrimSpace(body))
 	if err := waitFor(deadline, "node2 following node1", func() (bool, error) {
@@ -180,7 +187,7 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 
 	// Phase 4: more churn through both survivors, then quiesce.
 	survivors := nodes[1:]
-	if _, err := driveChurn(client, survivors, rng, peers/3, queriesPer, len(ids)); err != nil {
+	if _, err := driveChurn(client, survivors, in.Kits[peers:], in.Pool, len(ids)); err != nil {
 		return fmt.Errorf("post-failover churn: %w", err)
 	}
 	if err := waitFor(deadline, "node1 quiesced", func() (bool, error) {
@@ -199,39 +206,25 @@ func runCluster(logger *log.Logger, peers, queriesPer int, seed int64, timeout t
 	}
 
 	// Phase 5: the survivors must agree byte-for-byte.
-	return verifySurvivors(client, logger, survivors, seed)
+	return verifySurvivors(client, logger, survivors, in.Pool)
 }
 
-// driveChurn joins n peers round-robin through the given nodes,
-// interleaving data-plane queries, and returns the assigned peer IDs.
-func driveChurn(client *http.Client, nodes []*clusterNode, rng *rand.Rand, n, queriesPer, idOffset int) ([]int, error) {
-	ids := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+// driveChurn joins the kits round-robin through the given nodes,
+// interleaving data-plane queries from the pool, and returns the
+// assigned peer IDs.
+func driveChurn(client *http.Client, nodes []*clusterNode, kits []gen.Kit, pool []gen.Query, idOffset int) ([]int, error) {
+	ids := make([]int, 0, len(kits))
+	for i, kit := range kits {
 		url := nodes[i%len(nodes)].url
-		join := map[string]any{
-			"items":   [][]string{randTerms(rng, 3), randTerms(rng, 3)},
-			"queries": []map[string]any{},
+		id, err := joinPeer(client, url, kit.Body)
+		if err != nil {
+			return nil, fmt.Errorf("join %d via %s: %w", i+idOffset, url, err)
 		}
-		for q := 0; q < queriesPer; q++ {
-			join["queries"] = append(join["queries"].([]map[string]any),
-				map[string]any{"terms": randTerms(rng, 2), "count": 1 + rng.Intn(5)})
-		}
-		status, body, err := httpJSON(client, http.MethodPost, url+"/v1/peers", join)
-		if err != nil || status != http.StatusCreated {
-			return nil, fmt.Errorf("join %d via %s: status %d, err %v, body %s", i+idOffset, url, status, err, body)
-		}
-		var resp struct {
-			ID int `json:"id"`
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("join response: %w", err)
-		}
-		ids = append(ids, resp.ID)
+		ids = append(ids, id)
 		// A read per join, spread across every node's data plane.
 		qurl := nodes[(i+1)%len(nodes)].url
-		if status, body, err = httpJSON(client, http.MethodPost, qurl+"/v1/query",
-			map[string]any{"terms": randTerms(rng, 2)}); err != nil || status != http.StatusOK {
-			return nil, fmt.Errorf("query via %s: status %d, err %v, body %s", qurl, status, err, body)
+		if _, err := httpJSON(client, http.MethodPost, qurl+"/v1/query", pool[(i+idOffset)%len(pool)].Body, http.StatusOK); err != nil {
+			return nil, fmt.Errorf("query via %s: %w", qurl, err)
 		}
 	}
 	return ids, nil
@@ -264,13 +257,13 @@ func followersCaughtUp(client *http.Client, deadline time.Time, leader *clusterN
 
 // verifySurvivors pins the failover contract: identical snapshots,
 // identical query answers, costs within float tolerance.
-func verifySurvivors(client *http.Client, logger *log.Logger, nodes []*clusterNode, seed int64) error {
+func verifySurvivors(client *http.Client, logger *log.Logger, nodes []*clusterNode, battery []gen.Query) error {
 	snaps := make([][]byte, len(nodes))
 	stats := make([]map[string]any, len(nodes))
 	for i, n := range nodes {
-		status, body, err := httpJSON(client, http.MethodGet, n.url+"/v1/snapshot", nil)
-		if err != nil || status != http.StatusOK {
-			return fmt.Errorf("%s snapshot: status %d, err %v", n.name, status, err)
+		body, err := httpJSON(client, http.MethodGet, n.url+"/v1/snapshot", nil, http.StatusOK)
+		if err != nil {
+			return fmt.Errorf("%s snapshot: %w", n.name, err)
 		}
 		snaps[i] = body
 		if stats[i], err = getStats(client, n.url); err != nil {
@@ -288,19 +281,17 @@ func verifySurvivors(client *http.Client, logger *log.Logger, nodes []*clusterNo
 		}
 	}
 	// A fixed query battery must answer byte-identically on both.
-	rng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < 50; i++ {
-		q := map[string]any{"terms": randTerms(rng, 2)}
+	for _, q := range battery {
 		var answers [][]byte
 		for _, n := range nodes {
-			status, body, err := httpJSON(client, http.MethodPost, n.url+"/v1/query", q)
-			if err != nil || status != http.StatusOK {
-				return fmt.Errorf("%s verify query: status %d, err %v", n.name, status, err)
+			body, err := httpJSON(client, http.MethodPost, n.url+"/v1/query", q.Body, http.StatusOK)
+			if err != nil {
+				return fmt.Errorf("%s verify query: %w", n.name, err)
 			}
 			answers = append(answers, body)
 		}
 		if !bytes.Equal(answers[0], answers[1]) {
-			return fmt.Errorf("query %v answered differently: %s vs %s", q, answers[0], answers[1])
+			return fmt.Errorf("query %s answered differently: %s vs %s", q.Body, answers[0], answers[1])
 		}
 	}
 	var snap struct {
@@ -312,75 +303,9 @@ func verifySurvivors(client *http.Client, logger *log.Logger, nodes []*clusterNo
 	if err := json.Unmarshal(snaps[0], &snap); err != nil {
 		return fmt.Errorf("decode survivor snapshot: %w", err)
 	}
-	logger.Printf("survivors agree: %d live peers over %d slots, identical snapshots, 50/50 identical answers",
-		len(snap.Peers), snap.Slots)
+	logger.Printf("survivors agree: %d live peers over %d slots, identical snapshots, %d/%d identical answers",
+		len(snap.Peers), snap.Slots, len(battery), len(battery))
 	return nil
-}
-
-func randTerms(rng *rand.Rand, n int) []string {
-	terms := make([]string, 0, n)
-	seen := map[int]bool{}
-	for len(terms) < n {
-		t := rng.Intn(60)
-		if !seen[t] {
-			seen[t] = true
-			terms = append(terms, fmt.Sprintf("t%02d", t))
-		}
-	}
-	return terms
-}
-
-// httpJSON issues one request with an optional JSON body and returns
-// the status and response body. Redirects (a follower's control plane
-// pointing at the leader) are followed by the client, which replays
-// the body.
-func httpJSON(client *http.Client, method, url string, body any) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	return resp.StatusCode, out, err
-}
-
-func getStats(client *http.Client, url string) (map[string]any, error) {
-	status, body, err := httpJSON(client, http.MethodGet, url+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("stats: status %d: %s", status, body)
-	}
-	var st map[string]any
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func replBool(client *http.Client, url, key string) bool {
-	st, err := getStats(client, url)
-	if err != nil {
-		return false
-	}
-	repl, _ := st["replication"].(map[string]any)
-	return repl != nil && repl[key] == true
 }
 
 // waitFor polls cond every 10ms until it holds or deadline passes.

@@ -15,7 +15,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 		t.Skip("cluster e2e in -short mode")
 	}
 	logger := log.New(testWriter{t}, "", 0)
-	if err := runCluster(logger, 45, 2, 1, 90*time.Second); err != nil {
+	if err := runCluster(logger, 45, 1, 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

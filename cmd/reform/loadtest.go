@@ -3,12 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -16,23 +16,29 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/bench/gen"
 	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/stats"
 )
 
-// runLoadtestCommand implements `reform loadtest`: a built-in load
-// generator for the serving daemon's lock-free read path. Concurrent
-// workers replay a fixed-seed query workload (single queries or
-// batches) against a target daemon — or against an in-process one
-// seeded for the occasion — and report throughput and p50/p95/p99
-// latency. With -maintain and -churn the mutation path runs
-// concurrently — joins and leaves land during maintenance periods —
+// runLoadtest implements `reform loadtest`: a built-in load generator
+// for the serving daemon's lock-free read path. Its traffic is
+// bench/gen's, the benchmark's own: a population of -peers drawn from
+// the category-structured corpus (the same population for every seed),
+// a 512-query pool of that population's workload queries and two-term
+// conjunctions of its documents' terms, Zipf(-zipf) draw sequences over
+// the pool, and newcomer kits shaped like the population. The target
+// daemon, in-process or -addr, is seeded with the population and one
+// maintenance period; then concurrent workers replay the draws (single
+// queries or batches) and the command reports throughput and
+// p50/p95/p99 latency. With -maintain and -churn the mutation path runs
+// concurrently — the kits join and leave during maintenance periods —
 // and their p50/p95/p99 latencies are reported separately,
 // demonstrating that neither reads nor mutations stall behind
 // maintenance periods (the stepped scheduler bounds a mutation's wait
-// to one step; tune it with -step-budget). Any failed request,
-// query or mutation, exits nonzero.
+// to one step; tune it with -step-budget). Any failed request, query or
+// mutation, is an error.
 //
 // With -router N the query load is served by N in-process stateless
 // router replicas following the daemon's /v1/view/watch feed instead
@@ -40,44 +46,64 @@ import (
 // `reform route` replicas (comma-separated). -verify quiesces after
 // the load, waits for every replica to catch up to the daemon's
 // published sequence, and byte-compares router answers against the
-// authoritative engine's, exiting nonzero on any divergence.
-func runLoadtestCommand(args []string) {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
+// authoritative engine's; any divergence is an error.
+//
+// Output goes to out. A usageError reports a bad command line.
+func runLoadtest(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
 	addr := fs.String("addr", "", "target daemon base URL (empty: start an in-process daemon)")
-	peers := fs.Int("peers", 48, "population seeded into the in-process daemon")
-	categories := fs.Int("categories", 6, "term categories of the seeded population and replayed queries")
+	peers := fs.Int("peers", 48, "generated population seeded into the target daemon, in-process or -addr")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent load workers")
 	requests := fs.Int("requests", 5000, "total requests to issue (ignored when -duration is set)")
 	duration := fs.Duration("duration", 0, "run for a fixed wall-clock time instead of a request count")
 	batch := fs.Int("batch", 0, "queries per request: 0 or 1 posts /query, larger posts /query/batch")
-	seed := fs.Uint64("seed", 1, "workload replay seed; equal seeds replay equal query sequences")
-	zipfS := fs.Float64("zipf", 0, "draw replayed queries from a fixed pool with Zipf(s) rank skew (0: fresh uniform queries; s>=1 concentrates most load on a few hot queries); seeded and replayable")
+	seed := fs.Uint64("seed", 1, "traffic seed; equal seeds replay equal query sequences and newcomers")
+	zipfS := fs.Float64("zipf", 0, "Zipf(s) rank skew of the replayed draws over the query pool (0: uniform; s>=1 concentrates most load on a few hot queries)")
 	routeCache := fs.Int("route-cache", 4096, "route-cache entries of the in-process daemon (0 disables; ignored with -addr)")
 	maintain := fs.Duration("maintain", 0, "POST /reform on this interval during the load (0: off)")
-	churn := fs.Duration("churn", 0, "join+leave one peer on this interval during the load (0: off)")
+	churn := fs.Duration("churn", 0, "join+leave one newcomer on this interval during the load (0: off)")
 	stepBudget := fs.Int("step-budget", 0, "maintenance step budget of the in-process daemon (0: service default; negative: whole periods under one lock hold)")
 	routerN := fs.Int("router", 0, "serve the query load from this many in-process router replicas following the daemon (0: query the daemon directly)")
 	routerAddrs := fs.String("router-addr", "", "comma-separated base URLs of external `reform route` replicas to load instead of the daemon")
 	verify := fs.Bool("verify", false, "after the load, byte-compare quiesced router answers against the daemon's (needs -router or -router-addr)")
-	fs.Parse(args)
-	if *batch < 0 || *workers <= 0 {
-		fmt.Fprintln(os.Stderr, "loadtest: -batch must be >= 0 and -workers > 0")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
 	}
-	if *zipfS < 0 {
-		fmt.Fprintln(os.Stderr, "loadtest: -zipf must be >= 0")
-		os.Exit(2)
-	}
-	if *routerN > 0 && *routerAddrs != "" {
-		fmt.Fprintln(os.Stderr, "loadtest: -router and -router-addr are mutually exclusive")
-		os.Exit(2)
-	}
-	if *verify && *routerN == 0 && *routerAddrs == "" {
-		fmt.Fprintln(os.Stderr, "loadtest: -verify needs -router or -router-addr")
-		os.Exit(2)
+	switch {
+	case *peers < 1:
+		return usagef("-peers must be >= 1")
+	case *batch < 0 || *workers <= 0:
+		return usagef("-batch must be >= 0 and -workers > 0")
+	case *zipfS < 0:
+		return usagef("-zipf must be >= 0")
+	case *routerN > 0 && *routerAddrs != "":
+		return usagef("-router and -router-addr are mutually exclusive")
+	case *verify && *routerN == 0 && *routerAddrs == "":
+		return usagef("-verify needs -router or -router-addr")
 	}
 
-	term := func(cat, i int) string { return fmt.Sprintf("c%d-t%d", cat, i) }
+	// Every replayed body is rendered here, before the clock starts:
+	// fixed seed -> fixed byte sequences, and the hot loop measures the
+	// daemon, not the generator.
+	const replayLen, churnKits = 256, 64
+	queriesPerReq := max(*batch, 1)
+	in := gen.New(gen.Sizes{
+		Peers: *peers, Pool: 512, Batch: queriesPerReq, Clients: *workers,
+		Draws: replayLen * queriesPerReq, Kits: churnKits, ZipfS: *zipfS,
+	}, *seed)
+	path, bodies := "/v1/query/batch", in.BatchBodies
+	if *batch <= 1 {
+		path, bodies = "/v1/query", make([][][]byte, *workers)
+		for w, draws := range in.Zipf {
+			for _, ix := range draws {
+				bodies[w] = append(bodies[w], in.Pool[ix].Body)
+			}
+		}
+	}
+
 	base := *addr
 	client := &http.Client{Timeout: 30 * time.Second}
 	if base == "" {
@@ -93,28 +119,23 @@ func runLoadtestCommand(args []string) {
 		// Keep the timeout: a read path stalled behind the mutation
 		// lock must fail the run, not hang it.
 		client.Timeout = 30 * time.Second
-		// Seed a deterministic population: content and demand follow
-		// the category-term scheme the replayed queries draw from.
-		rng := stats.NewRNG(*seed)
-		for i := 0; i < *peers; i++ {
-			cat := i % *categories
-			body, _ := json.Marshal(map[string]any{
-				"items": [][]string{
-					{term(cat, rng.Intn(6)), term(cat, rng.Intn(6))},
-					{term(cat, rng.Intn(6)), term(cat, rng.Intn(6))},
-				},
-				"queries": []map[string]any{
-					{"terms": []string{term(cat, rng.Intn(6))}, "count": 1 + rng.Intn(4)},
-				},
-			})
-			resp, err := client.Post(base+"/v1/peers", "application/json", bytes.NewReader(body))
-			if err != nil || resp.StatusCode != http.StatusCreated {
-				fmt.Fprintf(os.Stderr, "loadtest: seeding peer %d failed: %v\n", i, statusOf(resp, err))
-				os.Exit(1)
-			}
-			drain(resp)
+	}
+	// Seed the generated population, every peer a join of its snapshot
+	// entry, and reform it once.
+	var snap struct {
+		Peers []gen.JoinBody `json:"peers"`
+	}
+	if err := json.Unmarshal(in.Snapshot, &snap); err != nil {
+		return err
+	}
+	for i, p := range snap.Peers {
+		body, _ := json.Marshal(p) // plain strings and ints: cannot fail
+		if _, err := joinPeer(client, base, body); err != nil {
+			return fmt.Errorf("seeding peer %d: %w", i, err)
 		}
-		post(client, base+"/v1/reform")
+	}
+	if _, err := httpJSON(client, http.MethodPost, base+"/v1/reform", nil, http.StatusOK); err != nil {
+		return fmt.Errorf("seeding: %w", err)
 	}
 
 	// Optional router tier: the query load targets the replicas while
@@ -145,110 +166,44 @@ func runLoadtestCommand(args []string) {
 			}
 		}
 		if len(queryBases) == 0 {
-			fmt.Fprintln(os.Stderr, "loadtest: -router-addr lists no usable URLs")
-			os.Exit(2)
+			return usagef("-router-addr lists no usable URLs")
 		}
 	}
 	usingRouters := *routerN > 0 || *routerAddrs != ""
 
 	// viewSeq reads a server's published/synchronized view sequence.
 	viewSeq := func(b string) uint64 {
-		st := fetchStats(client, b)
-		if st == nil {
-			return 0
-		}
+		st, _ := getStats(client, b)
 		f, _ := st["view_seq"].(float64)
 		return uint64(f)
 	}
 	// waitRoutersSynced blocks until every replica has caught up to the
 	// daemon's currently published sequence.
-	waitRoutersSynced := func(timeout time.Duration) bool {
+	waitRoutersSynced := func(timeout time.Duration) error {
 		target := viewSeq(base)
 		deadline := time.Now().Add(timeout)
 		for i, rt := range inproc {
 			if !rt.WaitSynced(target, time.Until(deadline)) {
-				fmt.Fprintf(os.Stderr, "loadtest: router %d stuck at seq %d, daemon at %d\n", i, rt.Seq(), target)
-				return false
+				return fmt.Errorf("router %d stuck at seq %d, daemon at %d", i, rt.Seq(), target)
 			}
 		}
 		if *routerAddrs != "" {
 			for _, qb := range queryBases {
 				for viewSeq(qb) < target {
 					if time.Now().After(deadline) {
-						fmt.Fprintf(os.Stderr, "loadtest: router %s stuck at seq %d, daemon at %d\n", qb, viewSeq(qb), target)
-						return false
+						return fmt.Errorf("router %s stuck at seq %d, daemon at %d", qb, viewSeq(qb), target)
 					}
 					time.Sleep(10 * time.Millisecond)
 				}
 			}
 		}
-		return true
+		return nil
 	}
-	if usingRouters && !waitRoutersSynced(10*time.Second) {
+	if usingRouters {
 		// The tier must be synchronized before the load begins: a
 		// cold-start 503 is a config problem, not a measurement.
-		os.Exit(1)
-	}
-
-	// Pre-render the replayed request bodies per worker: fixed seed ->
-	// fixed byte sequences, and the hot loop measures the daemon, not
-	// the generator.
-	queriesPerReq := max(*batch, 1)
-	path := "/v1/query"
-	if *batch > 1 {
-		path = "/v1/query/batch"
-	}
-	freshQuery := func(rng *stats.RNG) map[string]any {
-		cat := rng.Intn(*categories)
-		terms := []string{term(cat, rng.Intn(6))}
-		if rng.Intn(3) == 0 {
-			terms = append(terms, term(cat, rng.Intn(6)))
-		}
-		return map[string]any{"terms": terms}
-	}
-	// With -zipf the workers draw from one fixed query pool with
-	// Zipf-skewed ranks instead of generating fresh uniform queries:
-	// the hot head of the pool dominates the load, which is exactly the
-	// traffic the view-epoch route cache exists for. Pool and ranks
-	// both derive from -seed, so runs replay exactly.
-	const zipfPoolSize = 512
-	var zipfPool []map[string]any
-	var zipf *stats.Zipf
-	if *zipfS > 0 {
-		prng := stats.NewRNG(*seed ^ 0x51bf)
-		zipfPool = make([]map[string]any, zipfPoolSize)
-		for i := range zipfPool {
-			zipfPool[i] = freshQuery(prng)
-		}
-		zipf = stats.NewZipf(zipfPoolSize, *zipfS)
-	}
-	makeBody := func(rng *stats.RNG) []byte {
-		one := func() map[string]any {
-			if zipf != nil {
-				return zipfPool[zipf.Sample(rng)]
-			}
-			return freshQuery(rng)
-		}
-		var v any
-		if *batch > 1 {
-			qs := make([]map[string]any, *batch)
-			for i := range qs {
-				qs[i] = one()
-			}
-			v = map[string]any{"queries": qs}
-		} else {
-			v = one()
-		}
-		b, _ := json.Marshal(v)
-		return b
-	}
-	const replayLen = 256
-	bodies := make([][][]byte, *workers)
-	for w := range bodies {
-		rng := stats.NewRNG(*seed*1_000_003 + uint64(w))
-		bodies[w] = make([][]byte, replayLen)
-		for i := range bodies[w] {
-			bodies[w][i] = makeBody(rng)
+		if err := waitRoutersSynced(10 * time.Second); err != nil {
+			return err
 		}
 	}
 
@@ -282,45 +237,26 @@ func runLoadtestCommand(args []string) {
 	var maintains, churns, mutErrs atomic.Int64
 	var joinLat, leaveLat []float64
 	mutate(*maintain, func() {
-		if post(client, base+"/v1/reform") {
-			maintains.Add(1)
-		} else {
-			mutErrs.Add(1)
-		}
-	})
-	churnRNG := stats.NewRNG(*seed ^ 0xc0ffee)
-	mutate(*churn, func() {
-		cat := churnRNG.Intn(*categories)
-		body, _ := json.Marshal(map[string]any{
-			"items":   [][]string{{term(cat, churnRNG.Intn(6))}},
-			"queries": []map[string]any{{"terms": []string{term(cat, churnRNG.Intn(6))}, "count": 1}},
-		})
-		t0 := time.Now()
-		resp, err := client.Post(base+"/v1/peers", "application/json", bytes.NewReader(body))
-		if err != nil {
+		if _, err := httpJSON(client, http.MethodPost, base+"/v1/reform", nil, http.StatusOK); err != nil {
 			mutErrs.Add(1)
 			return
 		}
-		if resp.StatusCode != http.StatusCreated {
-			drain(resp)
+		maintains.Add(1)
+	})
+	// The kits join round-robin; each leaves again before the next.
+	nextKit := 0
+	mutate(*churn, func() {
+		body := in.Kits[nextKit%len(in.Kits)].Body
+		nextKit++
+		t0 := time.Now()
+		id, err := joinPeer(client, base, body)
+		if err != nil {
 			mutErrs.Add(1)
 			return
 		}
 		joinLat = append(joinLat, float64(time.Since(t0).Nanoseconds())/1e6)
-		var jr struct {
-			ID int `json:"id"`
-		}
-		json.NewDecoder(resp.Body).Decode(&jr)
-		resp.Body.Close()
-		req, _ := http.NewRequest("DELETE", fmt.Sprintf("%s/v1/peers/%d", base, jr.ID), nil)
 		t0 = time.Now()
-		resp, err = client.Do(req)
-		if err != nil {
-			mutErrs.Add(1)
-			return
-		}
-		drain(resp)
-		if resp.StatusCode != http.StatusOK {
+		if _, err := httpJSON(client, http.MethodDelete, fmt.Sprintf("%s/v1/peers/%d", base, id), nil, http.StatusOK); err != nil {
 			mutErrs.Add(1)
 			return
 		}
@@ -355,16 +291,8 @@ func runLoadtestCommand(args []string) {
 				} else if time.Now().After(deadline) {
 					return
 				}
-				body := bodies[w][i%replayLen]
 				t0 := time.Now()
-				resp, err := client.Post(queryBases[(w+i)%len(queryBases)]+path, "application/json", bytes.NewReader(body))
-				if err != nil {
-					res.errs++
-					continue
-				}
-				_, cerr := io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if cerr != nil || resp.StatusCode != http.StatusOK {
+				if _, err := httpJSON(client, http.MethodPost, queryBases[(w+i)%len(queryBases)]+path, bodies[w][i%replayLen], http.StatusOK); err != nil {
 					res.errs++
 					continue
 				}
@@ -385,21 +313,21 @@ func runLoadtestCommand(args []string) {
 	}
 	sort.Float64s(lat)
 	reqs := len(lat)
-	fmt.Printf("loadtest: %d requests (%d queries) in %.2fs, %d workers, %s, seed %d\n",
+	fmt.Fprintf(out, "loadtest: %d requests (%d queries) in %.2fs, %d workers, %s, seed %d\n",
 		reqs, reqs*queriesPerReq, wall.Seconds(), *workers, path, *seed)
-	fmt.Printf("  throughput  %.0f req/s (%.0f queries/s)\n",
+	fmt.Fprintf(out, "  throughput  %.0f req/s (%.0f queries/s)\n",
 		float64(reqs)/wall.Seconds(), float64(reqs*queriesPerReq)/wall.Seconds())
 	if reqs > 0 {
 		sum := 0.0
 		for _, l := range lat {
 			sum += l
 		}
-		fmt.Printf("  latency ms  p50 %.3f  p95 %.3f  p99 %.3f  max %.3f  mean %.3f\n",
+		fmt.Fprintf(out, "  latency ms  p50 %.3f  p95 %.3f  p99 %.3f  max %.3f  mean %.3f\n",
 			stats.Quantile(lat, 0.5), stats.Quantile(lat, 0.95), stats.Quantile(lat, 0.99),
 			lat[len(lat)-1], sum/float64(reqs))
 	}
 	if *maintain > 0 || *churn > 0 {
-		fmt.Printf("  concurrent  %d maintenance periods, %d churn cycles\n",
+		fmt.Fprintf(out, "  concurrent  %d maintenance periods, %d churn cycles\n",
 			maintains.Load(), churns.Load())
 	}
 	printMutLat := func(name string, lat []float64) {
@@ -407,119 +335,97 @@ func runLoadtestCommand(args []string) {
 			return
 		}
 		sort.Float64s(lat)
-		fmt.Printf("  %-11s p50 %.3f  p95 %.3f  p99 %.3f  max %.3f  (n=%d)\n",
+		fmt.Fprintf(out, "  %-11s p50 %.3f  p95 %.3f  p99 %.3f  max %.3f  (n=%d)\n",
 			name, stats.Quantile(lat, 0.5), stats.Quantile(lat, 0.95),
 			stats.Quantile(lat, 0.99), lat[len(lat)-1], len(lat))
 	}
 	printMutLat("join ms", joinLat)
 	printMutLat("leave ms", leaveLat)
-	fmt.Printf("  errors      %d query, %d mutation\n", errs, mutErrs.Load())
+	fmt.Fprintf(out, "  errors      %d query, %d mutation\n", errs, mutErrs.Load())
 
 	// Quiesced verification: every replica catches up to the daemon's
 	// final published sequence, then must answer byte-identically.
-	verifyFailed := false
-	if *verify {
-		if !waitRoutersSynced(10 * time.Second) {
-			verifyFailed = true
-		} else {
-			fetch := func(b string, body []byte) (int, []byte) {
-				resp, err := client.Post(b+path, "application/json", bytes.NewReader(body))
-				if err != nil {
-					return 0, []byte(err.Error())
-				}
-				defer resp.Body.Close()
-				out, _ := io.ReadAll(resp.Body)
-				return resp.StatusCode, out
+	verifyTier := func() error {
+		if err := waitRoutersSynced(10 * time.Second); err != nil {
+			return err
+		}
+		checked, hits := 0, 0
+		for _, body := range bodies[0] {
+			want, err := httpJSON(client, http.MethodPost, base+path, body, http.StatusOK)
+			if err != nil {
+				return err
 			}
-			checked := 0
-		verifyLoop:
-			for i := 0; i < replayLen; i++ {
-				body := bodies[0][i]
-				wantCode, want := fetch(base, body)
-				for _, qb := range queryBases {
-					gotCode, got := fetch(qb, body)
-					checked++
-					if gotCode != wantCode || !bytes.Equal(want, got) {
-						fmt.Fprintf(os.Stderr, "loadtest: DIVERGENCE on %s\n  daemon %d %s\n  %s %d %s\n",
-							body, wantCode, want, qb, gotCode, got)
-						verifyFailed = true
-						break verifyLoop
-					}
+			hits += queriesPerReq - bytes.Count(want, []byte(`"clusters":[]`))
+			for _, qb := range queryBases {
+				got, err := httpJSON(client, http.MethodPost, qb+path, body, http.StatusOK)
+				if err != nil || !bytes.Equal(want, got) {
+					return fmt.Errorf("DIVERGENCE on %s\n  daemon %s\n  %s %s (%v)", body, want, qb, got, err)
 				}
-			}
-			if !verifyFailed {
-				fmt.Printf("  verify      %d router answers byte-identical to the daemon's\n", checked)
+				checked++
 			}
 		}
+		fmt.Fprintf(out, "  verify      %d router answers byte-identical to the daemon's; %d of %d queries hit a cluster\n",
+			checked, hits, len(bodies[0])*queriesPerReq)
+		return nil
+	}
+	var verifyErr error
+	if *verify {
+		verifyErr = verifyTier()
 	}
 
-	if st := fetchStats(client, base); st != nil {
-		fmt.Printf("server stats: peers=%v clusters=%v queries_served=%v published_views=%v\n",
+	if st, err := getStats(client, base); err == nil {
+		fmt.Fprintf(out, "server stats: peers=%v clusters=%v queries_served=%v published_views=%v\n",
 			st["peers"], st["clusters"], st["queries_served"], st["published_views"])
 		if lk, ok := st["mutation_lock"].(map[string]any); ok {
 			holds, _ := lk["holds"].(float64)
 			mean, _ := lk["mean_us"].(float64)
 			p99, _ := lk["p99_us"].(float64)
-			fmt.Printf("  lock holds  n=%.0f mean %.1fus p99 %.1fus\n", holds, mean, p99)
+			fmt.Fprintf(out, "  lock holds  n=%.0f mean %.1fus p99 %.1fus\n", holds, mean, p99)
 		}
-		printCacheStats("  ", st)
+		printCacheStats(out, "  ", st)
 		if *maintain > 0 {
 			if mt, ok := st["maintenance"].(map[string]any); ok {
 				scanned, _ := mt["scanned"].(float64)
-				fmt.Printf("  decide scan %.0f peers evaluated\n", scanned)
+				fmt.Fprintf(out, "  decide scan %.0f peers evaluated\n", scanned)
 			}
 		}
 	}
 	if usingRouters {
 		for i, qb := range queryBases {
-			st := fetchStats(client, qb)
-			if st == nil {
-				fmt.Printf("router %d (%s): stats unavailable\n", i, qb)
+			st, err := getStats(client, qb)
+			if err != nil {
+				fmt.Fprintf(out, "router %d (%s): stats unavailable\n", i, qb)
 				continue
 			}
-			fmt.Printf("router %d: synced=%v view_seq=%v full_syncs=%v delta_syncs=%v sync_errors=%v queries_served=%v\n",
+			fmt.Fprintf(out, "router %d: synced=%v view_seq=%v full_syncs=%v delta_syncs=%v sync_errors=%v queries_served=%v\n",
 				i, st["synced"], st["view_seq"], st["full_syncs"], st["delta_syncs"],
 				st["sync_errors"], st["queries_served"])
-			printCacheStats("  ", st)
+			printCacheStats(out, "  ", st)
 		}
 	}
-	if errs > 0 || mutErrs.Load() > 0 || verifyFailed {
-		os.Exit(1)
+	if errs > 0 || mutErrs.Load() > 0 {
+		return errors.Join(fmt.Errorf("%d query and %d mutation requests failed", errs, mutErrs.Load()), verifyErr)
 	}
+	return verifyErr
 }
 
-func statusOf(resp *http.Response, err error) any {
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return fmt.Sprintf("%d %s", resp.StatusCode, body)
-}
+// usageError is a bad command line; main exits 2 on it and 1 on any
+// other error.
+type usageError struct{ error }
 
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-}
-
-func post(client *http.Client, url string) bool {
-	resp, err := client.Post(url, "application/json", nil)
-	if err != nil {
-		return false
-	}
-	drain(resp)
-	return resp.StatusCode == http.StatusOK
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
 }
 
 // printCacheStats renders a /v1/stats payload's route_cache block (the
 // daemon's and each router's): hit rate alongside the raw counters.
-func printCacheStats(indent string, st map[string]any) {
+func printCacheStats(out io.Writer, indent string, st map[string]any) {
 	rc, ok := st["route_cache"].(map[string]any)
 	if !ok {
 		return
 	}
 	if on, _ := rc["enabled"].(bool); !on {
-		fmt.Printf("%sroute cache disabled\n", indent)
+		fmt.Fprintf(out, "%sroute cache disabled\n", indent)
 		return
 	}
 	hits, _ := rc["hits"].(float64)
@@ -530,19 +436,6 @@ func printCacheStats(indent string, st map[string]any) {
 	if hits+misses > 0 {
 		rate = 100 * hits / (hits + misses)
 	}
-	fmt.Printf("%sroute cache hit rate %.1f%% (%.0f hits, %.0f misses, %.0f evictions, %.0f bypasses)\n",
+	fmt.Fprintf(out, "%sroute cache hit rate %.1f%% (%.0f hits, %.0f misses, %.0f evictions, %.0f bypasses)\n",
 		indent, rate, hits, misses, evictions, bypasses)
-}
-
-func fetchStats(client *http.Client, base string) map[string]any {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var st map[string]any
-	if json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return nil
-	}
-	return st
 }

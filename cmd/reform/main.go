@@ -1,6 +1,6 @@
 // Command reform regenerates the paper's evaluation — every table and
-// figure of §4 plus the ablations and extensions listed in DESIGN.md —
-// and runs the overlay as an online daemon.
+// figure of §4 plus ablations and extensions — and runs the overlay as
+// an online daemon.
 //
 // Usage:
 //
@@ -44,14 +44,16 @@
 // daemon runs indefinitely under novel-query churn. The route
 // subcommand runs a stateless query-router replica that follows the
 // watch feed and serves the data plane byte-identically to the
-// daemon. The loadtest subcommand replays a fixed-seed query workload
-// with concurrent workers — against a remote daemon, an in-process
+// daemon. The loadtest subcommand seeds a target with bench/gen's
+// generated population and replays that generator's queries with
+// concurrent workers — against a remote daemon, an in-process
 // one, or a router tier — and reports throughput and p50/p95/p99
 // latency, optionally with maintenance and churn running
 // concurrently.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -78,7 +80,13 @@ func main() {
 			runRouteCommand(os.Args[2:])
 			return
 		case "loadtest":
-			runLoadtestCommand(os.Args[2:])
+			if err := runLoadtest(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, "loadtest:", err)
+				if errors.As(err, new(usageError)) {
+					os.Exit(2)
+				}
+				os.Exit(1)
+			}
 			return
 		}
 	}

@@ -110,8 +110,10 @@ type Engine struct {
 	cmax  int // cluster slots (cfg.Cmax())
 
 	// totals[q] = Σ_p result(q,p); zero-result queries carry no recall
-	// cost (r is undefined for them, see DESIGN.md §5.3). invTot[q] is
-	// 1/totals[q], or 0 for zero-result queries.
+	// cost: recall is the share of a query's results a cluster reaches,
+	// and a query no peer answers has no results to share, so no cluster
+	// can serve it better than another. invTot[q] is 1/totals[q], or 0
+	// for zero-result queries.
 	totals []float64
 	invTot []float64
 	// peerRes[p] lists every query p holds results for.

@@ -99,8 +99,12 @@ func (s *Selfish) DecideEval(evl *Evaluator, p int, baseline float64, allowNew b
 // Altruistic implements §3.1.2: the peer moves to the cluster whose
 // recall its presence would improve the most, i.e. the cluster it
 // contributes the most results to (Eq. 6). The request gain is
-// clgain = contribution(p, c_new) − ΔmembershipCost(c_new)
-// (see DESIGN.md §5.4 for the sign convention).
+// clgain = contribution(p, c_new) − contribution(p, c_cur) −
+// ΔmembershipCost(c_new). Positive means the move helps: the recall the
+// peer adds to c_new exceeds what it takes from c_cur plus the
+// participation cost it charges c_new's members. The strategy asks to
+// move only when clgain > 0 (the protocol also requires it to exceed
+// ε), and representatives serve requests in decreasing clgain.
 type Altruistic struct{}
 
 // NewAltruistic returns the altruistic strategy.

@@ -1,5 +1,5 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (§4) plus the ablations listed in DESIGN.md. Every
+// paper's evaluation (§4) plus ablations and extensions. Every
 // driver is deterministic given a seed and returns metrics tables or
 // series that cmd/reform renders.
 //
