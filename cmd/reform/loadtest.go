@@ -48,9 +48,11 @@ import (
 // published sequence, and byte-compares router answers against the
 // authoritative engine's; any divergence is an error.
 //
-// Output goes to out. A usageError reports a bad command line.
-func runLoadtest(args []string, out io.Writer) error {
+// The report goes to out, and the flag package's complaints, with the
+// usage, to errOut. A usageError reports a bad command line.
+func runLoadtest(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	addr := fs.String("addr", "", "target daemon base URL (empty: start an in-process daemon)")
 	peers := fs.Int("peers", 48, "generated population seeded into the target daemon, in-process or -addr")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent load workers")
@@ -70,7 +72,7 @@ func runLoadtest(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return usageError{err}
+		return usageError{error: err, printed: true}
 	}
 	switch {
 	case *peers < 1:
@@ -409,12 +411,34 @@ func runLoadtest(args []string, out io.Writer) error {
 	return verifyErr
 }
 
-// usageError is a bad command line; main exits 2 on it and 1 on any
-// other error.
-type usageError struct{ error }
+// loadtestMain runs `reform loadtest` with the given arguments and
+// returns its exit code: 0, 2 for a bad command line and 1 for any
+// other error. Each error is written to stderr once.
+func loadtestMain(args []string, stdout, stderr io.Writer) int {
+	err := runLoadtest(args, stdout, stderr)
+	if err == nil {
+		return 0
+	}
+	var usage usageError
+	isUsage := errors.As(err, &usage)
+	if !isUsage || !usage.printed {
+		fmt.Fprintln(stderr, "loadtest:", err)
+	}
+	if isUsage {
+		return 2
+	}
+	return 1
+}
+
+// usageError is a bad command line. printed says the flag package has
+// already written it, with the usage.
+type usageError struct {
+	error
+	printed bool
+}
 
 func usagef(format string, args ...any) error {
-	return usageError{fmt.Errorf(format, args...)}
+	return usageError{error: fmt.Errorf(format, args...)}
 }
 
 // printCacheStats renders a /v1/stats payload's route_cache block (the

@@ -53,7 +53,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -80,14 +79,7 @@ func main() {
 			runRouteCommand(os.Args[2:])
 			return
 		case "loadtest":
-			if err := runLoadtest(os.Args[2:], os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "loadtest:", err)
-				if errors.As(err, new(usageError)) {
-					os.Exit(2)
-				}
-				os.Exit(1)
-			}
-			return
+			os.Exit(loadtestMain(os.Args[2:], os.Stdout, os.Stderr))
 		}
 	}
 	exp := flag.String("exp", "all", "experiment to run (see package doc; 'all' runs everything)")

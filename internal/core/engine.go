@@ -49,7 +49,10 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/peer"
@@ -297,7 +300,9 @@ func growMarks(s []uint64, n int) []uint64 {
 // answer. The lists, and the integer totals summed from them, come out
 // as they would asking everybody everything, and nothing after the
 // result pass looks at what was remembered, so the rebuilt engine
-// equals core.New over the same inputs bit for bit. A fresh engine
+// equals core.New over the same inputs bit for bit. Many slots to ask
+// are asked on several goroutines (RestoreWorkers), each slot by one,
+// and the result is the same bits for any number of them. A fresh engine
 // remembers nothing, and a workload compacted behind the engine's back
 // (its QIDs renumbered) makes Rebuild forget: both are the same pass
 // with nothing to keep.
@@ -343,13 +348,23 @@ func (e *Engine) Rebuild() {
 
 	// Pass 1: result counts -> totals, peerRes. Only the queries
 	// registered under one of the peer's attributes (or under none) can
-	// match an item of it; sorting them keeps peerRes, and every sum
-	// below, in ascending QID order. A slot whose peer has not changed
-	// since its list was computed keeps the part of it below resCovered
-	// and is asked about the queries from there on; a join leaves its
-	// list in candidate order, so a kept list is sorted first. rowCap
+	// match an item of it (see askSlots). The slots are asked first, on
+	// as many workers as there are slots to ask (RestoreWorkers), each
+	// writing its own slots' lists; the sums then run serially in slot
+	// order, so they come out the same for any number of workers. rowCap
 	// counts each query's supporters, and in pass 2 its demanders, for
 	// pass 3.
+	ask := 0
+	for pid, p := range e.peers {
+		if p != nil && (e.resCovered < nq || e.resFrom[pid] != (resSource{p, p.Version()})) {
+			ask++
+		}
+	}
+	if w := RestoreWorkers(ask); w > 1 {
+		e.askParallel(w)
+	} else {
+		e.candScratch = e.askSlots(0, e.n, e.candScratch)
+	}
 	e.rowCap = grow(e.rowCap, nq)
 	e.byCluster = e.byCluster[:0]
 	for pid, p := range e.peers {
@@ -359,29 +374,10 @@ func (e *Engine) Rebuild() {
 			continue
 		}
 		e.byCluster = append(e.byCluster, uint64(e.cfg.ClusterOf(pid))<<32|uint64(pid))
-		pr, from := e.peerRes[pid][:0], workload.QID(0)
-		if src := (resSource{p, p.Version()}); e.resFrom[pid] == src {
-			pr, from = e.keptResults(pid), workload.QID(e.resCovered)
-		} else {
-			e.resFrom[pid] = src
-		}
-		for _, re := range pr {
+		for _, re := range e.peerRes[pid] {
 			e.totals[re.qid] += re.res
 			e.rowCap[re.qid]++
 		}
-		e.candScratch = e.queries.appendCandidates(e.candScratch[:0], p, from)
-		slices.Sort(e.candScratch)
-		for _, qid := range e.candScratch {
-			res := p.ResultCount(e.wl.Query(qid))
-			if res == 0 {
-				continue
-			}
-			r := float64(res)
-			pr = append(pr, resEntry{qid: qid, res: r})
-			e.totals[qid] += r
-			e.rowCap[qid]++
-		}
-		e.peerRes[pid] = pr
 		for _, entry := range e.wl.Peer(pid) {
 			e.demandTot[entry.Q] += float64(entry.Count)
 		}
@@ -495,6 +491,82 @@ func (e *Engine) Rebuild() {
 	e.cfgVersion = e.cfg.MembershipVersion()
 	e.popVersion++
 	e.lineage = nextLineage.Add(1)
+}
+
+// askWorkerSlots is how many slots to ask a worker of a parallel
+// Rebuild or restore must have before it pays for its goroutine. Below
+// it one inline worker asks them all: the paper's 200-peer engines,
+// which the experiment drivers already build on every core, and a
+// steady-state Rebuild, which asks nobody.
+const askWorkerSlots = 256
+
+// RestoreWorkers returns how many goroutines a Rebuild or a snapshot
+// restore spreads n slots to ask over: one per askWorkerSlots of them,
+// at least one and at most GOMAXPROCS.
+func RestoreWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/askWorkerSlots))
+}
+
+// askSlots is Rebuild's result pass over the slots [lo, hi), using cand
+// as its candidate scratch, which it returns grown. A slot whose peer
+// has not changed since its list was computed keeps the part of it
+// below resCovered and is asked about the queries from there on; any
+// other slot is asked about every query. Sorting the candidates keeps
+// each list in ascending QID order; a join leaves its list in
+// candidate order, so a kept list is sorted first. It writes only the
+// slots' own lists, sources and peers (the peer's index, by Freeze),
+// so workers given disjoint ranges may run it at once.
+func (e *Engine) askSlots(lo, hi int, cand []workload.QID) []workload.QID {
+	for pid := lo; pid < hi; pid++ {
+		p := e.peers[pid]
+		if p == nil {
+			continue
+		}
+		pr, from := e.peerRes[pid][:0], workload.QID(0)
+		if src := (resSource{p, p.Version()}); e.resFrom[pid] == src {
+			pr, from = e.keptResults(pid), workload.QID(e.resCovered)
+		} else {
+			e.resFrom[pid] = src
+		}
+		p.Freeze()
+		cand = e.queries.appendCandidates(cand[:0], p, from)
+		slices.Sort(cand)
+		for _, qid := range cand {
+			if res := p.ResultCountRO(e.wl.Query(qid)); res > 0 {
+				pr = append(pr, resEntry{qid: qid, res: float64(res)})
+			}
+		}
+		e.peerRes[pid] = pr
+	}
+	return cand
+}
+
+// askParallel runs askSlots over every slot on w workers, the calling
+// goroutine one of them, which take blocks of slots in turn. It lives
+// apart from Rebuild so that nothing its goroutines capture is moved
+// to the heap when Rebuild asks inline.
+func (e *Engine) askParallel(w int) {
+	const block = 32
+	var next atomic.Int64
+	work := func(cand []workload.QID) []workload.QID {
+		for {
+			lo := int(next.Add(block)) - block
+			if lo >= e.n {
+				return cand
+			}
+			cand = e.askSlots(lo, min(lo+block, e.n), cand)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for range w - 1 {
+		go func() {
+			defer wg.Done()
+			work(nil)
+		}()
+	}
+	e.candScratch = work(e.candScratch)
+	wg.Wait()
 }
 
 // keptResults returns the part of slot pid's result list that Rebuild

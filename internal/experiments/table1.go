@@ -56,17 +56,7 @@ func RunTable1(p Params) *Table1Result {
 // leaves unchanged.
 func runTable1(p Params, systems []*System) *Table1Result {
 	workers := p.workerCount()
-	engines := make([]*core.Engine, len(table1Scenarios)*len(table1Inits))
-	runIndexed(workers, len(engines), func(i int) {
-		sc := table1Scenarios[i/len(table1Inits)]
-		init := table1Inits[i%len(table1Inits)]
-		sys := systems[i/len(table1Inits)]
-		// The initial configuration must be identical across
-		// strategies: derive its RNG from (seed, scenario, init) only.
-		rng := stats.NewRNG(p.Seed ^ uint64(sc)<<8 ^ uint64(init)<<16 ^ 0x517cc1b727220a95)
-		engines[i] = sys.NewEngine(sys.InitialConfig(init, rng))
-	})
-
+	engines := table1Engines(p, systems)
 	cells := make([]Table1Cell, len(engines)*len(paperStrategies))
 	runIndexed(workers, len(cells), func(i int) {
 		row := i / len(paperStrategies)
@@ -88,6 +78,23 @@ func runTable1(p Params, systems []*System) *Table1Result {
 		}
 	})
 	return &Table1Result{Cells: cells}
+}
+
+// table1Engines builds the starting engine of every row of Table 1,
+// row-major over table1Scenarios and table1Inits, on the Params.Workers
+// pool; each cell runs its strategy on a Clone of its row's engine.
+func table1Engines(p Params, systems []*System) []*core.Engine {
+	engines := make([]*core.Engine, len(table1Scenarios)*len(table1Inits))
+	runIndexed(p.workerCount(), len(engines), func(i int) {
+		sc := table1Scenarios[i/len(table1Inits)]
+		init := table1Inits[i%len(table1Inits)]
+		sys := systems[i/len(table1Inits)]
+		// The initial configuration must be identical across
+		// strategies: derive its RNG from (seed, scenario, init) only.
+		rng := stats.NewRNG(p.Seed ^ uint64(sc)<<8 ^ uint64(init)<<16 ^ 0x517cc1b727220a95)
+		engines[i] = sys.NewEngine(sys.InitialConfig(init, rng))
+	})
+	return engines
 }
 
 // Table renders the result in the paper's layout: one row per

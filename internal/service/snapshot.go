@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -83,43 +84,28 @@ func (s *Server) Snapshot() *Snapshot {
 
 // NewFromSnapshot builds a Server whose overlay resumes exactly where
 // the snapshot left off: same peer IDs, same clusters, same costs.
-// The snapshot's alpha/epsilon override the config's.
+// The snapshot's alpha/epsilon override the config's. The document is
+// checked whole before anything is built from it; a document that
+// fails a check is an error, never a panic.
 func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("service: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	peers, assign, err := checkSnapshot(snap)
+	if err != nil {
+		return nil, err
 	}
 	cfg.Alpha = snap.Alpha
 	cfg.Epsilon = snap.Epsilon
 	s := New(cfg)
-	s.vocab = attr.NewVocabSized(snapshotVocabHint(snap))
+	s.vocab = attr.NewVocabSized(snapshotVocabHint(snap.Peers))
 	s.compactions.Store(int64(snap.Compactions))
 
-	peers := make([]*peer.Peer, snap.Slots)
+	queries := restoreContent(s.vocab, snap.Peers, peers)
 	wl := workload.New(snap.Slots)
-	assign := make([]cluster.CID, snap.Slots)
-	for i := range assign {
-		assign[i] = cluster.None
-	}
+	k := 0
 	for _, ps := range snap.Peers {
-		if ps.Slot < 0 || ps.Slot >= snap.Slots {
-			return nil, fmt.Errorf("service: snapshot slot %d out of range [0,%d)", ps.Slot, snap.Slots)
-		}
-		if peers[ps.Slot] != nil {
-			return nil, fmt.Errorf("service: snapshot slot %d duplicated", ps.Slot)
-		}
-		if ps.Cluster < 0 || ps.Cluster >= snap.Slots {
-			return nil, fmt.Errorf("service: snapshot peer %d in invalid cluster %d", ps.Slot, ps.Cluster)
-		}
-		pr := peer.New(ps.Slot)
-		pr.SetItems(internItems(s.vocab, ps.Items))
-		peers[ps.Slot] = pr
 		for _, q := range ps.Queries {
-			if len(q.Terms) == 0 || q.Count <= 0 {
-				return nil, fmt.Errorf("service: snapshot peer %d has invalid query", ps.Slot)
-			}
-			wl.Add(ps.Slot, attr.NewSet(s.vocab.InternAll(q.Terms)...), q.Count)
+			wl.Add(ps.Slot, queries[k], q.Count)
+			k++
 		}
-		assign[ps.Slot] = cluster.CID(ps.Cluster)
 	}
 	s.eng = core.New(peers, wl, cluster.FromAssignment(assign), s.cfg.Theta, s.cfg.Alpha)
 	s.runner = s.newRunner()
@@ -127,18 +113,182 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
 	return s, nil
 }
 
+// maxSnapshotSlots bounds the slot count a snapshot may declare: every
+// slot costs the engine a few hundred bytes whether a peer holds it or
+// not, so a larger count is a corrupt document, not a population.
+const maxSnapshotSlots = 1 << 22
+
+// checkSnapshot validates the whole of snap and returns its peers, with
+// no content yet, and their clusters by slot (cluster.None for a vacant
+// slot). It reports the first fault in document order.
+func checkSnapshot(snap *Snapshot) ([]*peer.Peer, []cluster.CID, error) {
+	switch {
+	case snap.Version != snapshotVersion:
+		return nil, nil, fmt.Errorf("service: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	case snap.Slots < 0 || snap.Slots > maxSnapshotSlots:
+		return nil, nil, fmt.Errorf("service: snapshot slots %d out of range [0,%d]", snap.Slots, maxSnapshotSlots)
+	case !(snap.Alpha >= 0):
+		return nil, nil, fmt.Errorf("service: snapshot alpha %g, want a non-negative number", snap.Alpha)
+	case !(snap.Epsilon >= 0):
+		return nil, nil, fmt.Errorf("service: snapshot epsilon %g, want a non-negative number", snap.Epsilon)
+	}
+	peers := make([]*peer.Peer, snap.Slots)
+	assign := make([]cluster.CID, snap.Slots)
+	for i := range assign {
+		assign[i] = cluster.None
+	}
+	for _, ps := range snap.Peers {
+		if ps.Slot < 0 || ps.Slot >= snap.Slots {
+			return nil, nil, fmt.Errorf("service: snapshot slot %d out of range [0,%d)", ps.Slot, snap.Slots)
+		}
+		if peers[ps.Slot] != nil {
+			return nil, nil, fmt.Errorf("service: snapshot slot %d duplicated", ps.Slot)
+		}
+		if ps.Cluster < 0 || ps.Cluster >= snap.Slots {
+			return nil, nil, fmt.Errorf("service: snapshot peer %d in invalid cluster %d", ps.Slot, ps.Cluster)
+		}
+		for _, q := range ps.Queries {
+			if len(q.Terms) == 0 || q.Count <= 0 {
+				return nil, nil, fmt.Errorf("service: snapshot peer %d has invalid query", ps.Slot)
+			}
+		}
+		peers[ps.Slot] = peer.New(ps.Slot)
+		assign[ps.Slot] = cluster.CID(ps.Cluster)
+	}
+	return peers, assign, nil
+}
+
+// restoreChunk is one worker's share of a restore: a run of the
+// snapshot's peers, interned into a term table of its own.
+type restoreChunk struct {
+	docs  []PeerSnapshot
+	vocab *attr.Vocab
+	// items[i] holds docs[i]'s item terms as IDs of vocab, one slab per
+	// peer (see internTerms); terms holds the chunk's query terms, in
+	// document order, the same way.
+	items [][]attr.ID
+	terms []attr.ID
+	// remap maps vocab's IDs to the restore's; nil when vocab is the
+	// restore's own.
+	remap []attr.ID
+	// queries is the chunk's share of the restore's query sets, in
+	// document order.
+	queries []attr.Set
+}
+
+// restoreContent gives every peer of docs its items and returns their
+// query sets in document order, interning the terms into v in three
+// phases. The docs are cut into runs of peers, as many as
+// core.RestoreWorkers gives for them, and each run is interned on its
+// own worker into a table of its own, the first run's table being v.
+// Then the other tables are merged into v serially, run after run,
+// each in the order its names first occurred. Last, each worker maps
+// its run's IDs to v's, sorts and dedups every item and query, sets
+// the peers' items and freezes them (builds their inverted indexes).
+//
+// A term's first occurrence in the document falls in the first run
+// that holds it, at its first occurrence there, so the merge hands out
+// IDs in the order of first occurrence in the whole document: every
+// term gets the ID interning peer after peer, items then queries, one
+// goroutine, would give it.
+func restoreContent(v *attr.Vocab, docs []PeerSnapshot, peers []*peer.Peer) []attr.Set {
+	nq := 0
+	for _, ps := range docs {
+		nq += len(ps.Queries)
+	}
+	queries := make([]attr.Set, nq)
+	w := core.RestoreWorkers(len(docs))
+	chunks := make([]restoreChunk, w)
+	rest := queries
+	for i := range chunks {
+		c := &chunks[i]
+		c.docs = docs[i*len(docs)/w : (i+1)*len(docs)/w]
+		c.vocab = v
+		if i > 0 {
+			c.vocab = attr.NewVocabSized(snapshotVocabHint(c.docs))
+		}
+		n := 0
+		for _, ps := range c.docs {
+			n += len(ps.Queries)
+		}
+		c.queries, rest = rest[:n], rest[n:]
+	}
+	fanOut(w, func(i int) { chunks[i].intern() })
+	for i := 1; i < w; i++ {
+		c := &chunks[i]
+		c.remap = make([]attr.ID, c.vocab.Len())
+		for id, name := range c.vocab.Names() {
+			c.remap[id] = v.Intern(name)
+		}
+	}
+	fanOut(w, func(i int) { chunks[i].adopt(peers) })
+	return queries
+}
+
+// intern interns the chunk's terms into its table, peer after peer,
+// items then queries.
+func (c *restoreChunk) intern() {
+	c.items = make([][]attr.ID, len(c.docs))
+	n := 0
+	for _, ps := range c.docs {
+		for _, q := range ps.Queries {
+			n += len(q.Terms)
+		}
+	}
+	c.terms = make([]attr.ID, 0, n)
+	for i, ps := range c.docs {
+		c.items[i] = internTerms(c.vocab, ps.Items)
+		for _, q := range ps.Queries {
+			for _, name := range q.Terms {
+				c.terms = append(c.terms, c.vocab.Intern(name))
+			}
+		}
+	}
+}
+
+// adopt turns the chunk's interned terms into the peers' items and the
+// chunk's query sets.
+func (c *restoreChunk) adopt(peers []*peer.Peer) {
+	terms, k := c.terms, 0
+	for i, ps := range c.docs {
+		pr := peers[ps.Slot]
+		pr.SetItems(adoptItems(c.items[i], ps.Items, c.remap))
+		pr.Freeze()
+		for _, q := range ps.Queries {
+			c.queries[k] = adoptSpan(terms[:len(q.Terms)], c.remap)
+			terms, k = terms[len(q.Terms):], k+1
+		}
+	}
+}
+
+// fanOut calls f(0), ..., f(w-1) at once, f(0) on the calling
+// goroutine, and returns when all have returned.
+func fanOut(w int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
 // maxVocabHint bounds the vocabulary size a restore reserves up front.
 const maxVocabHint = 1 << 16
 
-// snapshotVocabHint returns how many terms to size the vocabulary for
-// before interning snap: the term occurrences in its items, which bound
-// the distinct terms from above, capped because a vocabulary grows far
-// slower than the text it is drawn from (3000 peers of the benchmark
-// corpus hold 431 k occurrences of 32 k terms). Past the cap the map
-// grows as it always did, from a size that spared the early doublings.
-func snapshotVocabHint(snap *Snapshot) int {
+// snapshotVocabHint returns how many terms to size a vocabulary for
+// before interning docs: the term occurrences in their items, which
+// bound the distinct terms from above, capped because a vocabulary
+// grows far slower than the text it is drawn from (3000 peers of the
+// benchmark corpus hold 431 k occurrences of 32 k terms). Past the cap
+// the map grows as it always did, from a size that spared the early
+// doublings.
+func snapshotVocabHint(docs []PeerSnapshot) int {
 	n := 0
-	for _, ps := range snap.Peers {
+	for _, ps := range docs {
 		for _, it := range ps.Items {
 			n += len(it)
 		}
@@ -149,31 +299,55 @@ func snapshotVocabHint(snap *Snapshot) int {
 	return n
 }
 
-// internItems interns one peer's items, term by term in the order
-// given, into a single slab of IDs, then sorts and dedups each item's
-// span of it in place and adopts the span as the item's set: one
-// allocation for the peer's IDs, not two per item. Joins, replayed
-// joins and snapshot restores all turn term lists into content here.
+// internItems interns one peer's items into a single slab of IDs and
+// adopts the slab's spans as the item sets: one allocation for the
+// peer's IDs, not two per item. Joins and replayed joins turn term
+// lists into content here; a restore runs its two halves on its own
+// workers (restoreContent).
 func internItems(v *attr.Vocab, items [][]string) []attr.Set {
+	return adoptItems(internTerms(v, items), items, nil)
+}
+
+// internTerms interns items term by term, in the order given, into one
+// slab of IDs, the items' spans back to back.
+func internTerms(v *attr.Vocab, items [][]string) []attr.ID {
 	n := 0
 	for _, it := range items {
 		n += len(it)
 	}
-	slab := make([]attr.ID, n)
+	slab := make([]attr.ID, 0, n)
+	for _, it := range items {
+		for _, name := range it {
+			slab = append(slab, v.Intern(name))
+		}
+	}
+	return slab
+}
+
+// adoptItems cuts slab, made by internTerms from items, into the items'
+// spans and adopts each as a set (adoptSpan).
+func adoptItems(slab []attr.ID, items [][]string, remap []attr.ID) []attr.Set {
 	sets := make([]attr.Set, len(items))
 	for i, it := range items {
 		if len(it) == 0 {
 			continue
 		}
-		span := slab[:len(it)]
+		sets[i] = adoptSpan(slab[:len(it)], remap)
 		slab = slab[len(it):]
-		for k, name := range it {
-			span[k] = v.Intern(name)
-		}
-		slices.Sort(span)
-		sets[i] = attr.FromSorted(slices.Clip(slices.Compact(span)))
 	}
 	return sets
+}
+
+// adoptSpan maps every ID of span through remap, unless it is nil, then
+// sorts and dedups span in place and adopts it as a set.
+func adoptSpan(span, remap []attr.ID) attr.Set {
+	if remap != nil {
+		for k, id := range span {
+			span[k] = remap[id]
+		}
+	}
+	slices.Sort(span)
+	return attr.FromSorted(slices.Clip(slices.Compact(span)))
 }
 
 func (s *Server) newRunner() *protocol.Runner {
