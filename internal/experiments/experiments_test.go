@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/core"
@@ -354,6 +356,25 @@ func TestAsyncNetDriverShape(t *testing.T) {
 		}
 		if ideal[7] != "0.000" {
 			t.Errorf("scenario %s: ideal dSCost %q, want 0.000", oracle[0], ideal[7])
+		}
+	}
+}
+
+// asyncNetGolden is the SHA-256 of the asyncnet table's CSV at
+// fastParams. It pins the latency and lossy rows too, where
+// representatives decide their own grants on partial views, which no
+// oracle comparison covers.
+const asyncNetGolden = "618d0b66d95406197d4f1182535d7b3f7b80055efdb7a238f0fb02eeedf2f97e"
+
+// TestAsyncNetGolden pins -exp asyncnet's output, serially and on four
+// workers.
+func TestAsyncNetGolden(t *testing.T) {
+	p := fastParams()
+	for _, workers := range []int{1, 4} {
+		p.Workers = workers
+		sum := sha256.Sum256([]byte(RunAsyncNet(p).CSV()))
+		if got := hex.EncodeToString(sum[:]); got != asyncNetGolden {
+			t.Errorf("asyncnet table on %d workers hashes to %s, want %s", workers, got, asyncNetGolden)
 		}
 	}
 }
