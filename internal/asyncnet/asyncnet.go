@@ -20,31 +20,33 @@
 //     determinism is claimed; this mode exists to run the identical
 //     protocol logic under the race detector with true concurrency.
 //
-// The decide work reuses core.Evaluator: each representative owns a
-// private evaluator and scans its members under the world's read lock,
-// so concurrent scans in real time are race-free. Grants are applied by
-// the world exactly as protocol.Runner's phase 2 does; each
-// representative decides its own request's fate by simulating the grant
-// phase over its collected view (see rep.go), which is what makes the
-// runtime decentralized in the common case while staying oracle-exact
-// when no messages are lost.
+// The protocol itself is protocol.Runner's; this package only carries
+// its messages. Each representative scans its members with
+// Runner.DecideCluster through a private core.Evaluator under the
+// world's read lock, so concurrent scans in real time are race-free,
+// and the world serves each round's grants with Runner.ServeRound. Each
+// representative decides its own request's fate by running protocol's
+// grant rule over its collected view (see rep.go), which is what makes
+// the runtime decentralized in the common case while staying
+// oracle-exact when no messages are lost.
 package asyncnet
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/stats"
 )
 
 // Options configure a run. Zero values take the documented defaults.
 type Options struct {
-	// Epsilon is the gain threshold ε below which no request is issued.
+	// Epsilon is the gain threshold ε below which no request is issued;
+	// it must not be negative.
 	Epsilon float64
-	// MaxRounds caps the run (default 300, mirroring protocol).
+	// MaxRounds caps the run (default protocol.DefaultOptions's, 300).
 	MaxRounds int
 	// AllowNewClusters enables the empty-cluster creation rule of §3.2.
 	AllowNewClusters bool
@@ -70,11 +72,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Epsilon < 0 {
-		panic(fmt.Sprintf("asyncnet: negative epsilon %g", o.Epsilon))
-	}
 	if o.MaxRounds <= 0 {
-		o.MaxRounds = 300
+		o.MaxRounds = protocol.DefaultOptions().MaxRounds
 	}
 	if o.QuiescentRounds <= 0 {
 		o.QuiescentRounds = 3
@@ -133,7 +132,6 @@ type Report struct {
 // Net wires one run together: world, transport, scheduler, actors.
 type Net struct {
 	opts  Options
-	strat core.EvalStrategy
 	world *world
 	sched scheduler
 	tr    *transport
@@ -169,8 +167,7 @@ func Run(eng *core.Engine, strat core.EvalStrategy, opts Options) Report {
 	opts = opts.withDefaults()
 	n := &Net{
 		opts:  opts,
-		strat: strat,
-		world: newWorld(eng),
+		world: newWorld(eng, strat, opts),
 		reps:  make(map[cluster.CID]*rep),
 	}
 	if opts.RealTime {

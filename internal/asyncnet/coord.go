@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/protocol"
 )
 
 // coordinator opens rounds, collects round-done reports and grant
@@ -20,7 +21,7 @@ type coordinator struct {
 	expected     int
 	doneSeen     int
 	requestsSeen int
-	grants       []Req
+	grants       []protocol.Request
 	// quiet counts consecutive rounds with no requests and no grants;
 	// under message loss a fully-complete quiescent round may never be
 	// observed, so QuiescentRounds of silence also terminate.
@@ -54,7 +55,7 @@ func (c *coordinator) handle(m Message) {
 			c.n.stale.Add(1)
 			return
 		}
-		c.grants = append(c.grants, m.Req)
+		c.grants = append(c.grants, m.Req.Request)
 	case KindRoundDone:
 		if m.Round != c.round {
 			c.n.stale.Add(1)

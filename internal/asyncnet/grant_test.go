@@ -2,10 +2,12 @@ package asyncnet
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/protocol"
 )
 
 // verdictCase decodes a fuzz input into a small round: a configuration
@@ -43,10 +45,12 @@ func verdictCase(data []byte) (*cluster.Config, []Req) {
 		}
 		members := cfg.Members(c)
 		req := Req{
-			Peer:     int32(members[(k/3)%len(members)]),
-			From:     int32(c),
-			To:       int32(cluster.None),
-			Gain:     float64(1 + g%4),
+			Request: protocol.Request{
+				Peer: members[(k/3)%len(members)],
+				From: c,
+				To:   cluster.None,
+				Gain: float64(1 + g%4),
+			},
 			FromSize: int32(len(members)),
 		}
 		if k%3 == 1 {
@@ -54,7 +58,7 @@ func verdictCase(data []byte) (*cluster.Config, []Req) {
 			if len(others) == 0 {
 				continue
 			}
-			req.To = int32(others[(g/4)%len(others)])
+			req.To = others[(g/4)%len(others)]
 		} else {
 			req.NewCluster = true
 		}
@@ -68,16 +72,16 @@ func verdictCase(data []byte) (*cluster.Config, []Req) {
 // the lowest empty slot at its turn; a grant locks its source against
 // joins and its target against leaves. It returns the granted requests'
 // source clusters and leaves cfg as the grants left it.
-func serveVerdicts(cfg *cluster.Config, reqs []Req) map[int32]bool {
+func serveVerdicts(cfg *cluster.Config, reqs []Req) map[cluster.CID]bool {
 	order := slices.Clone(reqs)
 	slices.SortFunc(order, func(a, b Req) int {
 		return cmp.Or(cmp.Compare(b.Gain, a.Gain), cmp.Compare(a.Peer, b.Peer))
 	})
 	joinLocked := map[cluster.CID]bool{}
 	leaveLocked := map[cluster.CID]bool{}
-	granted := map[int32]bool{}
+	granted := map[cluster.CID]bool{}
 	for _, req := range order {
-		from, to := cluster.CID(req.From), cluster.CID(req.To)
+		from, to := req.From, req.To
 		if req.NewCluster {
 			slot, ok := cfg.EmptyCluster()
 			if !ok {
@@ -88,7 +92,7 @@ func serveVerdicts(cfg *cluster.Config, reqs []Req) map[int32]bool {
 		if leaveLocked[from] || joinLocked[to] {
 			continue
 		}
-		cfg.Move(int(req.Peer), to)
+		cfg.Move(req.Peer, to)
 		joinLocked[from] = true
 		leaveLocked[to] = true
 		granted[req.From] = true
@@ -101,19 +105,19 @@ func serveVerdicts(cfg *cluster.Config, reqs []Req) map[int32]bool {
 var repVerdictSeeds = []struct {
 	name    string
 	data    []byte
-	granted map[int32]bool
+	granted map[cluster.CID]bool
 }{
 	// Slots 0..3, peers 0,1,2,3 in clusters 0,1,2,2: slot 3 is empty.
 	// Peer 0 (gain 3) leaves its singleton for cluster 1, vacating slot
 	// 0; cluster 2's NewCluster request (gain 2) then resolves to slot
 	// 0, the lowest empty slot, which the first grant join-locked. A
 	// model that forgot the vacated slot would grant slot 3.
-	{"vacated slot", []byte{3, 0, 1, 2, 2, 1, 2, 0, 0, 2, 1}, map[int32]bool{0: true}},
+	{"vacated slot", []byte{3, 0, 1, 2, 2, 1, 2, 0, 0, 2, 1}, map[cluster.CID]bool{0: true}},
 	// Three singletons, so no empty slot: the NewCluster request fails.
-	{"no empty slot", []byte{2, 0, 1, 2, 2, 1, 0, 0, 0, 0}, map[int32]bool{}},
+	{"no empty slot", []byte{2, 0, 1, 2, 2, 1, 0, 0, 0, 0}, map[cluster.CID]bool{}},
 	// Peers 0 and 1 swap clusters at the same gain: peer 0 goes first
 	// and its grant leave-locks cluster 1.
-	{"tied gains", []byte{2, 0, 1, 2, 1, 1, 1, 1, 0, 0}, map[int32]bool{0: true}},
+	{"tied gains", []byte{2, 0, 1, 2, 1, 1, 1, 1, 0, 0}, map[cluster.CID]bool{0: true}},
 }
 
 // TestRepVerdictSeeds holds each seed round to the grants it was built
@@ -121,22 +125,10 @@ var repVerdictSeeds = []struct {
 func TestRepVerdictSeeds(t *testing.T) {
 	for _, s := range repVerdictSeeds {
 		cfg, reqs := verdictCase(s.data)
-		if got := serveVerdicts(cfg, reqs); !mapsEqual(got, s.granted) {
+		if got := serveVerdicts(cfg, reqs); !maps.Equal(got, s.granted) {
 			t.Errorf("%s: serve granted %v, want %v", s.name, got, s.granted)
 		}
 	}
-}
-
-func mapsEqual(a, b map[int32]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // FuzzRepVerdictMatchesServe holds the representatives' grant
@@ -150,16 +142,14 @@ func FuzzRepVerdictMatchesServe(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, reqs := verdictCase(data)
-		var empties []cluster.CID
-		for c := 0; c < cfg.Cmax(); c++ {
-			if cfg.Size(cluster.CID(c)) == 0 {
-				empties = append(empties, cluster.CID(c))
-			}
+		empty := make(emptySlots, cfg.Cmax())
+		for c := range empty {
+			empty[c] = cfg.Size(cluster.CID(c)) == 0
 		}
 		granted := serveVerdicts(cfg.Clone(), reqs)
 		for i, req := range reqs {
 			view := append(slices.Clone(reqs[i:]), reqs[:i]...)
-			if got := simulateGrant(view, req.From, empties); got != granted[req.From] {
+			if got := simulateGrant(view, req.From, empty); got != granted[req.From] {
 				t.Fatalf("cluster %d: representative's verdict %v, serve %v (requests %+v)",
 					req.From, got, granted[req.From], reqs)
 			}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 
+	"repro/internal/cluster"
+	"repro/internal/protocol"
 	"repro/internal/wire"
 )
 
@@ -54,19 +56,13 @@ const (
 
 const kindMax = KindRoundDone
 
-// Req is a relocation request as carried on the wire. It mirrors
-// protocol.Request plus the size of the requesting cluster at decide
-// time, which the decentralized grant simulation needs to track slots
-// emptied mid-round.
+// Req is a relocation request as carried on the wire: a
+// protocol.Request (a NewCluster request's To is cluster.None until the
+// grant phase resolves it) plus the size of the requesting cluster at
+// decide time, which a representative's grant simulation needs to track
+// slots emptied mid-round. Peer, From and To travel as 32-bit values.
 type Req struct {
-	Peer     int32
-	From, To int32
-	Gain     float64
-	// NewCluster marks a request for an empty slot; To is -1 until the
-	// grant phase resolves it.
-	NewCluster bool
-	// Gen is Peer's slot generation at decide time (staleness guard).
-	Gen uint32
+	protocol.Request
 	// FromSize is the size of the From cluster at decide time.
 	FromSize int32
 }
@@ -147,9 +143,9 @@ func DecodeMessage(data []byte) (Message, error) {
 	m.To = r.Int32()
 	m.Round = r.Uint32()
 	m.HasRequest = r.Bool()
-	m.Req.Peer = r.Int32()
-	m.Req.From = r.Int32()
-	m.Req.To = r.Int32()
+	m.Req.Peer = int(r.Int32())
+	m.Req.From = cluster.CID(r.Int32())
+	m.Req.To = cluster.CID(r.Int32())
 	m.Req.Gain = r.Float64()
 	m.Req.NewCluster = r.Bool()
 	m.Req.Gen = r.Uint32()

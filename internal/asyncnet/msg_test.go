@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 func sampleMessages() []Message {
@@ -14,12 +16,12 @@ func sampleMessages() []Message {
 		{Kind: KindRoundStart, From: 0, To: 3, Round: 2,
 			Reps: []int32{0, 2, 9}, Empties: []int32{1, 3, 4}},
 		{Kind: KindAnnounce, From: 3, To: 10, Round: 2, HasRequest: true,
-			Req: Req{Peer: 17, From: 2, To: 9, Gain: 0.125, Gen: 3, FromSize: 4}},
+			Req: Req{Request: protocol.Request{Peer: 17, From: 2, To: 9, Gain: 0.125, Gen: 3}, FromSize: 4}},
 		{Kind: KindAnnounce, From: 3, To: 10, Round: 2}, // bare cid announce
 		{Kind: KindGrant, From: 3, To: 0, Round: 2, HasRequest: true,
-			Req: Req{Peer: 17, From: 2, To: -1, Gain: math.Inf(1), NewCluster: true, Gen: 1, FromSize: 1}},
+			Req: Req{Request: protocol.Request{Peer: 17, From: 2, To: -1, Gain: math.Inf(1), NewCluster: true, Gen: 1}, FromSize: 1}},
 		{Kind: KindGrantNotify, From: 3, To: 10, Round: 2,
-			Req: Req{Peer: 17, From: 2, To: 9, Gain: -0.5}},
+			Req: Req{Request: protocol.Request{Peer: 17, From: 2, To: 9, Gain: -0.5}}},
 		{Kind: KindRoundDone, From: 3, To: 0, Round: 2, HadRequest: true, Granted: true},
 	}
 }

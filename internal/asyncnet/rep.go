@@ -1,8 +1,11 @@
 package asyncnet
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // rep is one cluster representative: a mailbox-driven actor that runs
@@ -13,9 +16,9 @@ import (
 // over the collected view. Each cluster submits at most one request
 // per round, so a representative only ever needs to resolve its own;
 // with full views the simulations at every representative agree with
-// the synchronous serve order exactly, and with partial views (drops,
-// stragglers) a wrong self-grant is caught by the world's authoritative
-// lock check while a missed grant simply re-arises next round.
+// the world's serve exactly, and with partial views (drops, stragglers)
+// a wrong self-grant is caught by the world's authoritative lock check
+// while a missed grant simply re-arises next round.
 type rep struct {
 	n   *Net
 	id  actorID
@@ -31,7 +34,8 @@ type rep struct {
 	view        []Req
 	ownReq      Req
 	ownHas      bool
-	empties     []cluster.CID
+	// empty marks the cluster slots that were empty at round start.
+	empty emptySlots
 
 	// pending buffers announces that arrive before their round's
 	// RoundStart (reordering can deliver a fast peer's announce first).
@@ -82,12 +86,13 @@ func (r *rep) onRoundStart(m Message) {
 	r.expected = len(m.Reps)
 	r.seen = 1 // our own announcement
 	r.view = r.view[:0]
-	r.empties = r.empties[:0]
+	// The round's representatives and empty slots are every slot.
+	r.empty = make(emptySlots, len(m.Reps)+len(m.Empties))
 	for _, c := range m.Empties {
-		r.empties = append(r.empties, cluster.CID(c))
+		r.empty[c] = true
 	}
 
-	req, has, gainMsgs := r.n.world.decideCluster(r.n.strat, r.ev, r.cid, r.n.opts.Epsilon, r.n.opts.AllowNewClusters)
+	req, has, gainMsgs := r.n.world.decideCluster(r.ev, r.cid)
 	r.n.protoMsgs.Add(int64(gainMsgs))
 	r.ownReq, r.ownHas = req, has
 	if has {
@@ -159,7 +164,7 @@ func (r *rep) complete() {
 	r.active = false
 	granted := false
 	if r.ownHas {
-		granted = simulateGrant(r.view, int32(r.cid), r.empties)
+		granted = simulateGrant(r.view, r.cid, r.empty)
 		if granted {
 			r.n.control.Add(1)
 			r.n.tr.send(r.id, coordID, Message{
@@ -180,78 +185,41 @@ func (r *rep) complete() {
 }
 
 // simulateGrant replays the grant phase over the collected view and
-// reports whether self's request is granted. It mirrors the world's
-// serveRound decision sequence exactly: requests in (gain desc, peer
-// asc) order under the cycle-avoiding lock rule, with NewCluster
-// requests resolving the lowest-index empty slot as it would exist at
-// that point of the serve order — the round-start empties, plus slots
-// emptied by earlier granted moves out of singleton clusters, minus
-// slots consumed by earlier granted NewCluster requests. With a
-// complete view this reproduces the oracle's serve loop state
-// machine, so every representative reaches the oracle's verdict for
-// its own request.
-func simulateGrant(view []Req, self int32, startEmpties []cluster.CID) bool {
-	reqs := make([]Req, len(view))
-	copy(reqs, view)
-	sortReqs(reqs)
-	avail := make([]cluster.CID, len(startEmpties))
-	copy(avail, startEmpties)
-	joinLocked := make(map[int32]bool, len(reqs))
-	leaveLocked := make(map[int32]bool, len(reqs))
+// reports whether self's request is granted. The rule is protocol's:
+// the view in protocol.CompareRequests order through a protocol.Grants.
+// What the representative adds is its model of the empty slots at each
+// point of that order, which NewCluster requests take their slot from:
+// the round-start empties, plus slots vacated by earlier grants out of
+// singleton clusters, minus slots earlier grants filled. With a
+// complete view this is the world's serve, so every representative
+// reaches the world's verdict for its own request.
+func simulateGrant(view []Req, self cluster.CID, roundEmpty emptySlots) bool {
+	reqs := slices.Clone(view)
+	slices.SortFunc(reqs, func(a, b Req) int { return protocol.CompareRequests(a.Request, b.Request) })
+	empty := slices.Clone(roundEmpty)
+	var g protocol.Grants
+	g.Grow(len(empty))
 	for _, req := range reqs {
-		to := req.To
-		if req.NewCluster {
-			slot, ok := minCID(avail)
-			if !ok {
-				if req.From == self {
-					return false
-				}
-				continue
+		to, ok := g.Grant(req.Request, empty)
+		if ok {
+			empty[to] = false
+			if req.FromSize == 1 {
+				empty[req.From] = true
 			}
-			to = int32(slot)
-		}
-		if leaveLocked[req.From] || joinLocked[to] {
-			if req.From == self {
-				return false
-			}
-			continue
-		}
-		// Granted: lock both ends, consume a resolved empty slot, and
-		// free the From slot if the move empties it.
-		joinLocked[req.From] = true
-		leaveLocked[to] = true
-		if req.NewCluster {
-			avail = removeCID(avail, cluster.CID(to))
-		}
-		if req.FromSize == 1 {
-			avail = append(avail, cluster.CID(req.From))
 		}
 		if req.From == self {
-			return true
+			return ok
 		}
 	}
 	return false
 }
 
-func minCID(s []cluster.CID) (cluster.CID, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	best := s[0]
-	for _, c := range s[1:] {
-		if c < best {
-			best = c
-		}
-	}
-	return best, true
-}
+// emptySlots is a representative's model of the empty cluster slots,
+// indexed by cluster ID: the protocol.EmptySlots its grant simulation
+// resolves NewCluster requests against.
+type emptySlots []bool
 
-func removeCID(s []cluster.CID, c cluster.CID) []cluster.CID {
-	for i, v := range s {
-		if v == c {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
+func (s emptySlots) EmptyCluster() (cluster.CID, bool) {
+	c := slices.Index(s, true)
+	return cluster.CID(c), c >= 0
 }

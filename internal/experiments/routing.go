@@ -1,13 +1,14 @@
 package experiments
 
 import (
-	"cmp"
+	"maps"
 	"math"
 	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/stats"
 )
 
@@ -100,13 +101,6 @@ type answers struct {
 	byCluster map[cluster.CID]int // the same, by the responder's cluster
 }
 
-// request is a peer's wish to move, as its representative forwards it.
-type request struct {
-	peer     int
-	from, to cluster.CID
-	gain     float64
-}
-
 func newObserver(sys *System, cfg *cluster.Config, probe int) *observer {
 	return &observer{sys: sys, cfg: cfg, probe: probe, seen: make([][]answers, len(sys.Peers))}
 }
@@ -184,8 +178,9 @@ func (o *observer) estimatedCost(id int, c cluster.CID) float64 {
 }
 
 // decide is peer id's move towards the non-empty cluster of least
-// estimated cost, if that gains more than Epsilon.
-func (o *observer) decide(id int, nonEmpty []cluster.CID) (request, bool) {
+// estimated cost, if that gains more than Epsilon. Ties go to the lower
+// cluster ID, since nonEmpty is ascending.
+func (o *observer) decide(id int, nonEmpty []cluster.CID) (protocol.Request, bool) {
 	cur := o.cfg.ClusterOf(id)
 	curCost := o.estimatedCost(id, cur)
 	bestC, bestCost := cur, curCost
@@ -194,48 +189,39 @@ func (o *observer) decide(id int, nonEmpty []cluster.CID) (request, bool) {
 			continue
 		}
 		cost := o.estimatedCost(id, c)
-		if cost < bestCost || (cost == bestCost && bestC != cur && c < bestC) {
+		if cost < bestCost {
 			bestC, bestCost = c, cost
 		}
 	}
 	if bestC == cur || curCost-bestCost <= o.sys.Params.Epsilon {
-		return request{}, false
+		return protocol.Request{}, false
 	}
-	return request{peer: id, from: cur, to: bestC, gain: curCost - bestCost}, true
+	return protocol.Request{Peer: id, From: cur, To: bestC, Gain: curCost - bestCost}, true
 }
 
 // round is one two-phase reformulation round on the last observations.
 // Each cluster's representative forwards its member's request of
-// largest gain; the requests are granted in order of gain unless an
-// earlier grant locked their source or target. It returns how many
-// requests were made and how many were granted.
+// largest gain; the requests are served under protocol's grant rule.
+// It returns how many requests were made and how many were granted.
 func (o *observer) round() (requests, granted int) {
-	best := map[cluster.CID]request{}
+	best := map[cluster.CID]protocol.Request{}
 	nonEmpty := o.cfg.NonEmpty()
 	for id := range o.sys.Peers {
 		if r, ok := o.decide(id, nonEmpty); ok {
-			if b, have := best[r.from]; !have || r.gain > b.gain {
-				best[r.from] = r
+			if b, have := best[r.From]; !have || r.Gain > b.Gain {
+				best[r.From] = r
 			}
 		}
 	}
-	reqs := make([]request, 0, len(best))
-	for _, r := range best {
-		reqs = append(reqs, r)
-	}
-	slices.SortFunc(reqs, func(a, b request) int {
-		return cmp.Or(cmp.Compare(b.gain, a.gain), a.peer-b.peer)
-	})
-	joinLocked := map[cluster.CID]bool{}
-	leaveLocked := map[cluster.CID]bool{}
+	reqs := slices.Collect(maps.Values(best))
+	protocol.SortRequests(reqs)
+	var g protocol.Grants
+	g.Grow(o.cfg.Cmax())
 	for _, r := range reqs {
-		if leaveLocked[r.from] || joinLocked[r.to] {
-			continue
+		if to, ok := g.Grant(r, o.cfg); ok {
+			o.cfg.Move(r.Peer, to)
+			granted++
 		}
-		o.cfg.Move(r.peer, r.to)
-		joinLocked[r.from] = true
-		leaveLocked[r.to] = true
-		granted++
 	}
 	return len(reqs), granted
 }

@@ -110,7 +110,6 @@ func (r *Runner) Begin() *Period {
 // state. Reused storage keeps steady-state stepping allocation-free.
 func (p *Period) beginRound() {
 	r := p.r
-	r.growLocks()
 	p.worklist = r.eng.Config().AppendNonEmpty(p.worklist[:0])
 	p.next, p.scanned = 0, 0
 	p.requests = p.requests[:0]
@@ -149,7 +148,7 @@ func (p *Period) Step(budget int) bool {
 		case phaseGrant:
 			// Joins between steps may have added cluster slots; the
 			// lock tables must cover any grant target.
-			p.r.growLocks()
+			p.r.grants.Grow(p.r.eng.Config().Cmax())
 			for budget > 0 && p.next < len(p.requests) {
 				p.r.serve(p.requests[p.next], &p.cur)
 				p.next++
@@ -193,7 +192,7 @@ func (p *Period) finishDecide() {
 		p.cur.Messages += p.scanned * (p.scanned - 1)
 	}
 	p.cur.Requests = len(p.requests)
-	sortRequests(p.requests)
+	SortRequests(p.requests)
 	p.next = 0
 	p.phase = phaseGrant
 }
@@ -202,7 +201,7 @@ func (p *Period) finishDecide() {
 // the next round or finishes the period (convergence or MaxRounds).
 func (p *Period) finishRound() {
 	r := p.r
-	r.resetLocks(&p.cur)
+	r.grants.Release(p.cur.Moves)
 	p.cur.Granted = len(p.cur.Moves)
 	p.cur.SCost = r.eng.SCostNormalized()
 	p.cur.WCost = r.eng.WCostNormalized()
@@ -241,7 +240,7 @@ func (p *Period) Abort() {
 	if p.phase == phaseDone {
 		return
 	}
-	p.r.resetLocks(&p.cur)
+	p.r.grants.Release(p.cur.Moves)
 	p.granted += len(p.cur.Moves)
 	p.finish()
 }

@@ -215,10 +215,10 @@ func TestBeginPeriodClearsLockTables(t *testing.T) {
 	r := NewRunner(eng, core.NewSelfish(), Options{Epsilon: 0.001, MaxRounds: 100, AllowNewClusters: true})
 	// Force the tables to exist, then poison every entry the way a
 	// crashed/aborted grant phase would have.
-	r.growLocks()
-	for c := range r.joinLocked {
-		r.joinLocked[c] = true
-		r.leaveLocked[c] = true
+	r.grants.Grow(eng.Config().Cmax())
+	for c := range r.grants.joinLocked {
+		r.grants.joinLocked[c] = true
+		r.grants.leaveLocked[c] = true
 	}
 	rpt := r.Run() // Run -> BeginPeriod must clear the poison
 	if !rpt.Converged {
@@ -256,8 +256,8 @@ func TestPeriodAbortReleasesLocks(t *testing.T) {
 	if !p.Done() {
 		t.Fatal("aborted period not done")
 	}
-	for c := range r.joinLocked {
-		if r.joinLocked[c] || r.leaveLocked[c] {
+	for c := range r.grants.joinLocked {
+		if r.grants.joinLocked[c] || r.grants.leaveLocked[c] {
 			t.Fatalf("cluster %d still locked after Abort", c)
 		}
 	}
@@ -375,8 +375,8 @@ func TestRunRoundSupersedesPeriod(t *testing.T) {
 	if !p.Done() {
 		t.Fatal("RunRound left the stepped period resumable")
 	}
-	for c := range r.joinLocked {
-		if r.joinLocked[c] || r.leaveLocked[c] {
+	for c := range r.grants.joinLocked {
+		if r.grants.joinLocked[c] || r.grants.leaveLocked[c] {
 			t.Fatalf("cluster %d still locked after RunRound superseded the period", c)
 		}
 	}

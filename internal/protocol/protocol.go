@@ -16,7 +16,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,12 +33,12 @@ type Request struct {
 	Gain float64
 	// NewCluster marks a request for an empty cluster slot.
 	NewCluster bool
-	// gen is Peer's slot generation when the request was computed. A
+	// Gen is Peer's slot generation when the request was computed. A
 	// stepped period admits joins and leaves between the decide scan
 	// and the grant service; a request whose peer departed (or whose
 	// slot was reused by a newcomer) in that window is detected by the
 	// generation mismatch and dropped instead of relocating a stranger.
-	gen uint32
+	Gen uint32
 }
 
 // RoundReport captures one protocol round.
@@ -123,7 +122,9 @@ func DefaultOptions() Options {
 type Runner struct {
 	eng      *core.Engine
 	strategy core.Strategy
-	opts     Options
+	// es is strategy as a core.EvalStrategy, nil when it is not one.
+	es   core.EvalStrategy
+	opts Options
 
 	// baseline records each peer's individual cost at the start of the
 	// period; the drift rule for new-cluster creation compares against
@@ -135,10 +136,9 @@ type Runner struct {
 	baselineGen []uint32
 
 	// Per-round scratch, reused across rounds.
-	requests    []Request
-	nonEmpty    []cluster.CID
-	joinLocked  []bool
-	leaveLocked []bool
+	requests []Request
+	nonEmpty []cluster.CID
+	grants   Grants
 
 	// Phase-1 scan scratch: per-worklist-position best request and
 	// gain-report message count, written by index so the merge is
@@ -167,7 +167,8 @@ func NewRunner(eng *core.Engine, strategy core.Strategy, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultOptions().MaxRounds
 	}
-	return &Runner{eng: eng, strategy: strategy, opts: opts}
+	es, _ := strategy.(core.EvalStrategy)
+	return &Runner{eng: eng, strategy: strategy, es: es, opts: opts}
 }
 
 // Engine returns the underlying engine.
@@ -188,8 +189,7 @@ func (r *Runner) Engine() *core.Engine { return r.eng }
 // entries survived until a Cmax-growth reallocation happened to drop
 // them.
 func (r *Runner) BeginPeriod() {
-	clear(r.joinLocked)
-	clear(r.leaveLocked)
+	r.grants.Reset()
 	r.scanned = 0
 	if r.period != nil {
 		r.period.phase = phaseDone
@@ -212,17 +212,6 @@ func (r *Runner) BeginPeriod() {
 	}
 }
 
-// growLocks sizes the lock tables to the current Cmax, preserving
-// entries already set: a stepped round may be mid-grant-phase when a
-// join adds cluster slots, and a reallocation would drop its locks.
-func (r *Runner) growLocks() {
-	cmax := r.eng.Config().Cmax()
-	for len(r.joinLocked) < cmax {
-		r.joinLocked = append(r.joinLocked, false)
-		r.leaveLocked = append(r.leaveLocked, false)
-	}
-}
-
 // ensureEvals sizes the private-evaluator pool for w decide workers.
 func (r *Runner) ensureEvals(w int) {
 	for len(r.evals) < w {
@@ -231,9 +220,9 @@ func (r *Runner) ensureEvals(w int) {
 }
 
 // decideOne evaluates peer p under the period baseline rules, through
-// a private evaluator when the strategy supports it (es non-nil) and
-// through the engine otherwise.
-func (r *Runner) decideOne(es core.EvalStrategy, ev *core.Evaluator, p int) core.Decision {
+// a private evaluator when the strategy supports it and through the
+// engine otherwise.
+func (r *Runner) decideOne(ev *core.Evaluator, p int) core.Decision {
 	// Peers that joined after the period baseline was taken — either
 	// beyond its length or into a reused slot whose join generation
 	// moved on — decide with a NaN baseline.
@@ -241,29 +230,35 @@ func (r *Runner) decideOne(es core.EvalStrategy, ev *core.Evaluator, p int) core
 	if p < len(r.baseline) && r.eng.SlotGeneration(p) == r.baselineGen[p] {
 		baseline = r.baseline[p]
 	}
-	if es != nil {
-		return es.DecideEval(ev, p, baseline, r.opts.AllowNewClusters)
+	if r.es != nil {
+		return r.es.DecideEval(ev, p, baseline, r.opts.AllowNewClusters)
 	}
 	return r.strategy.Decide(r.eng, p, baseline, r.opts.AllowNewClusters)
 }
 
-// decideCluster scans one non-empty cluster's members and returns its
-// best request — Gain is -Inf when no member requests a move — plus
-// the gain-report message count (one per non-representative member).
-// Membership order does not matter: Decide has no side effects and
-// the best request is selected under the total order (gain desc, peer
-// asc).
-func (r *Runner) decideCluster(es core.EvalStrategy, ev *core.Evaluator, c cluster.CID) (Request, int) {
+// DecideCluster is cluster c's phase-1 scan. Every member of the
+// non-empty cluster decides under the period baseline rules, and the
+// best request under the total order (gain desc, peer asc) is returned
+// — Gain is -Inf when no member requests a move — with the gain-report
+// message count (one per non-representative member). Membership order
+// does not matter: Decide has no side effects.
+//
+// ev is the caller's private evaluator over the runner's engine, used
+// when the strategy is a core.EvalStrategy. DecideCluster only reads
+// the runner, so callers holding distinct evaluators may scan
+// concurrently once PrepareDecide has run after the engine's last
+// mutation.
+func (r *Runner) DecideCluster(ev *core.Evaluator, c cluster.CID) (Request, int) {
 	members := r.eng.Config().MembersUnsorted(c)
 	best := Request{Gain: math.Inf(-1)}
 	for _, p := range members {
-		d := r.decideOne(es, ev, p)
+		d := r.decideOne(ev, p)
 		if !d.Move || d.Gain <= r.opts.Epsilon {
 			continue
 		}
 		if d.Gain > best.Gain || (d.Gain == best.Gain && d.Peer < best.Peer) {
 			best = Request{Peer: d.Peer, From: d.From, To: d.To, Gain: d.Gain,
-				NewCluster: d.NewCluster, gen: r.eng.SlotGeneration(d.Peer)}
+				NewCluster: d.NewCluster, Gen: r.eng.SlotGeneration(d.Peer)}
 		}
 	}
 	return best, len(members) - 1
@@ -287,8 +282,7 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 		r.scanned += r.eng.Config().Size(c)
 	}
 
-	es, _ := r.strategy.(core.EvalStrategy)
-	if es != nil {
+	if r.es != nil {
 		// Refresh the per-membership-version state (non-empty cluster
 		// list, join terms) before evaluators — possibly concurrent —
 		// read it.
@@ -298,14 +292,14 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 	if w > n {
 		w = n
 	}
-	if es == nil || w <= 1 {
+	if r.es == nil || w <= 1 {
 		var ev *core.Evaluator
-		if es != nil {
+		if r.es != nil {
 			r.ensureEvals(1)
 			ev = r.evals[0]
 		}
 		for i, c := range clusters {
-			r.bests[i], r.bestMsgs[i] = r.decideCluster(es, ev, c)
+			r.bests[i], r.bestMsgs[i] = r.DecideCluster(ev, c)
 		}
 		return
 	}
@@ -321,29 +315,14 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 				if i >= n {
 					return
 				}
-				r.bests[i], r.bestMsgs[i] = r.decideCluster(es, ev, clusters[i])
+				r.bests[i], r.bestMsgs[i] = r.DecideCluster(ev, clusters[i])
 			}
 		}(r.evals[g])
 	}
 	wg.Wait()
 }
 
-// sortRequests orders requests for the grant phase: decreasing gain,
-// ties broken by peer ID for determinism (the order is total: a peer
-// issues at most one request per round).
-func sortRequests(requests []Request) {
-	slices.SortFunc(requests, func(a, b Request) int {
-		switch {
-		case a.Gain > b.Gain:
-			return -1
-		case a.Gain < b.Gain:
-			return 1
-		}
-		return a.Peer - b.Peer
-	})
-}
-
-// serve applies one request under the cycle-avoiding lock rule,
+// serve applies one request under the grant rule (see Grants),
 // recording a granted move (and its two coordination messages) into
 // rep. Requests staled by membership edits between a stepped decide
 // scan and this grant — the peer departed, its slot was reused, or it
@@ -352,40 +331,35 @@ func sortRequests(requests []Request) {
 func (r *Runner) serve(req Request, rep *RoundReport) {
 	eng := r.eng
 	if req.Peer >= eng.NumSlots() || !eng.IsLive(req.Peer) ||
-		eng.SlotGeneration(req.Peer) != req.gen ||
+		eng.SlotGeneration(req.Peer) != req.Gen ||
 		eng.Config().ClusterOf(req.Peer) != req.From {
 		return
 	}
-	to := req.To
-	if req.NewCluster {
-		slot, ok := eng.Config().EmptyCluster()
-		if !ok {
-			return // Cmax reached; drop the request this round
-		}
-		to = slot
-	}
-	if r.leaveLocked[req.From] || r.joinLocked[to] {
+	to, ok := r.grants.Grant(req, eng.Config())
+	if !ok {
 		return
 	}
 	// The two involved representatives coordinate the move.
 	rep.Messages += 2
 	eng.Move(req.Peer, to)
-	// Granting a move from->to locks both ends: no more joins to
-	// `from` (direction leave) and no more leaves from `to`
-	// (direction join).
-	r.joinLocked[req.From] = true
-	r.leaveLocked[to] = true
 	req.To = to
 	rep.Moves = append(rep.Moves, req)
 }
 
-// resetLocks releases the lock entries the round's granted moves set;
-// only granted moves set entries.
-func (r *Runner) resetLocks(rep *RoundReport) {
-	for _, m := range rep.Moves {
-		r.joinLocked[m.From] = false
-		r.leaveLocked[m.To] = false
+// ServeRound is one round's grant phase over requests from any decide
+// step: it sorts reqs in place into grant order, serves each under the
+// grant rule, appends the granted moves (with their resolved targets)
+// and their coordination messages to rep, sets rep.Granted, and
+// releases the round's locks. It must not run while a stepped Period
+// is in its grant phase; RunRound aborts one first.
+func (r *Runner) ServeRound(reqs []Request, rep *RoundReport) {
+	r.grants.Grow(r.eng.Config().Cmax())
+	SortRequests(reqs)
+	for _, req := range reqs {
+		r.serve(req, rep)
 	}
+	r.grants.Release(rep.Moves)
+	rep.Granted = len(rep.Moves)
 }
 
 // RunRound executes one two-phase round and returns its report. It
@@ -402,11 +376,9 @@ func (r *Runner) RunRound(round int) RoundReport {
 		r.BeginPeriod()
 	}
 	rep := RoundReport{Round: round}
-	cfg := r.eng.Config()
-	r.growLocks()
 
 	// Phase 1: gather at most one request per non-empty cluster.
-	r.nonEmpty = cfg.AppendNonEmpty(r.nonEmpty[:0])
+	r.nonEmpty = r.eng.Config().AppendNonEmpty(r.nonEmpty[:0])
 	nonEmpty := r.nonEmpty
 	r.decideBatch(nonEmpty)
 	requests := r.requests[:0]
@@ -427,12 +399,7 @@ func (r *Runner) RunRound(round int) RoundReport {
 
 	// Phase 2: serve requests in decreasing gain order under the lock
 	// rule.
-	sortRequests(requests)
-	for _, req := range requests {
-		r.serve(req, &rep)
-	}
-	r.resetLocks(&rep)
-	rep.Granted = len(rep.Moves)
+	r.ServeRound(requests, &rep)
 	rep.SCost = r.eng.SCostNormalized()
 	rep.WCost = r.eng.WCostNormalized()
 	return rep
