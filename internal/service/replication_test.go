@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,6 +107,59 @@ func TestFollowerReplicatesByteIdentical(t *testing.T) {
 				t.Fatalf("query %s diverges: %s vs %s", body, a, b)
 			}
 		}
+	}
+}
+
+// TestFollowerResyncsAfterLeaderRestart is the follower twin of the
+// router's restart property: when the leader behind the follower's URL
+// restarts from its own snapshot (fresh epoch, log numbering its own),
+// the follower installs a second catch-up, holds the new leader's
+// state byte for byte, keeps replaying its entries, and does not spin
+// in an error loop.
+func TestFollowerResyncsAfterLeaderRestart(t *testing.T) {
+	s1 := New(Config{})
+	var cur atomic.Value // http.Handler
+	cur.Store(s1.Handler())
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	for i := 0; i < 6; i++ {
+		doJSON(t, front, "POST", "/v1/peers", joinBody(i%3, i), http.StatusCreated)
+	}
+	doJSON(t, front, "DELETE", "/v1/peers/1", nil, http.StatusOK)
+
+	f := New(Config{Join: []string{front.URL}})
+	f.Start()
+	defer f.Shutdown()
+	waitUntil(t, "follower catch-up", 10*time.Second, func() bool { return caughtUp(s1, f) })
+	if n := f.catchupsInstalled.Load(); n != 1 {
+		t.Fatalf("catch-ups installed %d, want 1", n)
+	}
+
+	s2, err := NewFromSnapshot(Config{}, s1.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.BeginShutdown()
+	cur.Store(s2.Handler())
+	s1.BeginShutdown() // wakes the follower's parked long-poll with a 204
+
+	waitUntil(t, "second catch-up", 10*time.Second, func() bool {
+		return f.catchupsInstalled.Load() == 2 && caughtUp(s2, f)
+	})
+	doJSON(t, front, "POST", "/v1/peers", joinBody(1, 9), http.StatusCreated)
+	waitUntil(t, "post-restart replay", 10*time.Second, func() bool { return caughtUp(s2, f) })
+	if a, b := marshalSnapshot(t, s2), marshalSnapshot(t, f); !bytes.Equal(a, b) {
+		t.Fatalf("snapshots diverge after the restart:\nleader   %s\nfollower %s", a, b)
+	}
+
+	// No error loop: the follower settles into quiet long-polls.
+	errs := f.replErrors.Load()
+	time.Sleep(300 * time.Millisecond)
+	if n := f.replErrors.Load(); n != errs || f.catchupsInstalled.Load() != 2 {
+		t.Fatalf("after the restart: sync errors %d -> %d, catch-ups %d; want no new errors and 2 catch-ups",
+			errs, n, f.catchupsInstalled.Load())
 	}
 }
 

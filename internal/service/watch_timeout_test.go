@@ -13,39 +13,48 @@ import (
 // overflows the nanosecond time.Duration used to overflow negative
 // before the max clamp, so the deadline timer fired immediately and an
 // up-to-date watcher got an instant 204 instead of parking. The fix
-// clamps to watchMaxTimeout before converting; the watcher must stay
-// parked and be woken by the next publication.
+// clamps to watchMaxTimeout before converting; on either feed the
+// watcher must stay parked and be woken by the next publication.
 func TestViewWatchHugeTimeoutParks(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	doJSON(t, ts, "POST", "/v1/peers", joinBody(0, 0), http.StatusCreated)
+	for _, feed := range []string{"view", "replog"} {
+		t.Run(feed, func(t *testing.T) {
+			s := New(Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			doJSON(t, ts, "POST", "/v1/peers", joinBody(0, 0), http.StatusCreated)
 
-	cur, _ := watchRecord(t, ts, "")
-	pos := fmt.Sprintf("?seq=%d&pop=%d&timeout_ms=922337203685477580", cur.Seq, cur.PopVersion)
+			const huge = "&timeout_ms=922337203685477580"
+			var path string
+			if feed == "view" {
+				cur, _ := watchRecord(t, ts, "")
+				path = fmt.Sprintf("/v1/view/watch?seq=%d&pop=%d", cur.Seq, cur.PopVersion) + huge
+			} else {
+				path = fmt.Sprintf("/v1/replog/watch?epoch=%d&from=%d", s.epoch, s.replLog.LastIndex()) + huge
+			}
 
-	type result struct{ status int }
-	done := make(chan result, 1)
-	go func() {
-		status, _, _ := rawDo(t, ts, "GET", "/v1/view/watch"+pos, "")
-		done <- result{status}
-	}()
+			done := make(chan int, 1)
+			go func() {
+				status, _, _ := rawDo(t, ts, "GET", path, "")
+				done <- status
+			}()
 
-	// With the overflow bug this returned 204 within microseconds.
-	select {
-	case r := <-done:
-		t.Fatalf("huge-timeout watcher answered immediately with %d; deadline overflowed", r.status)
-	case <-time.After(150 * time.Millisecond):
-	}
+			// With the overflow bug this returned 204 within microseconds.
+			select {
+			case status := <-done:
+				t.Fatalf("huge-timeout watcher answered immediately with %d; deadline overflowed", status)
+			case <-time.After(150 * time.Millisecond):
+			}
 
-	doJSON(t, ts, "POST", "/v1/peers", joinBody(1, 1), http.StatusCreated)
-	select {
-	case r := <-done:
-		if r.status != http.StatusOK {
-			t.Fatalf("woken watcher: status %d, want 200", r.status)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("watcher not woken by publication")
+			doJSON(t, ts, "POST", "/v1/peers", joinBody(1, 1), http.StatusCreated)
+			select {
+			case status := <-done:
+				if status != http.StatusOK {
+					t.Fatalf("woken watcher: status %d, want 200", status)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("watcher not woken by publication")
+			}
+		})
 	}
 }
 
