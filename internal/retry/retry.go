@@ -1,11 +1,13 @@
-// Package retry is the shared reconnect policy of the replication
-// followers — the query-router tier following /v1/view/watch and the
-// serve-tier followers following /v1/replog/watch. Both loops used to
-// retry a failed upstream at a fixed interval, so N replicas whose
-// upstream restarts resynchronize their retries into a lock-step
-// thundering herd against the recovering process. A Backoff spreads
-// them out: capped exponential growth with full jitter, an explicit
-// upstream Retry-After hint override, and a reset on success.
+// Package retry is the shared reconnect policy and follow loop of the
+// replication followers. Follower long-polls one feed — the
+// query-router tier follows /v1/view/watch, serve-tier followers
+// follow /v1/replog/watch — and owns everything the two have in
+// common: upstream rotation, the epoch echo, the poll itself and the
+// sleep between failures. Backoff spaces those failures out with
+// capped exponential growth and full jitter, so N replicas whose
+// upstream restarts do not retry in lock step against the recovering
+// process; an upstream Retry-After hint overrides it, and any answered
+// poll resets it.
 package retry
 
 import (

@@ -14,6 +14,10 @@
 // tier's correctness contract, pinned by the property tests in this
 // package.
 //
+// The router follows the feed through retry.Follower, the long-poll
+// loop every replica shares: the same rotation, epoch echo and capped
+// jittered backoff a serve-tier follower uses on /v1/replog/watch.
+//
 // Until the first full record arrives (and again only if the process
 // restarts), the data plane answers 503 with a Retry-After header and
 // the api.CodeNotReady error code. After that the router always
@@ -25,8 +29,8 @@ package router
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,9 +42,6 @@ import (
 	"repro/internal/retry"
 	"repro/internal/viewwire"
 )
-
-// maxRecordBytes bounds one replication record read from upstream.
-const maxRecordBytes = 1 << 28
 
 // Config parameterizes a Router.
 type Config struct {
@@ -58,7 +59,7 @@ type Config struct {
 	// RetryAfter is the base backoff between failed sync attempts and
 	// the Retry-After the data plane advertises while unsynchronized;
 	// 0 means 1s. Repeated failures double the backoff (with jitter)
-	// up to maxRetryBackoff; one success resets it.
+	// up to retry.MaxBackoff; one success resets it.
 	RetryAfter time.Duration
 	// Client is the HTTP client used upstream; nil means a dedicated
 	// client with sane long-poll timeouts.
@@ -73,9 +74,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// maxRetryBackoff caps the sync loop's exponential backoff.
-const maxRetryBackoff = 30 * time.Second
-
 func (c Config) withDefaults() Config {
 	if len(c.Upstreams) == 0 {
 		c.Upstreams = []string{c.Upstream}
@@ -86,10 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.Client == nil {
-		// The read deadline must outlive a full long-poll plus slack.
-		c.Client = &http.Client{Timeout: c.PollTimeout + 10*time.Second}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -125,7 +119,7 @@ type Router struct {
 	// when Config.RouteCache < 0).
 	cache *core.RouteCache
 
-	// upstream is the rotation member the sync loop currently follows.
+	// upstream is the rotation member that last answered the sync loop.
 	upstream atomic.Value // string
 
 	// notifyMu guards notify, a channel closed (and replaced) whenever
@@ -165,7 +159,7 @@ func New(cfg Config) *Router {
 // Start launches the background sync loop against cfg.Upstream.
 func (rt *Router) Start() {
 	rt.wg.Add(1)
-	go rt.syncLoop()
+	go rt.follow()
 }
 
 // Shutdown stops the sync loop and waits for it to exit.
@@ -217,112 +211,36 @@ func (rt *Router) ApplyRecord(rec viewwire.Record) error {
 	return nil
 }
 
-// syncLoop long-polls the upstream watch endpoint forever, applying
-// each record as it arrives. Failures count in sync_errors, back off
-// exponentially with jitter (base RetryAfter, cap maxRetryBackoff,
-// honoring an upstream Retry-After hint, reset by any success) and
-// rotate to the next upstream; a record the apply path rejects drops
-// the loop's position so the next poll resynchronizes with a full
-// record. An upstream epoch change — the daemon restarted, so its
-// view sequence numbering started over — likewise voids the position.
-func (rt *Router) syncLoop() {
+// follow long-polls the upstream view feed through the shared
+// follower loop (internal/retry) until Shutdown. Its position is the
+// current view's (seq, pop); a record ApplyRecord rejects drops it,
+// so the next poll resynchronizes with a full record.
+func (rt *Router) follow() {
 	defer rt.wg.Done()
-	bo := retry.NewBackoff(rt.cfg.RetryAfter, maxRetryBackoff, retry.AutoSeed())
-	var seq, pop uint64
-	have := false
-	epoch := ""
-	ui := 0
-	for rt.ctx.Err() == nil {
-		upstream := rt.cfg.Upstreams[ui]
-		rec, status, hint, newEpoch, err := rt.fetch(upstream, seq, pop, have, epoch)
-		if err != nil {
-			if rt.ctx.Err() != nil {
-				return
+	f := retry.Follower[viewwire.Record]{
+		Path: "/v1/view/watch",
+		Position: func() url.Values {
+			v := rt.view.Load()
+			if v == nil {
+				return nil
 			}
-			rt.syncErrors.Add(1)
-			rt.cfg.Logf("router: sync: %s: %v", upstream, err)
-			// The next rotation member's view numbering is its own:
-			// drop the position along with the epoch.
-			ui = (ui + 1) % len(rt.cfg.Upstreams)
-			seq, pop, have, epoch = 0, 0, false, ""
-			rt.sleep(bo.Next(hint))
-			continue
-		}
-		bo.Reset()
-		rt.upstream.Store(upstream)
-		if newEpoch != epoch {
-			if epoch != "" {
-				rt.cfg.Logf("router: upstream %s restarted (epoch %s -> %s); full resync", upstream, epoch, newEpoch)
-				seq, pop, have = 0, 0, false
+			return url.Values{
+				"seq": {strconv.FormatUint(v.seq, 10)},
+				"pop": {strconv.FormatUint(v.routing.PopVersion(), 10)},
 			}
-			epoch = newEpoch
-		}
-		if status == http.StatusNoContent {
-			continue // long-poll timeout: nothing new, poll again
-		}
-		if err := rt.ApplyRecord(rec); err != nil {
-			rt.syncErrors.Add(1)
-			rt.cfg.Logf("router: %v (forcing full resync)", err)
-			seq, pop, have = 0, 0, false
-			rt.sleep(bo.Next(0))
-			continue
-		}
-		seq, pop, have = rec.Seq, rec.PopVersion, true
+		},
+		Decode:    viewwire.Decode,
+		Apply:     rt.ApplyRecord,
+		Upstreams: rt.cfg.Upstreams,
+		Poll:      rt.cfg.PollTimeout,
+		Retry:     rt.cfg.RetryAfter,
+		Client:    rt.cfg.Client,
+		Errors:    &rt.syncErrors,
+		Current:   &rt.upstream,
+		Name:      "router",
+		Logf:      rt.cfg.Logf,
 	}
-}
-
-func (rt *Router) sleep(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-rt.ctx.Done():
-	}
-}
-
-// fetch issues one long-poll against upstream. It returns the decoded
-// record on 200, status 204 on a quiet timeout, and an error
-// otherwise (with any Retry-After hint the upstream sent). A
-// non-empty epoch asserts the seq/pop position is against that
-// daemon instance's history; the response's own epoch comes back in
-// newEpoch.
-func (rt *Router) fetch(upstream string, seq, pop uint64, have bool, epoch string) (rec viewwire.Record, status int, hint time.Duration, newEpoch string, err error) {
-	url := upstream + "/v1/view/watch?timeout_ms=" +
-		strconv.FormatInt(rt.cfg.PollTimeout.Milliseconds(), 10)
-	if have {
-		url += "&seq=" + strconv.FormatUint(seq, 10) + "&pop=" + strconv.FormatUint(pop, 10)
-	}
-	if epoch != "" {
-		url += "&epoch=" + epoch
-	}
-	req, err := http.NewRequestWithContext(rt.ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return viewwire.Record{}, 0, 0, "", err
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return viewwire.Record{}, 0, 0, "", err
-	}
-	defer resp.Body.Close()
-	newEpoch = resp.Header.Get("X-Reform-Epoch")
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return viewwire.Record{}, http.StatusNoContent, 0, newEpoch, nil
-	case http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxRecordBytes))
-		if err != nil {
-			return viewwire.Record{}, 0, 0, "", err
-		}
-		rec, err := viewwire.Decode(body)
-		if err != nil {
-			return viewwire.Record{}, 0, 0, "", err
-		}
-		return rec, http.StatusOK, 0, newEpoch, nil
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return viewwire.Record{}, resp.StatusCode, retry.Hint(resp), "",
-			fmt.Errorf("watch: upstream %d: %s", resp.StatusCode, body)
-	}
+	f.Run(rt.ctx)
 }
 
 // Synced reports whether a view is available to serve from.

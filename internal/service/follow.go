@@ -3,8 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -12,63 +11,40 @@ import (
 	"repro/internal/retry"
 )
 
-// This file is the follower side of the replication log: a sync loop
-// that long-polls an upstream's GET /v1/replog/watch, installs
-// snapshot records wholesale (installCatchUp) and replays entry
-// records one mutation at a time through the same engine path the
-// leader used (applyEntryLocked), publishing a fresh read view after
-// each — a follower's data plane serves with the leader's cadence,
-// one view per mutation.
-//
-// Upstreams rotate on failure and retries use the shared capped
-// exponential backoff with jitter (internal/retry), so a fleet of
-// followers does not stampede a recovering leader. A divergence or
-// rejected record drops the loop's position, forcing the next poll to
-// resynchronize with a snapshot.
+// This file is the follower side of the replication log: it follows
+// an upstream's GET /v1/replog/watch through retry.Follower, the
+// long-poll loop every replica shares (a router follows the view feed
+// through the same loop), installs snapshot records wholesale
+// (installCatchUp) and replays entry records one mutation at a time
+// through the same engine path the leader used (applyEntryLocked),
+// publishing a fresh read view after each — a follower's data plane
+// serves with the leader's cadence, one view per mutation. A
+// divergence or rejected record drops the position, forcing the next
+// poll to resynchronize with a snapshot.
 
-// followMaxRecord bounds one replication record read from upstream.
-const followMaxRecord = 1 << 28
-
-// followLoop runs until shutdown or promotion. upstreams is the
-// rotation list from Config.Join.
+// followLoop runs until shutdown or promotion (Promote cancels ctx
+// before it takes the lead). upstreams is the rotation list from
+// Config.Join; the position is the local log's last index.
 func (s *Server) followLoop(ctx context.Context, upstreams []string) {
 	defer s.wg.Done()
 	defer close(s.followDone)
-	client := &http.Client{Timeout: watchDefaultTimeout + 10*time.Second}
-	bo := retry.NewBackoff(time.Second, 30*time.Second, retry.AutoSeed())
-	ui := 0
-	// epoch is the current upstream instance's epoch as last observed;
-	// "" means unpositioned — the next poll requests a snapshot.
-	epoch := ""
-	for ctx.Err() == nil && !s.isLeader.Load() {
-		upstream := upstreams[ui]
-		rec, status, hint, newEpoch, err := s.fetchReplog(ctx, client, upstream, epoch)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			s.replErrors.Add(1)
-			s.cfg.Logf("follow: %s: %v", upstream, err)
-			// Rotate to the next upstream; its history is another
-			// instance's, so the position resets with the epoch.
-			ui = (ui + 1) % len(upstreams)
-			epoch = ""
-			s.followSleep(ctx, bo.Next(hint))
-			continue
-		}
-		bo.Reset()
-		epoch = newEpoch
-		s.leaderURL.Store(upstream)
-		if status == http.StatusNoContent {
-			continue // long-poll timeout: nothing new
-		}
-		if err := s.applyReplogRecord(rec); err != nil {
-			s.replErrors.Add(1)
-			s.cfg.Logf("follow: %s: %v (forcing snapshot resync)", upstream, err)
-			epoch = ""
-			s.followSleep(ctx, bo.Next(0))
-		}
+	f := retry.Follower[replog.Record]{
+		Path: "/v1/replog/watch",
+		Position: func() url.Values {
+			return url.Values{"from": {strconv.FormatUint(s.replLog.LastIndex(), 10)}}
+		},
+		Decode:    replog.DecodeRecord,
+		Apply:     s.applyReplogRecord,
+		Upstreams: upstreams,
+		// Well under the server's watchMaxTimeout clamp.
+		Poll:    watchDefaultTimeout,
+		Retry:   time.Second,
+		Errors:  &s.replErrors,
+		Current: &s.leaderURL,
+		Name:    "follow",
+		Logf:    s.cfg.Logf,
 	}
+	f.Run(ctx)
 }
 
 // applyReplogRecord installs one decoded wire record.
@@ -91,57 +67,4 @@ func (s *Server) applyReplogRecord(rec replog.Record) error {
 		return nil
 	}
 	return fmt.Errorf("service: replication record of unknown kind %d", rec.Kind)
-}
-
-// fetchReplog issues one long-poll against upstream. A non-empty epoch
-// asserts the follower's log position is against that instance's
-// history; without it the server responds with a snapshot record.
-func (s *Server) fetchReplog(ctx context.Context, client *http.Client, upstream, epoch string) (rec replog.Record, status int, hint time.Duration, newEpoch string, err error) {
-	// timeout_ms is always watchDefaultTimeout, well under the server's
-	// watchMaxTimeout clamp and under the http.Client.Timeout in
-	// followLoop, so the client deadline never fires before a healthy
-	// upstream answers.
-	url := upstream + "/v1/replog/watch?timeout_ms=" +
-		strconv.FormatInt(watchDefaultTimeout.Milliseconds(), 10)
-	if epoch != "" {
-		url += "&epoch=" + epoch + "&from=" + strconv.FormatUint(s.replLog.LastIndex(), 10)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return replog.Record{}, 0, 0, "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return replog.Record{}, 0, 0, "", err
-	}
-	defer resp.Body.Close()
-	newEpoch = resp.Header.Get(epochHeader)
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return replog.Record{}, http.StatusNoContent, 0, newEpoch, nil
-	case http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, followMaxRecord))
-		if err != nil {
-			return replog.Record{}, 0, 0, "", err
-		}
-		rec, err := replog.DecodeRecord(body)
-		if err != nil {
-			return replog.Record{}, 0, 0, "", err
-		}
-		return rec, http.StatusOK, 0, newEpoch, nil
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return replog.Record{}, resp.StatusCode, retry.Hint(resp), "",
-			fmt.Errorf("replog watch: upstream %d: %s", resp.StatusCode, body)
-	}
-}
-
-// followSleep backs off, waking early on cancellation.
-func (s *Server) followSleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

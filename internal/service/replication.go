@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/attr"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/protocol"
 	"repro/internal/replog"
+	"repro/internal/retry"
 	"repro/internal/workload"
 )
 
@@ -45,10 +45,6 @@ import (
 // gone — is detected by mismatch and resynchronized with a full
 // record instead of being fed records keyed against someone else's
 // history.
-
-// epochHeader carries the serving instance's epoch on both replication
-// feeds; clients echo it back as the `epoch` query parameter.
-const epochHeader = "X-Reform-Epoch"
 
 // Replication-feed bounds.
 const (
@@ -416,7 +412,7 @@ func (s *Server) applyEntryLocked(e replog.Entry) error {
 // server shutdown (204). Any node serves the feed from its local log,
 // so a promoted follower's own followers keep streaming seamlessly.
 func (s *Server) handleReplogWatch(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(epochHeader, strconv.FormatUint(s.epoch, 10))
+	w.Header().Set(retry.EpochHeader, strconv.FormatUint(s.epoch, 10))
 	q := r.URL.Query()
 	var from uint64
 	positioned := false
@@ -442,53 +438,25 @@ func (s *Server) handleReplogWatch(w http.ResponseWriter, r *http.Request) {
 		// this instance's history.
 		positioned = false
 	}
-	timeout, err := api.ParseTimeoutMS(q.Get("timeout_ms"), watchDefaultTimeout, watchMaxTimeout)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, api.CodeBadParam, "%v", err)
-		return
-	}
-
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		notify := s.replLog.Watch()
-		if !positioned {
-			unlock := s.lockMutation()
-			doc := s.buildCatchUpLocked()
-			unlock()
-			// The document is a private copy; encode and ship it off
-			// the mutation lock.
-			rec := replog.AppendSnapshot(nil, doc.Term, doc.Index, replog.EncodeOp(doc))
-			s.catchupsServed.Add(1)
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(rec)
-			return
-		}
-		batch, ok := s.replLog.Since(from, replogMaxBatch)
-		if !ok {
+	s.longPoll(w, r, s.replLog.Watch, func() []byte {
+		if positioned {
+			if batch, ok := s.replLog.Since(from, replogMaxBatch); ok {
+				if len(batch) == 0 {
+					return nil
+				}
+				return replog.AppendEntries(nil, s.currentTerm(), batch)
+			}
 			// Below the truncation floor, or claiming a future the log
 			// has not reached: resynchronize with a snapshot.
-			positioned = false
-			continue
 		}
-		if len(batch) > 0 {
-			rec := replog.AppendEntries(nil, s.currentTerm(), batch)
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(rec)
-			return
-		}
-		select {
-		case <-notify:
-		case <-deadline.C:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-s.stop:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+		unlock := s.lockMutation()
+		doc := s.buildCatchUpLocked()
+		unlock()
+		// The document is a private copy; encode it off the mutation
+		// lock.
+		s.catchupsServed.Add(1)
+		return replog.AppendSnapshot(nil, doc.Term, doc.Index, replog.EncodeOp(doc))
+	})
 }
 
 // promoteRequest is the POST /v1/promote body.

@@ -93,6 +93,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/protocol"
 	"repro/internal/replog"
+	"repro/internal/retry"
 	"repro/internal/workload"
 )
 
@@ -766,7 +767,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(int64(api.ServeQueryBatch(w, r, v.terms, v.routing, s.routeCache)))
 }
 
-// Long-poll bounds for GET /v1/view/watch.
+// Long-poll bounds for both watch feeds.
 const (
 	watchDefaultTimeout = 25 * time.Second
 	watchMaxTimeout     = 55 * time.Second
@@ -785,7 +786,7 @@ const (
 // full record instead of silently fed records keyed against the dead
 // instance's history. Lock-free like the rest of the read path.
 func (s *Server) handleViewWatch(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(epochHeader, strconv.FormatUint(s.epoch, 10))
+	w.Header().Set(retry.EpochHeader, strconv.FormatUint(s.epoch, 10))
 	q := r.URL.Query()
 	parseU64 := func(name string) (uint64, bool) {
 		raw := q.Get(name)
@@ -816,32 +817,38 @@ func (s *Server) handleViewWatch(w http.ResponseWriter, r *http.Request) {
 		// nothing here. Treat as first contact.
 		seq, pop = 0, 0
 	}
-	timeout, err := api.ParseTimeoutMS(q.Get("timeout_ms"), watchDefaultTimeout, watchMaxTimeout)
+	s.longPoll(w, r, func() <-chan struct{} { return s.notify.Load().ch },
+		func() []byte { return s.recordSince(seq, pop) })
+}
+
+// longPoll parks a watch request until next has a record for it, then
+// writes that record. changed returns a channel closed at the feed's
+// next change; it is loaded before next runs, so a change between the
+// two cannot be missed. The request's timeout_ms (clamped to
+// watchMaxTimeout) and server shutdown both end the park with 204 —
+// shutdown answers every parked watcher at once, so
+// http.Server.Shutdown is not held hostage by long polls.
+func (s *Server) longPoll(w http.ResponseWriter, r *http.Request, changed func() <-chan struct{}, next func() []byte) {
+	timeout, err := api.ParseTimeoutMS(r.URL.Query().Get("timeout_ms"), watchDefaultTimeout, watchMaxTimeout)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, api.CodeBadParam, "%v", err)
 		return
 	}
-
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		// Load the notifier before checking state: a publication
-		// between the check and the select has already closed this
-		// channel, so the select cannot miss it.
-		n := s.notify.Load()
-		if rec := s.recordSince(seq, pop); rec != nil {
+		ch := changed()
+		if rec := next(); rec != nil {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(rec)
 			return
 		}
 		select {
-		case <-n.ch:
+		case <-ch:
 		case <-deadline.C:
 			w.WriteHeader(http.StatusNoContent)
 			return
 		case <-s.stop:
-			// Graceful shutdown: answer every parked watcher now so
-			// http.Server.Shutdown is not held hostage by long polls.
 			w.WriteHeader(http.StatusNoContent)
 			return
 		case <-r.Context().Done():
