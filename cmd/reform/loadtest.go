@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +84,10 @@ func runLoadtest(args []string, out, errOut io.Writer) error {
 		return usagef("-router and -router-addr are mutually exclusive")
 	case *verify && *routerN == 0 && *routerAddrs == "":
 		return usagef("-verify needs -router or -router-addr")
+	}
+	routerBases, err := splitURLs("router-addr", *routerAddrs)
+	if err != nil {
+		return err
 	}
 
 	// Every replayed body is rendered here, before the clock starts:
@@ -161,15 +164,7 @@ func runLoadtest(args []string, out, errOut io.Writer) error {
 			queryBases = append(queryBases, rts.URL)
 		}
 	case *routerAddrs != "":
-		queryBases = nil
-		for _, a := range strings.Split(*routerAddrs, ",") {
-			if a = strings.TrimSuffix(strings.TrimSpace(a), "/"); a != "" {
-				queryBases = append(queryBases, a)
-			}
-		}
-		if len(queryBases) == 0 {
-			return usagef("-router-addr lists no usable URLs")
-		}
+		queryBases = routerBases
 	}
 	usingRouters := *routerN > 0 || *routerAddrs != ""
 

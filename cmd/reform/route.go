@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -30,13 +29,14 @@ func runRouteCommand(args []string) {
 	routeCache := fs.Int("route-cache", 4096, "view-epoch hot-query result cache entries (0 disables; answers are byte-identical either way)")
 	fs.Parse(args)
 
-	logger := log.New(os.Stderr, "reform-route ", log.LstdFlags)
-	var upstreams []string
-	for _, u := range strings.Split(*upstream, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			upstreams = append(upstreams, strings.TrimRight(u, "/"))
-		}
+	upstreams, err := splitURLs("upstream", *upstream)
+	if err == nil && upstreams == nil {
+		err = usagef("-upstream is required")
 	}
+	if err != nil {
+		exitUsage(fs, err)
+	}
+	logger := log.New(os.Stderr, "reform-route ", log.LstdFlags)
 	cacheEntries := *routeCache
 	if cacheEntries == 0 {
 		cacheEntries = -1 // flag 0 = off; Config 0 = default size

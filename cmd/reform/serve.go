@@ -39,6 +39,31 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// splitURLs parses a comma-separated list of base URLs (-join,
+// -upstream, -router-addr), dropping blanks and trailing slashes. An
+// empty flag yields nil; a non-empty one that names no URL is a usage
+// error.
+func splitURLs(flagName, raw string) ([]string, error) {
+	var urls []string
+	for _, u := range strings.Split(raw, ",") {
+		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	if raw != "" && urls == nil {
+		return nil, usagef("-%s %q names no URL", flagName, raw)
+	}
+	return urls, nil
+}
+
+// exitUsage reports a bad command line of fs's command, with its
+// usage, and exits 2 as the flag package does.
+func exitUsage(fs *flag.FlagSet, err error) {
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	fs.Usage()
+	os.Exit(2)
+}
+
 // runServeCommand implements `reform serve`: the overlay as an
 // always-on HTTP daemon with ticker-driven reformulation, dynamic
 // membership and snapshot-based restarts.
@@ -90,12 +115,9 @@ func runServeCommand(args []string) {
 	if *routeCache == 0 {
 		cfg.RouteCache = -1 // flag 0 = off; Config 0 = default size
 	}
-	if *join != "" {
-		for _, u := range strings.Split(*join, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				cfg.Join = append(cfg.Join, strings.TrimRight(u, "/"))
-			}
-		}
+	var err error
+	if cfg.Join, err = splitURLs("join", *join); err != nil {
+		exitUsage(fs, err)
 	}
 
 	var srv *service.Server
