@@ -188,3 +188,80 @@ func TestFaultInjectionSoak(t *testing.T) {
 		t.Errorf("InitialSCost %v, want %v", rpt.InitialSCost, initial)
 	}
 }
+
+// TestFaultedReportsPinned pins every Report field of a fault-injected
+// run — the transport, staleness, timeout and clock counters included,
+// which neither the experiment's CSV hash nor the same-tree replay test
+// covers — on all three scenarios under a latency-and-reordering plan
+// and the lossy plan. The float fields are shortest round-trip
+// literals, so the comparison is bit for bit.
+func TestFaultedReportsPinned(t *testing.T) {
+	latency := asyncnet.FaultPlan{LatencyMean: 3, LatencyJitter: 2, ReorderProb: 0.15}
+	cases := []struct {
+		sc   experiments.Scenario
+		plan asyncnet.FaultPlan
+		want asyncnet.Report
+	}{
+		{experiments.SameCategory, latency, asyncnet.Report{
+			Rounds: 10, Converged: true,
+			InitialSCost: 0.9142401206830943, InitialWCost: 0.8983744045292229,
+			FinalSCost: 0.16666666666666666, FinalWCost: 0.1666666666666673, FinalClusters: 6,
+			Requests: 127, Granted: 78, Messages: 5898, Control: 562,
+			Delivered: 5876, Dropped: 0, Reordered: 917, Stale: 1,
+			TimeoutRounds: 0, AbandonedRounds: 0, PartialCompletes: 0, Stragglers: 0, VirtualTicks: 344,
+		}},
+		{experiments.SameCategory, lossyPlan(), asyncnet.Report{
+			Rounds: 10, Converged: true,
+			InitialSCost: 0.9142401206830943, InitialWCost: 0.8983744045292229,
+			FinalSCost: 0.1666666666666669, FinalWCost: 0.16666666666666777, FinalClusters: 6,
+			Requests: 122, Granted: 76, Messages: 5909, Control: 563,
+			Delivered: 5726, Dropped: 198, Reordered: 575, Stale: 372,
+			TimeoutRounds: 7, AbandonedRounds: 0, PartialCompletes: 141, Stragglers: 6, VirtualTicks: 3319,
+		}},
+		{experiments.DifferentCategory, latency, asyncnet.Report{
+			Rounds: 60, Converged: false,
+			InitialSCost: 1.0166666666666666, InitialWCost: 1.0166666666666666,
+			FinalSCost: 0.728578184437201, FinalWCost: 0.7058101845374057, FinalClusters: 5,
+			Requests: 394, Granted: 185, Messages: 13546, Control: 1734,
+			Delivered: 11944, Dropped: 0, Reordered: 1827, Stale: 17,
+			TimeoutRounds: 0, AbandonedRounds: 0, PartialCompletes: 0, Stragglers: 0, VirtualTicks: 1872,
+		}},
+		{experiments.DifferentCategory, lossyPlan(), asyncnet.Report{
+			Rounds: 21, Converged: true,
+			InitialSCost: 1.0166666666666666, InitialWCost: 1.0166666666666666,
+			FinalSCost: 0.7172467422284162, FinalWCost: 0.7291335940004331, FinalClusters: 10,
+			Requests: 191, Granted: 102, Messages: 9316, Control: 1002,
+			Delivered: 8940, Dropped: 300, Reordered: 897, Stale: 409,
+			TimeoutRounds: 15, AbandonedRounds: 0, PartialCompletes: 234, Stragglers: 6, VirtualTicks: 7005,
+		}},
+		{experiments.Uniform, latency, asyncnet.Report{
+			Rounds: 60, Converged: false,
+			InitialSCost: 0.9967495021610188, InitialWCost: 0.9922042618517818,
+			FinalSCost: 0.8584497453718285, FinalWCost: 0.867403751690885, FinalClusters: 4,
+			Requests: 453, Granted: 201, Messages: 10923, Control: 1436,
+			Delivered: 8822, Dropped: 0, Reordered: 1356, Stale: 22,
+			TimeoutRounds: 0, AbandonedRounds: 0, PartialCompletes: 0, Stragglers: 0, VirtualTicks: 1689,
+		}},
+		{experiments.Uniform, lossyPlan(), asyncnet.Report{
+			Rounds: 60, Converged: false,
+			InitialSCost: 0.9967495021610188, InitialWCost: 0.9922042618517818,
+			FinalSCost: 0.8504543131843205, FinalWCost: 0.8523180580926779, FinalClusters: 4,
+			Requests: 412, Granted: 199, Messages: 10474, Control: 1396,
+			Delivered: 8228, Dropped: 279, Reordered: 823, Stale: 407,
+			TimeoutRounds: 21, AbandonedRounds: 0, PartialCompletes: 214, Stragglers: 6, VirtualTicks: 12537,
+		}},
+	}
+	p := testParams()
+	for _, tc := range cases {
+		sys := experiments.Build(p, tc.sc)
+		rng := stats.NewRNG(p.Seed ^ 0x1234)
+		eng := sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, rng))
+		got := asyncnet.Run(eng, core.NewSelfish(), asyncnet.Options{
+			Epsilon: p.Epsilon, MaxRounds: 60, AllowNewClusters: true,
+			Seed: 99, Faults: tc.plan,
+		})
+		if got != tc.want {
+			t.Errorf("%v %+v:\n got %+v\nwant %+v", tc.sc, tc.plan, got, tc.want)
+		}
+	}
+}
