@@ -1,30 +1,22 @@
 // Package asyncnet runs the paper's cluster reformulation protocol as
-// real message passing: an actor-style runtime (one goroutine-or-event
-// driven mailbox per cluster representative, gen_server style) where
-// the request/grant/baseline traffic of §3.2 travels through a
-// pluggable transport with injectable per-link latency, reordering,
-// drops, and straggler peers — all sampled from a seeded stats.RNG so
-// every schedule is replayable.
+// real message passing: an actor-style runtime (a round coordinator and
+// one message handler per cluster representative, gen_server style)
+// where the request/grant/baseline traffic of §3.2 travels through a
+// transport with injectable per-link latency, reordering, drops, and
+// straggler peers — all sampled from a seeded stats.RNG.
 //
-// Two scheduler modes drive the same actors:
-//
-//   - Virtual time (the default): a deterministic single-threaded event
-//     queue keyed by (tick, send sequence). Same seed, same inputs →
-//     identical schedule, identical Report. With a zero FaultPlan the
-//     run is byte-identical to the synchronous protocol.Runner oracle —
-//     same final SCost bits, same cluster count, same round and message
-//     counts — which is the property the test suite pins.
-//
-//   - Real time (Options.RealTime): one goroutine and mailbox per
-//     actor, delays mapped onto the wall clock via Options.Tick. No
-//     determinism is claimed; this mode exists to run the identical
-//     protocol logic under the race detector with true concurrency.
+// One deterministic virtual-time scheduler drives the actors: a
+// single-threaded event queue keyed by (tick, send sequence). Same
+// seed, same inputs → identical schedule, identical Report, so every
+// asynchronous schedule replays exactly. With a zero FaultPlan the run
+// is byte-identical to the synchronous protocol.Runner oracle — same
+// final SCost bits, same cluster count, same round and message counts —
+// which is the property the test suite pins.
 //
 // The protocol itself is protocol.Runner's; this package only carries
 // its messages. Each representative scans its members with
-// Runner.DecideCluster through a private core.Evaluator under the
-// world's read lock, so concurrent scans in real time are race-free,
-// and the world serves each round's grants with Runner.ServeRound. Each
+// Runner.DecideCluster over the engine's own evaluator, and the
+// coordinator serves each round's grants with Runner.ServeRound. Each
 // representative decides its own request's fate by running protocol's
 // grant rule over its collected view (see rep.go), which is what makes
 // the runtime decentralized in the common case while staying
@@ -32,10 +24,6 @@
 package asyncnet
 
 import (
-	"sync/atomic"
-	"time"
-
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -51,8 +39,8 @@ type Options struct {
 	// AllowNewClusters enables the empty-cluster creation rule of §3.2.
 	AllowNewClusters bool
 	// Seed drives the transport RNG (fault sampling and straggler
-	// selection). Two virtual-time runs with the same seed, engine and
-	// options produce identical schedules and Reports.
+	// selection). Two runs with the same seed, engine and options
+	// produce identical schedules and Reports.
 	Seed uint64
 	// Faults is the injected fault plan; the zero value is a perfect
 	// network.
@@ -65,10 +53,6 @@ type Options struct {
 	// not be observed (message loss makes the oracle's exact stop
 	// condition unobservable); default 3.
 	QuiescentRounds int
-	// RealTime selects the wall-clock scheduler; Tick is the wall
-	// duration of one virtual tick (default 200µs).
-	RealTime bool
-	Tick     time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -77,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QuiescentRounds <= 0 {
 		o.QuiescentRounds = 3
-	}
-	if o.Tick <= 0 {
-		o.Tick = 200 * time.Microsecond
 	}
 	if o.RoundTimeout <= 0 {
 		o.RoundTimeout = 64 * int64(o.Faults.LatencyMean+o.Faults.LatencyJitter+1)
@@ -124,28 +105,22 @@ type Report struct {
 	TimeoutRounds, AbandonedRounds, PartialCompletes int
 	// Stragglers is the number of representatives sampled as slow.
 	Stragglers int
-	// VirtualTicks is the virtual clock at termination (0 in real
-	// time).
+	// VirtualTicks is the virtual clock at termination.
 	VirtualTicks uint64
 }
 
-// Net wires one run together: world, transport, scheduler, actors.
+// Net wires one run together: the engine and the protocol.Runner that
+// owns the period baselines, the decide scan and the grant rule, the
+// transport, the scheduler and the actors. The Report under
+// construction holds the run's counters.
 type Net struct {
 	opts  Options
-	world *world
-	sched scheduler
+	eng   *core.Engine
+	r     *protocol.Runner
+	sched *vsched
 	tr    *transport
 	coord *coordinator
-	reps  map[cluster.CID]*rep
-
-	protoMsgs atomic.Int64
-	control   atomic.Int64
-	delivered atomic.Int64
-	dropped   atomic.Int64
-	reordered atomic.Int64
-	stale     atomic.Int64
-	abandoned atomic.Int64
-	partial   atomic.Int64
+	rpt   Report
 }
 
 // repTimeout is a representative's own round deadline: half the
@@ -166,41 +141,24 @@ func (n *Net) repTimeout() int64 {
 func Run(eng *core.Engine, strat core.EvalStrategy, opts Options) Report {
 	opts = opts.withDefaults()
 	n := &Net{
-		opts:  opts,
-		world: newWorld(eng, strat, opts),
-		reps:  make(map[cluster.CID]*rep),
-	}
-	if opts.RealTime {
-		n.sched = newRSched(opts.Tick)
-	} else {
-		n.sched = newVSched()
+		opts: opts,
+		eng:  eng,
+		r: protocol.NewRunner(eng, strat, protocol.Options{
+			Epsilon: opts.Epsilon, MaxRounds: opts.MaxRounds, AllowNewClusters: opts.AllowNewClusters,
+		}),
+		sched: newVSched(),
 	}
 	rng := stats.NewRNG(opts.Seed ^ 0xa5a5a5a55a5a5a5a)
 	n.tr = newTransport(n, opts.Faults, rng, eng.Config().Cmax())
-	n.coord = newCoordinator(n)
+	n.coord = &coordinator{n: n}
 	n.sched.register(coordID, n.coord)
 
-	var rpt Report
-	rpt.InitialSCost, rpt.InitialWCost, _ = n.world.costs()
+	n.rpt.InitialSCost, n.rpt.InitialWCost = eng.SCostNormalized(), eng.WCostNormalized()
 	n.sched.deliverAfter(coordID, Message{Kind: KindStart}, 0)
-	n.sched.run(func() bool { return n.coord.finished }, n.coord.doneCh)
-	n.sched.shutdown()
+	n.sched.run(func() bool { return n.coord.finished })
 
-	rpt.Rounds = n.coord.rounds
-	rpt.Converged = n.coord.converged
-	rpt.Requests = n.coord.requests
-	rpt.Granted = n.coord.granted
-	rpt.TimeoutRounds = n.coord.timeoutRounds
-	rpt.FinalSCost, rpt.FinalWCost, rpt.FinalClusters = n.world.costs()
-	rpt.Messages = int(n.protoMsgs.Load())
-	rpt.Control = int(n.control.Load())
-	rpt.Delivered = int(n.delivered.Load())
-	rpt.Dropped = int(n.dropped.Load())
-	rpt.Reordered = int(n.reordered.Load())
-	rpt.Stale = int(n.stale.Load())
-	rpt.AbandonedRounds = int(n.abandoned.Load())
-	rpt.PartialCompletes = int(n.partial.Load())
-	rpt.Stragglers = n.tr.stragglers()
-	rpt.VirtualTicks = n.sched.now()
-	return rpt
+	n.rpt.FinalSCost, n.rpt.FinalWCost = eng.SCostNormalized(), eng.WCostNormalized()
+	n.rpt.FinalClusters = eng.Config().NumNonEmpty()
+	n.rpt.VirtualTicks = n.sched.clock
+	return n.rpt
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/asyncnet"
 	"repro/internal/core"
@@ -78,38 +77,6 @@ func TestVirtualZeroFaultMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRealTimeZeroFaultMatchesOracle runs the same property on the
-// wall-clock scheduler: with no faults the execution is confluent —
-// views are order-independent sets, the grant service is sorted — so
-// real concurrency must reach the oracle's exact result too. The round
-// deadline is set far above any plausible scheduler stall so a slow CI
-// machine cannot fault a round.
-func TestRealTimeZeroFaultMatchesOracle(t *testing.T) {
-	p := testParams()
-	p.Peers = 36
-	p.TotalQueries = 216
-	sc := experiments.DifferentCategory
-	sys := experiments.Build(p, sc)
-	rng := stats.NewRNG(p.Seed ^ 0x1234)
-	engOracle := sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, rng))
-	oracle := protocol.NewRunner(engOracle, core.NewSelfish(), protocol.Options{
-		Epsilon: p.Epsilon, MaxRounds: p.MaxRounds, AllowNewClusters: true,
-	}).Run()
-
-	engAsync := sys.NewEngine(sys.InitialConfig(experiments.InitSingletons, rng))
-	rpt := asyncnet.Run(engAsync, core.NewSelfish(), asyncnet.Options{
-		Epsilon: p.Epsilon, MaxRounds: p.MaxRounds, AllowNewClusters: true, Seed: 42,
-		RealTime: true, Tick: 100 * time.Microsecond, RoundTimeout: 600_000, // 60s of wall time
-	})
-	if rpt.FinalSCost != oracle.FinalSCost || rpt.FinalClusters != oracle.FinalClusters {
-		t.Fatalf("real-time zero-fault run diverged: SCost %v vs %v, clusters %d vs %d",
-			rpt.FinalSCost, oracle.FinalSCost, rpt.FinalClusters, oracle.FinalClusters)
-	}
-	if !reflect.DeepEqual(engAsync.Config().Assignment(), engOracle.Config().Assignment()) {
-		t.Fatal("real-time zero-fault assignment diverged from oracle")
-	}
-}
-
 func lossyPlan() asyncnet.FaultPlan {
 	return asyncnet.FaultPlan{
 		LatencyMean: 3, LatencyJitter: 2,
@@ -155,10 +122,9 @@ func TestReplayableFromSeed(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionSoak drives the real-time scheduler with latency,
-// reordering, drops and stragglers — the configuration the CI job runs
-// under -race — and checks the run terminates with a sane, conserving
-// state.
+// TestFaultInjectionSoak drives the runtime with latency, reordering,
+// drops and stragglers and checks the run terminates with a sane,
+// conserving state.
 func TestFaultInjectionSoak(t *testing.T) {
 	p := testParams()
 	p.Peers = 40
@@ -170,7 +136,6 @@ func TestFaultInjectionSoak(t *testing.T) {
 	rpt := asyncnet.Run(eng, core.NewSelfish(), asyncnet.Options{
 		Epsilon: p.Epsilon, MaxRounds: 40, AllowNewClusters: true,
 		Seed: 1, Faults: lossyPlan(),
-		RealTime: true, Tick: 50 * time.Microsecond,
 	})
 	if rpt.Rounds == 0 || rpt.Rounds > 40 {
 		t.Fatalf("implausible round count %d", rpt.Rounds)

@@ -1,19 +1,19 @@
 package asyncnet
 
 import (
-	"sync"
-
 	"repro/internal/cluster"
 	"repro/internal/protocol"
 )
 
 // coordinator opens rounds, collects round-done reports and grant
-// submissions, applies each round's grants through the world at round
+// submissions, serves each round's grants through the Runner at round
 // close, and decides termination. It stands in for the "all
 // representatives know the round ended" agreement a fully
 // decentralized deployment would reach by flooding; keeping it an
 // actor on the same faulty transport preserves the message-passing
-// discipline while keeping round bookkeeping in one mailbox.
+// discipline while keeping round bookkeeping in one handler. Its
+// totals (rounds, requests, grants, timeouts, convergence) count
+// straight into the Net's Report.
 type coordinator struct {
 	n *Net
 
@@ -25,21 +25,8 @@ type coordinator struct {
 	// quiet counts consecutive rounds with no requests and no grants;
 	// under message loss a fully-complete quiescent round may never be
 	// observed, so QuiescentRounds of silence also terminate.
-	quiet int
-
-	rounds        int
-	requests      int
-	granted       int
-	timeoutRounds int
-	converged     bool
-
-	finished   bool
-	finishOnce sync.Once
-	doneCh     chan struct{}
-}
-
-func newCoordinator(n *Net) *coordinator {
-	return &coordinator{n: n, doneCh: make(chan struct{})}
+	quiet    int
+	finished bool
 }
 
 func (c *coordinator) handle(m Message) {
@@ -48,17 +35,17 @@ func (c *coordinator) handle(m Message) {
 	}
 	switch m.Kind {
 	case KindStart:
-		c.n.world.beginPeriod()
+		c.n.r.BeginPeriod()
 		c.startRound(1)
 	case KindGrant:
 		if m.Round != c.round {
-			c.n.stale.Add(1)
+			c.n.rpt.Stale++
 			return
 		}
 		c.grants = append(c.grants, m.Req.Request)
 	case KindRoundDone:
 		if m.Round != c.round {
-			c.n.stale.Add(1)
+			c.n.rpt.Stale++
 			return
 		}
 		c.doneSeen++
@@ -73,41 +60,43 @@ func (c *coordinator) handle(m Message) {
 			c.closeRound(false)
 		}
 	default:
-		c.n.stale.Add(1)
+		c.n.rpt.Stale++
 	}
 }
 
-// startRound opens round r: snapshot the round's representatives and
-// empty slots, make sure every representative actor exists, and send
-// the round-start fan-out with a deadline timer.
+// startRound opens round r: list the round's representatives and
+// empty slots (both ascending), make sure every representative actor
+// exists, and send the round-start fan-out with a deadline timer.
 func (c *coordinator) startRound(r uint32) {
 	c.round = r
-	c.rounds++
-	reps, empties := c.n.world.roundInfo()
-	if len(reps) == 0 {
+	c.n.rpt.Rounds++
+	cfg := c.n.eng.Config()
+	var repIDs, emptyIDs []int32
+	for s := range cfg.Cmax() {
+		if cfg.Size(cluster.CID(s)) == 0 {
+			emptyIDs = append(emptyIDs, int32(s))
+		} else {
+			repIDs = append(repIDs, int32(s))
+		}
+	}
+	if len(repIDs) == 0 {
 		// Empty network: a round with no representatives issues no
 		// requests, which is the convergence condition.
-		c.converged = true
-		c.finish()
+		c.n.rpt.Converged = true
+		c.finished = true
 		return
 	}
-	c.expected = len(reps)
+	c.expected = len(repIDs)
 	c.doneSeen = 0
 	c.requestsSeen = 0
 	c.grants = c.grants[:0]
 
-	repIDs := make([]int32, len(reps))
-	emptyIDs := make([]int32, len(empties))
-	for i, cid := range reps {
-		repIDs[i] = int32(cid)
-		c.n.ensureRep(cid)
+	for _, id := range repIDs {
+		c.n.ensureRep(cluster.CID(id))
 	}
-	for i, cid := range empties {
-		emptyIDs[i] = int32(cid)
-	}
-	for _, cid := range reps {
-		c.n.control.Add(1)
-		c.n.tr.send(coordID, actorID(cid)+1, Message{
+	for _, id := range repIDs {
+		c.n.rpt.Control++
+		c.n.tr.send(coordID, actorID(id)+1, Message{
 			Kind: KindRoundStart, Round: r, Reps: repIDs, Empties: emptyIDs,
 		})
 	}
@@ -117,55 +106,45 @@ func (c *coordinator) startRound(r uint32) {
 	c.n.sched.deliverAfter(coordID, Message{Kind: KindTimer, Round: r}, c.n.opts.RoundTimeout)
 }
 
-// closeRound applies the round's grants and decides whether to
+// closeRound serves the round's grants and decides whether to
 // terminate. complete reports whether every representative checked in
 // before the deadline.
 func (c *coordinator) closeRound(complete bool) {
-	granted, msgs := c.n.world.serveRound(c.grants)
-	c.n.protoMsgs.Add(int64(msgs))
-	c.granted += granted
-	c.requests += c.requestsSeen
+	var rr protocol.RoundReport
+	c.n.r.ServeRound(c.grants, &rr)
+	c.n.rpt.Messages += rr.Messages
+	c.n.rpt.Granted += rr.Granted
+	c.n.rpt.Requests += c.requestsSeen
 	if !complete {
-		c.timeoutRounds++
+		c.n.rpt.TimeoutRounds++
 	}
-	if c.requestsSeen == 0 && granted == 0 {
+	if c.requestsSeen == 0 && rr.Granted == 0 {
 		c.quiet++
 	} else {
 		c.quiet = 0
 	}
 	switch {
-	case complete && c.requestsSeen == 0:
-		// The oracle's stop condition: a fully observed round with no
-		// relocation requests.
-		c.converged = true
-		c.finish()
-	case c.quiet >= c.n.opts.QuiescentRounds:
-		c.converged = true
-		c.finish()
+	case complete && c.requestsSeen == 0, c.quiet >= c.n.opts.QuiescentRounds:
+		// The oracle's stop condition (a fully observed round with no
+		// relocation requests), or enough rounds of silence.
+		c.n.rpt.Converged = true
+		c.finished = true
 	case int(c.round) >= c.n.opts.MaxRounds:
-		c.finish()
+		c.finished = true
 	default:
 		c.startRound(c.round + 1)
 	}
 }
 
-func (c *coordinator) finish() {
-	c.finished = true
-	c.finishOnce.Do(func() { close(c.doneCh) })
-}
-
 // ensureRep creates and registers the representative actor for cid if
 // it does not exist yet, sending it the period-start baseline message.
-// Only the coordinator calls this, so the map needs no lock.
-func (n *Net) ensureRep(cid cluster.CID) *rep {
-	if r, ok := n.reps[cid]; ok {
-		return r
+func (n *Net) ensureRep(cid cluster.CID) {
+	id := actorID(cid) + 1
+	if _, ok := n.sched.actors[id]; ok {
+		return
 	}
-	ev := n.world.eng.NewEvaluator()
-	r := &rep{n: n, id: actorID(cid) + 1, cid: cid, ev: ev}
-	n.reps[cid] = r
-	n.sched.register(r.id, r)
-	n.control.Add(1)
+	r := &rep{n: n, id: id, cid: cid}
+	n.sched.register(id, r)
+	n.rpt.Control++
 	n.tr.send(coordID, r.id, Message{Kind: KindBaseline, Round: 0})
-	return r
 }

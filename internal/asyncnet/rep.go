@@ -1,14 +1,14 @@
 package asyncnet
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/protocol"
 )
 
-// rep is one cluster representative: a mailbox-driven actor that runs
+// rep is one cluster representative: a message-driven actor that runs
 // the phase-1 decide scan for its own members, broadcasts its best
 // request (or a bare announcement) to every other representative, and
 // — once it has heard from all of them or the round moves on — decides
@@ -16,14 +16,14 @@ import (
 // over the collected view. Each cluster submits at most one request
 // per round, so a representative only ever needs to resolve its own;
 // with full views the simulations at every representative agree with
-// the world's serve exactly, and with partial views (drops, stragglers)
-// a wrong self-grant is caught by the world's authoritative lock check
-// while a missed grant simply re-arises next round.
+// the Runner's serve exactly, and with partial views (drops,
+// stragglers) a wrong self-grant is caught by the Runner's
+// authoritative lock check while a missed grant simply re-arises next
+// round.
 type rep struct {
 	n   *Net
 	id  actorID
 	cid cluster.CID
-	ev  *core.Evaluator
 
 	// lastStarted is the highest round this rep has begun; older
 	// round-start and announce arrivals are stale.
@@ -47,7 +47,7 @@ const maxPending = 256
 func (r *rep) handle(m Message) {
 	switch m.Kind {
 	case KindBaseline:
-		// The period baselines live in the world; the message is the
+		// The period baselines live in the Runner; the message is the
 		// period-start signal.
 	case KindRoundStart:
 		r.onRoundStart(m)
@@ -61,25 +61,25 @@ func (r *rep) handle(m Message) {
 		// own progress. Late timers for finished rounds are expected
 		// and ignored.
 		if r.active && m.Round == r.lastStarted {
-			r.n.partial.Add(1)
+			r.n.rpt.PartialCompletes++
 			r.complete()
 		}
 	case KindGrantNotify:
-		// Coordination traffic only; the move is applied by the world.
+		// Coordination traffic only; the move is applied by the Runner.
 	default:
-		r.n.stale.Add(1)
+		r.n.rpt.Stale++
 	}
 }
 
 func (r *rep) onRoundStart(m Message) {
 	if m.Round <= r.lastStarted {
-		r.n.stale.Add(1)
+		r.n.rpt.Stale++
 		return
 	}
 	if r.active {
 		// A newer round superseded one we never finished (our
 		// announcements or peers' were lost, or the deadline fired).
-		r.n.abandoned.Add(1)
+		r.n.rpt.AbandonedRounds++
 	}
 	r.lastStarted = m.Round
 	r.active = true
@@ -92,11 +92,15 @@ func (r *rep) onRoundStart(m Message) {
 		r.empty[c] = true
 	}
 
-	req, has, gainMsgs := r.n.world.decideCluster(r.ev, r.cid)
-	r.n.protoMsgs.Add(int64(gainMsgs))
-	r.ownReq, r.ownHas = req, has
-	if has {
-		r.view = append(r.view, req)
+	// Phase 1: this cluster's best request, if any member clears
+	// epsilon. Representatives run one at a time, so they share the
+	// engine's own evaluator.
+	best, gainMsgs := r.n.r.DecideCluster(r.n.eng.Eval(), r.cid)
+	r.n.rpt.Messages += gainMsgs
+	r.ownReq, r.ownHas = Req{}, !math.IsInf(best.Gain, -1)
+	if r.ownHas {
+		r.ownReq = Req{Request: best, FromSize: int32(r.n.eng.Config().Size(r.cid))}
+		r.view = append(r.view, r.ownReq)
 	}
 
 	// Broadcast to every other representative — the request, or a bare
@@ -105,9 +109,9 @@ func (r *rep) onRoundStart(m Message) {
 		if cluster.CID(c) == r.cid {
 			continue
 		}
-		r.n.protoMsgs.Add(1)
+		r.n.rpt.Messages++
 		r.n.tr.send(r.id, actorID(c)+1, Message{
-			Kind: KindAnnounce, Round: m.Round, HasRequest: has, Req: req,
+			Kind: KindAnnounce, Round: m.Round, HasRequest: r.ownHas, Req: r.ownReq,
 		})
 	}
 
@@ -122,7 +126,7 @@ func (r *rep) onRoundStart(m Message) {
 		case pm.Round == m.Round && r.active:
 			r.onAnnounce(pm)
 		default:
-			r.n.stale.Add(1)
+			r.n.rpt.Stale++
 		}
 	}
 	if r.active && r.seen >= r.expected {
@@ -140,12 +144,12 @@ func (r *rep) onAnnounce(m Message) {
 		if len(r.pending) < maxPending {
 			r.pending = append(r.pending, m)
 		} else {
-			r.n.stale.Add(1)
+			r.n.rpt.Stale++
 		}
 		return
 	}
 	if !r.active || m.Round != r.lastStarted {
-		r.n.stale.Add(1)
+		r.n.rpt.Stale++
 		return
 	}
 	r.seen++
@@ -166,19 +170,19 @@ func (r *rep) complete() {
 	if r.ownHas {
 		granted = simulateGrant(r.view, r.cid, r.empty)
 		if granted {
-			r.n.control.Add(1)
+			r.n.rpt.Control++
 			r.n.tr.send(r.id, coordID, Message{
 				Kind: KindGrant, Round: r.lastStarted, HasRequest: true, Req: r.ownReq,
 			})
 			if !r.ownReq.NewCluster {
-				r.n.control.Add(1)
+				r.n.rpt.Control++
 				r.n.tr.send(r.id, actorID(r.ownReq.To)+1, Message{
 					Kind: KindGrantNotify, Round: r.lastStarted, Req: r.ownReq,
 				})
 			}
 		}
 	}
-	r.n.control.Add(1)
+	r.n.rpt.Control++
 	r.n.tr.send(r.id, coordID, Message{
 		Kind: KindRoundDone, Round: r.lastStarted, HadRequest: r.ownHas, Granted: granted,
 	})
@@ -191,8 +195,8 @@ func (r *rep) complete() {
 // point of that order, which NewCluster requests take their slot from:
 // the round-start empties, plus slots vacated by earlier grants out of
 // singleton clusters, minus slots earlier grants filled. With a
-// complete view this is the world's serve, so every representative
-// reaches the world's verdict for its own request.
+// complete view this is the Runner's serve, so every representative
+// reaches the Runner's verdict for its own request.
 func simulateGrant(view []Req, self cluster.CID, roundEmpty emptySlots) bool {
 	reqs := slices.Clone(view)
 	slices.SortFunc(reqs, func(a, b Req) int { return protocol.CompareRequests(a.Request, b.Request) })

@@ -1,10 +1,6 @@
 package asyncnet
 
-import (
-	"container/heap"
-	"sync"
-	"time"
-)
+import "container/heap"
 
 // actorID addresses an actor: 0 is the coordinator, cid+1 the
 // representative of cluster cid.
@@ -12,35 +8,12 @@ type actorID int32
 
 const coordID actorID = 0
 
-// handler is an actor's message entry point. In virtual time handlers
-// run one at a time on the scheduler thread; in real time each actor's
-// handler runs on its own mailbox goroutine, serialized per actor.
+// handler is an actor's message entry point. Handlers run one at a
+// time on the scheduler's loop, so actors share no goroutines and need
+// no locks.
 type handler interface {
 	handle(m Message)
 }
-
-// scheduler delivers messages to actors after a delay measured in
-// ticks. The virtual implementation is a deterministic event queue —
-// same seed, same schedule, every run — and the real implementation
-// maps ticks onto wall-clock time with one goroutine and mailbox per
-// actor, which is what the -race soak exercises.
-type scheduler interface {
-	register(id actorID, h handler)
-	// deliverAfter schedules m for delivery to `to` after delay ticks.
-	// Safe to call from inside handlers (and, in real time, from timer
-	// goroutines).
-	deliverAfter(to actorID, m Message, delay int64)
-	// run drives deliveries until stop reports true (virtual) or until
-	// stopCh closes (real).
-	run(stop func() bool, stopCh <-chan struct{})
-	// shutdown stops delivery and waits for in-flight handlers; after
-	// it returns no handler is running and counters may be read freely.
-	shutdown()
-	// now is the current virtual tick (0 in real time).
-	now() uint64
-}
-
-// --- virtual time ---
 
 type vevent struct {
 	at  uint64
@@ -85,6 +58,7 @@ func newVSched() *vsched {
 
 func (s *vsched) register(id actorID, h handler) { s.actors[id] = h }
 
+// deliverAfter schedules m for delivery to `to` after delay ticks.
 func (s *vsched) deliverAfter(to actorID, m Message, delay int64) {
 	if delay < 0 {
 		delay = 0
@@ -93,7 +67,9 @@ func (s *vsched) deliverAfter(to actorID, m Message, delay int64) {
 	heap.Push(&s.events, vevent{at: s.clock + uint64(delay), seq: s.seq, to: to, m: m})
 }
 
-func (s *vsched) run(stop func() bool, _ <-chan struct{}) {
+// run delivers events in (time, sequence) order until stop reports
+// true or the queue drains.
+func (s *vsched) run(stop func() bool) {
 	for !stop() && len(s.events) > 0 {
 		e := heap.Pop(&s.events).(vevent)
 		s.clock = e.at
@@ -102,132 +78,3 @@ func (s *vsched) run(stop func() bool, _ <-chan struct{}) {
 		}
 	}
 }
-
-func (s *vsched) shutdown()   {}
-func (s *vsched) now() uint64 { return s.clock }
-
-// --- real time ---
-
-// mailbox is an unbounded FIFO queue feeding one actor goroutine.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []Message
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-// push enqueues m; a push after close is a no-op (late timers may fire
-// after shutdown).
-func (mb *mailbox) push(m Message) {
-	mb.mu.Lock()
-	if !mb.closed {
-		mb.q = append(mb.q, m)
-		mb.cond.Signal()
-	}
-	mb.mu.Unlock()
-}
-
-// next blocks for the next message; ok is false once the mailbox is
-// closed and drained.
-func (mb *mailbox) next() (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.q) == 0 && !mb.closed {
-		mb.cond.Wait()
-	}
-	if len(mb.q) == 0 {
-		return Message{}, false
-	}
-	m := mb.q[0]
-	mb.q = mb.q[1:]
-	return m, true
-}
-
-func (mb *mailbox) close() {
-	mb.mu.Lock()
-	mb.closed = true
-	mb.q = nil
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-}
-
-// rsched runs each actor as a goroutine draining its mailbox; delays
-// map to wall time through the tick duration via time.AfterFunc. No
-// determinism is claimed — this mode exists to run the same protocol
-// logic under the race detector with real concurrency.
-type rsched struct {
-	mu     sync.Mutex
-	boxes  map[actorID]*mailbox
-	timers []*time.Timer
-	closed bool
-	wg     sync.WaitGroup
-	tick   time.Duration
-}
-
-func newRSched(tick time.Duration) *rsched {
-	return &rsched{boxes: make(map[actorID]*mailbox), tick: tick}
-}
-
-func (s *rsched) register(id actorID, h handler) {
-	mb := newMailbox()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.boxes[id] = mb
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		for {
-			m, ok := mb.next()
-			if !ok {
-				return
-			}
-			h.handle(m)
-		}
-	}()
-}
-
-func (s *rsched) deliverAfter(to actorID, m Message, delay int64) {
-	s.mu.Lock()
-	mb := s.boxes[to]
-	if mb == nil || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if delay <= 0 {
-		s.mu.Unlock()
-		mb.push(m)
-		return
-	}
-	t := time.AfterFunc(time.Duration(delay)*s.tick, func() { mb.push(m) })
-	s.timers = append(s.timers, t)
-	s.mu.Unlock()
-}
-
-func (s *rsched) run(_ func() bool, stopCh <-chan struct{}) { <-stopCh }
-
-func (s *rsched) shutdown() {
-	s.mu.Lock()
-	s.closed = true
-	for _, t := range s.timers {
-		t.Stop()
-	}
-	s.timers = nil
-	boxes := s.boxes
-	s.mu.Unlock()
-	for _, mb := range boxes {
-		mb.close()
-	}
-	s.wg.Wait()
-}
-
-func (s *rsched) now() uint64 { return 0 }

@@ -2,15 +2,13 @@ package asyncnet
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/stats"
 )
 
 // FaultPlan describes the injected link faults. All latencies are in
-// scheduler ticks (virtual time units; the real-time scheduler maps a
-// tick onto Options.Tick of wall time). The zero value is a perfect
-// network: instant, ordered, lossless.
+// virtual scheduler ticks. The zero value is a perfect network:
+// instant, ordered, lossless.
 type FaultPlan struct {
 	// LatencyMean and LatencyJitter give each delivery a latency drawn
 	// uniformly from [mean-jitter, mean+jitter], clamped at zero.
@@ -38,17 +36,14 @@ func (f FaultPlan) zero() bool {
 // transport carries every inter-actor message. Each send round-trips
 // the message through the wire codec (the codec is load-bearing, not
 // decorative), samples the fault plan from a seeded RNG, and hands the
-// surviving message to the scheduler with its sampled delay. In
-// virtual time sends happen in deterministic order on one thread, so
-// the RNG stream — and with it every drop, delay, and reordering — is
-// a pure function of the seed; in real time the mutex serializes
-// sampling without any determinism claim.
+// surviving message to the scheduler with its sampled delay. Sends
+// happen in deterministic order on the scheduler's one thread, so the
+// RNG stream — and with it every drop, delay, and reordering — is a
+// pure function of the seed.
 type transport struct {
 	n    *Net
 	plan FaultPlan
-
-	mu  sync.Mutex
-	rng *stats.RNG
+	rng  *stats.RNG
 	// straggler[id] marks actors whose sends are slowed; index 0 (the
 	// coordinator) never straggles.
 	straggler []bool
@@ -59,19 +54,12 @@ func newTransport(n *Net, plan FaultPlan, rng *stats.RNG, numReps int) *transpor
 	if plan.StragglerFrac > 0 {
 		for i := 1; i < len(t.straggler); i++ {
 			t.straggler[i] = rng.Bool(plan.StragglerFrac)
+			if t.straggler[i] {
+				n.rpt.Stragglers++
+			}
 		}
 	}
 	return t
-}
-
-func (t *transport) stragglers() int {
-	n := 0
-	for _, s := range t.straggler {
-		if s {
-			n++
-		}
-	}
-	return n
 }
 
 // send encodes, faults, and schedules one message.
@@ -84,13 +72,13 @@ func (t *transport) send(from, to actorID, m Message) {
 	}
 	delay, drop, reorder := t.sample(from)
 	if drop {
-		t.n.dropped.Add(1)
+		t.n.rpt.Dropped++
 		return
 	}
 	if reorder {
-		t.n.reordered.Add(1)
+		t.n.rpt.Reordered++
 	}
-	t.n.delivered.Add(1)
+	t.n.rpt.Delivered++
 	t.n.sched.deliverAfter(to, dec, delay)
 }
 
@@ -99,8 +87,6 @@ func (t *transport) sample(from actorID) (delay int64, drop, reorder bool) {
 	if t.plan.zero() {
 		return 0, false, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	p := t.plan
 	if p.DropProb > 0 && t.rng.Bool(p.DropProb) {
 		return 0, true, false

@@ -84,14 +84,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	}
 }
 
-// Shuffle permutes n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pick returns a uniformly chosen index weighted by the non-negative
 // weights. It panics if the weights sum to zero or are empty.
 func (r *RNG) Pick(weights []float64) int {

@@ -97,18 +97,3 @@ func Sum(xs []float64) float64 {
 	}
 	return sum
 }
-
-// AbsDiff returns |a-b|.
-func AbsDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// AlmostEqual reports whether a and b differ by at most tol in absolute
-// terms. It is the tolerance used across tests comparing incremental
-// and recomputed costs.
-func AlmostEqual(a, b, tol float64) bool {
-	return AbsDiff(a, b) <= tol
-}
