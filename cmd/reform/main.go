@@ -18,8 +18,8 @@
 //
 // Experiments: table1, fig1, fig2, fig3, fig4, counterexample, theta,
 // epsilon, hybrid, paired, clgain, shared, async, asyncnet, baseline,
-// discovery, churn, flashcrowd, longhaul, interleaved, lookup,
-// routing, multicluster, all. The asyncnet experiment runs the
+// discovery, churn, flashcrowd, longhaul, lookup, routing,
+// multicluster, all. The asyncnet experiment runs the
 // protocol on the actor-style message-passing runtime
 // (internal/asyncnet) under injected latency, reordering, loss and
 // straggler peers, and reports convergence quality against the
@@ -53,8 +53,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -82,71 +84,87 @@ func main() {
 			os.Exit(loadtestMain(os.Args[2:], os.Stdout, os.Stderr))
 		}
 	}
-	exp := flag.String("exp", "all", "experiment to run (see package doc; 'all' runs everything)")
-	seed := flag.Uint64("seed", 1, "random seed; every experiment is deterministic per seed")
-	scale := flag.Int("scale", 1, "shrink factor for quick runs (peers and queries divided by it)")
-	workers := flag.Int("workers", 0, "experiment worker pool size; 0 = one per CPU")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	plot := flag.Bool("plot", false, "render crude ASCII plots for figure series")
-	flag.Parse()
+	os.Exit(expMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// expMain runs the -exp experiments and returns the exit code: 2 for
+// a bad command line, 1 when the §2.3 counterexample fails to verify.
+// Results go to stdout, complaints to stderr.
+func expMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reform", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (see package doc; 'all' runs everything)")
+	seed := fs.Uint64("seed", 1, "random seed; every experiment is deterministic per seed")
+	scale := fs.Int("scale", 1, "shrink factor for quick runs (peers and queries divided by it)")
+	workers := fs.Int("workers", 0, "experiment worker pool size; 0 = one per CPU")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	plot := fs.Bool("plot", false, "render crude ASCII plots for figure series")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	p := experiments.DefaultParams()
 	p.Seed = *seed
 	p = p.Scaled(*scale)
 	p.Workers = *workers
 
-	out := &printer{csv: *csv, plot: *plot}
+	out := &printer{w: stdout, csv: *csv, plot: *plot}
 	// The paper's five results print from one PaperResult, so that `all`
 	// can run them over shared systems (experiments.RunPaper) and a
 	// single one builds only its own.
 	var paper experiments.PaperResult
-	known := map[string]func(){
-		"table1":         func() { out.table(paper.Table1.Table()) },
-		"fig1":           func() { out.series(paper.Fig1.SCost); out.series(paper.Fig1.WCost) },
-		"fig2":           func() { out.series(paper.Fig2.UpdatedPeers); out.series(paper.Fig2.UpdatedWorkload) },
-		"fig3":           func() { out.series(paper.Fig3.UpdatedPeers); out.series(paper.Fig3.UpdatedData) },
-		"fig4":           func() { out.series(paper.Fig4) },
-		"counterexample": func() { out.counterexample() },
-		"theta":          func() { out.table(experiments.RunThetaAblation(p)) },
-		"epsilon":        func() { out.table(experiments.RunEpsilonAblation(p)) },
-		"hybrid":         func() { out.table(experiments.RunHybridComparison(p)) },
-		"paired":         func() { out.table(experiments.RunPairedDemandAblation(p)) },
-		"clgain":         func() { out.table(experiments.RunClgainAblation(p)) },
-		"shared":         func() { out.table(experiments.RunSharedVocabAblation(p)) },
-		"async":          func() { out.table(experiments.RunAsyncComparison(p)) },
-		"asyncnet":       func() { out.table(experiments.RunAsyncNet(p)) },
-		"baseline":       func() { out.table(experiments.RunBaselineComparison(p)) },
-		"discovery":      func() { out.table(experiments.RunKMeansDiscovery(p)) },
-		"churn":          func() { out.series(experiments.RunChurn(p, 10, 0.05)) },
-		"flashcrowd":     func() { out.table(experiments.RunFlashCrowd(p, nil)) },
-		"longhaul":       func() { out.table(experiments.RunLongHaul(p, 0, nil)) },
-		"interleaved":    func() { out.table(experiments.RunInterleaved(p, nil)) },
-		"lookup":         func() { out.table(experiments.RunLookupCost(p)) },
-		"routing":        func() { out.table(experiments.RunRoutingAblation(p)) },
-		"multicluster":   func() { out.table(experiments.RunMultiClusterAnalysis(p, 4)) },
-	}
-	order := []string{
-		"table1", "fig1", "fig2", "fig3", "fig4", "counterexample",
-		"theta", "epsilon", "hybrid", "paired", "clgain", "shared",
-		"async", "asyncnet", "baseline", "discovery", "churn", "flashcrowd",
-		"longhaul", "interleaved", "lookup", "routing", "multicluster",
+	var counterexampleErr error
+	// Every -exp name, in the order `all` prints them.
+	table := []struct {
+		name string
+		run  func()
+	}{
+		{"table1", func() { out.table(paper.Table1.Table()) }},
+		{"fig1", func() { out.series(paper.Fig1.SCost); out.series(paper.Fig1.WCost) }},
+		{"fig2", func() { out.series(paper.Fig2.UpdatedPeers); out.series(paper.Fig2.UpdatedWorkload) }},
+		{"fig3", func() { out.series(paper.Fig3.UpdatedPeers); out.series(paper.Fig3.UpdatedData) }},
+		{"fig4", func() { out.series(paper.Fig4) }},
+		{"counterexample", func() { counterexampleErr = out.counterexample() }},
+		{"theta", func() { out.table(experiments.RunThetaAblation(p)) }},
+		{"epsilon", func() { out.table(experiments.RunEpsilonAblation(p)) }},
+		{"hybrid", func() { out.table(experiments.RunHybridComparison(p)) }},
+		{"paired", func() { out.table(experiments.RunPairedDemandAblation(p)) }},
+		{"clgain", func() { out.table(experiments.RunClgainAblation(p)) }},
+		{"shared", func() { out.table(experiments.RunSharedVocabAblation(p)) }},
+		{"async", func() { out.table(experiments.RunAsyncComparison(p)) }},
+		{"asyncnet", func() { out.table(experiments.RunAsyncNet(p)) }},
+		{"baseline", func() { out.table(experiments.RunBaselineComparison(p)) }},
+		{"discovery", func() { out.table(experiments.RunKMeansDiscovery(p)) }},
+		{"churn", func() { out.series(experiments.RunChurn(p, 10, 0.05)) }},
+		{"flashcrowd", func() { out.table(experiments.RunFlashCrowd(p, nil)) }},
+		{"longhaul", func() { out.table(experiments.RunLongHaul(p, 0, nil)) }},
+		{"lookup", func() { out.table(experiments.RunLookupCost(p)) }},
+		{"routing", func() { out.table(experiments.RunRoutingAblation(p)) }},
+		{"multicluster", func() { out.table(experiments.RunMultiClusterAnalysis(p, 4)) }},
 	}
 
 	name := strings.ToLower(*exp)
-	if name == "all" {
-		paper = *experiments.RunPaper(p)
-		for _, k := range order {
-			fmt.Printf("=== %s ===\n", k)
-			known[k]()
+	run := table
+	if name != "all" {
+		run = nil
+		var names []string
+		for i, e := range table {
+			names = append(names, e.name)
+			if e.name == name {
+				run = table[i : i+1]
+			}
 		}
-		return
-	}
-	run, ok := known[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s, all\n", name, strings.Join(order, ", "))
-		os.Exit(2)
+		if run == nil {
+			fmt.Fprintf(stderr, "unknown experiment %q; known: %s, all\n", name, strings.Join(names, ", "))
+			return 2
+		}
 	}
 	switch name {
+	case "all":
+		paper = *experiments.RunPaper(p)
 	case "table1":
 		paper.Table1 = experiments.RunTable1(p)
 	case "fig1":
@@ -158,41 +176,54 @@ func main() {
 	case "fig4":
 		paper.Fig4 = experiments.RunFig4(p, nil)
 	}
-	run()
+	for _, e := range run {
+		if name == "all" {
+			fmt.Fprintf(stdout, "=== %s ===\n", e.name)
+		}
+		e.run()
+		if counterexampleErr != nil {
+			fmt.Fprintln(stderr, "counterexample FAILED:", counterexampleErr)
+			return 1
+		}
+	}
+	return 0
 }
 
 type printer struct {
+	w    io.Writer
 	csv  bool
 	plot bool
 }
 
 func (p *printer) table(t *metrics.Table) {
 	if p.csv {
-		fmt.Print(t.CSV())
+		fmt.Fprint(p.w, t.CSV())
 		return
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(p.w, t.Render())
 }
 
 func (p *printer) series(s *metrics.Series) {
 	if p.csv {
-		fmt.Print(s.CSV())
+		fmt.Fprint(p.w, s.CSV())
 		return
 	}
-	fmt.Println(s.Render())
+	fmt.Fprintln(p.w, s.Render())
 	if p.plot {
-		fmt.Println(s.Plot(60, 15))
+		fmt.Fprintln(p.w, s.Plot(60, 15))
 	}
 }
 
-func (p *printer) counterexample() {
+// counterexample prints the §2.3 deviation trace, or returns why it
+// failed to verify.
+func (p *printer) counterexample() error {
 	inst := core.NewTwoPeerInstance(1)
 	trace, err := inst.VerifyNoNash()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "counterexample FAILED:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("§2.3 two-peer instance (alpha=1): no configuration is a pure Nash equilibrium")
-	fmt.Print(trace)
-	fmt.Println()
+	fmt.Fprintln(p.w, "§2.3 two-peer instance (alpha=1): no configuration is a pure Nash equilibrium")
+	fmt.Fprint(p.w, trace)
+	fmt.Fprintln(p.w)
+	return nil
 }

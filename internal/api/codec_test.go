@@ -210,7 +210,7 @@ func TestAppendAnswerMatchesEncodingJSON(t *testing.T) {
 		results := make([]QueryResponse, rng.Intn(4))
 		for i := range results {
 			r := &results[i]
-			r.Total = int(rng.Int63()) >> rng.Intn(63)
+			r.Total = int(rng.Uint64()>>1) >> rng.Intn(63)
 			r.Clusters = make([]ClusterHit, rng.Intn(5))
 			for j := range r.Clusters {
 				recall := math.Float64frombits(rng.Uint64())

@@ -278,38 +278,6 @@ func TestFigureDriversShapes(t *testing.T) {
 	}
 }
 
-func TestAblationDriversRun(t *testing.T) {
-	p := fastParams()
-	p.MaxRounds = 60
-	if tb := RunThetaAblation(p); len(tb.Rows) != 4 {
-		t.Error("theta rows")
-	}
-	if tb := RunEpsilonAblation(p); len(tb.Rows) != 5 {
-		t.Error("epsilon rows")
-	}
-	if tb := RunPairedDemandAblation(p); len(tb.Rows) != 2 {
-		t.Error("paired rows")
-	}
-	if tb := RunClgainAblation(p); len(tb.Rows) != 4 {
-		t.Error("clgain rows")
-	}
-	if tb := RunAsyncComparison(p); len(tb.Rows) != 6 {
-		t.Error("async rows")
-	}
-	if tb := RunBaselineComparison(p); len(tb.Rows) != 6 {
-		t.Error("baseline rows")
-	}
-	if tb := RunLookupCost(p); len(tb.Rows) != 4 {
-		t.Error("lookup rows")
-	}
-	if s := RunChurn(p, 4, 0.1); s.Len() != 4 {
-		t.Error("churn length")
-	}
-	if tb := RunMultiClusterAnalysis(p, 3); len(tb.Rows) != 3 {
-		t.Error("multicluster rows")
-	}
-}
-
 // TestAsyncDriversDeterministicAcrossWorkers pins that the async
 // drivers' output is byte-identical for every worker-pool size: each
 // cell derives its randomness from (Seed, cell index) alone, so the
@@ -404,6 +372,9 @@ func TestMultiClusterDiminishingReturns(t *testing.T) {
 	p := fastParams()
 	p.MaxRounds = 60
 	tb := RunMultiClusterAnalysis(p, 4)
+	if len(tb.Rows) != 4 {
+		t.Fatalf("%d rows, want one per k = 1..4", len(tb.Rows))
+	}
 	// Mean pcost is non-increasing in the number of joined clusters.
 	prev := ""
 	for i, row := range tb.Rows {
@@ -419,6 +390,9 @@ func TestChurnMaintenanceImprovesCost(t *testing.T) {
 	s := RunChurn(p, 5, 0.1)
 	before := s.Column("before-maintenance")
 	after := s.Column("after-maintenance")
+	if len(before) != 5 || len(after) != 5 {
+		t.Fatalf("%d and %d periods, want 5", len(before), len(after))
+	}
 	for i := range before {
 		if after[i] > before[i]+1e-9 {
 			t.Errorf("period %d: maintenance worsened cost %g -> %g", i+1, before[i], after[i])

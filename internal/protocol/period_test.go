@@ -25,20 +25,48 @@ func stepped(r *Runner, budget int) Report {
 // TestPeriodMatchesRunByteIdentical pins the acceptance contract: with
 // no interleaved mutations, a stepped period produces byte-identical
 // moves, costs, messages and reports to the monolithic Run for every
-// budget and worker count.
+// budget and worker count, and each Step(K) does at most K work units.
 func TestPeriodMatchesRunByteIdentical(t *testing.T) {
 	shapes := []struct{ groups, perGroup int }{{4, 6}, {3, 5}, {2, 9}}
 	budgets := []int{1, 2, 3, 7, 0} // 0 = unbounded (whole period in one step)
 	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0) + 1}
+	opts := Options{Epsilon: 0.001, MaxRounds: 100, AllowNewClusters: true}
 	for _, sh := range shapes {
-		want := NewRunner(grouped(t, sh.groups, sh.perGroup), core.NewSelfish(),
-			Options{Epsilon: 0.001, MaxRounds: 100, AllowNewClusters: true}).Run()
+		want := NewRunner(grouped(t, sh.groups, sh.perGroup), core.NewSelfish(), opts).Run()
+		// A replay of Run's rounds counts the work units done before each
+		// round and after its decide scan: one per cluster scanned, then
+		// one per grant served.
+		ref := NewRunner(grouped(t, sh.groups, sh.perGroup), core.NewSelfish(), opts)
+		ref.BeginPeriod()
+		var start, scanned []int
+		units := 0
+		for round := 1; round <= len(want.Rounds); round++ {
+			start = append(start, units)
+			units += ref.Engine().Config().NumNonEmpty()
+			scanned = append(scanned, units)
+			units += ref.RunRound(round).Requests
+		}
+		unitsAt := func(pr Progress) int {
+			switch pr.Phase {
+			case "decide":
+				return start[pr.Round-1] + pr.Pos
+			case "grant":
+				return scanned[pr.Round-1] + pr.Pos
+			}
+			return units
+		}
 		for _, budget := range budgets {
 			for _, w := range workers {
-				eng := grouped(t, sh.groups, sh.perGroup)
-				r := NewRunner(eng, core.NewSelfish(),
-					Options{Epsilon: 0.001, MaxRounds: 100, AllowNewClusters: true, Workers: w})
-				got := stepped(r, budget)
+				p := NewRunner(grouped(t, sh.groups, sh.perGroup), core.NewSelfish(),
+					Options{Epsilon: 0.001, MaxRounds: 100, AllowNewClusters: true, Workers: w}).Begin()
+				for fin := false; !fin; {
+					before := unitsAt(p.Progress())
+					fin = p.Step(budget)
+					if n := unitsAt(p.Progress()) - before; budget > 0 && n > budget {
+						t.Fatalf("groups=%d budget=%d workers=%d: a Step did %d work units", sh.groups, budget, w, n)
+					}
+				}
+				got := p.Report()
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("groups=%d budget=%d workers=%d: stepped report differs from Run:\n got %+v\nwant %+v",
 						sh.groups, budget, w, got, want)

@@ -1,14 +1,11 @@
 // Package stats provides the deterministic randomness and statistical
 // helpers used throughout the reproduction: a seedable splitmix64-based
-// random number generator, Zipf samplers, summary statistics and
-// histograms.
+// random number generator, Zipf samplers and quantiles.
 //
 // All experiment randomness flows through RNG so that every table and
 // figure is exactly reproducible from a seed, independent of the Go
 // version's math/rand internals.
 package stats
-
-import "math"
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // based on splitmix64. It is not safe for concurrent use; give each
@@ -61,11 +58,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -84,43 +76,7 @@ func (r *RNG) ShuffleInts(s []int) {
 	}
 }
 
-// Pick returns a uniformly chosen index weighted by the non-negative
-// weights. It panics if the weights sum to zero or are empty.
-func (r *RNG) Pick(weights []float64) int {
-	var sum float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative weight")
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		panic("stats: weights sum to zero")
-	}
-	x := r.Float64() * sum
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a normally distributed value (mean 0, stddev 1)
-// using the polar Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
