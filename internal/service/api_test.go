@@ -128,42 +128,6 @@ func TestUnprefixedRoutesGone(t *testing.T) {
 	}
 }
 
-// TestStatsEndpointRoutes pins satellite (c): every per-endpoint stats
-// entry names its canonical v1 route.
-func TestStatsEndpointRoutes(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	eps := st["endpoints"].(map[string]any)
-	want := map[string]string{
-		"query":        "POST /v1/query",
-		"query_batch":  "POST /v1/query/batch",
-		"stats":        "GET /v1/stats",
-		"peers_join":   "POST /v1/peers",
-		"peers_get":    "GET /v1/peers/{id}",
-		"peers_leave":  "DELETE /v1/peers/{id}",
-		"reform":       "POST /v1/reform",
-		"compact":      "POST /v1/compact",
-		"snapshot":     "GET /v1/snapshot",
-		"view_watch":   "GET /v1/view/watch",
-		"replog_watch": "GET /v1/replog/watch",
-		"promote":      "POST /v1/promote",
-	}
-	if len(eps) != len(want) {
-		t.Fatalf("%d endpoint entries, want %d", len(eps), len(want))
-	}
-	for name, route := range want {
-		ep, ok := eps[name].(map[string]any)
-		if !ok {
-			t.Fatalf("missing endpoint entry %q", name)
-		}
-		if ep["route"] != route {
-			t.Errorf("endpoint %q route = %v, want %q", name, ep["route"], route)
-		}
-	}
-}
-
 // watchRecord long-polls /v1/view/watch once and decodes the record.
 func watchRecord(t *testing.T, ts *httptest.Server, query string) (viewwire.Record, int) {
 	t.Helper()
