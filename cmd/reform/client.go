@@ -49,13 +49,13 @@ func joinPeer(client *http.Client, base string, body []byte) (int, error) {
 	return jr.ID, err
 }
 
-// getStats reads base's /v1/stats payload, a daemon's or a router's.
-func getStats(client *http.Client, base string) (map[string]any, error) {
+// getStats decodes base's /v1/stats payload: an api.DaemonStats or an
+// api.RouterStats.
+func getStats[T any](client *http.Client, base string) (T, error) {
+	var st T
 	out, err := httpJSON(client, http.MethodGet, base+"/v1/stats", nil, http.StatusOK)
 	if err != nil {
-		return nil, err
+		return st, err
 	}
-	var st map[string]any
-	err = json.Unmarshal(out, &st)
-	return st, err
+	return st, json.Unmarshal(out, &st)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/bench/gen"
+	"repro/internal/api"
 	"repro/internal/service"
 )
 
@@ -123,9 +124,8 @@ func runCluster(logger *log.Logger, peers int, seed uint64, timeout time.Duratio
 
 	for _, n := range nodes[1:] {
 		if err := waitFor(deadline, n.name+" synced", func() (bool, error) {
-			st, err := getStats(client, n.url)
-			repl, _ := st["replication"].(map[string]any)
-			return err == nil && repl["synced"] == true, nil
+			st, err := getStats[api.DaemonStats](client, n.url)
+			return err == nil && st.Replication.Synced, nil
 		}); err != nil {
 			return err
 		}
@@ -153,15 +153,15 @@ func runCluster(logger *log.Logger, peers int, seed uint64, timeout time.Duratio
 	go httpJSON(client, http.MethodPost, nodes[0].url+"/v1/reform", nil, http.StatusOK)
 	midPeriod := false
 	for time.Now().Before(deadline) {
-		st, err := getStats(client, nodes[0].url)
+		st, err := getStats[api.DaemonStats](client, nodes[0].url)
 		if err != nil {
 			return fmt.Errorf("leader stats: %w", err)
 		}
-		if m, _ := st["maintenance"].(map[string]any); m != nil && m["active"] == true {
+		if st.Maintenance.Active {
 			midPeriod = true
 			break
 		}
-		if n, _ := st["reforms"].(float64); n >= 1 {
+		if st.Reforms >= 1 {
 			break // the period outran the poll; kill anyway
 		}
 	}
@@ -175,12 +175,8 @@ func runCluster(logger *log.Logger, peers int, seed uint64, timeout time.Duratio
 	}
 	logger.Printf("node1 promoted: %s", bytes.TrimSpace(body))
 	if err := waitFor(deadline, "node2 following node1", func() (bool, error) {
-		st, err := getStats(client, nodes[2].url)
-		if err != nil {
-			return false, nil
-		}
-		repl, _ := st["replication"].(map[string]any)
-		return repl != nil && repl["synced"] == true && repl["leader_url"] == nodes[1].url, nil
+		st, err := getStats[api.DaemonStats](client, nodes[2].url)
+		return err == nil && st.Replication.Synced && st.Replication.LeaderURL == nodes[1].url, nil
 	}); err != nil {
 		return err
 	}
@@ -191,13 +187,8 @@ func runCluster(logger *log.Logger, peers int, seed uint64, timeout time.Duratio
 		return fmt.Errorf("post-failover churn: %w", err)
 	}
 	if err := waitFor(deadline, "node1 quiesced", func() (bool, error) {
-		st, err := getStats(client, nodes[1].url)
-		if err != nil {
-			return false, err
-		}
-		m, _ := st["maintenance"].(map[string]any)
-		repl, _ := st["replication"].(map[string]any)
-		return m != nil && m["active"] == false && repl != nil && repl["open_period"] == false, nil
+		st, err := getStats[api.DaemonStats](client, nodes[1].url)
+		return !st.Maintenance.Active && !st.Replication.OpenPeriod, err
 	}); err != nil {
 		return err
 	}
@@ -233,21 +224,14 @@ func driveChurn(client *http.Client, nodes []*clusterNode, kits []gen.Kit, pool 
 // followersCaughtUp waits until every follower's applied log position
 // matches the leader's.
 func followersCaughtUp(client *http.Client, deadline time.Time, leader *clusterNode, followers []*clusterNode) error {
-	st, err := getStats(client, leader.url)
+	st, err := getStats[api.DaemonStats](client, leader.url)
 	if err != nil {
 		return fmt.Errorf("%s stats: %w", leader.name, err)
 	}
-	repl, _ := st["replication"].(map[string]any)
-	last, _ := repl["log_last"].(float64)
 	for _, f := range followers {
 		if err := waitFor(deadline, f.name+" caught up", func() (bool, error) {
-			st, err := getStats(client, f.url)
-			if err != nil {
-				return false, nil
-			}
-			repl, _ := st["replication"].(map[string]any)
-			got, _ := repl["log_last"].(float64)
-			return got >= last, nil
+			fst, err := getStats[api.DaemonStats](client, f.url)
+			return err == nil && fst.Replication.LogLast >= st.Replication.LogLast, nil
 		}); err != nil {
 			return err
 		}
@@ -259,26 +243,23 @@ func followersCaughtUp(client *http.Client, deadline time.Time, leader *clusterN
 // identical query answers, costs within float tolerance.
 func verifySurvivors(client *http.Client, logger *log.Logger, nodes []*clusterNode, battery []gen.Query) error {
 	snaps := make([][]byte, len(nodes))
-	stats := make([]map[string]any, len(nodes))
+	stats := make([]api.DaemonStats, len(nodes))
 	for i, n := range nodes {
 		body, err := httpJSON(client, http.MethodGet, n.url+"/v1/snapshot", nil, http.StatusOK)
 		if err != nil {
 			return fmt.Errorf("%s snapshot: %w", n.name, err)
 		}
 		snaps[i] = body
-		if stats[i], err = getStats(client, n.url); err != nil {
+		if stats[i], err = getStats[api.DaemonStats](client, n.url); err != nil {
 			return fmt.Errorf("%s stats: %w", n.name, err)
 		}
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
 		return fmt.Errorf("survivor snapshots diverge (%d vs %d bytes)", len(snaps[0]), len(snaps[1]))
 	}
-	for _, key := range []string{"scost", "wcost"} {
-		a, _ := stats[0][key].(float64)
-		b, _ := stats[1][key].(float64)
-		if math.Abs(a-b) > 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b))) {
-			return fmt.Errorf("%s diverges: %v vs %v", key, a, b)
-		}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b))) }
+	if a, b := stats[0], stats[1]; !near(a.SCost, b.SCost) || !near(a.WCost, b.WCost) {
+		return fmt.Errorf("costs diverge: scost %v vs %v, wcost %v vs %v", a.SCost, b.SCost, a.WCost, b.WCost)
 	}
 	// A fixed query battery must answer byte-identically on both.
 	for _, q := range battery {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/bench/gen"
+	"repro/internal/api"
 	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/stats"
@@ -168,16 +169,16 @@ func runLoadtest(args []string, out, errOut io.Writer) error {
 	}
 	usingRouters := *routerN > 0 || *routerAddrs != ""
 
-	// viewSeq reads a server's published/synchronized view sequence.
-	viewSeq := func(b string) uint64 {
-		st, _ := getStats(client, b)
-		f, _ := st["view_seq"].(float64)
-		return uint64(f)
+	// routerSeq reads a router's synchronized view sequence.
+	routerSeq := func(b string) uint64 {
+		st, _ := getStats[api.RouterStats](client, b)
+		return st.Seq()
 	}
 	// waitRoutersSynced blocks until every replica has caught up to the
 	// daemon's currently published sequence.
 	waitRoutersSynced := func(timeout time.Duration) error {
-		target := viewSeq(base)
+		st, _ := getStats[api.DaemonStats](client, base)
+		target := st.ViewSeq
 		deadline := time.Now().Add(timeout)
 		for i, rt := range inproc {
 			if !rt.WaitSynced(target, time.Until(deadline)) {
@@ -186,9 +187,9 @@ func runLoadtest(args []string, out, errOut io.Writer) error {
 		}
 		if *routerAddrs != "" {
 			for _, qb := range queryBases {
-				for viewSeq(qb) < target {
+				for routerSeq(qb) < target {
 					if time.Now().After(deadline) {
-						return fmt.Errorf("router %s stuck at seq %d, daemon at %d", qb, viewSeq(qb), target)
+						return fmt.Errorf("router %s stuck at seq %d, daemon at %d", qb, routerSeq(qb), target)
 					}
 					time.Sleep(10 * time.Millisecond)
 				}
@@ -370,34 +371,26 @@ func runLoadtest(args []string, out, errOut io.Writer) error {
 		verifyErr = verifyTier()
 	}
 
-	if st, err := getStats(client, base); err == nil {
-		fmt.Fprintf(out, "server stats: peers=%v clusters=%v queries_served=%v published_views=%v\n",
-			st["peers"], st["clusters"], st["queries_served"], st["published_views"])
-		if lk, ok := st["mutation_lock"].(map[string]any); ok {
-			holds, _ := lk["holds"].(float64)
-			mean, _ := lk["mean_us"].(float64)
-			p99, _ := lk["p99_us"].(float64)
-			fmt.Fprintf(out, "  lock holds  n=%.0f mean %.1fus p99 %.1fus\n", holds, mean, p99)
-		}
-		printCacheStats(out, "  ", st)
+	if st, err := getStats[api.DaemonStats](client, base); err == nil {
+		fmt.Fprintf(out, "server stats: peers=%d clusters=%d queries_served=%d published_views=%d\n",
+			st.Peers, st.Clusters, st.QueriesServed, st.PublishedViews)
+		lk := st.MutationLock
+		fmt.Fprintf(out, "  lock holds  n=%d mean %.1fus p99 %.1fus\n", lk.Holds, lk.MeanUs, lk.P99Us)
+		printCacheStats(out, "  ", st.RouteCache)
 		if *maintain > 0 {
-			if mt, ok := st["maintenance"].(map[string]any); ok {
-				scanned, _ := mt["scanned"].(float64)
-				fmt.Fprintf(out, "  decide scan %.0f peers evaluated\n", scanned)
-			}
+			fmt.Fprintf(out, "  decide scan %d peers evaluated\n", st.Maintenance.Scanned)
 		}
 	}
 	if usingRouters {
 		for i, qb := range queryBases {
-			st, err := getStats(client, qb)
+			st, err := getStats[api.RouterStats](client, qb)
 			if err != nil {
 				fmt.Fprintf(out, "router %d (%s): stats unavailable\n", i, qb)
 				continue
 			}
-			fmt.Fprintf(out, "router %d: synced=%v view_seq=%v full_syncs=%v delta_syncs=%v sync_errors=%v queries_served=%v\n",
-				i, st["synced"], st["view_seq"], st["full_syncs"], st["delta_syncs"],
-				st["sync_errors"], st["queries_served"])
-			printCacheStats(out, "  ", st)
+			fmt.Fprintf(out, "router %d: synced=%v view_seq=%d full_syncs=%d delta_syncs=%d sync_errors=%d queries_served=%d\n",
+				i, st.Synced, st.Seq(), st.FullSyncs, st.DeltaSyncs, st.SyncErrors, st.QueriesServed)
+			printCacheStats(out, "  ", st.RouteCache)
 		}
 	}
 	if errs > 0 || mutErrs.Load() > 0 {
@@ -438,23 +431,15 @@ func usagef(format string, args ...any) error {
 
 // printCacheStats renders a /v1/stats payload's route_cache block (the
 // daemon's and each router's): hit rate alongside the raw counters.
-func printCacheStats(out io.Writer, indent string, st map[string]any) {
-	rc, ok := st["route_cache"].(map[string]any)
-	if !ok {
-		return
-	}
-	if on, _ := rc["enabled"].(bool); !on {
+func printCacheStats(out io.Writer, indent string, rc api.CacheStats) {
+	if !rc.Enabled {
 		fmt.Fprintf(out, "%sroute cache disabled\n", indent)
 		return
 	}
-	hits, _ := rc["hits"].(float64)
-	misses, _ := rc["misses"].(float64)
-	evictions, _ := rc["evictions"].(float64)
-	bypasses, _ := rc["bypasses"].(float64)
 	rate := 0.0
-	if hits+misses > 0 {
-		rate = 100 * hits / (hits + misses)
+	if n := rc.Hits + rc.Misses; n > 0 {
+		rate = 100 * float64(rc.Hits) / float64(n)
 	}
-	fmt.Fprintf(out, "%sroute cache hit rate %.1f%% (%.0f hits, %.0f misses, %.0f evictions, %.0f bypasses)\n",
-		indent, rate, hits, misses, evictions, bypasses)
+	fmt.Fprintf(out, "%sroute cache hit rate %.1f%% (%d hits, %d misses, %d evictions, %d bypasses)\n",
+		indent, rate, rc.Hits, rc.Misses, rc.Evictions, rc.Bypasses)
 }

@@ -4,7 +4,8 @@
 // error envelope, strict request decoding, the pooled query handlers
 // (a JSON codec for the two query bodies that is byte-identical to
 // encoding/json, around an allocation-free answering path over a
-// published core.RoutingView), and the lock-free per-endpoint metrics.
+// published core.RoutingView), the lock-free per-endpoint metrics and
+// the typed GET /v1/stats payloads of both tiers.
 //
 // Both tiers answer data-plane requests through the same functions,
 // so a router's response — success or error — is byte-identical to
@@ -15,13 +16,15 @@
 // # The v1 API
 //
 // Endpoints live under a versioned /v1/ prefix and split into a data
-// plane (reads, servable by any router replica) and a control plane
-// (mutations and admin, authoritative daemon only):
+// plane (reads, servable by any router replica), a control plane
+// (mutations and admin, authoritative daemon only) and a replication
+// plane (the mutation-log feed and follower promotion, any daemon):
 //
-//	data plane:    POST /v1/query, POST /v1/query/batch, GET /v1/stats
-//	control plane: POST /v1/peers, GET|DELETE /v1/peers/{id},
-//	               POST /v1/reform, POST /v1/compact,
-//	               GET /v1/snapshot, GET /v1/view/watch
+//	data plane:        POST /v1/query, POST /v1/query/batch, GET /v1/stats
+//	control plane:     POST /v1/peers, GET|DELETE /v1/peers/{id},
+//	                   POST /v1/reform, POST /v1/compact,
+//	                   GET /v1/snapshot, GET /v1/view/watch
+//	replication plane: GET /v1/replog/watch, POST /v1/promote
 //
 // Every error response carries one JSON envelope:
 //

@@ -68,59 +68,52 @@ func (h *LatencyHist) Quantiles(qs []float64) (total int64, out []time.Duration)
 	return total, out
 }
 
-// HoldSnapshot renders a bare histogram (no error counter) for a
-// stats payload — used for lock hold times, where the histogram is
-// the entire story.
-func (h *LatencyHist) HoldSnapshot() map[string]any {
+// Latency summarizes a histogram in a stats payload: the mean and the
+// p50/p95/p99 estimates of Quantiles, in microseconds.
+type Latency struct {
+	MeanUs float64 `json:"mean_us"`
+	P50Us  float64 `json:"p50_us"`
+	P95Us  float64 `json:"p95_us"`
+	P99Us  float64 `json:"p99_us"`
+}
+
+// Summary returns the sample count and the latency summary.
+func (h *LatencyHist) Summary() (int64, Latency) {
 	total, q := h.Quantiles([]float64{0.5, 0.95, 0.99})
-	meanUs := 0.0
+	l := Latency{
+		P50Us: float64(q[0].Nanoseconds()) / 1e3,
+		P95Us: float64(q[1].Nanoseconds()) / 1e3,
+		P99Us: float64(q[2].Nanoseconds()) / 1e3,
+	}
 	if total > 0 {
-		meanUs = float64(h.sumNs.Load()) / float64(total) / 1e3
+		l.MeanUs = float64(h.sumNs.Load()) / float64(total) / 1e3
 	}
-	return map[string]any{
-		"holds":   total,
-		"mean_us": meanUs,
-		"p50_us":  float64(q[0].Nanoseconds()) / 1e3,
-		"p95_us":  float64(q[1].Nanoseconds()) / 1e3,
-		"p99_us":  float64(q[2].Nanoseconds()) / 1e3,
-	}
+	return total, l
+}
+
+// HoldStats is a bare hold-time histogram in a stats payload.
+type HoldStats struct {
+	Holds int64 `json:"holds"`
+	Latency
+}
+
+// EndpointStats is one endpoint's entry in a stats payload. Route is
+// the endpoint's ServeMux pattern, so dashboards key on the HTTP
+// surface.
+type EndpointStats struct {
+	Route    string `json:"route"`
+	Requests int64  `json:"requests"`
+	// Errors counts 4xx and 5xx answers.
+	Errors int64 `json:"errors"`
+	Latency
 }
 
 // EndpointMetrics aggregates one endpoint's counters and latencies.
-// Route names the endpoint's canonical v1 route ("POST /v1/query");
-// it is part of the stats payload so dashboards key on the HTTP
-// surface, not on internal metric names, and survive route renames.
 type EndpointMetrics struct {
-	Route    string
 	requests atomic.Int64
 	errors   atomic.Int64
 	lat      LatencyHist
 }
-
-// Snapshot renders the endpoint's stats for the stats payload.
-func (m *EndpointMetrics) Snapshot() map[string]any {
-	_, q := m.lat.Quantiles([]float64{0.5, 0.95, 0.99})
-	n := m.requests.Load()
-	meanUs := 0.0
-	if n > 0 {
-		meanUs = float64(m.lat.sumNs.Load()) / float64(n) / 1e3
-	}
-	return map[string]any{
-		"route":    m.Route,
-		"requests": n,
-		"errors":   m.errors.Load(),
-		"mean_us":  meanUs,
-		"p50_us":   float64(q[0].Nanoseconds()) / 1e3,
-		"p95_us":   float64(q[1].Nanoseconds()) / 1e3,
-		"p99_us":   float64(q[2].Nanoseconds()) / 1e3,
-	}
-}
-
-// Requests returns the request count so far.
-func (m *EndpointMetrics) Requests() int64 { return m.requests.Load() }
-
-// Errors returns the 4xx/5xx count so far.
-func (m *EndpointMetrics) Errors() int64 { return m.errors.Load() }
 
 // statusWriter captures the response code for error accounting.
 type statusWriter struct {
@@ -153,4 +146,43 @@ func Instrument(m *EndpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 		sw.ResponseWriter, sw.code = nil, 0
 		statusWriters.Put(sw)
 	}
+}
+
+// Endpoint is one route of a tier's HTTP surface: Key names its entry
+// in the stats payload's endpoints block and Pattern is its ServeMux
+// pattern, which the entry reports as its route.
+type Endpoint struct {
+	Key, Pattern string
+	H            http.HandlerFunc
+}
+
+// Routes is a tier's endpoint table: one mux on which each endpoint is
+// registered once, instrumented by its own EndpointMetrics.
+type Routes struct {
+	mux *http.ServeMux
+	eps []Endpoint
+	met []EndpointMetrics
+}
+
+// NewRoutes registers and instruments the endpoints.
+func NewRoutes(eps ...Endpoint) *Routes {
+	r := &Routes{mux: http.NewServeMux(), eps: eps, met: make([]EndpointMetrics, len(eps))}
+	for i, e := range eps {
+		r.mux.HandleFunc(e.Pattern, Instrument(&r.met[i], e.H))
+	}
+	return r
+}
+
+// Handler returns the mux.
+func (r *Routes) Handler() http.Handler { return r.mux }
+
+// Stats renders the endpoints block of a stats payload.
+func (r *Routes) Stats() map[string]EndpointStats {
+	out := make(map[string]EndpointStats, len(r.eps))
+	for i, e := range r.eps {
+		m := &r.met[i]
+		_, l := m.lat.Summary()
+		out[e.Key] = EndpointStats{Route: e.Pattern, Requests: m.requests.Load(), Errors: m.errors.Load(), Latency: l}
+	}
+	return out
 }

@@ -18,8 +18,8 @@ func TestInstrumentRecyclesWriters(t *testing.T) {
 		notFound(httptest.NewRecorder(), req)
 		implicitOK(httptest.NewRecorder(), req)
 	}
-	if m.Requests() != 8 || m.Errors() != 4 {
-		t.Fatalf("8 requests, 4 of them 404s, counted as %d requests, %d errors", m.Requests(), m.Errors())
+	if m.requests.Load() != 8 || m.errors.Load() != 4 {
+		t.Fatalf("8 requests, 4 of them 404s, counted as %d requests, %d errors", m.requests.Load(), m.errors.Load())
 	}
 
 	rec := httptest.NewRecorder()

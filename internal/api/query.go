@@ -244,20 +244,3 @@ func (sc *Scratch) query(p parsed) (q attr.Set, ok bool) {
 	slices.Sort(ids)
 	return attr.FromSorted(slices.Compact(ids)), true
 }
-
-// CacheStatsMap renders a route cache's counters for a /v1/stats
-// payload; a nil cache reports itself disabled.
-func CacheStatsMap(c *core.RouteCache) map[string]any {
-	if c == nil {
-		return map[string]any{"enabled": false}
-	}
-	st := c.Stats()
-	return map[string]any{
-		"enabled":   true,
-		"capacity":  st.Capacity,
-		"hits":      st.Hits,
-		"misses":    st.Misses,
-		"evictions": st.Evictions,
-		"bypasses":  st.Bypasses,
-	}
-}

@@ -59,18 +59,18 @@ type routeCacheEntry struct {
 // RouteCacheStats is a point-in-time snapshot of a cache's counters.
 type RouteCacheStats struct {
 	// Capacity is the entry-slot count (fixed at construction).
-	Capacity int
+	Capacity int `json:"capacity"`
 	// Hits counts lookups answered from the cache.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// Misses counts lookups that fell through to Route (each miss
 	// inserts, so Misses also counts insertions).
-	Misses int64
+	Misses int64 `json:"misses"`
 	// Evictions counts insertions that displaced a live entry of the
 	// same view (stale-view and empty slots are reclaimed silently).
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Bypasses counts queries the cache declined to index (canonical
 	// key over maxRouteCacheKeyBytes).
-	Bypasses int64
+	Bypasses int64 `json:"bypasses"`
 }
 
 // RouteCache is a bounded, sharded, view-coherent cache of Route

@@ -288,20 +288,21 @@ func (p *Period) AppendGrantsSince(dst []Request, n int) []Request {
 // Progress describes how far an in-progress period has advanced.
 type Progress struct {
 	// Round is the 1-based current round (the last one when done).
-	Round int
+	Round int `json:"round"`
 	// Phase is "decide", "grant" or "done".
-	Phase string
+	Phase string `json:"phase"`
 	// Pos/Total locate the phase: clusters scanned of the round
 	// worklist during decide, requests served during grant.
-	Pos, Total int
+	Pos   int `json:"pos"`
+	Total int `json:"total"`
 	// Requests counts the current round's collected requests.
-	Requests int
+	Requests int `json:"requests"`
 	// Granted counts moves granted over the whole period so far.
-	Granted int
+	Granted int `json:"granted"`
 	// Steps counts Step calls so far.
-	Steps int
+	Steps int `json:"steps"`
 	// Scanned counts the phase-1 peer evaluations of the period so far.
-	Scanned int
+	Scanned int `json:"period_scanned"`
 }
 
 // Progress reports the period's current position.

@@ -2,10 +2,11 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
 // TestRouterRouteCache pins the router tier's cache wiring: hot
@@ -52,22 +53,8 @@ func TestRouterRouteCache(t *testing.T) {
 		}
 	}
 
-	code, body := do(rh, "GET", "/v1/stats", nil)
-	if code != http.StatusOK {
-		t.Fatalf("router stats: %d %s", code, body)
-	}
-	var st struct {
-		RouteCache struct {
-			Enabled bool    `json:"enabled"`
-			Hits    float64 `json:"hits"`
-			Misses  float64 `json:"misses"`
-		} `json:"route_cache"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("router stats decode: %v %s", err, body)
-	}
-	if !st.RouteCache.Enabled || st.RouteCache.Hits == 0 || st.RouteCache.Misses == 0 {
-		t.Fatalf("router route_cache stats %+v, want enabled with hits and misses", st.RouteCache)
+	if rc := readStats[api.RouterStats](t, rh).RouteCache; !rc.Enabled || rc.Hits == 0 || rc.Misses == 0 {
+		t.Fatalf("router route_cache stats %+v, want enabled with hits and misses", rc.RouteCacheStats)
 	}
 
 	// A cache-disabled router over the same daemon answers identically
@@ -86,16 +73,7 @@ func TestRouterRouteCache(t *testing.T) {
 			t.Fatalf("uncached router query %s: %d %s != %s", q, code, body, cold[i])
 		}
 	}
-	code, body = do(oh, "GET", "/v1/stats", nil)
-	var stOff struct {
-		RouteCache struct {
-			Enabled bool `json:"enabled"`
-		} `json:"route_cache"`
-	}
-	if code != http.StatusOK {
-		t.Fatalf("uncached router stats: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &stOff); err != nil || stOff.RouteCache.Enabled {
-		t.Fatalf("uncached router stats %s (err %v), want route_cache disabled", body, err)
+	if readStats[api.RouterStats](t, oh).RouteCache.Enabled {
+		t.Fatal("uncached router reports route_cache enabled")
 	}
 }

@@ -99,13 +99,6 @@ type syncedView struct {
 	routing *core.RoutingView
 }
 
-// routerMetrics instruments the three endpoints a router serves.
-type routerMetrics struct {
-	query api.EndpointMetrics
-	batch api.EndpointMetrics
-	stats api.EndpointMetrics
-}
-
 // Router follows the replication feed and serves the data plane.
 type Router struct {
 	cfg     Config
@@ -133,7 +126,8 @@ type Router struct {
 	syncErrors atomic.Int64
 	served     atomic.Int64
 
-	met routerMetrics
+	// routes is the endpoint table Handler serves: the v1 data plane.
+	routes *api.Routes
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -149,9 +143,11 @@ func New(cfg Config) *Router {
 	}
 	rt.upstream.Store(rt.cfg.Upstreams[0])
 	rt.notify = make(chan struct{})
-	rt.met.query.Route = "POST /v1/query"
-	rt.met.batch.Route = "POST /v1/query/batch"
-	rt.met.stats.Route = "GET /v1/stats"
+	rt.routes = api.NewRoutes(
+		api.Endpoint{Key: "query", Pattern: "POST /v1/query", H: rt.handleQuery},
+		api.Endpoint{Key: "query_batch", Pattern: "POST /v1/query/batch", H: rt.handleBatch},
+		api.Endpoint{Key: "stats", Pattern: "GET /v1/stats", H: rt.handleStats},
+	)
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	return rt
 }
@@ -314,13 +310,7 @@ func (rt *Router) AnswerQuery(raw []string, sc *api.Scratch) (resp api.QueryResp
 
 // Handler returns the router's HTTP handler: the v1 data plane plus
 // the router's own stats.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", api.Instrument(&rt.met.query, rt.handleQuery))
-	mux.HandleFunc("POST /v1/query/batch", api.Instrument(&rt.met.batch, rt.handleBatch))
-	mux.HandleFunc("GET /v1/stats", api.Instrument(&rt.met.stats, rt.handleStats))
-	return mux
-}
+func (rt *Router) Handler() http.Handler { return rt.routes.Handler() }
 
 // notReady answers 503 with the Retry-After the config advertises.
 func (rt *Router) notReady(w http.ResponseWriter) {
@@ -354,28 +344,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // metrics — deliberately a different payload from the daemon's
 // /v1/stats: a router has no engine gauges, only a followed view.
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]any{
-		"synced":         false,
-		"upstream":       rt.upstream.Load(),
-		"upstreams":      rt.cfg.Upstreams,
-		"full_syncs":     rt.fullSyncs.Load(),
-		"delta_syncs":    rt.deltaSyncs.Load(),
-		"sync_errors":    rt.syncErrors.Load(),
-		"queries_served": rt.served.Load(),
-		"route_cache":    api.CacheStatsMap(rt.cache),
-		"uptime_seconds": time.Since(rt.started).Seconds(),
-		"endpoints": map[string]any{
-			"query":       rt.met.query.Snapshot(),
-			"query_batch": rt.met.batch.Snapshot(),
-			"stats":       rt.met.stats.Snapshot(),
-		},
+	st := api.RouterStats{
+		Upstream:      rt.upstream.Load().(string),
+		Upstreams:     rt.cfg.Upstreams,
+		FullSyncs:     rt.fullSyncs.Load(),
+		DeltaSyncs:    rt.deltaSyncs.Load(),
+		SyncErrors:    rt.syncErrors.Load(),
+		QueriesServed: rt.served.Load(),
+		RouteCache:    api.NewCacheStats(rt.cache),
+		UptimeSeconds: time.Since(rt.started).Seconds(),
+		Endpoints:     rt.routes.Stats(),
 	}
 	if v := rt.view.Load(); v != nil {
-		out["synced"] = true
-		out["view_seq"] = v.seq
-		out["pop_version"] = v.routing.PopVersion()
-		out["peers"] = v.routing.Live()
-		out["slots"] = v.routing.Slots()
+		st.Synced = true
+		st.RouterView = &api.RouterView{ViewSeq: v.seq, PopVersion: v.routing.PopVersion(), Peers: v.routing.Live(), Slots: v.routing.Slots()}
 	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, st)
 }

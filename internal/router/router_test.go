@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/service"
 )
 
@@ -54,17 +55,7 @@ func randQuery(rng *rand.Rand) []byte {
 // serviceSeq reads the daemon's current view sequence from its stats.
 func serviceSeq(t *testing.T, h http.Handler) uint64 {
 	t.Helper()
-	code, body := do(h, "GET", "/v1/stats", nil)
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
-	}
-	var st struct {
-		ViewSeq uint64 `json:"view_seq"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	return st.ViewSeq
+	return readStats[api.DaemonStats](t, h).ViewSeq
 }
 
 // newPair boots a daemon plus one synchronized router over real HTTP.

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,26 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/viewwire"
 )
-
-// rawDo issues one request with a raw string body and returns status,
-// body and headers.
-func rawDo(t *testing.T, ts *httptest.Server, method, path, body string) (int, []byte, http.Header) {
-	t.Helper()
-	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, b, resp.Header
-}
 
 // TestV1ErrorEnvelope pins the error contract, table-driven across
 // every handler-rejected request: each failure is exactly the
@@ -188,8 +167,7 @@ func TestViewWatchDeltaOnPureRelocation(t *testing.T) {
 	if rec.Seq <= full.Seq || len(rec.Moves) == 0 {
 		t.Fatalf("delta seq %d (base %d) with %d moves", rec.Seq, full.Seq, len(rec.Moves))
 	}
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	if st["watch_delta"].(float64) == 0 {
+	if readStats(t, ts).WatchDelta == 0 {
 		t.Fatal("stats watch_delta still zero after a delta record")
 	}
 

@@ -4,42 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 )
-
-// rawJSON fetches a response body verbatim, for byte-identity pins.
-func rawJSON(t *testing.T, srv *httptest.Server, method, path string, body any) []byte {
-	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequest(method, srv.URL+path, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d: %s", method, path, resp.StatusCode, out)
-	}
-	return out
-}
 
 // floodNovel churns `n` throwaway peers through the daemon, each
 // issuing two queries never seen before (and never again): the
@@ -82,22 +52,21 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 	probe := func() [][]byte {
 		var out [][]byte
 		for _, q := range probes {
-			out = append(out, rawJSON(t, ts, "POST", "/v1/query", q))
+			out = append(out, decodeJSON[json.RawMessage](t, ts, "POST", "/v1/query", q, http.StatusOK))
 		}
 		return out
 	}
 	baseline := probe()
-	baseQueries := int(doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)["queries"].(float64))
+	baseQueries := readStats(t, ts).Queries
 
 	var floor []int
 	for cycle := 1; cycle <= 3; cycle++ {
 		floodNovel(t, ts, cycle, 30)
-		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-		if grown := int(st["queries"].(float64)); grown <= baseQueries {
-			t.Fatalf("cycle %d: flood did not grow the query set (%d <= %d)", cycle, grown, baseQueries)
+		grown := readStats(t, ts)
+		if grown.Queries <= baseQueries {
+			t.Fatalf("cycle %d: flood did not grow the query set (%d <= %d)", cycle, grown.Queries, baseQueries)
 		}
 		before := probe()
-		scost := st["scost"].(float64)
 
 		comp := doJSON(t, ts, "POST", "/v1/compact", nil, http.StatusOK)
 		if comp["removed"].(float64) == 0 {
@@ -117,11 +86,11 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 				t.Fatalf("cycle %d: query %d answer drifted from baseline", cycle, i)
 			}
 		}
-		st = doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-		if got := st["scost"].(float64); got != scost {
-			t.Fatalf("cycle %d: scost changed across compaction: %v -> %v", cycle, scost, got)
+		st := readStats(t, ts)
+		if st.SCost != grown.SCost {
+			t.Fatalf("cycle %d: scost changed across compaction: %v -> %v", cycle, grown.SCost, st.SCost)
 		}
-		floor = append(floor, int(st["queries"].(float64)))
+		floor = append(floor, st.Queries)
 	}
 	// Bounded memory: every cycle compacts back to the same live floor.
 	for i := 1; i < len(floor); i++ {
@@ -134,10 +103,7 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 	}
 
 	// Snapshot -> restore: identical peers, costs, answers, generation.
-	var snap Snapshot
-	if err := json.Unmarshal(rawJSON(t, ts, "GET", "/v1/snapshot", nil), &snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := decodeJSON[Snapshot](t, ts, "GET", "/v1/snapshot", nil, http.StatusOK)
 	if snap.Compactions != 3 {
 		t.Fatalf("snapshot records generation %d, want 3", snap.Compactions)
 	}
@@ -148,25 +114,20 @@ func TestCompactEndpointSurvivesFloods(t *testing.T) {
 	ts2 := httptest.NewServer(restored.Handler())
 	defer ts2.Close()
 	for i, q := range probes {
-		if got := rawJSON(t, ts2, "POST", "/v1/query", q); !bytes.Equal(got, baseline[i]) {
+		if got := decodeJSON[json.RawMessage](t, ts2, "POST", "/v1/query", q, http.StatusOK); !bytes.Equal(got, baseline[i]) {
 			t.Fatalf("restored daemon answers query %d differently:\n%s\n%s", i, got, baseline[i])
-		}
-	}
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	st2 := doJSON(t, ts2, "GET", "/v1/stats", nil, http.StatusOK)
-	for _, k := range []string{"peers", "slots", "clusters", "queries", "compactions"} {
-		if st[k] != st2[k] {
-			t.Fatalf("restored stats[%q] = %v, want %v", k, st2[k], st[k])
 		}
 	}
 	// The restored engine computes costs by a fresh rebuild; the live
 	// one accumulated them incrementally through the churn, so they
 	// agree to the membership tolerance, not bit-for-bit.
-	for _, k := range []string{"scost", "wcost"} {
-		a, b := st[k].(float64), st2[k].(float64)
-		if d := a - b; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("restored stats[%q] = %v, want %v", k, b, a)
-		}
+	st, st2 := readStats(t, ts), readStats(t, ts2)
+	if math.Abs(st.SCost-st2.SCost) > 1e-9 || math.Abs(st.WCost-st2.WCost) > 1e-9 {
+		t.Fatalf("restored costs %v/%v, want %v/%v", st2.SCost, st2.WCost, st.SCost, st.WCost)
+	}
+	if st.Peers != st2.Peers || st.Slots != st2.Slots || st.Clusters != st2.Clusters ||
+		st.Queries != st2.Queries || st.Compactions != st2.Compactions {
+		t.Fatalf("restored stats %+v (generation %d), want %+v (%d)", st2.Gauges, st2.Compactions, st.Gauges, st.Compactions)
 	}
 }
 
@@ -189,18 +150,10 @@ func TestCompactTickerAndReformTrigger(t *testing.T) {
 		// invariant is the policy's own: compactions happened, and the
 		// dead ratio ends at or below the threshold (stragglers under
 		// it are by design not worth a remap).
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-			if st["compactions"].(float64) > 0 &&
-				st["dead_queries"].(float64) <= 0.5*st["queries"].(float64) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("compaction ticker never enforced the policy: %v", st)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitUntil(t, "the compaction ticker to enforce the policy", 2*time.Second, func() bool {
+			st := readStats(t, ts)
+			return st.Compactions > 0 && float64(st.DeadQueries) <= 0.5*float64(st.Queries)
+		})
 	})
 	t.Run("reform", func(t *testing.T) {
 		s := New(Config{CompactMinQueries: 1})
@@ -211,9 +164,8 @@ func TestCompactTickerAndReformTrigger(t *testing.T) {
 		}
 		floodNovel(t, ts, 0, 20)
 		doJSON(t, ts, "POST", "/v1/reform", nil, http.StatusOK)
-		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-		if st["compactions"].(float64) == 0 || st["dead_queries"].(float64) != 0 {
-			t.Fatalf("maintenance-period compaction check did not fire: %v", st)
+		if st := readStats(t, ts); st.Compactions == 0 || st.DeadQueries != 0 {
+			t.Fatalf("maintenance-period compaction check did not fire: %+v", st)
 		}
 	})
 }

@@ -48,13 +48,9 @@ func TestSteppedMaintenanceReleasesLockBetweenSteps(t *testing.T) {
 	if rpt.RoundsRun == 0 {
 		t.Fatal("no rounds ran")
 	}
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	maint := st["maintenance"].(map[string]any)
-	if maint["active"].(bool) {
-		t.Fatal("maintenance still active after Reform returned")
-	}
-	if maint["step_budget"].(float64) != 1 {
-		t.Fatalf("step_budget %v, want 1", maint["step_budget"])
+	st := readStats(t, ts)
+	if st.Maintenance.Active || st.Maintenance.StepBudget != 1 {
+		t.Fatalf("maintenance block %+v after Reform returned, want inactive with step_budget 1", st.Maintenance)
 	}
 	if hookJoins == 0 {
 		t.Fatal("step hook never ran: the period completed in a single step despite budget 1")
@@ -65,13 +61,9 @@ func TestSteppedMaintenanceReleasesLockBetweenSteps(t *testing.T) {
 	if !leftOnce {
 		t.Fatal("no leave interleaved with the period")
 	}
-	// 12 seeded + 3 hook joins - 1 leave.
-	if st["peers"].(float64) != 14 {
-		t.Fatalf("peers=%v, want 14", st["peers"])
-	}
-	lock := st["mutation_lock"].(map[string]any)
-	if lock["holds"].(float64) == 0 {
-		t.Fatal("mutation-lock histogram recorded no holds")
+	// 12 seeded + 3 hook joins - 1 leave, and every lock hold recorded.
+	if st.Peers != 14 || st.MutationLock.Holds == 0 {
+		t.Fatalf("peers=%d with %d mutation-lock holds, want 14 peers and some holds", st.Peers, st.MutationLock.Holds)
 	}
 }
 

@@ -552,29 +552,27 @@ func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// replicationStats is the /v1/stats replication section.
-func (s *Server) replicationStats() map[string]any {
+// replicationStats is the /v1/stats replication block.
+func (s *Server) replicationStats() api.ReplicationStats {
 	role := "follower"
 	if s.isLeader.Load() {
 		role = "leader"
 	}
-	out := map[string]any{
-		"role":               role,
-		"term":               s.currentTerm(),
-		"epoch":              strconv.FormatUint(s.epoch, 10),
-		"log_base":           s.replLog.Base(),
-		"log_last":           s.replLog.LastIndex(),
-		"log_len":            s.replLog.Len(),
-		"entries_logged":     s.entriesLogged.Load(),
-		"entries_applied":    s.entriesApplied.Load(),
-		"catchups_served":    s.catchupsServed.Load(),
-		"catchups_installed": s.catchupsInstalled.Load(),
-		"sync_errors":        s.replErrors.Load(),
-		"synced":             s.isLeader.Load() || s.replSynced.Load(),
-		"open_period":        s.replOpenPeriod.Load(),
+	u, _ := s.leaderURL.Load().(string)
+	return api.ReplicationStats{
+		Role:              role,
+		Term:              s.currentTerm(),
+		Epoch:             strconv.FormatUint(s.epoch, 10),
+		LogBase:           s.replLog.Base(),
+		LogLast:           s.replLog.LastIndex(),
+		LogLen:            s.replLog.Len(),
+		EntriesLogged:     s.entriesLogged.Load(),
+		EntriesApplied:    s.entriesApplied.Load(),
+		CatchupsServed:    s.catchupsServed.Load(),
+		CatchupsInstalled: s.catchupsInstalled.Load(),
+		SyncErrors:        s.replErrors.Load(),
+		Synced:            s.isLeader.Load() || s.replSynced.Load(),
+		OpenPeriod:        s.replOpenPeriod.Load(),
+		LeaderURL:         u,
 	}
-	if u, _ := s.leaderURL.Load().(string); u != "" {
-		out["leader_url"] = u
-	}
-	return out
 }

@@ -358,9 +358,9 @@ func TestFailoverConvergenceProperty(t *testing.T) {
 				t.Fatalf("modes diverge at cut %d:\nresume %s\nabort  %s", cut, a, b)
 			}
 			va, vb := resume.loadView(), abort.loadView()
-			if va.g.scost != vb.g.scost || va.g.wcost != vb.g.wcost {
+			if va.g.SCost != vb.g.SCost || va.g.WCost != vb.g.WCost {
 				t.Fatalf("costs diverge at cut %d: resume (%v,%v) abort (%v,%v)",
-					cut, va.g.scost, va.g.wcost, vb.g.scost, vb.g.wcost)
+					cut, va.g.SCost, va.g.WCost, vb.g.SCost, vb.g.WCost)
 			}
 			resume.Shutdown()
 			abort.Shutdown()

@@ -66,27 +66,11 @@ func TestRouteCacheByteIdentity(t *testing.T) {
 
 	// Observability: the cached daemon reports live counters, the
 	// uncached one reports itself disabled.
-	st := doJSON(t, tsC, "GET", "/v1/stats", nil, http.StatusOK)
-	rc, ok := st["route_cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing route_cache: %v", st)
+	if rc := readStats(t, tsC).RouteCache; !rc.Enabled || rc.Hits == 0 || rc.Misses == 0 {
+		t.Fatalf("cached daemon's route_cache %+v, want enabled with hits and misses", rc.RouteCacheStats)
 	}
-	if on, _ := rc["enabled"].(bool); !on {
-		t.Fatalf("cached daemon reports route_cache disabled: %v", rc)
-	}
-	if hits, _ := rc["hits"].(float64); hits == 0 {
-		t.Fatalf("hot repeats produced no cache hits: %v", rc)
-	}
-	if misses, _ := rc["misses"].(float64); misses == 0 {
-		t.Fatalf("cold lookups produced no cache misses: %v", rc)
-	}
-	stU := doJSON(t, tsU, "GET", "/v1/stats", nil, http.StatusOK)
-	rcU, ok := stU["route_cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("uncached stats missing route_cache: %v", stU)
-	}
-	if on, _ := rcU["enabled"].(bool); on {
-		t.Fatalf("uncached daemon reports route_cache enabled: %v", rcU)
+	if rc := readStats(t, tsU).RouteCache; rc.Enabled {
+		t.Fatalf("uncached daemon reports route_cache enabled: %+v", rc.RouteCacheStats)
 	}
 }
 

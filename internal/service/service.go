@@ -5,23 +5,11 @@
 // by reformulation rounds on a ticker — the paper's periodic selfish
 // maintenance turned into an online serving loop.
 //
-// The JSON API lives under a versioned /v1/ prefix and splits into a
-// data plane — reads any stateless router replica (internal/router)
-// can also serve — and a control plane only this authoritative daemon
-// serves:
-//
-//	data plane:
-//	  POST   /v1/query        route a query against the live population
-//	  POST   /v1/query/batch  route up to 1024 queries in one request
-//	  GET    /v1/stats        live system metrics (exact, lock-free)
-//	control plane:
-//	  POST   /v1/peers        admit a peer (content items + local workload)
-//	  GET    /v1/peers/{id}   inspect one peer (cluster, individual cost)
-//	  DELETE /v1/peers/{id}   retire a peer
-//	  POST   /v1/reform       run one maintenance period now
-//	  POST   /v1/compact      retire dead workload queries now
-//	  GET    /v1/snapshot     full serialized state (the snapshot format)
-//	  GET    /v1/view/watch   long-poll the routing-view replication feed
+// The JSON API lives under a versioned /v1/ prefix. The endpoint
+// table in New names each route once, grouped into a data plane —
+// reads any stateless router replica (internal/router) can also serve
+// — a control plane only this authoritative daemon serves, and a
+// replication plane. API.md documents every endpoint.
 //
 // Errors everywhere carry the api package's JSON envelope with a
 // stable machine-readable code; see API.md at the repository root.
@@ -233,30 +221,19 @@ type Server struct {
 	ring   [viewRing]*readView
 	notify atomic.Pointer[notifier]
 
-	// Operational counters. All atomics: the read path and GET
-	// /v1/stats touch them without the mutex.
-	reforms atomic.Int64 // maintenance periods run
-	rounds  atomic.Int64 // reformulation rounds executed
-	moves   atomic.Int64 // granted relocations
-	// scanned counts the phase-1 peer evaluations of finished
-	// maintenance periods; the in-flight period's count is exposed live
-	// through maintProgress.
-	scanned atomic.Int64
-	joins   atomic.Int64
-	leaves  atomic.Int64
-	// compactions is the daemon's compaction generation (carried
-	// across snapshot restores); compacted counts retired queries.
-	compactions atomic.Int64
-	compacted   atomic.Int64
-	// served counts queries answered (single + batched).
-	served atomic.Int64
-	// publishes counts read-view publications; fullRecords and
-	// deltaRecords count what /v1/view/watch actually shipped.
-	publishes    atomic.Int64
-	fullRecords  atomic.Int64
-	deltaRecords atomic.Int64
+	// Operational counters, each reported by GET /v1/stats as the
+	// api.DaemonStats field of the same meaning (scanned covers
+	// finished periods; the open one reports through maintProgress).
+	// All atomics: the read path touches them without the mutex.
+	reforms, rounds, moves, scanned, joins, leaves atomic.Int64
+	compactions, compacted, served                 atomic.Int64
+	publishes, fullRecords, deltaRecords           atomic.Int64
 
-	met serverMetrics
+	// routes is the endpoint table Handler serves.
+	routes *api.Routes
+	// lockHold records every mutation-lock hold (joins, leaves,
+	// compactions, snapshots and single maintenance steps).
+	lockHold api.LatencyHist
 
 	// Replication (see replication.go and follow.go). Every node —
 	// leader or follower — carries the mutation log; the leader
@@ -308,7 +285,27 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 		stop:    make(chan struct{}),
 	}
-	s.met.init()
+	s.routes = api.NewRoutes(
+		// Data plane: servable from a published view alone (on a
+		// follower, once the first catch-up installed).
+		api.Endpoint{Key: "query", Pattern: "POST /v1/query", H: s.handleQuery},
+		api.Endpoint{Key: "query_batch", Pattern: "POST /v1/query/batch", H: s.handleQueryBatch},
+		api.Endpoint{Key: "stats", Pattern: "GET /v1/stats", H: s.handleStats},
+		// Control plane: mutations serve on the leader; followers
+		// redirect them there (307) so clients can talk to any node.
+		api.Endpoint{Key: "peers_join", Pattern: "POST /v1/peers", H: s.leaderOnly(s.handleJoin)},
+		api.Endpoint{Key: "peers_get", Pattern: "GET /v1/peers/{id}", H: s.handlePeerGet},
+		api.Endpoint{Key: "peers_leave", Pattern: "DELETE /v1/peers/{id}", H: s.leaderOnly(s.handleLeave)},
+		api.Endpoint{Key: "reform", Pattern: "POST /v1/reform", H: s.leaderOnly(s.handleReform)},
+		api.Endpoint{Key: "compact", Pattern: "POST /v1/compact", H: s.leaderOnly(s.handleCompact)},
+		api.Endpoint{Key: "snapshot", Pattern: "GET /v1/snapshot", H: s.handleSnapshot},
+		api.Endpoint{Key: "view_watch", Pattern: "GET /v1/view/watch", H: s.handleViewWatch},
+		// Replication plane: the mutation-log feed (any node) and
+		// follower promotion (deliberately NOT leader-gated: it is
+		// what a follower runs when the leader is gone).
+		api.Endpoint{Key: "replog_watch", Pattern: "GET /v1/replog/watch", H: s.handleReplogWatch},
+		api.Endpoint{Key: "promote", Pattern: "POST /v1/promote", H: s.handlePromote},
+	)
 	if cfg.RouteCache >= 0 {
 		s.routeCache = core.NewRouteCache(cfg.RouteCache)
 	}
@@ -433,7 +430,7 @@ func (s *Server) lockMutation() func() {
 	s.mu.Lock()
 	start := time.Now()
 	return func() {
-		s.met.lockHold.Observe(time.Since(start))
+		s.lockHold.Observe(time.Since(start))
 		s.mu.Unlock()
 	}
 }
@@ -564,38 +561,7 @@ func countMoves(rpt protocol.Report) int {
 }
 
 // Handler returns the daemon's HTTP handler: the v1 surface.
-func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		pattern string
-		m       *api.EndpointMetrics
-		h       http.HandlerFunc
-	}{
-		// Data plane: servable from a published view alone (on a
-		// follower, once the first catch-up installed).
-		{"POST /v1/query", &s.met.query, s.handleQuery},
-		{"POST /v1/query/batch", &s.met.batch, s.handleQueryBatch},
-		{"GET /v1/stats", &s.met.stats, s.handleStats},
-		// Control plane: mutations serve on the leader; followers
-		// redirect them there (307) so clients can talk to any node.
-		{"POST /v1/peers", &s.met.join, s.leaderOnly(s.handleJoin)},
-		{"GET /v1/peers/{id}", &s.met.peerGet, s.handlePeerGet},
-		{"DELETE /v1/peers/{id}", &s.met.leave, s.leaderOnly(s.handleLeave)},
-		{"POST /v1/reform", &s.met.reform, s.leaderOnly(s.handleReform)},
-		{"POST /v1/compact", &s.met.compact, s.leaderOnly(s.handleCompact)},
-		{"GET /v1/snapshot", &s.met.snapshot, s.handleSnapshot},
-		{"GET /v1/view/watch", &s.met.watch, s.handleViewWatch},
-		// Replication plane: the mutation-log feed (any node) and
-		// follower promotion (deliberately NOT leader-gated: it is
-		// what a follower runs when the leader is gone).
-		{"GET /v1/replog/watch", &s.met.replog, s.handleReplogWatch},
-		{"POST /v1/promote", &s.met.promote, s.handlePromote},
-	}
-	mux := http.NewServeMux()
-	for _, rt := range routes {
-		mux.HandleFunc(rt.pattern, api.Instrument(rt.m, rt.h))
-	}
-	return mux
-}
+func (s *Server) Handler() http.Handler { return s.routes.Handler() }
 
 // The request-size limits are the api package's.
 const (
@@ -884,60 +850,36 @@ func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 // period holds the mutation lock.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	v := s.loadView()
-	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"peers":             v.g.peers,
-		"slots":             v.g.slots,
-		"clusters":          v.g.clusters,
-		"queries":           v.g.queries,
-		"dead_queries":      v.g.deadQueries,
-		"compactions":       s.compactions.Load(),
-		"compacted_queries": s.compacted.Load(),
-		"scost":             v.g.scost,
-		"wcost":             v.g.wcost,
-		"reforms":           s.reforms.Load(),
-		"rounds":            s.rounds.Load(),
-		"moves":             s.moves.Load(),
-		"joins":             s.joins.Load(),
-		"leaves":            s.leaves.Load(),
-		"queries_served":    s.served.Load(),
-		"route_cache":       api.CacheStatsMap(s.routeCache),
-		"published_views":   s.publishes.Load(),
-		"view_seq":          v.seq,
-		"pop_version":       v.routing.PopVersion(),
-		"watch_full":        s.fullRecords.Load(),
-		"watch_delta":       s.deltaRecords.Load(),
-		"endpoints":         s.met.endpoints(),
-		"maintenance":       s.maintenanceStats(),
-		"replication":       s.replicationStats(),
-		"mutation_lock":     s.met.lockHold.HoldSnapshot(),
-		"uptime_seconds":    time.Since(s.started).Seconds(),
+	holds, lat := s.lockHold.Summary()
+	pr := s.maintProgress.Load()
+	api.WriteJSON(w, http.StatusOK, api.DaemonStats{
+		Gauges:           v.g,
+		Compactions:      s.compactions.Load(),
+		CompactedQueries: s.compacted.Load(),
+		Reforms:          s.reforms.Load(),
+		Rounds:           s.rounds.Load(),
+		Moves:            s.moves.Load(),
+		Joins:            s.joins.Load(),
+		Leaves:           s.leaves.Load(),
+		QueriesServed:    s.served.Load(),
+		RouteCache:       api.NewCacheStats(s.routeCache),
+		PublishedViews:   s.publishes.Load(),
+		ViewSeq:          v.seq,
+		PopVersion:       v.routing.PopVersion(),
+		WatchFull:        s.fullRecords.Load(),
+		WatchDelta:       s.deltaRecords.Load(),
+		Endpoints:        s.routes.Stats(),
+		Maintenance: api.MaintenanceStats{
+			Active:     pr != nil,
+			StepBudget: s.cfg.StepBudget,
+			Workers:    s.cfg.ReformWorkers,
+			Scanned:    s.scanned.Load(),
+			Progress:   pr,
+		},
+		Replication:   s.replicationStats(),
+		MutationLock:  api.HoldStats{Holds: holds, Latency: lat},
+		UptimeSeconds: time.Since(s.started).Seconds(),
 	})
-}
-
-// maintenanceStats renders the in-progress period's position (idle
-// between periods). Lock-free: the scheduler publishes a Progress
-// snapshot after every step.
-func (s *Server) maintenanceStats() map[string]any {
-	out := map[string]any{
-		"active":      false,
-		"step_budget": s.cfg.StepBudget,
-		"workers":     s.cfg.ReformWorkers,
-		// Phase-1 peer evaluations over finished periods.
-		"scanned": s.scanned.Load(),
-	}
-	if pr := s.maintProgress.Load(); pr != nil {
-		out["active"] = true
-		out["round"] = pr.Round
-		out["phase"] = pr.Phase
-		out["pos"] = pr.Pos
-		out["total"] = pr.Total
-		out["requests"] = pr.Requests
-		out["granted"] = pr.Granted
-		out["steps"] = pr.Steps
-		// The in-flight period's evaluations so far.
-		out["period_scanned"] = pr.Scanned
-	}
-	return out
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {

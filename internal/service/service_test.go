@@ -4,43 +4,70 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
+// doJSON issues one request with a JSON-encoded body (nil for none),
+// checks the status and decodes the answer as an object.
 func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, wantCode int) map[string]any {
 	t.Helper()
-	var rd *bytes.Reader
+	return decodeJSON[map[string]any](t, srv, method, path, body, wantCode)
+}
+
+// readStats reads the daemon's GET /v1/stats.
+func readStats(t *testing.T, srv *httptest.Server) api.DaemonStats {
+	t.Helper()
+	return decodeJSON[api.DaemonStats](t, srv, "GET", "/v1/stats", nil, http.StatusOK)
+}
+
+// decodeJSON is doJSON decoding into T.
+func decodeJSON[T any](t *testing.T, srv *httptest.Server, method, path string, body any, wantCode int) T {
+	t.Helper()
+	var raw []byte
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, srv.URL+path, rd)
+	code, got, _ := rawDo(t, srv, method, path, string(raw))
+	var out T
+	if err := json.Unmarshal(got, &out); err != nil {
+		t.Fatalf("%s %s: decode: %v (%s)", method, path, err, got)
+	}
+	if code != wantCode {
+		t.Fatalf("%s %s: status %d want %d (%s)", method, path, code, wantCode, got)
+	}
+	return out
+}
+
+// rawDo issues one request with a raw string body and returns status,
+// body and headers.
+func rawDo(t *testing.T, ts *httptest.Server, method, path, body string) (int, []byte, http.Header) {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.Client().Do(req)
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("%s %s: decode: %v", method, path, err)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp.StatusCode != wantCode {
-		t.Fatalf("%s %s: status %d want %d (%v)", method, path, resp.StatusCode, wantCode, out)
-	}
-	return out
+	return resp.StatusCode, b, resp.Header
 }
 
 func joinBody(cat int, doc int) joinRequest {
@@ -66,19 +93,19 @@ func TestServeLifecycle(t *testing.T) {
 		resp := doJSON(t, ts, "POST", "/v1/peers", joinBody(i%3, i/3), http.StatusCreated)
 		ids = append(ids, int(resp["id"].(float64)))
 	}
-	if got := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK); got["peers"].(float64) != 9 {
-		t.Fatalf("stats peers = %v, want 9", got["peers"])
+	if got := readStats(t, ts).Peers; got != 9 {
+		t.Fatalf("stats peers = %d, want 9", got)
 	}
 
 	// Query: results for a category-0 term must exist and recall must
 	// sum to 1 across clusters.
-	q := doJSON(t, ts, "POST", "/v1/query", queryRequest{Terms: []string{"c0-t0"}}, http.StatusOK)
-	if q["total"].(float64) <= 0 {
-		t.Fatalf("query found no results: %v", q)
+	q := decodeJSON[queryResponse](t, ts, "POST", "/v1/query", queryRequest{Terms: []string{"c0-t0"}}, http.StatusOK)
+	if q.Total <= 0 {
+		t.Fatalf("query found no results: %+v", q)
 	}
 	var recall float64
-	for _, hit := range q["clusters"].([]any) {
-		recall += hit.(map[string]any)["recall"].(float64)
+	for _, hit := range q.Clusters {
+		recall += hit.Recall
 	}
 	if math.Abs(recall-1) > 1e-9 {
 		t.Fatalf("cluster recall sums to %g, want 1", recall)
@@ -90,44 +117,33 @@ func TestServeLifecycle(t *testing.T) {
 
 	// Maintenance integrates the singleton joiners into clusters.
 	doJSON(t, ts, "POST", "/v1/reform", nil, http.StatusOK)
-	st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	if st["clusters"].(float64) >= 9 {
-		t.Fatalf("reform did not merge singletons: %v clusters", st["clusters"])
+	if st := readStats(t, ts); st.Clusters >= 9 {
+		t.Fatalf("reform did not merge singletons: %d clusters", st.Clusters)
 	}
 
 	// One peer leaves; its slot shows up in slots but not peers.
 	doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusOK)
 	doJSON(t, ts, "GET", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusNotFound)
 	doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", ids[4]), nil, http.StatusNotFound)
-	st = doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-	if st["peers"].(float64) != 8 || st["slots"].(float64) != 9 {
-		t.Fatalf("after leave: peers=%v slots=%v, want 8/9", st["peers"], st["slots"])
+	st := readStats(t, ts)
+	if st.Peers != 8 || st.Slots != 9 {
+		t.Fatalf("after leave: peers=%d slots=%d, want 8/9", st.Peers, st.Slots)
 	}
-	scost := st["scost"].(float64)
 
 	// Snapshot over HTTP, restore into a fresh daemon: identical state.
-	var snap Snapshot
-	resp, err := ts.Client().Get(ts.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
+	snap := decodeJSON[Snapshot](t, ts, "GET", "/v1/snapshot", nil, http.StatusOK)
 	restored, err := NewFromSnapshot(Config{}, &snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(restored.Handler())
 	defer ts2.Close()
-	st2 := doJSON(t, ts2, "GET", "/v1/stats", nil, http.StatusOK)
-	if st2["peers"].(float64) != 8 || st2["slots"].(float64) != 9 {
-		t.Fatalf("restored: peers=%v slots=%v, want 8/9", st2["peers"], st2["slots"])
+	st2 := readStats(t, ts2)
+	if st2.Peers != 8 || st2.Slots != 9 {
+		t.Fatalf("restored: peers=%d slots=%d, want 8/9", st2.Peers, st2.Slots)
 	}
-	if got := st2["scost"].(float64); math.Abs(got-scost) > 1e-9 {
-		t.Fatalf("restored scost %g, want %g", got, scost)
+	if math.Abs(st2.SCost-st.SCost) > 1e-9 {
+		t.Fatalf("restored scost %g, want %g", st2.SCost, st.SCost)
 	}
 	for _, id := range ids {
 		want := http.StatusOK
@@ -195,17 +211,7 @@ func TestTickerAndShutdown(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		doJSON(t, ts, "POST", "/v1/peers", joinBody(i%2, i), http.StatusCreated)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := doJSON(t, ts, "GET", "/v1/stats", nil, http.StatusOK)
-		if st["reforms"].(float64) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ticker never ran a maintenance period")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the ticker to run a maintenance period", 2*time.Second, func() bool { return readStats(t, ts).Reforms > 0 })
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

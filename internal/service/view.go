@@ -3,6 +3,7 @@ package service
 import (
 	"sync"
 
+	"repro/internal/api"
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/viewwire"
@@ -53,7 +54,7 @@ type readView struct {
 	// next build shares structure only with a view of the same engine
 	// instance (a snapshot restore swaps the engine wholesale).
 	eng *core.Engine
-	g   gauges
+	g   api.Gauges
 
 	// fullOnce guards the lazily cached full-record wire encoding.
 	fullOnce sync.Once
@@ -74,19 +75,6 @@ func (v *readView) fullRecord() []byte {
 // fresh channel for the next round of watchers.
 type notifier struct {
 	ch chan struct{}
-}
-
-// gauges are the engine-derived numbers of GET /v1/stats, captured at
-// publish time. They change only at mutation boundaries, so the
-// snapshot is exact — not stale — between publishes.
-type gauges struct {
-	peers       int
-	slots       int
-	clusters    int
-	queries     int
-	deadQueries int
-	scost       float64
-	wcost       float64
 }
 
 // publishLocked snapshots the current engine state into a fresh
@@ -121,14 +109,14 @@ func (s *Server) publishLocked() {
 		vocabObj: s.vocab,
 		routing:  s.eng.BuildRoutingView(prevRouting),
 		eng:      s.eng,
-		g: gauges{
-			peers:       s.eng.NumPeers(),
-			slots:       s.eng.NumSlots(),
-			clusters:    s.eng.Config().NumNonEmpty(),
-			queries:     s.eng.Workload().NumQueries(),
-			deadQueries: s.eng.DeadQueries(0),
-			scost:       s.eng.SCostNormalized(),
-			wcost:       s.eng.WCostNormalized(),
+		g: api.Gauges{
+			Peers:       s.eng.NumPeers(),
+			Slots:       s.eng.NumSlots(),
+			Clusters:    s.eng.Config().NumNonEmpty(),
+			Queries:     s.eng.Workload().NumQueries(),
+			DeadQueries: s.eng.DeadQueries(0),
+			SCost:       s.eng.SCostNormalized(),
+			WCost:       s.eng.WCostNormalized(),
 		},
 	}
 	s.ringMu.Lock()
