@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/replog"
 	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/stats"
@@ -77,53 +78,28 @@ func (p *poster) mustPost(body []byte, want int) []byte {
 	return p.rec.body.Bytes()
 }
 
-// queryCount is one query of a peer's workload in the daemon's snapshot
-// and join bodies, whose own type is unexported.
-type queryCount struct {
-	Terms []string `json:"terms"`
-	Count int      `json:"count"`
-}
-
 // daemon is a leader restored from the serve fixture's engine, the way a
 // restarted daemon loads its snapshot: same slots, clusters, content and
-// workload. The snapshot goes through its JSON form, as a file would.
-// It is built when the first entry that needs it is.
+// workload. It is built when the first entry that needs it is.
 func daemon(f *Fixtures) *service.Server {
 	if f.daemon != nil {
 		return f.daemon
 	}
 	eng, vocab := f.serve.eng, f.serve.sys.Gen.Vocab()
-	type peerDoc struct {
-		Slot    int          `json:"slot"`
-		Cluster int          `json:"cluster"`
-		Items   [][]string   `json:"items"`
-		Queries []queryCount `json:"queries"`
-	}
-	var doc struct {
-		Version int       `json:"version"`
-		Alpha   float64   `json:"alpha"`
-		Epsilon float64   `json:"epsilon"`
-		Slots   int       `json:"slots"`
-		Peers   []peerDoc `json:"peers"`
-	}
-	doc.Version, doc.Alpha, doc.Epsilon, doc.Slots = 1, f.Large.Alpha, f.Large.Epsilon, eng.NumSlots()
+	snap := service.Snapshot{Version: 1, Alpha: f.Large.Alpha, Epsilon: f.Large.Epsilon, Slots: eng.NumSlots()}
 	wl := eng.Workload()
 	for pid := 0; pid < eng.NumSlots(); pid++ {
 		if !eng.IsLive(pid) {
 			continue
 		}
-		pd := peerDoc{Slot: pid, Cluster: int(eng.Config().ClusterOf(pid))}
+		ps := service.PeerSnapshot{Slot: pid, Cluster: int(eng.Config().ClusterOf(pid))}
 		for _, it := range eng.Peers()[pid].Items() {
-			pd.Items = append(pd.Items, it.Names(vocab))
+			ps.Items = append(ps.Items, it.Names(vocab))
 		}
 		for _, en := range wl.Peer(pid) {
-			pd.Queries = append(pd.Queries, queryCount{wl.Query(en.Q).Names(vocab), en.Count})
+			ps.Queries = append(ps.Queries, replog.QueryCount{Terms: wl.Query(en.Q).Names(vocab), Count: en.Count})
 		}
-		doc.Peers = append(doc.Peers, pd)
-	}
-	var snap service.Snapshot
-	if err := json.Unmarshal(mustJSON(doc), &snap); err != nil {
-		panic("benchsuite: daemon snapshot: " + err.Error())
+		snap.Peers = append(snap.Peers, ps)
 	}
 	srv, err := service.NewFromSnapshot(service.Config{}, &snap)
 	if err != nil {
@@ -222,14 +198,14 @@ func handlerJoin(f *Fixtures) func(b *testing.B) {
 	vocab := f.serve.sys.Gen.Vocab()
 	pr, queries, counts := newcomer(f.serve.sys, 9)
 	var body struct {
-		Items   [][]string   `json:"items"`
-		Queries []queryCount `json:"queries"`
+		Items   [][]string          `json:"items"`
+		Queries []replog.QueryCount `json:"queries"`
 	}
 	for _, it := range pr.Items() {
 		body.Items = append(body.Items, it.Names(vocab))
 	}
 	for i, q := range queries {
-		body.Queries = append(body.Queries, queryCount{q.Names(vocab), counts[i]})
+		body.Queries = append(body.Queries, replog.QueryCount{Terms: q.Names(vocab), Count: counts[i]})
 	}
 	join := mustJSON(body)
 	p := newPoster(h, "/v1/peers")

@@ -4,9 +4,11 @@
 // relocation grants of each maintenance step, workload compactions,
 // and maintenance-period boundaries. A leader appends one entry per
 // mutation in application order and streams the log to followers over
-// HTTP (see the wire records in wire.go); a follower applies entries
-// through the same mutation path the leader used, so its engine — and
-// therefore its published routing views — tracks the leader's exactly.
+// HTTP (see the wire records in wire.go); a follower applies each entry
+// by calling the same state-machine method the leader called to make
+// it (a grants entry's moves, made inside the leader's maintenance
+// step, become engine moves), so its engine — and therefore its
+// published routing views — tracks the leader's exactly.
 //
 // Entries are identified by a dense index (monotone from 1) and carry
 // the term of the leader that appended them. Terms are bumped on every

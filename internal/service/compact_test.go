@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/replog"
 )
 
 // floodNovel churns `n` throwaway peers through the daemon, each
@@ -20,7 +22,7 @@ func floodNovel(t *testing.T, ts *httptest.Server, cycle, n int) {
 		term := func(k int) string { return fmt.Sprintf("novel-%d-%d-%d", cycle, i, k) }
 		req := joinRequest{
 			Items:   [][]string{{term(0), term(1)}},
-			Queries: []queryCount{{Terms: []string{term(0)}, Count: 2}, {Terms: []string{term(2)}, Count: 1}},
+			Queries: []replog.QueryCount{{Terms: []string{term(0)}, Count: 2}, {Terms: []string{term(2)}, Count: 1}},
 		}
 		resp := doJSON(t, ts, "POST", "/v1/peers", req, http.StatusCreated)
 		doJSON(t, ts, "DELETE", fmt.Sprintf("/v1/peers/%d", int(resp["id"].(float64))), nil, http.StatusOK)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/attr"
 	"repro/internal/cluster"
+	"repro/internal/replog"
 	"repro/internal/stats"
 )
 
@@ -131,7 +132,7 @@ func TestConcurrentServingUnderChurn(t *testing.T) {
 	for i := 0; time.Now().Before(deadline); i++ {
 		code, body := do(h, "POST", "/v1/peers", joinRequest{
 			Items:   [][]string{{fmt.Sprintf("c%d-t%d", i%3, i%5), fmt.Sprintf("novel-%d", i)}},
-			Queries: []queryCount{{Terms: []string{fmt.Sprintf("novel-%d", i)}, Count: 1}},
+			Queries: []replog.QueryCount{{Terms: []string{fmt.Sprintf("novel-%d", i)}, Count: 1}},
 		})
 		if code != http.StatusCreated {
 			t.Fatalf("churn join: %d %s", code, body)
@@ -230,7 +231,7 @@ func TestViewAnswersMatchEngineProperty(t *testing.T) {
 			a, b, c := term(rng.Intn(14)), term(rng.Intn(14)), term(rng.Intn(14))
 			code, body := do(h, "POST", "/v1/peers", joinRequest{
 				Items:   [][]string{{a, b}, {c}},
-				Queries: []queryCount{{Terms: []string{a}, Count: 1 + rng.Intn(3)}, {Terms: []string{b, c}, Count: 1}},
+				Queries: []replog.QueryCount{{Terms: []string{a}, Count: 1 + rng.Intn(3)}, {Terms: []string{b, c}, Count: 1}},
 			})
 			if code != http.StatusCreated {
 				t.Fatalf("step %d: join %d %s", step, code, body)

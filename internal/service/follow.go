@@ -14,13 +14,13 @@ import (
 // This file is the follower side of the replication log: it follows
 // an upstream's GET /v1/replog/watch through retry.Follower, the
 // long-poll loop every replica shares (a router follows the view feed
-// through the same loop), installs snapshot records wholesale
-// (installCatchUp) and replays entry records one mutation at a time
-// through the same engine path the leader used (applyEntryLocked),
-// publishing a fresh read view after each — a follower's data plane
-// serves with the leader's cadence, one view per mutation. A
-// divergence or rejected record drops the position, forcing the next
-// poll to resynchronize with a snapshot.
+// through the same loop), installs snapshot records wholesale after
+// the checks a snapshot file passes (installCatchUp), and replays entry
+// records one at a time through the leader's own transition methods
+// (applyEntryLocked), publishing a fresh read view after each — one
+// view per mutation, the leader's cadence. A divergence or rejected
+// record drops the position, forcing the next poll to resynchronize
+// with a snapshot.
 
 // followLoop runs until shutdown or promotion (Promote cancels ctx
 // before it takes the lead). upstreams is the rotation list from
@@ -56,9 +56,6 @@ func (s *Server) applyReplogRecord(rec replog.Record) error {
 		for _, e := range rec.Entries {
 			unlock := s.lockMutation()
 			err := s.applyEntryLocked(e)
-			if err == nil {
-				s.publishLocked()
-			}
 			unlock()
 			if err != nil {
 				return err

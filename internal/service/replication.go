@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/api"
 	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/peer"
 	"repro/internal/protocol"
 	"repro/internal/replog"
 	"repro/internal/retry"
@@ -178,15 +178,12 @@ func (s *Server) buildCatchUpLocked() *catchUp {
 		Epsilon:     s.cfg.Epsilon,
 		Slots:       s.eng.NumSlots(),
 		Compactions: s.compactions.Load(),
-		Terms:       make([]string, s.vocab.Len()),
+		Terms:       append([]string{}, s.vocab.Names()...),
 		Index:       s.replLog.LastIndex(),
 		Term:        s.currentTerm(),
 		InPeriod:    s.replOpenPeriod.Load(),
 		Free:        append([]int(nil), s.eng.FreeSlots()...),
 		Pop:         s.eng.PopVersion(),
-	}
-	for id := range doc.Terms {
-		doc.Terms[id] = s.vocab.Name(attr.ID(id))
 	}
 	wl := s.eng.Workload()
 	doc.Queries = make([][]int, wl.NumQueries())
@@ -226,14 +223,22 @@ func (s *Server) buildCatchUpLocked() *catchUp {
 // document: fresh vocabulary interned in the pinned ID order, distinct
 // queries interned in the pinned QID order, every peer placed in its
 // recorded slot and cluster, and the vacated-slot stack installed so
-// future replicated joins pop the same slots the leader's will.
+// future replicated joins pop the same slots the leader's will. It
+// passes checkState, as a snapshot does, before anything is built.
 func (s *Server) installCatchUp(data []byte) error {
 	var doc catchUp
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("service: decode catch-up: %w", err)
 	}
-	if doc.Version != catchUpVersion {
-		return fmt.Errorf("service: catch-up version %d, want %d", doc.Version, catchUpVersion)
+	peers, assign, err := checkState("catch-up", doc.Version, catchUpVersion, doc.Slots, doc.Alpha, doc.Epsilon,
+		len(doc.Peers), func(i int) (int, int, bool) {
+			cp := &doc.Peers[i]
+			return cp.Slot, cp.Cluster, !slices.ContainsFunc(cp.Workload, func(qc [2]int) bool {
+				return qc[0] < 0 || qc[0] >= len(doc.Queries) || qc[1] <= 0
+			})
+		})
+	if err != nil {
+		return err
 	}
 	vocab := attr.NewVocab()
 	for id, name := range doc.Terms {
@@ -258,28 +263,13 @@ func (s *Server) installCatchUp(data []byte) error {
 			return err
 		}
 		if set.IsEmpty() {
-			return fmt.Errorf("service: catch-up query %d empty", qid)
+			return fmt.Errorf("service: catch-up has invalid query %d: no terms", qid)
 		}
 		if got := wl.Intern(set); int(got) != qid {
 			return fmt.Errorf("service: catch-up query %d interned as %d", qid, got)
 		}
 	}
-	peers := make([]*peer.Peer, doc.Slots)
-	assign := make([]cluster.CID, doc.Slots)
-	for i := range assign {
-		assign[i] = cluster.None
-	}
 	for _, cp := range doc.Peers {
-		if cp.Slot < 0 || cp.Slot >= doc.Slots {
-			return fmt.Errorf("service: catch-up slot %d out of range [0,%d)", cp.Slot, doc.Slots)
-		}
-		if peers[cp.Slot] != nil {
-			return fmt.Errorf("service: catch-up slot %d duplicated", cp.Slot)
-		}
-		if cp.Cluster < 0 || cp.Cluster >= doc.Slots {
-			return fmt.Errorf("service: catch-up peer %d in invalid cluster %d", cp.Slot, cp.Cluster)
-		}
-		pr := peer.New(cp.Slot)
 		items := make([]attr.Set, 0, len(cp.Items))
 		for _, it := range cp.Items {
 			set, err := toSet(it)
@@ -288,15 +278,10 @@ func (s *Server) installCatchUp(data []byte) error {
 			}
 			items = append(items, set)
 		}
-		pr.SetItems(items)
-		peers[cp.Slot] = pr
+		peers[cp.Slot].SetItems(items)
 		for _, qc := range cp.Workload {
-			if qc[0] < 0 || qc[0] >= wl.NumQueries() || qc[1] <= 0 {
-				return fmt.Errorf("service: catch-up peer %d has invalid workload entry %v", cp.Slot, qc)
-			}
 			wl.AddQID(cp.Slot, workload.QID(qc[0]), qc[1])
 		}
-		assign[cp.Slot] = cluster.CID(cp.Cluster)
 	}
 	eng := core.New(peers, wl, cluster.FromAssignment(assign), s.cfg.Theta, doc.Alpha)
 	if err := eng.SetFreeSlots(doc.Free); err != nil {
@@ -306,93 +291,72 @@ func (s *Server) installCatchUp(data []byte) error {
 
 	defer s.lockMutation()()
 	s.cfg.Alpha, s.cfg.Epsilon = doc.Alpha, doc.Epsilon
-	s.vocab, s.eng = vocab, eng
-	s.runner = s.newRunner()
-	s.compactions.Store(doc.Compactions)
 	s.replLog.Reset(doc.Index, doc.Term)
 	s.replOpenPeriod.Store(doc.InPeriod)
-	s.publishLocked()
+	s.adoptLocked(vocab, eng, doc.Compactions)
 	s.catchupsInstalled.Add(1)
 	s.replSynced.Store(true)
 	return nil
 }
 
-// applyEntryLocked replays one replicated mutation through the same
-// engine path the leader used, verifying the outcomes the entry
-// records. An error means divergence: the caller must discard its
-// position and resynchronize with a catch-up snapshot. Callers hold
-// s.mu and publish after a nil return.
+// applyEntryLocked replays one replicated mutation through the
+// transition method the leader called for it (see the comment above
+// compactLocked), or a grants entry as the engine Moves the leader's
+// protocol.Period made.
+// It publishes the new state; an error means divergence, and the caller
+// must discard its position and resynchronize with a catch-up snapshot.
+// Callers hold s.mu.
 func (s *Server) applyEntryLocked(e replog.Entry) error {
 	switch e.Kind {
 	case replog.KindJoin:
-		op, err := replog.DecodeOp[replog.JoinOp](e.Data)
+		want, err := replog.DecodeOp[replog.JoinOp](e.Data)
 		if err != nil {
 			return err
 		}
-		items := internItems(s.vocab, op.Items)
-		queries := make([]attr.Set, 0, len(op.Queries))
-		counts := make([]int, 0, len(op.Queries))
-		for _, q := range op.Queries {
-			if len(q.Terms) == 0 || q.Count <= 0 {
-				return fmt.Errorf("service: replicated join has invalid query")
-			}
-			queries = append(queries, attr.NewSet(s.vocab.InternAll(q.Terms)...))
-			counts = append(counts, q.Count)
+		if !validQueries(want.Queries) {
+			return fmt.Errorf("service: replicated join has invalid query")
 		}
-		pr := peer.New(-1)
-		pr.SetItems(items)
-		pid := s.eng.AddPeer(pr, queries, counts, cluster.None)
-		if pid != op.Slot {
-			return fmt.Errorf("service: replicated join placed in slot %d, leader chose %d (diverged)", pid, op.Slot)
+		if got := s.joinLocked(want); got.Slot != want.Slot || got.Cluster != want.Cluster {
+			return fmt.Errorf("service: replicated join placed in slot %d cluster %d, leader chose slot %d cluster %d (diverged)",
+				got.Slot, got.Cluster, want.Slot, want.Cluster)
 		}
-		if got := int(s.eng.Config().ClusterOf(pid)); got != op.Cluster {
-			return fmt.Errorf("service: replicated join placed in cluster %d, leader chose %d (diverged)", got, op.Cluster)
-		}
-		s.joins.Add(1)
 	case replog.KindLeave:
 		op, err := replog.DecodeOp[replog.LeaveOp](e.Data)
 		if err != nil {
 			return err
 		}
-		if op.Slot < 0 || op.Slot >= s.eng.NumSlots() || !s.eng.IsLive(op.Slot) {
+		if !s.isLive(op.Slot) {
 			return fmt.Errorf("service: replicated leave of non-live slot %d (diverged)", op.Slot)
 		}
-		s.eng.RemovePeer(op.Slot)
-		s.leaves.Add(1)
+		s.leaveLocked(op.Slot)
 	case replog.KindGrants:
 		op, err := replog.DecodeOp[replog.GrantsOp](e.Data)
 		if err != nil {
 			return err
 		}
 		for _, m := range op.Moves {
-			if m.Slot < 0 || m.Slot >= s.eng.NumSlots() || !s.eng.IsLive(m.Slot) {
-				return fmt.Errorf("service: replicated grant for non-live slot %d (diverged)", m.Slot)
+			if !s.isLive(m.Slot) || m.To < 0 || m.To >= s.eng.NumSlots() {
+				return fmt.Errorf("service: replicated grant of slot %d to cluster %d (diverged)", m.Slot, m.To)
 			}
 			s.eng.Move(m.Slot, cluster.CID(m.To))
 		}
-		s.moves.Add(int64(len(op.Moves)))
 	case replog.KindCompact:
-		op, err := replog.DecodeOp[replog.CompactOp](e.Data)
+		want, err := replog.DecodeOp[replog.CompactOp](e.Data)
 		if err != nil {
 			return err
 		}
-		removed := s.eng.Compact(0)
-		if removed != op.Removed || s.eng.Workload().NumQueries() != op.Queries {
+		if got := s.compactLocked(); got != want {
 			return fmt.Errorf("service: replicated compaction removed %d -> %d queries, leader had %d -> %d (diverged)",
-				removed, s.eng.Workload().NumQueries(), op.Removed, op.Queries)
+				got.Removed, got.Queries, want.Removed, want.Queries)
 		}
-		s.compactions.Add(1)
-		s.compacted.Add(int64(removed))
 	case replog.KindPeriodStart:
-		s.replOpenPeriod.Store(true)
+		s.startPeriodLocked()
 	case replog.KindPeriodEnd:
 		op, err := replog.DecodeOp[replog.PeriodEndOp](e.Data)
 		if err != nil {
 			return err
 		}
-		s.replOpenPeriod.Store(false)
-		s.reforms.Add(1)
-		s.rounds.Add(int64(op.Rounds))
+		s.endPeriodLocked(op)
 	default:
 		return fmt.Errorf("service: replicated entry of unknown kind %d", e.Kind)
 	}
@@ -400,6 +364,7 @@ func (s *Server) applyEntryLocked(e replog.Entry) error {
 		return err
 	}
 	s.entriesApplied.Add(1)
+	s.publishLocked()
 	return nil
 }
 
@@ -414,30 +379,17 @@ func (s *Server) applyEntryLocked(e replog.Entry) error {
 func (s *Server) handleReplogWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(retry.EpochHeader, strconv.FormatUint(s.epoch, 10))
 	q := r.URL.Query()
-	var from uint64
-	positioned := false
-	if raw := q.Get("from"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, api.CodeBadParam, "bad from %q", raw)
-			return
-		}
-		from, positioned = n, true
+	from, ok := queryU64(w, q, "from")
+	if !ok {
+		return
 	}
-	if raw := q.Get("epoch"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, api.CodeBadParam, "bad epoch %q", raw)
-			return
-		}
-		if n != s.epoch {
-			positioned = false
-		}
-	} else {
-		// No epoch: the client cannot prove its position is against
-		// this instance's history.
-		positioned = false
+	epoch, ok := queryU64(w, q, "epoch")
+	if !ok {
+		return
 	}
+	// Without this instance's epoch the client cannot prove its
+	// position is against this instance's history.
+	positioned := q.Get("from") != "" && epoch == s.epoch
 	s.longPoll(w, r, s.replLog.Watch, func() []byte {
 		if positioned {
 			if batch, ok := s.replLog.Since(from, replogMaxBatch); ok {
@@ -517,8 +469,7 @@ func (s *Server) Promote(mode string) (term uint64, err error) {
 	s.replSynced.Store(true)
 	if s.replOpenPeriod.Load() {
 		// Close the dead leader's period at the last replicated step.
-		s.logLocked(replog.KindPeriodEnd, replog.PeriodEndOp{Aborted: true})
-		s.replOpenPeriod.Store(false)
+		s.endPeriodLocked(replog.PeriodEndOp{Aborted: true})
 	}
 	unlock()
 	s.cfg.Logf("promote: leading at term %d (mode %s)", term, mode)

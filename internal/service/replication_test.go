@@ -46,12 +46,27 @@ func marshalSnapshot(t *testing.T, s *Server) []byte {
 	return b
 }
 
+// liveCounters reads the counters every node advances alike for the
+// same log entries: joins, leaves, reforms, rounds, moves, compactions
+// and compacted queries.
+func liveCounters(s *Server) [7]int64 {
+	return [7]int64{s.joins.Load(), s.leaves.Load(), s.reforms.Load(), s.rounds.Load(),
+		s.moves.Load(), s.compactions.Load(), s.compacted.Load()}
+}
+
+// applyEntry replays e on f the way the follow loop does.
+func applyEntry(f *Server, e replog.Entry) error {
+	defer f.lockMutation()()
+	return f.applyEntryLocked(e)
+}
+
 // TestFollowerReplicatesByteIdentical is the replication tier's core
 // contract: a follower that joined mid-history (snapshot catch-up over
 // a state with vacated slots) and then rode the entry feed holds
 // byte-identical overlay state — snapshot, free-slot stack, published
 // view, and query answers — after joins, leaves, a maintenance period
-// and a compaction on the leader.
+// and a compaction on the leader, and its counters moved over that
+// live history exactly as the leader's did.
 func TestFollowerReplicatesByteIdentical(t *testing.T) {
 	s1 := New(Config{StepBudget: 1})
 	ts1 := httptest.NewServer(s1.Handler())
@@ -70,6 +85,7 @@ func TestFollowerReplicatesByteIdentical(t *testing.T) {
 	s2.Start()
 	defer s2.Shutdown()
 	waitUntil(t, "follower catch-up", 10*time.Second, func() bool { return caughtUp(s1, s2) })
+	base1, base2 := liveCounters(s1), liveCounters(s2)
 
 	// Live history: joins that must reuse the leader's vacancy order,
 	// more churn, a maintenance period, a compaction.
@@ -86,6 +102,14 @@ func TestFollowerReplicatesByteIdentical(t *testing.T) {
 	}
 	if a, b := s1.eng.FreeSlots(), s2.eng.FreeSlots(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("free-slot stacks diverge: leader %v, follower %v", a, b)
+	}
+	d1, d2 := liveCounters(s1), liveCounters(s2)
+	for i := range d1 {
+		d1[i] -= base1[i]
+		d2[i] -= base2[i]
+	}
+	if d1 != d2 {
+		t.Fatalf("counter deltas over the live history diverge: leader %v, follower %v", d1, d2)
 	}
 
 	ts2 := httptest.NewServer(s2.Handler())
@@ -107,6 +131,71 @@ func TestFollowerReplicatesByteIdentical(t *testing.T) {
 				t.Fatalf("query %s diverges: %s vs %s", body, a, b)
 			}
 		}
+	}
+}
+
+// TestAbortedPeriodCountsNothing pins the counting rule every node
+// shares: reforms, rounds and moves advance only at a period_end that
+// is not aborted. A follower replays period_start and an aborted
+// period_end, then is promoted with another period open; neither the
+// replay nor the close Promote logs may count.
+func TestAbortedPeriodCountsNothing(t *testing.T) {
+	f := New(Config{Join: []string{"http://invalid.invalid"}})
+	defer f.Shutdown()
+	leader := replog.NewLog()
+	for _, e := range []replog.Entry{
+		leader.Next(1, replog.KindPeriodStart, nil),
+		leader.Next(1, replog.KindPeriodEnd, replog.EncodeOp(replog.PeriodEndOp{Aborted: true})),
+		leader.Next(1, replog.KindPeriodStart, nil),
+	} {
+		if err := applyEntry(f, e); err != nil {
+			t.Fatalf("replay entry %d: %v", e.Index, err)
+		}
+	}
+	if _, err := f.Promote("abort"); err != nil {
+		t.Fatal(err)
+	}
+	if f.replOpenPeriod.Load() {
+		t.Fatal("Promote left the replicated period open")
+	}
+	if got := liveCounters(f); got != [7]int64{} {
+		t.Fatalf("counters %v after two aborted periods, want all zero", got)
+	}
+}
+
+// TestReplayRejectsMalformedEntries replays entries a follower cannot
+// apply over a one-peer state. Each must come back as a divergence
+// error, never a panic: entries arrive from the network.
+func TestReplayRejectsMalformedEntries(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind replog.Kind
+		op   any
+	}{
+		{"join with an empty query", replog.KindJoin, replog.JoinOp{Queries: []replog.QueryCount{{Count: 1}}}},
+		{"join with a zero count", replog.KindJoin, replog.JoinOp{Queries: []replog.QueryCount{{Terms: []string{"a"}}}}},
+		{"leave of a slot out of range", replog.KindLeave, replog.LeaveOp{Slot: 1}},
+		{"grant of a slot out of range", replog.KindGrants, replog.GrantsOp{Moves: []replog.Grant{{Slot: -1}}}},
+		{"grant to a cluster past the slots", replog.KindGrants, replog.GrantsOp{Moves: []replog.Grant{{Slot: 0, To: 1}}}},
+		{"grant to a negative cluster", replog.KindGrants, replog.GrantsOp{Moves: []replog.Grant{{Slot: 0, To: -2}}}},
+		{"unknown kind", replog.Kind(99), nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := New(Config{Join: []string{"http://invalid.invalid"}})
+			leader := replog.NewLog()
+			var data []byte
+			if c.op != nil {
+				data = replog.EncodeOp(c.op)
+			}
+			for i, e := range []replog.Entry{
+				leader.Next(1, replog.KindJoin, replog.EncodeOp(replog.JoinOp{Items: [][]string{{"a"}}})),
+				leader.Next(1, c.kind, data),
+			} {
+				if err := applyEntry(f, e); (err == nil) != (i == 0) {
+					t.Fatalf("entry %d (%s): error %v", e.Index, e.Kind, err)
+				}
+			}
+		})
 	}
 }
 
@@ -325,13 +414,7 @@ func TestFailoverConvergenceProperty(t *testing.T) {
 	newFollower := func(prefix int) *Server {
 		f := New(Config{Join: []string{"http://invalid.invalid"}, StepBudget: 1})
 		for _, e := range entries[:prefix] {
-			unlock := f.lockMutation()
-			err := f.applyEntryLocked(e)
-			if err == nil {
-				f.publishLocked()
-			}
-			unlock()
-			if err != nil {
+			if err := applyEntry(f, e); err != nil {
 				t.Fatalf("replay entry %d: %v", e.Index, err)
 			}
 		}

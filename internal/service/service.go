@@ -68,6 +68,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -250,8 +251,8 @@ type Server struct {
 	// until then its data plane answers 503 not_ready.
 	replSynced atomic.Bool
 	// replOpenPeriod tracks whether the log shows a maintenance period
-	// open (leader: set around Reform; follower: tracked from period
-	// boundary entries) — what a promotion must close.
+	// open (startPeriodLocked to endPeriodLocked): what a promotion must
+	// close.
 	replOpenPeriod atomic.Bool
 	// leaderURL is where a follower redirects control-plane mutations
 	// (the upstream it last synced from; holds a string).
@@ -281,7 +282,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		vocab:   attr.NewVocab(),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 	}
@@ -322,9 +322,7 @@ func New(cfg Config) *Server {
 		s.isLeader.Store(true)
 		s.leaderTerm.Store(1)
 	}
-	s.eng = core.New(nil, workload.New(0), cluster.FromAssignment(nil), cfg.Theta, cfg.Alpha)
-	s.runner = s.newRunner()
-	s.publishLocked()
+	s.adoptLocked(attr.NewVocab(), core.New(nil, workload.New(0), cluster.FromAssignment(nil), cfg.Theta, cfg.Alpha), 0)
 	return s
 }
 
@@ -458,8 +456,7 @@ func (s *Server) Reform() protocol.Report {
 
 	unlock := s.lockMutation()
 	per := s.runner.Begin()
-	s.logLocked(replog.KindPeriodStart, nil)
-	s.replOpenPeriod.Store(true)
+	s.startPeriodLocked()
 	drained := 0
 	pr := per.Progress()
 	s.maintProgress.Store(&pr)
@@ -478,13 +475,12 @@ func (s *Server) Reform() protocol.Report {
 		if done {
 			s.scanned.Add(int64(pr.Scanned))
 			s.maybeCompactLocked()
-			finRpt := per.Report()
-			s.logLocked(replog.KindPeriodEnd, replog.PeriodEndOp{
-				Converged: finRpt.Converged,
-				Rounds:    finRpt.RoundsRun,
-				Moves:     countMoves(finRpt),
+			rpt := per.Report()
+			s.endPeriodLocked(replog.PeriodEndOp{
+				Converged: rpt.Converged,
+				Rounds:    rpt.RoundsRun,
+				Moves:     countMoves(rpt),
 			})
-			s.replOpenPeriod.Store(false)
 			s.publishLocked()
 			unlock()
 			break
@@ -504,9 +500,6 @@ func (s *Server) Reform() protocol.Report {
 	// Detach the report from the runner-recycled Rounds storage: the
 	// caller may still be reading it when the next period begins.
 	rpt.Rounds = append([]protocol.RoundReport(nil), rpt.Rounds...)
-	s.reforms.Add(1)
-	s.rounds.Add(int64(rpt.RoundsRun))
-	s.moves.Add(int64(countMoves(rpt)))
 	return rpt
 }
 
@@ -516,9 +509,9 @@ func (s *Server) Reform() protocol.Report {
 // POST /v1/compact reports.
 func (s *Server) Compact() (removed, queries, generation int) {
 	defer s.lockMutation()()
-	removed = s.compactLocked()
+	op := s.compactLocked()
 	s.publishLocked()
-	return removed, s.eng.Workload().NumQueries(), int(s.compactions.Load())
+	return op.Removed, op.Queries, int(s.compactions.Load())
 }
 
 // maybeCompactLocked compacts when the dead-QID ratio crosses the
@@ -533,23 +526,72 @@ func (s *Server) maybeCompactLocked() int {
 	if dead == 0 || float64(dead) <= s.cfg.CompactDeadRatio*float64(total) {
 		return 0
 	}
-	return s.compactLocked()
+	return s.compactLocked().Removed
 }
 
-func (s *Server) compactLocked() int {
+// The replicated transitions. Each runs under s.mu and mutates, counts
+// and logs in one place: the leader's handlers, Reform and Promote
+// call it with what they decided, and a follower's applyEntryLocked
+// calls it with what the entry carries, then compares the outcome the
+// entry records. logLocked does nothing on a follower.
+
+// compactLocked retires every dead query and returns how many it
+// removed and how many distinct queries are left.
+func (s *Server) compactLocked() replog.CompactOp {
 	before := s.eng.Workload().NumQueries()
-	removed := s.eng.Compact(0)
-	if removed > 0 {
+	op := replog.CompactOp{Removed: s.eng.Compact(0), Queries: s.eng.Workload().NumQueries()}
+	if op.Removed > 0 {
 		s.compactions.Add(1)
-		s.compacted.Add(int64(removed))
-		s.logLocked(replog.KindCompact, replog.CompactOp{
-			Removed: removed,
-			Queries: s.eng.Workload().NumQueries(),
-		})
+		s.compacted.Add(int64(op.Removed))
+		s.logLocked(replog.KindCompact, op)
 		s.cfg.Logf("compact: %d -> %d distinct queries (generation %d)",
-			before, s.eng.Workload().NumQueries(), s.compactions.Load())
+			before, op.Queries, s.compactions.Load())
 	}
-	return removed
+	return op
+}
+
+// joinLocked admits the peer op describes and returns op with the slot
+// and cluster the engine placed it in.
+func (s *Server) joinLocked(op replog.JoinOp) replog.JoinOp {
+	pr := peer.New(-1)
+	pr.SetItems(internItems(s.vocab, op.Items))
+	queries := make([]attr.Set, len(op.Queries))
+	counts := make([]int, len(op.Queries))
+	for i, q := range op.Queries {
+		queries[i] = attr.NewSet(s.vocab.InternAll(q.Terms)...)
+		counts[i] = q.Count
+	}
+	op.Slot = s.eng.AddPeer(pr, queries, counts, cluster.None)
+	op.Cluster = int(s.eng.Config().ClusterOf(op.Slot))
+	s.joins.Add(1)
+	s.logLocked(replog.KindJoin, op)
+	return op
+}
+
+// leaveLocked retires the live peer in slot.
+func (s *Server) leaveLocked(slot int) {
+	s.eng.RemovePeer(slot)
+	s.leaves.Add(1)
+	s.logLocked(replog.KindLeave, replog.LeaveOp{Slot: slot})
+}
+
+// startPeriodLocked opens a maintenance period.
+func (s *Server) startPeriodLocked() {
+	s.logLocked(replog.KindPeriodStart, nil)
+	s.replOpenPeriod.Store(true)
+}
+
+// endPeriodLocked closes the open maintenance period. Only a period
+// that ran to its end counts: reforms, rounds and moves advance by
+// op's figures unless op is Aborted.
+func (s *Server) endPeriodLocked(op replog.PeriodEndOp) {
+	s.logLocked(replog.KindPeriodEnd, op)
+	s.replOpenPeriod.Store(false)
+	if !op.Aborted {
+		s.reforms.Add(1)
+		s.rounds.Add(int64(op.Rounds))
+		s.moves.Add(int64(op.Moves))
+	}
 }
 
 func countMoves(rpt protocol.Report) int {
@@ -585,12 +627,7 @@ type joinRequest struct {
 	// distinct terms of a document) per item.
 	Items [][]string `json:"items"`
 	// Queries is the peer's local workload.
-	Queries []queryCount `json:"queries"`
-}
-
-type queryCount struct {
-	Terms []string `json:"terms"`
-	Count int      `json:"count"`
+	Queries []replog.QueryCount `json:"queries"`
 }
 
 type joinResponse struct {
@@ -616,34 +653,16 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	if req.Queries == nil {
+		req.Queries = []replog.QueryCount{} // logged as [], never null
+	}
+
 	defer s.lockMutation()()
-	items := internItems(s.vocab, req.Items)
-	queries := make([]attr.Set, 0, len(req.Queries))
-	counts := make([]int, 0, len(req.Queries))
-	for _, q := range req.Queries {
-		queries = append(queries, attr.NewSet(s.vocab.InternAll(q.Terms)...))
-		counts = append(counts, q.Count)
-	}
-	pr := peer.New(-1)
-	pr.SetItems(items)
-	pid := s.eng.AddPeer(pr, queries, counts, cluster.None)
-	s.joins.Add(1)
-	if s.isLeader.Load() {
-		op := replog.JoinOp{
-			Items:   req.Items,
-			Queries: make([]replog.QueryCount, len(req.Queries)),
-			Slot:    pid,
-			Cluster: int(s.eng.Config().ClusterOf(pid)),
-		}
-		for i, q := range req.Queries {
-			op.Queries[i] = replog.QueryCount{Terms: q.Terms, Count: q.Count}
-		}
-		s.logLocked(replog.KindJoin, op)
-	}
+	op := s.joinLocked(replog.JoinOp{Items: req.Items, Queries: req.Queries})
 	s.publishLocked()
 	api.WriteJSON(w, http.StatusCreated, joinResponse{
-		ID:      pid,
-		Cluster: int(s.eng.Config().ClusterOf(pid)),
+		ID:      op.Slot,
+		Cluster: op.Cluster,
 		Peers:   s.eng.NumPeers(),
 		SCost:   s.eng.SCostNormalized(),
 	})
@@ -655,11 +674,17 @@ func (s *Server) peerID(w http.ResponseWriter, r *http.Request) (int, bool) {
 		api.Error(w, http.StatusBadRequest, api.CodeBadPeerID, "bad peer id %q", r.PathValue("id"))
 		return 0, false
 	}
-	if id < 0 || id >= s.eng.NumSlots() || !s.eng.IsLive(id) {
+	if !s.isLive(id) {
 		api.Error(w, http.StatusNotFound, api.CodePeerNotFound, "no live peer %d", id)
 		return 0, false
 	}
 	return id, true
+}
+
+// isLive reports whether id names a slot a live peer holds. Callers
+// hold s.mu.
+func (s *Server) isLive(id int) bool {
+	return id >= 0 && id < s.eng.NumSlots() && s.eng.IsLive(id)
 }
 
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
@@ -683,9 +708,7 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.eng.RemovePeer(id)
-	s.leaves.Add(1)
-	s.logLocked(replog.KindLeave, replog.LeaveOp{Slot: id})
+	s.leaveLocked(id)
 	s.publishLocked()
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"removed": id,
@@ -754,27 +777,15 @@ const (
 func (s *Server) handleViewWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(retry.EpochHeader, strconv.FormatUint(s.epoch, 10))
 	q := r.URL.Query()
-	parseU64 := func(name string) (uint64, bool) {
-		raw := q.Get(name)
-		if raw == "" {
-			return 0, true
-		}
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, api.CodeBadParam, "bad %s %q", name, raw)
-			return 0, false
-		}
-		return n, true
-	}
-	seq, ok := parseU64("seq")
+	seq, ok := queryU64(w, q, "seq")
 	if !ok {
 		return
 	}
-	pop, ok := parseU64("pop")
+	pop, ok := queryU64(w, q, "pop")
 	if !ok {
 		return
 	}
-	epoch, ok := parseU64("epoch")
+	epoch, ok := queryU64(w, q, "epoch")
 	if !ok {
 		return
 	}
@@ -785,6 +796,21 @@ func (s *Server) handleViewWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.longPoll(w, r, func() <-chan struct{} { return s.notify.Load().ch },
 		func() []byte { return s.recordSince(seq, pop) })
+}
+
+// queryU64 parses the unsigned query parameter name of a watch feed, 0
+// when absent. A malformed value is answered 400 and ok is false.
+func queryU64(w http.ResponseWriter, q url.Values, name string) (n uint64, ok bool) {
+	raw := q.Get(name)
+	if raw == "" {
+		return 0, true
+	}
+	n, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
+		api.Error(w, http.StatusBadRequest, api.CodeBadParam, "bad %s %q", name, raw)
+		return 0, false
+	}
+	return n, true
 }
 
 // longPoll parks a watch request until next has a record for it, then

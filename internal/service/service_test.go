@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/replog"
 )
 
 // doJSON issues one request with a JSON-encoded body (nil for none),
@@ -75,7 +76,7 @@ func joinBody(cat int, doc int) joinRequest {
 	term := func(i int) string { return fmt.Sprintf("c%d-t%d", cat, (doc+i)%5) }
 	return joinRequest{
 		Items:   [][]string{{term(0), term(1)}, {term(1), term(2)}},
-		Queries: []queryCount{{Terms: []string{term(0)}, Count: 3}, {Terms: []string{term(2)}, Count: 2}},
+		Queries: []replog.QueryCount{{Terms: []string{term(0)}, Count: 3}, {Terms: []string{term(2)}, Count: 2}},
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/peer"
 	"repro/internal/protocol"
+	"repro/internal/replog"
 	"repro/internal/workload"
 )
 
@@ -40,10 +41,10 @@ type Snapshot struct {
 
 // PeerSnapshot is one live peer's state.
 type PeerSnapshot struct {
-	Slot    int          `json:"slot"`
-	Cluster int          `json:"cluster"`
-	Items   [][]string   `json:"items"`
-	Queries []queryCount `json:"queries"`
+	Slot    int                 `json:"slot"`
+	Cluster int                 `json:"cluster"`
+	Items   [][]string          `json:"items"`
+	Queries []replog.QueryCount `json:"queries"`
 }
 
 // Snapshot captures the daemon's current state.
@@ -66,13 +67,13 @@ func (s *Server) Snapshot() *Snapshot {
 			Slot:    pid,
 			Cluster: int(s.eng.Config().ClusterOf(pid)),
 			Items:   [][]string{},
-			Queries: []queryCount{},
+			Queries: []replog.QueryCount{},
 		}
 		for _, it := range s.eng.Peers()[pid].Items() {
 			ps.Items = append(ps.Items, it.Names(s.vocab))
 		}
 		for _, en := range wl.Peer(pid) {
-			ps.Queries = append(ps.Queries, queryCount{
+			ps.Queries = append(ps.Queries, replog.QueryCount{
 				Terms: wl.Query(en.Q).Names(s.vocab),
 				Count: en.Count,
 			})
@@ -88,17 +89,19 @@ func (s *Server) Snapshot() *Snapshot {
 // checked whole before anything is built from it; a document that
 // fails a check is an error, never a panic.
 func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
-	peers, assign, err := checkSnapshot(snap)
+	peers, assign, err := checkState("snapshot", snap.Version, snapshotVersion, snap.Slots, snap.Alpha, snap.Epsilon,
+		len(snap.Peers), func(i int) (int, int, bool) {
+			ps := &snap.Peers[i]
+			return ps.Slot, ps.Cluster, validQueries(ps.Queries)
+		})
 	if err != nil {
 		return nil, err
 	}
 	cfg.Alpha = snap.Alpha
 	cfg.Epsilon = snap.Epsilon
 	s := New(cfg)
-	s.vocab = attr.NewVocabSized(snapshotVocabHint(snap.Peers))
-	s.compactions.Store(int64(snap.Compactions))
-
-	queries := restoreContent(s.vocab, snap.Peers, peers)
+	vocab := attr.NewVocabSized(snapshotVocabHint(snap.Peers))
+	queries := restoreContent(vocab, snap.Peers, peers)
 	wl := workload.New(snap.Slots)
 	k := 0
 	for _, ps := range snap.Peers {
@@ -107,53 +110,75 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Server, error) {
 			k++
 		}
 	}
-	s.eng = core.New(peers, wl, cluster.FromAssignment(assign), s.cfg.Theta, s.cfg.Alpha)
-	s.runner = s.newRunner()
-	s.publishLocked()
+	eng := core.New(peers, wl, cluster.FromAssignment(assign), s.cfg.Theta, s.cfg.Alpha)
+	s.adoptLocked(vocab, eng, int64(snap.Compactions))
 	return s, nil
 }
 
-// maxSnapshotSlots bounds the slot count a snapshot may declare: every
-// slot costs the engine a few hundred bytes whether a peer holds it or
-// not, so a larger count is a corrupt document, not a population.
+// adoptLocked makes vocab and eng the serving state and publishes it.
+// Callers hold s.mu, or have exclusive access while constructing, and
+// have set s.cfg's alpha and epsilon to the state's.
+func (s *Server) adoptLocked(vocab *attr.Vocab, eng *core.Engine, compactions int64) {
+	s.vocab, s.eng = vocab, eng
+	s.runner = s.newRunner()
+	s.compactions.Store(compactions)
+	s.publishLocked()
+}
+
+// maxSnapshotSlots bounds the slot count a state document may declare:
+// every slot costs the engine a few hundred bytes whether a peer holds
+// it or not, so a larger count is a corrupt document, not a population.
 const maxSnapshotSlots = 1 << 22
 
-// checkSnapshot validates the whole of snap and returns its peers, with
-// no content yet, and their clusters by slot (cluster.None for a vacant
-// slot). It reports the first fault in document order.
-func checkSnapshot(snap *Snapshot) ([]*peer.Peer, []cluster.CID, error) {
-	switch {
-	case snap.Version != snapshotVersion:
-		return nil, nil, fmt.Errorf("service: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	case snap.Slots < 0 || snap.Slots > maxSnapshotSlots:
-		return nil, nil, fmt.Errorf("service: snapshot slots %d out of range [0,%d]", snap.Slots, maxSnapshotSlots)
-	case !(snap.Alpha >= 0):
-		return nil, nil, fmt.Errorf("service: snapshot alpha %g, want a non-negative number", snap.Alpha)
-	case !(snap.Epsilon >= 0):
-		return nil, nil, fmt.Errorf("service: snapshot epsilon %g, want a non-negative number", snap.Epsilon)
+// validQueries reports whether every query has terms and a positive
+// count.
+func validQueries(qs []replog.QueryCount) bool {
+	for _, q := range qs {
+		if len(q.Terms) == 0 || q.Count <= 0 {
+			return false
+		}
 	}
-	peers := make([]*peer.Peer, snap.Slots)
-	assign := make([]cluster.CID, snap.Slots)
+	return true
+}
+
+// checkState validates what both state documents, a snapshot and a
+// catch-up document, hold: version, slots, alpha, epsilon, then the
+// slot, cluster and workload of each of the n peers peerAt reports. It
+// returns the peers, with no content yet, and their clusters by slot
+// (cluster.None for a vacant slot), or the first fault in document
+// order, naming the document doc.
+func checkState(doc string, version, want, slots int, alpha, epsilon float64, n int, peerAt func(i int) (slot, cid int, validQueries bool)) ([]*peer.Peer, []cluster.CID, error) {
+	switch {
+	case version != want:
+		return nil, nil, fmt.Errorf("service: %s version %d, want %d", doc, version, want)
+	case slots < 0 || slots > maxSnapshotSlots:
+		return nil, nil, fmt.Errorf("service: %s slots %d out of range [0,%d]", doc, slots, maxSnapshotSlots)
+	case !(alpha >= 0):
+		return nil, nil, fmt.Errorf("service: %s alpha %g, want a non-negative number", doc, alpha)
+	case !(epsilon >= 0):
+		return nil, nil, fmt.Errorf("service: %s epsilon %g, want a non-negative number", doc, epsilon)
+	}
+	peers := make([]*peer.Peer, slots)
+	assign := make([]cluster.CID, slots)
 	for i := range assign {
 		assign[i] = cluster.None
 	}
-	for _, ps := range snap.Peers {
-		if ps.Slot < 0 || ps.Slot >= snap.Slots {
-			return nil, nil, fmt.Errorf("service: snapshot slot %d out of range [0,%d)", ps.Slot, snap.Slots)
+	for i := range n {
+		slot, cid, ok := peerAt(i)
+		if slot < 0 || slot >= slots {
+			return nil, nil, fmt.Errorf("service: %s slot %d out of range [0,%d)", doc, slot, slots)
 		}
-		if peers[ps.Slot] != nil {
-			return nil, nil, fmt.Errorf("service: snapshot slot %d duplicated", ps.Slot)
+		if peers[slot] != nil {
+			return nil, nil, fmt.Errorf("service: %s slot %d duplicated", doc, slot)
 		}
-		if ps.Cluster < 0 || ps.Cluster >= snap.Slots {
-			return nil, nil, fmt.Errorf("service: snapshot peer %d in invalid cluster %d", ps.Slot, ps.Cluster)
+		if cid < 0 || cid >= slots {
+			return nil, nil, fmt.Errorf("service: %s peer %d in invalid cluster %d", doc, slot, cid)
 		}
-		for _, q := range ps.Queries {
-			if len(q.Terms) == 0 || q.Count <= 0 {
-				return nil, nil, fmt.Errorf("service: snapshot peer %d has invalid query", ps.Slot)
-			}
+		if !ok {
+			return nil, nil, fmt.Errorf("service: %s peer %d has invalid query", doc, slot)
 		}
-		peers[ps.Slot] = peer.New(ps.Slot)
-		assign[ps.Slot] = cluster.CID(ps.Cluster)
+		peers[slot] = peer.New(slot)
+		assign[slot] = cluster.CID(cid)
 	}
 	return peers, assign, nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"runtime"
 	"slices"
@@ -12,23 +13,27 @@ import (
 	"repro/internal/core"
 )
 
-// TestRestoreRejectsMalformedSnapshots feeds NewFromSnapshot documents
-// that decode but describe no overlay. Each must come back as an error
-// naming the fault; none may panic.
+// TestRestoreRejectsMalformedSnapshots feeds both state documents
+// that decode but describe no overlay: each row's snapshot to
+// NewFromSnapshot, and its catch-up document (the same text unless the
+// row gives one) to a follower's installCatchUp. Each must come back as
+// an error naming the fault; none may panic.
 func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	for _, c := range []struct {
-		name, doc, want string
+		name, doc, catchUp, want string
 	}{
-		{"negative slots", `{"version":1,"slots":-1}`, "slots -1 out of range"},
-		{"slots past the bound", `{"version":1,"slots":99999999999}`, "slots 99999999999 out of range"},
-		{"negative epsilon", `{"version":1,"epsilon":-0.5}`, "epsilon -0.5"},
-		{"negative alpha", `{"version":1,"alpha":-1}`, "alpha -1"},
-		{"wrong version", `{"version":2}`, "version 2"},
-		{"slot out of range", `{"version":1,"slots":1,"peers":[{"slot":1}]}`, "slot 1 out of range"},
-		{"slot duplicated", `{"version":1,"slots":2,"peers":[{"slot":1},{"slot":1}]}`, "slot 1 duplicated"},
-		{"cluster out of range", `{"version":1,"slots":2,"peers":[{"slot":0,"cluster":2}]}`, "invalid cluster 2"},
-		{"query without terms", `{"version":1,"slots":1,"peers":[{"slot":0,"queries":[{"terms":[],"count":1}]}]}`, "invalid query"},
-		{"query count zero", `{"version":1,"slots":1,"peers":[{"slot":0,"queries":[{"terms":["a"],"count":0}]}]}`, "invalid query"},
+		{"negative slots", `{"version":1,"slots":-1}`, "", "slots -1 out of range"},
+		{"slots past the bound", `{"version":1,"slots":99999999999}`, "", "slots 99999999999 out of range"},
+		{"negative epsilon", `{"version":1,"epsilon":-0.5}`, "", "epsilon -0.5"},
+		{"negative alpha", `{"version":1,"alpha":-1}`, `{"version":1,"slots":2,"alpha":-1,"peers":[]}`, "alpha -1"},
+		{"wrong version", `{"version":2}`, "", "version 2"},
+		{"slot out of range", `{"version":1,"slots":1,"peers":[{"slot":1}]}`, "", "slot 1 out of range"},
+		{"slot duplicated", `{"version":1,"slots":2,"peers":[{"slot":1},{"slot":1}]}`, "", "slot 1 duplicated"},
+		{"cluster out of range", `{"version":1,"slots":2,"peers":[{"slot":0,"cluster":2}]}`, "", "invalid cluster 2"},
+		{"query without terms", `{"version":1,"slots":1,"peers":[{"slot":0,"queries":[{"terms":[],"count":1}]}]}`,
+			`{"version":1,"slots":1,"terms":["a"],"queries":[[]]}`, "invalid query"},
+		{"query count zero", `{"version":1,"slots":1,"peers":[{"slot":0,"queries":[{"terms":["a"],"count":0}]}]}`,
+			`{"version":1,"slots":1,"terms":["a"],"queries":[[0]],"peers":[{"slot":0,"workload":[[0,0]]}]}`, "invalid query"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var snap Snapshot
@@ -38,6 +43,11 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 			_, err := NewFromSnapshot(Config{}, &snap)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("NewFromSnapshot(%s) = %v, want an error containing %q", c.doc, err, c.want)
+			}
+			doc := cmp.Or(c.catchUp, c.doc)
+			err = New(Config{Join: []string{"http://invalid.invalid"}}).installCatchUp([]byte(doc))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("installCatchUp(%s) = %v, want an error containing %q", doc, err, c.want)
 			}
 		})
 	}
@@ -109,30 +119,43 @@ func TestRestoreWorkersByteIdentical(t *testing.T) {
 // past maxSnapshotSlots are still fuzzed: they must be rejected.
 const fuzzRestoreSlots = 1 << 12
 
-// FuzzRestoreSnapshot decodes arbitrary JSON into a Snapshot and
-// restores it: NewFromSnapshot must either build a daemon or return an
-// error, never panic, and a daemon it builds must snapshot again. CI
-// runs a short continuation of this fuzz on top of the committed seed
-// corpus in testdata/fuzz.
+// FuzzRestoreSnapshot feeds arbitrary JSON to both state documents'
+// loaders: decoded into a Snapshot it goes to NewFromSnapshot, and as
+// a catch-up document it goes to installCatchUp on a fresh follower.
+// Each must either build the state or return an error, never panic,
+// and a state built must snapshot again with the document's slots and
+// peers. CI runs a short continuation of this fuzz on top of the
+// committed seed corpus in testdata/fuzz.
 func FuzzRestoreSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1,"alpha":1,"epsilon":0.001,"slots":3,"peers":[` +
 		`{"slot":0,"cluster":0,"items":[["a","b"],["b","c"]],"queries":[{"terms":["a"],"count":2}]},` +
 		`{"slot":2,"cluster":0,"items":[["c"],[]],"queries":[{"terms":["b","c"],"count":1}]}]}`))
 	f.Add([]byte(`{"version":1,"slots":0,"peers":[]}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		var snap Snapshot
-		if json.Unmarshal(doc, &snap) != nil {
-			return
+		var head struct {
+			Slots int `json:"slots"`
 		}
-		if snap.Slots > fuzzRestoreSlots && snap.Slots <= maxSnapshotSlots {
+		if json.Unmarshal(doc, &head) != nil {
+			return // neither document decodes
+		}
+		if head.Slots > fuzzRestoreSlots && head.Slots <= maxSnapshotSlots {
 			t.Skip("too many slots to restore per input")
 		}
-		s, err := NewFromSnapshot(Config{}, &snap)
-		if err != nil {
-			return
+		restored := func(s *Server, peers int) {
+			if got := s.Snapshot(); got.Slots != head.Slots || len(got.Peers) != peers {
+				t.Fatalf("restored %d slots and %d peers, snapshot again as %d and %d", head.Slots, peers, got.Slots, len(got.Peers))
+			}
 		}
-		if got := s.Snapshot(); got.Slots != snap.Slots || len(got.Peers) != len(snap.Peers) {
-			t.Fatalf("restored %d slots and %d peers, snapshot again as %d and %d", snap.Slots, len(snap.Peers), got.Slots, len(got.Peers))
+		var snap Snapshot
+		if json.Unmarshal(doc, &snap) == nil {
+			if s, err := NewFromSnapshot(Config{}, &snap); err == nil {
+				restored(s, len(snap.Peers))
+			}
+		}
+		var cu catchUp
+		s := New(Config{Join: []string{"http://invalid.invalid"}})
+		if s.installCatchUp(doc) == nil && json.Unmarshal(doc, &cu) == nil {
+			restored(s, len(cu.Peers))
 		}
 	})
 }
