@@ -268,7 +268,10 @@ func TestEvaluatorAllocFree(t *testing.T) {
 // evaluator. Peer 0 queries `a` and holds a result for `b`; peers 1 and
 // 2 are interchangeable (each holds one `a` item and demands `b` once),
 // so whichever clusters they sit in alone cost peer 0 the same and gain
-// the same from it.
+// the same from it. The later cases add clusters peer 0's results do
+// not reach, which cost it only their join term: two of one size tying,
+// one tying the current cluster, and, under ConstTheta, three of
+// different sizes tying the current cluster.
 func TestScanTieBreaks(t *testing.T) {
 	vocab := attr.NewVocab()
 	a, b := attr.NewSet(vocab.Intern("a")), attr.NewSet(vocab.Intern("b"))
@@ -318,4 +321,66 @@ func TestScanTieBreaks(t *testing.T) {
 		t.Fatalf("current contribution %v should tie with cluster 2's %v, above zero", cur, g2)
 	}
 	check("tie with the current cluster", 0)
+
+	// Clusters peer 0's results do not reach: peer 0 queries a and holds
+	// b, peer holder holds the only a (it may be peer 0 itself), and
+	// every other peer holds and queries z.
+	z := attr.NewSet(vocab.Intern("z"))
+	unreached := func(theta cluster.Theta, alpha float64, holder int, assign []cluster.CID) *Engine {
+		peers := make([]*peer.Peer, len(assign))
+		wl := workload.New(len(assign))
+		for i := range peers {
+			peers[i] = peer.New(i)
+			peers[i].SetItems([]attr.Set{z})
+			if i > 0 {
+				wl.Add(i, z, 1)
+			}
+		}
+		peers[0].SetItems([]attr.Set{b})
+		peers[holder].SetItems([]attr.Set{a})
+		wl.Add(0, a, 1)
+		return New(peers, wl, cluster.FromAssignment(assign), theta, alpha)
+	}
+	checkMoves := func(stage string, eng *Engine, wantBest cluster.CID, tied ...cluster.CID) {
+		t.Helper()
+		for _, c := range tied[1:] {
+			if got, want := eng.PeerCost(0, c), eng.PeerCost(0, tied[0]); got != want {
+				t.Fatalf("%s: cluster %d costs %v, cluster %d %v; they should tie", stage, c, got, tied[0], want)
+			}
+		}
+		ev := eng.NewEvaluator()
+		want := denseMoveEval(eng, 0)
+		for name, me := range map[string]MoveEval{"engine": eng.EvaluateMoves(0), "evaluator": ev.EvaluateMoves(0)} {
+			if me.Best != wantBest || !sameMoveEval(me, want) {
+				t.Fatalf("%s, %s: EvaluateMoves %+v, want cluster %d (dense walk %+v)", stage, name, me, wantBest, want)
+			}
+		}
+		wantC := denseContributionEval(eng, 0)
+		for name, ce := range map[string]ContributionEval{"engine": eng.EvaluateContribution(0), "evaluator": ev.EvaluateContribution(0)} {
+			if !sameContributionEval(ce, wantC) {
+				t.Fatalf("%s, %s: EvaluateContribution %+v, dense walk %+v", stage, name, ce, wantC)
+			}
+		}
+	}
+
+	// Peer 0 sits with 2, 3 and 4 in cluster 0; peer 1, the only holder
+	// of a, sits with 5 to 8 in cluster 1, too big to join at α = 3. The
+	// unreached singletons 9 and 10 tie below both: the lower ID wins.
+	eng = unreached(cluster.LinearTheta(), 3, 1, []cluster.CID{0, 1, 0, 0, 0, 1, 1, 1, 1, 9, 10})
+	if c9, c1 := eng.PeerCost(0, 9), eng.PeerCost(0, 1); !(c9 < c1 && c9 < eng.PeerCost(0, 0)) {
+		t.Fatalf("singleton cost %v should beat cluster 1's %v and the current %v", c9, c1, eng.PeerCost(0, 0))
+	}
+	checkMoves("two unreached clusters of one size", eng, 9, 9, 10)
+
+	// Peers 3 and 4 leave: the current cluster, now of two, costs what
+	// joining either unreached singleton does, and keeps the tie.
+	eng.Move(3, 1)
+	eng.Move(4, 1)
+	checkMoves("an unreached cluster tying the current one", eng, 0, 0, 9, 10)
+
+	// Under ConstTheta every join term is the same. Peer 0 holds the only
+	// a and is alone, so clusters 1 (two peers), 3 (one) and 4 (three),
+	// none of which its results reach, tie with its own.
+	eng = unreached(cluster.ConstTheta(), 1, 0, []cluster.CID{0, 1, 1, 3, 4, 4, 4})
+	checkMoves("unreached clusters of different sizes under ConstTheta", eng, 0, 0, 1, 3, 4)
 }
