@@ -103,6 +103,15 @@ type ContributionEval struct {
 	BestContribution float64
 }
 
+// consider scores cluster c at contribution v against the best so far,
+// the mirror of MoveEval.consider: the higher value wins, and of equal
+// values the current cluster keeps its place, else the lower ID wins.
+func (ev *ContributionEval) consider(c cluster.CID, v float64) {
+	if v > ev.BestContribution || (v == ev.BestContribution && ev.Best != ev.Cur && c < ev.Best) {
+		ev.Best, ev.BestContribution = c, v
+	}
+}
+
 // EvaluateContribution computes Eq. 6 against every non-empty cluster
 // in one pass. Ties prefer the current cluster, then the lowest ID.
 // Like EvaluateMoves it reuses the engine's dense scratch accumulator
@@ -114,40 +123,51 @@ func (e *Engine) EvaluateContribution(p int) ContributionEval {
 // addSupplied adds Eq. 6's numerators — the results p supplies to the
 // demand of each cluster, Σ_q demand[q][c]·result(q,p) — into num[c],
 // in result-list order and, within a row, ascending cluster order, and
-// returns the denominator. Only clusters that hold demand gain a term,
-// and those are non-empty.
-func (e *Engine) addSupplied(p int, num []float64) (den float64) {
+// returns the denominator and how many cells the rows hold. Only
+// clusters that hold demand gain a term, and those are non-empty.
+func (e *Engine) addSupplied(p int, num []float64) (den float64, cells int) {
 	for _, re := range e.peerRes[p] {
 		den += e.demandTot[re.qid] * re.res
 		row := e.rows[re.qid]
+		cells += len(row)
 		for i := range row {
 			if v := row[i].demand; v != 0 {
 				num[row[i].cid] += v * re.res
 			}
 		}
 	}
-	return den
+	return den, cells
 }
 
 // evaluateContribution is EvaluateContribution over caller-owned
-// scratch; see evaluateMoves.
+// scratch; see evaluateMoves. When p's rows hold fewer cells than there
+// are non-empty clusters it scores only the clusters they name: any
+// other scores 0, which never beats the current cluster's share (≥ 0).
+// A numerator is non-zero only where den is.
 func (e *Engine) evaluateContribution(p int, nonEmpty []cluster.CID, num []float64) ContributionEval {
 	cur := e.cfg.ClusterOf(p)
-	den := e.addSupplied(p, num)
-	ev := ContributionEval{Cur: cur}
-	if den == 0 {
-		ev.Best = cur
-		for _, c := range nonEmpty {
-			num[c] = 0
+	den, cells := e.addSupplied(p, num)
+	ev := ContributionEval{Cur: cur, Best: cur}
+	if den != 0 {
+		ev.CurContribution = num[cur] / den
+		ev.BestContribution = ev.CurContribution
+	}
+	if cells < len(nonEmpty) {
+		for _, re := range e.peerRes[p] {
+			row := e.rows[re.qid]
+			for i := range row {
+				c := row[i].cid
+				if v := num[c]; v != 0 {
+					num[c] = 0
+					ev.consider(c, v/den)
+				}
+			}
 		}
 		return ev
 	}
-	ev.CurContribution = num[cur] / den
-	ev.Best, ev.BestContribution = cur, ev.CurContribution
-	for _, c := range nonEmpty {
-		v := num[c] / den
-		if v > ev.BestContribution || (v == ev.BestContribution && ev.Best != cur && c < ev.Best) {
-			ev.Best, ev.BestContribution = c, v
+	if den != 0 {
+		for _, c := range nonEmpty {
+			ev.consider(c, num[c]/den)
 		}
 	}
 	for _, c := range nonEmpty {

@@ -208,6 +208,15 @@ type Engine struct {
 	nonEmpty    []cluster.CID
 	joinTerm    []float64
 	clustersVer int
+	// The order a selfish scan's cell walk reads, built from nonEmpty by
+	// syncScanOrder on the decide path only, once per walk of
+	// syncClusters (which empties scanGroups): the non-empty clusters in
+	// one group per size (scanGroups, cheapest join term first), each
+	// group's clusters ascending in scanOrder[start:end], and the group
+	// of each size in sizeGroup.
+	scanOrder  []cluster.CID
+	scanGroups []scanGroup
+	sizeGroup  []int32
 
 	wlVersion     int
 	wlCompactions int
@@ -805,15 +814,72 @@ func (e *Engine) syncClusters() {
 		}
 	}
 	e.nonEmpty, e.joinTerm, e.clustersVer = ne, jt, v
+	e.scanGroups = e.scanGroups[:0]
+}
+
+// scanGroup is one size class of the non-empty clusters: the clusters
+// scanOrder[start:end], ascending, all of the given size, so all with
+// join term term.
+type scanGroup struct {
+	term       float64
+	size       int32
+	start, end int32
+}
+
+// syncScanOrder builds the cell walk's order (see the scanOrder field)
+// from the synced non-empty list unless it is built, in time linear in
+// the list and the largest size: a counting sort by size, the groups
+// sorted by join term. Each group's term is the join term of its
+// clusters, so costs keep their bits. With no cluster to order there is
+// nothing to build, and no scan to read it.
+func (e *Engine) syncScanOrder() {
+	if len(e.scanGroups) > 0 {
+		return
+	}
+	ne, jt := e.nonEmpty, e.joinTerm
+	largest := 0
+	for _, c := range ne {
+		largest = max(largest, e.cfg.Size(c))
+	}
+	slot := grow(e.sizeGroup, largest+1) // 1 + group index; 0: no group yet
+	groups := e.scanGroups[:0]
+	for i, c := range ne {
+		s := e.cfg.Size(c)
+		if slot[s] == 0 {
+			groups = append(groups, scanGroup{term: jt[i], size: int32(s)})
+			slot[s] = int32(len(groups))
+		}
+		groups[slot[s]-1].end++
+	}
+	slices.SortFunc(groups, func(a, b scanGroup) int {
+		return cmp.Or(cmp.Compare(a.term, b.term), cmp.Compare(a.size, b.size))
+	})
+	var start int32
+	for g := range groups {
+		n := groups[g].end
+		groups[g].start, groups[g].end = start, start
+		slot[groups[g].size] = int32(g)
+		start += n
+	}
+	order := slices.Grow(e.scanOrder[:0], len(ne))[:len(ne)]
+	for _, c := range ne {
+		g := &groups[slot[e.cfg.Size(c)]]
+		order[g.end] = c
+		g.end++
+	}
+	e.scanOrder, e.scanGroups, e.sizeGroup = order, groups, slot
 }
 
 // PrepareDecide refreshes the per-membership-version state concurrent
-// scans read: the ascending non-empty cluster list and its join terms.
-// Whoever fans evaluators over goroutines calls it after the last
-// mutation and before the scan (the protocol Runner does); serial
-// callers may rely on the lazy refresh inside the evaluation paths
-// instead.
-func (e *Engine) PrepareDecide() { e.syncClusters() }
+// scans read: the ascending non-empty cluster list, its join terms and
+// the cell walk's order. Whoever fans evaluators over goroutines calls
+// it after the last mutation and before the scan (the protocol Runner
+// does); serial callers may rely on the lazy refresh inside the
+// evaluation paths instead.
+func (e *Engine) PrepareDecide() {
+	e.syncClusters()
+	e.syncScanOrder()
+}
 
 // nonEmptyClusters returns the non-empty clusters in ascending order.
 // The slice is engine-owned and shared by every evaluator: read-only,
@@ -933,43 +999,57 @@ type MoveEval struct {
 // Gain returns CurCost - BestCost (>= 0 when an improving move exists).
 func (m MoveEval) Gain() float64 { return m.CurCost - m.BestCost }
 
+// consider scores cluster c at cost against the best so far: the lower
+// cost wins, and of equal costs the current cluster keeps its place,
+// else the lower ID wins. The order is total, so the candidates may come
+// in any order.
+func (m *MoveEval) consider(c cluster.CID, cost float64) {
+	if cost < m.BestCost || (cost == m.BestCost && m.Best != m.Cur && c < m.Best) {
+		m.Best, m.BestCost = c, cost
+	}
+}
+
 // EvaluateMoves computes pcost(p,c) for every non-empty cluster plus
 // the singleton option in one pass over p's workload. Ties prefer the
 // current cluster (no churn), then the lowest cluster ID, keeping the
 // dynamics deterministic. EvaluateMoves allocates nothing at steady
 // state: the per-cluster accumulator is a dense scratch slice the
-// peer's rows are added into cell by cell, reset through the non-empty
-// cluster list.
+// peer's rows are added into cell by cell, and reset cell by cell or
+// through the non-empty cluster list, whichever is shorter.
 func (e *Engine) EvaluateMoves(p int) MoveEval {
 	return e.evaluateMoves(p, e.accScratch)
 }
 
 // addOverlap adds Σ_q w·res[q][c]/totals[q] over p's workload into
 // acc[c], in workload order and, within a row, ascending cluster
-// order. Only clusters that hold results gain a term, and those are
-// non-empty.
-func (e *Engine) addOverlap(p int, acc []float64) {
+// order, and returns how many cells the rows hold. Only clusters that
+// hold results gain a term, and those are non-empty.
+func (e *Engine) addOverlap(p int, acc []float64) (cells int) {
 	for _, en := range e.peerWl[p] {
 		wit := en.wInvT
 		row := e.rows[en.qid]
+		cells += len(row)
 		for i := range row {
 			if v := row[i].res; v != 0 {
 				acc[row[i].cid] += wit * v
 			}
 		}
 	}
+	return cells
 }
 
 // evaluateMoves is EvaluateMoves over a caller-owned CID-indexed
 // accumulator (zero outside the call, length >= cmax) — the
 // scratch-parameterized form Evaluator uses for concurrent scans over a
-// frozen engine.
+// frozen engine. It scores the clusters with the dense walk over the
+// non-empty list, or with the cell walk when p's rows hold fewer cells
+// than the list has clusters; both give the same bits.
 func (e *Engine) evaluateMoves(p int, acc []float64) MoveEval {
 	cur := e.cfg.ClusterOf(p)
 	nonEmpty := e.nonEmptyClusters()
 	joinTerm := e.joinTerm // parallel to nonEmpty; read after the sync
 
-	e.addOverlap(p, acc)
+	cells := e.addOverlap(p, acc)
 	w := e.peerW[p]
 	ownAcc := e.peerOwnW[p]
 
@@ -977,17 +1057,54 @@ func (e *Engine) evaluateMoves(p int, acc []float64) MoveEval {
 	ev.CurCost = e.membership(e.cfg.Size(cur)) + w - acc[cur]
 	ev.AloneCost = e.membership(1) + w - ownAcc
 	ev.Best, ev.BestCost = cur, ev.CurCost
+	if cells < len(nonEmpty) {
+		e.walkCells(p, acc, w, ownAcc, &ev)
+		return ev
+	}
 	for i, c := range nonEmpty {
-		if c == cur {
-			continue
-		}
-		cost := joinTerm[i] + w - acc[c] - ownAcc
-		if cost < ev.BestCost || (cost == ev.BestCost && ev.Best != cur && c < ev.Best) {
-			ev.Best, ev.BestCost = c, cost
+		if c != cur {
+			ev.consider(c, joinTerm[i]+w-acc[c]-ownAcc)
 		}
 	}
 	for _, c := range nonEmpty {
 		acc[c] = 0
 	}
 	return ev
+}
+
+// walkCells is the selfish scan's cell walk. It scores the clusters p's
+// results reach off p's own cells, clearing acc as it goes. Any other
+// cluster has acc 0, so it costs its join term + w − ownAcc, as every
+// cluster of its size does: walking the size groups cheapest first, it
+// scores each group's lowest cluster other than the current one at that
+// cost, and stops at the first group that costs more than the best so
+// far. For a reached cluster that cost only overstates the one already
+// scored, which changes no outcome, so the groups skip nothing else.
+func (e *Engine) walkCells(p int, acc []float64, w, ownAcc float64, ev *MoveEval) {
+	e.syncScanOrder()
+	for _, en := range e.peerWl[p] {
+		row := e.rows[en.qid]
+		for i := range row {
+			c := row[i].cid
+			if a := acc[c]; a != 0 {
+				acc[c] = 0
+				if c != ev.Cur {
+					term := e.scanGroups[e.sizeGroup[e.cfg.Size(c)]].term
+					ev.consider(c, term+w-a-ownAcc)
+				}
+			}
+		}
+	}
+	for _, g := range e.scanGroups {
+		cost := g.term + w - ownAcc // the dense walk's cost where acc[c] == 0
+		if cost > ev.BestCost {
+			break
+		}
+		for _, c := range e.scanOrder[g.start:g.end] {
+			if c != ev.Cur {
+				ev.consider(c, cost)
+				break
+			}
+		}
+	}
 }
