@@ -479,7 +479,8 @@ func (s *Server) Promote(mode string) (term uint64, err error) {
 		go func() {
 			defer s.wg.Done()
 			rpt := s.Reform()
-			s.cfg.Logf("promote: resumed maintenance: %d rounds, %d moves", rpt.RoundsRun, countMoves(rpt))
+			s.cfg.Logf("promote: resumed maintenance: %d rounds, %d moves, converged=%t, final SCost %.6g",
+				rpt.RoundsRun, countMoves(rpt), rpt.Converged, rpt.FinalSCost)
 		}()
 	}
 	return term, nil

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -448,5 +449,60 @@ func TestFailoverConvergenceProperty(t *testing.T) {
 			resume.Shutdown()
 			abort.Shutdown()
 		})
+	}
+}
+
+// TestResumedPeriodLogsConvergence promotes followers holding twelve
+// unclustered peers in resume mode and reads the period's log line: a
+// period capped by MaxRounds 1 stops with moves still requested and
+// says converged=false; uncapped, the same period says converged=true.
+func TestResumedPeriodLogsConvergence(t *testing.T) {
+	s1 := New(Config{})
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	defer s1.BeginShutdown()
+	for i := 0; i < 12; i++ {
+		doJSON(t, ts1, "POST", "/v1/peers", joinBody(i%3, i), http.StatusCreated)
+	}
+	entries, ok := s1.replLog.Since(0, 0)
+	if !ok {
+		t.Fatal("leader log capture failed")
+	}
+	for _, tc := range []struct {
+		maxRounds int
+		want      []string
+	}{
+		{1, []string{"resumed maintenance: 1 rounds", "converged=false", "final SCost"}},
+		{0, []string{"converged=true", "final SCost"}},
+	} {
+		var mu sync.Mutex
+		var resumed string
+		f := New(Config{Join: []string{"http://invalid.invalid"}, MaxRounds: tc.maxRounds,
+			Logf: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.Contains(line, "resumed maintenance") {
+					mu.Lock()
+					resumed = line
+					mu.Unlock()
+				}
+			}})
+		for _, e := range entries {
+			if err := applyEntry(f, e); err != nil {
+				t.Fatalf("replay entry %d: %v", e.Index, err)
+			}
+		}
+		if _, err := f.Promote("resume"); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "the resumed period's log line", 10*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return resumed != ""
+		})
+		f.Shutdown()
+		for _, want := range tc.want {
+			if !strings.Contains(resumed, want) {
+				t.Fatalf("MaxRounds %d: logged %q, want %q in it", tc.maxRounds, resumed, want)
+			}
+		}
 	}
 }
