@@ -28,9 +28,13 @@
 //   - Evaluation methods accumulate into dense scratch slices owned
 //     by the Engine (ownScratch by QID, accScratch by CID), never
 //     reallocated: a scan adds each of the peer's rows into accScratch
-//     cell by cell, then picks the best cluster off one ascending
-//     non-empty cluster list that is recomputed once per membership
-//     version (syncClusters), not once per scan. Point reads
+//     cell by cell, then walks whichever is shorter, the ascending
+//     non-empty cluster list or the peer's own cells. The cell walk
+//     scores the clusters the cells name, and every other cluster,
+//     which costs the peer only its join term, through one cluster of
+//     its size class, the classes ordered by that term. The list, the
+//     terms and the classes are built once per membership version
+//     (syncClusters, syncSizeClasses), not once per scan. Point reads
 //     (PeerCost) binary-search the row.
 //   - Rebuild visits what is non-zero: the query index names the
 //     queries a peer's attributes can answer, and the rows are filled
@@ -208,15 +212,13 @@ type Engine struct {
 	nonEmpty    []cluster.CID
 	joinTerm    []float64
 	clustersVer int
-	// The order a selfish scan's cell walk reads, built from nonEmpty by
-	// syncScanOrder on the decide path only, once per walk of
-	// syncClusters (which empties scanGroups): the non-empty clusters in
-	// one group per size (scanGroups, cheapest join term first), each
-	// group's clusters ascending in scanOrder[start:end], and the group
-	// of each size in sizeGroup.
-	scanOrder  []cluster.CID
-	scanGroups []scanGroup
-	sizeGroup  []int32
+	// The size classes a selfish scan's cell walk reads, built from
+	// nonEmpty by syncSizeClasses on the decide path only, once per walk
+	// of syncClusters (which empties classOrder): sizeClasses[s] holds
+	// the clusters of size s, and classOrder lists the sizes present,
+	// cheapest join term first.
+	sizeClasses []sizeClass
+	classOrder  []int32
 
 	wlVersion     int
 	wlCompactions int
@@ -814,71 +816,61 @@ func (e *Engine) syncClusters() {
 		}
 	}
 	e.nonEmpty, e.joinTerm, e.clustersVer = ne, jt, v
-	e.scanGroups = e.scanGroups[:0]
+	e.classOrder = e.classOrder[:0]
 }
 
-// scanGroup is one size class of the non-empty clusters: the clusters
-// scanOrder[start:end], ascending, all of the given size, so all with
-// join term term.
-type scanGroup struct {
-	term       float64
-	size       int32
-	start, end int32
+// sizeClass is the non-empty clusters of one size: the join term each
+// charges a newcomer, and the lowest two of them (the same one twice
+// when there is one, None for a size no cluster has), so that a cluster
+// other than the scanning peer's own can speak for the class.
+type sizeClass struct {
+	term          float64
+	first, second cluster.CID
 }
 
-// syncScanOrder builds the cell walk's order (see the scanOrder field)
-// from the synced non-empty list unless it is built, in time linear in
-// the list and the largest size: a counting sort by size, the groups
-// sorted by join term. Each group's term is the join term of its
-// clusters, so costs keep their bits. With no cluster to order there is
-// nothing to build, and no scan to read it.
-func (e *Engine) syncScanOrder() {
-	if len(e.scanGroups) > 0 {
+// syncSizeClasses builds the size classes (see the sizeClasses field)
+// from the synced non-empty list unless they are built, in one walk of
+// the list and a sort of the sizes present by join term. A class's term
+// is the join term of its clusters, so costs keep their bits. With no
+// cluster there is nothing to build, and no scan to read it.
+func (e *Engine) syncSizeClasses() {
+	if len(e.classOrder) > 0 {
 		return
 	}
-	ne, jt := e.nonEmpty, e.joinTerm
 	largest := 0
-	for _, c := range ne {
+	for _, c := range e.nonEmpty {
 		largest = max(largest, e.cfg.Size(c))
 	}
-	slot := grow(e.sizeGroup, largest+1) // 1 + group index; 0: no group yet
-	groups := e.scanGroups[:0]
-	for i, c := range ne {
+	classes := slices.Grow(e.sizeClasses[:0], largest+1)[:largest+1]
+	for s := range classes {
+		classes[s].first = cluster.None
+	}
+	order := e.classOrder[:0]
+	for i, c := range e.nonEmpty { // ascending: the first two seen are the lowest
 		s := e.cfg.Size(c)
-		if slot[s] == 0 {
-			groups = append(groups, scanGroup{term: jt[i], size: int32(s)})
-			slot[s] = int32(len(groups))
+		switch k := &classes[s]; {
+		case k.first == cluster.None:
+			*k = sizeClass{term: e.joinTerm[i], first: c, second: c}
+			order = append(order, int32(s))
+		case k.second == k.first:
+			k.second = c
 		}
-		groups[slot[s]-1].end++
 	}
-	slices.SortFunc(groups, func(a, b scanGroup) int {
-		return cmp.Or(cmp.Compare(a.term, b.term), cmp.Compare(a.size, b.size))
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(classes[a].term, classes[b].term), cmp.Compare(a, b))
 	})
-	var start int32
-	for g := range groups {
-		n := groups[g].end
-		groups[g].start, groups[g].end = start, start
-		slot[groups[g].size] = int32(g)
-		start += n
-	}
-	order := slices.Grow(e.scanOrder[:0], len(ne))[:len(ne)]
-	for _, c := range ne {
-		g := &groups[slot[e.cfg.Size(c)]]
-		order[g.end] = c
-		g.end++
-	}
-	e.scanOrder, e.scanGroups, e.sizeGroup = order, groups, slot
+	e.sizeClasses, e.classOrder = classes, order
 }
 
 // PrepareDecide refreshes the per-membership-version state concurrent
 // scans read: the ascending non-empty cluster list, its join terms and
-// the cell walk's order. Whoever fans evaluators over goroutines calls
+// the cell walk's size classes. Whoever fans evaluators over goroutines calls
 // it after the last mutation and before the scan (the protocol Runner
 // does); serial callers may rely on the lazy refresh inside the
 // evaluation paths instead.
 func (e *Engine) PrepareDecide() {
 	e.syncClusters()
-	e.syncScanOrder()
+	e.syncSizeClasses()
 }
 
 // nonEmptyClusters returns the non-empty clusters in ascending order.
@@ -1075,13 +1067,13 @@ func (e *Engine) evaluateMoves(p int, acc []float64) MoveEval {
 // walkCells is the selfish scan's cell walk. It scores the clusters p's
 // results reach off p's own cells, clearing acc as it goes. Any other
 // cluster has acc 0, so it costs its join term + w − ownAcc, as every
-// cluster of its size does: walking the size groups cheapest first, it
-// scores each group's lowest cluster other than the current one at that
-// cost, and stops at the first group that costs more than the best so
+// cluster of its size does: walking the size classes cheapest first, it
+// scores each class's lowest cluster other than the current one at that
+// cost, and stops at the first class that costs more than the best so
 // far. For a reached cluster that cost only overstates the one already
-// scored, which changes no outcome, so the groups skip nothing else.
+// scored, which changes no outcome, so the classes skip nothing else.
 func (e *Engine) walkCells(p int, acc []float64, w, ownAcc float64, ev *MoveEval) {
-	e.syncScanOrder()
+	e.syncSizeClasses()
 	for _, en := range e.peerWl[p] {
 		row := e.rows[en.qid]
 		for i := range row {
@@ -1089,22 +1081,23 @@ func (e *Engine) walkCells(p int, acc []float64, w, ownAcc float64, ev *MoveEval
 			if a := acc[c]; a != 0 {
 				acc[c] = 0
 				if c != ev.Cur {
-					term := e.scanGroups[e.sizeGroup[e.cfg.Size(c)]].term
-					ev.consider(c, term+w-a-ownAcc)
+					ev.consider(c, e.sizeClasses[e.cfg.Size(c)].term+w-a-ownAcc)
 				}
 			}
 		}
 	}
-	for _, g := range e.scanGroups {
-		cost := g.term + w - ownAcc // the dense walk's cost where acc[c] == 0
+	for _, s := range e.classOrder {
+		k := &e.sizeClasses[s]
+		cost := k.term + w - ownAcc // the dense walk's cost where acc[c] == 0
 		if cost > ev.BestCost {
 			break
 		}
-		for _, c := range e.scanOrder[g.start:g.end] {
-			if c != ev.Cur {
-				ev.consider(c, cost)
-				break
-			}
+		c := k.first
+		if c == ev.Cur {
+			c = k.second
+		}
+		if c != ev.Cur {
+			ev.consider(c, cost)
 		}
 	}
 }

@@ -185,44 +185,60 @@ func TestNonEmptyListFreshness(t *testing.T) {
 
 // TestConcurrentScansAfterPrepareDecide fans private evaluators over
 // disjoint peers right after a mutation and PrepareDecide, with no
-// serial evaluation in between to refresh the shared list for them
-// (meaningful under -race), and checks every answer against the
-// engine's serial one afterwards.
+// serial evaluation in between to refresh the shared list and scan
+// order for them (meaningful under -race), and holds every answer to
+// the dense walk. It runs on a clustered engine, where most scans walk
+// the non-empty list, and on singletons, where they walk the peer's
+// cells.
 func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
-	eng := evalSystem(t, 4, 6)
-	n := eng.NumSlots()
-	const workers = 8
-	evs := make([]*Evaluator, workers)
-	for w := range evs {
-		evs[w] = eng.NewEvaluator()
-	}
-	got := make([]MoveEval, n)
-	lists := make([][]cluster.CID, workers)
-	for round := 0; round < 6; round++ {
-		p := (5 * round) % n
-		eng.Move(p, (eng.Config().ClusterOf(p)+1)%5)
-		eng.PrepareDecide()
-		var wg sync.WaitGroup
+	for name, eng := range map[string]*Engine{
+		"clustered":  evalSystem(t, 4, 6),
+		"singletons": scanEngine(1, cluster.LinearTheta(), 0, 7),
+	} {
+		n := eng.NumSlots()
+		const workers = 8
+		evs := make([]*Evaluator, workers)
 		for w := range evs {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				lists[w] = evs[w].NonEmpty()
-				for p := w; p < n; p += workers {
-					got[p] = evs[w].EvaluateMoves(p)
-				}
-			}(w)
+			evs[w] = eng.NewEvaluator()
 		}
-		wg.Wait()
-		want := eng.Config().NonEmpty()
-		for w := range lists {
-			if !slices.Equal(lists[w], want) {
-				t.Fatalf("round %d: evaluator %d saw clusters %v, configuration has %v", round, w, lists[w], want)
+		gotM := make([]MoveEval, n)
+		gotC := make([]ContributionEval, n)
+		lists := make([][]cluster.CID, workers)
+		for round := 0; round < 6; round++ {
+			p := (5 * round) % n
+			eng.Move(p, (eng.Config().ClusterOf(p)+1)%5)
+			eng.PrepareDecide()
+			var wg sync.WaitGroup
+			for w := range evs {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					lists[w] = evs[w].NonEmpty()
+					for p := w; p < n; p += workers {
+						gotM[p] = evs[w].EvaluateMoves(p)
+						gotC[p] = evs[w].EvaluateContribution(p)
+					}
+				}(w)
 			}
-		}
-		for p := 0; p < n; p++ {
-			if want := eng.EvaluateMoves(p); got[p] != want {
-				t.Fatalf("round %d peer %d: concurrent %+v, serial %+v", round, p, got[p], want)
+			wg.Wait()
+			want := eng.Config().NonEmpty()
+			for w := range lists {
+				if !slices.Equal(lists[w], want) {
+					t.Fatalf("%s round %d: evaluator %d saw clusters %v, configuration has %v", name, round, w, lists[w], want)
+				}
+			}
+			var arms scanArms
+			for p := 0; p < n; p++ {
+				if want := denseMoveEval(eng, p); !sameMoveEval(gotM[p], want) {
+					t.Fatalf("%s round %d peer %d: concurrent EvaluateMoves %+v, dense walk %+v", name, round, p, gotM[p], want)
+				}
+				if want := denseContributionEval(eng, p); !sameContributionEval(gotC[p], want) {
+					t.Fatalf("%s round %d peer %d: concurrent EvaluateContribution %+v, dense walk %+v", name, round, p, gotC[p], want)
+				}
+				arms.count(eng, p)
+			}
+			if name == "singletons" && (arms.moves[1] == 0 || arms.contrib[1] == 0) {
+				t.Fatalf("%s round %d: no scan walked the cells (%+v)", name, round, arms)
 			}
 		}
 	}

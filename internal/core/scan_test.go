@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/attr"
@@ -319,52 +318,4 @@ func FuzzScanMatchesDense(f *testing.F) {
 			checkScans(t, e, ev, fmt.Sprintf("op %d (%s)", i, did), &arms)
 		}
 	})
-}
-
-// TestConcurrentScansMatchDenseWalk fans private evaluators over
-// disjoint peers right after a Move and PrepareDecide, starting from
-// every peer alone so the cell walk runs (meaningful under -race), and
-// holds every concurrent answer to the dense walk.
-func TestConcurrentScansMatchDenseWalk(t *testing.T) {
-	e := scanEngine(1, cluster.LinearTheta(), 0, 7)
-	const workers = 4
-	evs := make([]*Evaluator, workers)
-	for w := range evs {
-		evs[w] = e.NewEvaluator()
-	}
-	n := e.NumSlots()
-	gotM := make([]MoveEval, n)
-	gotC := make([]ContributionEval, n)
-	rng := stats.NewRNG(7)
-	for round := range 6 {
-		p := rng.Intn(n)
-		nonEmpty := e.cfg.NonEmpty()
-		e.Move(p, nonEmpty[rng.Intn(len(nonEmpty))])
-		e.PrepareDecide()
-		var wg sync.WaitGroup
-		for w := range evs {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < n; p += workers {
-					gotM[p] = evs[w].EvaluateMoves(p)
-					gotC[p] = evs[w].EvaluateContribution(p)
-				}
-			}(w)
-		}
-		wg.Wait()
-		var arms scanArms
-		for p := 0; p < n; p++ {
-			if want := denseMoveEval(e, p); !sameMoveEval(gotM[p], want) {
-				t.Fatalf("round %d peer %d: concurrent EvaluateMoves %+v, dense walk %+v", round, p, gotM[p], want)
-			}
-			if want := denseContributionEval(e, p); !sameContributionEval(gotC[p], want) {
-				t.Fatalf("round %d peer %d: concurrent EvaluateContribution %+v, dense walk %+v", round, p, gotC[p], want)
-			}
-			arms.count(e, p)
-		}
-		if arms.moves[1] == 0 || arms.contrib[1] == 0 {
-			t.Fatalf("round %d: no scan took the cell walk (%+v)", round, arms)
-		}
-	}
 }
