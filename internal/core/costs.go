@@ -143,7 +143,7 @@ func (e *Engine) addSupplied(p int, num []float64) (den float64, cells int) {
 // scratch; see evaluateMoves. When p's rows hold fewer cells than there
 // are non-empty clusters it scores only the clusters they name: any
 // other scores 0, which never beats the current cluster's share (≥ 0).
-// A numerator is non-zero only where den is.
+// A numerator is non-zero only if den is, so neither walk divides by 0.
 func (e *Engine) evaluateContribution(p int, nonEmpty []cluster.CID, num []float64) ContributionEval {
 	cur := e.cfg.ClusterOf(p)
 	den, cells := e.addSupplied(p, num)

@@ -864,9 +864,9 @@ func (e *Engine) syncSizeClasses() {
 
 // PrepareDecide refreshes the per-membership-version state concurrent
 // scans read: the ascending non-empty cluster list, its join terms and
-// the cell walk's size classes. Whoever fans evaluators over goroutines calls
-// it after the last mutation and before the scan (the protocol Runner
-// does); serial callers may rely on the lazy refresh inside the
+// the cell walk's size classes. Whoever fans evaluators over goroutines
+// calls it after the last mutation and before the scan (the protocol
+// Runner does); serial callers may rely on the lazy refresh inside the
 // evaluation paths instead.
 func (e *Engine) PrepareDecide() {
 	e.syncClusters()
