@@ -15,7 +15,7 @@
 //
 // The protocol itself is protocol.Runner's; this package only carries
 // its messages. Each representative scans its members with
-// Runner.DecideCluster over the engine's own evaluator, and the
+// Runner.DecideCluster over the run's one evaluator, and the
 // coordinator serves each round's grants with Runner.ServeRound. Each
 // representative decides its own request's fate by running protocol's
 // grant rule over its collected view (see rep.go), which is what makes
@@ -111,12 +111,14 @@ type Report struct {
 
 // Net wires one run together: the engine and the protocol.Runner that
 // owns the period baselines, the decide scan and the grant rule, the
-// transport, the scheduler and the actors. The Report under
-// construction holds the run's counters.
+// evaluator the representatives decide through, the transport, the
+// scheduler and the actors. The Report under construction holds the
+// run's counters.
 type Net struct {
 	opts  Options
 	eng   *core.Engine
 	r     *protocol.Runner
+	ev    *core.Evaluator
 	sched *vsched
 	tr    *transport
 	coord *coordinator
@@ -138,7 +140,7 @@ func (n *Net) repTimeout() int64 {
 // quiescence or MaxRounds — on the asynchronous runtime and returns
 // its report. The engine is mutated in place (moves are applied as
 // grants are served), exactly like protocol.Runner.Run.
-func Run(eng *core.Engine, strat core.EvalStrategy, opts Options) Report {
+func Run(eng *core.Engine, strat core.Strategy, opts Options) Report {
 	opts = opts.withDefaults()
 	n := &Net{
 		opts: opts,
@@ -146,6 +148,7 @@ func Run(eng *core.Engine, strat core.EvalStrategy, opts Options) Report {
 		r: protocol.NewRunner(eng, strat, protocol.Options{
 			Epsilon: opts.Epsilon, MaxRounds: opts.MaxRounds, AllowNewClusters: opts.AllowNewClusters,
 		}),
+		ev:    eng.NewEvaluator(),
 		sched: newVSched(),
 	}
 	rng := stats.NewRNG(opts.Seed ^ 0xa5a5a5a55a5a5a5a)

@@ -94,8 +94,8 @@ func (r *rep) onRoundStart(m Message) {
 
 	// Phase 1: this cluster's best request, if any member clears
 	// epsilon. Representatives run one at a time, so they share the
-	// engine's own evaluator.
-	best, gainMsgs := r.n.r.DecideCluster(r.n.eng.Eval(), r.cid)
+	// run's one evaluator.
+	best, gainMsgs := r.n.r.DecideCluster(r.n.ev, r.cid)
 	r.n.rpt.Messages += gainMsgs
 	r.ownReq, r.ownHas = Req{}, !math.IsInf(best.Gain, -1)
 	if r.ownHas {

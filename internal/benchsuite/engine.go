@@ -167,7 +167,7 @@ func decideRoundSingletons(f *Fixtures) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.PrepareDecide()
 			for p := 0; p < eng.NumSlots(); p++ {
-				strat.DecideEval(ev, p, math.NaN(), true)
+				strat.Decide(ev, p, math.NaN(), true)
 			}
 		}
 	}

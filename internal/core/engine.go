@@ -184,10 +184,6 @@ type Engine struct {
 	// movePairs is Move's scratch: where, in its row, each entry of the
 	// mover's demand and result lists finds its `from` and `to` cells.
 	movePairs []cellPair
-	// selfEval is the lazily created engine-owned Evaluator that
-	// Strategy.Decide routes through (see evaluator.go); concurrent
-	// scans build private evaluators with NewEvaluator instead.
-	selfEval *Evaluator
 
 	// Dynamic-membership state (see membership.go): the free-slot
 	// stack and the inverted indexes that make joins, and Rebuild's

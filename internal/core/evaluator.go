@@ -30,18 +30,6 @@ type Evaluator struct {
 // cost is deferred: buffers are sized on first use.
 func (e *Engine) NewEvaluator() *Evaluator { return &Evaluator{e: e} }
 
-// Eval returns the engine-owned evaluator, creating it on first use.
-// It shares the engine's single-goroutine discipline (unlike
-// NewEvaluator instances it may not run concurrently with anything)
-// and exists so Strategy.Decide and DecideEval share one
-// implementation.
-func (e *Engine) Eval() *Evaluator {
-	if e.selfEval == nil {
-		e.selfEval = e.NewEvaluator()
-	}
-	return e.selfEval
-}
-
 // Engine returns the engine the evaluator reads from.
 func (ev *Evaluator) Engine() *Engine { return ev.e }
 
@@ -84,12 +72,3 @@ func (ev *Evaluator) PeerCost(p int, c cluster.CID) float64 {
 	ev.ensure()
 	return ev.e.peerCost(p, c, ev.own)
 }
-
-// Contribution mirrors Engine.Contribution (scratch-free, delegated).
-func (ev *Evaluator) Contribution(p int, c cluster.CID) float64 { return ev.e.Contribution(p, c) }
-
-// DeltaMembership mirrors Engine.DeltaMembership (scratch-free).
-func (ev *Evaluator) DeltaMembership(c cluster.CID) float64 { return ev.e.DeltaMembership(c) }
-
-// CostAlone mirrors Engine.CostAlone (scratch-free).
-func (ev *Evaluator) CostAlone(p int) float64 { return ev.e.CostAlone(p) }

@@ -54,15 +54,9 @@ func TestEvaluatorMatchesEngine(t *testing.T) {
 		if got, want := ev.EvaluateContribution(p), eng.EvaluateContribution(p); got != want {
 			t.Fatalf("peer %d: EvaluateContribution %+v vs engine %+v", p, got, want)
 		}
-		if got, want := ev.CostAlone(p), eng.CostAlone(p); got != want {
-			t.Fatalf("peer %d: CostAlone %v vs %v", p, got, want)
-		}
 		for _, c := range nonEmpty {
 			if got, want := ev.PeerCost(p, c), eng.PeerCost(p, c); got != want {
 				t.Fatalf("peer %d cluster %d: PeerCost %v vs %v", p, c, got, want)
-			}
-			if got, want := ev.Contribution(p, c), eng.Contribution(p, c); got != want {
-				t.Fatalf("peer %d cluster %d: Contribution %v vs %v", p, c, got, want)
 			}
 		}
 	}
@@ -136,20 +130,17 @@ func TestConcurrentEvaluators(t *testing.T) {
 	}
 }
 
-// TestNonEmptyListFreshness pins the shared non-empty cluster list to
-// the configuration after every kind of membership mutation, for the
-// engine-owned evaluator and a private one alike.
+// TestNonEmptyListFreshness pins the non-empty cluster list an
+// evaluator reads to the configuration after every kind of membership
+// mutation.
 func TestNonEmptyListFreshness(t *testing.T) {
 	eng := evalSystem(t, 3, 4) // 12 peers, clusters 0..3 of three each
 	ev := eng.NewEvaluator()
 	check := func(stage string) {
 		t.Helper()
 		want := eng.Config().NonEmpty()
-		if got := eng.Eval().NonEmpty(); !slices.Equal(got, want) {
-			t.Fatalf("%s: engine-owned evaluator sees %v, configuration has %v", stage, got, want)
-		}
 		if got := ev.NonEmpty(); !slices.Equal(got, want) {
-			t.Fatalf("%s: private evaluator sees %v, configuration has %v", stage, got, want)
+			t.Fatalf("%s: evaluator sees %v, configuration has %v", stage, got, want)
 		}
 	}
 	newcomer := func() *peer.Peer {
@@ -239,23 +230,6 @@ func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
 			}
 			if name == "singletons" && (arms.moves[1] == 0 || arms.contrib[1] == 0) {
 				t.Fatalf("%s round %d: no scan walked the cells (%+v)", name, round, arms)
-			}
-		}
-	}
-}
-
-// TestDecideEvalMatchesDecide pins the delegation contract for every
-// built-in strategy: Decide(e) == DecideEval(private evaluator).
-func TestDecideEvalMatchesDecide(t *testing.T) {
-	for _, strat := range []EvalStrategy{NewSelfish(), NewAltruistic(), NewHybrid(0.5)} {
-		eng := evalSystem(t, 4, 5)
-		ev := eng.NewEvaluator()
-		for p := 0; p < eng.NumSlots(); p++ {
-			base := eng.PeerCost(p, eng.Config().ClusterOf(p))
-			got := strat.DecideEval(ev, p, base, true)
-			want := strat.Decide(eng, p, base, true)
-			if got != want {
-				t.Fatalf("%s peer %d: DecideEval %+v vs Decide %+v", strat.Name(), p, got, want)
 			}
 		}
 	}

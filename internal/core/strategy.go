@@ -28,25 +28,16 @@ type Decision struct {
 	NewCluster bool
 }
 
-// Strategy decides peer relocations. baseline is the peer's individual
-// cost recorded at the start of the current period (NaN disables the
-// drift-triggered new-cluster rule); allowNew gates new-cluster
-// creation (§3.2 — some experiments keep the number of clusters fixed).
+// Strategy decides peer relocations through the caller's Evaluator.
+// baseline is the peer's individual cost recorded at the start of the
+// current period (NaN disables the drift-triggered new-cluster rule);
+// allowNew gates new-cluster creation (§3.2 — some experiments keep
+// the number of clusters fixed). Decide must have no side effects, so
+// workers holding private evaluators may call it concurrently over a
+// frozen engine — the basis of the protocol's parallel phase-1 scan.
 type Strategy interface {
 	Name() string
-	Decide(e *Engine, p int, baseline float64, allowNew bool) Decision
-}
-
-// EvalStrategy is implemented by strategies whose decision can run
-// through a caller-provided Evaluator. Decide is side-effect-free, so
-// workers holding private evaluators may call DecideEval concurrently
-// over a frozen engine — the basis of the protocol's parallel phase-1
-// scan. DecideEval(e.Eval(), ...) and Decide(e, ...) are the same
-// computation; the built-in strategies implement Decide as exactly
-// that delegation.
-type EvalStrategy interface {
-	Strategy
-	DecideEval(ev *Evaluator, p int, baseline float64, allowNew bool) Decision
+	Decide(ev *Evaluator, p int, baseline float64, allowNew bool) Decision
 }
 
 // Selfish implements §3.1.1: the peer moves to the cluster minimizing
@@ -69,12 +60,7 @@ func NewSelfish() *Selfish { return &Selfish{DriftThreshold: 0.1} }
 func (s *Selfish) Name() string { return "selfish" }
 
 // Decide implements Strategy.
-func (s *Selfish) Decide(e *Engine, p int, baseline float64, allowNew bool) Decision {
-	return s.DecideEval(e.Eval(), p, baseline, allowNew)
-}
-
-// DecideEval implements EvalStrategy.
-func (s *Selfish) DecideEval(evl *Evaluator, p int, baseline float64, allowNew bool) Decision {
+func (s *Selfish) Decide(evl *Evaluator, p int, baseline float64, allowNew bool) Decision {
 	ev := evl.EvaluateMoves(p)
 	d := Decision{Peer: p, From: ev.Cur}
 	switch {
@@ -114,16 +100,11 @@ func NewAltruistic() *Altruistic { return &Altruistic{} }
 func (a *Altruistic) Name() string { return "altruistic" }
 
 // Decide implements Strategy.
-func (a *Altruistic) Decide(e *Engine, p int, baseline float64, allowNew bool) Decision {
-	return a.DecideEval(e.Eval(), p, baseline, allowNew)
-}
-
-// DecideEval implements EvalStrategy.
-func (a *Altruistic) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
+func (a *Altruistic) Decide(evl *Evaluator, p int, _ float64, _ bool) Decision {
 	ev := evl.EvaluateContribution(p)
 	d := Decision{Peer: p, From: ev.Cur}
 	if ev.Best != ev.Cur {
-		gain := ev.BestContribution - ev.CurContribution - evl.DeltaMembership(ev.Best)
+		gain := ev.BestContribution - ev.CurContribution - evl.e.DeltaMembership(ev.Best)
 		if gain > 0 {
 			d.To = ev.Best
 			d.Gain = gain
@@ -155,19 +136,14 @@ func NewHybrid(lambda float64) *Hybrid {
 // Name implements Strategy.
 func (h *Hybrid) Name() string { return "hybrid" }
 
-// Decide implements Strategy.
-func (h *Hybrid) Decide(e *Engine, p int, baseline float64, allowNew bool) Decision {
-	return h.DecideEval(e.Eval(), p, baseline, allowNew)
-}
-
-// DecideEval implements EvalStrategy. It scores every non-empty
+// Decide implements Strategy. It scores every non-empty
 // cluster by λ·pgain + (1−λ)·clgain and requests the best
 // positive-score move.
-func (h *Hybrid) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
+func (h *Hybrid) Decide(evl *Evaluator, p int, _ float64, _ bool) Decision {
 	e := evl.e
 	cur := e.cfg.ClusterOf(p)
 	curCost := evl.PeerCost(p, cur)
-	curContrib := evl.Contribution(p, cur)
+	curContrib := e.Contribution(p, cur)
 	d := Decision{Peer: p, From: cur}
 	bestScore := 0.0
 	bestC := cur
@@ -179,7 +155,7 @@ func (h *Hybrid) DecideEval(evl *Evaluator, p int, _ float64, _ bool) Decision {
 			continue
 		}
 		pg := curCost - evl.PeerCost(p, c)
-		cg := evl.Contribution(p, c) - curContrib - evl.DeltaMembership(c)
+		cg := e.Contribution(p, c) - curContrib - e.DeltaMembership(c)
 		score := h.Lambda*pg + (1-h.Lambda)*cg
 		if score > bestScore || (score == bestScore && bestC != cur && c < bestC) {
 			bestScore, bestC = score, c

@@ -26,7 +26,7 @@ func TestSelfishDecisionImprovesOwnCost(t *testing.T) {
 	s := NewSelfish()
 	for p := 0; p < e.NumPeers(); p++ {
 		before := e.PeerCost(p, e.Config().ClusterOf(p))
-		d := s.Decide(e, p, math.NaN(), false)
+		d := s.Decide(e.NewEvaluator(), p, math.NaN(), false)
 		if !d.Move {
 			continue
 		}
@@ -50,7 +50,7 @@ func TestSelfishNewClusterRequiresDrift(t *testing.T) {
 		// With baseline equal to the current cost there is no drift, so
 		// no new-cluster decision may be emitted even with allowNew.
 		cur := e.PeerCost(p, e.Config().ClusterOf(p))
-		d := s.Decide(e, p, cur, true)
+		d := s.Decide(e.NewEvaluator(), p, cur, true)
 		if d.NewCluster {
 			t.Errorf("peer %d: founded new cluster without cost drift", p)
 		}
@@ -68,7 +68,7 @@ func TestSelfishNewClusterOnDrift(t *testing.T) {
 	for p := 0; p < e.NumPeers(); p++ {
 		ev := e.EvaluateMoves(p)
 		if ev.Best == ev.Cur && ev.AloneCost < ev.CurCost && e.Config().Size(ev.Cur) > 1 {
-			d := s.Decide(e, p, ev.CurCost-1 /* large drift */, true)
+			d := s.Decide(e.NewEvaluator(), p, ev.CurCost-1 /* large drift */, true)
 			if !d.NewCluster {
 				t.Errorf("peer %d: expected new-cluster decision", p)
 			}
@@ -84,7 +84,7 @@ func TestAltruisticMovesTowardMaxContribution(t *testing.T) {
 	e := scrambled(t, 53)
 	a := NewAltruistic()
 	for p := 0; p < e.NumPeers(); p++ {
-		d := a.Decide(e, p, math.NaN(), true)
+		d := a.Decide(e.NewEvaluator(), p, math.NaN(), true)
 		if !d.Move {
 			continue
 		}
@@ -109,8 +109,8 @@ func TestHybridDegeneratesToSelfishTargets(t *testing.T) {
 	h := NewHybrid(1)
 	s := NewSelfish()
 	for p := 0; p < e.NumPeers(); p++ {
-		dh := h.Decide(e, p, math.NaN(), false)
-		ds := s.Decide(e, p, math.NaN(), false)
+		dh := h.Decide(e.NewEvaluator(), p, math.NaN(), false)
+		ds := s.Decide(e.NewEvaluator(), p, math.NaN(), false)
 		if dh.Move != ds.Move {
 			t.Errorf("peer %d: hybrid(1) move=%v selfish move=%v", p, dh.Move, ds.Move)
 			continue

@@ -54,6 +54,11 @@ func TestRebuildWorkersBitIdentical(t *testing.T) {
 		e.Rebuild()
 		edited = engineState(e, true)
 
+		// Every GC cycle wakes the runtime goroutine that prunes the
+		// unique package's maps, and its pass allocates. At GOMAXPROCS 1
+		// it can run inside the window below when a cycle began just
+		// before, so finish a cycle, and with it that pass, first.
+		runtime.GC()
 		if allocs := testing.AllocsPerRun(3, e.Rebuild); allocs != 0 {
 			t.Errorf("GOMAXPROCS %d: a steady-state Rebuild allocates %v times, want 0", procs, allocs)
 		}

@@ -133,13 +133,13 @@ type clgainMarginal struct{}
 
 func (clgainMarginal) Name() string { return "altruistic-marginal" }
 
-func (clgainMarginal) Decide(e *core.Engine, p int, _ float64, _ bool) core.Decision {
-	ev := e.EvaluateContribution(p)
+func (clgainMarginal) Decide(evl *core.Evaluator, p int, _ float64, _ bool) core.Decision {
+	ev := evl.EvaluateContribution(p)
 	d := core.Decision{Peer: p, From: ev.Cur}
 	if ev.Best == ev.Cur {
 		return d
 	}
-	gain := ev.BestContribution - ev.CurContribution - e.DeltaMembershipMarginal(ev.Best)
+	gain := ev.BestContribution - ev.CurContribution - evl.Engine().DeltaMembershipMarginal(ev.Best)
 	if gain <= 0 {
 		return d
 	}

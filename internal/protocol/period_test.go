@@ -78,7 +78,8 @@ func TestPeriodMatchesRunByteIdentical(t *testing.T) {
 
 // TestRunParallelMatchesSerial pins the same contract for the
 // monolithic path: Options.Workers must not change a single byte of
-// Run's report.
+// Run's report, for the built-in strategies and for one defined outside
+// core, which fans out like them.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	mk := func(w int, strat core.Strategy) Report {
 		return NewRunner(grouped(t, 4, 6), strat,
@@ -88,6 +89,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		func() core.Strategy { return core.NewSelfish() },
 		func() core.Strategy { return core.NewAltruistic() },
 		func() core.Strategy { return core.NewHybrid(0.5) },
+		func() core.Strategy { return struct{ core.Strategy }{core.NewSelfish()} },
 	} {
 		want := mk(1, strat())
 		for _, w := range []int{2, 3, 8} {

@@ -96,9 +96,7 @@ type Options struct {
 	// the frozen engine — and merged in worklist order under the total
 	// (gain desc, peer asc) tie-break, making every report
 	// byte-identical to the serial scan for any value. 0 or 1 scans
-	// serially; values above 1 require the strategy to implement
-	// core.EvalStrategy (the built-in strategies do) and quietly fall
-	// back to serial otherwise.
+	// serially.
 	Workers int
 }
 
@@ -122,9 +120,7 @@ func DefaultOptions() Options {
 type Runner struct {
 	eng      *core.Engine
 	strategy core.Strategy
-	// es is strategy as a core.EvalStrategy, nil when it is not one.
-	es   core.EvalStrategy
-	opts Options
+	opts     Options
 
 	// baseline records each peer's individual cost at the start of the
 	// period; the drift rule for new-cluster creation compares against
@@ -167,8 +163,7 @@ func NewRunner(eng *core.Engine, strategy core.Strategy, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultOptions().MaxRounds
 	}
-	es, _ := strategy.(core.EvalStrategy)
-	return &Runner{eng: eng, strategy: strategy, es: es, opts: opts}
+	return &Runner{eng: eng, strategy: strategy, opts: opts}
 }
 
 // Engine returns the underlying engine.
@@ -219,9 +214,8 @@ func (r *Runner) ensureEvals(w int) {
 	}
 }
 
-// decideOne evaluates peer p under the period baseline rules, through
-// a private evaluator when the strategy supports it and through the
-// engine otherwise.
+// decideOne evaluates peer p under the period baseline rules through
+// the evaluator ev.
 func (r *Runner) decideOne(ev *core.Evaluator, p int) core.Decision {
 	// Peers that joined after the period baseline was taken — either
 	// beyond its length or into a reused slot whose join generation
@@ -230,10 +224,7 @@ func (r *Runner) decideOne(ev *core.Evaluator, p int) core.Decision {
 	if p < len(r.baseline) && r.eng.SlotGeneration(p) == r.baselineGen[p] {
 		baseline = r.baseline[p]
 	}
-	if r.es != nil {
-		return r.es.DecideEval(ev, p, baseline, r.opts.AllowNewClusters)
-	}
-	return r.strategy.Decide(r.eng, p, baseline, r.opts.AllowNewClusters)
+	return r.strategy.Decide(ev, p, baseline, r.opts.AllowNewClusters)
 }
 
 // DecideCluster is cluster c's phase-1 scan. Every member of the
@@ -243,11 +234,10 @@ func (r *Runner) decideOne(ev *core.Evaluator, p int) core.Decision {
 // message count (one per non-representative member). Membership order
 // does not matter: Decide has no side effects.
 //
-// ev is the caller's private evaluator over the runner's engine, used
-// when the strategy is a core.EvalStrategy. DecideCluster only reads
-// the runner, so callers holding distinct evaluators may scan
-// concurrently once PrepareDecide has run after the engine's last
-// mutation.
+// ev is the caller's private evaluator over the runner's engine.
+// DecideCluster only reads the runner, so callers holding distinct
+// evaluators may scan concurrently once PrepareDecide has run after the
+// engine's last mutation.
 func (r *Runner) DecideCluster(ev *core.Evaluator, c cluster.CID) (Request, int) {
 	members := r.eng.Config().MembersUnsorted(c)
 	best := Request{Gain: math.Inf(-1)}
@@ -265,10 +255,10 @@ func (r *Runner) DecideCluster(ev *core.Evaluator, c cluster.CID) (Request, int)
 }
 
 // decideBatch runs the phase-1 scan over clusters (all non-empty),
-// filling r.bests and r.bestMsgs by position. With Workers > 1 and an
-// EvalStrategy the clusters fan out over a worker pool; every result
-// is written to its own index, so the merged outcome is byte-identical
-// for any worker count, including the serial path.
+// filling r.bests and r.bestMsgs by position. With Workers > 1 the
+// clusters fan out over a worker pool; every result is written to its
+// own index, so the merged outcome is byte-identical for any worker
+// count, including the serial path.
 func (r *Runner) decideBatch(clusters []cluster.CID) {
 	n := len(clusters)
 	if cap(r.bests) < n {
@@ -282,28 +272,18 @@ func (r *Runner) decideBatch(clusters []cluster.CID) {
 		r.scanned += r.eng.Config().Size(c)
 	}
 
-	if r.es != nil {
-		// Refresh the per-membership-version state (non-empty cluster
-		// list, join terms) before evaluators — possibly concurrent —
-		// read it.
-		r.eng.PrepareDecide()
-	}
-	w := r.opts.Workers
-	if w > n {
-		w = n
-	}
-	if r.es == nil || w <= 1 {
-		var ev *core.Evaluator
-		if r.es != nil {
-			r.ensureEvals(1)
-			ev = r.evals[0]
-		}
+	// Refresh the per-membership-version state (non-empty cluster list,
+	// join terms, size classes) before evaluators — possibly
+	// concurrent — read it.
+	r.eng.PrepareDecide()
+	w := min(r.opts.Workers, n)
+	r.ensureEvals(max(w, 1))
+	if w <= 1 {
 		for i, c := range clusters {
-			r.bests[i], r.bestMsgs[i] = r.DecideCluster(ev, c)
+			r.bests[i], r.bestMsgs[i] = r.DecideCluster(r.evals[0], c)
 		}
 		return
 	}
-	r.ensureEvals(w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)

@@ -267,9 +267,9 @@ type baselineProbe struct {
 
 func (b *baselineProbe) Name() string { return "probe" }
 
-func (b *baselineProbe) Decide(e *core.Engine, p int, baseline float64, _ bool) core.Decision {
+func (b *baselineProbe) Decide(ev *core.Evaluator, p int, baseline float64, _ bool) core.Decision {
 	b.got[p] = baseline
-	return core.Decision{Peer: p, From: e.Config().ClusterOf(p)}
+	return core.Decision{Peer: p, From: ev.Engine().Config().ClusterOf(p)}
 }
 
 // TestMidPeriodJoinGetsNaNBaseline pins the slot-generation guard: a

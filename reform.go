@@ -109,7 +109,6 @@ type System struct {
 	sys    *experiments.System
 	eng    *core.Engine
 	runner *protocol.Runner
-	strat  core.Strategy
 	rng    *stats.RNG
 	// period is the in-progress stepped maintenance period driven by
 	// StepReform, nil when none is active.
@@ -170,7 +169,6 @@ func New(opts Options) *System {
 		sys:    sys,
 		eng:    eng,
 		runner: sys.NewRunnerWorkers(eng, strat, opts.AllowNewClusters, opts.Workers),
-		strat:  strat,
 		rng:    rng,
 	}
 }
