@@ -136,9 +136,8 @@ func NewHybrid(lambda float64) *Hybrid {
 // Name implements Strategy.
 func (h *Hybrid) Name() string { return "hybrid" }
 
-// Decide implements Strategy. It scores every non-empty
-// cluster by λ·pgain + (1−λ)·clgain and requests the best
-// positive-score move.
+// Decide implements Strategy. It scores every non-empty cluster by
+// λ·pgain + (1−λ)·clgain and requests the best positive-score move.
 func (h *Hybrid) Decide(evl *Evaluator, p int, _ float64, _ bool) Decision {
 	e := evl.e
 	cur := e.cfg.ClusterOf(p)
