@@ -50,6 +50,25 @@ func runBenchCommand(args []string) {
 	baseline := fs.String("baseline", "", "baseline BENCH.json to diff against; allocs/op growth, a broken 0-alloc contract or a benchmark missing from the fresh run fails, ns/op and B/op are printed only")
 	fs.Parse(args)
 
+	// The baseline is read first, so a run it cannot be compared with
+	// fails before the table runs.
+	var base benchReport
+	if *baseline != "" {
+		data, err := os.ReadFile(*baseline)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench: baseline:", err)
+			os.Exit(1)
+		}
+		if err := json.Unmarshal(data, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: baseline %s: %v\n", *baseline, err)
+			os.Exit(1)
+		}
+		if err := sameScale(base, *scale); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: baseline %s: %v\n", *baseline, err)
+			os.Exit(1)
+		}
+	}
+
 	p := experiments.DefaultParams().Scaled(*scale)
 	p.MaxRounds = 150
 	f := benchsuite.NewFixtures(p, *peers)
@@ -95,16 +114,6 @@ func runBenchCommand(args []string) {
 	}
 
 	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: baseline:", err)
-			os.Exit(1)
-		}
-		var base benchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
 		// The gate table goes to stderr so `-o -` keeps stdout pure JSON.
 		fmt.Fprintf(os.Stderr, "bench gate vs %s (allocs/op judged, ns/op and B/op recorded):\n", *baseline)
 		if err := compareReports(base, report, os.Stderr); err != nil {
@@ -122,8 +131,13 @@ func runBenchCommand(args []string) {
 // run lacks fails (a renamed or dropped benchmark must not pass unseen).
 // Ns/op and B/op are the trajectory: printed old -> new, never a
 // verdict. A result the baseline lacks is skipped, so adding a benchmark
-// needs no baseline first.
+// needs no baseline first. A baseline recorded at another -scale fails
+// before anything is compared: the small class's allocs/op grow with
+// its population, so every row would judge a size, not a change.
 func compareReports(base, fresh benchReport, w io.Writer) error {
+	if err := sameScale(base, fresh.Scale); err != nil {
+		return err
+	}
 	gates := make(map[string]benchsuite.Gate, len(benchsuite.Table))
 	for _, e := range benchsuite.Table {
 		gates[e.Name] = e.Gate
@@ -171,6 +185,15 @@ func compareReports(base, fresh benchReport, w io.Writer) error {
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("bench regression gate failed: %v", failures)
+	}
+	return nil
+}
+
+// sameScale returns an error naming both scales unless the baseline was
+// recorded at -scale scale.
+func sameScale(base benchReport, scale int) error {
+	if base.Scale != scale {
+		return fmt.Errorf("recorded at -scale %d, this run is at -scale %d: rerun with -scale %d", base.Scale, scale, base.Scale)
 	}
 	return nil
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/benchsuite"
 )
 
-// TestCompareReports drives the gate over synthetic reports: only
-// allocs/op on gated entries, the 0-alloc contracts and a baseline name
-// missing from the fresh run may fail it.
+// TestCompareReports drives the gate over synthetic reports: only a
+// baseline at another scale, allocs/op on gated entries, the 0-alloc
+// contracts and a baseline name missing from the fresh run may fail it.
 func TestCompareReports(t *testing.T) {
 	first := map[benchsuite.Gate]string{} // the first table entry of each gate kind
 	for _, e := range benchsuite.Table {
@@ -71,6 +71,9 @@ func TestCompareReports(t *testing.T) {
 			wantErr: none + " is in the baseline, missing from the fresh run"},
 		{name: "not in baseline", base: report(on(gated, drop)), fresh: report(on(gated, grow)),
 			wantPrinted: "not in baseline (skipped)"},
+		{name: "another scale", base: benchReport{Scale: 8, Benchmarks: report(nil).Benchmarks},
+			fresh:   benchReport{Scale: 4, Benchmarks: report(on(gated, grow)).Benchmarks},
+			wantErr: "recorded at -scale 8, this run is at -scale 4: rerun with -scale 8"},
 		{name: "10x ns/op and B/op", base: report(nil),
 			fresh:       report(on(gated, func(r *benchResult) { r.NsPerOp *= 10; r.BytesPerOp *= 10 })),
 			wantPrinted: fmt.Sprintf("ns/op %12.1f -> %12.1f  B/op 64 -> 640  allocs/op 5 -> 5  ok", 100.0, 1000.0)},

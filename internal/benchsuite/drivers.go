@@ -74,8 +74,9 @@ func kmeansRecluster(f *Fixtures) func(b *testing.B) {
 }
 
 // corpusDocument times one document of the Small corpus: sampling its
-// words, writing the raw text, the textproc pipeline over it and the
-// vocabulary lookups. Its allocs/op are the text and the term set.
+// words, writing the raw text with its inflections and stop words, and
+// ordering the sampled IDs into the term set. Its allocs/op are the
+// text and the term set.
 func corpusDocument(f *Fixtures) func(b *testing.B) {
 	p := f.Small
 	return func(b *testing.B) {

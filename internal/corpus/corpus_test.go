@@ -17,27 +17,50 @@ func testConfig() Config {
 	return cfg
 }
 
+// benchShapes are the corpus shapes benchsuite generates from:
+// experiments.DefaultParams' corpus (10 x 2000 words and 50 shared),
+// which its Small class runs at every -scale, and the same at 16
+// categories, which its Large class runs at LargePeers. experiments
+// imports this package, so the shapes are spelled out here.
+func benchShapes() map[string]Config {
+	small := DefaultConfig()
+	small.VocabPerCategory = 2000
+	large := small
+	large.Categories = 16
+	return map[string]Config{"benchsuite Small": small, "benchsuite Large": large}
+}
+
+// TestVocabularyIsPreprocessingStable runs the check NewGenerator runs
+// on a shape's first generator over every shape the tests, the paper's
+// evaluation and the benchmarks generate from. It calls the check
+// directly, so a shape another test built first is checked all the
+// same; the check panics on the first word the pipeline does not give
+// back from one of its inflections.
 func TestVocabularyIsPreprocessingStable(t *testing.T) {
-	// Every canonical word and every morphological variant must
-	// normalize back to the canonical form under the full pipeline.
-	for cat := 0; cat < 10; cat++ {
-		for k := 0; k < 200; k++ {
-			w := CategoryWord(cat, k)
-			if textproc.Stem(w) != w {
-				t.Fatalf("word %q not a stemmer fixed point", w)
-			}
-			for v := range morphVariants {
-				if got := textproc.Stem(inflect(w, v)); got != w {
-					t.Fatalf("variant %q of %q stems to %q", inflect(w, v), w, got)
-				}
-			}
+	shapes := benchShapes()
+	shapes["DefaultConfig"] = DefaultConfig()
+	shapes["testConfig"] = testConfig()
+	for name, cfg := range shapes {
+		if v := buildVocab(cfg.shape()); v.Len() != cfg.Categories*cfg.VocabPerCategory+cfg.SharedVocab {
+			t.Errorf("%s: a vocabulary of %d words", name, v.Len())
 		}
 	}
-	for k := 0; k < 100; k++ {
-		w := SharedWord(k)
-		if textproc.Stem(w) != w {
-			t.Fatalf("shared word %q not stable", w)
-		}
+}
+
+// TestVerifyStableRejects: a word the pipeline does not give back from
+// every inflection panics. "does" is a stop word, so a document would
+// lose "doe" whenever it was inflected with -s; "his" is one too, and
+// "hied" stems to itself.
+func TestVerifyStableRejects(t *testing.T) {
+	for _, w := range []string{"doe", "hi"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("verifyStable(%q) passed", w)
+				}
+			}()
+			verifyStable(w)
+		}()
 	}
 }
 
@@ -356,8 +379,9 @@ func TestDocumentRNGConcurrent(t *testing.T) {
 
 // TestGenerationAllocations pins what a document costs the heap: its
 // text and its term set (105 allocations before the generator wrote
-// from its word table into local scratch), with slack for a document
-// that outgrows the scratch. Verifying a canonical word costs nothing.
+// its words into local scratch), with slack for a document
+// that outgrows the scratch. Verifying a canonical word costs the
+// inflected forms it hands the pipeline and nothing else.
 func TestGenerationAllocations(t *testing.T) {
 	for name, cfg := range pipelineConfigs() {
 		g := NewGenerator(cfg, 25)
@@ -371,7 +395,42 @@ func TestGenerationAllocations(t *testing.T) {
 		}
 	}
 	w := CategoryWord(3, 77)
-	if got := testing.AllocsPerRun(200, func() { verifyStable(w) }); got != 0 {
-		t.Errorf("verifyStable allocates %.1f times a word, want 0", got)
+	if got, want := testing.AllocsPerRun(200, func() { verifyStable(w) }), float64(len(morphVariants)-1); got != want {
+		t.Errorf("verifyStable allocates %.1f times a word, want %.0f", got, want)
 	}
+}
+
+// FuzzDocumentTermsMatchPipeline: whatever the shape, seed, category
+// and noise levels, a document's terms are what the pipeline makes of
+// its text, interned against the generator's vocabulary. The shapes
+// are the tests', the default, benchsuite's two and the smallest the
+// generator accepts; the noise levels cover [0, 1] for MorphNoise and
+// SharedFraction and [0, 8] stop words a content word for StopNoise.
+func FuzzDocumentTermsMatchPipeline(f *testing.F) {
+	bench := benchShapes()
+	shapes := []Config{testConfig(), DefaultConfig(), bench["benchsuite Small"], bench["benchsuite Large"],
+		{Categories: 1, VocabPerCategory: 1, WordsPerDoc: 1}}
+	f.Add(uint8(0), uint64(1), uint8(0), uint8(77), uint8(16), uint8(0))
+	f.Add(uint8(1), uint64(7), uint8(9), uint8(255), uint8(255), uint8(128))
+	f.Add(uint8(3), uint64(42), uint8(15), uint8(0), uint8(0), uint8(255))
+	f.Add(uint8(4), uint64(3), uint8(0), uint8(255), uint8(64), uint8(255))
+	f.Fuzz(func(t *testing.T, shape uint8, seed uint64, category, morph, stop, shared uint8) {
+		cfg := shapes[int(shape)%len(shapes)]
+		cfg.MorphNoise = float64(morph) / 255
+		cfg.StopNoise = float64(stop) / 32
+		cfg.SharedFraction = float64(shared) / 255
+		g := NewGenerator(cfg, seed)
+		doc := g.Document(int(category) % cfg.Categories)
+		var ids []attr.ID
+		for _, term := range textproc.Process(doc.Text) {
+			id, ok := g.Vocab().Lookup(term)
+			if !ok {
+				t.Fatalf("term %q of the text is not in the vocabulary", term)
+			}
+			ids = append(ids, id)
+		}
+		if want := attr.NewSet(ids...); !doc.Terms.Equal(want) {
+			t.Fatalf("Terms %v, the pipeline over %q gives %v", doc.Terms, doc.Text, want)
+		}
+	})
 }

@@ -56,8 +56,9 @@ type Document struct {
 	// Text is the raw text, pre-preprocessing (contains stop words and
 	// inflected forms).
 	Text string
-	// Terms is the document's attribute set after the full textproc
-	// pipeline, interned against the generator's vocabulary.
+	// Terms is the document's attribute set: the words it sampled,
+	// interned against the generator's vocabulary, which are what the
+	// full textproc pipeline makes of Text.
 	Terms attr.Set
 }
 
@@ -115,7 +116,12 @@ func (g *Generator) Document(category int) Document {
 }
 
 // DocumentRNG generates one article of the given category using rng,
-// allowing callers to carve independent deterministic streams.
+// allowing callers to carve independent deterministic streams. Its
+// terms are the IDs it sampled, not the pipeline run over its text:
+// the two are equal because the text is space-separated tokens and
+// buildVocab checked, once for the shape, that the pipeline maps every
+// inflection of every word back to the word and every stop word to
+// nothing.
 func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 	if category < 0 || category >= g.cfg.Categories {
 		panic(fmt.Sprintf("corpus: category %d out of range [0,%d)", category, g.cfg.Categories))
@@ -125,41 +131,32 @@ func (g *Generator) DocumentRNG(category int, rng *stats.RNG) Document {
 	// a document several times the paper's 30 words and stays on the
 	// stack; a longer document grows past it onto the heap.
 	raw := make([]byte, 0, 1024)
+	var idBuf [128]attr.ID
+	ids := idBuf[:0]
 	stopP := g.cfg.StopNoise / (1 + g.cfg.StopNoise)
 	for i := 0; i < g.cfg.WordsPerDoc; i++ {
-		var id attr.ID
-		if g.shDist != nil && rng.Bool(g.cfg.SharedFraction) {
-			id = g.sharedWord(g.shDist.Sample(rng))
-		} else {
-			id = g.WordRank(category, g.catDist.Sample(rng))
-		}
 		if i > 0 {
 			raw = append(raw, ' ')
 		}
-		raw = append(raw, g.vocab.Name(id)...)
+		if g.shDist != nil && rng.Bool(g.cfg.SharedFraction) {
+			k := g.shDist.Sample(rng)
+			ids = append(ids, g.sharedWord(k))
+			raw = appendSharedWord(raw, k)
+		} else {
+			k := g.catDist.Sample(rng)
+			ids = append(ids, g.WordRank(category, k))
+			raw = appendCategoryWord(raw, category, k)
+		}
 		if rng.Bool(g.cfg.MorphNoise) {
 			raw = append(raw, morphVariants[1+rng.Intn(len(morphVariants)-1)]...)
 		}
-		// Salt with stop words so the pipeline's filter has work to do.
+		// Salt with stop words, which the pipeline's filter drops.
 		for rng.Bool(stopP) {
 			raw = append(raw, ' ')
 			raw = append(raw, textproc.StopwordAt(rng.Intn(textproc.StopwordCount()))...)
 		}
 	}
-	text := string(raw)
-	var termBuf [192]string
-	var idBuf [128]attr.ID
-	ids := idBuf[:0]
-	for _, t := range textproc.AppendProcessed(termBuf[:0], text) {
-		// Every canonical word is in the vocabulary; anything
-		// unseen would indicate pipeline drift, which we want loudly.
-		id, ok := g.vocab.Lookup(t)
-		if !ok {
-			panic(fmt.Sprintf("corpus: processed term %q missing from vocabulary", t))
-		}
-		ids = append(ids, id)
-	}
-	return Document{Category: category, Text: text, Terms: attr.NewSet(ids...)}
+	return Document{Category: category, Text: string(raw), Terms: attr.NewSet(ids...)}
 }
 
 // QueryWordRNG samples a category word with the same Zipf skew used for

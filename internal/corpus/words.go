@@ -13,30 +13,35 @@
 // pipeline does real work. Generation is fully deterministic per seed.
 //
 // A document's term set is what that pipeline makes of its raw text,
-// every time: the text is written out byte for byte, tokenized, stop
-// words dropped, every remaining token stemmed and looked up in the
-// vocabulary, and an unknown term panics. A sampled word is copied from
-// the vocabulary's name table, not spelled from its syllables again;
-// the terms go into the set by ID, which orders them, so they are not
-// counted and sorted as strings first; and the scratch for all of it
-// is local to the call, because forks of one System share their
-// generator across goroutines.
+// but the generator does not run the pipeline to get it: it keeps the
+// IDs it samples as it writes their words out, inflected or not, with
+// stop words between them. The two agree because the pipeline works
+// token by token over the space-separated text and the first generator
+// of a shape checks every token such a text can hold: the pipeline
+// gives back each word from each of its inflections, and drops each
+// stop word. A sampled word is spelled from its rank straight into the
+// text, as the vocabulary spelled it, not copied out of the name
+// table, whose tens of thousands of strings miss the cache; and the
+// scratch is local to the call, because forks of one System share
+// their generator across goroutines.
 //
 // The canonical vocabulary is a pure function of the corpus shape
 // (Categories, VocabPerCategory, SharedVocab): category c's k-th word
 // has ID c*VocabPerCategory+k and shared word k has ID
 // Categories*VocabPerCategory+k. A process builds it once per shape,
-// the first time a generator of that shape is made: every word is
-// spelled, checked to be a fixed point of the pipeline and to be new,
-// and interned, and the vocabulary is frozen. Every generator then
-// starts from an attr.Vocab Fork of it, which shares the frozen tables
-// until something interns a word the shape does not have (the
-// long-haul sweep's novel query words); only that generator's fork
-// then copies the index, and no other generator sees the word.
+// the first time a generator of that shape is made: the stop words are
+// checked, every word is spelled, checked in each of its inflections
+// and to be new, and interned, and the vocabulary is frozen. Every
+// generator then starts from an attr.Vocab Fork of it, which shares
+// the frozen tables until something interns a word the shape does not
+// have (the long-haul sweep's novel query words); only that
+// generator's fork then copies the index, and no other generator sees
+// the word.
 package corpus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attr"
@@ -68,19 +73,24 @@ func syllable(i int) (consonant, vowel byte) {
 
 const syllableSpace = 80 // len(wordConsonants) * len(wordVowels)
 
-// canonicalWord spells word index k behind a two-letter prefix: two
-// syllables and a closing 'x'.
-func canonicalWord(p0, p1 byte, k int) string {
+// appendWord appends word index k spelled behind a two-letter prefix:
+// two syllables and a closing 'x'.
+func appendWord(dst []byte, p0, p1 byte, k int) []byte {
 	c1, v1 := syllable(k % syllableSpace)
 	c2, v2 := syllable((k / syllableSpace) % syllableSpace)
-	return string([]byte{p0, p1, c1, v1, c2, v2, 'x'})
+	return append(dst, p0, p1, c1, v1, c2, v2, 'x')
 }
 
 // CategoryWord returns the canonical form of word index k of category
-// cat. Words are fixed points of textproc.Stem by construction (a test
-// asserts this for the whole vocabulary).
+// cat. Words are fixed points of textproc.Stem by construction
+// (verifyStable checks every word of a shape).
 func CategoryWord(cat, k int) string {
-	return canonicalWord(categoryConsonant(cat), 'a', k)
+	return string(appendCategoryWord(make([]byte, 0, 7), cat, k))
+}
+
+// appendCategoryWord appends CategoryWord(cat, k) to dst.
+func appendCategoryWord(dst []byte, cat, k int) []byte {
+	return appendWord(dst, categoryConsonant(cat), 'a', k)
 }
 
 // SharedWord returns the canonical form of shared-vocabulary word k.
@@ -88,12 +98,17 @@ func CategoryWord(cat, k int) string {
 // excluded from category consonants), so they never collide with any
 // category word.
 func SharedWord(k int) string {
-	return canonicalWord('z', 'u', k)
+	return string(appendSharedWord(make([]byte, 0, 7), k))
+}
+
+// appendSharedWord appends SharedWord(k) to dst.
+func appendSharedWord(dst []byte, k int) []byte {
+	return appendWord(dst, 'z', 'u', k)
 }
 
 // morphVariants lists suffixes used to inflect canonical words in raw
-// text; the textproc stemmer maps every variant back to the canonical
-// word (asserted by tests).
+// text; the textproc pipeline maps every variant back to the canonical
+// word (verifyStable checks it for every word of a shape).
 var morphVariants = []string{"", "s", "ing", "ed", "ly"}
 
 // inflect applies variant v to word w.
@@ -101,25 +116,38 @@ func inflect(w string, v int) string {
 	return w + morphVariants[v%len(morphVariants)]
 }
 
-// verifyStable panics if w is not a fixed point of the preprocessing
-// pipeline; canonicalVocab runs it on every word of a shape to validate
+// verifyStable panics unless the preprocessing pipeline makes exactly
+// [w] of every morphological variant of w, the bare word included: the
+// variant is one token, neither it nor its stem is a stop word, and it
+// stems to w. buildVocab runs it on every word of a shape to validate
 // the configuration up front rather than corrupting an experiment
-// silently. The passing path allocates nothing: the inflected forms it
-// stems never leave the stack, and the message is only put together
-// once a check has failed.
+// silently. Only the inflected forms it hands the pipeline allocate;
+// the message is put together once a check has failed.
 func verifyStable(w string) {
-	if textproc.Stem(w) != w || textproc.IsStopword(w) {
-		panic(fmt.Sprintf("corpus: word %q is not preprocessing-stable", w))
-	}
+	var buf [2]string
 	for v := range morphVariants {
-		if textproc.Stem(inflect(w, v)) != w {
-			panic(fmt.Sprintf("corpus: variant %q of %q stems to %q", inflect(w, v), w, textproc.Stem(inflect(w, v))))
+		form := inflect(w, v)
+		if got := textproc.AppendProcessed(buf[:0], form); len(got) != 1 || got[0] != w {
+			panic(fmt.Sprintf("corpus: the pipeline makes %q of %q, want [%q]", slices.Clone(got), form, w))
+		}
+	}
+}
+
+// verifyStopwords panics unless the pipeline makes nothing of every
+// stop word the generator salts its texts with.
+func verifyStopwords() {
+	var buf [1]string
+	for i := 0; i < textproc.StopwordCount(); i++ {
+		if w := textproc.StopwordAt(i); len(textproc.AppendProcessed(buf[:0], w)) != 0 {
+			panic(fmt.Sprintf("corpus: the pipeline keeps stop word %q", w))
 		}
 	}
 }
 
 // shape is what the canonical vocabulary is a function of.
 type shape struct{ categories, perCategory, shared int }
+
+func (c Config) shape() shape { return shape{c.Categories, c.VocabPerCategory, c.SharedVocab} }
 
 // canonical holds the frozen canonical vocabulary of every shape the
 // process has made a generator of. It memoizes a pure function: an
@@ -131,16 +159,32 @@ var canonical struct {
 }
 
 // canonicalVocab returns the frozen canonical vocabulary of cfg's shape
-// (see the package doc), building and verifying it on the first call
-// for that shape. Later calls, from any goroutine, return the same
-// vocabulary; a build that panics stores nothing.
+// (see the package doc), building it on the first call for that shape.
+// Later calls, from any goroutine, return the same vocabulary; a build
+// that panics stores nothing.
 func canonicalVocab(cfg Config) *attr.Vocab {
-	key := shape{cfg.Categories, cfg.VocabPerCategory, cfg.SharedVocab}
+	key := cfg.shape()
 	canonical.Lock()
 	defer canonical.Unlock()
 	if v, ok := canonical.byShape[key]; ok {
 		return v
 	}
+	v := buildVocab(key)
+	if canonical.byShape == nil {
+		canonical.byShape = make(map[shape]*attr.Vocab)
+	}
+	canonical.byShape[key] = v
+	return v
+}
+
+// buildVocab spells, verifies and interns every word of shape key, and
+// checks that the pipeline drops every stop word. Together the checks
+// prove that the pipeline over a document's text gives back the words
+// DocumentRNG sampled: the text is those words, inflected or not, and
+// stop words, separated by spaces, and the pipeline works token by
+// token.
+func buildVocab(key shape) *attr.Vocab {
+	verifyStopwords()
 	v := attr.NewVocabSized(key.categories*key.perCategory + key.shared)
 	for c := 0; c < key.categories; c++ {
 		for k := 0; k < key.perCategory; k++ {
@@ -151,10 +195,6 @@ func canonicalVocab(cfg Config) *attr.Vocab {
 		internNext(v, SharedWord(k))
 	}
 	v.Freeze()
-	if canonical.byShape == nil {
-		canonical.byShape = make(map[shape]*attr.Vocab)
-	}
-	canonical.byShape[key] = v
 	return v
 }
 
