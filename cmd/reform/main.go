@@ -9,7 +9,7 @@
 //	reform -exp fig2 -seed 7 -csv  # CSV output for plotting
 //	reform -workers 8 -exp all     # bound the experiment worker pool
 //	reform bench -o BENCH.json     # machine-readable microbenchmarks
-//	reform bench -baseline B.json  # fail on hot-path regressions vs B.json
+//	reform bench -peers 10000      # the at-scale class at 10 000 peers
 //	reform serve -addr :8080       # long-running join/leave/query daemon
 //	reform serve -join URL         # follower replica of a running leader
 //	reform route -upstream URL     # stateless query-router replica
@@ -29,10 +29,9 @@
 // -workers). Outputs are deterministic per seed for every worker
 // count. The bench subcommand runs internal/benchsuite's table and
 // emits ns/op, B/op and allocs/op as BENCH.json, tracking the
-// performance trajectory across commits; with -baseline it compares
-// against a committed BENCH_BASELINE.json and exits nonzero when
-// allocs/op grew on a gated entry or a 0-alloc contract broke (the
-// same gate CI runs; timings are printed, never judged). The serve subcommand exposes
+// performance trajectory across commits; internal/benchsuite's
+// TestAllocGate holds the gated entries' allocs/op to the committed
+// BENCH_BASELINE.json, one such report. The serve subcommand exposes
 // the overlay over HTTP under /v1 (see API.md): POST /v1/peers
 // (join), DELETE /v1/peers/{id} (leave), POST /v1/query and
 // POST /v1/query/batch (lock-free reads from atomically published

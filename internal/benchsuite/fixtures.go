@@ -22,7 +22,7 @@ type fixture struct {
 // Fixtures are the systems the table's bodies run over, built once a
 // run. Entries that share one run in table order and some mutate it, so
 // a number is defined for the whole table run, which is what `reform
-// bench` and the gate do.
+// bench` and TestAllocGate do.
 type Fixtures struct {
 	Small experiments.Params
 	Large experiments.Params
@@ -55,11 +55,19 @@ type Fixtures struct {
 	daemon *service.Server
 }
 
-// NewFixtures takes the Small class's parameters as given and derives
-// the Large class's from a population: the cluster count grows with it
-// as far as the corpus allows (its word scheme supports at most 16
-// topical categories), and the workload with the peers.
-func NewFixtures(small experiments.Params, peers int) *Fixtures {
+// Scale is the factor the Small class shrinks the paper's setting by:
+// 25 peers, so an iteration of a driver entry runs a whole experiment
+// in milliseconds. BENCH_BASELINE.json is recorded at it.
+const Scale = 8
+
+// NewFixtures builds the fixtures of every runner of the table: the
+// Small class at the paper's setting shrunk by Scale, and the Large
+// class derived from a population: the cluster count grows with it as
+// far as the corpus allows (its word scheme supports at most 16 topical
+// categories), and the workload with the peers.
+func NewFixtures(peers int) *Fixtures {
+	small := experiments.DefaultParams().Scaled(Scale)
+	small.MaxRounds = 150
 	lp := experiments.DefaultParams()
 	lp.Peers = peers
 	lp.Categories = min(max(peers/16, 10), 16)

@@ -1,8 +1,8 @@
 // Package benchsuite is the one place a micro-benchmark exists. Table
 // lists every body with the population it runs at and what the
-// regression gate holds it to; `reform bench` runs the table through
-// testing.Benchmark and `go test -bench Suite` through b.Run, over the
-// same Fixtures, so a benchmark is defined once.
+// allocation gate, TestAllocGate, holds it to; `reform bench` runs the
+// table through testing.Benchmark and `go test -bench Suite` through
+// b.Run, over the same Fixtures, so a benchmark is defined once.
 package benchsuite
 
 import (
@@ -17,17 +17,18 @@ import (
 type Class int
 
 const (
-	// Small entries run at the paper's setting shrunk by -scale.
+	// Small entries run at the paper's setting shrunk by Scale.
 	Small Class = iota
-	// Large entries run at -peers whatever -scale is: their cost
-	// structure only shows at a real population (long posting lists, many
-	// clusters, localized churn).
+	// Large entries run at a population of their own (LargePeers, or
+	// `reform bench -peers`): their cost structure only shows at a real
+	// population (long posting lists, many clusters, localized churn).
 	Large
 )
 
-// Gate is what `reform bench -baseline` holds an entry to. Only
-// allocs/op is ever judged: it is equal from run to run, where ns/op
-// swings by half on a shared box and B/op by a few bytes.
+// Gate is what TestAllocGate holds an entry to against
+// BENCH_BASELINE.json. Only allocs/op is ever judged: it is equal from
+// run to run, where ns/op swings by half on a shared box and B/op by a
+// few bytes.
 type Gate int
 
 const (
@@ -105,8 +106,11 @@ var Table = []Entry{
 	{"CompactCycle", Small, GateAllocs, churnCycle(8, true)},
 	{"QueryServe", Large, GateZeroAlloc, queryServe(0)},
 	{"QueryServeParallel", Large, GateZeroAlloc, queryServeParallel},
-	// QueryServeHot's rare collision-miss inserts amortize to 0 under
-	// AllocsPerOp's integer division; QueryServeZipf misses by design.
+	// Both cached entries amortize their misses' inserts to 0 under
+	// AllocsPerOp's integer division. QueryServeHot warms its cache, so
+	// only a rare collision misses. QueryServeZipf's tail misses a cache
+	// smaller than its order: 1 allocs/op at 100-200 iterations, 0 at
+	// 2000, which is why the gate runs it at 2000.
 	{"QueryServeHot", Large, GateZeroAlloc, queryServe(4096)},
 	{"QueryServeZipf", Large, GateAllocs, queryServeZipf},
 	{"RouteRarest", Small, GateZeroAlloc, routeRarest},

@@ -7,6 +7,32 @@ import (
 	"testing"
 )
 
+// baselineReport is what the tests read of BENCH_BASELINE.json, the report
+// `go run ./cmd/reform bench -o BENCH_BASELINE.json` writes.
+type baselineReport struct {
+	Scale      int             `json:"scale"`
+	Benchmarks []baselineEntry `json:"benchmarks"`
+}
+
+type baselineEntry struct {
+	Name        string `json:"name"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	Peers       int    `json:"peers"`
+}
+
+func readBaseline(t *testing.T) baselineReport {
+	t.Helper()
+	data, err := os.ReadFile("../../BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base baselineReport
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
 // TestTable holds the table to its shape: every entry named once, of a
 // known class and gate kind (GateZeroAlloc is the top of one ordered
 // kind, so a 0-alloc contract cannot exist without the allocs gate), and
@@ -31,20 +57,8 @@ func TestTable(t *testing.T) {
 		}
 	}
 
-	data, err := os.ReadFile("../../BENCH_BASELINE.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base struct {
-		Benchmarks []struct {
-			Name string `json:"name"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
-	}
 	var committed []string
-	for _, b := range base.Benchmarks {
+	for _, b := range readBaseline(t).Benchmarks {
 		committed = append(committed, b.Name)
 	}
 	if !slices.Equal(names, committed) {

@@ -198,8 +198,8 @@ func (s *System) RunRound(round int) RoundReport { return s.runner.RunRound(roun
 // latency is bounded by the one step in front of it, not by the whole
 // period — and with no interleaving the completed period's moves,
 // costs and report are byte-identical to Run's. Content updates
-// (RedirectInterest, ReplaceContent, ChurnPeer) re-baseline the
-// runner and therefore cancel an in-progress period; Run supersedes
+// (RedirectInterest, ReplaceContent, ChurnPeer) reset the runner's
+// baseline and therefore cancel an in-progress period; Run supersedes
 // one.
 func (s *System) StepReform(budget int) (done bool, report *Report) {
 	if s.period == nil || s.period.Done() {
