@@ -8,12 +8,22 @@ import (
 
 // The engine's hot paths promise zero steady-state allocations: all
 // per-call state lives in Engine-owned scratch buffers and the global
-// costs are maintained incrementally. internal/benchsuite's
-// TestAllocGate holds EvaluateMoves, EvaluateContribution, Move,
-// AddPeer+RemovePeer and Route to that promise; these tests pin the
-// calls no gated entry makes with testing.AllocsPerRun (which performs
-// one warm-up call, letting the scratch buffers reach their
+// costs are maintained incrementally. These regression tests pin that
+// promise with testing.AllocsPerRun (which performs one warm-up call,
+// letting the scratch buffers and cluster member slices reach their
 // steady-state capacity first).
+
+func TestEvaluateMovesAllocationFree(t *testing.T) {
+	e := newTestEngine(t, 24, 12, 41, nil)
+	p := 0
+	e.EvaluateMoves(p) // reach steady state
+	if avg := testing.AllocsPerRun(100, func() {
+		e.EvaluateMoves(p)
+		p = (p + 1) % e.NumPeers()
+	}); avg != 0 {
+		t.Errorf("EvaluateMoves allocates %v per call, want 0", avg)
+	}
+}
 
 func TestPeerCostAllocationFree(t *testing.T) {
 	e := newTestEngine(t, 24, 12, 43, nil)
@@ -27,6 +37,23 @@ func TestPeerCostAllocationFree(t *testing.T) {
 	}
 }
 
+func TestMoveAllocationFree(t *testing.T) {
+	e := newTestEngine(t, 24, 12, 47, nil)
+	// Bounce a peer between two clusters until the member slices have
+	// grown to their steady-state capacity.
+	a, b := e.Config().ClusterOf(3), cluster.CID(7)
+	e.Move(3, b)
+	e.Move(3, a)
+	targets := [2]cluster.CID{b, a}
+	i := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		e.Move(3, targets[i%2])
+		i++
+	}); avg != 0 {
+		t.Errorf("Move allocates %v per call, want 0", avg)
+	}
+}
+
 func TestSCostAllocationFree(t *testing.T) {
 	e := newTestEngine(t, 24, 12, 53, nil)
 	if avg := testing.AllocsPerRun(100, func() {
@@ -34,6 +61,18 @@ func TestSCostAllocationFree(t *testing.T) {
 		_ = e.WCostNormalized()
 	}); avg != 0 {
 		t.Errorf("SCost/WCost allocate %v per call, want 0", avg)
+	}
+}
+
+func TestEvaluateContributionAllocationFree(t *testing.T) {
+	e := newTestEngine(t, 24, 12, 59, nil)
+	p := 0
+	e.EvaluateContribution(p)
+	if avg := testing.AllocsPerRun(100, func() {
+		e.EvaluateContribution(p)
+		p = (p + 1) % e.NumPeers()
+	}); avg != 0 {
+		t.Errorf("EvaluateContribution allocates %v per call, want 0", avg)
 	}
 }
 

@@ -190,6 +190,28 @@ func TestAddRemoveSlotReuse(t *testing.T) {
 	checkAgainstRebuild(t, e, "slot-reuse")
 }
 
+// TestAddRemoveAllocationFree pins the steady-state promise: once
+// capacities are warm, an add/remove churn cycle allocates nothing.
+func TestAddRemoveAllocationFree(t *testing.T) {
+	e := newTestEngine(t, 16, 10, 404, nil)
+	ids := testAttrIDs(10)
+	pr := peer.New(-1)
+	pr.SetItems([]attr.Set{attr.NewSet(ids[1], ids[4]), attr.NewSet(ids[2], ids[7])})
+	queries := []attr.Set{attr.NewSet(ids[3]), attr.NewSet(ids[5])}
+	counts := []int{2, 3}
+	// Warm: build the indexes, grow every capacity once.
+	pid := e.AddPeer(pr, queries, counts, cluster.None)
+	e.RemovePeer(pid)
+	pid = e.AddPeer(pr, queries, counts, cluster.None)
+	e.RemovePeer(pid)
+	if avg := testing.AllocsPerRun(100, func() {
+		id := e.AddPeer(pr, queries, counts, cluster.None)
+		e.RemovePeer(id)
+	}); avg != 0 {
+		t.Errorf("AddPeer+RemovePeer allocates %v per cycle, want 0", avg)
+	}
+}
+
 // TestStaleDetectsMembershipChanges pins the hardened staleness rule:
 // an engine must flag configurations whose membership was mutated
 // behind its back, while its own mutations keep it fresh.

@@ -160,6 +160,24 @@ func TestRoutingViewReuse(t *testing.T) {
 	}
 }
 
+func TestRouteAllocationFree(t *testing.T) {
+	e := newTestEngine(t, 24, 12, 83, nil)
+	rng := stats.NewRNG(7)
+	v := e.BuildRoutingView(nil)
+	qs := testQueries(e, rng)
+	var sc RouteScratch
+	for _, q := range qs {
+		v.Route(q, &sc) // reach steady-state capacity
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, q := range qs {
+			v.Route(q, &sc)
+		}
+	}); avg != 0 {
+		t.Errorf("Route allocates %v per run, want 0", avg)
+	}
+}
+
 // TestRoutingViewConcurrentReaders drives many readers over published
 // views while the single writer churns the engine — the daemon's
 // locking discipline, pinned under -race. Readers only check
