@@ -175,7 +175,9 @@ func decideRoundSingletons(f *Fixtures) func(b *testing.B) {
 
 // What a cell of the paper's evaluation pays for its engine.
 
-// engineClone times Engine.Clone, 146 of them an evaluation.
+// engineClone times Engine.Clone, 134 of them an evaluation. A clone
+// copies the configuration, the cells and the scalar costs, and shares
+// the rest with the engine it was cloned from until either writes it.
 func engineClone(f *Fixtures) func(b *testing.B) {
 	eng := f.base.eng
 	return func(b *testing.B) {
@@ -190,7 +192,9 @@ func engineClone(f *Fixtures) func(b *testing.B) {
 // any protocol runs: clone the base engine, redirect the whole workload
 // of one cluster's peers to another category on a fork over the clone,
 // Rebuild. The Rebuild asks the peers nothing they already answered:
-// only the queries the redirection interned.
+// only the queries the redirection interned. It copies the per-peer and
+// per-query aggregates and the query index it writes, which the clone
+// shared with the base until then.
 func updateLevel(f *Fixtures) func(b *testing.B) {
 	u := f.base
 	return func(b *testing.B) {

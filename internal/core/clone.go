@@ -2,29 +2,45 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/peer"
 )
 
 // Clone returns an independent engine equal to e bit for bit: every
 // cost, aggregate and decision it yields is the one e would, and
-// nothing done to either afterwards shows in the other. It owns
-// peer.Clones of e's peers (which share the built postings until either
-// side's content changes), copies of the workload and the
-// configuration, and copies of every aggregate, the query index, the
-// free-slot stack, the slot generations and what Rebuild remembers, so
-// a content or workload edit on the clone followed by Rebuild re-asks
-// only the edited peers.
+// nothing done to either afterwards shows in the other.
 //
-// What is not carried over is what costs nothing to lose: scratch
-// starts empty, the content indexes are left to the first join, leave
-// or publish, as after a Rebuild, and the clone starts a lineage of its
+// A clone copies what a run of the protocol writes: the configuration,
+// the cells and the scalar aggregates. The rest it shares with e until
+// either engine writes it:
+//   - the per-peer lists and sums (peerRes, peerWl, peerW, peerOwnW),
+//     the per-query totals (totals, invTot, demandTot), the free-slot
+//     stack and the slot generations, which Rebuild, AddPeer,
+//     RemovePeer, Compact and SetFreeSlots copy first (own);
+//   - the query index, which the first write of a new or renumbered
+//     query copies first;
+//   - the peers' content: the clone holds peer.Clones of e's peers,
+//     which share their item lists and built indexes, and a content edit
+//     on either side's peer installs that side's own;
+//   - the workload's intern table, which a workload.Clone shares (its
+//     counts are the clone's own) until a new query or a compaction on
+//     either side copies it.
+//
+// What Rebuild remembers (resFrom) names the engine's own peers, so the
+// clone gets a copy naming its own, and a content or workload edit on
+// the clone followed by Rebuild re-asks only the edited peers. Scratch
+// starts empty, the content indexes are left to the first join, leave or
+// publish, as after a Rebuild, and the clone starts a lineage of its
 // own, so its views are not diffed against e's.
 //
-// Clone only reads e: any number of goroutines may clone one engine
-// that nobody is mutating. A clone costs a fraction of core.New over
-// the same inputs, which asks every peer about every candidate query.
+// Clone writes nothing of e but atomic marks, which tell whichever of
+// the two engines writes a shared part first to copy it: any number of
+// goroutines may clone one engine that nobody is mutating. A clone costs
+// a fraction of core.New over the same inputs, which asks every peer
+// about every candidate query.
 func (e *Engine) Clone() *Engine {
+	e.shared.Store(true)
 	c := &Engine{
 		wl:    e.wl.Clone(),
 		cfg:   e.cfg.Clone(),
@@ -34,15 +50,20 @@ func (e *Engine) Clone() *Engine {
 		nq:    e.nq,
 		cmax:  e.cmax,
 
-		totals:    slices.Clone(e.totals),
-		invTot:    slices.Clone(e.invTot),
-		demandTot: slices.Clone(e.demandTot),
-		peerRes:   cloneLists(e.peerRes),
-		peerWl:    cloneLists(e.peerWl),
-		peerW:     slices.Clone(e.peerW),
-		peerOwnW:  slices.Clone(e.peerOwnW),
+		totals:    e.totals,
+		invTot:    e.invTot,
+		demandTot: e.demandTot,
+		peerRes:   e.peerRes,
+		peerWl:    e.peerWl,
+		peerW:     e.peerW,
+		peerOwnW:  e.peerOwnW,
+		free:      e.free,
+		slotGen:   e.slotGen,
+		shared:    e.shared,
+		queries:   e.queries.share(),
 
-		resFrom:    slices.Clone(e.resFrom),
+		peers:      peer.CloneAll(e.peers),
+		resFrom:    make([]resSource, len(e.resFrom)),
 		resCovered: e.resCovered,
 
 		membSumRaw: e.membSumRaw,
@@ -56,10 +77,6 @@ func (e *Engine) Clone() *Engine {
 		qMark:      make([]uint64, e.nq),
 		cidMark:    make([]uint64, e.cmax),
 
-		free:    slices.Clone(e.free),
-		slotGen: slices.Clone(e.slotGen),
-		queries: e.queries.clone(),
-
 		clustersVer: -1, // no membership version: the sync below walks
 
 		wlVersion:     e.wlVersion,
@@ -69,14 +86,9 @@ func (e *Engine) Clone() *Engine {
 		lineage:       nextLineage.Add(1),
 	}
 	// A slot the result pass remembers is remembered under its clone.
-	c.peers = make([]*peer.Peer, len(e.peers))
-	for pid, p := range e.peers {
-		if p == nil {
-			continue
-		}
-		c.peers[pid] = p.Clone()
-		if c.resFrom[pid].peer == p {
-			c.resFrom[pid].peer = c.peers[pid]
+	for pid, src := range e.resFrom {
+		if p := e.peers[pid]; p != nil && src.peer == p {
+			c.resFrom[pid] = resSource{c.peers[pid], src.version}
 		}
 	}
 	// The rows keep their slack, so the clone's cells move to allocations
@@ -95,6 +107,25 @@ func (e *Engine) Clone() *Engine {
 	}
 	c.syncClusters()
 	return c
+}
+
+// own gives e storage of its own for the parts a Clone shares (see the
+// shared field) before a write: while another engine may hold them, it
+// copies them and takes a fresh mark for the copies.
+func (e *Engine) own() {
+	if !e.shared.Load() {
+		return
+	}
+	e.shared = new(atomic.Bool)
+	e.totals = slices.Clone(e.totals)
+	e.invTot = slices.Clone(e.invTot)
+	e.demandTot = slices.Clone(e.demandTot)
+	e.peerRes = cloneLists(e.peerRes)
+	e.peerWl = cloneLists(e.peerWl)
+	e.peerW = slices.Clone(e.peerW)
+	e.peerOwnW = slices.Clone(e.peerOwnW)
+	e.free = slices.Clone(e.free)
+	e.slotGen = slices.Clone(e.slotGen)
 }
 
 // cloneLists copies a list of lists into one arena, every list clipped

@@ -310,3 +310,175 @@ func TestRebuildAfterEditsMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// isolationEngine builds the engine FuzzCloneIsolation clones: scanPeers
+// slots over scanAttrs attributes in six clusters, the last two slots
+// vacant (so the free-slot stack holds two), and one query interned
+// that nobody asks (so a Compact has a query to retire). The same seed
+// builds the same engine bit for bit.
+func isolationEngine(seed uint64) *Engine {
+	rng := stats.NewRNG(seed)
+	peers := make([]*peer.Peer, scanPeers)
+	wl := workload.New(scanPeers)
+	assign := make([]cluster.CID, scanPeers)
+	for i := range peers {
+		assign[i] = cluster.None
+		if i >= scanPeers-2 {
+			continue
+		}
+		peers[i] = peer.New(i)
+		peers[i].SetItems(scanItems(rng))
+		for range 2 {
+			wl.Add(i, attr.NewSet(attr.ID(rng.Intn(scanAttrs))), 1+rng.Intn(3))
+		}
+		assign[i] = cluster.CID(i % 6)
+	}
+	wl.Intern(attr.NewSet(attr.ID(scanAttrs + 100)))
+	return New(peers, wl, cluster.FromAssignment(assign), cluster.LinearTheta(), 1)
+}
+
+// isolationStep applies to e one op chosen by op and parameterized by
+// arg: a move, a join (sometimes with a query nobody asked before), a
+// leave, a compaction, a change of α, a content edit or a workload edit
+// followed by Rebuild, or a reordered free-slot stack. It returns what
+// it did.
+func isolationStep(e *Engine, op, arg byte) string {
+	rng := stats.NewRNG(uint64(op)<<8 | uint64(arg))
+	var live []int
+	for p := 0; p < e.NumSlots(); p++ {
+		if e.IsLive(p) {
+			live = append(live, p)
+		}
+	}
+	p := live[int(arg)%len(live)]
+	novel := attr.NewSet(attr.ID(scanAttrs + rng.Intn(40)))
+	switch op % 8 {
+	case 0:
+		nonEmpty := e.Config().NonEmpty()
+		to := nonEmpty[rng.Intn(len(nonEmpty))]
+		if c, ok := e.Config().EmptyCluster(); ok && arg%3 == 0 {
+			to = c
+		}
+		e.Move(p, to)
+		return fmt.Sprintf("move %d to %d", p, to)
+	case 1:
+		pr := peer.New(-1)
+		pr.SetItems(scanItems(rng))
+		qs, counts := []attr.Set{attr.NewSet(attr.ID(rng.Intn(scanAttrs)))}, []int{1 + rng.Intn(3)}
+		if arg%2 == 0 {
+			qs, counts = append(qs, novel), append(counts, 1)
+		}
+		pid := e.AddPeer(pr, qs, counts, cluster.None)
+		return fmt.Sprintf("join %d", pid)
+	case 2:
+		if len(live) <= 2 {
+			return "no leave"
+		}
+		e.RemovePeer(p)
+		return fmt.Sprintf("leave %d", p)
+	case 3:
+		return fmt.Sprintf("compact %d", e.Compact(0))
+	case 4:
+		a := float64(arg%4) / 2
+		e.SetAlpha(a)
+		return fmt.Sprintf("alpha %g", a)
+	case 5:
+		pr := e.Peers()[p]
+		switch arg % 3 {
+		case 0:
+			pr.ReplaceItem(rng.Intn(pr.NumItems()), scanItems(rng)[0])
+		case 1:
+			pr.AddItem(scanItems(rng)[0])
+		default:
+			pr.SetItems(scanItems(rng))
+		}
+		e.Rebuild()
+		return fmt.Sprintf("content of %d, rebuild", p)
+	case 6:
+		e.Workload().ReplacePeer(p, []attr.Set{attr.NewSet(attr.ID(rng.Intn(scanAttrs))), novel}, []int{1 + rng.Intn(3), 1})
+		e.Rebuild()
+		return fmt.Sprintf("workload of %d, rebuild", p)
+	default:
+		free := slices.Clone(e.FreeSlots())
+		slices.Reverse(free)
+		if err := e.SetFreeSlots(free); err != nil {
+			panic(err)
+		}
+		return fmt.Sprintf("free slots %v", free)
+	}
+}
+
+// isolationView is what isolationStep's ops must leave untouched on the
+// engine that did not run them: engineState, the social and workload
+// costs, PeerCost of every live peer in every non-empty cluster,
+// EvaluateMoves of every live peer, and the QID every query, and every
+// query the ops may intern, is looked up under, floats as their bits.
+func isolationView(e *Engine) []string {
+	st := engineState(e, true)
+	st = append(st, fmt.Sprint("costs ", math.Float64bits(e.SCost()), math.Float64bits(e.WCost())))
+	for p := 0; p < e.NumSlots(); p++ {
+		if !e.IsLive(p) {
+			continue
+		}
+		for _, c := range e.Config().NonEmpty() {
+			st = append(st, fmt.Sprint("pcost ", p, c, math.Float64bits(e.PeerCost(p, c))))
+		}
+		ev := e.EvaluateMoves(p)
+		st = append(st, fmt.Sprint("moves ", p, ev.Cur, ev.Best, math.Float64bits(ev.CurCost), math.Float64bits(ev.BestCost), math.Float64bits(ev.AloneCost)))
+	}
+	for q := 0; q < e.wl.NumQueries(); q++ {
+		id, ok := e.wl.Lookup(e.wl.Query(workload.QID(q)))
+		st = append(st, fmt.Sprint("lookup ", q, id, ok))
+	}
+	for a := scanAttrs; a < scanAttrs+40; a++ {
+		id, ok := e.wl.Lookup(attr.NewSet(attr.ID(a)))
+		st = append(st, fmt.Sprint("lookup novel ", a, id, ok))
+	}
+	return st
+}
+
+// FuzzCloneIsolation holds the independence of an engine and its Clone,
+// which share every part the clone only reads until one of them writes
+// it. The engine and a reference built the same way start equal; the
+// engine is cloned, and one of the two runs the byte-decoded op stream
+// (a byte pair per op, see isolationStep). After every op the other
+// must still equal the untouched reference bit for bit, and at the end
+// the one that ran the ops, rebuilt, must equal core.New over its own
+// inputs. Each case runs twice: first the clone writes, then the
+// original does. The seeds start with each first writer of a shared
+// part: a join, a leave, a compaction, a content edit, a workload edit
+// and a reordered free-slot stack, besides a move and a change of α.
+func FuzzCloneIsolation(f *testing.F) {
+	f.Add(uint64(1), []byte{1, 0, 0, 3})
+	f.Add(uint64(2), []byte{2, 5, 1, 2})
+	f.Add(uint64(3), []byte{3, 0, 0, 1})
+	f.Add(uint64(4), []byte{5, 0, 5, 7, 0, 2})
+	f.Add(uint64(5), []byte{6, 4, 6, 9, 1, 0})
+	f.Add(uint64(6), []byte{7, 0, 0, 4, 2, 1})
+	f.Add(uint64(7), []byte{0, 3, 4, 1, 1, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		if len(ops) > 60 {
+			ops = ops[:60]
+		}
+		want := isolationView(isolationEngine(seed))
+		for _, cloneWrites := range []bool{true, false} {
+			orig := isolationEngine(seed)
+			c := orig.Clone()
+			writer, other := orig, c
+			if cloneWrites {
+				writer, other = c, orig
+			}
+			for i := 0; i+1 < len(ops); i += 2 {
+				did := isolationStep(writer, ops[i], ops[i+1])
+				if err := stateDiff(isolationView(other), want); err != nil {
+					t.Fatalf("clone writes %v, op %d (%s) changed the other engine:\n%v", cloneWrites, i/2, did, err)
+				}
+			}
+			writer.Rebuild()
+			fresh := New(slices.Clone(writer.peers), writer.wl, writer.cfg.Clone(), writer.theta, writer.alpha)
+			if err := stateDiff(engineState(writer, false), engineState(fresh, false)); err != nil {
+				t.Fatalf("clone writes %v: the engine that ran the ops, rebuilt, differs from New over its inputs:\n%v", cloneWrites, err)
+			}
+		}
+	})
+}

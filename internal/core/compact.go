@@ -40,6 +40,7 @@ import (
 // never changes SCost, WCost or any PeerCost.
 func (e *Engine) Compact(minIdle int) int {
 	e.mustBeFresh("Compact")
+	e.own()
 	// Materialize rows for any queries interned externally since the
 	// last sync, so the remap covers every row the engine owns.
 	e.growRows()
@@ -85,6 +86,7 @@ func (e *Engine) CompactQueries(remap workload.CompactRemap) {
 // those have no rows and no demand, so their survivors get correct
 // zero rows from the padding).
 func (e *Engine) applyQueryRemap(remap workload.CompactRemap) {
+	e.own()
 	oldNq := e.nq
 	newNq := e.wl.NumQueries()
 

@@ -201,6 +201,12 @@ type Engine struct {
 	demanders   [][]int32
 	queries     queryIndex
 
+	// shared is set once a Clone holds this engine's shared parts too:
+	// totals, invTot, demandTot, peerRes, peerWl, peerW, peerOwnW, free
+	// and slotGen. The first writer of them copies them (see own). The
+	// query index and the workload keep marks of their own.
+	shared *atomic.Bool
+
 	// nonEmpty is the ascending non-empty cluster list every scan reads
 	// and joinTerm[i] the membership term a newcomer to nonEmpty[i] would
 	// pay (membership(size+1), the same for every scanning peer), both as
@@ -264,7 +270,8 @@ func New(peers []*peer.Peer, wl *workload.Workload, cfg *cluster.Config, theta c
 	if alpha < 0 {
 		panic("core: negative alpha")
 	}
-	e := &Engine{peers: peers, wl: wl, cfg: cfg, theta: theta, alpha: alpha, n: len(peers)}
+	e := &Engine{peers: peers, wl: wl, cfg: cfg, theta: theta, alpha: alpha, n: len(peers),
+		shared: new(atomic.Bool), queries: queryIndex{shared: new(atomic.Bool)}}
 	e.Rebuild()
 	return e
 }
@@ -318,6 +325,7 @@ func (e *Engine) Rebuild() {
 		panic(fmt.Sprintf("core: slot mismatch peers=%d cfg=%d wl=%d",
 			len(e.peers), e.cfg.NumPeers(), e.wl.NumPeers()))
 	}
+	e.own()
 	nq := e.wl.NumQueries()
 	cmax := e.cfg.Cmax()
 	e.nq, e.cmax = nq, cmax
@@ -517,12 +525,13 @@ func RestoreWorkers(n int) int {
 // askSlots is Rebuild's result pass over the slots [lo, hi), using cand
 // as its candidate scratch, which it returns grown. A slot whose peer
 // has not changed since its list was computed keeps the part of it
-// below resCovered and is asked about the queries from there on; any
-// other slot is asked about every query. Sorting the candidates keeps
-// each list in ascending QID order; a join leaves its list in
-// candidate order, so a kept list is sorted first. It writes only the
-// slots' own lists, sources and peers (the peer's index, by Freeze),
-// so workers given disjoint ranges may run it at once.
+// below resCovered and is asked about the queries from there on, if
+// any were interned since; any other slot is asked about every query.
+// Sorting the candidates keeps each list in ascending QID order; a join
+// leaves its list in candidate order, so a kept list is sorted first.
+// It writes only the slots' own lists, sources and peers (the peer's
+// index, by Freeze), so workers given disjoint ranges may run it at
+// once.
 func (e *Engine) askSlots(lo, hi int, cand []workload.QID) []workload.QID {
 	for pid := lo; pid < hi; pid++ {
 		p := e.peers[pid]
@@ -536,6 +545,10 @@ func (e *Engine) askSlots(lo, hi int, cand []workload.QID) []workload.QID {
 			e.resFrom[pid] = src
 		}
 		p.Freeze()
+		if int(from) == e.nq {
+			e.peerRes[pid] = pr
+			continue
+		}
 		cand = e.queries.appendCandidates(cand[:0], p, from)
 		slices.Sort(cand)
 		for _, qid := range cand {

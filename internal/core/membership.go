@@ -327,6 +327,7 @@ func (e *Engine) AddPeer(pr *peer.Peer, queries []attr.Set, counts []int, to clu
 		panic(fmt.Sprintf("core: AddPeer %d queries, %d counts", len(queries), len(counts)))
 	}
 	e.mustBeFresh("AddPeer")
+	e.own()
 	e.ensureIndexes()
 
 	// Slot assignment: reuse the most recently vacated slot, else grow.
@@ -507,6 +508,7 @@ func (e *Engine) RemovePeer(pid int) {
 		panic(fmt.Sprintf("core: RemovePeer %d is not a live peer", pid))
 	}
 	e.mustBeFresh("RemovePeer")
+	e.own()
 	e.ensureIndexes()
 	pr := e.peers[pid]
 	from := e.cfg.ClusterOf(pid)
@@ -641,6 +643,7 @@ func (e *Engine) SetFreeSlots(stack []int) error {
 		}
 		seen[pid] = true
 	}
+	e.own()
 	e.free = append(e.free[:0], stack...)
 	return nil
 }

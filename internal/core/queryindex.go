@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/peer"
 	"repro/internal/workload"
@@ -29,10 +30,36 @@ type queryIndex struct {
 	lists [][]workload.QID // QIDs ascending, one list per attribute ever used
 	empty []workload.QID   // attribute-less queries: they match every item
 	n     int              // the index covers the workload's QIDs [0,n)
+	// shared is set once a Clone holds the storage above too (see own);
+	// an index without a mark has never been shared.
+	shared *atomic.Bool
+}
+
+// share marks x as held by one more engine and returns the index that
+// engine holds: x's storage, until either side writes it.
+func (x *queryIndex) share() queryIndex {
+	x.shared.Store(true)
+	return *x
+}
+
+// own gives x storage of its own before a write: while a clone may share
+// it, it copies the storage and takes a fresh mark for the copy.
+func (x *queryIndex) own() {
+	if x.shared == nil || !x.shared.Load() {
+		return
+	}
+	x.shared = new(atomic.Bool)
+	x.head = slices.Clone(x.head)
+	x.lists = cloneLists(x.lists)
+	x.empty = slices.Clone(x.empty)
 }
 
 // extend registers the queries interned since the last call.
 func (x *queryIndex) extend(wl *workload.Workload) {
+	if x.n == wl.NumQueries() {
+		return
+	}
+	x.own()
 	// Size the table once, to the largest first attribute among the new
 	// queries. IDs are vocabulary-dense, so a fresh engine's first call
 	// takes it to about the vocabulary's size; reaching that by append's
@@ -64,6 +91,7 @@ func (x *queryIndex) extend(wl *workload.Workload) {
 // reset forgets every query, keeping the storage: an attribute keeps
 // its list, emptied.
 func (x *queryIndex) reset() {
+	x.own()
 	for i := range x.lists {
 		x.lists[i] = x.lists[i][:0]
 	}
@@ -71,21 +99,12 @@ func (x *queryIndex) reset() {
 	x.n = 0
 }
 
-// clone returns an index equal to x that shares no storage with it.
-func (x *queryIndex) clone() queryIndex {
-	return queryIndex{
-		head:  slices.Clone(x.head),
-		lists: cloneLists(x.lists),
-		empty: slices.Clone(x.empty),
-		n:     x.n,
-	}
-}
-
 // remap renumbers the indexed queries under a compaction's monotone
 // old->new mapping (lists stay ascending), dropping the retired ones.
 // Emptied lists keep their capacity for a re-intern of the same first
 // attribute.
 func (x *queryIndex) remap(remap workload.CompactRemap) {
+	x.own()
 	for i := range x.lists {
 		x.lists[i] = remapQIDs(x.lists[i], remap)
 	}

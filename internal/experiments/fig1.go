@@ -41,14 +41,15 @@ func runFig1(sys *System, rounds int) *Fig1Result {
 	wc.AddColumn("altruistic")
 
 	// Both strategies start from the same random m = M configuration:
-	// one engine is built over it and each trajectory runs on a Clone.
+	// one engine is built over it, and each trajectory runs on an engine
+	// of its own (cellEngines).
 	rng := stats.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15)
-	baseEng := sys.NewEngine(sys.InitialConfig(InitRandomM, rng))
+	engines := cellEngines(sys.NewEngine(sys.InitialConfig(InitRandomM, rng)), len(paperStrategies))
 	type traj struct{ s, w []float64 }
 	trajs := make([]traj, len(paperStrategies))
 	runIndexed(p.workerCount(), len(paperStrategies), func(i int) {
 		strat := paperStrategies[i]()
-		eng := baseEng.Clone()
+		eng := engines[i]
 		runner := sys.NewRunner(eng, strat, true)
 		runner.BeginPeriod()
 		ss := []float64{eng.SCostNormalized()}

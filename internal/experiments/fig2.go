@@ -62,12 +62,10 @@ func updateExperiment(base *System, baseEng *core.Engine, title, xlabel string, 
 		apply(sys, members, x, rng)
 		eng.Rebuild()
 		noReform := eng.SCostNormalized()
+		engines := cellEngines(eng, len(paperStrategies))
 		ys := make([]float64, 0, len(paperStrategies)+1)
 		for si, strat := range paperStrategies {
-			e := eng
-			if si < len(paperStrategies)-1 {
-				e = eng.Clone()
-			}
+			e := engines[si]
 			sys.NewRunner(e, strat(), false).Run()
 			ys = append(ys, e.SCostNormalized())
 		}

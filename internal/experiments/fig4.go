@@ -59,12 +59,10 @@ func runFig4(base *System, alphas []float64) *metrics.Series {
 		rng := stats.NewRNG(p.Seed ^ 0xc2b2ae3d ^ uint64(x*1e6))
 		sys.RedirectWorkload(subject, 1, x, rng)
 		eng.Rebuild()
+		engines := cellEngines(eng, len(alphas))
 		ys := make([]float64, 0, len(alphas))
 		for ai, a := range alphas {
-			e := eng
-			if ai < len(alphas)-1 {
-				e = eng.Clone()
-			}
+			e := engines[ai]
 			e.SetAlpha(a)
 			// The subject applies the selfish strategy: move to the
 			// cost-minimizing cluster if it beats staying by more than ε.

@@ -225,10 +225,9 @@ func TestForksIsolatedConcurrently(t *testing.T) {
 // TestWarmMakesReadsRaceFree builds engines on eight goroutines over
 // one warmed System, first with the single-term workload Build makes,
 // where a peer's only lazy write is building its index, then with
-// multi-term queries added, whose counts a peer memoises as it answers
-// them. Every engine must cost what one built alone does; under -race
-// the test fails if Warm leaves an index unbuilt or a multi-term count
-// unmemoised.
+// multi-term queries added, which a peer answers by intersecting its
+// postings. Every engine must cost what one built alone does; under
+// -race the test fails if Warm leaves an index unbuilt.
 func TestWarmMakesReadsRaceFree(t *testing.T) {
 	p := fastParams()
 	p.Workers = 4
@@ -263,5 +262,66 @@ func TestWarmMakesReadsRaceFree(t *testing.T) {
 				t.Errorf("multi-term %v, engine %d: SCost bits %x beside other builds, %x alone", multiTerm, g, got[g], want)
 			}
 		}
+	}
+}
+
+// TestCloneWritersConcurrently has eight goroutines clone one engine
+// nobody writes, the way the update figures clone their base, and drive
+// both write paths on their clones: a ForkOnto edit of workload and
+// content followed by Rebuild, then a join and a leave. Each clone must
+// end bit for bit where the same ops take it with nothing else running,
+// and the base engine where it started; under -race the test pins
+// Clone's promise now that a clone shares what it only reads: any
+// number of goroutines may clone one frozen engine, and each clone's
+// first write copies what it shares.
+func TestCloneWritersConcurrently(t *testing.T) {
+	p := fastParams()
+	base := buildBase(p, SameCategory)
+	baseEng := base.NewEngine(base.CategoryConfig())
+	digest := func(eng *core.Engine) []uint64 {
+		out := []uint64{math.Float64bits(eng.SCost()), math.Float64bits(eng.WCost())}
+		for pid := 0; pid < eng.NumSlots(); pid++ {
+			if eng.IsLive(pid) {
+				ev := eng.EvaluateMoves(pid)
+				out = append(out, uint64(ev.Best), math.Float64bits(ev.CurCost), math.Float64bits(ev.BestCost))
+			}
+		}
+		return out
+	}
+	before := digest(baseEng)
+	cell := func(g int) []uint64 {
+		eng := baseEng.Clone()
+		sys := base.ForkOnto(eng)
+		rng := stats.NewRNG(uint64(g) + 1)
+		members := eng.Config().Members(0)
+		sys.RedirectWorkload(members[g%len(members)], 1, 0.5, rng)
+		sys.ReplaceData(members[(g+1)%len(members)], 1, 1, rng)
+		eng.Rebuild()
+		sys.LeavePeer(eng, sys.JoinPeer(eng, g%p.Categories, 1, rng))
+		return digest(eng)
+	}
+
+	const goroutines = 8
+	want := make([][]uint64, goroutines)
+	for g := range want {
+		want[g] = cell(g)
+	}
+	got := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = cell(g)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !slices.Equal(got[g], want[g]) {
+			t.Errorf("clone %d ends differently beside other clones than alone", g)
+		}
+	}
+	if baseEng.Stale() || !slices.Equal(digest(baseEng), before) {
+		t.Error("the base engine changed under its clones")
 	}
 }

@@ -24,8 +24,8 @@ func RunRoutingAblation(p Params) *metrics.Table {
 		"probe-clusters", "query-messages", "mean-abs-pcost-error", "final-SCost", "converged")
 
 	budgets := []int{1, 2, 4, 8, 0} // 0 = flood all clusters
-	// One independent cell per probe budget (the observer and the
-	// engines fill the peers' result memos, so each cell forks the base).
+	// One independent cell per probe budget, each over a fork of the base
+	// whose peers its observer and engines own.
 	base := buildBase(p, SameCategory)
 	for _, r := range p.runRows(len(budgets), func(i int) []string {
 		k := budgets[i]

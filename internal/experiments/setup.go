@@ -23,18 +23,27 @@
 // A cell pays for what it perturbs, not for the system it starts from.
 // The paper's own drivers (Table 1, Figs 1-4; RunPaper runs all five
 // over shared systems) build each distinct starting engine once and
-// run every cell on a core.Engine.Clone of it. The §4.2 update
-// experiments go further: a perturbation level clones the figure's one
-// base engine, perturbs a System.ForkOnto of the clone, and calls
-// Rebuild, which re-asks only the peers the perturbation touched; the
-// level's strategies (Fig 4: its α values) then run on clones of that
-// one perturbed engine. Cells that change membership before an engine
+// run every cell on an engine of its own: a core.Engine.Clone of it,
+// or, for the last of the cells that start from one engine, the engine
+// itself once their clones are taken (cellEngines). A clone copies the
+// configuration, the cells and the scalar costs, which a protocol run
+// writes, and shares everything else with its original until one of
+// them writes it: the peers' content, the workload's intern table, the
+// per-peer and per-query aggregates and the query index (see
+// core.Engine.Clone). The §4.2 update experiments go further: a
+// perturbation level clones the figure's one base engine, perturbs a
+// System.ForkOnto of the clone, and calls Rebuild, which re-asks only
+// the peers the perturbation touched; the edits and the Rebuild copy
+// what they write and share the rest with the base. The level's
+// strategies (Fig 4: its α values) then run on clones of that one
+// perturbed engine. Cells that change membership before an engine
 // exists, or build several engines over one perturbed system (the
 // churn and flash-crowd drivers, the probe budget sweep, the baseline
 // comparison), perturb a System.Fork of one built and warmed system:
-// the fork owns the workload, category bookkeeping, pools and peer
-// item lists, and shares the corpus generator and the peer indexes
-// nobody changed. Only drivers whose Params differ per cell (the
+// the fork owns the workload's counts and query list, the category
+// bookkeeping, the pools and its peers, and shares the corpus
+// generator, the workload's intern table and the peer content and
+// indexes nobody changed. Only drivers whose Params differ per cell (the
 // ablations), or whose cells grow the shared vocabulary (RunLongHaul),
 // still Build inside the cell.
 package experiments
@@ -481,44 +490,31 @@ func (s *System) CategoryConfig() *cluster.Config {
 }
 
 // Warm makes concurrent reads of the system's peers race-free. A peer
-// builds its inverted index on its first query and memoises the result
-// counts of multi-term queries as they are asked, both of which are
-// writes; drivers that build engines on several goroutines over one
-// System call Warm once beforehand, after which those builds only
-// read. It freezes every peer and asks each the workload's multi-term
-// queries; a single-term query (every query the paper's workloads
-// hold) is a lookup in the frozen index that memoises nothing. Peers
-// are independent, so they are spread over the Params.Workers pool.
-// Warm does not change any result.
+// builds its inverted index on its first query, which is a write;
+// drivers that build engines on several goroutines over one System call
+// Warm once beforehand, after which those builds only read. It freezes
+// every peer, spread over the Params.Workers pool. Warm does not change
+// any result.
 func (s *System) Warm() {
-	var multi []attr.Set
-	for q := 0; q < s.WL.NumQueries(); q++ {
-		if query := s.WL.Query(workload.QID(q)); query.Len() > 1 {
-			multi = append(multi, query)
-		}
-	}
 	runIndexed(s.Params.workerCount(), len(s.Peers), func(i int) {
-		pr := s.Peers[i]
-		if pr == nil {
-			return
-		}
-		pr.Freeze()
-		for _, query := range multi {
-			pr.ResultCount(query)
+		if pr := s.Peers[i]; pr != nil {
+			pr.Freeze()
 		}
 	})
 }
 
 // Fork returns a System equal to s that a cell may perturb without
 // touching s. The fork owns what the update and membership operations
-// change: the workload, the category bookkeeping, the pool list (each
-// pool clipped to its length, so a fork's first append reallocates
-// instead of writing into s's backing array) and its peers, which are
-// peer.Clones — they share s's built query indexes until their content
-// changes, so Warm s first and no fork rebuilds the index of a peer it
-// never perturbs. It shares what cells only read: typePools and the
-// corpus generator, whose DocumentRNG only looks terms up. Fork only
-// reads s, so cells may fork one base concurrently.
+// change: a workload.Clone (which shares s's intern table until either
+// side compacts or interns a new query), the category bookkeeping, the
+// pool list (each pool clipped to its length, so a fork's first append
+// reallocates instead of writing into s's backing array) and its peers,
+// which are peer.Clones — they share s's item lists and built query
+// indexes until their content changes, so Warm s first and no fork
+// rebuilds the index of a peer it never perturbs. It shares what cells
+// only read: typePools and the corpus generator, whose DocumentRNG only
+// looks terms up. Fork writes nothing of s but the atomic marks of what
+// it shares, so cells may fork one base concurrently.
 //
 // Fork is for the drivers that change membership before they build an
 // engine, or build several over one perturbed system (churn, flash
@@ -530,20 +526,18 @@ func (s *System) Warm() {
 // new words into the generator's vocabulary, which every fork shares.
 // RunLongHaul therefore keeps building a System per cell.
 func (s *System) Fork() *System {
-	peers := make([]*peer.Peer, len(s.Peers))
-	for i, pr := range s.Peers {
-		if pr != nil {
-			peers[i] = pr.Clone()
-		}
-	}
-	return s.forkOver(peers, s.WL.Clone())
+	return s.forkOver(peer.CloneAll(s.Peers), s.WL.Clone())
 }
 
 // ForkOnto returns a fork of s over eng's peers and workload, where eng
 // is a Clone of an engine built over s: perturbing the fork perturbs
 // what eng evaluates, and eng.Rebuild() then re-asks only the peers the
 // perturbation changed, where a new engine over a Fork asks them all.
-// Like Fork it leaves s as it was.
+// The clone's peers and workload share their content with the engine
+// it was cloned from; an edit through the fork copies only what it
+// writes (a peer's item list, the workload's intern table when it
+// interns a new query), so like Fork it leaves s, and every other clone,
+// as it was.
 func (s *System) ForkOnto(eng *core.Engine) *System {
 	return s.forkOver(eng.Peers(), eng.Workload())
 }
@@ -573,6 +567,18 @@ func buildBase(p Params, sc Scenario) *System {
 // NewEngine wires the system to a fresh core engine over cfg.
 func (s *System) NewEngine(cfg *cluster.Config) *core.Engine {
 	return core.New(s.Peers, s.WL, cfg, s.Params.Theta, s.Params.Alpha)
+}
+
+// cellEngines returns n engines that each start where eng stands, for n
+// cells that start from one state: Clones of eng, and eng itself last.
+// The clones are taken before the last cell can run on eng.
+func cellEngines(eng *core.Engine, n int) []*core.Engine {
+	engines := make([]*core.Engine, n)
+	for i := range n - 1 {
+		engines[i] = eng.Clone()
+	}
+	engines[n-1] = eng
+	return engines
 }
 
 // NewRunner builds a protocol runner with the system's parameters.

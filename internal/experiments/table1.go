@@ -43,8 +43,9 @@ var (
 //
 // The 12 (scenario, init) starting engines are built in one pass over
 // the Params.Workers pool, each over its scenario's shared, read-only
-// System. The 24 cells are independent — each runs its strategy on a
-// Clone of its row's engine — so they execute on the same pool. The
+// System. The 24 cells are independent — each runs its strategy on an
+// engine of its own, the last strategy of a row on the row's engine and
+// the others on Clones of it — so they execute on the same pool. The
 // cell order of the result is fixed and identical for every worker
 // count.
 func RunTable1(p Params) *Table1Result {
@@ -57,12 +58,16 @@ func RunTable1(p Params) *Table1Result {
 func runTable1(p Params, systems []*System) *Table1Result {
 	workers := p.workerCount()
 	engines := table1Engines(p, systems)
+	starts := make([][]*core.Engine, len(engines))
+	runIndexed(workers, len(engines), func(row int) {
+		starts[row] = cellEngines(engines[row], len(paperStrategies))
+	})
 	cells := make([]Table1Cell, len(engines)*len(paperStrategies))
 	runIndexed(workers, len(cells), func(i int) {
 		row := i / len(paperStrategies)
 		strat := paperStrategies[i%len(paperStrategies)]()
 		sys := systems[row/len(table1Inits)]
-		eng := engines[row].Clone()
+		eng := starts[row][i%len(paperStrategies)]
 		rpt := sys.NewRunner(eng, strat, true).Run()
 		nash, _ := eng.IsNash(p.Epsilon)
 		cells[i] = Table1Cell{
@@ -82,7 +87,7 @@ func runTable1(p Params, systems []*System) *Table1Result {
 
 // table1Engines builds the starting engine of every row of Table 1,
 // row-major over table1Scenarios and table1Inits, on the Params.Workers
-// pool; each cell runs its strategy on a Clone of its row's engine.
+// pool.
 func table1Engines(p Params, systems []*System) []*core.Engine {
 	engines := make([]*core.Engine, len(table1Scenarios)*len(table1Inits))
 	runIndexed(p.workerCount(), len(engines), func(i int) {

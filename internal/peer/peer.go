@@ -15,6 +15,7 @@ package peer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 )
@@ -22,11 +23,14 @@ import (
 // Peer is one autonomous node. Content may be replaced at any time
 // (the update experiments of §4.2 do exactly that); query-answering
 // structures are rebuilt lazily. A Peer is not safe for concurrent
-// use, and ResultCount counts as a write (it builds the index and fills
-// a memo): goroutines that share a peer Freeze it first and call only
-// ResultCountRO.
+// use, and ResultCount counts as a write while the index is unbuilt (it
+// builds it): goroutines that share a peer Freeze it first and call
+// only ResultCountRO.
 type Peer struct {
-	id    int
+	id int
+	// items is never written in place: a content change installs a new
+	// list, or appends past the length every clone was cut to, so clones
+	// share it.
 	items []attr.Set
 
 	// The inverted index, nil until built (idx is non-nil once it is,
@@ -36,11 +40,9 @@ type Peer struct {
 	// the attribute, ascending within a run. slots is the lookup table
 	// over the runs (see postingSlot), two slots per attribute. None of
 	// the three is modified once built, so clones share them.
-	attrs []attr.ID
-	idx   []int32
-	slots []postingSlot
-	// cache memoizes ResultCount by query key; reset on content change.
-	cache   map[string]int
+	attrs   []attr.ID
+	idx     []int32
+	slots   []postingSlot
 	version int
 }
 
@@ -75,21 +77,43 @@ func (p *Peer) SharedItems() []attr.Set { return p.items }
 func (p *Peer) Version() int { return p.version }
 
 // Clone returns a peer with the same ID, content and version whose
-// content can be changed independently of p's. The item list is copied;
-// the built index (attrs, idx and slots) is shared, which is safe because
-// it is never modified in place: a content change on either side only
-// drops that side's reference and rebuilds lazily. The ResultCount memo
-// is written on reads, so it is not shared. Cloning only reads p, so
-// any number of goroutines may clone one peer nobody is mutating.
+// content can be changed independently of p's. It copies nothing but
+// the Peer itself: the item list and the built index (attrs, idx and
+// slots) are shared, which is safe because neither is written in place.
+// A content change on either side installs that side's own item list
+// and drops its reference to the index, which it rebuilds lazily; an
+// AddItem on the clone moves the list, cut to its length here, to an
+// allocation of its own. Cloning only reads p, so any number of
+// goroutines may clone one peer nobody is mutating.
 func (p *Peer) Clone() *Peer {
-	return &Peer{
-		id:      p.id,
-		items:   p.Items(),
-		attrs:   p.attrs,
-		idx:     p.idx,
-		slots:   p.slots,
-		version: p.version,
+	c := new(Peer)
+	p.cloneInto(c)
+	return c
+}
+
+// CloneAll returns Clones of peers in one allocation, nil where peers
+// holds nil.
+func CloneAll(peers []*Peer) []*Peer {
+	live := 0
+	for _, p := range peers {
+		if p != nil {
+			live++
+		}
 	}
+	arena := make([]Peer, live)
+	out := make([]*Peer, len(peers))
+	for i, p := range peers {
+		if p != nil {
+			p.cloneInto(&arena[0])
+			out[i], arena = &arena[0], arena[1:]
+		}
+	}
+	return out
+}
+
+func (p *Peer) cloneInto(c *Peer) {
+	*c = *p
+	c.items = p.items[:len(p.items):len(p.items)]
 }
 
 // SetItems replaces the peer's content.
@@ -105,18 +129,19 @@ func (p *Peer) AddItem(item attr.Set) {
 }
 
 // ReplaceItem swaps the item at index i (used by the partial content
-// update experiments). It panics on out-of-range i.
+// update experiments) in a copy of the item list, which a clone may
+// share. It panics on out-of-range i.
 func (p *Peer) ReplaceItem(i int, item attr.Set) {
 	if i < 0 || i >= len(p.items) {
 		panic(fmt.Sprintf("peer %d: ReplaceItem index %d out of range [0,%d)", p.id, i, len(p.items)))
 	}
+	p.items = slices.Clone(p.items)
 	p.items[i] = item
 	p.invalidate()
 }
 
 func (p *Peer) invalidate() {
 	p.attrs, p.idx, p.slots = nil, nil, nil
-	p.cache = nil
 	p.version++
 }
 
@@ -250,28 +275,10 @@ func (p *Peer) posting(a attr.ID) []int32 {
 
 // ResultCount returns result(q,p): the number of the peer's items whose
 // attributes are a superset of q. The empty query matches every item.
+// It builds the index first if a content change dropped it.
 func (p *Peer) ResultCount(q attr.Set) int {
-	if q.IsEmpty() {
-		return len(p.items)
-	}
-	if p.idx == nil {
-		p.buildPostings()
-	}
-	if q.Len() == 1 {
-		return len(p.posting(q.IDs()[0]))
-	}
-	key := q.Key()
-	if p.cache != nil {
-		if n, ok := p.cache[key]; ok {
-			return n
-		}
-	}
-	n := p.countMulti(q)
-	if p.cache == nil {
-		p.cache = make(map[string]int)
-	}
-	p.cache[key] = n
-	return n
+	p.Freeze()
+	return p.ResultCountRO(q)
 }
 
 // Freeze pre-builds the peer's query-answering index so that
@@ -286,10 +293,10 @@ func (p *Peer) Freeze() {
 }
 
 // ResultCountRO is ResultCount for concurrent readers: it never
-// mutates the peer — no lazy index build and no memo cache — so any
-// number of goroutines may call it on a frozen peer while a separate
-// writer runs ResultCount (which only touches the cache). The peer
-// must have been Frozen since its last content mutation.
+// mutates the peer (no lazy index build), so any number of goroutines
+// may call it on a frozen peer, beside a ResultCount, which on a frozen
+// peer reads too. The peer must have been Frozen since its last content
+// mutation.
 func (p *Peer) ResultCountRO(q attr.Set) int {
 	if q.IsEmpty() {
 		return len(p.items)

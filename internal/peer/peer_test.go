@@ -77,7 +77,7 @@ func TestResultCountMatchesBruteForce(t *testing.T) {
 				want++
 			}
 		}
-		// Twice: second hit exercises the memo cache.
+		// Twice: the first call may build the index, the second reads it.
 		return p.ResultCount(q) == want && p.ResultCount(q) == want
 	}, nil)
 	if err != nil {
@@ -319,8 +319,8 @@ func TestFlatPostingsMatchBruteForce(t *testing.T) {
 			if got := p.ResultCountRO(q); got != want {
 				t.Fatalf("%s: ResultCountRO(%v) = %d, want %d over %v", what, q, got, want, items)
 			}
-			// Twice: the second call of a multi-attribute query is served
-			// from the memo.
+			// Twice: the first call on a changed peer builds the index,
+			// the second reads it.
 			for range 2 {
 				if got := p.ResultCount(q); got != want {
 					t.Fatalf("%s: ResultCount(%v) = %d, want %d over %v", what, q, got, want, items)

@@ -97,16 +97,6 @@ func (w *Workload) Compact(minIdle int) (CompactRemap, int) {
 		return remap, 0
 	}
 
-	// Intern table: drop dead keys, renumber survivors. Deleting and
-	// updating entries while ranging over a map is well-defined.
-	for key, id := range w.keys {
-		if nid := remap[id]; nid == Dead {
-			delete(w.keys, key)
-		} else if nid != id {
-			w.keys[key] = nid
-		}
-	}
-
 	// Dense arrays: survivors slide down in one forward pass (the
 	// remap is monotone, so new <= old and no slot is overwritten
 	// before it is read). Dropped attr.Set references are cleared so
@@ -124,6 +114,7 @@ func (w *Workload) Compact(minIdle int) (CompactRemap, int) {
 	w.queries = w.queries[:live]
 	w.global = w.global[:live]
 	w.lastUse = w.lastUse[:live]
+	w.index(len(w.slots)) // the survivors, under their new QIDs
 
 	// Per-peer entry lists reference only demanded (global > 0 =>
 	// live) queries; the monotone renumbering keeps them sorted.

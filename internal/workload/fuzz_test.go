@@ -153,9 +153,13 @@ func (o *compactOracle) check(w *Workload) error {
 	if got, want := w.NumQueries(), len(o.lastUse); got != want {
 		return fmt.Errorf("%d distinct queries, oracle has %d", got, want)
 	}
+	qids := make(map[string]QID, w.NumQueries())
+	for q := range w.NumQueries() {
+		qids[w.Query(QID(q)).Key()] = QID(q)
+	}
 	total := 0
 	for key, last := range o.lastUse {
-		qid, ok := w.keys[key]
+		qid, ok := qids[key]
 		if !ok {
 			return fmt.Errorf("query %q lost", key)
 		}

@@ -7,8 +7,9 @@ package workload
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/attr"
 )
@@ -28,15 +29,22 @@ type Entry struct {
 type Workload struct {
 	numPeers int
 
+	// The intern table: queries[qid] is the query of qid, and slots is an
+	// open-addressing hash table over them. A slot holds 0 or 1+QID, a
+	// query sits in the first slot from hashSet(q) on (in probe order)
+	// that was empty when it was interned, and len(slots) is a power of
+	// two at least twice len(queries). Clones share slots (see Clone):
+	// while shared is set nobody writes it, and the first write copies
+	// it (ownSlots).
 	queries []attr.Set
-	keys    map[string]QID
+	slots   []int32
+	shared  *atomic.Bool
 
 	global  []int     // num(q,Q) per QID
 	perPeer [][]Entry // peer -> sorted-by-QID entries with Count > 0
 	peerTot []int     // num(Q(p)) per peer
 	total   int       // num(Q)
 	version int
-	keyBuf  []byte // scratch for allocation-free Lookup probes
 
 	// Retirement/compaction state (see compact.go): clock counts
 	// demand-recording events, lastUse[q] stamps the most recent one
@@ -52,7 +60,8 @@ type Workload struct {
 func New(numPeers int) *Workload {
 	return &Workload{
 		numPeers: numPeers,
-		keys:     make(map[string]QID),
+		slots:    make([]int32, 16),
+		shared:   new(atomic.Bool),
 		perPeer:  make([][]Entry, numPeers),
 		peerTot:  make([]int, numPeers),
 	}
@@ -80,26 +89,84 @@ func (w *Workload) Version() int { return w.version }
 // Intern registers q and returns its QID, reusing an existing ID for an
 // equal query.
 func (w *Workload) Intern(q attr.Set) QID {
-	key := q.Key()
-	if id, ok := w.keys[key]; ok {
-		return id
+	i, ok := w.find(q)
+	if ok {
+		return QID(w.slots[i] - 1)
 	}
 	id := QID(len(w.queries))
-	w.keys[key] = id
 	w.queries = append(w.queries, q)
 	w.global = append(w.global, 0)
 	w.lastUse = append(w.lastUse, w.clock)
+	if 2*len(w.queries) > len(w.slots) {
+		w.index(2 * len(w.slots))
+		return id
+	}
+	w.ownSlots()
+	w.slots[i] = int32(id) + 1
 	return id
 }
 
 // Lookup returns the QID of q when it is already interned, without
-// allocating (the probe key is built in a reused scratch buffer). The
-// membership engine uses it on the join hot path, where a churning
-// population re-issues mostly known queries.
+// allocating. The membership engine uses it on the join hot path, where
+// a churning population re-issues mostly known queries.
 func (w *Workload) Lookup(q attr.Set) (QID, bool) {
-	w.keyBuf = q.AppendKey(w.keyBuf[:0])
-	id, ok := w.keys[string(w.keyBuf)]
-	return id, ok
+	i, ok := w.find(q)
+	if !ok {
+		return 0, false
+	}
+	return QID(w.slots[i] - 1), true
+}
+
+// find returns the slot holding q, or else the empty slot where q would
+// go.
+func (w *Workload) find(q attr.Set) (int, bool) {
+	mask := len(w.slots) - 1
+	for i := int(hashSet(q)) & mask; ; i = (i + 1) & mask {
+		s := w.slots[i]
+		if s == 0 {
+			return i, false
+		}
+		if w.queries[s-1].Equal(q) {
+			return i, true
+		}
+	}
+}
+
+// hashSet mixes q's IDs into its first slot.
+func hashSet(q attr.Set) uint64 {
+	h := uint64(q.Len())
+	for _, id := range q.IDs() {
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// ownSlots gives w a table of its own before a write: while a Clone may
+// hold the table too, it copies it and takes a fresh mark for the copy.
+func (w *Workload) ownSlots() {
+	if !w.shared.Load() {
+		return
+	}
+	w.shared = new(atomic.Bool)
+	w.slots = slices.Clone(w.slots)
+}
+
+// index lays every query out afresh in a table of n slots of w's own.
+func (w *Workload) index(n int) {
+	if len(w.slots) == n {
+		w.ownSlots()
+		clear(w.slots)
+	} else {
+		if w.shared.Load() {
+			w.shared = new(atomic.Bool)
+		}
+		w.slots = make([]int32, n)
+	}
+	for id, q := range w.queries {
+		i, _ := w.find(q)
+		w.slots[i] = int32(id) + 1
+	}
 }
 
 // Query returns the attribute set of qid.
@@ -200,15 +267,22 @@ func (w *Workload) ReplacePeer(p int, queries []attr.Set, counts []int) {
 	}
 }
 
-// Clone deep-copies the workload; used by experiments that perturb a
-// shared baseline. The per-peer entry lists are cut from one
-// allocation, each clipped to its length, so a list the copy grows
-// moves out instead of writing into its neighbour.
+// Clone returns a workload equal to w that can be changed independently
+// of it; used by experiments that perturb a shared baseline. It shares
+// the intern table and copies the rest: the two read the one table
+// until either interns a new query or compacts, which copies it first.
+// The per-peer entry lists are cut from one allocation, each clipped to
+// its length, so a list the copy grows moves out instead of writing
+// into its neighbour. Cloning writes nothing of w but an atomic mark,
+// so any number of goroutines may clone one workload nobody is
+// changing.
 func (w *Workload) Clone() *Workload {
+	w.shared.Store(true)
 	cp := &Workload{
 		numPeers:    w.numPeers,
 		queries:     append([]attr.Set(nil), w.queries...),
-		keys:        maps.Clone(w.keys),
+		slots:       w.slots,
+		shared:      w.shared,
 		global:      append([]int(nil), w.global...),
 		perPeer:     make([][]Entry, len(w.perPeer)),
 		peerTot:     append([]int(nil), w.peerTot...),
@@ -268,16 +342,22 @@ func (w *Workload) Validate() error {
 	if len(w.lastUse) != len(w.queries) {
 		return fmt.Errorf("lastUse spans %d queries, want %d", len(w.lastUse), len(w.queries))
 	}
-	for key, id := range w.keys {
-		if int(id) < 0 || int(id) >= len(w.queries) {
-			return fmt.Errorf("key %q maps to out-of-range query %d", key, id)
-		}
-		if got := w.queries[id].Key(); got != key {
-			return fmt.Errorf("key %q maps to query %d with key %q", key, id, got)
+	if n := len(w.slots); n&(n-1) != 0 || n < 2*len(w.queries) {
+		return fmt.Errorf("%d slots for %d queries", n, len(w.queries))
+	}
+	filled := 0
+	for _, s := range w.slots {
+		if s != 0 {
+			filled++
 		}
 	}
-	if len(w.keys) != len(w.queries) {
-		return fmt.Errorf("%d keys for %d queries", len(w.keys), len(w.queries))
+	if filled != len(w.queries) {
+		return fmt.Errorf("%d filled slots for %d queries", filled, len(w.queries))
+	}
+	for id, q := range w.queries {
+		if got, ok := w.Lookup(q); !ok || int(got) != id {
+			return fmt.Errorf("query %d is found as %d (found %v)", id, got, ok)
+		}
 	}
 	return nil
 }

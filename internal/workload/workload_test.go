@@ -120,6 +120,71 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneSharesInternTable pins the intern table a Clone shares: a
+// compaction or a new query on either side, the clone's or the
+// original's, copies the table first, so the other side neither loses a
+// compacted query nor finds the new one. Each write comes first once.
+func TestCloneSharesInternTable(t *testing.T) {
+	for _, c := range []struct{ cloneWrites, compactFirst bool }{
+		{true, true}, {true, false}, {false, true}, {false, false},
+	} {
+		cloneWrites := c.cloneWrites
+		w := New(2) // six queries: the first new one fits the table
+		for i := 0; i < 6; i++ {
+			w.Add(i%2, set(attr.ID(i)), 1)
+		}
+		before := w.Clone() // a reference that nothing writes
+		w2 := w.Clone()
+		writer, other := w2, w
+		if !cloneWrites {
+			writer, other = w, w2
+		}
+		check := func(step string) {
+			t.Helper()
+			for i := 0; i < 6; i++ {
+				q := set(attr.ID(i))
+				id, ok := other.Lookup(q)
+				if want, _ := before.Lookup(q); !ok || id != want || other.Intern(q) != want {
+					t.Fatalf("cloneWrites=%v, after %s: query %d is %d (found %v) on the other side, want %d",
+						cloneWrites, step, i, id, ok, want)
+				}
+			}
+			for _, x := range []*Workload{writer, other, before} {
+				if err := x.Validate(); err != nil {
+					t.Fatalf("cloneWrites=%v, after %s: %v", cloneWrites, step, err)
+				}
+			}
+		}
+		compact := func() {
+			writer.ClearPeer(1)
+			if _, removed := writer.Compact(0); removed == 0 {
+				t.Fatalf("cloneWrites=%v: Compact removed nothing", cloneWrites)
+			}
+			check("a compaction")
+		}
+		intern := func() {
+			for i := 100; i < 200; i++ {
+				writer.Add(0, set(attr.ID(i)), 1)
+			}
+			other.Add(1, set(7, 300), 1)
+			if _, ok := writer.Lookup(set(7, 300)); ok {
+				t.Fatalf("cloneWrites=%v: the writer finds the other side's new query", cloneWrites)
+			}
+			if _, ok := other.Lookup(set(150)); ok {
+				t.Fatalf("cloneWrites=%v: the other side finds the writer's new query", cloneWrites)
+			}
+			check("new queries")
+		}
+		if c.compactFirst {
+			compact()
+			intern()
+		} else {
+			intern()
+			compact()
+		}
+	}
+}
+
 func TestVersionBumpsOnMutation(t *testing.T) {
 	w := New(1)
 	v0 := w.Version()
