@@ -3,16 +3,69 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
-	"repro/internal/peer"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// stateLines renders labelled lines of numbers into one string, floats
+// as the hex of their bits.
+type stateLines struct{ b []byte }
+
+// reset empties s, keeping its buffer.
+func (s *stateLines) reset() *stateLines {
+	s.b = s.b[:0]
+	return s
+}
+
+// line starts a line labelled label and, unless negative, idx.
+func (s *stateLines) line(label string, idx int) *stateLines {
+	if len(s.b) > 0 {
+		s.b = append(s.b, '\n')
+	}
+	s.b = append(s.b, label...)
+	if idx >= 0 {
+		s.b = strconv.AppendInt(append(s.b, ' '), int64(idx), 10)
+	}
+	s.b = append(s.b, ':')
+	return s
+}
+
+func (s *stateLines) ints(vs ...int) *stateLines {
+	for _, v := range vs {
+		s.b = strconv.AppendInt(append(s.b, ' '), int64(v), 10)
+	}
+	return s
+}
+
+func (s *stateLines) floats(vs ...float64) *stateLines {
+	for _, v := range vs {
+		s.b = strconv.AppendUint(append(s.b, ' '), math.Float64bits(v), 16)
+	}
+	return s
+}
+
+func (s *stateLines) set(q attr.Set) *stateLines {
+	s.b = append(s.b, " {"...)
+	for _, a := range q.IDs() {
+		s.b = strconv.AppendInt(append(s.b, ' '), int64(a), 10)
+	}
+	s.b = append(s.b, '}')
+	return s
+}
+
+func (s *stateLines) qids(qs []workload.QID) *stateLines {
+	for _, q := range qs {
+		s.b = strconv.AppendInt(append(s.b, ' '), int64(q), 10)
+	}
+	return s
+}
 
 // engineState renders everything an engine's answers depend on, one
 // labelled line per structure, floats as their bits: the inputs (peer
@@ -21,198 +74,125 @@ import (
 // slots it adds what only a clone shares with its original and a fresh
 // engine over the same inputs does not: the free-slot stack, the slot
 // generations, the query index and what Rebuild remembers.
-func engineState(e *Engine, slots bool) []string {
-	bits := func(fs []float64) []uint64 {
-		out := make([]uint64, len(fs))
-		for i, f := range fs {
-			out[i] = math.Float64bits(f)
-		}
-		return out
-	}
-	var st []string
-	add := func(label string, v any) { st = append(st, fmt.Sprintf("%s: %v", label, v)) }
+func engineState(e *Engine, slots bool) string {
+	s := stateLines{b: make([]byte, 0, 32<<10)}
+	s.engine(e, slots)
+	return string(s.b)
+}
 
-	add("geometry", []int{e.n, e.nq, e.cmax, e.cfg.Live(), e.cfg.NumNonEmpty()})
-	add("alpha", math.Float64bits(e.alpha))
+func (s *stateLines) engine(e *Engine, slots bool) {
+	s.line("geometry", -1).ints(e.n, e.nq, e.cmax, e.cfg.Live(), e.cfg.NumNonEmpty())
+	s.line("alpha", -1).floats(e.alpha)
 	for pid, p := range e.peers {
 		if p == nil {
-			add(fmt.Sprintf("peer %d", pid), "vacant")
+			s.line("vacant", pid)
 			continue
 		}
-		add(fmt.Sprintf("peer %d", pid), fmt.Sprint(p.ID(), p.Version(), p.Items()))
+		s.line("peer", pid).ints(p.ID(), p.Version())
+		for _, it := range p.SharedItems() {
+			s.set(it)
+		}
 	}
-	for q := 0; q < e.wl.NumQueries(); q++ {
-		add(fmt.Sprintf("query %d", q), fmt.Sprint(e.wl.Query(workload.QID(q)), e.wl.GlobalCount(workload.QID(q))))
+	for q := range e.wl.NumQueries() {
+		s.line("query", q).set(e.wl.Query(workload.QID(q))).ints(e.wl.GlobalCount(workload.QID(q)))
 	}
-	for pid := 0; pid < e.wl.NumPeers(); pid++ {
-		add(fmt.Sprintf("workload of %d", pid), fmt.Sprint(e.wl.Peer(pid), e.wl.PeerTotal(pid)))
+	for pid := range e.wl.NumPeers() {
+		s.line("workload of", pid).ints(e.wl.PeerTotal(pid))
+		for _, en := range e.wl.Peer(pid) {
+			s.ints(int(en.Q), en.Count)
+		}
 	}
-	add("workload total", e.wl.Total())
-	add("assignment", e.cfg.Assignment())
-	for c := 0; c < e.cfg.Cmax(); c++ {
-		add(fmt.Sprintf("members of %d", c), e.cfg.MembersUnsorted(cluster.CID(c)))
+	s.line("workload total", -1).ints(e.wl.Total())
+	s.line("assignment", -1)
+	for _, c := range e.cfg.Assignment() {
+		s.ints(int(c))
+	}
+	for c := range e.cfg.Cmax() {
+		s.line("members of", c).ints(e.cfg.MembersUnsorted(cluster.CID(c))...)
 	}
 
-	add("totals", bits(e.totals))
-	add("invTot", bits(e.invTot))
-	add("demandTot", bits(e.demandTot))
-	add("peerW", bits(e.peerW))
-	add("peerOwnW", bits(e.peerOwnW))
-	add("sums", bits([]float64{e.membSumRaw, e.recallSum, e.wRecallSum, e.sumW, e.ansDemand, e.SCost(), e.WCost()}))
+	s.line("totals", -1).floats(e.totals...)
+	s.line("invTot", -1).floats(e.invTot...)
+	s.line("demandTot", -1).floats(e.demandTot...)
+	s.line("peerW", -1).floats(e.peerW...)
+	s.line("peerOwnW", -1).floats(e.peerOwnW...)
+	s.line("sums", -1).floats(e.membSumRaw, e.recallSum, e.wRecallSum, e.sumW, e.ansDemand, e.SCost(), e.WCost())
 	for pid := range e.peerRes {
-		var l []uint64
+		s.line("peerRes", pid)
 		for _, re := range e.peerRes[pid] {
-			l = append(l, uint64(re.qid), math.Float64bits(re.res))
+			s.ints(int(re.qid)).floats(re.res)
 		}
-		add(fmt.Sprintf("peerRes %d", pid), l)
-		l = nil
+		s.line("peerWl", pid)
 		for _, en := range e.peerWl[pid] {
-			l = append(l, uint64(en.qid), math.Float64bits(en.count), math.Float64bits(en.w), math.Float64bits(en.wInvT))
+			s.ints(int(en.qid)).floats(en.count, en.w, en.wInvT)
 		}
-		add(fmt.Sprintf("peerWl %d", pid), l)
 	}
 	for q, row := range e.rows {
-		var l []uint64
+		s.line("row", q)
 		for _, cl := range row {
-			l = append(l, uint64(cl.cid), math.Float64bits(cl.res), math.Float64bits(cl.demand), math.Float64bits(cl.demandW))
+			s.ints(int(cl.cid)).floats(cl.res, cl.demand, cl.demandW)
 		}
-		add(fmt.Sprintf("row %d", q), l)
 	}
 	if slots {
-		add("free", e.free)
-		add("slotGen", e.slotGen)
-		add("resCovered", e.resCovered)
-		var remembered []int
+		s.line("free", -1).ints(e.free...)
+		s.line("slotGen", -1)
+		for _, g := range e.slotGen {
+			s.ints(int(g))
+		}
+		s.line("resCovered", -1).ints(e.resCovered)
+		s.line("remembered", -1)
 		for pid, src := range e.resFrom {
 			if src.peer != nil && src.peer == e.peers[pid] {
-				remembered = append(remembered, pid, src.version)
+				s.ints(pid, src.version)
 			}
 		}
-		add("remembered", remembered)
-		add("query index", fmt.Sprint(e.queries.head, e.queries.lists, e.queries.empty, e.queries.n))
-		add("versions", []uint64{uint64(e.wlVersion), uint64(e.wlCompactions), uint64(e.cfgVersion), e.popVersion})
+		x := &e.queries
+		s.line("query index", -1).ints(x.n)
+		for _, h := range x.head {
+			s.ints(int(h))
+		}
+		for i, l := range x.lists {
+			s.line("query index list", i).qids(l)
+		}
+		s.line("query index empty", -1).qids(x.empty)
+		s.line("versions", -1).ints(int(e.wlVersion), int(e.wlCompactions), int(e.cfgVersion), int(e.popVersion))
 	}
-	return st
 }
 
 // stateDiff returns the first line two engine states differ in.
-func stateDiff(got, want []string) error {
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			g := "nothing"
-			if i < len(got) {
-				g = got[i]
+func stateDiff(got, want string) error {
+	if got == want {
+		return nil
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range w {
+		if i >= len(g) || g[i] != w[i] {
+			line := "nothing"
+			if i < len(g) {
+				line = g[i]
 			}
-			return fmt.Errorf("got  %s\nwant %s", g, want[i])
+			return fmt.Errorf("got  %s\nwant %s", line, w[i])
 		}
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("got %d more lines, first %s", len(got)-len(want), got[len(want)])
-	}
-	return nil
+	return fmt.Errorf("got %d more lines, first %s", len(g)-len(w), g[len(w)])
 }
 
-// churnedEngine builds an engine and takes it through a seeded mix of
-// joins (some with queries nobody asked before), leaves, moves and one
-// compaction, so it carries vacated and reused slots, rows that left
-// the arena, residue cells, a join's candidate-ordered result list and
-// remapped QIDs.
-func churnedEngine(t *testing.T, seed uint64) (*Engine, []attr.ID, *stats.RNG) {
-	const n, v = 14, 10
-	ids := testAttrIDs(v)
-	rng := stats.NewRNG(seed)
-	assign := make([]cluster.CID, n)
-	for i := range assign {
-		assign[i] = cluster.CID(rng.Intn(4))
-	}
-	peers, wl, _ := testSystem(t, n, v, seed)
-	e := New(peers, wl, cluster.FromAssignment(assign), cluster.LinearTheta(), 0.5+rng.Float64())
-	novel := novelJoiner{next: 1000}
-	livePeer := func() int {
-		for {
-			if p := rng.Intn(e.NumSlots()); e.IsLive(p) {
-				return p
-			}
-		}
-	}
-	for step := 0; step < 60; step++ {
-		switch op := rng.Intn(10); {
-		case op < 3:
-			pr, qs, cs := novel.materials(ids, rng, rng.Intn(3))
-			to := cluster.None
-			if rng.Intn(2) == 0 {
-				to = e.Config().ClusterOf(livePeer())
-			}
-			e.AddPeer(pr, qs, cs, to)
-		case op < 5 && e.NumPeers() > 4:
-			e.RemovePeer(livePeer())
-		case step == 40:
-			e.Compact(0)
-		default:
-			e.Move(livePeer(), e.Config().ClusterOf(livePeer()))
-		}
-	}
-	return e, ids, rng
-}
-
-// TestCloneIsExactAndIndependent pins Engine.Clone: after churn the
-// clone's state equals the original's bit for bit, down to the free
-// stack and the slot generations, and whatever is then done to the
-// clone leaves every bit of the original where it was.
+// TestCloneIsExactAndIndependent pins Engine.Clone: after 60 ops of
+// churn on an engine never cloned before, the clone's state equals the
+// original's bit for bit, down to the free stack and the slot
+// generations (the driver's fork checks that), and every kind of op,
+// run on the clone, leaves every bit of the original where it was.
 func TestCloneIsExactAndIndependent(t *testing.T) {
+	t.Parallel()
 	for seed := uint64(1); seed <= 10; seed++ {
-		e, ids, rng := churnedEngine(t, seed)
-		before := engineState(e, true)
-		c := e.Clone()
-		if err := stateDiff(engineState(c, true), before); err != nil {
-			t.Fatalf("seed %d: clone differs from its original:\n%v", seed, err)
-		}
-		if c.Stale() {
-			t.Fatalf("seed %d: clone of a fresh engine is stale", seed)
-		}
-		for p := 0; p < e.NumSlots(); p++ {
-			if !e.IsLive(p) {
-				continue
-			}
-			if c.peers[p] == e.peers[p] {
-				t.Fatalf("seed %d: clone shares peer %d with its original", seed, p)
-			}
-			if got, want := c.EvaluateMoves(p), e.EvaluateMoves(p); got != want {
-				t.Fatalf("seed %d: EvaluateMoves(%d) on the clone %+v, on the original %+v", seed, p, got, want)
-			}
-			if got, want := c.EvaluateContribution(p), e.EvaluateContribution(p); got != want {
-				t.Fatalf("seed %d: EvaluateContribution(%d) on the clone %+v, on the original %+v", seed, p, got, want)
-			}
-		}
-
-		// Every kind of mutation, on the clone only.
-		live := func() int {
-			for {
-				if p := rng.Intn(c.NumSlots()); c.IsLive(p) {
-					return p
-				}
-			}
-		}
-		pr, qs, cs := randomJoiner(ids, rng)
-		qs, cs = append(qs, attr.NewSet(attr.ID(5000))), append(cs, 2)
-		c.AddPeer(pr, qs, cs, cluster.None)
-		c.RemovePeer(live())
-		c.Move(live(), c.Config().ClusterOf(live()))
-		c.Compact(0)
-		p := live()
-		c.Peers()[p].SetItems([]attr.Set{attr.NewSet(ids[0], ids[1]), attr.NewSet(ids[2])})
-		c.Peers()[live()].ReplaceItem(0, attr.NewSet(ids[3]))
-		c.Workload().ReplacePeer(p, []attr.Set{attr.NewSet(ids[4]), attr.NewSet(attr.ID(6000))}, []int{3, 1})
-		c.Rebuild()
-		c.SetAlpha(3)
-		if err := stateDiff(engineState(e, true), before); err != nil {
-			t.Fatalf("seed %d: mutating the clone changed the original:\n%v", seed, err)
-		}
-		// And the clone is still a correct engine.
-		fresh := New(slices.Clone(c.peers), c.wl, c.cfg.Clone(), c.theta, c.alpha)
-		if err := stateDiff(engineState(c, false), engineState(fresh, false)); err != nil {
-			t.Fatalf("seed %d: edited and rebuilt clone differs from New over its inputs:\n%v", seed, err)
-		}
+		d := newDriver(t, fixture{n: 16, groups: 4, vacant: 2, alpha: 0.5 + float64(seed)/4, seed: seed}, noClone)
+		d.runSeeded(seed, 60)
+		d.fork(cloneWrites)
+		// Each op once: a move, a join with a novel query, a leave, a
+		// slot reused, a slot joined and left, a compaction, a content and
+		// a workload edit each followed by Rebuild, α, the free stack.
+		d.run([]byte{0, 3, 21, 1, 2, 5, 83, 7, 84, 64, 5, 0, 6, 1, 17, 2, 8, 3, 9, 0})
+		d.finish()
 	}
 }
 
@@ -220,10 +200,12 @@ func TestCloneIsExactAndIndependent(t *testing.T) {
 // each perturbing and running its clone; under -race it proves Clone
 // only reads its receiver and the clones share nothing they write.
 func TestCloneConcurrently(t *testing.T) {
-	e, ids, _ := churnedEngine(t, 3)
+	d := newDriver(t, fixture{groups: 4, vacant: 2, alpha: 1, seed: 3}, noClone)
+	d.runSeeded(3, 20)
+	e := d.e
 	before := engineState(e, true)
 	const goroutines = 8
-	got := make([][]string, goroutines)
+	got := make([]string, goroutines)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
@@ -233,7 +215,7 @@ func TestCloneConcurrently(t *testing.T) {
 			got[g] = engineState(c, true)
 			for p := 0; p < c.NumSlots(); p++ {
 				if c.IsLive(p) {
-					c.Peers()[p].AddItem(attr.NewSet(ids[g%len(ids)]))
+					c.Peers()[p].AddItem(attr.NewSet(attr.ID(g)))
 					c.Move(p, c.EvaluateMoves(p).Best)
 				}
 			}
@@ -253,232 +235,98 @@ func TestCloneConcurrently(t *testing.T) {
 
 // TestRebuildAfterEditsMatchesNew pins the Rebuild that re-asks only
 // what changed to core.New over the same inputs, every aggregate bit
-// for bit: random in-place content and workload edits, with queries
-// nobody asked before, on an engine whose latest joiner still holds its
-// result list in candidate order, with and without a compaction behind
-// the engine's back.
+// for bit (the driver checks that, and the dense rebuild, after every
+// Rebuild, and finish ends each seed with one): rounds of a wide join,
+// whose result list comes out in attribute order, not QID order, and is
+// not sorted before the Rebuild, then in-place content and workload
+// edits, with queries nobody asked before, and one round with a
+// compaction behind the engine's back.
 func TestRebuildAfterEditsMatchesNew(t *testing.T) {
+	t.Parallel()
+	unsorted := 0
 	for seed := uint64(1); seed <= 20; seed++ {
-		e, ids, rng := churnedEngine(t, seed)
-		live := func() int {
-			for {
-				if p := rng.Intn(e.NumSlots()); e.IsLive(p) {
-					return p
-				}
-			}
-		}
-		item := func() attr.Set { return attr.NewSet(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]) }
-		for round := 0; round < 4; round++ {
-			// A joiner holding many attributes: its candidates come out
-			// in attribute order, not QID order, and nobody sorts them
-			// before the Rebuild below.
-			joiner := peer.New(-1)
-			joiner.SetItems([]attr.Set{attr.NewSet(ids...)})
-			pid := e.AddPeer(joiner, []attr.Set{attr.NewSet(ids[rng.Intn(len(ids))])}, []int{2}, cluster.None)
-			if round == 0 && slices.IsSortedFunc(e.peerRes[pid], func(a, b resEntry) int { return int(a.qid - b.qid) }) {
-				t.Fatalf("seed %d: the joiner's result list is already ascending; the test needs a candidate-ordered one", seed)
-			}
-
+		d := newDriver(t, fixture{n: 14, groups: 4, alpha: 0.5 + float64(seed)/4, seed: seed}, splitOf(seed))
+		rng := stats.NewRNG(seed)
+		for round := range 4 {
+			ops := []byte{81, byte(40 + rng.Intn(41))}
 			for k := 1 + rng.Intn(3); k > 0; k-- {
-				switch p := live(); rng.Intn(3) {
-				case 0:
-					if n := e.Peers()[p].NumItems(); n > 0 {
-						e.Peers()[p].ReplaceItem(rng.Intn(n), item())
-					}
-				case 1:
-					e.Peers()[p].SetItems([]attr.Set{item(), item()})
-				default:
-					// A query interned here is one every unchanged peer
-					// must still be asked about.
-					novel := attr.NewSet(ids[rng.Intn(len(ids))], attr.ID(2000+rng.Intn(50)))
-					e.Workload().ReplacePeer(p, []attr.Set{attr.NewSet(ids[rng.Intn(len(ids))]), novel, attr.NewSet(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])}, []int{2, 1, 1})
-				}
+				ops = append(ops, byte(6+rng.Intn(2)), byte(rng.Intn(256)))
 			}
 			if round == 2 {
-				// Renumber the queries where the engine cannot see it.
-				e.Workload().ClearPeer(live())
-				e.Workload().Compact(0)
+				ops = append(ops, 17, byte(rng.Intn(256)))
 			}
-			e.Rebuild()
-			fresh := New(slices.Clone(e.peers), e.wl, e.cfg.Clone(), e.theta, e.alpha)
-			if err := stateDiff(engineState(e, false), engineState(fresh, false)); err != nil {
-				t.Fatalf("seed %d round %d: Rebuild after edits differs from New over the same inputs:\n%v", seed, round, err)
-			}
-			if err := matchesDense(e); err != nil {
-				t.Fatalf("seed %d round %d: Rebuild after edits differs from the dense oracle: %v", seed, round, err)
-			}
+			d.run(ops)
 		}
+		unsorted += d.unsortedRebuild
+		d.finish()
+	}
+	if unsorted == 0 {
+		t.Error("no Rebuild met a result list in candidate order")
 	}
 }
 
-// isolationEngine builds the engine FuzzCloneIsolation clones: scanPeers
-// slots over scanAttrs attributes in six clusters, the last two slots
-// vacant (so the free-slot stack holds two), and one query interned
-// that nobody asks (so a Compact has a query to retire). The same seed
-// builds the same engine bit for bit.
-func isolationEngine(seed uint64) *Engine {
-	rng := stats.NewRNG(seed)
-	peers := make([]*peer.Peer, scanPeers)
-	wl := workload.New(scanPeers)
-	assign := make([]cluster.CID, scanPeers)
-	for i := range peers {
-		assign[i] = cluster.None
-		if i >= scanPeers-2 {
-			continue
-		}
-		peers[i] = peer.New(i)
-		peers[i].SetItems(scanItems(rng))
-		for range 2 {
-			wl.Add(i, attr.NewSet(attr.ID(rng.Intn(scanAttrs))), 1+rng.Intn(3))
-		}
-		assign[i] = cluster.CID(i % 6)
-	}
-	wl.Intern(attr.NewSet(attr.ID(scanAttrs + 100)))
-	return New(peers, wl, cluster.FromAssignment(assign), cluster.LinearTheta(), 1)
-}
-
-// isolationStep applies to e one op chosen by op and parameterized by
-// arg: a move, a join (sometimes with a query nobody asked before), a
-// leave, a compaction, a change of α, a content edit or a workload edit
-// followed by Rebuild, or a reordered free-slot stack. It returns what
-// it did.
-func isolationStep(e *Engine, op, arg byte) string {
-	rng := stats.NewRNG(uint64(op)<<8 | uint64(arg))
-	var live []int
-	for p := 0; p < e.NumSlots(); p++ {
-		if e.IsLive(p) {
-			live = append(live, p)
-		}
-	}
-	p := live[int(arg)%len(live)]
-	novel := attr.NewSet(attr.ID(scanAttrs + rng.Intn(40)))
-	switch op % 8 {
-	case 0:
-		nonEmpty := e.Config().NonEmpty()
-		to := nonEmpty[rng.Intn(len(nonEmpty))]
-		if c, ok := e.Config().EmptyCluster(); ok && arg%3 == 0 {
-			to = c
-		}
-		e.Move(p, to)
-		return fmt.Sprintf("move %d to %d", p, to)
-	case 1:
-		pr := peer.New(-1)
-		pr.SetItems(scanItems(rng))
-		qs, counts := []attr.Set{attr.NewSet(attr.ID(rng.Intn(scanAttrs)))}, []int{1 + rng.Intn(3)}
-		if arg%2 == 0 {
-			qs, counts = append(qs, novel), append(counts, 1)
-		}
-		pid := e.AddPeer(pr, qs, counts, cluster.None)
-		return fmt.Sprintf("join %d", pid)
-	case 2:
-		if len(live) <= 2 {
-			return "no leave"
-		}
-		e.RemovePeer(p)
-		return fmt.Sprintf("leave %d", p)
-	case 3:
-		return fmt.Sprintf("compact %d", e.Compact(0))
-	case 4:
-		a := float64(arg%4) / 2
-		e.SetAlpha(a)
-		return fmt.Sprintf("alpha %g", a)
-	case 5:
-		pr := e.Peers()[p]
-		switch arg % 3 {
-		case 0:
-			pr.ReplaceItem(rng.Intn(pr.NumItems()), scanItems(rng)[0])
-		case 1:
-			pr.AddItem(scanItems(rng)[0])
-		default:
-			pr.SetItems(scanItems(rng))
-		}
-		e.Rebuild()
-		return fmt.Sprintf("content of %d, rebuild", p)
-	case 6:
-		e.Workload().ReplacePeer(p, []attr.Set{attr.NewSet(attr.ID(rng.Intn(scanAttrs))), novel}, []int{1 + rng.Intn(3), 1})
-		e.Rebuild()
-		return fmt.Sprintf("workload of %d, rebuild", p)
-	default:
-		free := slices.Clone(e.FreeSlots())
-		slices.Reverse(free)
-		if err := e.SetFreeSlots(free); err != nil {
-			panic(err)
-		}
-		return fmt.Sprintf("free slots %v", free)
-	}
-}
-
-// isolationView is what isolationStep's ops must leave untouched on the
-// engine that did not run them: engineState, the social and workload
+// isolationView is what the driver's ops on the writer must leave
+// untouched on the other engine: engineState, the social and workload
 // costs, PeerCost of every live peer in every non-empty cluster,
 // EvaluateMoves of every live peer, and the QID every query, and every
 // query the ops may intern, is looked up under, floats as their bits.
-func isolationView(e *Engine) []string {
-	st := engineState(e, true)
-	st = append(st, fmt.Sprint("costs ", math.Float64bits(e.SCost()), math.Float64bits(e.WCost())))
-	for p := 0; p < e.NumSlots(); p++ {
+func isolationView(e *Engine) string {
+	var s stateLines
+	return string(s.isolation(e).b)
+}
+
+// isolation renders isolationView(e) into s in place of what s held.
+func (s *stateLines) isolation(e *Engine) *stateLines {
+	s.reset().engine(e, true)
+	s.line("costs", -1).floats(e.SCost(), e.WCost())
+	nonEmpty := e.Config().NonEmpty()
+	for p := range e.NumSlots() {
 		if !e.IsLive(p) {
 			continue
 		}
-		for _, c := range e.Config().NonEmpty() {
-			st = append(st, fmt.Sprint("pcost ", p, c, math.Float64bits(e.PeerCost(p, c))))
+		s.line("pcost", p)
+		for _, c := range nonEmpty {
+			s.ints(int(c)).floats(e.PeerCost(p, c))
 		}
 		ev := e.EvaluateMoves(p)
-		st = append(st, fmt.Sprint("moves ", p, ev.Cur, ev.Best, math.Float64bits(ev.CurCost), math.Float64bits(ev.BestCost), math.Float64bits(ev.AloneCost)))
+		s.line("moves", p).ints(int(ev.Cur), int(ev.Best)).floats(ev.CurCost, ev.BestCost, ev.AloneCost)
 	}
-	for q := 0; q < e.wl.NumQueries(); q++ {
+	for q := range e.wl.NumQueries() {
 		id, ok := e.wl.Lookup(e.wl.Query(workload.QID(q)))
-		st = append(st, fmt.Sprint("lookup ", q, id, ok))
+		s.line("lookup", q).ints(int(id), b2i(ok))
 	}
-	for a := scanAttrs; a < scanAttrs+40; a++ {
+	for a := scanAttrs; a < scanAttrs+novelQueries; a++ {
 		id, ok := e.wl.Lookup(attr.NewSet(attr.ID(a)))
-		st = append(st, fmt.Sprint("lookup novel ", a, id, ok))
+		s.line("lookup novel", a).ints(int(id), b2i(ok))
 	}
-	return st
+	return s
 }
 
 // FuzzCloneIsolation holds the independence of an engine and its Clone,
 // which share every part the clone only reads until one of them writes
-// it. The engine and a reference built the same way start equal; the
-// engine is cloned, and one of the two runs the byte-decoded op stream
-// (a byte pair per op, see isolationStep). After every op the other
-// must still equal the untouched reference bit for bit, and at the end
-// the one that ran the ops, rebuilt, must equal core.New over its own
-// inputs. Each case runs twice: first the clone writes, then the
-// original does. The seeds start with each first writer of a shared
-// part: a join, a leave, a compaction, a content edit, a workload edit
-// and a reordered free-slot stack, besides a move and a change of α.
+// it: each case runs the op driver twice on six clusters with two vacant
+// slots, first with the clone writing, then with the original; the
+// driver holds the other engine to what it was after every op, and the
+// writer, rebuilt at the end, to New over its inputs bit for bit. The
+// seeds start with each first writer of a shared part: a join, a leave,
+// a compaction, a content edit, a workload edit and a reordered
+// free-slot stack, besides a move and a change of α.
 func FuzzCloneIsolation(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 0, 0, 3})
 	f.Add(uint64(2), []byte{2, 5, 1, 2})
-	f.Add(uint64(3), []byte{3, 0, 0, 1})
-	f.Add(uint64(4), []byte{5, 0, 5, 7, 0, 2})
-	f.Add(uint64(5), []byte{6, 4, 6, 9, 1, 0})
-	f.Add(uint64(6), []byte{7, 0, 0, 4, 2, 1})
-	f.Add(uint64(7), []byte{0, 3, 4, 1, 1, 2, 3, 0})
+	f.Add(uint64(3), []byte{5, 0, 0, 1})
+	f.Add(uint64(4), []byte{6, 0, 6, 7, 0, 2})
+	f.Add(uint64(5), []byte{7, 4, 17, 9, 1, 0})
+	f.Add(uint64(6), []byte{9, 0, 0, 4, 2, 1})
+	f.Add(uint64(7), []byte{0, 3, 8, 1, 1, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 60 {
 			ops = ops[:60]
 		}
-		want := isolationView(isolationEngine(seed))
-		for _, cloneWrites := range []bool{true, false} {
-			orig := isolationEngine(seed)
-			c := orig.Clone()
-			writer, other := orig, c
-			if cloneWrites {
-				writer, other = c, orig
-			}
-			for i := 0; i+1 < len(ops); i += 2 {
-				did := isolationStep(writer, ops[i], ops[i+1])
-				if err := stateDiff(isolationView(other), want); err != nil {
-					t.Fatalf("clone writes %v, op %d (%s) changed the other engine:\n%v", cloneWrites, i/2, did, err)
-				}
-			}
-			writer.Rebuild()
-			fresh := New(slices.Clone(writer.peers), writer.wl, writer.cfg.Clone(), writer.theta, writer.alpha)
-			if err := stateDiff(engineState(writer, false), engineState(fresh, false)); err != nil {
-				t.Fatalf("clone writes %v: the engine that ran the ops, rebuilt, differs from New over its inputs:\n%v", cloneWrites, err)
-			}
+		for _, s := range []split{cloneWrites, originalWrites} {
+			d := newDriver(t, fixture{groups: 6, vacant: 2, alpha: 1, seed: seed}, s)
+			d.run(ops)
+			d.finish()
 		}
 	})
 }

@@ -10,36 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// novelJoiner mints a joiner whose queries are brand-new to the
-// system: single-attribute queries over a private, ever-advancing ID
-// range no content or earlier query uses. Such queries intern fresh
-// QIDs on join and die (global count 0) on leave — the open-ended
-// churn pattern that grows QID-indexed state without bound unless
-// compaction reclaims it.
-type novelJoiner struct {
-	next attr.ID
-}
-
-func (n *novelJoiner) materials(ids []attr.ID, rng *stats.RNG, novel int) (*peer.Peer, []attr.Set, []int) {
-	pr := peer.New(-1)
-	items := make([]attr.Set, 0, 2)
-	for d := 0; d <= rng.Intn(2); d++ {
-		items = append(items, attr.NewSet(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]))
-	}
-	pr.SetItems(items)
-	var queries []attr.Set
-	var counts []int
-	// One known query keeps the joiner coupled to the population.
-	queries = append(queries, attr.NewSet(ids[rng.Intn(len(ids))]))
-	counts = append(counts, 1+rng.Intn(3))
-	for k := 0; k < novel; k++ {
-		queries = append(queries, attr.NewSet(n.next))
-		counts = append(counts, 1+rng.Intn(3))
-		n.next++
-	}
-	return pr, queries, counts
-}
-
 // liveDistinctQueries counts the distinct queries demanded by at
 // least one live peer — the exact row count a compacted workload must
 // shrink to under the minIdle=0 policy.
@@ -53,71 +23,19 @@ func liveDistinctQueries(wl *workload.Workload) int {
 	return len(live)
 }
 
-// TestCompactMatchesRebuild drives randomized membership churn with
-// novel queries, compacting at random points, and pins the engine
-// after every operation to a fresh engine built over the compacted
-// workload (the property the whole feature rests on: compaction is
-// invisible to every cost).
+// TestCompactMatchesRebuild runs the op driver from singletons, which
+// compacts at random points and, after every op, pins the engine to a
+// fresh engine built over the compacted workload (the property the
+// whole feature rests on: compaction is invisible to every cost).
+// Joiners bring novel queries and leavers strand them, so compactions
+// have queries to retire.
 func TestCompactMatchesRebuild(t *testing.T) {
-	const v = 12
-	peers, wl, _ := testSystem(t, 10, v, 909)
-	ids := testAttrIDs(v)
-	e := New(peers, wl, cluster.NewSingletons(10), cluster.LinearTheta(), 1)
-	rng := stats.NewRNG(808)
-	nov := &novelJoiner{next: attr.ID(10_000)}
-
-	livePeers := func() []int {
-		var out []int
-		for p := 0; p < e.NumSlots(); p++ {
-			if e.IsLive(p) {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-
-	compactions := 0
-	for step := 0; step < 160; step++ {
-		live := livePeers()
-		op := rng.Intn(5)
-		switch {
-		case op <= 1 || len(live) <= 2: // join with novel queries
-			pr, qs, cs := nov.materials(ids, rng, 1+rng.Intn(2))
-			to := cluster.None
-			if rng.Intn(2) == 0 && len(live) > 0 {
-				to = e.Config().ClusterOf(live[rng.Intn(len(live))])
-			}
-			e.AddPeer(pr, qs, cs, to)
-		case op == 2: // leave (strands the leaver's novel queries)
-			e.RemovePeer(live[rng.Intn(len(live))])
-		case op == 3: // interior move
-			p := live[rng.Intn(len(live))]
-			targets := e.Config().NonEmpty()
-			e.Move(p, targets[rng.Intn(len(targets))])
-		default: // compact
-			before := e.Workload().NumQueries()
-			dead := e.DeadQueries(0)
-			removed := e.Compact(0)
-			if removed != dead {
-				t.Fatalf("step %d: Compact removed %d, DeadQueries said %d", step, removed, dead)
-			}
-			if got, want := e.Workload().NumQueries(), before-removed; got != want {
-				t.Fatalf("step %d: %d queries after compact, want %d", step, got, want)
-			}
-			if got, want := e.Workload().NumQueries(), liveDistinctQueries(e.Workload()); got != want {
-				t.Fatalf("step %d: compacted to %d queries, live distinct is %d", step, got, want)
-			}
-			if removed > 0 {
-				compactions++
-			}
-		}
-		if err := e.Workload().Validate(); err != nil {
-			t.Fatalf("step %d: workload invalid: %v", step, err)
-		}
-		checkAgainstRebuild(t, e, "compact-churn")
-	}
-	if compactions < 5 {
-		t.Fatalf("only %d effective compactions in 160 steps; churn mix too tame to test anything", compactions)
+	t.Parallel()
+	d := newDriver(t, fixture{n: 10, alpha: 1, seed: 909}, noClone)
+	d.runSeeded(808, 160)
+	d.finish()
+	if d.compactions < 5 {
+		t.Fatalf("only %d effective compactions in 160 ops; the mix is too tame to test anything", d.compactions)
 	}
 }
 
@@ -127,12 +45,10 @@ func TestCompactMatchesRebuild(t *testing.T) {
 // within 1e-9 — before and after.
 func TestCompactPreservesCostsExactly(t *testing.T) {
 	e := newTestEngine(t, 8, 10, 1212, nil)
-	ids := testAttrIDs(10)
 	rng := stats.NewRNG(77)
-	nov := &novelJoiner{next: 5000}
 	var joined []int
 	for i := 0; i < 6; i++ {
-		pr, qs, cs := nov.materials(ids, rng, 2)
+		pr, qs, cs := newJoiner(rng, attr.ID(5000+2*i), attr.ID(5001+2*i))
 		joined = append(joined, e.AddPeer(pr, qs, cs, cluster.None))
 	}
 	for _, pid := range joined[:4] {
@@ -179,10 +95,7 @@ func TestCompactPreservesCostsExactly(t *testing.T) {
 // path and a fresh rebuild.
 func TestCompactExternalTwoStepFlow(t *testing.T) {
 	e := newTestEngine(t, 8, 10, 404, nil)
-	ids := testAttrIDs(10)
-	rng := stats.NewRNG(55)
-	nov := &novelJoiner{next: 7000}
-	pr, qs, cs := nov.materials(ids, rng, 3)
+	pr, qs, cs := newJoiner(stats.NewRNG(55), 7000, 7001, 7002)
 	pid := e.AddPeer(pr, qs, cs, cluster.None)
 	e.RemovePeer(pid)
 
@@ -205,7 +118,6 @@ func TestCompactExternalTwoStepFlow(t *testing.T) {
 // CompactQueries with no compaction at all — panics instead of
 // laundering the mutation, and Compact itself refuses stale engines.
 func TestCompactGuards(t *testing.T) {
-	ids := testAttrIDs(8)
 	expectPanic := func(name string, fn func(e *Engine)) {
 		t.Helper()
 		e := newTestEngine(t, 6, 8, 606, nil)
@@ -220,19 +132,18 @@ func TestCompactGuards(t *testing.T) {
 		e.CompactQueries(make([]workload.QID, e.Workload().NumQueries()))
 	})
 	expectPanic("CompactQueries after compaction plus another mutation", func(e *Engine) {
-		nov := &novelJoiner{next: 9000}
-		pr, qs, cs := nov.materials(ids, stats.NewRNG(1), 2)
+		pr, qs, cs := newJoiner(stats.NewRNG(1), 9000, 9001)
 		pid := e.AddPeer(pr, qs, cs, cluster.None)
 		e.RemovePeer(pid)
 		remap, removed := e.Workload().Compact(0)
 		if removed == 0 {
 			t.Fatal("nothing to compact")
 		}
-		e.Workload().Add(0, attr.NewSet(ids[1]), 1) // the laundering attempt
+		e.Workload().Add(0, attr.NewSet(1), 1) // the laundering attempt
 		e.CompactQueries(remap)
 	})
 	expectPanic("Compact on a stale engine", func(e *Engine) {
-		e.Workload().Add(0, attr.NewSet(ids[2]), 1)
+		e.Workload().Add(0, attr.NewSet(2), 1)
 		e.Compact(0)
 	})
 }
@@ -244,9 +155,7 @@ func TestCompactGuards(t *testing.T) {
 // the retention window is open.
 func TestCompactRetainsRecentlyUsed(t *testing.T) {
 	e := newTestEngine(t, 6, 8, 707, nil)
-	ids := testAttrIDs(8)
-	nov := &novelJoiner{next: 4000}
-	pr, qs, cs := nov.materials(ids, stats.NewRNG(3), 1)
+	pr, qs, cs := newJoiner(stats.NewRNG(3), 4000)
 	pid := e.AddPeer(pr, qs, cs, cluster.None)
 	novelQ := qs[len(qs)-1]
 	e.RemovePeer(pid)
@@ -263,7 +172,7 @@ func TestCompactRetainsRecentlyUsed(t *testing.T) {
 	}
 	// Age the query: every Add advances the demand clock.
 	for i := 0; i < 10; i++ {
-		e.Workload().Add(0, attr.NewSet(ids[i%len(ids)]), 1)
+		e.Workload().Add(0, attr.NewSet(attr.ID(i%8)), 1)
 	}
 	e.Rebuild()
 	if got := e.Compact(5); got == 0 {
@@ -282,12 +191,10 @@ func TestCompactRetainsRecentlyUsed(t *testing.T) {
 func TestCompactBoundsNovelChurn(t *testing.T) {
 	const novel = 10_000
 	e := newTestEngine(t, 12, 10, 111, nil)
-	ids := testAttrIDs(10)
 	rng := stats.NewRNG(222)
-	nov := &novelJoiner{next: 100_000}
-	for done := 0; done < novel; {
-		pr, qs, cs := nov.materials(ids, rng, 4)
-		done += 4
+	for done := 0; done < novel; done += 4 {
+		a := attr.ID(100_000 + done)
+		pr, qs, cs := newJoiner(rng, a, a+1, a+2, a+3)
 		pid := e.AddPeer(pr, qs, cs, cluster.None)
 		e.RemovePeer(pid)
 	}
@@ -314,10 +221,9 @@ func TestCompactBoundsNovelChurn(t *testing.T) {
 // no-op probe (nothing dead) must be allocation-free outright.
 func TestCompactSteadyStateAllocs(t *testing.T) {
 	e := newTestEngine(t, 16, 10, 404, nil)
-	ids := testAttrIDs(10)
 	pr := peer.New(-1)
-	pr.SetItems([]attr.Set{attr.NewSet(ids[1], ids[4])})
-	queries := []attr.Set{attr.NewSet(ids[3]), attr.NewSet(attr.ID(77_777))}
+	pr.SetItems([]attr.Set{attr.NewSet(1, 4)})
+	queries := []attr.Set{attr.NewSet(3), attr.NewSet(attr.ID(77_777))}
 	counts := []int{2, 3}
 	cycle := func() {
 		pid := e.AddPeer(pr, queries, counts, cluster.None)

@@ -147,36 +147,14 @@ func TestRecallConservation(t *testing.T) {
 	}
 }
 
+// TestIncrementalMoveMatchesRebuild runs 200 moves of the op driver
+// from 18 singletons, which holds the costs to New after each.
 func TestIncrementalMoveMatchesRebuild(t *testing.T) {
-	e := newTestEngine(t, 18, 10, 3, nil)
+	t.Parallel()
+	d := newDriver(t, fixture{n: 18, alpha: 1, seed: 3}, noClone)
 	rng := stats.NewRNG(99)
-	for step := 0; step < 200; step++ {
-		p := rng.Intn(18)
-		to := cluster.CID(rng.Intn(18))
-		e.Move(p, to)
-		if step%20 != 0 {
-			continue
-		}
-		// Rebuild a fresh engine on a clone and compare every measure.
-		fresh := New(e.Peers(), e.Workload(), e.Config().Clone(), e.Theta(), e.Alpha())
-		if a, b := e.SCost(), fresh.SCost(); !almost(a, b) {
-			t.Fatalf("step %d: incremental SCost=%g rebuilt=%g", step, a, b)
-		}
-		if a, b := e.WCost(), fresh.WCost(); !almost(a, b) {
-			t.Fatalf("step %d: incremental WCost=%g rebuilt=%g", step, a, b)
-		}
-		for pid := 0; pid < 18; pid++ {
-			cid := e.Config().ClusterOf(pid)
-			if a, b := e.PeerCost(pid, cid), fresh.PeerCost(pid, cid); !almost(a, b) {
-				t.Fatalf("step %d peer %d: incremental pcost=%g rebuilt=%g", step, pid, a, b)
-			}
-			if a, b := e.Contribution(pid, cid), fresh.Contribution(pid, cid); !almost(a, b) {
-				t.Fatalf("step %d peer %d: incremental contribution=%g rebuilt=%g", step, pid, a, b)
-			}
-		}
-		if err := e.Config().Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+	for range 200 {
+		d.check(d.apply(0, byte(rng.Intn(256))))
 	}
 }
 

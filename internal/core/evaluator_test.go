@@ -184,7 +184,7 @@ func TestNonEmptyListFreshness(t *testing.T) {
 func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
 	for name, eng := range map[string]*Engine{
 		"clustered":  evalSystem(t, 4, 6),
-		"singletons": scanEngine(1, cluster.LinearTheta(), 0, 7),
+		"singletons": fixture{alpha: 1, seed: 7}.build(),
 	} {
 		n := eng.NumSlots()
 		const workers = 8
@@ -220,11 +220,12 @@ func TestConcurrentScansAfterPrepareDecide(t *testing.T) {
 			}
 			var arms scanArms
 			for p := 0; p < n; p++ {
-				if want := denseMoveEval(eng, p); !sameMoveEval(gotM[p], want) {
-					t.Fatalf("%s round %d peer %d: concurrent EvaluateMoves %+v, dense walk %+v", name, round, p, gotM[p], want)
+				wantM, wantC := denseEvals(eng, p)
+				if !sameMoveEval(gotM[p], wantM) {
+					t.Fatalf("%s round %d peer %d: concurrent EvaluateMoves %+v, dense walk %+v", name, round, p, gotM[p], wantM)
 				}
-				if want := denseContributionEval(eng, p); !sameContributionEval(gotC[p], want) {
-					t.Fatalf("%s round %d peer %d: concurrent EvaluateContribution %+v, dense walk %+v", name, round, p, gotC[p], want)
+				if !sameContributionEval(gotC[p], wantC) {
+					t.Fatalf("%s round %d peer %d: concurrent EvaluateContribution %+v, dense walk %+v", name, round, p, gotC[p], wantC)
 				}
 				arms.count(eng, p)
 			}
@@ -339,13 +340,12 @@ func TestScanTieBreaks(t *testing.T) {
 			}
 		}
 		ev := eng.NewEvaluator()
-		want := denseMoveEval(eng, 0)
+		want, wantC := denseEvals(eng, 0)
 		for name, me := range map[string]MoveEval{"engine": eng.EvaluateMoves(0), "evaluator": ev.EvaluateMoves(0)} {
 			if me.Best != wantBest || !sameMoveEval(me, want) {
 				t.Fatalf("%s, %s: EvaluateMoves %+v, want cluster %d (dense walk %+v)", stage, name, me, wantBest, want)
 			}
 		}
-		wantC := denseContributionEval(eng, 0)
 		for name, ce := range map[string]ContributionEval{"engine": eng.EvaluateContribution(0), "evaluator": ev.EvaluateContribution(0)} {
 			if !sameContributionEval(ce, wantC) {
 				t.Fatalf("%s, %s: EvaluateContribution %+v, dense walk %+v", stage, name, ce, wantC)

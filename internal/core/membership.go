@@ -88,10 +88,11 @@ func padMarks(s []uint64, n int) []uint64 {
 // ensureIndexes builds the content-side membership indexes if a
 // Rebuild (or New) dropped them. O(total content attrs + total
 // workload entries). Both are counted first and then laid out in one
-// arena each, every list cut to its exact length and filled in
+// arena each, every list cut to its length plus one and filled in
 // ascending pid order, so a build costs a fixed handful of allocations
-// however many attributes and queries there are. A list a later join
-// appends to moves to its own allocation.
+// however many attributes and queries there are, and the next join's
+// append to a list stays in the arena. A list appended to past that
+// moves to its own allocation.
 func (e *Engine) ensureIndexes() {
 	if e.peersByAttr != nil {
 		return
@@ -132,19 +133,22 @@ func (e *Engine) ensureIndexes() {
 }
 
 // carveLists cuts one arena into len(lens) empty lists, list i with
-// room for exactly lens[i] entries (nil when that is none).
+// room for lens[i] entries and one more (nil when lens[i] is none), so
+// that the next join's append to it stays in the arena.
 func carveLists(lens []int32) [][]int32 {
 	total := 0
 	for _, n := range lens {
-		total += int(n)
+		if n > 0 {
+			total += int(n) + 1
+		}
 	}
 	lists := make([][]int32, len(lens))
 	arena := make([]int32, total)
 	off := 0
 	for i, n := range lens {
 		if n > 0 {
-			lists[i] = arena[off : off : off+int(n)]
-			off += int(n)
+			lists[i] = arena[off : off : off+int(n)+1]
+			off += int(n) + 1
 		}
 	}
 	return lists

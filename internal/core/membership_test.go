@@ -15,39 +15,12 @@ import (
 // updates may accumulate against a from-scratch Rebuild.
 const membershipTolerance = 1e-9
 
-// testAttrIDs re-derives the attribute IDs testSystem interned, so
-// membership tests can mint joiner content over the same vocabulary.
-func testAttrIDs(v int) []attr.ID {
-	vocab := attr.NewVocab()
-	ids := make([]attr.ID, v)
-	for i := range ids {
-		ids[i] = vocab.Intern(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-	}
-	return ids
-}
-
-// randomJoiner mints a fresh peer plus workload over the given
-// attribute universe: 1-3 items of two attributes each and 1-3
-// single-attribute queries.
-func randomJoiner(ids []attr.ID, rng *stats.RNG) (*peer.Peer, []attr.Set, []int) {
-	pr := peer.New(-1)
-	items := make([]attr.Set, 0, 3)
-	for d := 0; d <= rng.Intn(3); d++ {
-		items = append(items, attr.NewSet(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]))
-	}
-	pr.SetItems(items)
-	var queries []attr.Set
-	var counts []int
-	for q := 0; q <= rng.Intn(3); q++ {
-		queries = append(queries, attr.NewSet(ids[rng.Intn(len(ids))]))
-		counts = append(counts, 1+rng.Intn(4))
-	}
-	return pr, queries, counts
-}
-
 // checkAgainstRebuild compares the incrementally maintained engine
-// against a fresh engine built over clones of the same population.
-func checkAgainstRebuild(t *testing.T, e *Engine, step string) {
+// against a fresh engine built over clones of the same population: the
+// costs, and every live peer's cost and contribution in every non-empty
+// cluster, summed from each engine's rows by denseCosts (through
+// PeerCost and Contribution in the peer's own cluster).
+func checkAgainstRebuild(t testing.TB, e *Engine, step string) *Engine {
 	t.Helper()
 	if e.Stale() {
 		t.Fatalf("%s: engine stale after its own mutation", step)
@@ -81,65 +54,28 @@ func checkAgainstRebuild(t *testing.T, e *Engine, step string) {
 		if !close(e.CostAlone(p), fresh.CostAlone(p)) {
 			t.Fatalf("%s: CostAlone(%d) %g want %g", step, p, e.CostAlone(p), fresh.CostAlone(p))
 		}
+		cost, contrib := denseCosts(e, p)
+		wantCost, wantContrib := denseCosts(fresh, p)
+		cur := e.Config().ClusterOf(p)
+		cost[cur], contrib[cur] = e.PeerCost(p, cur), e.Contribution(p, cur)
 		for _, c := range nonEmpty {
-			if got, want := e.PeerCost(p, c), fresh.PeerCost(p, c); !close(got, want) {
-				t.Fatalf("%s: PeerCost(%d,%d) %g want %g", step, p, c, got, want)
-			}
-			if got, want := e.Contribution(p, c), fresh.Contribution(p, c); !close(got, want) {
-				t.Fatalf("%s: Contribution(%d,%d) %g want %g", step, p, c, got, want)
+			if !close(cost[c], wantCost[c]) || !close(contrib[c], wantContrib[c]) {
+				t.Fatalf("%s: peer %d in cluster %d costs %g and contributes %g, want %g and %g",
+					step, p, c, cost[c], contrib[c], wantCost[c], wantContrib[c])
 			}
 		}
 	}
+	return fresh
 }
 
-// TestAddRemoveMatchesRebuild drives randomized membership sequences
-// (joins into existing clusters and singletons, departures, interior
-// moves) and pins the incremental state to a fresh Rebuild after every
-// operation.
+// TestAddRemoveMatchesRebuild runs the op driver from singletons and
+// pins the incremental state to a fresh Rebuild after every op: joins
+// into existing clusters and singletons, departures, interior moves.
 func TestAddRemoveMatchesRebuild(t *testing.T) {
-	const v = 12
-	peers, wl, _ := testSystem(t, 10, v, 101)
-	ids := testAttrIDs(v)
-	e := New(peers, wl, cluster.NewSingletons(10), cluster.LinearTheta(), 1)
-	rng := stats.NewRNG(202)
-
-	livePeers := func() []int {
-		var out []int
-		for p := 0; p < e.NumSlots(); p++ {
-			if e.IsLive(p) {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-
-	for step := 0; step < 120; step++ {
-		live := livePeers()
-		op := rng.Intn(3)
-		switch {
-		case op == 0 || len(live) <= 2: // join
-			pr, qs, cs := randomJoiner(ids, rng)
-			to := cluster.None
-			if rng.Intn(2) == 0 && len(live) > 0 {
-				// Join an existing non-empty cluster.
-				to = e.Config().ClusterOf(live[rng.Intn(len(live))])
-			}
-			pid := e.AddPeer(pr, qs, cs, to)
-			if pr.ID() != pid {
-				t.Fatalf("step %d: joiner ID %d want %d", step, pr.ID(), pid)
-			}
-		case op == 1: // leave
-			e.RemovePeer(live[rng.Intn(len(live))])
-		default: // interior move
-			p := live[rng.Intn(len(live))]
-			targets := e.Config().NonEmpty()
-			e.Move(p, targets[rng.Intn(len(targets))])
-		}
-		checkAgainstRebuild(t, e, "step")
-	}
-	if got := len(livePeers()); got != e.NumPeers() {
-		t.Fatalf("live scan %d != NumPeers %d", got, e.NumPeers())
-	}
+	t.Parallel()
+	d := newDriver(t, fixture{n: 10, alpha: 1, seed: 101}, noClone)
+	d.runSeeded(202, 120)
+	d.finish()
 }
 
 // TestAddPeerIntoEmptySystem grows a system from zero peers purely
@@ -149,10 +85,9 @@ func TestAddPeerIntoEmptySystem(t *testing.T) {
 	if e.SCost() != 0 || e.NumPeers() != 0 {
 		t.Fatalf("empty system SCost=%g live=%d", e.SCost(), e.NumPeers())
 	}
-	ids := testAttrIDs(6)
 	rng := stats.NewRNG(7)
 	for i := 0; i < 8; i++ {
-		pr, qs, cs := randomJoiner(ids, rng)
+		pr, qs, cs := newJoiner(rng)
 		e.AddPeer(pr, qs, cs, cluster.None)
 		checkAgainstRebuild(t, e, "bootstrap")
 	}
@@ -175,12 +110,11 @@ func TestAddRemoveSlotReuse(t *testing.T) {
 	if e.IsLive(3) || e.NumPeers() != 7 || e.NumSlots() != 8 {
 		t.Fatalf("after remove: live(3)=%v peers=%d slots=%d", e.IsLive(3), e.NumPeers(), e.NumSlots())
 	}
-	ids := testAttrIDs(10)
-	pr, qs, cs := randomJoiner(ids, stats.NewRNG(9))
+	pr, qs, cs := newJoiner(stats.NewRNG(9))
 	if pid := e.AddPeer(pr, qs, cs, cluster.None); pid != 3 {
 		t.Fatalf("joiner got slot %d, want reused slot 3", pid)
 	}
-	pr2, qs2, cs2 := randomJoiner(ids, stats.NewRNG(10))
+	pr2, qs2, cs2 := newJoiner(stats.NewRNG(10))
 	if pid := e.AddPeer(pr2, qs2, cs2, cluster.None); pid != 8 {
 		t.Fatalf("joiner got slot %d, want fresh slot 8", pid)
 	}
@@ -194,10 +128,9 @@ func TestAddRemoveSlotReuse(t *testing.T) {
 // capacities are warm, an add/remove churn cycle allocates nothing.
 func TestAddRemoveAllocationFree(t *testing.T) {
 	e := newTestEngine(t, 16, 10, 404, nil)
-	ids := testAttrIDs(10)
 	pr := peer.New(-1)
-	pr.SetItems([]attr.Set{attr.NewSet(ids[1], ids[4]), attr.NewSet(ids[2], ids[7])})
-	queries := []attr.Set{attr.NewSet(ids[3]), attr.NewSet(ids[5])}
+	pr.SetItems([]attr.Set{attr.NewSet(1, 4), attr.NewSet(2, 7)})
+	queries := []attr.Set{attr.NewSet(3), attr.NewSet(5)}
 	counts := []int{2, 3}
 	// Warm: build the indexes, grow every capacity once.
 	pid := e.AddPeer(pr, queries, counts, cluster.None)
@@ -224,8 +157,7 @@ func TestStaleDetectsMembershipChanges(t *testing.T) {
 	if e.Stale() {
 		t.Fatal("stale after engine-driven Move")
 	}
-	ids := testAttrIDs(8)
-	pr, qs, cs := randomJoiner(ids, stats.NewRNG(1))
+	pr, qs, cs := newJoiner(stats.NewRNG(1))
 	pid := e.AddPeer(pr, qs, cs, cluster.None)
 	if e.Stale() {
 		t.Fatal("stale after engine-driven AddPeer")
@@ -254,8 +186,7 @@ func TestStaleDetectsMembershipChanges(t *testing.T) {
 // version counters on exit, so running them over a stale engine would
 // otherwise flip Stale back to false over wrong aggregates.
 func TestMutatorsRefuseStaleEngine(t *testing.T) {
-	ids := testAttrIDs(8)
-	mutate := func(e *Engine) { e.Workload().Add(0, attr.NewSet(ids[2]), 1) }
+	mutate := func(e *Engine) { e.Workload().Add(0, attr.NewSet(2), 1) }
 	expectPanic := func(name string, fn func(e *Engine)) {
 		e := newTestEngine(t, 6, 8, 606, nil)
 		mutate(e)
@@ -268,8 +199,27 @@ func TestMutatorsRefuseStaleEngine(t *testing.T) {
 	}
 	expectPanic("Move", func(e *Engine) { e.Move(0, e.Config().ClusterOf(1)) })
 	expectPanic("AddPeer", func(e *Engine) {
-		pr, qs, cs := randomJoiner(ids, stats.NewRNG(1))
+		pr, qs, cs := newJoiner(stats.NewRNG(1))
 		e.AddPeer(pr, qs, cs, cluster.None)
 	})
 	expectPanic("RemovePeer", func(e *Engine) { e.RemovePeer(0) })
+}
+
+// TestContentIndexMatchesMapOracle runs the op driver, which after
+// every op holds the attribute-indexed content index to a map built
+// from scratch, and ForEachSupplier, which reads it, to a brute-force
+// count over the live peers, for multi-term queries and attributes
+// nobody holds too. Joiners bring content
+// over attributes past the index's end, and a Rebuild drops the index
+// for the next join, leave or publish to build.
+func TestContentIndexMatchesMapOracle(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 12; seed++ {
+		d := newDriver(t, fixture{n: 8, alpha: 1, seed: 500 + seed}, splitOf(seed))
+		d.runSeeded(seed, 60)
+		d.finish()
+		if d.rare == 0 {
+			t.Errorf("seed %d: no joiner brought content past the index's end", seed)
+		}
+	}
 }

@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
-	"repro/internal/cluster"
-	"repro/internal/peer"
 	"repro/internal/stats"
 )
 
@@ -39,51 +38,26 @@ func routeFirstAttribute(v *RoutingView, q attr.Set) (total int, hits []RouteHit
 	return total, hits
 }
 
-// churnStep applies one randomized mutation to the engine: join,
-// leave, relocation, or compaction.
-func churnStep(e *Engine, rng *stats.RNG, i int) {
-	switch rng.Intn(4) {
-	case 0:
-		pr := peer.New(-1)
-		pr.SetItems([]attr.Set{
-			attr.NewSet(attr.ID(rng.Intn(12)), attr.ID(rng.Intn(12))),
-			attr.NewSet(attr.ID(rng.Intn(12))),
-		})
-		e.AddPeer(pr, []attr.Set{attr.NewSet(attr.ID(rng.Intn(12)))}, []int{1 + rng.Intn(3)}, cluster.None)
-	case 1:
-		if pid := rng.Intn(e.NumSlots()); e.IsLive(pid) && e.NumPeers() > 4 {
-			e.RemovePeer(pid)
-		}
-	case 2:
-		if pid := rng.Intn(e.NumSlots()); e.IsLive(pid) {
-			e.Move(pid, cluster.CID(rng.Intn(8)))
-		}
-	case 3:
-		if i%7 == 0 {
-			e.Compact(0)
-		}
-	}
-}
-
 // TestRouteRarestMatchesFirstAttributeProperty pins the tentpole's
-// byte-identity claim: over randomized systems and churn, driving the
-// scan from the rarest attribute answers exactly what the historical
-// first-attribute scan answered, for every query shape (workload,
-// ad-hoc multi-term, unknown-attribute, empty).
+// byte-identity claim: over randomized systems and the op driver's ops
+// (applied without its checker), driving the scan from the rarest
+// attribute answers exactly what the historical first-attribute scan
+// answered, for every query shape (workload, ad-hoc multi-term,
+// unknown-attribute, empty).
 func TestRouteRarestMatchesFirstAttributeProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 17, 4242} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newTestEngine(t, 24, 12, seed, nil)
-			rng := stats.NewRNG(seed ^ 0xabcdef)
+			d := newDriver(t, fixture{n: 24, alpha: 1, seed: seed}, noClone)
+			e, rng := d.e, stats.NewRNG(seed^0xabcdef)
 			var sc RouteScratch
 			var v *RoutingView
 			for step := 0; step < 40; step++ {
-				churnStep(e, rng, step)
+				d.apply(byte(rng.Intn(256)), byte(rng.Intn(256)))
 				v = e.BuildRoutingView(v)
 				for qi, q := range testQueries(e, rng) {
 					wantTotal, wantHits := routeFirstAttribute(v, q)
 					gotTotal, gotHits := v.Route(q, &sc)
-					if gotTotal != wantTotal || !sameHits(gotHits, wantHits) {
+					if gotTotal != wantTotal || !slices.Equal(gotHits, wantHits) {
 						t.Fatalf("step %d query %d (%v): rarest scan (%d, %v) != first-attribute scan (%d, %v)",
 							step, qi, q, gotTotal, gotHits, wantTotal, wantHits)
 					}
@@ -120,8 +94,8 @@ func TestRouteUnknownAttributeIDs(t *testing.T) {
 }
 
 // TestRouteCachedMatchesRouteProperty is the cache's byte-identity
-// oracle: one shared cache serves a sequence of views across
-// randomized churn (so entries go stale wholesale at every publish),
+// oracle: one shared cache serves a sequence of views across the op
+// driver's ops (so entries go stale wholesale at every publish),
 // every query asked twice (miss then hit), and every answer — hit,
 // miss, or bypass — must equal an uncached Route against the same
 // view. Old views are re-queried through the same cache to pin that
@@ -129,8 +103,8 @@ func TestRouteUnknownAttributeIDs(t *testing.T) {
 func TestRouteCachedMatchesRouteProperty(t *testing.T) {
 	for _, seed := range []uint64{3, 99} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newTestEngine(t, 24, 12, seed, nil)
-			rng := stats.NewRNG(seed * 7919)
+			d := newDriver(t, fixture{n: 24, alpha: 1, seed: seed}, noClone)
+			e, rng := d.e, stats.NewRNG(seed*7919)
 			cache := NewRouteCache(64) // small: force evictions too
 			var cSc, uSc RouteScratch
 			var v *RoutingView
@@ -140,7 +114,7 @@ func TestRouteCachedMatchesRouteProperty(t *testing.T) {
 					for pass := 0; pass < 2; pass++ { // miss then hit
 						wantTotal, wantHits := view.Route(q, &uSc)
 						gotTotal, gotHits := view.RouteCached(q, cache, &cSc)
-						if gotTotal != wantTotal || !sameHits(gotHits, wantHits) {
+						if gotTotal != wantTotal || !slices.Equal(gotHits, wantHits) {
 							t.Fatalf("%s query %d pass %d (%v): cached (%d, %v) != Route (%d, %v)",
 								label, qi, pass, q, gotTotal, gotHits, wantTotal, wantHits)
 						}
@@ -148,7 +122,7 @@ func TestRouteCachedMatchesRouteProperty(t *testing.T) {
 				}
 			}
 			for step := 0; step < 30; step++ {
-				churnStep(e, rng, step)
+				d.apply(byte(rng.Intn(256)), byte(rng.Intn(256)))
 				v = e.BuildRoutingView(v)
 				check(v, fmt.Sprintf("step %d", step))
 				if step%10 == 0 {
@@ -210,7 +184,7 @@ func TestRouteCacheCountersAndCapacity(t *testing.T) {
 	wantTotal, wantHits := v.Route(q, &sc)
 	hits := append([]RouteHit(nil), wantHits...)
 	gotTotal, gotHits := v.RouteCached(q, nil, &sc)
-	if gotTotal != wantTotal || !sameHits(gotHits, hits) {
+	if gotTotal != wantTotal || !slices.Equal(gotHits, hits) {
 		t.Fatalf("nil cache: (%d, %v) != Route (%d, %v)", gotTotal, gotHits, wantTotal, hits)
 	}
 

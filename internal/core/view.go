@@ -387,8 +387,9 @@ func (v *RoutingView) Live() int { return v.live }
 // PopVersion returns the engine population/content version the view
 // was built at. Two views with equal PopVersion share peers and
 // posting lists and differ at most in the cluster assignment — exactly
-// the condition under which a pure-relocation delta (DiffFrom /
-// ApplyMoves) can carry one view to the other.
+// the condition under which a pure-relocation delta (DiffFrom, applied
+// by ApplyDelta as a ViewDelta of moves alone at that version) can
+// carry one view to the other.
 func (v *RoutingView) PopVersion() uint64 { return v.popVersion }
 
 // Slots returns the peer-slot count at snapshot time.
@@ -642,12 +643,6 @@ func (v *RoutingView) DeltaFrom(prev *RoutingView) (d ViewDelta, ok bool) {
 		}
 	}
 	return d, true
-}
-
-// ApplyMoves derives the successor view reached from v by relocations
-// alone: ApplyDelta at an unchanged population version.
-func (v *RoutingView) ApplyMoves(moves []SlotMove) (*RoutingView, error) {
-	return v.ApplyDelta(ViewDelta{BasePop: v.popVersion, PopVersion: v.popVersion, Moves: moves})
 }
 
 // ApplyDelta derives the successor view reached from v by d, without an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,24 +11,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// routeOracle computes Route's answer the locked way: ForEachSupplier
-// over the live engine plus the configuration's cluster data.
-func routeOracle(e *Engine, q attr.Set) (int, []RouteHit) {
-	total := 0
-	perCluster := make(map[cluster.CID]int)
-	e.ForEachSupplier(q, func(pid, res int) {
-		perCluster[e.cfg.ClusterOf(pid)] += res
-		total += res
-	})
-	var hits []RouteHit
-	for _, c := range e.cfg.NonEmpty() {
-		if n, ok := perCluster[c]; ok {
-			hits = append(hits, RouteHit{Cluster: c, Size: e.cfg.Size(c), Results: n})
-		}
-	}
-	return total, hits
-}
 
 // testQueries returns a mix of workload queries, ad-hoc multi-term
 // sets, an unknown-attribute set and the empty set.
@@ -42,49 +25,68 @@ func testQueries(e *Engine, rng *stats.RNG) []attr.Set {
 	return qs
 }
 
-func sameHits(a, b []RouteHit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkViewMatchesOracle holds every view's answer to every query in qs,
+// and the engine's ForEachSupplier summed per cluster, to bruteRoute
+// over the engine, and each supplier's result count to its peer's. A
+// single-attribute query is answered from one pass that counts, per
+// attribute, the items holding it in each cluster.
+func checkViewMatchesOracle(t testing.TB, e *Engine, qs []attr.Set, label string, vs ...*RoutingView) {
+	t.Helper()
+	holding := make(map[attr.ID][]int)
+	for pid, p := range e.peers {
+		if !e.IsLive(pid) {
+			continue
+		}
+		for _, it := range p.SharedItems() {
+			for _, a := range it.IDs() {
+				if holding[a] == nil {
+					holding[a] = make([]int, e.cfg.Cmax())
+				}
+				holding[a][e.cfg.ClusterOf(pid)]++
+			}
 		}
 	}
-	return true
-}
-
-func checkViewMatchesOracle(t *testing.T, e *Engine, v *RoutingView, qs []attr.Set, label string) {
-	t.Helper()
 	var sc RouteScratch
+	per := make([]int, e.cfg.Cmax())
 	for i, q := range qs {
-		wantTotal, wantHits := routeOracle(e, q)
-		gotTotal, gotHits := v.Route(q, &sc)
-		if gotTotal != wantTotal || !sameHits(gotHits, wantHits) {
-			t.Fatalf("%s: query %d (%v): view (%d, %v) != engine (%d, %v)",
+		var wantTotal int
+		var wantHits []RouteHit
+		if ids := q.IDs(); len(ids) == 1 {
+			wantTotal, wantHits = routeHits(e, holding[ids[0]])
+		} else {
+			wantTotal, wantHits = bruteRoute(e, q)
+		}
+		for k, v := range vs {
+			gotTotal, gotHits := v.Route(q, &sc)
+			if gotTotal != wantTotal || !slices.Equal(gotHits, wantHits) {
+				t.Fatalf("%s, view %d: query %d (%v): (%d, %v), brute force (%d, %v)",
+					label, k, i, q, gotTotal, gotHits, wantTotal, wantHits)
+			}
+		}
+		clear(per)
+		e.ForEachSupplier(q, func(pid, res int) {
+			if !e.IsLive(pid) {
+				t.Fatalf("%s: query %d (%v): ForEachSupplier names vacant slot %d", label, i, q, pid)
+			}
+			if want := e.peers[pid].ResultCount(q); res != want || res == 0 {
+				t.Fatalf("%s: query %d (%v): ForEachSupplier gives peer %d %d results, it holds %d", label, i, q, pid, res, want)
+			}
+			per[e.cfg.ClusterOf(pid)] += res
+		})
+		if gotTotal, gotHits := routeHits(e, per); gotTotal != wantTotal || !slices.Equal(gotHits, wantHits) {
+			t.Fatalf("%s, ForEachSupplier: query %d (%v): (%d, %v), brute force (%d, %v)",
 				label, i, q, gotTotal, gotHits, wantTotal, wantHits)
 		}
 	}
 }
 
+// TestRoutingViewMatchesEngine runs the op driver, which holds every
+// view to a brute-force count over the engine, from 24 peers in five
+// clusters through a join, a leave and a move into an empty slot.
 func TestRoutingViewMatchesEngine(t *testing.T) {
-	e := newTestEngine(t, 24, 12, 71, nil)
-	rng := stats.NewRNG(3)
-	// Clump the singletons a little so multi-member clusters exist.
-	for p := 0; p < 24; p++ {
-		e.Move(p, cluster.CID(p%5))
-	}
-	checkViewMatchesOracle(t, e, e.BuildRoutingView(nil), testQueries(e, rng), "initial")
-
-	// After churn: joins (some into fresh slots), leaves, relocations.
-	pr := peer.New(-1)
-	pr.SetItems([]attr.Set{attr.NewSet(0, 1), attr.NewSet(2)})
-	pid := e.AddPeer(pr, []attr.Set{attr.NewSet(0)}, []int{2}, cluster.None)
-	e.RemovePeer(3)
-	e.Move(7, cluster.CID(9))
-	checkViewMatchesOracle(t, e, e.BuildRoutingView(nil), testQueries(e, rng), "after churn")
-	e.RemovePeer(pid)
-	checkViewMatchesOracle(t, e, e.BuildRoutingView(nil), testQueries(e, rng), "after leave")
+	d := newDriver(t, fixture{n: 24, groups: 5, alpha: 1, seed: 71}, noClone)
+	d.run([]byte{1, 0, 2, 3, 0, 9})
+	d.finish()
 }
 
 // TestRoutingViewSnapshotIsolation pins immutability: a published
@@ -119,13 +121,13 @@ func TestRoutingViewSnapshotIsolation(t *testing.T) {
 	}
 	for i, q := range qs {
 		total, hits := v.Route(q, &sc)
-		if total != want[i].total || !sameHits(hits, want[i].hits) {
+		if total != want[i].total || !slices.Equal(hits, want[i].hits) {
 			t.Fatalf("query %d: stale view drifted: (%d, %v) != (%d, %v)",
 				i, total, hits, want[i].total, want[i].hits)
 		}
 	}
 	// And a freshly built view agrees with the mutated engine again.
-	checkViewMatchesOracle(t, e, e.BuildRoutingView(v), qs, "rebuilt")
+	checkViewMatchesOracle(t, e, qs, "rebuilt", e.BuildRoutingView(v))
 }
 
 // TestRoutingViewReuse pins the cheap-republish path: relocations and

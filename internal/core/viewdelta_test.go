@@ -9,20 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// checkViewsAgree asserts two views answer every query identically.
-func checkViewsAgree(t *testing.T, want, got *RoutingView, qs []attr.Set, label string) {
-	t.Helper()
-	var scW, scG RouteScratch
-	for i, q := range qs {
-		wantTotal, wantHits := want.Route(q, &scW)
-		gotTotal, gotHits := got.Route(q, &scG)
-		if gotTotal != wantTotal || !sameHits(gotHits, wantHits) {
-			t.Fatalf("%s: query %d (%v): (%d, %v) != (%d, %v)",
-				label, i, q, gotTotal, gotHits, wantTotal, wantHits)
-		}
-	}
-}
-
 // TestViewExportImportRoundTrip pins the full-view replication path:
 // a view reconstructed from its export answers every query exactly
 // like the original, across churned populations with dead slots.
@@ -49,8 +35,7 @@ func TestViewExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported view header diverged: pop %d/%d live %d/%d slots %d/%d",
 			imported.PopVersion(), v.PopVersion(), imported.Live(), v.Live(), imported.Slots(), v.Slots())
 	}
-	checkViewsAgree(t, v, imported, testQueries(e, rng), "import")
-	checkViewMatchesOracle(t, e, imported, testQueries(e, rng), "import vs engine")
+	checkViewMatchesOracle(t, e, testQueries(e, rng), "original and import vs engine", v, imported)
 }
 
 // TestViewDiffApply pins the delta replication path: the
@@ -78,12 +63,11 @@ func TestViewDiffApply(t *testing.T) {
 		if !ok {
 			t.Fatalf("step %d: no delta between consecutive relocation views", step)
 		}
-		follower, err = follower.ApplyMoves(moves)
+		follower, err = follower.ApplyDelta(ViewDelta{BasePop: v1.PopVersion(), PopVersion: v2.PopVersion(), Moves: moves})
 		if err != nil {
 			t.Fatalf("step %d: apply: %v", step, err)
 		}
-		checkViewsAgree(t, v2, follower, qs, "delta follower")
-		checkViewMatchesOracle(t, e, follower, qs, "delta follower vs engine")
+		checkViewMatchesOracle(t, e, qs, "successor and delta follower vs engine", v2, follower)
 		v1 = v2
 	}
 
@@ -104,8 +88,8 @@ func TestViewDiffApply(t *testing.T) {
 }
 
 // TestApplyMovesRejects pins the defensive surface a router relies on:
-// corrupt deltas are errors, never panics, and leave the source view
-// untouched.
+// corrupt moves in a relocation-only delta are errors, never panics, and
+// leave the source view untouched.
 func TestApplyMovesRejects(t *testing.T) {
 	e := newTestEngine(t, 8, 6, 103, nil)
 	e.RemovePeer(2)
@@ -117,12 +101,12 @@ func TestApplyMovesRejects(t *testing.T) {
 		{{Slot: 2, To: 0}},            // unoccupied slot
 		{{Slot: 1, To: cluster.None}}, // relocation cannot vacate
 	} {
-		if _, err := v.ApplyMoves(bad); err == nil {
-			t.Errorf("ApplyMoves(%v) accepted a corrupt delta", bad)
+		if _, err := v.ApplyDelta(ViewDelta{BasePop: v.PopVersion(), PopVersion: v.PopVersion(), Moves: bad}); err == nil {
+			t.Errorf("ApplyDelta accepted the corrupt moves %v", bad)
 		}
 	}
 	if v.clusterOf[1] != before {
-		t.Fatal("failed ApplyMoves mutated the source view")
+		t.Fatal("a rejected delta mutated the source view")
 	}
 }
 

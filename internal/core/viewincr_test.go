@@ -13,23 +13,24 @@ import (
 	"repro/internal/stats"
 )
 
-// sameView compares two views field by field: content and assignment
-// through their exports, and posting tables entry by entry, lists
-// exactly: every list ascends by slot, however the view was derived.
+// sameView compares two views field by field: population version,
+// assignment and each slot's content, and posting tables entry by
+// entry, lists exactly: every list ascends by slot, however the view was
+// derived.
 func sameView(va, vb *RoutingView) error {
-	a, b := va.Export(), vb.Export()
-	if a.PopVersion != b.PopVersion {
-		return fmt.Errorf("pop version %d != %d", a.PopVersion, b.PopVersion)
+	if va.popVersion != vb.popVersion {
+		return fmt.Errorf("pop version %d != %d", va.popVersion, vb.popVersion)
 	}
-	if !slices.Equal(a.ClusterOf, b.ClusterOf) {
-		return fmt.Errorf("assignment %v != %v", a.ClusterOf, b.ClusterOf)
+	if !slices.Equal(va.clusterOf, vb.clusterOf) {
+		return fmt.Errorf("assignment %v != %v", va.clusterOf, vb.clusterOf)
 	}
-	if len(a.Items) != len(b.Items) {
-		return fmt.Errorf("%d item slots != %d", len(a.Items), len(b.Items))
+	if len(va.peers) != len(vb.peers) {
+		return fmt.Errorf("%d item slots != %d", len(va.peers), len(vb.peers))
 	}
-	for slot := range a.Items {
-		if !slices.EqualFunc(a.Items[slot], b.Items[slot], attr.Set.Equal) {
-			return fmt.Errorf("slot %d content %v != %v", slot, a.Items[slot], b.Items[slot])
+	for slot, pa := range va.peers {
+		pb := vb.peers[slot]
+		if pa != pb && ((pa == nil) != (pb == nil) || !slices.EqualFunc(pa.SharedItems(), pb.SharedItems(), attr.Set.Equal)) {
+			return fmt.Errorf("slot %d content %v != %v", slot, va.Export().Items[slot], vb.Export().Items[slot])
 		}
 	}
 	// One table may cover more attribute IDs than the other (a page
@@ -76,7 +77,7 @@ func checkPostingTable(v *RoutingView) error {
 					return fmt.Errorf("attr %d lists unoccupied slot %d", a, e.slot)
 				}
 				var want uint32
-				if items := v.peers[e.slot].Items(); len(items) <= maskItems {
+				if items := v.peers[e.slot].SharedItems(); len(items) <= maskItems {
 					for j, it := range items {
 						if it.Contains(a) {
 							want |= 1 << j
@@ -102,148 +103,45 @@ func checkPostingTable(v *RoutingView) error {
 	return nil
 }
 
-// wideSizes are the item counts around and past what a mask carries.
-var wideSizes = []int{31, 32, 33, 63, 64, 65, 200}
-
-// joiner builds a peer over the given items, one query on its first
-// attribute.
-func joiner(items ...attr.Set) (*peer.Peer, []attr.Set, []int) {
-	pr := peer.New(-1)
-	pr.SetItems(items)
-	return pr, []attr.Set{attr.NewSet(items[0].IDs()[0])}, []int{1}
-}
-
-// TestIncrementalViewMatchesScratchProperty is the view's oracle:
-// across randomized joins, leaves and relocations — several between two
-// builds, so that slots are reused, joined and vacated again, and
-// posting lists emptied without any view seeing the middle — the view
-// built from its predecessor, and a replica's view carried along by
-// DeltaFrom/ApplyDelta alone, both equal a from-scratch build in their
-// export and answer every query identically. Some joiners are wide
-// (wideSizes), so every path crosses the entries Route answers from
-// the peer, slot reuse included.
+// TestIncrementalViewMatchesScratchProperty runs the op driver, which
+// after every op holds the view built from its predecessor, a
+// from-scratch build and a replica carried along by DeltaFrom/ApplyDelta
+// to each other and to a brute-force count, from 24 singletons. Joins
+// and leaves reuse slots, join and vacate them between two builds, and
+// empty posting lists without any view seeing the middle; some joiners
+// are wide (up to 200 items), past what a posting mask carries, and some
+// bring content spread over 40 posting pages.
 func TestIncrementalViewMatchesScratchProperty(t *testing.T) {
-	// Attribute IDs are spread over many pages so that page sharing is
-	// visible, with a tail of rare ones that joins take and leaves
-	// empty again.
-	const spread = 40 * postingPageLen
+	t.Parallel()
 	for _, seed := range []uint64{2, 31, 777} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newTestEngine(t, 24, 12, seed, nil)
-			rng := stats.NewRNG(seed ^ 0x5eed)
-			rare := func() attr.ID { return attr.ID(12 + rng.Intn(spread)) }
-			common := func() attr.ID { return attr.ID(rng.Intn(12)) }
-
-			incr := e.BuildRoutingView(nil)
-			replica, err := FromViewData(incr.Export())
-			if err != nil {
-				t.Fatal(err)
-			}
-			replicaBase := incr // the engine view the replica stands at
-			var joined []int    // slots this test filled
-			join := func() int {
-				items := []attr.Set{attr.NewSet(common(), rare()), attr.NewSet(rare())}
-				if rng.Intn(4) == 0 {
-					// Over common attributes and one rare one, so the
-					// joiner touches two pages however many items it has.
-					r := rare()
-					items = make([]attr.Set, wideSizes[rng.Intn(len(wideSizes))])
-					for i := range items {
-						items[i] = attr.NewSet(common(), common())
-						if i%3 == 0 {
-							items[i] = attr.NewSet(common(), r)
-						}
-					}
-				}
-				pr, qs, counts := joiner(items...)
-				pid := e.AddPeer(pr, qs, counts, cluster.None)
-				joined = append(joined, pid)
-				return pid
-			}
-			leave := func() {
-				if len(joined) == 0 {
-					return
-				}
-				k := rng.Intn(len(joined))
-				e.RemovePeer(joined[k])
-				joined = slices.Delete(joined, k, k+1)
-			}
-			for step := 0; step < 60; step++ {
-				switch rng.Intn(6) {
-				case 0:
-					join()
-				case 1:
-					leave()
-				case 2: // slot reuse between two builds
-					leave()
-					join()
-				case 3: // one slot joined and vacated between two builds
-					pid := join()
-					e.RemovePeer(pid)
-					joined = joined[:len(joined)-1]
-				case 4: // a lone holder of an attribute comes and, later, goes
-					pr, qs, counts := joiner(attr.NewSet(attr.ID(12 + spread + step)))
-					joined = append(joined, e.AddPeer(pr, qs, counts, cluster.None))
-				case 5:
-					for k := 0; k < 3; k++ {
-						if pid := rng.Intn(e.NumSlots()); e.IsLive(pid) {
-							e.Move(pid, cluster.CID(rng.Intn(8)))
-						}
-					}
-				}
-				prev := incr
-				incr = e.BuildRoutingView(prev)
-				scratch := e.BuildRoutingView(nil)
-				if err := sameView(scratch, incr); err != nil {
-					t.Fatalf("step %d: incremental view: %v", step, err)
-				}
-				for name, v := range map[string]*RoutingView{"incremental": incr, "scratch": scratch} {
-					if err := checkPostingTable(v); err != nil {
-						t.Fatalf("step %d: %s view: %v", step, name, err)
-					}
-				}
-				// At most two peers changed, each over at most three pages.
-				if n := freshPages(prev, incr); n > 6 {
-					t.Fatalf("step %d: the build copied %d of %d posting pages, more than the change touched",
-						step, n, len(incr.postings.pages))
-				}
-
-				// The replica skips some views, as a watcher served from
-				// the ring does.
-				if rng.Intn(3) > 0 {
-					d, ok := incr.DeltaFrom(replicaBase)
-					if !ok {
-						t.Fatalf("step %d: no delta within one engine lineage", step)
-					}
-					if replica, err = replica.ApplyDelta(d); err != nil {
-						t.Fatalf("step %d: apply delta: %v", step, err)
-					}
-					replicaBase = incr
-					if err := sameView(scratch, replica); err != nil {
-						t.Fatalf("step %d: replica view: %v", step, err)
-					}
-					if err := checkPostingTable(replica); err != nil {
-						t.Fatalf("step %d: replica view: %v", step, err)
-					}
-					if replica.Live() != scratch.Live() {
-						t.Fatalf("step %d: replica counts %d live peers, engine %d", step, replica.Live(), scratch.Live())
-					}
-				}
-
-				qs := append(testQueries(e, rng),
-					attr.NewSet(common(), rare()),
-					attr.NewSet(attr.ID(12+spread+step)),
-					attr.NewSet(attr.ID(12+spread+10*postingPageLen)), // past the last page
-					attr.NewSet(attr.ID(1<<31-1)),
-					attr.NewSet(0, attr.ID(1<<30)))
-				checkViewsAgree(t, scratch, incr, qs, "incremental")
-				checkViewMatchesOracle(t, e, incr, qs, "incremental vs engine")
-				if replicaBase == incr {
-					checkViewsAgree(t, scratch, replica, qs, "replica")
-				}
+			d := newDriver(t, fixture{n: 24, alpha: 1, seed: seed}, splitOf(seed))
+			d.runSeeded(seed^0x5eed, 60)
+			d.finish()
+			if slices.Max(d.joins) <= maskItems || d.reused == 0 || d.rare == 0 {
+				t.Errorf("joins of %v items, %d slots reused, %d with rare content: no wide joiner, no reuse or no rare content",
+					d.joins, d.reused, d.rare)
 			}
 		})
 	}
+}
+
+// FuzzRoutingView runs the op driver over a byte-decoded op stream from
+// six singletons, never cloned. The seeds in
+// testdata/fuzz/FuzzRoutingView join peers of 0, 32, 33, 63, 64, 65 and
+// 80 items (a posting mask carries 32) and reuse a slot between two
+// builds; the log says what each reached.
+func FuzzRoutingView(f *testing.F) {
+	f.Add([]byte{1, 3, 81, 65, 2, 1, 93, 6, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 96 {
+			ops = ops[:96]
+		}
+		d := newDriver(t, fixture{n: 6, alpha: 1, seed: 1}, noClone)
+		d.run(ops)
+		d.finish()
+		t.Logf("joins of %v items, %d slots reused at once", d.joins, d.reused)
+	})
 }
 
 // TestViewDeltaBoundaries pins when a delta exists and what ApplyDelta
@@ -265,8 +163,9 @@ func TestViewDeltaBoundaries(t *testing.T) {
 	if _, ok := v1.DeltaFrom(imported); ok {
 		t.Error("DeltaFrom diffed an engine view against an imported one")
 	}
-	pr, qs, counts := joiner(attr.NewSet(1, 2))
-	pid := e.AddPeer(pr, qs, counts, cluster.None)
+	pr := peer.New(-1)
+	pr.SetItems([]attr.Set{attr.NewSet(1, 2)})
+	pid := e.AddPeer(pr, []attr.Set{attr.NewSet(1)}, []int{1}, cluster.None)
 	v2 := e.BuildRoutingView(v1)
 	d, ok := v2.DeltaFrom(v1)
 	if !ok || len(d.Changed) != 1 || int(d.Changed[0].Slot) != pid || d.BasePop != v1.PopVersion() || d.PopVersion != v2.PopVersion() {

@@ -18,7 +18,7 @@ import (
 // Rebuild, which asks nobody, must allocate nothing at four.
 func TestRebuildWorkersBitIdentical(t *testing.T) {
 	const n, v = 1300, 400
-	run := func(procs int) (cold, edited []string) {
+	run := func(procs int) (cold, edited string) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		if w := RestoreWorkers(n); w != procs {
 			t.Fatalf("GOMAXPROCS %d: RestoreWorkers(%d) = %d, want %d", procs, n, w, procs)

@@ -199,7 +199,7 @@ func TestWireDeltaCarriesFollower(t *testing.T) {
 		if drec.PopVersion != follower.PopVersion() {
 			t.Fatalf("step %d: delta pop %d vs follower %d", step, drec.PopVersion, follower.PopVersion())
 		}
-		follower, err = follower.ApplyMoves(drec.Moves)
+		follower, err = follower.ApplyDelta(drec.Delta())
 		if err != nil {
 			t.Fatal(err)
 		}
